@@ -1,0 +1,5 @@
+"""The repository benchmark: three workloads, end-to-end and per-layer metrics.
+
+Entry point: ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root.  See ``perfbench/README.md``.
+"""
