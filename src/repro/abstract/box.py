@@ -25,6 +25,16 @@ propagates all ``N`` boxes at once.  :meth:`Box.stack` builds a batched box
 from per-component boxes, :meth:`Box.split_batched` partitions a 1-d box into
 its ``N`` QC components directly in batched form, and :meth:`Box.unstack`
 recovers the per-component view.
+
+:meth:`Box.split_batched` also stacks over leading axes: a ``(D, d)`` stack
+of ``D`` boxes splits into a ``(D, N, d)`` stack, whose ``(N, d)`` slices go
+through :meth:`Box.affine` as one gemm each, exactly as a lone ``(N, d)``
+box would (numpy's ``matmul`` loops the same gemm over the leading axes).
+
+The public constructor validates and copies its inputs.  The transformers
+below build their results with :meth:`Box._trusted` instead: their outputs
+are fresh float64 arrays of one shape with a non-negative deviation by
+construction, so only the ``max(deviation, 0)`` clamp is kept.
 """
 
 from __future__ import annotations
@@ -58,6 +68,21 @@ class Box:
     # ------------------------------------------------------------------ #
     # Constructors / conversions
     # ------------------------------------------------------------------ #
+    @classmethod
+    def _trusted(cls, center: np.ndarray, deviation: np.ndarray) -> "Box":
+        """Internal constructor for float64 ``center``/``deviation`` arrays of
+        one shape: keeps the deviation clamp, skips validation and copies."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "center", center)
+        object.__setattr__(box, "deviation", np.maximum(deviation, 0.0))
+        return box
+
+    @classmethod
+    def _trusted_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "Box":
+        """:meth:`from_bounds` for float64 ``lo <= hi`` arrays of one shape,
+        with the same centre/deviation arithmetic and no validation."""
+        return cls._trusted((lo + hi) / 2.0, (hi - lo) / 2.0)
+
     @classmethod
     def point(cls, value) -> "Box":
         arr = np.asarray(value, dtype=np.float64)
@@ -144,7 +169,7 @@ class Box:
             deviation = np.abs(weight) @ self.deviation
         if bias is not None:
             center = center + np.asarray(bias, dtype=np.float64)
-        return Box(center, deviation)
+        return Box._trusted(center, deviation)
 
     def add_elements(self, target: int, lhs: int, rhs: int) -> "Box":
         """The paper's 'Add' transformer.
@@ -163,19 +188,20 @@ class Box:
         """ReLU transformer from Section 3.2 (midpoint/half-width of end-point images)."""
         upper = np.maximum(self.center + self.deviation, 0.0)
         lower = np.maximum(self.center - self.deviation, 0.0)
-        return Box((upper + lower) / 2.0, (upper - lower) / 2.0)
+        return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
 
     def tanh(self) -> "Box":
         upper = np.tanh(self.center + self.deviation)
         lower = np.tanh(self.center - self.deviation)
-        return Box((upper + lower) / 2.0, (upper - lower) / 2.0)
+        return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
 
     def scale(self, factor) -> "Box":
         factor = np.asarray(factor, dtype=np.float64)
-        return Box(self.center * factor, self.deviation * np.abs(factor))
+        return Box._trusted(self.center * factor, self.deviation * np.abs(factor))
 
     def shift(self, offset) -> "Box":
-        return Box(self.center + np.asarray(offset, dtype=np.float64), self.deviation.copy())
+        center = self.center + np.asarray(offset, dtype=np.float64)
+        return Box._trusted(center, np.broadcast_to(self.deviation, center.shape))
 
     def join(self, other: "Box") -> "Box":
         """Least upper bound (box hull) of two boxes."""
@@ -193,31 +219,32 @@ class Box:
         return [Box.from_interval(piece) for piece in interval.split_dims(n, dims)]
 
     def split_batched(self, n: int, dims: Sequence[int] | None = None) -> "Box":
-        """Partition a 1-d box into ``n`` components as one batched Box.
+        """Partition a box into ``n`` components as one batched Box.
 
-        Row ``i`` of the result is numerically identical to ``self.split(n,
-        dims)[i]`` — the slicing arithmetic mirrors
-        :meth:`repro.abstract.interval.Interval.split_dims` exactly — but the
-        components come back stacked along a leading batch axis of size ``n``,
-        ready for one-shot propagation.
+        A 1-d box of shape ``(d,)`` gives a ``(n, d)`` box whose row ``i`` is
+        numerically identical to ``self.split(n, dims)[i]`` — the slicing
+        arithmetic mirrors :meth:`repro.abstract.interval.Interval.split_dims`
+        exactly.  A stack of boxes, shape ``(..., d)``, splits every box the
+        same way into a ``(..., n, d)`` stack, ready for one-shot propagation.
         """
         if n <= 0:
             raise ValueError("n must be positive")
-        if self.ndim != 1:
-            raise ValueError("split_batched requires a 1-d box")
+        if self.ndim < 1:
+            raise ValueError("split_batched requires a box with a feature axis")
         lo = self.lo
         hi = self.hi
         if dims is None:
-            dims = list(range(lo.shape[0]))
+            dims = list(range(lo.shape[-1]))
         dims = np.asarray(list(dims), dtype=int)
-        lo_batched = np.tile(lo, (n, 1))
-        hi_batched = np.tile(hi, (n, 1))
+        lo_batched = np.repeat(lo[..., None, :], n, axis=-2)
+        hi_batched = np.repeat(hi[..., None, :], n, axis=-2)
         if dims.size:
             index = np.arange(n, dtype=np.float64)[:, None]
-            width = hi[dims] - lo[dims]
-            lo_batched[:, dims] = lo[dims] + width * index / n
-            hi_batched[:, dims] = lo[dims] + width * (index + 1) / n
-        return Box.from_bounds(lo_batched, hi_batched)
+            lo_dims = lo[..., None, dims]
+            width = hi[..., None, dims] - lo_dims
+            lo_batched[..., dims] = lo_dims + width * index / n
+            hi_batched[..., dims] = lo_dims + width * (index + 1) / n
+        return Box._trusted_bounds(lo_batched, hi_batched)
 
     def unstack(self) -> list:
         """The per-component boxes of a batched box (inverse of :meth:`stack`)."""

@@ -11,11 +11,12 @@ for any concrete input in the box — the object ``a# = π#(s#)`` of
 Section 4.3.1.
 
 Every propagation function also accepts *batched* boxes (``lo``/``hi`` of
-shape ``(N, d)``, see :mod:`repro.abstract.box`): the affine transformer
-contracts the trailing feature axis and the element-wise transformers apply
-per element, so all ``N`` component boxes move through the network in a single
-numpy call per layer.  :func:`propagate_mlp_batched` is the explicit entry
-point used by the batched verifier.
+shape ``(N, d)``, or a stack ``(D, N, d)``; see :mod:`repro.abstract.box`):
+the affine transformer contracts the trailing feature axis and the
+element-wise transformers apply per element, so all component boxes move
+through the network in a single numpy call per layer.
+:func:`propagate_mlp_batched` is the explicit entry point used by the
+batched verifier.
 """
 
 from __future__ import annotations
@@ -68,14 +69,18 @@ def propagate_mlp(model, box: Box) -> Box:
 
 
 def propagate_mlp_batched(model, box: Box) -> Box:
-    """Push a batched box of shape ``(N, d)`` through an MLP in one pass.
+    """Push a batched box of shape ``(N, d)`` or ``(D, N, d)`` through an MLP in one pass.
 
-    The result is a batched box of shape ``(N, out_features)`` whose row ``i``
-    equals ``propagate_mlp(model, box.unstack()[i])`` up to floating-point
-    associativity (the differential test suite pins them to within 1e-12).
+    The result has shape ``(N, out_features)`` (or ``(D, N, out_features)``).
+    Row ``i`` equals ``propagate_mlp(model, box.unstack()[i])`` up to
+    floating-point associativity (the differential test suite pins them to
+    within 1e-12).  Slice ``j`` of a ``(D, N, d)`` stack is exactly — bit for
+    bit — the result of propagating that ``(N, d)`` slice alone: every affine
+    layer runs the same ``(N, d) @ W.T`` gemm per slice, and every other step
+    is element-wise.
     """
-    if box.ndim != 2:
-        raise ValueError(f"batched propagation expects lo/hi of shape (N, d), got ndim={box.ndim}")
+    if box.ndim not in (2, 3):
+        raise ValueError(f"batched propagation expects lo/hi of shape (N, d) or (D, N, d), got ndim={box.ndim}")
     in_features = getattr(model, "in_features", None)
     if in_features is not None and box.center.shape[-1] != in_features:
         raise ValueError(

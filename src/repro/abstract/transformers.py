@@ -11,9 +11,11 @@ of the paper, Canopy needs a transformer for the post-network cwnd computation
 property postconditions (Δcwnd and the fractional cwnd change of P5).
 
 All transformers are batch-transparent: handed a batched box (``lo``/``hi`` of
-shape ``(N, d)``, see :mod:`repro.abstract.box`) they transform all ``N``
-component boxes in the same numpy calls, which is what makes the batched
-verifier a single-propagation-per-property engine.
+shape ``(N, d)`` or ``(D, N, d)``, see :mod:`repro.abstract.box`) they
+transform every component box in the same numpy calls, which is what makes
+the batched verifier a single-propagation-per-property engine.  The concrete
+windows of the cwnd transformers may be arrays broadcasting against the box
+(one window per decision of a ``(D, N, d)`` stack, shaped ``(D, 1, 1)``).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def monotone(box: Box, fn: Callable[[np.ndarray], np.ndarray]) -> Box:
     """
     upper = fn(box.hi)
     lower = fn(box.lo)
-    return Box((upper + lower) / 2.0, (upper - lower) / 2.0)
+    return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
 
 
 def exp2(box: Box) -> Box:
@@ -86,7 +88,7 @@ def exp2(box: Box) -> Box:
     return monotone(box, np.exp2)
 
 
-def cwnd_from_action(action: Box, cwnd_tcp: float, action_clip: tuple[float, float] = (-1.0, 1.0)) -> Box:
+def cwnd_from_action(action: Box, cwnd_tcp, action_clip: tuple[float, float] = (-1.0, 1.0)) -> Box:
     """Abstract counterpart of Orca's cwnd map (Eq. 1).
 
     ``cwnd = 2^(2a) * cwnd_TCP`` with ``a`` clipped to ``action_clip`` — the
@@ -96,25 +98,27 @@ def cwnd_from_action(action: Box, cwnd_tcp: float, action_clip: tuple[float, flo
     concrete in Canopy; only the network-state variables of interest are
     abstracted).
     """
-    if cwnd_tcp < 0:
+    cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
+    if np.any(cwnd_tcp < 0):
         raise ValueError("cwnd_tcp must be non-negative")
     lo_a, hi_a = action_clip
-    clipped = Box.from_bounds(np.clip(action.lo, lo_a, hi_a), np.clip(action.hi, lo_a, hi_a))
+    clipped = Box._trusted_bounds(np.clip(action.lo, lo_a, hi_a), np.clip(action.hi, lo_a, hi_a))
     doubled = scale(clipped, 2.0)
     gain = exp2(doubled)
-    return scale(gain, float(cwnd_tcp))
+    return scale(gain, cwnd_tcp)
 
 
-def delta_cwnd(cwnd: Box, cwnd_prev: float) -> Box:
+def delta_cwnd(cwnd: Box, cwnd_prev) -> Box:
     """Δcwnd# = cwnd# − cwnd_{i−1}, the checked action for P1–P4."""
-    return cwnd.shift(-float(cwnd_prev))
+    return cwnd.shift(-np.asarray(cwnd_prev, dtype=np.float64))
 
 
-def cwnd_change_fraction(cwnd: Box, cwnd_ref: float) -> Box:
+def cwnd_change_fraction(cwnd: Box, cwnd_ref) -> Box:
     """(cwnd# − cwnd_i) / cwnd_i, the checked action for P5 (robustness)."""
-    if cwnd_ref <= 0:
+    cwnd_ref = np.asarray(cwnd_ref, dtype=np.float64)
+    if np.any(cwnd_ref <= 0):
         raise ValueError("cwnd_ref must be positive")
-    return cwnd.shift(-float(cwnd_ref)).scale(1.0 / float(cwnd_ref))
+    return cwnd.shift(-cwnd_ref).scale(1.0 / cwnd_ref)
 
 
 def interval_of(box_or_interval) -> Interval:

@@ -31,7 +31,7 @@ from repro.core.properties import (
     deep_buffer_properties,
     robustness_properties,
 )
-from repro.core.qc import ComponentCertificate, QuantitativeCertificate, interval_feedback
+from repro.core.qc import CertificateBatch, ComponentCertificate, QuantitativeCertificate, interval_feedback
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.core.reward import CanopyRewardShaper, ShapedReward
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
@@ -52,6 +52,7 @@ __all__ = [
     "shallow_buffer_properties",
     "deep_buffer_properties",
     "robustness_properties",
+    "CertificateBatch",
     "ComponentCertificate",
     "QuantitativeCertificate",
     "interval_feedback",

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.properties import PropertySet
-from repro.core.verifier import Verifier
+from repro.core.verifier import Verifier, weighted_feedback
 from repro.telemetry.events import EventTrace
 
 __all__ = ["QCRuntimeMonitor"]
@@ -68,18 +68,8 @@ class QCRuntimeMonitor:
     # ------------------------------------------------------------------ #
     def evaluate(self, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> Tuple[float, dict]:
         """QC feedback (weighted over the property set) at this decision point."""
-        per_property = {}
-        total = 0.0
-        weight_sum = 0.0
-        for prop in self.properties:
-            certificate = self.verifier.certify(
-                prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components
-            )
-            per_property[prop.name] = certificate.feedback
-            total += prop.weight * certificate.feedback
-            weight_sum += prop.weight
-        qc_value = total / weight_sum if weight_sum > 0 else 1.0
-        return qc_value, per_property
+        return weighted_feedback(self.properties, lambda prop: self.verifier.certify(
+            prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components).feedback)
 
     def decision_filter(self, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> Tuple[bool, float]:
         """The callback installed on :class:`repro.orca.agent.LearnedController`.

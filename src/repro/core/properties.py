@@ -165,30 +165,31 @@ class PropertySpec:
         """The abstract input region X around the (concrete) current state.
 
         Only the variables of interest are abstracted (Section 5); every other
-        dimension stays at its observed value.
+        dimension stays at its observed value.  A stack of states, shape
+        ``(D, state_dim)``, gives the stack of the ``D`` regions.
         """
         state = np.asarray(state, dtype=np.float64)
-        if state.shape[0] != observer.state_dim:
-            raise ValueError(f"state has dim {state.shape[0]}, expected {observer.state_dim}")
+        if state.ndim not in (1, 2) or state.shape[-1] != observer.state_dim:
+            raise ValueError(f"state has shape {state.shape}, expected (..., {observer.state_dim})")
         lo = state.copy()
         hi = state.copy()
         if self.kind is ActionKind.CWND_CHANGE_FRACTION:
             for feature in self.noise_features:
-                for idx in observer.feature_indices(feature):
-                    low_value = state[idx] * (1.0 - self.noise_mu)
-                    high_value = state[idx] * (1.0 + self.noise_mu)
-                    lo[idx] = min(low_value, high_value)
-                    hi[idx] = max(low_value, high_value)
+                idx = observer.feature_indices(feature)
+                low_value = state[..., idx] * (1.0 - self.noise_mu)
+                high_value = state[..., idx] * (1.0 + self.noise_mu)
+                lo[..., idx] = np.minimum(low_value, high_value)
+                hi[..., idx] = np.maximum(low_value, high_value)
             return Box.from_bounds(lo, hi)
         if self.delay_range is not None:
-            for idx in observer.feature_indices("delay"):
-                lo[idx], hi[idx] = self.delay_range
+            idx = observer.feature_indices("delay")
+            lo[..., idx], hi[..., idx] = self.delay_range
         if self.loss_range is not None:
-            for idx in observer.feature_indices("loss"):
-                lo[idx], hi[idx] = self.loss_range
+            idx = observer.feature_indices("loss")
+            lo[..., idx], hi[..., idx] = self.loss_range
         if self.dcwnd_sign is not None:
-            for idx in observer.feature_indices("dcwnd"):
-                lo[idx], hi[idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
+            idx = observer.feature_indices("dcwnd")
+            lo[..., idx], hi[..., idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
         return Box.from_bounds(lo, hi)
 
     # ------------------------------------------------------------------ #

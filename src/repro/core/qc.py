@@ -9,7 +9,9 @@ A QC (Section 4.3) has two pieces:
 
 The :class:`QuantitativeCertificate` produced by the verifier carries both,
 plus enough detail (per-component output bounds) to reproduce the
-certified-component visualizations of Figures 6 and 8.
+certified-component visualizations of Figures 6 and 8.  A
+:class:`CertificateBatch` holds the QCs of one property at many decisions as
+arrays, and builds the per-decision certificate on demand.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "interval_feedback_batch",
     "ComponentCertificate",
     "QuantitativeCertificate",
+    "CertificateBatch",
 ]
 
 #: Containment tolerance shared by the scalar and batched feedback paths
@@ -52,17 +55,18 @@ def interval_feedback_batch(
     output_hi: np.ndarray,
     allowed: Interval,
 ) -> tuple:
-    """Vectorized proof + Eq. 6 feedback over ``N`` scalar output intervals.
+    """Vectorized proof + Eq. 6 feedback over many scalar output intervals.
 
-    Takes the per-component checked-action bounds as flat ``(N,)`` arrays and
-    the (scalar) allowed region; returns ``(satisfied, feedback)`` boolean and
-    float arrays of shape ``(N,)``.  Component ``i`` matches the scalar path
+    Takes the per-component checked-action bounds as arrays of one shape
+    (``(N,)`` for one decision, ``(D, N)`` for a stack) and the (scalar)
+    allowed region; returns ``(satisfied, feedback)`` boolean and float arrays
+    of that shape.  Component ``i`` matches the scalar path
     ``(allowed.contains_interval(out_i), interval_feedback(out_i, allowed))``
     exactly, including the containment tolerance and the degenerate
     (zero-width) interval rule.
     """
-    output_lo = np.asarray(output_lo, dtype=np.float64).reshape(-1)
-    output_hi = np.asarray(output_hi, dtype=np.float64).reshape(-1)
+    output_lo = np.asarray(output_lo, dtype=np.float64)
+    output_hi = np.asarray(output_hi, dtype=np.float64)
     allowed_lo = float(np.asarray(allowed.lo).reshape(-1)[0])
     allowed_hi = float(np.asarray(allowed.hi).reshape(-1)[0])
 
@@ -150,3 +154,89 @@ class QuantitativeCertificate:
             "n_components": self.n_components,
             "applicable": self.applicable,
         }
+
+
+@dataclass(frozen=True)
+class CertificateBatch:
+    """The QCs of one property at ``D`` decisions, held as arrays.
+
+    ``input_lo``/``input_hi`` have shape ``(D, N, d)``; ``output_lo``,
+    ``output_hi``, ``satisfied`` and ``component_feedback`` have shape
+    ``(D, N)``.  ``feedback`` ``(D,)`` is each decision's QC feedback (the
+    component mean, exactly as :attr:`QuantitativeCertificate.feedback`
+    computes it) and ``applicable_mask`` ``(D,)`` marks the decisions the
+    property applies at.  A non-applicable decision has NaN bounds, no
+    satisfied component and the vacuous feedback 1.0.
+    """
+
+    property_name: str
+    allowed_lo: float
+    allowed_hi: float
+    input_lo: np.ndarray
+    input_hi: np.ndarray
+    output_lo: np.ndarray
+    output_hi: np.ndarray
+    satisfied: np.ndarray
+    component_feedback: np.ndarray
+    feedback: np.ndarray
+    applicable_mask: np.ndarray
+
+    @classmethod
+    def from_applicable(cls, property_name: str, allowed: Interval, applicable: np.ndarray,
+                        input_lo, input_hi, output_lo, output_hi, satisfied,
+                        component_feedback) -> "CertificateBatch":
+        """Assemble a batch from the arrays of its applicable decisions only.
+
+        Row ``j`` of the component arrays belongs to the ``j``-th True entry
+        of ``applicable``; the other decisions get vacuous rows.
+        """
+        feedback = np.mean(component_feedback, axis=-1)
+        if not applicable.all():
+            def scatter(values: np.ndarray, fill) -> np.ndarray:
+                full = np.full(applicable.shape + values.shape[1:], fill, dtype=values.dtype)
+                full[applicable] = values
+                return full
+
+            input_lo, input_hi = scatter(input_lo, np.nan), scatter(input_hi, np.nan)
+            output_lo, output_hi = scatter(output_lo, np.nan), scatter(output_hi, np.nan)
+            satisfied = scatter(satisfied, False)
+            component_feedback = scatter(component_feedback, np.nan)
+            feedback = scatter(feedback, 1.0)
+        return cls(property_name, float(allowed.lo), float(allowed.hi), input_lo, input_hi,
+                   output_lo, output_hi, satisfied, component_feedback, feedback, applicable)
+
+    @property
+    def n_decisions(self) -> int:
+        return int(self.applicable_mask.shape[0])
+
+    @property
+    def applicable(self) -> bool:
+        """Whether the property applies at one decision at least; when False
+        every certificate in the batch is vacuous."""
+        return bool(self.applicable_mask.any())
+
+    def certificate(self, index: int) -> QuantitativeCertificate:
+        """Decision ``index`` as a :class:`QuantitativeCertificate`."""
+        certificate = QuantitativeCertificate(
+            property_name=self.property_name,
+            allowed_lo=self.allowed_lo,
+            allowed_hi=self.allowed_hi,
+            applicable=bool(self.applicable_mask[index]),
+        )
+        if certificate.applicable:
+            input_lo, input_hi = self.input_lo[index], self.input_hi[index]
+            certificate.components = [
+                ComponentCertificate(
+                    index=component,
+                    input_lo=input_lo[component].copy(),
+                    input_hi=input_hi[component].copy(),
+                    output_lo=output_lo,
+                    output_hi=output_hi,
+                    satisfied=satisfied,
+                    feedback=feedback,
+                )
+                for component, (output_lo, output_hi, satisfied, feedback) in enumerate(zip(
+                    self.output_lo[index].tolist(), self.output_hi[index].tolist(),
+                    self.satisfied[index].tolist(), self.component_feedback[index].tolist()))
+            ]
+        return certificate

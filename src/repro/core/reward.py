@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.properties import PropertySet
-from repro.core.verifier import Verifier
+from repro.core.verifier import Verifier, weighted_feedback
 
 __all__ = ["ShapedReward", "CanopyRewardShaper"]
 
@@ -47,17 +47,8 @@ class CanopyRewardShaper:
 
     def shape(self, raw_reward: float, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> ShapedReward:
         """Compute Eq. 10 for one step and return the decomposition."""
-        per_property: Dict[str, float] = {}
-        total_feedback = 0.0
-        weight_sum = 0.0
-        for prop in self.properties:
-            certificate = self.verifier.certify(
-                prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components
-            )
-            per_property[prop.name] = certificate.feedback
-            total_feedback += prop.weight * certificate.feedback
-            weight_sum += prop.weight
-        verifier_reward = total_feedback / weight_sum if weight_sum > 0 else 1.0
+        verifier_reward, per_property = weighted_feedback(self.properties, lambda prop: self.verifier.certify(
+            prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components).feedback)
         total = (1.0 - self.lam) * raw_reward + self.lam * verifier_reward
         return ShapedReward(
             total=float(total),

@@ -18,20 +18,37 @@ The result is a :class:`repro.core.qc.QuantitativeCertificate`.
 Batched engine
 --------------
 
-:meth:`Verifier.certify` stacks all ``N`` components into one batched box
+One engine certifies one property over a stack of decisions.  Handed all
+``D`` decisions of a run, :meth:`Verifier.certify` builds their input regions
+at once (:meth:`PropertySpec.input_region` on a ``(D, d)`` state stack),
+partitions them into one ``(D, N, d)`` box
 (:meth:`repro.abstract.box.Box.split_batched`) and runs a *single* IBP
-propagation per property — the cwnd map, the Δcwnd / fractional-change
-transformers, the containment check and the Eq. 6 feedback are all vectorized
-over the component axis.  The original one-component-at-a-time path is
-retained as :meth:`Verifier.certify_reference` (plus ``certify_all_reference``
-and ``verifier_feedback_reference``); the differential test suite pins the two
-implementations to each other within 1e-12.
+propagation for the property.  The cwnd map, the Δcwnd / fractional-change
+transformers, the containment check and the Eq. 6 feedback are vectorized
+over decisions and components, and the result is an array-backed
+:class:`repro.core.qc.CertificateBatch`.  One decision is the same engine on
+one state, propagated as an ``(N, d)`` box, and gives a
+:class:`repro.core.qc.QuantitativeCertificate`.
+
+Batching does not move a single bit.  Each ``(N, d)`` slice of the stack goes
+through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
+issues (numpy's ``matmul`` loops that gemm over the leading axis), every other
+step is element-wise, and the P5 reference window stays one ``(1, d)`` actor
+forward per decision.  The stack is deliberately never flattened to
+``(D·N, d)``: BLAS picks another path for another row count, which moved
+action bounds by up to 2.8e-17.  The differential tests pin a stacked
+``certify`` to per-decision ``certify`` with ``np.array_equal``.
+
+The original one-component-at-a-time path is retained as
+:meth:`Verifier.certify_reference` (plus ``certify_all_reference`` and
+``verifier_feedback_reference``); the differential test suite pins the
+engine to it within 1e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +58,7 @@ from repro.abstract.interval import Interval
 from repro.abstract.propagate import propagate_mlp, propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec
 from repro.core.qc import (
+    CertificateBatch,
     ComponentCertificate,
     QuantitativeCertificate,
     interval_feedback,
@@ -49,7 +67,29 @@ from repro.core.qc import (
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
-__all__ = ["VerifierConfig", "Verifier"]
+__all__ = ["VerifierConfig", "Verifier", "weighted_feedback"]
+
+
+def weighted_feedback(
+    properties: Iterable[PropertySpec], feedback_of: Callable[[PropertySpec], float]
+) -> Tuple[float, Dict[str, float]]:
+    """Eq. 7: the weight-averaged QC feedback over ``properties``.
+
+    ``feedback_of(prop)`` gives one property's feedback.  Returns the weighted
+    average and the feedback of each property by name.  The sum runs in
+    property order, so the value is reproducible bit for bit.
+    """
+    per_property: Dict[str, float] = {}
+    total = 0.0
+    weight_sum = 0.0
+    for prop in properties:
+        feedback = feedback_of(prop)
+        per_property[prop.name] = feedback
+        total += prop.weight * feedback
+        weight_sum += prop.weight
+    if not per_property:
+        raise ValueError("need at least one property")
+    return total / weight_sum, per_property
 
 
 @dataclass
@@ -113,6 +153,12 @@ class Verifier:
         """The concrete enforced window for ``state`` (Eq. 1)."""
         return cwnd_from_action(self.concrete_action(state), cwnd_tcp)
 
+    def _n_components(self, n_components: Optional[int]) -> int:
+        n = self.config.n_components if n_components is None else int(n_components)
+        if n <= 0:
+            raise ValueError("n_components must be positive")
+        return n
+
     # ------------------------------------------------------------------ #
     # Certification (batched engine)
     # ------------------------------------------------------------------ #
@@ -123,84 +169,95 @@ class Verifier:
         cwnd_tcp: float,
         cwnd_prev: float,
         n_components: Optional[int] = None,
-        observer: Optional[ObservationBuilder] = None,
-    ) -> QuantitativeCertificate:
-        """Produce the QC for one property at one decision step.
+    ) -> QuantitativeCertificate | CertificateBatch:
+        """Produce the QC for one property at one decision step, or at each
+        decision of a stack.
 
-        All ``N`` components are propagated through the actor as one batched
-        box, so the per-property cost is a single IBP pass regardless of N.
+        A ``state`` of shape ``(d,)`` with scalar windows gives one
+        :class:`QuantitativeCertificate`.  A stack of ``D`` states ``(D, d)``
+        with one ``cwnd_tcp`` and one ``cwnd_prev`` per decision gives a
+        :class:`CertificateBatch` whose decision ``i`` is bit-identical to
+        ``certify(prop, state[i], cwnd_tcp[i], cwnd_prev[i])``.  Either way
+        all components of all decisions go through the actor in a single IBP
+        pass.
         """
-        observer = observer or self.observer
-        n = n_components or self.config.n_components
-        context = DecisionContext(np.asarray(state, dtype=np.float64), float(cwnd_tcp), float(cwnd_prev))
-        certificate = self._empty_certificate(prop)
+        n = self._n_components(n_components)
+        state = np.asarray(state, dtype=np.float64)
+        if state.ndim == 1:
+            context = DecisionContext(state, float(cwnd_tcp), float(cwnd_prev))
+            return self._certify_stack(prop, context.state, context.cwnd_tcp, context.cwnd_prev, n).certificate(0)
+        cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
+        cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
+        if state.ndim != 2:
+            raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
+        if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
+            raise ValueError("a stack of decisions needs one cwnd_tcp and one cwnd_prev per decision")
+        if np.any(cwnd_tcp <= 0):
+            raise ValueError("cwnd_tcp must be positive")
+        return self._certify_stack(prop, state, cwnd_tcp, cwnd_prev, n)
 
+    def _certify_stack(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp, cwnd_prev, n: int) -> CertificateBatch:
+        """The engine behind :meth:`certify`.
+
+        ``states`` is one state ``(d,)`` with scalar windows, propagated as an
+        ``(N, d)`` box, or a stack ``(D, d)`` with one window per decision,
+        propagated as one ``(D, N, d)`` box.  Decisions that fail the Δcwnd
+        side condition under ``check_applicability`` are not propagated.
+        """
+        applicable = np.ones(states.shape[:-1], dtype=bool)
         if self.config.check_applicability:
-            if not self._applicability_from_state(prop, context.state, observer):
-                certificate.applicable = False
-                return certificate
-
-        components = self._components_batched(prop, context, observer, n)
-        cwnd_reference = self._cwnd_reference(prop, context)
-        output_lo, output_hi = self._checked_action_bounds_batched(prop, components, context, cwnd_reference)
-        satisfied, feedback = interval_feedback_batch(output_lo, output_hi, prop.allowed_interval())
-
-        input_lo = components.lo
-        input_hi = components.hi
-        for index in range(n):
-            certificate.components.append(ComponentCertificate(
-                index=index,
-                input_lo=input_lo[index].copy(),
-                input_hi=input_hi[index].copy(),
-                output_lo=float(output_lo[index]),
-                output_hi=float(output_hi[index]),
-                satisfied=bool(satisfied[index]),
-                feedback=float(feedback[index]),
-            ))
-        return certificate
-
-    def _empty_certificate(self, prop: PropertySpec) -> QuantitativeCertificate:
+            applicable = self._applicability_from_state(prop, states)
+        if applicable.ndim and not applicable.all():
+            states, cwnd_tcp, cwnd_prev = states[applicable], cwnd_tcp[applicable], cwnd_prev[applicable]
+        state_dim = states.shape[-1]
+        if applicable.any():
+            input_lo, input_hi, output_lo, output_hi = self._component_bounds(prop, states, cwnd_tcp, cwnd_prev, n)
+        else:
+            input_lo = input_hi = np.empty((0, n, state_dim))
+            output_lo = output_hi = np.empty((0, n))
         allowed = prop.allowed_interval()
-        return QuantitativeCertificate(
-            property_name=prop.name,
-            allowed_lo=float(allowed.lo),
-            allowed_hi=float(allowed.hi),
+        satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed)
+        return CertificateBatch.from_applicable(
+            prop.name, allowed, applicable.reshape(-1),
+            input_lo.reshape(-1, n, state_dim), input_hi.reshape(-1, n, state_dim),
+            output_lo.reshape(-1, n), output_hi.reshape(-1, n),
+            satisfied.reshape(-1, n), feedback.reshape(-1, n),
         )
 
-    def _components_batched(
-        self, prop: PropertySpec, context: DecisionContext, observer: ObservationBuilder, n: int
-    ) -> Box:
-        region = prop.input_region(context.state, observer)
+    def _component_bounds(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp, cwnd_prev, n: int) -> tuple:
+        """Component input bounds ``(..., N, d)`` and checked-action bounds
+        ``(..., N)`` for a state ``(d,)`` or a stack ``(D, d)``, one IBP pass."""
+        observer = self.observer
         dims = prop.partition_dims(observer)
-        return region.split_batched(n, dims=dims if dims else None)
-
-    def _cwnd_reference(self, prop: PropertySpec, context: DecisionContext) -> Optional[float]:
-        if prop.kind is ActionKind.CWND_CHANGE_FRACTION:
-            return self.concrete_cwnd(context.state, context.cwnd_tcp)
-        return None
-
-    def _applicability_from_state(self, prop: PropertySpec, state: np.ndarray, observer: ObservationBuilder) -> bool:
-        """Check the concrete Δcwnd side-condition directly on the state vector."""
-        if prop.dcwnd_sign is None:
-            return True
-        dcwnd_history = state[observer.feature_indices("dcwnd")]
-        if prop.dcwnd_sign < 0:
-            return bool(np.all(dcwnd_history <= 1e-6))
-        return bool(np.all(dcwnd_history >= -1e-6))
-
-    def _checked_action_bounds_batched(
-        self, prop, components: Box, context: DecisionContext, cwnd_reference
-    ) -> tuple:
-        """Flat ``(N,)`` lower/upper bounds on the checked action, one IBP pass."""
+        components = prop.input_region(states, observer).split_batched(n, dims=dims if dims else None)
         action_box = propagate_mlp_batched(self.actor, components)
-        cwnd_box = transformers.cwnd_from_action(action_box, context.cwnd_tcp)
+        # One window per decision, broadcast over its components.
+        cwnd_box = transformers.cwnd_from_action(action_box, np.asarray(cwnd_tcp)[..., None, None])
         if prop.kind is ActionKind.DELTA_CWND:
-            checked = transformers.delta_cwnd(cwnd_box, context.cwnd_prev)
+            checked = transformers.delta_cwnd(cwnd_box, np.asarray(cwnd_prev)[..., None, None])
         else:
-            checked = transformers.cwnd_change_fraction(cwnd_box, cwnd_reference)
+            cwnd_reference = self._cwnd_reference(prop, states, cwnd_tcp)
+            checked = transformers.cwnd_change_fraction(cwnd_box, np.asarray(cwnd_reference)[..., None, None])
         # The action (and hence the checked quantity) is scalar per component;
-        # collapse the trailing 1-element axis.
-        return checked.lo.reshape(-1), checked.hi.reshape(-1)
+        # drop the trailing 1-element axis.
+        return components.lo, components.hi, checked.lo[..., 0], checked.hi[..., 0]
+
+    def _cwnd_reference(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp):
+        """P5's concrete reference window: one ``(1, d)`` actor forward per decision."""
+        if prop.kind is not ActionKind.CWND_CHANGE_FRACTION:
+            return None
+        if states.ndim == 1:
+            return self.concrete_cwnd(states, cwnd_tcp)
+        return np.array([self.concrete_cwnd(state, tcp) for state, tcp in zip(states, cwnd_tcp)])
+
+    def _applicability_from_state(self, prop: PropertySpec, states: np.ndarray) -> np.ndarray:
+        """Check the concrete Δcwnd side-condition directly on the state vector(s)."""
+        if prop.dcwnd_sign is None:
+            return np.ones(states.shape[:-1], dtype=bool)
+        dcwnd_history = states[..., self.observer.feature_indices("dcwnd")]
+        if prop.dcwnd_sign < 0:
+            return np.all(dcwnd_history <= 1e-6, axis=-1)
+        return np.all(dcwnd_history >= -1e-6, axis=-1)
 
     # ------------------------------------------------------------------ #
     # Certification (scalar reference path, retained for differential tests)
@@ -212,7 +269,6 @@ class Verifier:
         cwnd_tcp: float,
         cwnd_prev: float,
         n_components: Optional[int] = None,
-        observer: Optional[ObservationBuilder] = None,
     ) -> QuantitativeCertificate:
         """One-component-at-a-time reference implementation of :meth:`certify`.
 
@@ -220,21 +276,25 @@ class Verifier:
         suite asserts the batched engine reproduces its certificates within
         1e-12 over randomized actors, properties and decision contexts.
         """
-        observer = observer or self.observer
-        n = n_components or self.config.n_components
+        observer = self.observer
+        n = self._n_components(n_components)
         context = DecisionContext(np.asarray(state, dtype=np.float64), float(cwnd_tcp), float(cwnd_prev))
         allowed = prop.allowed_interval()
-        certificate = self._empty_certificate(prop)
+        certificate = QuantitativeCertificate(
+            property_name=prop.name,
+            allowed_lo=float(allowed.lo),
+            allowed_hi=float(allowed.hi),
+        )
 
         if self.config.check_applicability:
-            if not self._applicability_from_state(prop, context.state, observer):
+            if not self._applicability_from_state(prop, context.state):
                 certificate.applicable = False
                 return certificate
 
         region = prop.input_region(context.state, observer)
         dims = prop.partition_dims(observer)
         components = region.split(n, dims=dims if dims else None)
-        cwnd_reference = self._cwnd_reference(prop, context)
+        cwnd_reference = self._cwnd_reference(prop, context.state, context.cwnd_tcp)
 
         for index, component in enumerate(components):
             output_interval = self._checked_action_bounds(prop, component, context, cwnd_reference)
@@ -288,9 +348,9 @@ class Verifier:
         n_components: Optional[int] = None,
     ) -> float:
         """Scalar-path counterpart of :meth:`verifier_feedback`."""
-        return self._aggregate_feedback(
-            properties, state, cwnd_tcp, cwnd_prev, n_components, self.certify_reference
-        )
+        value, _ = weighted_feedback(properties, lambda prop: self.certify_reference(
+            prop, state, cwnd_tcp, cwnd_prev, n_components=n_components).feedback)
+        return value
 
     # ------------------------------------------------------------------ #
     # Aggregate feedback (Eq. 7)
@@ -304,19 +364,9 @@ class Verifier:
         n_components: Optional[int] = None,
     ) -> float:
         """Weighted average QC feedback over a set of properties (r_verifier)."""
-        return self._aggregate_feedback(properties, state, cwnd_tcp, cwnd_prev, n_components, self.certify)
-
-    def _aggregate_feedback(self, properties, state, cwnd_tcp, cwnd_prev, n_components, certify) -> float:
-        props = list(properties)
-        if not props:
-            raise ValueError("need at least one property")
-        total = 0.0
-        weight_sum = 0.0
-        for prop in props:
-            certificate = certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            total += prop.weight * certificate.feedback
-            weight_sum += prop.weight
-        return total / weight_sum
+        value, _ = weighted_feedback(properties, lambda prop: self.certify(
+            prop, state, cwnd_tcp, cwnd_prev, n_components=n_components).feedback)
+        return value
 
     def certify_all(
         self,

@@ -23,7 +23,7 @@ from repro.cc.netsim import NetworkSimulator, SimulationResult
 from repro.cc.newreno import NewRenoController
 from repro.cc.vegas import VegasController
 from repro.core.properties import PropertySet
-from repro.core.qc import QuantitativeCertificate
+from repro.core.qc import CertificateBatch
 from repro.core.verifier import Verifier
 from repro.harness.models import TrainedModel
 from repro.orca.agent import DecisionRecord, LearnedController
@@ -307,23 +307,23 @@ def certificates_for_decisions(
     properties: PropertySet,
     decisions: Sequence[DecisionRecord],
     n_components: int = 50,
-) -> List[Dict[str, QuantitativeCertificate]]:
-    """Per-decision certificates for every property in the set.
+) -> Dict[str, CertificateBatch]:
+    """The certificates of every decision, one batch per property, keyed by name.
 
-    The previous enforced window for decision ``i`` is decision ``i-1``'s
-    enforced window (the controller's initial window for the first decision),
-    matching the Δcwnd definition of Table 3.
+    Row ``i`` of each batch certifies decision ``i``.  The previous enforced
+    window for decision ``i`` is decision ``i-1``'s enforced window (the
+    controller's initial window for the first decision), matching the Δcwnd
+    definition of Table 3.
     """
-    all_certificates: List[Dict[str, QuantitativeCertificate]] = []
-    for index, decision in enumerate(decisions):
-        cwnd_prev = decisions[index - 1].cwnd_after if index > 0 else decision.cwnd_before
-        per_property = {}
-        for prop in properties:
-            per_property[prop.name] = verifier.certify(
-                prop, decision.state, decision.cwnd_tcp, cwnd_prev, n_components=n_components
-            )
-        all_certificates.append(per_property)
-    return all_certificates
+    states = np.array([decision.state for decision in decisions], dtype=np.float64)
+    states = states.reshape(len(decisions), verifier.observer.state_dim)
+    cwnd_tcp = np.array([decision.cwnd_tcp for decision in decisions], dtype=np.float64)
+    cwnd_prev = np.array([decision.cwnd_before for decision in decisions[:1]]
+                         + [decision.cwnd_after for decision in decisions[:-1]], dtype=np.float64)
+    return {
+        prop.name: verifier.certify(prop, states, cwnd_tcp, cwnd_prev, n_components=n_components)
+        for prop in properties
+    }
 
 
 def evaluate_qcsat(
@@ -349,22 +349,17 @@ def evaluate_qcsat(
                               scheme_name=scheme_name or model.kind,
                               telemetry=telemetry)
     verifier = model.make_verifier(n_components=n_components)
-    certificates = certificates_for_decisions(verifier, properties, run.decisions, n_components=n_components)
+    batches = certificates_for_decisions(verifier, properties, run.decisions, n_components=n_components).values()
+    # (decision, property) arrays, properties in set order.
+    feedback = np.stack([batch.feedback for batch in batches], axis=-1)
+    applicable = np.stack([batch.applicable_mask for batch in batches], axis=-1)
 
-    per_decision: List[float] = []
-    n_applicable = 0
-    for per_property in certificates:
-        applicable = [cert for cert in per_property.values() if cert.applicable]
-        if applicable:
-            n_applicable += 1
-            per_decision.append(float(np.mean([cert.feedback for cert in applicable])))
+    per_decision = [float(np.mean(values[mask])) for values, mask in zip(feedback, applicable) if mask.any()]
+    n_applicable = len(per_decision)
     if not per_decision:
         # The side conditions never held during this run; report the
         # unconditioned feedback so the result is still informative.
-        per_decision = [
-            float(np.mean([cert.feedback for cert in per_property.values()]))
-            for per_property in certificates
-        ]
+        per_decision = [float(np.mean(values)) for values in feedback]
     mean = float(np.mean(per_decision)) if per_decision else 1.0
     std = float(np.std(per_decision)) if per_decision else 0.0
     return QCSatResult(
@@ -373,7 +368,7 @@ def evaluate_qcsat(
         property_names=[prop.name for prop in properties],
         mean=mean,
         std=std,
-        n_decisions=len(certificates),
+        n_decisions=len(run.decisions),
         n_applicable=n_applicable,
         per_decision=per_decision,
         summary=run.summary,

@@ -290,12 +290,13 @@ def certified_components(
     run = run_scheme_on_trace(scheme_factory(model_kind, model=model, seed=seed), trace, settings,
                               scheme_name=model_kind)
     verifier = model.make_verifier(n_components=n_components)
-    certificates = certificates_for_decisions(verifier, properties, run.decisions[:max_steps],
-                                              n_components=n_components)
+    decisions = run.decisions[:max_steps]
+    batches = certificates_for_decisions(verifier, properties, decisions, n_components=n_components)
 
     steps = []
-    for step_index, per_property in enumerate(certificates):
-        for name, certificate in per_property.items():
+    for step_index in range(len(decisions)):
+        for name, batch in batches.items():
+            certificate = batch.certificate(step_index)
             steps.append({
                 "step": step_index,
                 "property": name,

@@ -40,12 +40,24 @@ class TestBatchedBox:
                 np.testing.assert_array_equal(row.lo, piece.lo)
                 np.testing.assert_array_equal(row.hi, piece.hi)
 
-    def test_split_batched_requires_1d(self):
-        batched = Box.from_bounds(np.zeros((2, 3)), np.ones((2, 3)))
+    def test_split_batched_rejects_scalar_boxes_and_bad_counts(self):
         with pytest.raises(ValueError):
-            batched.split_batched(2)
+            Box.from_bounds(0.0, 1.0).split_batched(2)
         with pytest.raises(ValueError):
             Box.from_bounds([0.0], [1.0]).split_batched(0)
+
+    def test_split_batched_over_a_stack_matches_each_box(self):
+        rng = np.random.default_rng(6)
+        lo = rng.uniform(-1.0, 0.0, (5, 6))
+        hi = lo + rng.uniform(0.0, 2.0, (5, 6))
+        stack = Box.from_bounds(lo, hi)
+        for dims in (None, [1, 3], []):
+            batched = stack.split_batched(4, dims=dims)
+            assert batched.shape == (5, 4, 6)
+            for row in range(5):
+                single = Box.from_bounds(lo[row], hi[row]).split_batched(4, dims=dims)
+                np.testing.assert_array_equal(batched.center[row], single.center)
+                np.testing.assert_array_equal(batched.deviation[row], single.deviation)
 
     def test_batched_affine_matches_per_row(self):
         rng = np.random.default_rng(9)
@@ -90,6 +102,18 @@ class TestBatchedPropagation:
             single = propagate_mlp(actor, component)
             np.testing.assert_allclose(row.lo, single.lo, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(row.hi, single.hi, rtol=0.0, atol=1e-12)
+
+    def test_stacked_mlp_is_bit_identical_per_slice(self):
+        rng = np.random.default_rng(22)
+        actor = make_actor(6, hidden_sizes=(64, 32), rng=rng)
+        lo = rng.uniform(0.0, 0.5, (9, 6))
+        stack = Box.from_bounds(lo, lo + rng.uniform(0.0, 0.5, (9, 6))).split_batched(50)
+        out = propagate_mlp_batched(actor, stack)
+        assert out.shape == (9, 50, 1)
+        for row in range(9):
+            single = propagate_mlp_batched(actor, Box(stack.center[row], stack.deviation[row]))
+            np.testing.assert_array_equal(out.center[row], single.center)
+            np.testing.assert_array_equal(out.deviation[row], single.deviation)
 
     def test_batched_mlp_rejects_wrong_shapes(self):
         actor = make_actor(6, hidden_sizes=(4,), rng=np.random.default_rng(0))

@@ -148,6 +148,18 @@ class TestInputRegions:
     def test_region_rejects_wrong_state_dim(self, observer):
         with pytest.raises(ValueError):
             property_p1().input_region(np.zeros(3), observer)
+        with pytest.raises(ValueError):
+            property_p1().input_region(np.zeros((2, 2, observer.state_dim)), observer)
+
+    @pytest.mark.parametrize("factory", (property_p1, property_p2, property_p5))
+    def test_region_of_a_state_stack_is_the_stack_of_regions(self, observer, factory):
+        states = np.random.default_rng(8).uniform(-1.0, 1.0, (6, observer.state_dim))
+        stack = factory().input_region(states, observer)
+        assert stack.shape == states.shape
+        for row, state in enumerate(states):
+            single = factory().input_region(state, observer)
+            np.testing.assert_array_equal(stack.center[row], single.center)
+            np.testing.assert_array_equal(stack.deviation[row], single.deviation)
 
     def test_partition_dims_point_at_delay(self, observer):
         dims = property_p1().partition_dims(observer)

@@ -45,6 +45,19 @@ class TestConfig:
     def test_invalid_context(self, verifier, state):
         with pytest.raises(ValueError):
             verifier.certify(property_p1(), state, cwnd_tcp=0.0, cwnd_prev=10.0)
+        with pytest.raises(ValueError):
+            verifier.certify(property_p1(), state[None], [0.0], [10.0])
+        with pytest.raises(ValueError):
+            verifier.certify(property_p1(), state[None], [20.0, 20.0], [10.0, 10.0])
+
+    @pytest.mark.parametrize("n_components", (0, -3))
+    def test_non_positive_component_count_is_rejected(self, verifier, state, n_components):
+        # A count of 0 used to fall back silently to the configured default.
+        for certify in (verifier.certify, verifier.certify_reference):
+            with pytest.raises(ValueError):
+                certify(property_p1(), state, 20.0, 20.0, n_components=n_components)
+        with pytest.raises(ValueError):
+            verifier.certify(property_p1(), state[None], [20.0], [20.0], n_components=n_components)
 
 
 class TestCertification:

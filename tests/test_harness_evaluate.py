@@ -1,5 +1,7 @@
 """Tests for the evaluation harness: scheme runs, summaries, QC_sat."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.harness.evaluate import (
@@ -85,11 +87,20 @@ class TestQCSat:
         factory = scheme_factory("canopy", model=quick_model, seed=1)
         run = run_scheme_on_trace(factory, trace, settings, scheme_name="canopy")
         verifier = quick_model.make_verifier(n_components=4)
-        certificates = certificates_for_decisions(verifier, quick_model.properties,
-                                                  run.decisions[:5], n_components=4)
-        assert len(certificates) == 5
-        for per_property in certificates:
-            assert set(per_property) == {p.name for p in quick_model.properties}
+        decisions = run.decisions[:5]
+        batches = certificates_for_decisions(verifier, quick_model.properties,
+                                             decisions, n_components=4)
+        assert set(batches) == {p.name for p in quick_model.properties}
+        for prop in quick_model.properties:
+            batch = batches[prop.name]
+            assert batch.n_decisions == 5
+            for index, decision in enumerate(decisions):
+                cwnd_prev = decisions[index - 1].cwnd_after if index else decision.cwnd_before
+                expected = verifier.certify(prop, decision.state, decision.cwnd_tcp, cwnd_prev,
+                                            n_components=4)
+                got = batch.certificate(index)
+                assert got.output_bounds().tolist() == expected.output_bounds().tolist()
+                assert got.feedback == expected.feedback == batch.feedback[index]
 
     def test_evaluate_qcsat_bounds(self, settings, trace, quick_model):
         result = evaluate_qcsat(quick_model, trace, settings, n_components=6)
@@ -108,3 +119,23 @@ class TestQCSat:
         assert result.scheme == "orca"
         assert result.property_names == ["P5"]
         assert 0.0 <= result.mean <= 1.0
+
+
+class TestGoldenQCSatStore:
+    """Certified rows pinned at atol=0: ``tests/golden/qcsat_mini`` is a
+    ``qcsat_buffers`` store (see its README), recomputed and diffed here."""
+
+    GOLDEN_DIR = Path(__file__).parent / "golden" / "qcsat_mini"
+    OVERRIDES = {"training_steps": 30, "duration": 2.0, "n_components": 8,
+                 "n_synthetic": 1, "n_cellular": 1}
+
+    def test_recomputed_store_matches_golden(self, tmp_path):
+        from repro.harness.benchjson import store_diff
+        from repro.harness.registry import REGISTRY
+        from repro.harness.store import RunStore
+
+        fresh = RunStore(tmp_path / "qcsat_mini")
+        REGISTRY.run("qcsat_buffers", self.OVERRIDES, n_jobs=1, store=fresh)
+        diff = store_diff(RunStore(self.GOLDEN_DIR), fresh, atol=0.0)
+        assert diff["n_cells_a"] == 8
+        assert diff["identical"], diff

@@ -109,6 +109,62 @@ def test_certify_differential_at_evaluation_scale(seed):
         )
 
 
+def assert_batch_row_bit_identical(batch, index, single):
+    """Row ``index`` of a CertificateBatch == a lone certify, bit for bit."""
+    got = batch.certificate(index)
+    assert got.property_name == single.property_name
+    assert got.applicable == single.applicable == bool(batch.applicable_mask[index])
+    assert (got.allowed_lo, got.allowed_hi) == (single.allowed_lo, single.allowed_hi)
+    assert got.n_components == single.n_components
+    for component, expected in zip(got.components, single.components):
+        assert component.index == expected.index
+        assert np.array_equal(component.input_lo, expected.input_lo)
+        assert np.array_equal(component.input_hi, expected.input_hi)
+        assert (component.output_lo, component.output_hi) == (expected.output_lo, expected.output_hi)
+        assert (component.satisfied, component.feedback) == (expected.satisfied, expected.feedback)
+    assert batch.feedback[index] == single.feedback
+
+
+@pytest.mark.parametrize("check_applicability", (False, True))
+@pytest.mark.parametrize("n_components", (1, 5, 50))
+@pytest.mark.parametrize("n_decisions", (1, 7, 64))
+def test_stacked_certify_is_bit_identical_to_per_decision_certify(n_decisions, n_components,
+                                                                check_applicability):
+    rng = np.random.default_rng(4000 + 100 * n_decisions + n_components)
+    obs_config = ObservationConfig()
+    hidden_sizes = tuple(int(rng.integers(4, 65)) for _ in range(int(rng.integers(1, 4))))
+    actor = make_actor(obs_config.state_dim, hidden_sizes=hidden_sizes, rng=rng)
+    verifier = Verifier(actor, obs_config, VerifierConfig(n_components=n_components,
+                                                          check_applicability=check_applicability))
+    states = rng.uniform(0.0, 1.0, (n_decisions, obs_config.state_dim))
+    # Past Δcwnd histories of every sign pattern, so gating splits the batch.
+    dcwnd = verifier.observer.feature_indices("dcwnd")
+    states[:, dcwnd] = rng.uniform(-1.0, 1.0, (n_decisions, len(dcwnd)))
+    states[::3, dcwnd] = -np.abs(states[::3, dcwnd])
+    states[1::3, dcwnd] = np.abs(states[1::3, dcwnd])
+    cwnd_tcp = rng.uniform(5.0, 200.0, n_decisions)
+    cwnd_prev = rng.uniform(5.0, 200.0, n_decisions)
+    for factory in PROPERTY_FACTORIES:
+        prop = factory()
+        batch = verifier.certify(prop, states, cwnd_tcp, cwnd_prev)
+        assert batch.n_decisions == n_decisions
+        for index in range(n_decisions):
+            single = verifier.certify(prop, states[index], cwnd_tcp[index], cwnd_prev[index])
+            assert_batch_row_bit_identical(batch, index, single)
+        if check_applicability and prop.dcwnd_sign is not None and n_decisions > 1:
+            assert 0 < batch.applicable_mask.sum() < n_decisions
+
+
+def test_stacked_certify_of_no_decisions():
+    obs_config, actor, *_ = random_setup(5000)
+    verifier = Verifier(actor, obs_config)
+    batch = verifier.certify(property_p5(), np.empty((0, obs_config.state_dim)),
+                             np.empty(0), np.empty(0), n_components=3)
+    assert batch.n_decisions == 0
+    assert batch.output_lo.shape == (0, 3) and batch.feedback.shape == (0,)
+    assert not batch.applicable
+
+
 def test_certify_differential_with_applicability_gating():
     """Both paths agree on non-applicable certificates when gating is on."""
     obs_config, actor, state, cwnd_tcp, cwnd_prev, _ = random_setup(3000)
