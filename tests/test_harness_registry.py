@@ -256,3 +256,51 @@ class TestPlanAndFinalize:
         assert finalized["experiment"] == "toy"
         assert finalized["axes"] == result["axes"]
         assert finalized["computed_cells"] == result["computed_cells"]
+
+
+#: Cell keys of the default friendliness/fairness grids (model seed 1).  Run
+#: stores written by earlier versions are indexed by exactly these strings, so
+#: any drift here would silently stop those stores from resuming.
+FRIENDLINESS_KEYS = [
+    "multiflow=friendliness scheme=canopy value=1 seed=3 #777c6cb8b695",
+    "multiflow=friendliness scheme=canopy value=2 seed=3 #8bdd42d943a1",
+    "multiflow=friendliness scheme=canopy value=4 seed=3 #f030390fa4cf",
+    "multiflow=friendliness scheme=orca value=1 seed=3 #c0deb5ed0eb2",
+    "multiflow=friendliness scheme=orca value=2 seed=3 #886c9f653383",
+    "multiflow=friendliness scheme=orca value=4 seed=3 #00129bfc88cb",
+    "multiflow=friendliness scheme=cubic value=1 seed=3 #f28816468387",
+    "multiflow=friendliness scheme=cubic value=2 seed=3 #5c5469b8bd6c",
+    "multiflow=friendliness scheme=cubic value=4 seed=3 #6a28e171b31f",
+    "multiflow=friendliness scheme=canopy value=1 seed=3 #7fdc8621950c",
+    "multiflow=friendliness scheme=canopy value=2 seed=3 #cbb52709ec84",
+    "multiflow=friendliness scheme=canopy value=4 seed=3 #37afd075c3a9",
+    "multiflow=friendliness scheme=orca value=1 seed=3 #970b2d698323",
+    "multiflow=friendliness scheme=orca value=2 seed=3 #4032b78a3935",
+    "multiflow=friendliness scheme=orca value=4 seed=3 #6a5677f59a7e",
+    "multiflow=friendliness scheme=cubic value=1 seed=3 #df47cdc72379",
+    "multiflow=friendliness scheme=cubic value=2 seed=3 #f3ed981c6480",
+    "multiflow=friendliness scheme=cubic value=4 seed=3 #a87a274b84b5",
+    "multiflow=rtt_friendliness scheme=canopy value=20 seed=3 #ab7c1170de40",
+    "multiflow=rtt_friendliness scheme=canopy value=50 seed=3 #b7389a7a7fd5",
+    "multiflow=rtt_friendliness scheme=canopy value=100 seed=3 #416c97b6b0ab",
+    "multiflow=rtt_friendliness scheme=orca value=20 seed=3 #aab552cfa84c",
+    "multiflow=rtt_friendliness scheme=orca value=50 seed=3 #f67fa013dbdf",
+    "multiflow=rtt_friendliness scheme=orca value=100 seed=3 #ff1ac6a050f7",
+    "multiflow=rtt_friendliness scheme=cubic value=20 seed=3 #8fc260562653",
+    "multiflow=rtt_friendliness scheme=cubic value=50 seed=3 #7326c206484d",
+    "multiflow=rtt_friendliness scheme=cubic value=100 seed=3 #722d0bce69a5",
+]
+
+FAIRNESS_KEYS = [
+    "multiflow=fairness_convergence scheme=cubic value=3 seed=3 #96c84bd84348",
+    "multiflow=fairness_convergence scheme=orca value=3 seed=3 #4625471a5b33",
+    "multiflow=fairness_convergence scheme=canopy-shallow value=3 seed=3 #a0b4bc782f51",
+    "multiflow=fairness_convergence scheme=canopy-deep value=3 seed=3 #97f83013f869",
+]
+
+
+class TestMultiFlowCellKeys:
+    @pytest.mark.parametrize("name, keys", [("friendliness", FRIENDLINESS_KEYS),
+                                            ("fairness", FAIRNESS_KEYS)])
+    def test_default_grid_keys_are_pinned(self, name, keys):
+        assert REGISTRY.plan(name).keys == keys
