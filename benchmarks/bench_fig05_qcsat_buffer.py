@@ -7,17 +7,20 @@ differ at CI scale; the benchmark asserts the ordering (Canopy >= Orca) for
 the shallow-buffer family, which is the paper's headline comparison.
 """
 
-from benchconfig import DURATION, EVAL_COMPONENTS, N_CELLULAR, N_JOBS, N_SYNTHETIC, run_once
+from benchconfig import (DURATION, EVAL_COMPONENTS, N_CELLULAR, N_JOBS, N_SYNTHETIC, SEED,
+                         TRAINING_STEPS, run_once)
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
-def test_fig05_qcsat_buffer_properties(benchmark, bench_scale):
+def test_fig05_qcsat_buffer_properties(benchmark):
     result = run_once(
-        benchmark, experiments.qcsat_buffers,
-        duration=DURATION, n_components=EVAL_COMPONENTS,
-        n_synthetic=N_SYNTHETIC, n_cellular=N_CELLULAR, n_jobs=N_JOBS, **bench_scale,
+        benchmark, REGISTRY.run, "qcsat_buffers",
+        {"duration": DURATION, "n_components": EVAL_COMPONENTS,
+         "n_synthetic": N_SYNTHETIC, "n_cellular": N_CELLULAR,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 5: QC_sat (mean/std) for shallow & deep buffer properties",

@@ -7,17 +7,20 @@ muted (see EXPERIMENTS.md); the benchmark asserts the ordering
 Canopy >= Orca and prints the absolute values.
 """
 
-from benchconfig import DURATION, EVAL_COMPONENTS, N_CELLULAR, N_JOBS, N_SYNTHETIC, run_once
+from benchconfig import (DURATION, EVAL_COMPONENTS, N_CELLULAR, N_JOBS, N_SYNTHETIC, SEED,
+                         TRAINING_STEPS, run_once)
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
-def test_fig07_qcsat_robustness(benchmark, bench_scale):
+def test_fig07_qcsat_robustness(benchmark):
     result = run_once(
-        benchmark, experiments.qcsat_robustness,
-        duration=DURATION, n_components=EVAL_COMPONENTS,
-        n_synthetic=N_SYNTHETIC, n_cellular=N_CELLULAR, noise=0.05, n_jobs=N_JOBS, **bench_scale,
+        benchmark, REGISTRY.run, "qcsat_robustness",
+        {"duration": DURATION, "n_components": EVAL_COMPONENTS,
+         "n_synthetic": N_SYNTHETIC, "n_cellular": N_CELLULAR, "noise": 0.05,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 7: QC_sat for the robustness property (P5), 2 BDP buffers, 5% noise",

@@ -7,18 +7,19 @@ of BBR's utilization.  The benchmark prints the utilization / avg-delay /
 p95-delay rows for every scheme on synthetic and cellular traces.
 """
 
-from benchconfig import DURATION, N_CELLULAR, N_JOBS, N_SYNTHETIC, run_once
+from benchconfig import DURATION, N_CELLULAR, N_JOBS, N_SYNTHETIC, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
-def test_fig09_shallow_buffer_performance(benchmark, bench_scale):
+def test_fig09_shallow_buffer_performance(benchmark):
     result = run_once(
-        benchmark, experiments.performance_sweep,
-        buffer_bdp=1.0, canopy_kind="canopy-shallow",
-        duration=DURATION, n_synthetic=N_SYNTHETIC, n_cellular=N_CELLULAR, n_jobs=N_JOBS,
-        **bench_scale,
+        benchmark, REGISTRY.run, "performance_sweep",
+        {"buffer_bdp": 1.0, "canopy_kind": "canopy-shallow",
+         "duration": DURATION, "n_synthetic": N_SYNTHETIC, "n_cellular": N_CELLULAR,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 9: shallow buffer (1 BDP) — utilization vs delay",

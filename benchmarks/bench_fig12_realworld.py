@@ -8,16 +8,18 @@ substituted by the heterogeneous WAN profile set in
 ``repro.traces.realworld`` (see DESIGN.md).
 """
 
-from benchconfig import DURATION, N_JOBS, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
-def test_fig12_realworld_deployment(benchmark, bench_scale):
+def test_fig12_realworld_deployment(benchmark):
     result = run_once(
-        benchmark, experiments.realworld_deployment,
-        duration=DURATION, profiles_per_category=2, n_jobs=N_JOBS, **bench_scale,
+        benchmark, REGISTRY.run, "realworld_deployment",
+        {"duration": DURATION, "profiles_per_category": 2,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 12: emulated wide-area deployment (normalized per path)",

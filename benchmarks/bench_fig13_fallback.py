@@ -8,18 +8,19 @@ and threshold, the utilization / delays / fallback fraction, and asserts that
 Canopy falls back no more often than Orca at the strictest threshold.
 """
 
-from benchconfig import DURATION, run_once
+from benchconfig import DURATION, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 THRESHOLDS = (0.0, 0.5, 0.8)
 
 
-def test_fig13_runtime_fallback(benchmark, bench_scale):
+def test_fig13_runtime_fallback(benchmark):
     result = run_once(
-        benchmark, experiments.fallback_runtime,
-        duration=DURATION, thresholds=THRESHOLDS, n_components=10, n_traces=2, **bench_scale,
+        benchmark, REGISTRY.run, "fallback_runtime",
+        {"duration": DURATION, "thresholds": THRESHOLDS, "n_components": 10, "n_traces": 2,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
     )
     print_experiment(
         "Figure 13: runtime fallback guided by QC_sat (threshold 0.0 = fallback disabled)",

@@ -16,15 +16,16 @@ generically as ``python -m repro run friendliness``).
 
 from benchconfig import N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 
 
 def test_fig14_friendliness(benchmark):
     result = run_once(
-        benchmark, experiments.friendliness_grid,
-        flows=(1, 2, 4), rtts_ms=(20.0, 50.0, 100.0),
-        training_steps=TRAINING_STEPS, duration=15.0, seed=SEED, n_jobs=N_JOBS,
+        benchmark, REGISTRY.run, "friendliness",
+        {"flows": (1, 2, 4), "rtts_ms": (20.0, 50.0, 100.0),
+         "training_steps": TRAINING_STEPS, "duration": 15.0, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     flow_rows = [row for row in result["rows"] if row["mode"] == "friendliness"]
     rtt_rows = [row for row in result["rows"] if row["mode"] == "rtt_friendliness"]

@@ -15,7 +15,7 @@ identical to a serial run (and is reachable generically as
 
 from benchconfig import N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 
 SCHEMES = ("cubic", "orca", "canopy-shallow", "canopy-deep")
@@ -23,9 +23,10 @@ SCHEMES = ("cubic", "orca", "canopy-shallow", "canopy-deep")
 
 def test_fig15_fairness_convergence(benchmark):
     result = run_once(
-        benchmark, experiments.fairness_grid,
-        schemes=SCHEMES, n_flows=3, join_interval=12.0,
-        training_steps=TRAINING_STEPS, seed=SEED, n_jobs=N_JOBS,
+        benchmark, REGISTRY.run, "fairness",
+        {"schemes": SCHEMES, "n_flows": 3, "join_interval": 12.0,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     grid_rows = result["rows"]
 

@@ -23,7 +23,8 @@ import os
 
 from benchconfig import DURATION, N_JOBS, SEED, run_once
 
-from repro.harness import experiments
+from repro.harness.experiments import MIXED_TRAINING_LABEL
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 from repro.harness.spec import parse_bool, parse_topologies
 
@@ -37,10 +38,11 @@ INCLUDE_MIXED = parse_bool(os.environ.get("REPRO_BENCH_GEN_MIXED", "1"))
 
 def test_topology_generalization_grid(benchmark):
     result = run_once(
-        benchmark, experiments.topology_generalization,
-        families=FAMILIES, include_mixed=INCLUDE_MIXED,
-        training_steps=TRAINING_STEPS, duration=DURATION,
-        n_components=10, n_synthetic=2, seed=SEED, n_jobs=N_JOBS,
+        benchmark, REGISTRY.run, "topology_generalization",
+        {"families": FAMILIES, "include_mixed": INCLUDE_MIXED,
+         "training_steps": TRAINING_STEPS, "duration": DURATION,
+         "n_components": 10, "n_traces": 2, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
 
     print("\nCross-family generalization: certified safety per (train, eval) cell")
@@ -55,7 +57,7 @@ def test_topology_generalization_grid(benchmark):
     benchmark.extra_info["train_families"] = result["train_families"]
     benchmark.extra_info["rows"] = result["rows"]
 
-    expected_train = list(FAMILIES) + ([experiments.MIXED_TRAINING_LABEL] if INCLUDE_MIXED else [])
+    expected_train = list(FAMILIES) + ([MIXED_TRAINING_LABEL] if INCLUDE_MIXED else [])
     assert result["train_families"] == expected_train
     assert len(result["rows"]) == len(expected_train) * len(FAMILIES)
     assert result["certificates"] > 0 and result["certificates_per_sec"] > 0.0

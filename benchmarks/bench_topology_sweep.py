@@ -25,7 +25,7 @@ from benchconfig import DURATION, N_JOBS, SEED, run_once
 from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
 from repro.cc.netsim import NetworkSimulator
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 from repro.harness.spec import parse_topologies
 from repro.topology import build_topology
@@ -41,9 +41,10 @@ SCHEMES = ("cubic", "vegas", "bbr")
 
 def test_topology_sweep_families(benchmark):
     result = run_once(
-        benchmark, experiments.topology_sweep,
-        families=FAMILIES, schemes=SCHEMES,
-        duration=DURATION, n_synthetic=2, seed=SEED, n_jobs=N_JOBS,
+        benchmark, REGISTRY.run, "topology_sweep",
+        {"families": FAMILIES, "schemes": SCHEMES,
+         "duration": DURATION, "n_synthetic": 2, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
 
     print("\nTopology-family sweep: utilization vs delay per family")

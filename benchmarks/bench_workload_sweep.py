@@ -21,7 +21,7 @@ import os
 
 from benchconfig import DURATION, N_JOBS, SEED, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 from repro.harness.spec import parse_topologies
 from repro.workload.spec import canonical_workload
@@ -38,10 +38,11 @@ TRAINING_STEPS = int(os.environ.get("REPRO_BENCH_WORKLOAD_STEPS", "200"))
 
 def test_workload_stress_grid(benchmark):
     result = run_once(
-        benchmark, experiments.workload_stress,
-        schemes=("canopy-shallow",), topologies=TOPOLOGIES, workloads=WORKLOADS,
-        training_steps=TRAINING_STEPS, duration=DURATION, n_components=8,
-        n_traces=1, seed=SEED, n_jobs=N_JOBS,
+        benchmark, REGISTRY.run, "workload_stress",
+        {"schemes": ("canopy-shallow",), "topology": TOPOLOGIES, "workload": WORKLOADS,
+         "training_steps": TRAINING_STEPS, "duration": DURATION, "n_components": 8,
+         "n_traces": 1, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
 
     print("\nWorkload-stress sweep: certified safety + performance under contention")

@@ -30,7 +30,8 @@ N_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: Seed shared by all benchmarks so models are trained exactly once per session.
 SEED = 17
 
-#: Keyword arguments accepted by every experiment driver that trains models.
+#: Keyword arguments accepted by every non-grid driver function that trains
+#: models (grid experiments take ``training_steps`` and ``seeds`` axes).
 SCALE = {"training_steps": TRAINING_STEPS, "seed": SEED}
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 
 from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
@@ -30,8 +31,9 @@ def main(training_steps: int = 800) -> None:
     print("\nfinal metrics:", curves["final"])
 
     print("\n=== QC_sat comparison (Figure 5), shallow & deep properties ===")
-    qcsat = experiments.qcsat_buffers(training_steps=training_steps, duration=10.0,
-                                      n_components=50, n_synthetic=3, n_cellular=2, seed=3)
+    qcsat = REGISTRY.run("qcsat_buffers", {"training_steps": training_steps, "duration": 10.0,
+                                           "n_components": 50, "n_synthetic": 3,
+                                           "n_cellular": 2, "seeds": (3,)})
     print_experiment("QC_sat per property family / trace kind", qcsat,
                      columns=["property_family", "trace_kind", "scheme", "qcsat_mean", "qcsat_std"])
 

@@ -1,10 +1,15 @@
-"""Setuptools entry point.
+"""Setuptools entry point for the ``repro`` package (rooted at ``src/``).
 
-Kept alongside ``pyproject.toml`` so that editable installs work in offline
-environments whose setuptools/pip combination lacks the ``wheel`` package
-(legacy ``pip install -e .`` falls back to ``setup.py develop``).
+This file is the whole build configuration: there is no ``pyproject.toml``.
+Install in editable mode with ``pip install -e .``; pip builds editable
+installs through ``bdist_wheel``, so where the ``wheel`` package is missing
+(offline environments) use ``python setup.py develop`` instead.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

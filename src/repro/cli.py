@@ -9,6 +9,7 @@ Usage (after ``pip install -e .``)::
     python -m repro figure 5          # regenerate one evaluation figure
     python -m repro figure 9 --jobs 4 # shard the grid over 4 worker processes
     python -m repro figure topology   # sweep the multi-bottleneck families
+    python -m repro figure 14         # multi-flow friendliness (15: fairness)
     python -m repro run --list        # registered experiments + their axes
     python -m repro run topology_sweep --set seeds=0..4 --jobs 4 --resume
     python -m repro run topology_generalization --set trace=cellular --set seeds=0..2
@@ -38,9 +39,7 @@ worker fleet that survives worker crashes (:mod:`repro.serve`), and
 ``status`` renders live progress from the store's lease journal.  The
 registry-backed ``figure`` ids route through the same resumable store
 (default ``runs/<experiment>``), so re-rendering a figure recomputes only
-missing cells.  The ``experiment`` subcommand is a deprecated alias of
-``run`` kept for compatibility; it warns through the telemetry log.
-``trace`` renders the telemetry of a store produced with
+missing cells.  ``trace`` renders the telemetry of a store produced with
 ``--set telemetry=on``: per-cell event timelines and ``tele_*`` summaries.
 ``falsify`` searches the scenario space of a registered experiment for
 counterexamples, shrinks them, and promotes them into a replayable
@@ -58,7 +57,6 @@ the CLI does can also be done programmatically (see the examples/ scripts).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -78,7 +76,7 @@ from repro.harness.evaluate import (
 from repro.harness.models import DEFAULT_TRAINING_STEPS, MODEL_KINDS, get_trained_model
 from repro.harness.registry import REGISTRY, parse_set_overrides
 from repro.harness.reporting import format_rows, print_experiment
-from repro.harness.spec import parse_topologies, resolve_trace
+from repro.harness.spec import resolve_trace
 from repro.harness.store import RECORDS_FILENAME, RunStore
 from repro.nn.serialization import save_weight_dict
 from repro.obs.metrics import METRICS_FILENAME
@@ -103,26 +101,16 @@ __all__ = ["main", "build_parser"]
 #: explicit ``--store`` is given (one store per experiment name).
 DEFAULT_STORE_ROOT = Path("runs")
 
-#: Experiment drivers reachable through ``python -m repro figure <id>``.
+#: Non-grid figure drivers reachable through ``python -m repro figure <id>``;
+#: each is called with ``(training_steps=..., seed=...)`` and runs serially.
 FIGURE_DRIVERS: Dict[str, Callable[..., dict]] = {
     "1": experiments.motivation_noise,
     "2": experiments.motivation_bad_state,
-    "5": experiments.qcsat_buffers,
     "6": experiments.certified_components,
-    "7": experiments.qcsat_robustness,
-    "9": lambda **kw: experiments.performance_sweep(buffer_bdp=1.0, **kw),
-    "10": lambda **kw: experiments.performance_sweep(buffer_bdp=5.0, canopy_kind="canopy-deep", **kw),
     "11": experiments.noise_sensitivity,
-    "12": experiments.realworld_deployment,
-    "13": experiments.fallback_runtime,
-    # These wrappers take named kwargs only (no **kw) so cmd_figure's
-    # signature check correctly sees that they cannot use --jobs.
-    "16": lambda training_steps=300, seed=1: experiments.sensitivity(
-        seed=seed, training_steps=training_steps),
-    "topology": experiments.topology_sweep,
+    "16": experiments.sensitivity,
     "17": experiments.training_curves,
-    "table4": lambda training_steps=150, seed=1: experiments.verification_overhead(
-        training_steps=training_steps, seed=seed),
+    "table4": experiments.verification_overhead,
 }
 
 #: Figure ids whose drivers are registered experiments: id → (experiment
@@ -136,18 +124,9 @@ FIGURE_EXPERIMENTS: Dict[str, tuple] = {
     "10": ("performance_sweep", {"buffer_bdp": 5.0, "canopy_kind": "canopy-deep"}),
     "12": ("realworld_deployment", {}),
     "13": ("fallback_runtime", {}),
+    "14": ("friendliness", {}),
+    "15": ("fairness", {}),
     "topology": ("topology_sweep", {}),
-}
-
-#: Named experiment drivers reachable through the deprecated
-#: ``python -m repro experiment <name>`` alias (use ``run`` instead; every
-#: driver here is a thin shim over the registry already).
-EXPERIMENT_DRIVERS: Dict[str, Callable[..., dict]] = {
-    "topology_sweep": experiments.topology_sweep,
-    "topology_generalization": experiments.topology_generalization,
-    "workload_stress": experiments.workload_stress,
-    "friendliness": experiments.friendliness_grid,
-    "fairness": experiments.fairness_grid,
 }
 
 
@@ -231,40 +210,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return 0
     driver = FIGURE_DRIVERS.get(args.figure_id)
     if driver is None:
-        raise SystemExit(f"no driver for figure {args.figure_id!r}; "
-                         f"known: {', '.join(sorted(FIGURE_DRIVERS))}")
-    kwargs = {"training_steps": args.steps, "seed": args.seed}
-    # Grid-shaped drivers shard over a process pool; pass --jobs through to
-    # the ones that support it and stay serial for the rest.
-    parameters = inspect.signature(driver).parameters
-    if "n_jobs" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD for parameter in parameters.values()
-    ):
-        kwargs["n_jobs"] = args.jobs
-    result = driver(**kwargs)
+        raise SystemExit(f"no driver for figure {args.figure_id!r}; known: "
+                         f"{', '.join(sorted([*FIGURE_DRIVERS, *FIGURE_EXPERIMENTS]))}")
+    result = driver(training_steps=args.steps, seed=args.seed)
     print_experiment(f"Figure/table {args.figure_id}", result)
-    return 0
-
-
-def cmd_experiment(args: argparse.Namespace) -> int:
-    """Deprecated alias of ``run`` (every driver is a registry shim now)."""
-    driver = EXPERIMENT_DRIVERS.get(args.name)
-    if driver is None:
-        raise SystemExit(f"no experiment named {args.name!r}; "
-                         f"known: {', '.join(sorted(EXPERIMENT_DRIVERS))}")
-    log.warn("experiment_deprecated", logger="cli", name=args.name,
-             replacement=f"python -m repro run {args.name}",
-             detail="the 'experiment' subcommand is a deprecated alias of "
-                    "'run' and will be removed; 'run' adds --set axis "
-                    "overrides, --store persistence and --resume")
-    kwargs = {"training_steps": args.steps, "seed": args.seed, "n_jobs": args.jobs}
-    parameters = inspect.signature(driver).parameters
-    if args.duration is not None and "duration" in parameters:
-        kwargs["duration"] = args.duration
-    if args.families is not None and "families" in parameters:
-        kwargs["families"] = parse_topologies(args.families)
-    result = driver(**kwargs)
-    print_experiment(f"Experiment {args.name}", result)
     return 0
 
 
@@ -576,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_parser = subparsers.add_parser("figure", help="regenerate one evaluation figure/table")
     figure_parser.add_argument("figure_id",
-                               help="1, 2, 5, 6, 7, 9, 10, 11, 12, 13, 16, 17, table4 or topology")
+                               help="1, 2, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, "
+                                    "table4 or topology")
     figure_parser.add_argument("--steps", type=int, default=400)
     figure_parser.add_argument("--seed", type=int, default=1)
     figure_parser.add_argument("--store", default=None, metavar="DIR",
@@ -664,22 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     status_parser.add_argument("--interval", type=float, default=2.0, metavar="S",
                                help="refresh period for --watch (default 2s)")
     status_parser.set_defaults(handler=cmd_status)
-
-    experiment_parser = subparsers.add_parser(
-        "experiment", help="deprecated alias of 'run' (named grid experiments)")
-    experiment_parser.add_argument("name",
-                                   help="experiment name, e.g. topology_generalization "
-                                        "or topology_sweep")
-    experiment_parser.add_argument("--steps", type=int, default=300,
-                                   help="training budget in environment steps")
-    experiment_parser.add_argument("--seed", type=int, default=1)
-    experiment_parser.add_argument("--duration", type=float, default=None,
-                                   help="per-cell run length in seconds (driver default if omitted)")
-    experiment_parser.add_argument("--families", default=None,
-                                   help="comma-separated topology family specs "
-                                        "(driver default if omitted)")
-    _add_jobs_argument(experiment_parser)
-    experiment_parser.set_defaults(handler=cmd_experiment)
 
     classical_parser = subparsers.add_parser("compare-classical",
                                              help="compare the classical controllers (no learning)")

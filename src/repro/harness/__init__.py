@@ -4,16 +4,19 @@
   used across experiments.
 * :mod:`repro.harness.evaluate` — runs a congestion-control scheme over a
   trace and computes the empirical metrics and QC_sat.
-* :mod:`repro.harness.experiments` — one driver function per figure/table of
-  the single-flow evaluation (Figures 1, 2, 5–13, 16, 17 and Table 4).
+* :mod:`repro.harness.experiments` — the evaluation: every grid figure
+  (5, 7, 9, 10, 12–15, plus the topology and workload grids) registered as a
+  :data:`~repro.harness.registry.REGISTRY` experiment, and plain driver
+  functions for the non-grid figures (1, 2, 6/8, 11, 16, 17 and Table 4).
 * :mod:`repro.harness.spec` — :class:`~repro.harness.spec.ScenarioSpec`, the
   declarative scenario identity (scheme × trace × topology × seed × model ×
   property family × certify) with canonical string/JSON round-trips — the
   single currency flowing through tasks, shard keys, run records, and CLI
   flags.
 * :mod:`repro.harness.registry` — the declarative experiment registry
-  (named axes → grid expansion → per-cell runner → aggregators) behind
-  ``python -m repro run``.
+  (named axes → grid expansion → per-cell runner → aggregators);
+  ``REGISTRY.run`` is the one way to run a grid experiment, and
+  ``python -m repro run`` its command-line form.
 * :mod:`repro.harness.store` — the resumable
   :class:`~repro.harness.store.RunStore` writing one provenance-stamped
   :class:`~repro.harness.store.RunRecord` per completed cell.
@@ -21,7 +24,7 @@
   which shards (scheme × trace × seed) experiment grids across a process pool
   with deterministic seeding and in-order merged reporting.
 * :mod:`repro.harness.fairness` — the multi-flow friendliness and fairness
-  experiments (Figures 14 and 15).
+  sweep points (Figures 14 and 15) behind the registered experiments.
 * :mod:`repro.harness.reporting` — plain-text rendering of result tables.
 """
 
@@ -40,7 +43,7 @@ from repro.harness.parallel import ExperimentTask, GridResult, ParallelRunner, d
 # REGISTRY lazily imports repro.harness.experiments on first lookup, so the
 # built-in experiments are always available without this package import
 # paying for the experiment drivers.
-from repro.harness.registry import REGISTRY, run_experiment
+from repro.harness.registry import REGISTRY
 from repro.harness.spec import ScenarioSpec
 from repro.harness.store import RunRecord, RunStore
 
@@ -66,5 +69,4 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "REGISTRY",
-    "run_experiment",
 ]

@@ -1,30 +1,24 @@
-"""Experiment drivers — one function per figure/table of the evaluation.
-
-Every driver accepts scale knobs (training steps, run duration, number of
-traces, number of QC components) so the same code can run at CI scale inside
-the benchmark suite or at larger scale from the example scripts.  Each driver
-returns plain dictionaries / lists so the reporting module (and the
-benchmarks) can render them as the rows/series the paper reports.
-
-The grid-shaped drivers (``qcsat_buffers``, ``qcsat_robustness``,
-``performance_sweep``, ``topology_sweep``, ``realworld_deployment``,
-``fallback_runtime``) shard their (scheme × trace) cells through
-:class:`repro.harness.parallel.ParallelRunner` and accept an ``n_jobs`` knob
-(default 1 = serial; parallel and serial runs produce identical rows).  They also report the grid wall-clock — and, for the
-certificate grids, certificates/sec — so the benchmark JSON captures
-verification throughput alongside the figures.
+"""Evaluation experiments — one per figure/table of the paper.
 
 Every grid-shaped experiment (``qcsat_buffers``, ``qcsat_robustness``,
 ``performance_sweep``, ``topology_sweep``, ``topology_generalization``,
 ``workload_stress``, ``realworld_deployment``, ``fallback_runtime``,
-``friendliness``, ``fairness``) is additionally *declared* in
+``friendliness``, ``fairness``) is *declared* in
 :data:`repro.harness.registry.REGISTRY` — named axes, a grid-expansion build
-hook, and an aggregator — so they are reachable generically via
-``python -m repro run <name> --set axis=value``, persist per-cell
-:class:`~repro.harness.store.RunRecord`\\ s, resume interrupted sweeps, and
-can be served to a lease-based worker fleet (``python -m repro serve``).
-The driver functions of those experiments are thin shims over the registry
-(rows are byte-identical through either entry point).
+hook, and an aggregator — and runs only through
+``REGISTRY.run(name, axes, n_jobs=..., store=...)`` (or ``python -m repro run
+<name> --set axis=value``).  That one front door persists per-cell
+:class:`~repro.harness.store.RunRecord`\\ s, resumes interrupted sweeps,
+shards cells over ``n_jobs`` worker processes (serial and parallel runs
+produce identical rows), and can serve the grid to a lease-based worker
+fleet (``python -m repro serve``).  The aggregators report the grid
+wall-clock and, for the certificate grids, certificates/sec, so the
+benchmark JSON captures verification throughput alongside the figures.
+
+The remaining figures (1, 2, 6/8, 11, 16, 17 and Table 4) are plain driver
+functions that accept scale knobs (training steps, run duration, number of
+traces, number of QC components) and return plain dictionaries the
+reporting module renders.
 """
 
 from __future__ import annotations
@@ -61,18 +55,8 @@ from repro.traces.synthetic import make_synthetic_trace
 __all__ = [
     "motivation_noise",
     "motivation_bad_state",
-    "qcsat_buffers",
     "certified_components",
-    "qcsat_robustness",
-    "performance_sweep",
-    "topology_sweep",
-    "topology_generalization",
-    "workload_stress",
     "noise_sensitivity",
-    "realworld_deployment",
-    "fallback_runtime",
-    "friendliness_grid",
-    "fairness_grid",
     "sensitivity",
     "training_curves",
     "verification_overhead",
@@ -84,11 +68,6 @@ GENERALIZATION_FAMILIES = ("single_bottleneck", "chain(2)", "parking_lot(2)")
 
 #: Label of the domain-randomized model trained on every family at once.
 MIXED_TRAINING_LABEL = "mixed"
-
-
-#: Backward-compatible alias — the one trace-suite resolver lives in
-#: :func:`repro.harness.spec.trace_subset`.
-_trace_subset = trace_subset
 
 
 def _qc_grid_summary(figure: str, rows: List[Dict], grid) -> Dict:
@@ -225,7 +204,7 @@ def _qcsat_buffers_build(axes: Dict) -> List[ExperimentTask]:
                 settings = EvaluationSettings(duration=axes["duration"],
                                               buffer_bdp=buffer_bdp, seed=seed)
                 for scheme_label, model_kind in (("canopy", canopy_kind), ("orca", "orca")):
-                    for trace in _trace_subset(trace_kind, count):
+                    for trace in trace_subset(trace_kind, count):
                         tasks.append(ExperimentTask(
                             scheme=scheme_label, trace=trace, settings=settings,
                             model_kind=model_kind, training_steps=axes["training_steps"],
@@ -235,31 +214,6 @@ def _qcsat_buffers_build(axes: Dict) -> List[ExperimentTask]:
                             tags={"property_family": family, "trace_kind": trace_kind},
                         ))
     return tasks
-
-
-def qcsat_buffers(
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_components: int = 50,
-    n_synthetic: int = 3,
-    n_cellular: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Mean/std of QC_sat for Canopy vs Orca, shallow & deep properties (Fig. 5).
-
-    Thin shim over the registered ``qcsat_buffers`` experiment — the registry
-    pre-trains the models the pending cells name, shards the grid, and
-    aggregates; rows are byte-identical to the historical bespoke driver.
-    """
-    return REGISTRY.run("qcsat_buffers", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_synthetic": n_synthetic,
-        "n_cellular": n_cellular,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -347,7 +301,7 @@ def _qcsat_robustness_build(axes: Dict) -> List[ExperimentTask]:
             settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
                                           observation_noise=axes["noise"], seed=seed)
             for scheme_label, model_kind in (("canopy", "canopy-robust"), ("orca", "orca")):
-                for trace in _trace_subset(trace_kind, count):
+                for trace in trace_subset(trace_kind, count):
                     tasks.append(ExperimentTask(
                         scheme=scheme_label, trace=trace, settings=settings,
                         model_kind=model_kind, training_steps=axes["training_steps"],
@@ -357,31 +311,6 @@ def _qcsat_robustness_build(axes: Dict) -> List[ExperimentTask]:
                         tags={"trace_kind": trace_kind},
                     ))
     return tasks
-
-
-def qcsat_robustness(
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_components: int = 50,
-    n_synthetic: int = 3,
-    n_cellular: int = 2,
-    noise: float = 0.05,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """QC_sat of Canopy-robust vs Orca for P5 on 2 BDP buffers (Fig. 7).
-
-    Thin shim over the registered ``qcsat_robustness`` experiment.
-    """
-    return REGISTRY.run("qcsat_robustness", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_synthetic": n_synthetic,
-        "n_cellular": n_cellular,
-        "noise": noise,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -448,7 +377,7 @@ def _performance_sweep_build(axes: Dict) -> List[ExperimentTask]:
                 settings = EvaluationSettings(duration=axes["duration"],
                                               buffer_bdp=axes["buffer_bdp"],
                                               topology=topology, seed=seed)
-                for trace in _trace_subset(trace_kind, count):
+                for trace in trace_subset(trace_kind, count):
                     for label, model_kind in scheme_kinds.items():
                         tasks.append(ExperimentTask(
                             scheme=label, trace=trace, settings=settings,
@@ -457,37 +386,6 @@ def _performance_sweep_build(axes: Dict) -> List[ExperimentTask]:
                             tags={"trace_kind": trace_kind},
                         ))
     return tasks
-
-
-def performance_sweep(
-    buffer_bdp: float = 1.0,
-    canopy_kind: str = "canopy-shallow",
-    training_steps: int = 400,
-    duration: float = 15.0,
-    n_synthetic: int = 3,
-    n_cellular: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-    topologies: Sequence[str] = ("single_bottleneck",),
-) -> Dict:
-    """Utilization vs avg/p95 delay for all schemes (Fig. 9 shallow, Fig. 10 deep).
-
-    ``topologies`` adds a topology axis to the grid: every (trace, scheme)
-    cell is replicated per family spec, and — when more than one family is
-    swept — the report rows carry a ``topology`` column.  The default single
-    family reproduces the paper's single-bottleneck figures unchanged.  Thin
-    shim over the registered ``performance_sweep`` experiment.
-    """
-    return REGISTRY.run("performance_sweep", {
-        "buffer_bdp": buffer_bdp,
-        "canopy_kind": canopy_kind,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_synthetic": n_synthetic,
-        "n_cellular": n_cellular,
-        "seeds": (seed,),
-        "topologies": tuple(topologies),
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -569,44 +467,6 @@ def _topology_sweep_build(axes: Dict) -> List[ExperimentTask]:
     return tasks
 
 
-def topology_sweep(
-    families: Optional[Sequence[str]] = None,
-    schemes: Sequence[str] = ("cubic", "vegas", "bbr"),
-    canopy_kind: Optional[str] = None,
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_synthetic: int = 2,
-    buffer_bdp: float = 1.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Every scheme on every topology family (chains, parking lots, dumbbells).
-
-    The paper evaluates a single shared bottleneck; this sweep drives the same
-    schemes over the multi-bottleneck family catalog — per-hop buffers,
-    parking-lot cross traffic, dumbbell bursts — and reports per-family
-    utilization/delay rows plus the simulator tick throughput (grid ticks per
-    wall-clock second, recorded in the bench JSON).
-
-    ``canopy_kind`` optionally adds a learned scheme (trained up front so pool
-    workers inherit the warm model cache) under the label ``canopy``.  Thin
-    shim over the registered ``topology_sweep`` experiment (``python -m repro
-    run topology_sweep --set seeds=0..4 --resume`` is the generic front door).
-    """
-    overrides: Dict[str, object] = {
-        "schemes": tuple(schemes),
-        "canopy_kind": canopy_kind,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_synthetic": n_synthetic,
-        "buffer_bdp": buffer_bdp,
-        "seeds": (seed,),
-    }
-    if families is not None:
-        overrides["families"] = tuple(families)
-    return REGISTRY.run("topology_sweep", overrides, n_jobs=n_jobs)
-
-
 # ---------------------------------------------------------------------- #
 # Cross-family generalization — train on topologies, certify everywhere
 # ---------------------------------------------------------------------- #
@@ -626,17 +486,10 @@ def _generalization_catalogs(families: Sequence[str], include_mixed: bool) -> Di
     return catalogs
 
 
-def _generalization_property_families(axes: Dict) -> List[str]:
-    """The property-family product axis, normalized to a list (a plain string
-    from the driver shims is one family)."""
-    value = axes["property_family"]
-    return [value] if isinstance(value, str) else list(value)
-
-
 def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     families = list(axes["families"])
     catalogs = _generalization_catalogs(families, axes["include_mixed"])
-    property_families = _generalization_property_families(axes)
+    property_families = list(axes["property_family"])
     sweep_properties = len(property_families) > 1
     n_seeds = max(len(axes["seeds"]), 1)
 
@@ -714,11 +567,13 @@ def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dic
     description="(train-family x eval-family) certified-safety + performance grid",
 )
 def _topology_generalization_build(axes: Dict) -> List[ExperimentTask]:
+    """One model per family (trained on that family only) plus, with
+    ``include_mixed``, a ``mixed`` model trained across all of them; every
+    model is certified and measured on every family."""
     families = list(axes["families"])
     catalogs = _generalization_catalogs(families, axes["include_mixed"])
-    property_families = _generalization_property_families(axes)
     tasks = []
-    for property_family in property_families:
+    for property_family in axes["property_family"]:
         for train_label, catalog in catalogs.items():
             for eval_family in families:
                 for seed in axes["seeds"]:
@@ -744,50 +599,6 @@ def _topology_generalization_build(axes: Dict) -> List[ExperimentTask]:
                                       "eval_family": eval_family},
                             ))
     return tasks
-
-
-def topology_generalization(
-    families: Optional[Sequence[str]] = None,
-    model_kind: str = "canopy-shallow",
-    property_family: str = "shallow",
-    include_mixed: bool = True,
-    training_steps: int = 300,
-    duration: float = 8.0,
-    n_components: int = 10,
-    n_synthetic: int = 2,
-    buffer_bdp: float = 1.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """The (train-family × eval-family) certified-safety + performance grid.
-
-    One model is trained per topology family (its training episodes sample
-    that family only) plus, with ``include_mixed``, one domain-randomized
-    ``mixed`` model whose episodes sample uniformly across *all* families.
-    Every model is then evaluated — with ``certify=True`` — on every family,
-    so each grid row carries both QC_sat (certified safety) and the empirical
-    utilization/delay/loss of the same run.  Cells shard through
-    :class:`ParallelRunner`; serial and parallel runs produce identical rows.
-
-    Thin shim over the registered ``topology_generalization`` experiment:
-    the generic front door scales the grid with no code change, e.g.
-    ``python -m repro run topology_generalization --set seeds=0..2 --set
-    trace=cellular --jobs 4``.
-    """
-    overrides: Dict[str, object] = {
-        "model_kind": model_kind,
-        "property_family": property_family,
-        "include_mixed": include_mixed,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_traces": n_synthetic,
-        "buffer_bdp": buffer_bdp,
-        "seeds": (seed,),
-    }
-    if families is not None:
-        overrides["families"] = tuple(families)
-    return REGISTRY.run("topology_generalization", overrides, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -884,50 +695,6 @@ def _workload_stress_build(axes: Dict) -> List[ExperimentTask]:
     return tasks
 
 
-def workload_stress(
-    schemes: Sequence[str] = ("canopy-shallow",),
-    topologies: Optional[Sequence[str]] = None,
-    workloads: Optional[Sequence[str]] = None,
-    property_family: str = "shallow",
-    training_steps: int = 200,
-    duration: float = 6.0,
-    n_components: int = 8,
-    n_traces: int = 1,
-    buffer_bdp: float = 1.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-    telemetry: str = "off",
-) -> Dict:
-    """The (scheme × topology family × workload) certified stress grid.
-
-    Opens the scenario classes the paper cannot express: incast storms
-    (``fan_in(n)`` + a responsive workload bringing several flows up at
-    once), certified safety *under churn* (``poisson(λ)`` arrivals and
-    departures mid-run), and learned-vs-classical contention on shared
-    segments.  Learned schemes run with ``certify=True``, so every cell
-    carries QC_sat next to the empirical utilization/delay/loss of the same
-    contended run.  Thin shim over the registered ``workload_stress``
-    experiment — ``python -m repro run workload_stress --set
-    workload=poisson(0.1) --set topology=fan_in(3) --jobs 2 --resume`` is the
-    generic front door.
-    """
-    overrides: Dict[str, object] = {
-        "schemes": tuple(schemes),
-        "property_family": property_family,
-        "training_steps": training_steps,
-        "duration": duration,
-        "n_components": n_components,
-        "n_traces": n_traces,
-        "buffer_bdp": buffer_bdp,
-        "seeds": (seed,),
-    }
-    if topologies is not None:
-        overrides["topology"] = tuple(topologies)
-    if workloads is not None:
-        overrides["workload"] = tuple(workloads)
-    return REGISTRY.run("workload_stress", overrides, n_jobs=n_jobs)
-
-
 # ---------------------------------------------------------------------- #
 # Figure 11 — robustness to observation noise
 # ---------------------------------------------------------------------- #
@@ -941,7 +708,7 @@ def noise_sensitivity(
     """Percentage change of metrics when ±5% delay noise is added (Fig. 11)."""
     orca = get_trained_model("orca", training_steps=training_steps, seed=seed)
     canopy = get_trained_model("canopy-robust", training_steps=training_steps, seed=seed)
-    traces = _trace_subset("synthetic", n_traces)
+    traces = trace_subset("synthetic", n_traces)
     rows = []
     for scheme_label, model in (("orca", orca), ("canopy", canopy)):
         changes = {"utilization": [], "avg_delay": [], "p95_delay": []}
@@ -1048,28 +815,6 @@ def _realworld_deployment_build(axes: Dict) -> List[ExperimentTask]:
     return tasks
 
 
-def realworld_deployment(
-    training_steps: int = 400,
-    duration: float = 12.0,
-    profiles_per_category: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Normalized throughput/delay over emulated WAN paths (Fig. 12).
-
-    Every (scheme, path) cell runs independently on the pool; the per-path
-    normalization (best throughput / lowest delay across schemes) happens at
-    merge time on the collected rows.  Thin shim over the registered
-    ``realworld_deployment`` experiment.
-    """
-    return REGISTRY.run("realworld_deployment", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "profiles_per_category": profiles_per_category,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
-
-
 # ---------------------------------------------------------------------- #
 # Figure 13 — runtime fallback guided by QC_sat
 # ---------------------------------------------------------------------- #
@@ -1136,33 +881,6 @@ def _fallback_runtime_build(axes: Dict) -> List[ExperimentTask]:
     return tasks
 
 
-def fallback_runtime(
-    training_steps: int = 400,
-    duration: float = 12.0,
-    thresholds: Sequence[float] = (0.0, 0.5, 0.8),
-    n_components: int = 10,
-    n_traces: int = 2,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Performance of Orca and Canopy with the QC_sat-guided fallback (Fig. 13).
-
-    Every (family, scheme, threshold, trace) cell carries a *declarative*
-    monitor spec — the worker rebuilds the ``QCRuntimeMonitor`` (verifier
-    closure and all) from the model zoo — so the grid shards through
-    :class:`ParallelRunner` like any other.  Thin shim over the registered
-    ``fallback_runtime`` experiment.
-    """
-    return REGISTRY.run("fallback_runtime", {
-        "training_steps": training_steps,
-        "duration": duration,
-        "thresholds": tuple(thresholds),
-        "n_components": n_components,
-        "n_traces": n_traces,
-        "seeds": (seed,),
-    }, n_jobs=n_jobs)
-
-
 # ---------------------------------------------------------------------- #
 # Figures 14 & 15 — TCP friendliness and fairness convergence (multi-flow)
 # ---------------------------------------------------------------------- #
@@ -1184,7 +902,7 @@ _FRIENDLINESS_CASES = (
         "rtts_ms": (20.0, 50.0, 100.0),
         "training_steps": 400,
         "duration": 15.0,
-        "seed": 1,
+        "seeds": (1,),
     },
     runner=run_multiflow_task,
     description="throughput ratio vs competing CUBIC flows and RTTs (Fig. 14)",
@@ -1192,45 +910,24 @@ _FRIENDLINESS_CASES = (
 def _friendliness_build(axes: Dict) -> List[MultiFlowTask]:
     tasks = []
     for family, scheme, model_kind, buffer_bdp in _FRIENDLINESS_CASES:
-        for n_cubic in axes["flows"]:
-            tasks.append(MultiFlowTask(
-                mode="friendliness", scheme=scheme, value=n_cubic,
-                model_kind=model_kind, training_steps=axes["training_steps"],
-                model_seed=axes["seed"], buffer_bdp=buffer_bdp,
-                duration=axes["duration"], tags={"buffer_family": family}))
+        for seed in axes["seeds"]:
+            for n_cubic in axes["flows"]:
+                tasks.append(MultiFlowTask(
+                    mode="friendliness", scheme=scheme, value=n_cubic,
+                    model_kind=model_kind, training_steps=axes["training_steps"],
+                    model_seed=seed, buffer_bdp=buffer_bdp,
+                    duration=axes["duration"], tags={"buffer_family": family}))
     for family, scheme, model_kind, buffer_bdp in _FRIENDLINESS_CASES:
         if family != "shallow":
             continue
-        for rtt_ms in axes["rtts_ms"]:
-            tasks.append(MultiFlowTask(
-                mode="rtt_friendliness", scheme=scheme, value=rtt_ms,
-                model_kind=model_kind, training_steps=axes["training_steps"],
-                model_seed=axes["seed"], buffer_bdp=buffer_bdp,
-                duration=axes["duration"], tags={"buffer_family": family}))
+        for seed in axes["seeds"]:
+            for rtt_ms in axes["rtts_ms"]:
+                tasks.append(MultiFlowTask(
+                    mode="rtt_friendliness", scheme=scheme, value=rtt_ms,
+                    model_kind=model_kind, training_steps=axes["training_steps"],
+                    model_seed=seed, buffer_bdp=buffer_bdp,
+                    duration=axes["duration"], tags={"buffer_family": family}))
     return tasks
-
-
-def friendliness_grid(
-    flows: Sequence[int] = (1, 2, 4),
-    rtts_ms: Sequence[float] = (20.0, 50.0, 100.0),
-    training_steps: int = 400,
-    duration: float = 15.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """TCP friendliness against competing CUBIC flows and across RTTs (Fig. 14).
-
-    Thin shim over the registered ``friendliness`` experiment: every sweep
-    point is a declarative :class:`~repro.harness.fairness.MultiFlowTask`, so
-    the grid shards, persists, and resumes like any other.
-    """
-    return REGISTRY.run("friendliness", {
-        "flows": tuple(flows),
-        "rtts_ms": tuple(rtts_ms),
-        "training_steps": training_steps,
-        "duration": duration,
-        "seed": seed,
-    }, n_jobs=n_jobs)
 
 
 @REGISTRY.register(
@@ -1243,7 +940,7 @@ def friendliness_grid(
         "min_rtt": 0.02,
         "buffer_bdp": 1.0,
         "training_steps": 400,
-        "seed": 1,
+        "seeds": (1,),
     },
     runner=run_multiflow_task,
     description="fairness convergence of homogeneous flows joining over time (Fig. 15)",
@@ -1253,32 +950,12 @@ def _fairness_build(axes: Dict) -> List[MultiFlowTask]:
         MultiFlowTask(
             mode="fairness_convergence", scheme=scheme, value=axes["n_flows"],
             model_kind=default_model_kind(scheme), training_steps=axes["training_steps"],
-            model_seed=axes["seed"], join_interval=axes["join_interval"],
+            model_seed=seed, join_interval=axes["join_interval"],
             bandwidth_mbps=axes["bandwidth_mbps"], min_rtt=axes["min_rtt"],
             buffer_bdp=axes["buffer_bdp"])
         for scheme in axes["schemes"]
+        for seed in axes["seeds"]
     ]
-
-
-def fairness_grid(
-    schemes: Sequence[str] = ("cubic", "orca", "canopy-shallow", "canopy-deep"),
-    n_flows: int = 3,
-    join_interval: float = 12.0,
-    training_steps: int = 400,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Dict:
-    """Fairness convergence of homogeneous flows joining over time (Fig. 15).
-
-    Thin shim over the registered ``fairness`` experiment.
-    """
-    return REGISTRY.run("fairness", {
-        "schemes": tuple(schemes),
-        "n_flows": n_flows,
-        "join_interval": join_interval,
-        "training_steps": training_steps,
-        "seed": seed,
-    }, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -1293,7 +970,7 @@ def sensitivity(
     seed: int = 1,
 ) -> Dict:
     """Performance of Canopy-shallow for different N and λ (Fig. 16)."""
-    traces = _trace_subset("synthetic", n_traces)
+    traces = trace_subset("synthetic", n_traces)
     settings = EvaluationSettings(duration=duration, buffer_bdp=1.0, seed=seed)
     rows = []
 

@@ -10,11 +10,12 @@ Jain's index.
 The point functions (:func:`friendliness`, :func:`rtt_friendliness`,
 :func:`fairness_convergence`) take scheme-factory closures and run serially.
 For grids, :class:`MultiFlowTask` describes one sweep point *declaratively*
-(scheme label + model kind instead of a factory closure), so
-:func:`run_multiflow_grid` can shard the points across a
-:class:`~repro.harness.parallel.ParallelRunner` process pool — every worker
-rebuilds its factory from the model zoo, and rows come back in task order,
-identical for serial and parallel runs.
+(scheme label + model kind instead of a factory closure), so the registered
+``friendliness`` and ``fairness`` experiments shard the points across a
+:class:`~repro.harness.parallel.ParallelRunner` process pool through
+:func:`run_multiflow_task` — every worker rebuilds its factory from the model
+zoo, and rows come back in task order, identical for serial and parallel
+runs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "fairness_convergence",
     "MultiFlowTask",
     "run_multiflow_task",
-    "run_multiflow_grid",
 ]
 
 #: Sweep modes understood by :class:`MultiFlowTask`.
@@ -142,7 +142,7 @@ def fairness_convergence(
 
     # Per-flow throughput time series (1-second buckets) for the convergence
     # plot.  Keys are stringified flow ids so the row shape is JSON-stable —
-    # identical whether it comes from run_multiflow_grid directly or from a
+    # identical whether it comes from run_multiflow_task directly or from a
     # registry run store (which round-trips rows through JSON).
     bucket = 1.0
     n_buckets = int(duration / bucket)
@@ -276,15 +276,3 @@ def run_multiflow_task(task: MultiFlowTask) -> Dict:
             "series_mbps": result["series_mbps"],
         })
     return row
-
-
-def run_multiflow_grid(tasks: Sequence[MultiFlowTask], n_jobs: int = 1):
-    """Shard a multi-flow task grid over a process pool.
-
-    Returns a :class:`~repro.harness.parallel.GridResult` whose rows are in
-    task order (serial and parallel runs are identical).
-    """
-    # Imported lazily to keep fairness importable without the harness stack.
-    from repro.harness.parallel import ParallelRunner
-
-    return ParallelRunner(n_jobs).run(tasks, fn=run_multiflow_task)

@@ -55,9 +55,6 @@ __all__ = [
     "ExperimentRegistry",
     "REGISTRY",
     "pretrain_models",
-    "register",
-    "run_experiment",
-    "experiment_names",
     "parse_set_overrides",
 ]
 
@@ -133,8 +130,8 @@ def coerce_axis_value(name: str, value: object, default: object):
     :func:`repro.harness.spec.coerce_scalar` — the one scalar-coercion rule
     of the repo, so int/float/bool handling matches everywhere; sequence axes
     split on commas, with ``a..b`` expanding to an inclusive whole-number
-    range cast to the axis's element type.  Typed overrides (from the driver
-    shims) pass through, normalized to tuples for sequence axes.
+    range cast to the axis's element type.  Typed overrides (from library
+    callers) pass through, normalized to tuples for sequence axes.
     """
     is_sequence_axis = isinstance(default, (tuple, list))
     if isinstance(value, str):
@@ -410,8 +407,3 @@ _BUILTINS_LOADED = False
 
 #: The process-wide registry every built-in experiment registers into.
 REGISTRY = ExperimentRegistry()
-
-#: Module-level conveniences mirroring the registry instance.
-register = REGISTRY.register
-run_experiment = REGISTRY.run
-experiment_names = REGISTRY.names

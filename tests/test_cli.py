@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENT_DRIVERS, FIGURE_DRIVERS, build_parser, main
+from repro.cli import FIGURE_DRIVERS, FIGURE_EXPERIMENTS, build_parser, main
 from repro.nn.serialization import load_weight_dict
 
 
@@ -64,9 +64,9 @@ def test_figure_command_runs_driver(capsys):
 
 
 def test_figure_driver_registry_covers_evaluation():
-    expected = {"1", "2", "5", "6", "7", "9", "10", "11", "12", "13", "16", "17", "table4",
-                "topology"}
-    assert expected <= set(FIGURE_DRIVERS)
+    # Only the non-grid figures keep a driver function; every grid figure is
+    # a registry experiment routed through FIGURE_EXPERIMENTS.
+    assert set(FIGURE_DRIVERS) == {"1", "2", "6", "11", "16", "17", "table4"}
 
 
 def test_list_traces_includes_topology_families(capsys):
@@ -134,11 +134,6 @@ def test_compare_classical_command(capsys):
         assert scheme in out
 
 
-def test_experiment_registry_covers_topology_workloads():
-    assert {"topology_sweep", "topology_generalization",
-            "friendliness", "fairness"} <= set(EXPERIMENT_DRIVERS)
-
-
 RUN_SETS = ["--set", "schemes=cubic", "--set", "families=single_bottleneck,chain(2)",
             "--set", "duration=2.0", "--set", "n_synthetic=1", "--set", "seeds=0"]
 
@@ -189,27 +184,23 @@ def test_run_topology_sweep_with_store_and_resume(tmp_path, capsys):
     assert store_main([store]) == 0
 
 
-def test_experiment_unknown_name_errors():
-    with pytest.raises(SystemExit):
-        main(["experiment", "not-an-experiment"])
-
-
-def test_experiment_is_a_deprecated_alias_of_run(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="repro"):
-        code = main(["experiment", "topology_sweep", "--steps", "30",
-                     "--duration", "2.0", "--families", "single_bottleneck"])
-    assert code == 0
-    assert "experiment_deprecated" in caplog.text
-    assert "repro run topology_sweep" in caplog.text
+def test_experiment_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "topology_sweep"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'experiment'" in capsys.readouterr().err
+    subcommands = next(action for action in build_parser()._actions
+                       if action.dest == "command")
+    assert len(subcommands.choices) == 11
 
 
 def test_figure_experiments_are_known_figure_ids():
-    from repro.cli import FIGURE_EXPERIMENTS
     from repro.harness.registry import REGISTRY
 
-    assert set(FIGURE_EXPERIMENTS) <= set(FIGURE_DRIVERS)
+    assert not set(FIGURE_EXPERIMENTS) & set(FIGURE_DRIVERS)
+    assert set(FIGURE_EXPERIMENTS) | set(FIGURE_DRIVERS) == {
+        "1", "2", "5", "6", "7", "9", "10", "11", "12", "13", "14", "15", "16", "17",
+        "table4", "topology"}
     for name, overrides in FIGURE_EXPERIMENTS.values():
         axes = REGISTRY.get(name).axes
         assert {"training_steps", "seeds"} <= set(axes)
@@ -218,8 +209,6 @@ def test_figure_experiments_are_known_figure_ids():
 
 def test_figure_routes_registry_figures_through_resumable_store(
         tmp_path, capsys, monkeypatch):
-    from repro.cli import FIGURE_EXPERIMENTS
-
     monkeypatch.setitem(FIGURE_EXPERIMENTS, "topology",
                         ("topology_sweep", {"families": ("single_bottleneck",),
                                             "schemes": ("cubic",),
@@ -273,12 +262,13 @@ def test_status_without_journal_errors(tmp_path):
         main(["status", str(tmp_path)])
 
 
-def test_experiment_command_runs_generalization_grid(capsys):
-    code = main(["experiment", "topology_generalization", "--steps", "40", "--seed", "54",
-                 "--duration", "2.0", "--families", "single_bottleneck,chain(2)", "--jobs", "1"])
+def test_run_command_runs_generalization_grid(capsys):
+    code = main(["run", "topology_generalization", "--set", "training_steps=40",
+                 "--set", "seeds=54", "--set", "duration=2.0",
+                 "--set", "families=single_bottleneck,chain(2)", "--jobs", "1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "Experiment topology_generalization" in out
+    assert "Run topology_generalization" in out
     assert "train_family" in out and "eval_family" in out
     assert "mixed" in out and "chain(2)" in out
 

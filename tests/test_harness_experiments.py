@@ -1,15 +1,21 @@
-"""Smoke tests for the experiment drivers (at very small scale).
+"""Smoke tests for the evaluation experiments (at very small scale).
 
-These tests verify the structural contract of every figure/table driver —
-the benchmark suite exercises them at the reporting scale.
+These tests verify the structural contract of every figure/table — the
+non-grid drivers directly, the grid experiments through ``REGISTRY.run`` —
+and the benchmark suite exercises them at the reporting scale.
 """
 
 import numpy as np
 import pytest
 
 from repro.harness import experiments
+from repro.harness.registry import REGISTRY
+from repro.harness.store import RunStore
 
+#: Scale knobs of the non-grid driver functions.
 QUICK = dict(training_steps=60, seed=31)
+#: The same scale as registry axes.
+QUICK_AXES = {"training_steps": 60, "seeds": (31,)}
 
 
 @pytest.mark.slow
@@ -31,8 +37,9 @@ class TestMotivation:
 @pytest.mark.slow
 class TestQCSatFigures:
     def test_fig5_structure(self):
-        result = experiments.qcsat_buffers(duration=3.0, n_components=5,
-                                           n_synthetic=1, n_cellular=1, **QUICK)
+        result = REGISTRY.run("qcsat_buffers", {"duration": 3.0, "n_components": 5,
+                                                "n_synthetic": 1, "n_cellular": 1,
+                                                **QUICK_AXES})
         rows = result["rows"]
         assert len(rows) == 8  # 2 families x 2 trace kinds x 2 schemes
         for row in rows:
@@ -46,8 +53,9 @@ class TestQCSatFigures:
         assert np.asarray(first["output_bounds"]).shape == (6, 2)
 
     def test_fig7_robustness(self):
-        result = experiments.qcsat_robustness(duration=3.0, n_components=5,
-                                              n_synthetic=1, n_cellular=1, **QUICK)
+        result = REGISTRY.run("qcsat_robustness", {"duration": 3.0, "n_components": 5,
+                                                   "n_synthetic": 1, "n_cellular": 1,
+                                                   **QUICK_AXES})
         assert len(result["rows"]) == 4
         for row in result["rows"]:
             assert row["scheme"] in ("canopy", "orca")
@@ -56,15 +64,18 @@ class TestQCSatFigures:
 @pytest.mark.slow
 class TestPerformanceFigures:
     def test_fig9_shallow_sweep(self):
-        result = experiments.performance_sweep(buffer_bdp=1.0, duration=4.0,
-                                                n_synthetic=1, n_cellular=1, **QUICK)
+        result = REGISTRY.run("performance_sweep", {"buffer_bdp": 1.0, "duration": 4.0,
+                                                    "n_synthetic": 1, "n_cellular": 1,
+                                                    **QUICK_AXES})
         assert result["figure"] == "9"
         schemes = {row["scheme"] for row in result["rows"]}
         assert schemes == {"canopy", "orca", "cubic", "vegas", "bbr"}
 
     def test_fig10_deep_sweep(self):
-        result = experiments.performance_sweep(buffer_bdp=5.0, canopy_kind="canopy-deep",
-                                                duration=4.0, n_synthetic=1, n_cellular=0 or 1, **QUICK)
+        result = REGISTRY.run("performance_sweep", {"buffer_bdp": 5.0,
+                                                    "canopy_kind": "canopy-deep",
+                                                    "duration": 4.0, "n_synthetic": 1,
+                                                    "n_cellular": 1, **QUICK_AXES})
         assert result["figure"] == "10"
 
     def test_fig11_noise_sensitivity(self):
@@ -74,34 +85,37 @@ class TestPerformanceFigures:
             assert np.isfinite(row["utilization_change_pct"])
 
     def test_fig12_realworld(self):
-        result = experiments.realworld_deployment(duration=4.0, profiles_per_category=1, **QUICK)
+        result = REGISTRY.run("realworld_deployment", {"duration": 4.0,
+                                                       "profiles_per_category": 1,
+                                                       **QUICK_AXES})
         categories = {row["category"] for row in result["rows"]}
         assert categories == {"intra", "inter"}
         for row in result["rows"]:
             assert 0.0 < row["normalized_throughput"] <= 1.0 + 1e-9
             assert row["normalized_delay"] >= 1.0 - 1e-9
 
+    FALLBACK = {"duration": 3.0, "thresholds": (0.0, 0.8), "n_components": 4,
+                "n_traces": 1, **QUICK_AXES}
+
     def test_fig13_fallback(self):
-        result = experiments.fallback_runtime(duration=3.0, thresholds=(0.0, 0.8),
-                                              n_components=4, n_traces=1, **QUICK)
+        result = REGISTRY.run("fallback_runtime", self.FALLBACK)
         assert len(result["rows"]) == 8  # 2 families x 2 schemes x 2 thresholds
         for row in result["rows"]:
             assert 0.0 <= row["fallback_fraction"] <= 1.0
 
     def test_fig13_fallback_shards_identically(self):
-        serial = experiments.fallback_runtime(duration=3.0, thresholds=(0.0, 0.8),
-                                              n_components=4, n_traces=1, n_jobs=1, **QUICK)
-        parallel = experiments.fallback_runtime(duration=3.0, thresholds=(0.0, 0.8),
-                                                n_components=4, n_traces=1, n_jobs=2, **QUICK)
+        serial = REGISTRY.run("fallback_runtime", self.FALLBACK, n_jobs=1)
+        parallel = REGISTRY.run("fallback_runtime", self.FALLBACK, n_jobs=2)
         assert serial["rows"] == parallel["rows"]
 
 
 @pytest.mark.slow
 class TestTopologySweep:
     def test_topology_sweep_structure(self):
-        result = experiments.topology_sweep(
-            families=("single_bottleneck", "chain(2)", "parking_lot(2)"),
-            schemes=("cubic", "vegas"), duration=3.0, n_synthetic=1, seed=31)
+        result = REGISTRY.run("topology_sweep", {
+            "families": ("single_bottleneck", "chain(2)", "parking_lot(2)"),
+            "schemes": ("cubic", "vegas"), "duration": 3.0, "n_synthetic": 1,
+            "seeds": (31,)})
         assert result["figure"] == "topology"
         assert len(result["rows"]) == 6  # 3 families x 2 schemes
         assert result["ticks"] == 6 * 300
@@ -111,15 +125,16 @@ class TestTopologySweep:
             assert row["avg_delay_ms"] >= 0.0
 
     def test_topology_sweep_defaults_cover_family_catalog(self):
-        result = experiments.topology_sweep(duration=2.0, n_synthetic=1, seed=31)
+        result = REGISTRY.run("topology_sweep", {"duration": 2.0, "n_synthetic": 1,
+                                                 "seeds": (31,)})
         assert set(result["families"]) == {"single_bottleneck", "chain(3)",
                                            "parking_lot(3)", "dumbbell",
                                            "fan_in(3)", "tree(2)", "shared_segment"}
 
     def test_performance_sweep_topology_axis(self):
-        result = experiments.performance_sweep(
-            buffer_bdp=1.0, duration=3.0, n_synthetic=1, n_cellular=1,
-            topologies=("single_bottleneck", "chain(2)"), **QUICK)
+        result = REGISTRY.run("performance_sweep", {
+            "buffer_bdp": 1.0, "duration": 3.0, "n_synthetic": 1, "n_cellular": 1,
+            "topologies": ("single_bottleneck", "chain(2)"), **QUICK_AXES})
         rows = result["rows"]
         assert len(rows) == 20  # 2 topologies x 2 trace kinds x 5 schemes
         assert {row["topology"] for row in rows} == {"single_bottleneck", "chain(2)"}
@@ -127,24 +142,27 @@ class TestTopologySweep:
 
 @pytest.mark.slow
 class TestTopologyGeneralization:
-    GRID = dict(families=("single_bottleneck", "chain(2)", "parking_lot(2)"),
-                duration=2.0, n_components=4, n_synthetic=1, **QUICK)
+    GRID = {"families": ("single_bottleneck", "chain(2)", "parking_lot(2)"),
+            "duration": 2.0, "n_components": 4, "n_traces": 1, **QUICK_AXES}
+    #: Two families, per-family models only.
+    PAIR = {**GRID, "families": ("single_bottleneck", "chain(2)"), "include_mixed": False}
 
     def test_needs_at_least_two_families(self):
         with pytest.raises(ValueError):
-            experiments.topology_generalization(families=["chain(2)"], **QUICK)
+            REGISTRY.run("topology_generalization", {"families": ["chain(2)"], **QUICK_AXES})
 
     def test_mixed_label_is_reserved(self):
         with pytest.raises(ValueError):
-            experiments.topology_generalization(
-                families=[experiments.MIXED_TRAINING_LABEL, "chain(2)"], **QUICK)
+            REGISTRY.run("topology_generalization", {
+                "families": [experiments.MIXED_TRAINING_LABEL, "chain(2)"], **QUICK_AXES})
 
     def test_duplicate_families_rejected(self):
         with pytest.raises(ValueError):
-            experiments.topology_generalization(families=["chain(2)", "chain(2)"], **QUICK)
+            REGISTRY.run("topology_generalization",
+                         {"families": ["chain(2)", "chain(2)"], **QUICK_AXES})
 
     def test_grid_structure_and_mixed_model(self):
-        result = experiments.topology_generalization(n_jobs=1, **self.GRID)
+        result = REGISTRY.run("topology_generalization", self.GRID, n_jobs=1)
         families = list(self.GRID["families"])
         assert result["figure"] == "topology_generalization"
         assert result["families"] == families
@@ -161,44 +179,29 @@ class TestTopologyGeneralization:
         assert result["certificates_per_sec"] > 0.0
 
     def test_include_mixed_false_trains_per_family_only(self):
-        result = experiments.topology_generalization(
-            families=("single_bottleneck", "chain(2)"), include_mixed=False,
-            duration=2.0, n_components=4, n_synthetic=1, n_jobs=1, **QUICK)
+        result = REGISTRY.run("topology_generalization", self.PAIR, n_jobs=1)
         assert result["train_families"] == ["single_bottleneck", "chain(2)"]
         assert len(result["rows"]) == 4
 
     def test_serial_and_parallel_rows_identical(self):
-        serial = experiments.topology_generalization(n_jobs=1, **self.GRID)
-        parallel = experiments.topology_generalization(n_jobs=2, **self.GRID)
+        serial = REGISTRY.run("topology_generalization", self.GRID, n_jobs=1)
+        parallel = REGISTRY.run("topology_generalization", self.GRID, n_jobs=2)
         assert serial["rows"] == parallel["rows"]
         assert serial["train_families"] == parallel["train_families"]
 
-    def test_registry_path_matches_driver_and_resumes(self, tmp_path):
-        from repro.harness.registry import REGISTRY
-        from repro.harness.store import RunStore
-
-        driver = experiments.topology_generalization(n_jobs=1, **self.GRID)
-        overrides = {"families": self.GRID["families"], "duration": self.GRID["duration"],
-                     "n_components": self.GRID["n_components"],
-                     "n_traces": self.GRID["n_synthetic"],
-                     "training_steps": QUICK["training_steps"],
-                     "seeds": (QUICK["seed"],)}
-        stored = REGISTRY.run("topology_generalization", overrides,
+    def test_registry_run_resumes_from_store(self, tmp_path):
+        stored = REGISTRY.run("topology_generalization", self.GRID,
                               store=RunStore(tmp_path), resume=True)
-        assert stored["rows"] == driver["rows"]
-        resumed = REGISTRY.run("topology_generalization", overrides,
+        resumed = REGISTRY.run("topology_generalization", self.GRID,
                                store=RunStore(tmp_path), resume=True)
         assert resumed["computed_cells"] == 0
-        assert resumed["rows"] == driver["rows"]
+        assert resumed["rows"] == stored["rows"]
         # Cached cells certified nothing this run: no throughput is claimed.
         assert resumed["certificates_per_sec"] == 0.0
 
     def test_property_family_product_axis_in_one_store(self, tmp_path):
         # The ROADMAP open item: families x property_family certified within
         # ONE grid (and one resumable store) instead of one rerun per family.
-        from repro.harness.registry import REGISTRY
-        from repro.harness.store import RunStore
-
         overrides = {"families": "single_bottleneck,chain(2)", "include_mixed": "0",
                      "training_steps": "40", "duration": "2.0", "n_components": "4",
                      "n_traces": "1", "seeds": "1", "property_family": "shallow,deep"}
@@ -227,17 +230,13 @@ class TestTopologyGeneralization:
         assert grown["computed_cells"] == 4  # only the robustness cells
 
     def test_single_property_family_keeps_legacy_row_shape(self):
-        result = experiments.topology_generalization(
-            families=("single_bottleneck", "chain(2)"), include_mixed=False,
-            duration=2.0, n_components=4, n_synthetic=1, n_jobs=1, **QUICK)
+        result = REGISTRY.run("topology_generalization", self.PAIR, n_jobs=1)
         assert result["property_family"] == "shallow"
         assert all("property_family" not in row for row in result["rows"])
 
     def test_larger_grid_via_set_overrides_no_code_change(self):
         # The ROADMAP scale-up: >= 3 seeds per cell and the cellular suite on
         # the eval axis, purely through string (--set style) overrides.
-        from repro.harness.registry import REGISTRY
-
         result = REGISTRY.run("topology_generalization", {
             "families": "single_bottleneck,chain(2)",
             "include_mixed": "0",
@@ -261,12 +260,12 @@ class TestTopologyGeneralization:
 
 @pytest.mark.slow
 class TestWorkloadStress:
-    GRID = dict(schemes=("canopy-shallow",), topologies=("single_bottleneck", "fan_in(2)"),
-                workloads=("static", "poisson(0.5)"), duration=2.0, n_components=4,
-                n_traces=1, **QUICK)
+    GRID = {"schemes": ("canopy-shallow",), "topology": ("single_bottleneck", "fan_in(2)"),
+            "workload": ("static", "poisson(0.5)"), "duration": 2.0, "n_components": 4,
+            "n_traces": 1, **QUICK_AXES}
 
     def test_grid_structure_and_certification(self):
-        result = experiments.workload_stress(n_jobs=1, **self.GRID)
+        result = REGISTRY.run("workload_stress", self.GRID, n_jobs=1)
         assert result["figure"] == "workload_stress"
         assert result["workloads"] == ["static", "poisson(0.5)"]
         assert len(result["rows"]) == 4  # 2 topologies x 2 workloads
@@ -277,16 +276,13 @@ class TestWorkloadStress:
         assert result["certificates"] > 0
 
     def test_serial_and_parallel_rows_identical(self):
-        serial = experiments.workload_stress(n_jobs=1, **self.GRID)
-        parallel = experiments.workload_stress(n_jobs=2, **self.GRID)
+        serial = REGISTRY.run("workload_stress", self.GRID, n_jobs=1)
+        parallel = REGISTRY.run("workload_stress", self.GRID, n_jobs=2)
         assert serial["rows"] == parallel["rows"]
 
     def test_registry_resume_round_trip(self, tmp_path):
         # The acceptance shape: run, resume (all cached), rows byte-identical.
         import json
-
-        from repro.harness.registry import REGISTRY
-        from repro.harness.store import RunStore
 
         overrides = {"schemes": "canopy-shallow", "topology": "fan_in(2)",
                      "workload": "poisson(0.5)", "training_steps": "60",
@@ -303,10 +299,10 @@ class TestWorkloadStress:
         assert "workload=poisson(0.5)" in record.key
 
     def test_classical_schemes_run_uncertified(self):
-        result = experiments.workload_stress(
-            schemes=("cubic",), topologies=("fan_in(2)",),
-            workloads=("responsive(cubic)",), duration=2.0, n_traces=1,
-            n_jobs=1, **QUICK)
+        result = REGISTRY.run("workload_stress", {
+            "schemes": ("cubic",), "topology": ("fan_in(2)",),
+            "workload": ("responsive(cubic)",), "duration": 2.0, "n_traces": 1,
+            **QUICK_AXES}, n_jobs=1)
         (row,) = result["rows"]
         assert "qcsat" not in row
         assert result["certificates"] == 0

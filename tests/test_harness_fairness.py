@@ -9,9 +9,9 @@ from repro.harness.fairness import (
     fairness_convergence,
     friendliness,
     rtt_friendliness,
-    run_multiflow_grid,
     run_multiflow_task,
 )
+from repro.harness.parallel import ParallelRunner
 
 
 class TestFriendliness:
@@ -91,8 +91,8 @@ class TestDeclarativeMultiFlowGrid:
                           tags={"cell": 2 + index})
             for index, rtt in enumerate((20.0, 50.0))
         ]
-        serial = run_multiflow_grid(tasks, n_jobs=1)
-        parallel = run_multiflow_grid(tasks, n_jobs=2)
+        serial = ParallelRunner(1).run(tasks, fn=run_multiflow_task)
+        parallel = ParallelRunner(2).run(tasks, fn=run_multiflow_task)
         assert serial.rows == parallel.rows
         assert [row["cell"] for row in serial.rows] == [0, 1, 2, 3]
         assert serial.n_tasks == 4

@@ -304,3 +304,11 @@ class TestMultiFlowCellKeys:
                                             ("fairness", FAIRNESS_KEYS)])
     def test_default_grid_keys_are_pinned(self, name, keys):
         assert REGISTRY.plan(name).keys == keys
+        assert REGISTRY.plan(name, {"seeds": (1,)}).keys == keys
+
+    @pytest.mark.parametrize("name, keys", [("friendliness", FRIENDLINESS_KEYS),
+                                            ("fairness", FAIRNESS_KEYS)])
+    def test_seeds_axis_extends_the_grid(self, name, keys):
+        grown = REGISTRY.plan(name, {"seeds": "1,2"}).keys
+        assert len(grown) == 2 * len(keys) == len(set(grown))
+        assert set(keys) <= set(grown)
