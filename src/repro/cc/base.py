@@ -11,7 +11,7 @@ All quantities use these units throughout the simulator:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["TickFeedback", "CongestionController", "MIN_CWND", "MSS_BYTES"]
 
@@ -22,8 +22,7 @@ MIN_CWND = 2.0
 MSS_BYTES = 1500
 
 
-@dataclass(frozen=True)
-class TickFeedback:
+class TickFeedback(NamedTuple):
     """Per-tick feedback delivered to a controller by its flow.
 
     Attributes:

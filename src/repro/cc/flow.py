@@ -18,35 +18,26 @@ drop at the sender's own entry queue — where nothing of the path has been
 traversed — is detected a full (smoothed-RTT-estimated) round trip later via
 dup-acks from the packets behind it (:meth:`Flow.record_sent`, the legacy
 convention the one-hop differential pins keep bit-identical).
+
+Pending notifications are plain tuples — ``(time, packets, rtt,
+queuing_delay)`` acks and ``(time, packets)`` losses — and each tick's
+:class:`TickRecord` is a named tuple, so the per-tick path builds no
+dataclasses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque
+from typing import Deque, NamedTuple, Tuple
 
 from repro.cc.base import CongestionController, TickFeedback
 
 __all__ = ["Flow", "TickRecord"]
 
-
-@dataclass
-class _AckEvent:
-    time: float
-    packets: float
-    rtt: float
-    queuing_delay: float
+_INF = float("inf")
 
 
-@dataclass
-class _LossEvent:
-    time: float
-    packets: float
-
-
-@dataclass(frozen=True)
-class TickRecord:
+class TickRecord(NamedTuple):
     """Everything the flow observed during one simulator tick."""
 
     time: float
@@ -78,11 +69,13 @@ class Flow:
         self.start_time = float(start_time)
         self.stop_time = stop_time
         self.inflight = 0.0
-        self.min_rtt = float("inf")
+        self.min_rtt = _INF
         self.srtt = 0.0
         self.delivery_rate = 0.0
-        self._ack_events: Deque[_AckEvent] = deque()
-        self._loss_events: Deque[_LossEvent] = deque()
+        # (time, packets, rtt, queuing_delay) acks and (time, packets) losses,
+        # each deque in notification-time order.
+        self._ack_events: Deque[Tuple[float, float, float, float]] = deque()
+        self._loss_events: Deque[Tuple[float, float]] = deque()
         self._pacing_credit = 0.0
         # Per-tick accumulators, reset by finish_tick().
         self._tick_sent = 0.0
@@ -109,7 +102,7 @@ class Flow:
     def reset(self) -> None:
         self.controller.reset()
         self.inflight = 0.0
-        self.min_rtt = float("inf")
+        self.min_rtt = _INF
         self.srtt = 0.0
         self.delivery_rate = 0.0
         self._ack_events.clear()
@@ -135,23 +128,39 @@ class Flow:
         """Packets the flow may emit this tick (window- and pacing-limited)."""
         if not self.is_active(now):
             return 0.0
-        window_room = max(0.0, self.controller.cwnd - self.inflight)
-        rate = self.controller.pacing_rate()
+        # max/min spelled as comparisons with the builtins' tie semantics.
+        controller = self.controller
+        window_room = controller.cwnd - self.inflight
+        if not window_room > 0.0:
+            window_room = 0.0
+        rate = controller.pacing_rate()
         if rate is None:
             # Window-limited senders still pace a window per RTT to avoid
             # emitting the whole window in a single tick.
-            rtt_estimate = self.srtt if self.srtt > 0 else (self.min_rtt if self.min_rtt < float("inf") else prop_rtt)
-            rate = self.controller.cwnd / max(rtt_estimate, 1e-3)
-        self._pacing_credit = min(self._pacing_credit + rate * dt, max(rate * dt * 4, 1.0))
-        allowance = min(window_room, self._pacing_credit)
-        return max(0.0, allowance)
+            if self.srtt > 0:
+                rtt_estimate = self.srtt
+            elif self.min_rtt < _INF:
+                rtt_estimate = self.min_rtt
+            else:
+                rtt_estimate = prop_rtt
+            rate = controller.cwnd / (1e-3 if rtt_estimate < 1e-3 else rtt_estimate)
+        cap = rate * dt * 4
+        if cap < 1.0:
+            cap = 1.0
+        credit = self._pacing_credit + rate * dt
+        if cap < credit:
+            credit = cap
+        self._pacing_credit = credit
+        allowance = credit if credit < window_room else window_room
+        return allowance if allowance > 0.0 else 0.0
 
     def record_sent(self, accepted: float, tail_dropped: float, random_lost: float, now: float, prop_rtt: float) -> None:
         """Account for packets handed to the link this tick."""
         sent = accepted + tail_dropped + random_lost
         if sent <= 0:
             return
-        self._pacing_credit = max(0.0, self._pacing_credit - sent)
+        credit = self._pacing_credit - sent
+        self._pacing_credit = credit if credit > 0.0 else 0.0
         self.inflight += sent
         self._tick_sent += sent
         self.total_sent += sent
@@ -164,7 +173,7 @@ class Flow:
             # downstream hops go through record_transit_drop instead, which
             # charges the actual return delay from the drop hop.
             rtt_estimate = self.srtt if self.srtt > 0 else prop_rtt
-            self._loss_events.append(_LossEvent(now + rtt_estimate, lost))
+            self._loss_events.append((now + rtt_estimate, lost))
 
     def record_transit_drop(self, packets: float, now: float, notify_delay: float) -> None:
         """Packets of this flow were dropped at a downstream hop of its path.
@@ -180,7 +189,7 @@ class Flow:
         """
         if packets <= 0:
             return
-        self._loss_events.append(_LossEvent(now + notify_delay, packets))
+        self._loss_events.append((now + notify_delay, packets))
 
     def record_delivery(self, packets: float, queuing_delay: float, now: float,
                         prop_rtt: float, ack_delay: float | None = None) -> None:
@@ -199,7 +208,7 @@ class Flow:
         rtt_sample = queuing_delay + prop_rtt
         if ack_delay is None:
             ack_delay = prop_rtt
-        self._ack_events.append(_AckEvent(now + ack_delay, packets, rtt_sample, queuing_delay))
+        self._ack_events.append((now + ack_delay, packets, rtt_sample, queuing_delay))
 
     # ------------------------------------------------------------------ #
     # Conservation accounting
@@ -207,12 +216,12 @@ class Flow:
     @property
     def pending_ack_packets(self) -> float:
         """Packets delivered end-to-end whose ack is still on the return path."""
-        return sum(event.packets for event in self._ack_events)
+        return sum(event[1] for event in self._ack_events)
 
     @property
     def pending_loss_packets(self) -> float:
         """Packets dropped whose loss notification has not reached the sender."""
-        return sum(event.packets for event in self._loss_events)
+        return sum(event[1] for event in self._loss_events)
 
     @property
     def pending_event_packets(self) -> float:
@@ -224,24 +233,48 @@ class Flow:
     # ------------------------------------------------------------------ #
     def process_events(self, now: float, dt: float) -> None:
         """Consume ack/loss events due by ``now`` and update RTT estimators."""
-        while self._ack_events and self._ack_events[0].time <= now + 1e-12:
-            event = self._ack_events.popleft()
-            self.inflight = max(0.0, self.inflight - event.packets)
-            self.total_acked += event.packets
-            self._tick_acked += event.packets
-            self._tick_rtt += event.rtt * event.packets
-            self._tick_delay += event.queuing_delay * event.packets
-            self._tick_ack_weight += event.packets
-            self.min_rtt = min(self.min_rtt, event.rtt)
-            if self.srtt == 0.0:
-                self.srtt = event.rtt
-            else:
-                self.srtt = 0.875 * self.srtt + 0.125 * event.rtt
-        while self._loss_events and self._loss_events[0].time <= now + 1e-12:
-            event = self._loss_events.popleft()
-            self.inflight = max(0.0, self.inflight - event.packets)
-            self.total_lost += event.packets
-            self._tick_lost += event.packets
+        limit = now + 1e-12
+        ack_events = self._ack_events
+        if ack_events and ack_events[0][0] <= limit:
+            inflight = self.inflight
+            min_rtt = self.min_rtt
+            srtt = self.srtt
+            tick_acked = self._tick_acked
+            tick_rtt = self._tick_rtt
+            tick_delay = self._tick_delay
+            tick_weight = self._tick_ack_weight
+            total_acked = self.total_acked
+            while ack_events and ack_events[0][0] <= limit:
+                _, packets, rtt, queuing_delay = ack_events.popleft()
+                inflight -= packets
+                if not inflight > 0.0:
+                    inflight = 0.0
+                total_acked += packets
+                tick_acked += packets
+                tick_rtt += rtt * packets
+                tick_delay += queuing_delay * packets
+                tick_weight += packets
+                if rtt < min_rtt:
+                    min_rtt = rtt
+                if srtt == 0.0:
+                    srtt = rtt
+                else:
+                    srtt = 0.875 * srtt + 0.125 * rtt
+            self.inflight = inflight
+            self.min_rtt = min_rtt
+            self.srtt = srtt
+            self._tick_acked = tick_acked
+            self._tick_rtt = tick_rtt
+            self._tick_delay = tick_delay
+            self._tick_ack_weight = tick_weight
+            self.total_acked = total_acked
+        loss_events = self._loss_events
+        while loss_events and loss_events[0][0] <= limit:
+            _, packets = loss_events.popleft()
+            inflight = self.inflight - packets
+            self.inflight = inflight if inflight > 0.0 else 0.0
+            self.total_lost += packets
+            self._tick_lost += packets
         # Exponentially smoothed delivery (ack) rate in packets/second.
         instant_rate = self._tick_acked / dt if dt > 0 else 0.0
         alpha = 0.3
@@ -261,7 +294,7 @@ class Flow:
             acked=self._tick_acked,
             lost=self._tick_lost,
             rtt=rtt,
-            min_rtt=self.min_rtt if self.min_rtt < float("inf") else 0.0,
+            min_rtt=self.min_rtt if self.min_rtt < _INF else 0.0,
             queuing_delay=delay,
             inflight=self.inflight,
             delivery_rate=self.delivery_rate,

@@ -9,13 +9,20 @@ every arrival, the historical fluid behaviour) or, with
 ``stochastic_loss=True``, by binomial thinning at whole-packet granularity
 drawn from the link's seeded RNG, so repeated runs vary per seed but remain
 bit-reproducible for a given seed.
+
+Queued chunks are mutable ``[flow_id, packets, enqueue_time, carried_delay]``
+lists and delivered chunks are :class:`DeliveredChunk` named tuples, so the
+drain loop unpacks and builds tuples, not dataclasses.  There is one
+drain body, :meth:`BottleneckLink.drain_at`, which takes the tick's capacity
+as an argument: the network simulator passes it from its precomputed
+per-hop capacity schedule, and :meth:`BottleneckLink.drain` looks it up from
+the trace.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -24,21 +31,12 @@ from repro.traces.trace import BandwidthTrace
 __all__ = ["BottleneckLink", "DeliveredChunk"]
 
 
-@dataclass(frozen=True)
-class DeliveredChunk:
+class DeliveredChunk(NamedTuple):
     """A chunk of packets that left the bottleneck queue this tick."""
 
     flow_id: int
     packets: float
     queuing_delay: float
-
-
-@dataclass
-class _QueuedChunk:
-    flow_id: int
-    packets: float
-    enqueue_time: float
-    carried_delay: float = 0.0
 
 
 class BottleneckLink:
@@ -73,7 +71,9 @@ class BottleneckLink:
         #: scenario samplers can report per-hop seeds without re-deriving them.
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._queue: Deque[_QueuedChunk] = deque()
+        # FIFO of [flow_id, packets, enqueue_time, carried_delay] lists; the
+        # packets entry shrinks in place as the head chunk drains.
+        self._queue: Deque[list] = deque()
         self._occupancy = 0.0
         self._drain_credit = 0.0
         self.total_enqueued = 0.0
@@ -151,41 +151,58 @@ class BottleneckLink:
         if self.random_loss_rate > 0:
             random_lost = self._sample_random_loss(packets)
             packets -= random_lost
-        free = max(0.0, self.buffer_packets - self._occupancy)
-        accepted = min(packets, free)
+        free = self.buffer_packets - self._occupancy
+        if not free > 0.0:
+            free = 0.0
+        accepted = free if free < packets else packets
         dropped = packets - accepted
         if accepted > 0:
-            self._queue.append(_QueuedChunk(flow_id, accepted, now, carried_delay))
+            self._queue.append([flow_id, accepted, now, carried_delay])
             self._occupancy += accepted
         self.total_enqueued += accepted
         self.total_dropped += dropped + random_lost
         return accepted, dropped, random_lost
 
     def drain(self, now: float, dt: float) -> List[DeliveredChunk]:
-        """Dequeue up to ``capacity * dt`` packets (FIFO) and return them."""
+        """Dequeue up to ``capacity(now) * dt`` packets (FIFO) and return them."""
+        return self.drain_at(self.capacity_pps(now), now, dt)
+
+    def drain_at(self, capacity_pps: float, now: float, dt: float) -> List[DeliveredChunk]:
+        """Dequeue up to ``capacity_pps * dt`` packets (FIFO) and return them."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        budget = self.capacity_pps(now) * dt + self._drain_credit
+        budget = capacity_pps * dt + self._drain_credit
+        queue = self._queue
         delivered: List[DeliveredChunk] = []
-        while budget > 1e-12 and self._queue:
-            chunk = self._queue[0]
-            take = min(chunk.packets, budget)
-            queuing_delay = chunk.carried_delay + max(0.0, now - chunk.enqueue_time)
-            delivered.append(DeliveredChunk(chunk.flow_id, take, queuing_delay))
-            chunk.packets -= take
-            self._occupancy = max(0.0, self._occupancy - take)
+        occupancy = self._occupancy
+        total_delivered = self.total_delivered
+        while budget > 1e-12 and queue:
+            chunk = queue[0]
+            flow_id, packets, enqueue_time, carried_delay = chunk
+            take = budget if budget < packets else packets
+            waited = now - enqueue_time
+            delivered.append(DeliveredChunk(
+                flow_id, take, carried_delay + (waited if waited > 0.0 else 0.0)))
+            occupancy -= take
+            if not occupancy > 0.0:
+                occupancy = 0.0
             budget -= take
-            self.total_delivered += take
-            if chunk.packets <= 1e-12:
-                self._queue.popleft()
+            total_delivered += take
+            packets -= take
+            if packets <= 1e-12:
+                queue.popleft()
+            else:
+                chunk[1] = packets
+        self._occupancy = occupancy
+        self.total_delivered = total_delivered
         # Unused capacity does not carry over when the queue is empty (a link
         # cannot save transmission opportunities for later).
-        self._drain_credit = budget if self._queue else 0.0
+        self._drain_credit = budget if queue else 0.0
         return delivered
 
     def per_flow_occupancy(self) -> Dict[int, float]:
         """Packets in the queue broken down by flow (for fairness diagnostics)."""
         occupancy: Dict[int, float] = {}
-        for chunk in self._queue:
-            occupancy[chunk.flow_id] = occupancy.get(chunk.flow_id, 0.0) + chunk.packets
+        for flow_id, packets, _, _ in self._queue:
+            occupancy[flow_id] = occupancy.get(flow_id, 0.0) + packets
         return occupancy

@@ -33,6 +33,13 @@ Two consumption styles are supported:
   :class:`repro.orca.env.OrcaNetworkEnv`, whose RL agent interacts with the
   network once per monitor interval.
 
+Both styles share one lean tick loop.  Every hop's drain capacity (pps) and
+the bottleneck's logged capacity (Mbps) come from a capacity schedule
+precomputed :data:`SCHEDULE_BLOCK` ticks at a time, on tick times accumulated
+with the same ``now += dt`` as :meth:`NetworkSimulator.tick`, so each value is
+bit-identical to a per-tick trace lookup.  Chunks, ack/loss notifications and
+tick records are tuples or named tuples that the loop unpacks directly.
+
 Observability: an optional :class:`~repro.telemetry.events.EventTrace`
 records structured, sim-time-stamped events from the tick loop — per-hop
 queue/transit drops, flow arrival/departure transitions, and conservation
@@ -55,25 +62,51 @@ from repro.cc.flow import Flow, TickRecord
 from repro.cc.link import BottleneckLink
 from repro.telemetry.events import EventTrace
 from repro.telemetry.profiler import TickProfiler
+from repro.traces.trace import mbps_to_pps
 
 __all__ = ["NetworkSimulator", "FlowStats", "MonitorReport", "SimulationResult"]
 
 DEFAULT_TICK = 0.01
 
+#: Position of each TickRecord field (the FlowStats column rows).
+_RECORD_FIELD = {name: index for index, name in enumerate(TickRecord._fields)}
+
+#: Ticks per precomputed capacity block (see NetworkSimulator._fill_schedule).
+SCHEDULE_BLOCK = 512
+
 
 @dataclass
 class FlowStats:
-    """Per-tick time series collected for one flow."""
+    """Per-tick time series collected for one flow.
+
+    ``records`` is append-only.  Each column view is converted from the
+    records once (by ``TickRecord`` field position) and cached until more
+    records arrive; every access returns a fresh copy.  Converting all
+    records to one 2-D array instead measured slower than the per-column
+    conversions a summary needs, because numpy walks each record as a nested
+    sequence.
+    """
 
     flow_id: int
     records: List[TickRecord] = field(default_factory=list)
+    _columns: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
+    _columns_len: int = field(default=0, init=False, repr=False, compare=False)
 
     def append(self, record: TickRecord) -> None:
         self.records.append(record)
 
     # Convenience array views -------------------------------------------------
     def _column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records], dtype=np.float64)
+        if self._columns_len != len(self.records):
+            self._columns = {}
+            self._columns_len = len(self.records)
+        column = self._columns.get(name)
+        if column is None:
+            index = _RECORD_FIELD[name]
+            column = np.array([record[index] for record in self.records], dtype=np.float64)
+            self._columns[name] = column
+        return column.copy()
 
     @property
     def times(self) -> np.ndarray:
@@ -227,11 +260,24 @@ class NetworkSimulator:
         self._transit = TransitQueue(telemetry=telemetry)
         self._ordered_links = self.topology.ordered_links
         self._bottleneck_trace = self.topology.bottleneck.queue.trace
+        # Capacity schedule: per-tick hop capacities (pps, in ordered-link
+        # order) and the bottleneck's logged capacity (Mbps), precomputed one
+        # block of ticks at a time by _fill_schedule.  The slot starts
+        # exhausted so the first tick fills the first block.
+        self._hop_traces = [link.queue.trace for link in self._ordered_links]
+        self._schedule_times: List[float] = []
+        self._schedule_pps: List[Tuple[float, ...]] = []
+        self._schedule_mbps: List[float] = []
+        self._schedule_slot = SCHEDULE_BLOCK
         self._entry_link: Dict[int, "Link"] = {}
         self._route_rtt: Dict[int, float] = {}
-        self._next_hop: Dict[Tuple[int, str], Optional["Link"]] = {}
+        # Per hop name, keyed by flow id: the successor hop's name (None at
+        # the route's terminal hop) and the loss-notification delay.
+        self._next_hop: Dict[str, Dict[int, Optional[str]]] = {
+            link.name: {} for link in self._ordered_links}
         self._ack_delay: Dict[int, float] = {}
-        self._drop_notify_delay: Dict[Tuple[int, str], float] = {}
+        self._drop_notify_delay: Dict[str, Dict[int, float]] = {
+            link.name: {} for link in self._ordered_links}
         for fid in self.flows:
             self._register_route(fid, self.topology.route_links(fid))
         self._cross_sources = list(self.topology.cross_traffic)
@@ -255,8 +301,8 @@ class NetworkSimulator:
         incurred = 0.0
         for index, link in enumerate(route):
             successor = route[index + 1] if index + 1 < len(route) else None
-            self._next_hop[(flow_id, link.name)] = successor
-            self._drop_notify_delay[(flow_id, link.name)] = incurred
+            self._next_hop[link.name][flow_id] = successor.name if successor is not None else None
+            self._drop_notify_delay[link.name][flow_id] = incurred
             if successor is not None:
                 incurred += 0.5 * link.delay
         self._ack_delay[flow_id] = rtt - incurred
@@ -298,6 +344,30 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
     # Core stepping
     # ------------------------------------------------------------------ #
+    def _fill_schedule(self, start: float) -> None:
+        """Precompute the next :data:`SCHEDULE_BLOCK` ticks' capacities.
+
+        Tick times accumulate ``now += dt`` exactly as :meth:`tick` does, so
+        each entry is the capacity the per-tick trace lookup would return.
+        Every distinct trace is looked up once per block, however many hops
+        share it.
+        """
+        times = []
+        now = start
+        dt = self.dt
+        for _ in range(SCHEDULE_BLOCK):
+            times.append(now)
+            now += dt
+        grid = np.array(times)
+        mbps_by_trace: Dict[int, np.ndarray] = {}
+        for trace in (*self._hop_traces, self._bottleneck_trace):
+            if id(trace) not in mbps_by_trace:
+                mbps_by_trace[id(trace)] = trace.capacity_mbps_many(grid)
+        hop_pps = [mbps_to_pps(mbps_by_trace[id(trace)]).tolist() for trace in self._hop_traces]
+        self._schedule_times = times
+        self._schedule_pps = list(zip(*hop_pps))
+        self._schedule_mbps = mbps_by_trace[id(self._bottleneck_trace)].tolist()
+
     def tick(self) -> Dict[int, TickRecord]:
         """Advance the simulation by one tick and return per-flow records."""
         now = self.now
@@ -318,6 +388,15 @@ class NetworkSimulator:
                 if active != self._flow_active[fid]:
                     self._flow_active[fid] = active
                     tel.emit("flow_arrival" if active else "flow_departure", flow=fid)
+
+        # This tick's capacities come from the precomputed schedule; a new
+        # block starts when the current one runs out (or the clock no longer
+        # matches it, should a caller have moved ``now``).
+        slot = self._schedule_slot
+        if slot == SCHEDULE_BLOCK or self._schedule_times[slot] != now:
+            self._fill_schedule(now)
+            slot = 0
+        self._schedule_slot = slot + 1
 
         # 0. Cross-traffic sources offer their load at their entry hops (they
         # are already "on the wire", so they contend before this tick's
@@ -344,17 +423,19 @@ class NetworkSimulator:
         flow_list = self._flow_list
         n_flows = len(flow_list)
         offset = self._tick_count % n_flows
+        route_rtt = self._route_rtt
+        entry_link = self._entry_link
         for position in range(n_flows):
             flow = flow_list[(offset + position) % n_flows]
             fid = flow.flow_id
-            prop_rtt = self._route_rtt[fid]
+            prop_rtt = route_rtt[fid]
             allowance = flow.send_allowance(now, dt, prop_rtt)
             if allowance > 0:
-                accepted, dropped, random_lost = self._entry_link[fid].queue.enqueue(
+                accepted, dropped, random_lost = entry_link[fid].queue.enqueue(
                     fid, allowance, now)
                 flow.record_sent(accepted, dropped, random_lost, now, prop_rtt)
                 if tel is not None and dropped + random_lost > 0:
-                    tel.emit("queue_drop", hop=self._entry_link[fid].name,
+                    tel.emit("queue_drop", hop=entry_link[fid].name,
                              flow=fid, packets=dropped + random_lost)
         self._tick_count += 1
         if prof is not None:
@@ -373,65 +454,69 @@ class NetworkSimulator:
         next_hop = self._next_hop
         transit = self._transit
         drop_delay = self._drop_notify_delay
-        for link in self._ordered_links:
+        ack_delay = self._ack_delay
+        cross_stats = self.cross_stats
+        for link, capacity in zip(self._ordered_links, self._schedule_pps[slot]):
             link_name = link.name
+            queue = link.queue
+            successors = next_hop[link_name]
             if prof is not None:
                 t0 = perf_counter()
                 arriving_chunks = transit.arrivals(link_name, now)
                 prof.add("transit", perf_counter() - t0)
             else:
                 arriving_chunks = transit.arrivals(link_name, now)
-            for arriving in arriving_chunks:
-                fid = arriving.flow_id
-                _, dropped, random_lost = link.queue.enqueue(
-                    fid, arriving.packets, now, carried_delay=arriving.queuing_delay)
+            for fid, packets, carried_delay, _ in arriving_chunks:
+                _, dropped, random_lost = queue.enqueue(
+                    fid, packets, now, carried_delay=carried_delay)
                 lost = dropped + random_lost
                 if lost > 0:
                     flow = flows.get(fid)
                     if flow is not None:
-                        flow.record_transit_drop(lost, now, drop_delay[(fid, link_name)])
+                        flow.record_transit_drop(lost, now, drop_delay[link_name][fid])
                     else:
-                        self.cross_stats[fid]["dropped"] += lost
+                        cross_stats[fid]["dropped"] += lost
                     if tel is not None:
                         tel.emit("transit_drop", hop=link_name, flow=fid, packets=lost)
-            deliveries = link.queue.drain(now, dt)
+            deliveries = queue.drain_at(capacity, now, dt)
             if not deliveries:
                 continue
-            half_delay = 0.5 * link.delay
-            for chunk in deliveries:
-                successor = next_hop[(chunk.flow_id, link_name)]
+            departure = now + 0.5 * link.delay
+            for fid, packets, queuing_delay in deliveries:
+                successor = successors[fid]
                 if successor is None:
-                    flow = flows.get(chunk.flow_id)
+                    flow = flows.get(fid)
                     if flow is not None:
-                        flow.record_delivery(chunk.packets, chunk.queuing_delay, now,
-                                             self._route_rtt[chunk.flow_id],
-                                             ack_delay=self._ack_delay[chunk.flow_id])
+                        flow.record_delivery(packets, queuing_delay, now, route_rtt[fid],
+                                             ack_delay=ack_delay[fid])
                     else:
-                        self.cross_stats[chunk.flow_id]["delivered"] += chunk.packets
+                        cross_stats[fid]["delivered"] += packets
                 else:
-                    transit.send(successor.name, chunk.flow_id, chunk.packets,
-                                 chunk.queuing_delay, now + half_delay)
+                    transit.send(successor, fid, packets, queuing_delay, departure)
         if prof is not None:
             prof.mark("drain")
 
         # 3. Each flow consumes due ack/loss events and updates its controller.
         end_of_tick = now + dt
         records: Dict[int, TickRecord] = {}
-        for fid, flow in self.flows.items():
+        stats = self.stats
+        monitor_acc = self._monitor_acc
+        for fid, flow in flows.items():
             flow.process_events(end_of_tick, dt)
             record = flow.finish_tick(end_of_tick, dt)
-            self.stats[fid].append(record)
+            stats[fid].append(record)
             records[fid] = record
-            acc = self._monitor_acc[fid]
-            acc["acked"] += record.acked
-            acc["lost"] += record.lost
-            acc["sent"] += record.sent
-            if record.acked > 0:
-                acc["delay_weighted"] += record.queuing_delay * record.acked
-                acc["rtt_weighted"] += record.rtt * record.acked
-                acc["ack_weight"] += record.acked
+            _, sent, acked, lost, rtt, queuing_delay, _, _ = record
+            acc = monitor_acc[fid]
+            acc["acked"] += acked
+            acc["lost"] += lost
+            acc["sent"] += sent
+            if acked > 0:
+                acc["delay_weighted"] += queuing_delay * acked
+                acc["rtt_weighted"] += rtt * acked
+                acc["ack_weight"] += acked
 
-        self._capacity_log.append(self._bottleneck_trace.capacity_mbps(now))
+        self._capacity_log.append(self._schedule_mbps[slot])
         self._time_log.append(end_of_tick)
         self.now = end_of_tick
         if prof is not None:

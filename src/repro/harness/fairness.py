@@ -31,6 +31,7 @@ from repro.cc.flow import Flow
 from repro.cc.link import BottleneckLink
 from repro.cc.metrics import jain_fairness_index, throughput_ratio
 from repro.cc.netsim import NetworkSimulator
+from repro.telemetry.profiler import active_profiler
 from repro.traces.trace import BandwidthTrace, pps_to_mbps
 
 __all__ = [
@@ -73,7 +74,7 @@ def friendliness(
         link = BottleneckLink(trace, min_rtt=min_rtt, buffer_bdp=buffer_bdp, seed=seed)
         flows = [Flow(0, scheme_factory())]
         flows.extend(Flow(i + 1, CubicController()) for i in range(n_cubic))
-        simulator = NetworkSimulator(link, flows, dt=dt)
+        simulator = NetworkSimulator(link, flows, dt=dt, profiler=active_profiler())
         simulator.run(duration)
         scheme_throughput = _flow_throughput_mbps(simulator, 0, skip_seconds, dt)
         cubic_throughputs = [
@@ -106,7 +107,7 @@ def rtt_friendliness(
         trace = BandwidthTrace.constant(bandwidth_mbps, duration=duration)
         link = BottleneckLink(trace, min_rtt=rtt_ms / 1000.0, buffer_bdp=buffer_bdp, seed=seed)
         flows = [Flow(0, scheme_factory()), Flow(1, CubicController())]
-        simulator = NetworkSimulator(link, flows, dt=dt)
+        simulator = NetworkSimulator(link, flows, dt=dt, profiler=active_profiler())
         simulator.run(duration)
         scheme_throughput = _flow_throughput_mbps(simulator, 0, skip_seconds, dt)
         cubic_throughput = _flow_throughput_mbps(simulator, 1, skip_seconds, dt)
@@ -137,7 +138,7 @@ def fairness_convergence(
     trace = BandwidthTrace.constant(bandwidth_mbps, duration=duration)
     link = BottleneckLink(trace, min_rtt=min_rtt, buffer_bdp=buffer_bdp, seed=seed)
     flows = [Flow(i, scheme_factory(), start_time=i * join_interval) for i in range(n_flows)]
-    simulator = NetworkSimulator(link, flows, dt=dt)
+    simulator = NetworkSimulator(link, flows, dt=dt, profiler=active_profiler())
     simulator.run(duration)
 
     # Per-flow throughput time series (1-second buckets) for the convergence

@@ -49,6 +49,7 @@ from repro.orca.reward import OrcaRewardConfig, orca_reward
 from repro.rl.env import Environment
 from repro.rl.spaces import BoxSpace
 from repro.seeding import derive_seed
+from repro.telemetry.profiler import active_profiler
 from repro.topology.families import build_topology, parse_topology
 from repro.topology.graph import Topology
 from repro.traces.trace import BandwidthTrace
@@ -212,7 +213,7 @@ class OrcaNetworkEnv(Environment):
         self._episodes += 1
         self._cubic = CubicController(initial_cwnd=10.0)
         flow = Flow(self._flow_id, self._cubic)
-        self._sim = NetworkSimulator(topology, [flow], dt=cfg.tick)
+        self._sim = NetworkSimulator(topology, [flow], dt=cfg.tick, profiler=active_profiler())
         self.observer.reset()
         self._steps = 0
         self._prev_enforced_cwnd = self._cubic.cwnd

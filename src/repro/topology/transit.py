@@ -27,13 +27,16 @@ In-transit packets are a first-class conservation bucket:
 suites) account for every packet that has left one queue but not yet reached
 the next: ``sent == acked + lost + queued + in-transit + notifications
 in flight`` at every tick.
+
+Chunks are :class:`TransitChunk` named tuples held in ``(eligible_time, seq,
+chunk)`` heap entries, so the hot path pushes and pops plain tuples (no
+per-chunk dataclass construction) while callers keep attribute access.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry.events import EventTrace
 
@@ -42,8 +45,7 @@ __all__ = ["TransitChunk", "TransitQueue"]
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class TransitChunk:
+class TransitChunk(NamedTuple):
     """A chunk of packets propagating between two hops."""
 
     flow_id: int
@@ -103,10 +105,14 @@ class TransitQueue:
         if not heap:
             return []
         due: List[TransitChunk] = []
-        while heap and heap[0][0] <= now + _EPS:
-            chunk = heapq.heappop(heap)[2]
+        limit = now + _EPS
+        occupancy = self._occupancy
+        heappop = heapq.heappop
+        while heap and heap[0][0] <= limit:
+            chunk = heappop(heap)[2]
             due.append(chunk)
-            self._occupancy -= chunk.packets
+            occupancy -= chunk[1]
+        self._occupancy = occupancy
         if due and self._telemetry is not None:
             popped = sum(chunk.packets for chunk in due)
             self._dest_occupancy[dest] = max(

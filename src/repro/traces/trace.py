@@ -4,6 +4,13 @@ A :class:`BandwidthTrace` is a piecewise-constant capacity schedule: a list of
 (segment duration, capacity in Mbps) pairs.  Lookup is by simulation time and
 wraps around (loops) when the simulation outlives the trace, matching how
 Mahimahi replays its packet-delivery trace files.
+
+There is one lookup implementation, the vectorized
+:meth:`BandwidthTrace.capacity_mbps_many`; the scalar
+:meth:`~BandwidthTrace.capacity_mbps` and :meth:`~BandwidthTrace.sample`
+delegate to it.  The network simulator calls it once per block of ticks to
+precompute every hop's capacity schedule, so the tick loop does no trace
+lookups of its own.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ class BandwidthTrace:
     segments: Sequence[Tuple[float, float]]
     loop: bool = True
     _cum: np.ndarray = field(init=False, repr=False)
+    _mbps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -54,6 +62,7 @@ class BandwidthTrace:
                 raise ValueError("capacities must be non-negative")
         durations = np.array([seg[0] for seg in self.segments], dtype=np.float64)
         self._cum = np.concatenate([[0.0], np.cumsum(durations)])
+        self._mbps = np.array([seg[1] for seg in self.segments], dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -89,17 +98,26 @@ class BandwidthTrace:
     def max_mbps(self) -> float:
         return max(mbps for _, mbps in self.segments)
 
+    def capacity_mbps_many(self, times) -> np.ndarray:
+        """Capacities (Mbps) at every simulation time in ``times``, elementwise.
+
+        A looping trace wraps each time modulo its duration; a non-looping one
+        holds its last segment's capacity from the end onwards.  A time on a
+        segment boundary belongs to the segment that starts there.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        if (times < 0).any():
+            raise ValueError("time must be non-negative")
+        if self.loop:
+            times = np.mod(times, self._cum[-1])
+        # A non-negative time lands at index >= 0; only a time past the end
+        # of a non-looping trace needs clipping (to the last segment).
+        index = self._cum.searchsorted(times, side="right") - 1
+        return self._mbps[np.minimum(index, self._mbps.size - 1)]
+
     def capacity_mbps(self, time: float) -> float:
         """Capacity (Mbps) at simulation time ``time``."""
-        if time < 0:
-            raise ValueError("time must be non-negative")
-        if self.loop and self.duration > 0:
-            time = time % self.duration
-        elif time >= self.duration:
-            return float(self.segments[-1][1])
-        index = int(np.searchsorted(self._cum, time, side="right")) - 1
-        index = min(max(index, 0), len(self.segments) - 1)
-        return float(self.segments[index][1])
+        return float(self.capacity_mbps_many(time))
 
     def capacity_pps(self, time: float) -> float:
         """Capacity at ``time`` in packets per second."""
@@ -108,8 +126,7 @@ class BandwidthTrace:
     def sample(self, dt: float, duration: float | None = None) -> np.ndarray:
         """Capacity samples (Mbps) every ``dt`` seconds for ``duration`` seconds."""
         duration = duration if duration is not None else self.duration
-        times = np.arange(0.0, duration, dt)
-        return np.array([self.capacity_mbps(t) for t in times])
+        return self.capacity_mbps_many(np.arange(0.0, duration, dt))
 
     def scaled(self, factor: float, name: str | None = None) -> "BandwidthTrace":
         """A copy of the trace with every capacity multiplied by ``factor``."""
@@ -161,9 +178,10 @@ def write_mahimahi_trace(trace: BandwidthTrace, path: str | Path, duration: floa
     duration = duration if duration is not None else trace.duration
     lines: List[str] = []
     credit = 0.0
-    for ms in range(int(duration * 1000)):
-        time_s = ms / 1000.0
-        credit += trace.capacity_pps(time_s) / 1000.0
+    times_s = np.arange(int(duration * 1000)) / 1000.0
+    per_ms = mbps_to_pps(trace.capacity_mbps_many(times_s)) / 1000.0
+    for ms, packets in enumerate(per_ms.tolist()):
+        credit += packets
         while credit >= 1.0:
             lines.append(str(ms))
             credit -= 1.0

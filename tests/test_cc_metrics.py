@@ -86,6 +86,30 @@ class TestSummaries:
         assert utilization(stats, np.zeros(10), dt=0.01, skip_seconds=0.0) == 0.0
 
 
+class TestFlowStatsColumns:
+    def test_columns_match_per_field_conversion(self):
+        stats = make_stats(np.linspace(0.0, 3.0, 40), delays=np.linspace(0.01, 0.02, 40))
+        for name in TickRecord._fields:
+            column = getattr(stats, "times" if name == "time" else name)
+            expected = np.array([getattr(r, name) for r in stats.records], dtype=np.float64)
+            assert np.array_equal(column, expected)
+            assert column.flags.c_contiguous
+
+    def test_columns_follow_appends_and_are_independent_copies(self):
+        stats = make_stats([1.0, 2.0])
+        acked = stats.acked
+        acked[0] = 99.0
+        assert list(stats.acked) == [1.0, 2.0]
+        stats.append(TickRecord(time=0.03, sent=4.0, acked=4.0, lost=0.0, rtt=0.05,
+                                queuing_delay=0.0, cwnd=10.0, inflight=5.0))
+        assert list(stats.acked) == [1.0, 2.0, 4.0]
+
+    def test_empty_stats_give_empty_columns(self):
+        stats = FlowStats(0)
+        assert stats.acked.shape == (0,)
+        assert stats.acked.dtype == np.float64
+
+
 class TestFairness:
     def test_jain_perfect_fairness(self):
         assert jain_fairness_index([10.0, 10.0, 10.0]) == pytest.approx(1.0)

@@ -11,7 +11,7 @@ from repro.harness.fairness import (
     rtt_friendliness,
     run_multiflow_task,
 )
-from repro.harness.parallel import ParallelRunner
+from repro.harness.parallel import ParallelRunner, run_profiled
 
 
 class TestFriendliness:
@@ -73,6 +73,19 @@ class TestDeclarativeMultiFlowGrid:
         for key, value in direct["rows"][0].items():
             assert row[key] == value
         assert row["mode"] == "friendliness"
+
+    @pytest.mark.parametrize("mode, value", [("friendliness", 1),
+                                             ("rtt_friendliness", 20.0),
+                                             ("fairness_convergence", 2)])
+    def test_profiled_cell_counts_its_ticks(self, mode, value):
+        # Every multi-flow simulator attaches the active profiler, and the
+        # profiled row is the unprofiled one.
+        task = MultiFlowTask(mode=mode, scheme="cubic", value=value, duration=2.0,
+                             join_interval=1.0)
+        profiled = run_profiled(run_multiflow_task, task)
+        assert profiled["profile"]["ticks"] == 200
+        assert profiled["profile"]["drain_s"] > 0.0
+        assert profiled["row"] == run_multiflow_task(task)
 
     def test_fairness_mode_reports_jain_index(self):
         task = MultiFlowTask(mode="fairness_convergence", scheme="cubic", value=2,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.orca.env import OrcaEnvConfig, OrcaNetworkEnv
 from repro.seeding import derive_seed
+from repro.telemetry.profiler import TickProfiler, activate_profiler, deactivate_profiler
 from repro.traces.trace import BandwidthTrace
 
 
@@ -53,6 +54,19 @@ class TestEnvironment:
             steps += 1
             assert steps <= 10
         assert steps == 4
+
+    def test_simulator_attaches_active_profiler(self):
+        env = make_env()
+        profiler = activate_profiler(TickProfiler())
+        try:
+            env.reset()
+            env.step(np.array([0.0]))
+        finally:
+            deactivate_profiler()
+        ticks_per_interval = round(env.config.monitor_interval / env.config.tick)
+        assert profiler.ticks == 2 * ticks_per_interval
+        env.reset()
+        assert profiler.ticks == 2 * ticks_per_interval
 
     def test_info_contains_decision_context(self):
         env = make_env()

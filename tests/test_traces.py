@@ -79,6 +79,74 @@ class TestBandwidthTrace:
         assert samples.shape == (4,)
 
 
+def reference_capacity_mbps(trace, time):
+    """The per-time lookup the vectorized one replaced (Python ``%`` and one
+    ``searchsorted`` per call), kept as an independent oracle."""
+    if time < 0:
+        raise ValueError("time must be non-negative")
+    cum = np.concatenate([[0.0], np.cumsum([seg[0] for seg in trace.segments])])
+    duration = float(cum[-1])
+    if trace.loop and duration > 0:
+        time = time % duration
+    elif time >= duration:
+        return float(trace.segments[-1][1])
+    index = int(np.searchsorted(cum, time, side="right")) - 1
+    index = min(max(index, 0), len(trace.segments) - 1)
+    return float(trace.segments[index][1])
+
+
+def accumulated_tick_grid(n_ticks, dt=0.01):
+    """Tick start times built the way the simulator builds them (``now += dt``)."""
+    times, now = [], 0.0
+    for _ in range(n_ticks):
+        times.append(now)
+        now += dt
+    return times
+
+
+def lookup_traces():
+    looped = [make_synthetic_trace(name) for name in SYNTHETIC_TRACE_NAMES[:6]]
+    looped += [make_cellular_trace(name, duration=12.0) for name in CELLULAR_TRACE_NAMES]
+    looped.append(BandwidthTrace("bounds", [(0.25, 3.0), (0.5, 0.0), (0.25, 7.5)]))
+    unlooped = [BandwidthTrace(f"{trace.name}-once", list(trace.segments), loop=False)
+                for trace in looped]
+    return looped + unlooped
+
+
+class TestVectorizedLookup:
+    @pytest.mark.parametrize("trace", lookup_traces(), ids=lambda trace: trace.name)
+    def test_many_matches_scalar_and_reference(self, trace):
+        # The accumulated tick grid runs past one full trace period, and the
+        # segment boundaries (plus their next-period images) are hit exactly.
+        n_ticks = int(trace.duration * 1.5 / 0.01) + 3
+        boundaries = [float(t) for t in trace._cum] + [float(t) + trace.duration
+                                                       for t in trace._cum]
+        times = accumulated_tick_grid(n_ticks) + boundaries
+        many = trace.capacity_mbps_many(times)
+        scalar = np.array([trace.capacity_mbps(t) for t in times])
+        reference = np.array([reference_capacity_mbps(trace, t) for t in times])
+        assert np.array_equal(many, scalar)
+        assert np.array_equal(many, reference)
+        assert all(type(trace.capacity_mbps(t)) is float for t in times[:5])
+
+    def test_sample_matches_reference(self):
+        trace = make_cellular_trace(CELLULAR_TRACE_NAMES[0], duration=6.0)
+        times = np.arange(0.0, 9.0, 0.01)
+        assert np.array_equal(trace.sample(0.01, 9.0),
+                              [reference_capacity_mbps(trace, t) for t in times])
+        assert trace.sample(0.5, 0.0).shape == (0,)
+
+    def test_boundary_belongs_to_next_segment(self):
+        trace = BandwidthTrace("b", [(1.0, 5.0), (2.0, 7.0)], loop=False)
+        assert list(trace.capacity_mbps_many([0.0, 1.0, 2.999, 3.0, 50.0])) == [
+            5.0, 7.0, 7.0, 7.0, 7.0]
+
+    def test_negative_time_rejected(self):
+        trace = BandwidthTrace.constant(10.0)
+        with pytest.raises(ValueError):
+            trace.capacity_mbps_many([0.0, 1.0, -0.01])
+
+
 class TestMahimahiFormat:
     def test_round_trip(self, tmp_path):
         trace = BandwidthTrace("rt", [(0.5, 12.0), (0.5, 24.0)])

@@ -23,7 +23,8 @@ import pytest
 
 from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
-from repro.cc.netsim import NetworkSimulator
+from repro.cc.link import BottleneckLink
+from repro.cc.netsim import SCHEDULE_BLOCK, NetworkSimulator
 from repro.topology import Link, Topology, TransitQueue, build_topology, topology_family_specs
 from repro.traces.trace import BandwidthTrace
 from repro.workload.build import build_workload
@@ -381,3 +382,79 @@ class TestPerFlowFifoAcrossHops:
             arr = np.asarray(series)
             assert (np.diff(arr) >= -1e-12).all(), f"flow {fid} acked regressed"
             assert arr[-1] > 0.0
+
+
+# ---------------------------------------------------------------------- #
+# Precomputed capacity schedule: bit-identical to per-tick trace lookups
+# ---------------------------------------------------------------------- #
+def varying_trace():
+    # 0.37 s segments, so capacity changes fall between tick boundaries, and a
+    # 5.55 s period, so a run of several schedule blocks wraps the trace.
+    samples = [24.0, 6.0, 31.5, 12.25, 0.0, 18.0, 9.5, 27.0, 3.0, 21.0,
+               15.0, 30.0, 7.75, 24.5, 11.0]
+    return BandwidthTrace.from_samples(samples, 0.37, "varying")
+
+
+def scheduled_run_ticks():
+    return 3 * SCHEDULE_BLOCK + 37
+
+
+def build_varying_sim(spec="chain(3)"):
+    topo = build_topology(spec, varying_trace(), min_rtt=0.06, buffer_bdp=1.5, seed=4)
+    flows = [Flow(0, CubicController()), Flow(1, CubicController(), start_time=0.3)]
+    return NetworkSimulator(topo, flows, dt=DT)
+
+
+class TestCapacitySchedule:
+    def test_logged_capacity_matches_scalar_lookup_every_tick(self):
+        sim = build_varying_sim()
+        starts = []
+        for _ in range(scheduled_run_ticks()):
+            starts.append(sim.now)
+            sim.tick()
+        result = sim.result()
+        trace = sim.topology.bottleneck.queue.trace
+        expected = np.array([trace.capacity_mbps(t) for t in starts])
+        assert np.array_equal(result.capacity_mbps, expected)
+        assert len(set(expected.tolist())) > 5
+
+    @pytest.mark.parametrize("spec", ["chain(3)", "dumbbell", "fan_in(3)"])
+    def test_hop_drains_match_per_tick_trace_lookups(self, spec, monkeypatch):
+        # Reference: every hop drains at the capacity its own trace reports at
+        # the tick's start, ignoring the capacity the schedule passes in.
+        scheduled = build_varying_sim(spec)
+        scheduled.run(scheduled_run_ticks() * DT)
+        drain_at = BottleneckLink.drain_at
+
+        def looked_up(queue, capacity_pps, now, dt):
+            return drain_at(queue, queue.capacity_pps(now), now, dt)
+
+        monkeypatch.setattr(BottleneckLink, "drain_at", looked_up)
+        reference = build_varying_sim(spec)
+        reference.run(scheduled_run_ticks() * DT)
+        for fid in scheduled.flows:
+            assert scheduled.stats[fid].records == reference.stats[fid].records
+        for name, link in scheduled.topology.links.items():
+            assert link.queue.total_delivered == reference.topology.links[name].queue.total_delivered
+
+    def test_run_matches_manual_tick_stepping(self):
+        ran = build_varying_sim()
+        result = ran.run(scheduled_run_ticks() * DT)
+        stepped = build_varying_sim()
+        ticked = {fid: [] for fid in stepped.flows}
+        for _ in range(scheduled_run_ticks()):
+            for fid, record in stepped.tick().items():
+                ticked[fid].append(record)
+        for fid in ran.flows:
+            assert result.stats_for(fid).records == ticked[fid]
+        assert np.array_equal(result.capacity_mbps, stepped.result().capacity_mbps)
+        assert np.array_equal(result.times, stepped.result().times)
+
+    def test_moved_clock_restarts_the_schedule(self):
+        sim = build_varying_sim()
+        for _ in range(10):
+            sim.tick()
+        sim.now = 2.0
+        sim.tick()
+        trace = sim.topology.bottleneck.queue.trace
+        assert sim.result().capacity_mbps[-1] == trace.capacity_mbps(2.0)
