@@ -168,6 +168,11 @@ class PropertySpec:
         dimension stays at its observed value.  A stack of states, shape
         ``(D, state_dim)``, gives the stack of the ``D`` regions.
         """
+        return Box.from_bounds(*self.input_bounds(state, observer))
+
+    def input_bounds(self, state: np.ndarray, observer: ObservationBuilder) -> Tuple[np.ndarray, np.ndarray]:
+        """The bounds ``(lo, hi)`` of :meth:`input_region`, as fresh float64
+        arrays shaped like ``state``, without the region's validation."""
         state = np.asarray(state, dtype=np.float64)
         if state.ndim not in (1, 2) or state.shape[-1] != observer.state_dim:
             raise ValueError(f"state has shape {state.shape}, expected (..., {observer.state_dim})")
@@ -180,7 +185,7 @@ class PropertySpec:
                 high_value = state[..., idx] * (1.0 + self.noise_mu)
                 lo[..., idx] = np.minimum(low_value, high_value)
                 hi[..., idx] = np.maximum(low_value, high_value)
-            return Box.from_bounds(lo, hi)
+            return lo, hi
         if self.delay_range is not None:
             idx = observer.feature_indices("delay")
             lo[..., idx], hi[..., idx] = self.delay_range
@@ -190,7 +195,7 @@ class PropertySpec:
         if self.dcwnd_sign is not None:
             idx = observer.feature_indices("dcwnd")
             lo[..., idx], hi[..., idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
-        return Box.from_bounds(lo, hi)
+        return lo, hi
 
     # ------------------------------------------------------------------ #
     # Postcondition handling

@@ -20,24 +20,27 @@ Batched engine
 
 One engine certifies one property over a stack of decisions.  Handed all
 ``D`` decisions of a run, :meth:`Verifier.certify` builds their input regions
-at once (:meth:`PropertySpec.input_region` on a ``(D, d)`` state stack),
-partitions them into one ``(D, N, d)`` box
-(:meth:`repro.abstract.box.Box.split_batched`) and runs a *single* IBP
-propagation for the property.  The cwnd map, the Δcwnd / fractional-change
-transformers, the containment check and the Eq. 6 feedback are vectorized
-over decisions and components, and the result is an array-backed
-:class:`repro.core.qc.CertificateBatch`.  One decision is the same engine on
-one state, propagated as an ``(N, d)`` box, and gives a
+at once (:meth:`PropertySpec.input_bounds` on a ``(D, d)`` state stack,
+checked once for finite, ordered bounds), partitions them into one
+``(D, N, d)`` box (:meth:`repro.abstract.box.Box.split_batched`) and runs a
+*single* IBP call for the property
+(:func:`repro.abstract.propagate.propagate_mlp_batched`, which works through
+the stack in cache-sized blocks of decisions).  The cwnd map, the Δcwnd /
+fractional-change transformers, the containment check and the Eq. 6 feedback
+are vectorized over decisions and components, and the result is an
+array-backed :class:`repro.core.qc.CertificateBatch`.  One decision is the
+same engine on one state, propagated as an ``(N, d)`` box, and gives a
 :class:`repro.core.qc.QuantitativeCertificate`.
 
 Batching does not move a single bit.  Each ``(N, d)`` slice of the stack goes
 through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
 issues (numpy's ``matmul`` loops that gemm over the leading axis), every other
-step is element-wise, and the P5 reference window stays one ``(1, d)`` actor
-forward per decision.  The stack is deliberately never flattened to
-``(D·N, d)``: BLAS picks another path for another row count, which moved
-action bounds by up to 2.8e-17.  The differential tests pin a stacked
-``certify`` to per-decision ``certify`` with ``np.array_equal``.
+step is element-wise, so neither the stacking nor the block size matters, and
+the P5 reference window stays one ``(1, d)`` actor forward per decision.  The
+stack is deliberately never flattened to ``(D·N, d)``: BLAS picks another
+path for another row count, which moved action bounds by up to 2.8e-17.  The
+differential tests pin a stacked ``certify`` to per-decision ``certify`` with
+``np.array_equal``.
 
 The original one-component-at-a-time path is retained as
 :meth:`Verifier.certify_reference` (plus ``certify_all_reference`` and
@@ -47,6 +50,7 @@ engine to it within 1e-12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -68,6 +72,26 @@ from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
 __all__ = ["VerifierConfig", "Verifier", "weighted_feedback"]
+
+
+def _check_decisions(state, cwnd_tcp, cwnd_prev) -> None:
+    """Reject non-finite decision inputs and non-positive TCP windows.
+
+    Each input is a float (one decision) or an array (a stack).  A NaN fails
+    no ``<=`` comparison downstream, so it would otherwise come out as an
+    unsatisfied certificate with feedback 0.0.
+    """
+    for name, value in (("state", state), ("cwnd_tcp", cwnd_tcp), ("cwnd_prev", cwnd_prev)):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            continue
+        finite = np.isfinite(value)
+        if not finite.all():
+            index = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(f"{name} must be finite, got {value[index]} at index {index}")
+    if (np.asarray(cwnd_tcp) <= 0).any():
+        raise ValueError("cwnd_tcp must be positive")
 
 
 def weighted_feedback(
@@ -124,8 +148,7 @@ class DecisionContext:
     cwnd_prev: float
 
     def __post_init__(self) -> None:
-        if self.cwnd_tcp <= 0:
-            raise ValueError("cwnd_tcp must be positive")
+        _check_decisions(self.state, self.cwnd_tcp, self.cwnd_prev)
 
 
 class Verifier:
@@ -192,8 +215,7 @@ class Verifier:
             raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
         if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
             raise ValueError("a stack of decisions needs one cwnd_tcp and one cwnd_prev per decision")
-        if np.any(cwnd_tcp <= 0):
-            raise ValueError("cwnd_tcp must be positive")
+        _check_decisions(state, cwnd_tcp, cwnd_prev)
         return self._certify_stack(prop, state, cwnd_tcp, cwnd_prev, n)
 
     def _certify_stack(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp, cwnd_prev, n: int) -> CertificateBatch:
@@ -226,10 +248,18 @@ class Verifier:
 
     def _component_bounds(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp, cwnd_prev, n: int) -> tuple:
         """Component input bounds ``(..., N, d)`` and checked-action bounds
-        ``(..., N)`` for a state ``(d,)`` or a stack ``(D, d)``, one IBP pass."""
+        ``(..., N)`` for a state ``(d,)`` or a stack ``(D, d)``, one IBP call.
+
+        The region is checked once here and then built with the trusted
+        constructors, with the same centre/deviation round trip as
+        :meth:`PropertySpec.input_region`.
+        """
         observer = self.observer
+        lo, hi = prop.input_bounds(states, observer)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()) or (lo > hi + 1e-12).any():
+            raise ValueError(f"{prop.name}: input region needs finite bounds with lo <= hi")
         dims = prop.partition_dims(observer)
-        components = prop.input_region(states, observer).split_batched(n, dims=dims if dims else None)
+        components = Box._trusted_bounds(lo, hi).split_batched(n, dims=dims if dims else None)
         action_box = propagate_mlp_batched(self.actor, components)
         # One window per decision, broadcast over its components.
         cwnd_box = transformers.cwnd_from_action(action_box, np.asarray(cwnd_tcp)[..., None, None])

@@ -5,9 +5,10 @@ import pytest
 
 from repro.abstract.box import Box
 from repro.abstract.interval import Interval
-from repro.abstract.propagate import propagate_mlp, propagate_mlp_batched
+from repro.abstract.propagate import BLOCK_ROWS, propagate_mlp, propagate_mlp_batched
 from repro.core.qc import interval_feedback, interval_feedback_batch
 from repro.nn import make_actor
+from repro.nn.layers import Dense, Identity, Layer, ReLU, Sequential, Tanh
 
 
 class TestBatchedBox:
@@ -121,6 +122,98 @@ class TestBatchedPropagation:
             propagate_mlp_batched(actor, Box.from_bounds(np.zeros(6), np.ones(6)))
         with pytest.raises(ValueError):
             propagate_mlp_batched(actor, Box.from_bounds(np.zeros((3, 5)), np.ones((3, 5))))
+
+
+def _random_stack(rng, n_decisions, n_components, state_dim):
+    lo = rng.uniform(-1.0, 1.0, (n_decisions, state_dim))
+    return Box.from_bounds(lo, lo + rng.uniform(0.0, 0.5, lo.shape)).split_batched(n_components, dims=[0, 2])
+
+
+def _assert_matches_per_slice(model, stack):
+    """The blocked kernel on a ``(D, N, d)`` stack equals the Box-transformer
+    path on each ``(N, d)`` slice, bit for bit."""
+    out = propagate_mlp_batched(model, stack)
+    assert out.shape == stack.shape[:-1] + (1,)
+    for row in range(stack.shape[0]):
+        single = propagate_mlp(model, Box._trusted(stack.center[row], stack.deviation[row]))
+        np.testing.assert_array_equal(out.center[row], single.center)
+        np.testing.assert_array_equal(out.deviation[row], single.deviation)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("n_components", (50, 5))
+    @pytest.mark.parametrize("blocks", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 2)))
+    def test_block_edges_match_per_slice(self, n_components, blocks):
+        # D = blocks[0] * block + blocks[1]: one decision, one short of a
+        # block, a block, one over, and three blocks plus a partial one.
+        block = BLOCK_ROWS // n_components
+        n_decisions = blocks[0] * block + blocks[1]
+        rng = np.random.default_rng(n_decisions * n_components)
+        actor = make_actor(6, hidden_sizes=(64, 32), rng=rng)
+        _assert_matches_per_slice(actor, _random_stack(rng, n_decisions, n_components, 6))
+
+    def test_plain_box_matches_box_transformers(self):
+        rng = np.random.default_rng(41)
+        actor = make_actor(6, hidden_sizes=(64, 32), rng=rng)
+        components = _random_stack(rng, 1, 50, 6)
+        box = Box._trusted(components.center[0], components.deviation[0])
+        out = propagate_mlp_batched(actor, box)
+        single = propagate_mlp(actor, box)
+        assert out.shape == (50, 1)
+        np.testing.assert_array_equal(out.center, single.center)
+        np.testing.assert_array_equal(out.deviation, single.deviation)
+
+    @pytest.mark.parametrize("layout", ("nested", "leading_activation"))
+    def test_nested_sequential_tanh_hidden_and_identity_head(self, layout):
+        rng = np.random.default_rng(42)
+        if layout == "nested":
+            model = Sequential([
+                Dense(6, 16, rng=rng), Tanh(),
+                Sequential([Dense(16, 8, rng=rng), ReLU(), Identity()]),
+                Dense(8, 1, rng=rng), Identity(),
+            ])
+        else:
+            # Activations straight on the input box, and back to back.
+            model = Sequential([ReLU(), Tanh(), Dense(6, 8, rng=rng), ReLU(), Tanh(), Dense(8, 1, rng=rng)])
+        for param in model.parameters():
+            if param.ndim == 1:
+                param[:] = rng.normal(size=param.shape)  # non-zero biases
+        stack = _random_stack(rng, 2 * (BLOCK_ROWS // 50) + 3, 50, 6)
+        center, deviation = stack.center.copy(), stack.deviation.copy()
+        _assert_matches_per_slice(model, stack)
+        np.testing.assert_array_equal(stack.center, center)  # the input box is never written
+        np.testing.assert_array_equal(stack.deviation, deviation)
+
+    def test_float32_weights(self):
+        rng = np.random.default_rng(43)
+        actor = make_actor(6, hidden_sizes=(16, 8), rng=rng)
+        for layer in actor.layers:
+            if isinstance(layer, Dense):
+                layer.weight = layer.weight.astype(np.float32)
+                layer.bias = rng.normal(size=layer.bias.shape).astype(np.float32)
+        stack = _random_stack(rng, BLOCK_ROWS // 50 + 1, 50, 6)
+        assert propagate_mlp_batched(actor, stack).center.dtype == np.float64
+        _assert_matches_per_slice(actor, stack)
+
+    def test_in_place_weight_update_is_seen_by_the_next_call(self):
+        rng = np.random.default_rng(44)
+        actor = make_actor(6, hidden_sizes=(16, 8), rng=rng)
+        stack = _random_stack(rng, 3, 5, 6)
+        before = propagate_mlp_batched(actor, stack)
+        for param in actor.parameters():
+            param += rng.normal(scale=0.1, size=param.shape)  # an optimizer step, in place
+        after = propagate_mlp_batched(actor, stack)
+        assert not np.array_equal(after.center, before.center)
+        _assert_matches_per_slice(actor, stack)
+
+    def test_unknown_layer_type_is_rejected(self):
+        class Doubling(Layer):
+            def forward(self, x):
+                return 2.0 * x
+
+        model = Sequential([Dense(6, 4, rng=np.random.default_rng(0)), Doubling()])
+        with pytest.raises(TypeError, match="Doubling"):
+            propagate_mlp_batched(model, _random_stack(np.random.default_rng(1), 2, 5, 6))
 
 
 class TestBatchedFeedback:

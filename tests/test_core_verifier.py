@@ -1,5 +1,7 @@
 """Tests for the IBP verifier: certification soundness and aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,33 @@ class TestConfig:
             verifier.certify(property_p1(), state[None], [0.0], [10.0])
         with pytest.raises(ValueError):
             verifier.certify(property_p1(), state[None], [20.0, 20.0], [10.0, 10.0])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("field", ("state", "cwnd_tcp", "cwnd_prev"))
+    def test_non_finite_inputs_are_rejected(self, verifier, state, field, bad):
+        # NaN passes every `<=` check, so these used to come back as an
+        # unsatisfied certificate with feedback 0.0 instead of an error.
+        single = {"state": state.copy(), "cwnd_tcp": 20.0, "cwnd_prev": 10.0}
+        stack = {"state": np.tile(state, (3, 1)), "cwnd_tcp": np.full(3, 20.0), "cwnd_prev": np.full(3, 10.0)}
+        if field == "state":
+            single["state"][0] = bad
+            stack["state"][1, 0] = bad
+        else:
+            single[field] = bad
+            stack[field][1] = bad
+        for prop in (property_p1(), property_p5()):
+            for certify in (verifier.certify, verifier.certify_reference):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    certify(prop, **single)
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                verifier.certify(prop, **stack)
+
+    def test_non_finite_input_region_is_rejected(self, verifier, state):
+        unbounded = dataclasses.replace(property_p1(), delay_range=(0.0, np.inf))
+        with pytest.raises(ValueError, match="input region"):
+            verifier.certify(unbounded, state, 20.0, 10.0)
+        with pytest.raises(ValueError, match="input region"):
+            verifier.certify(unbounded, state[None], [20.0], [10.0])
 
     @pytest.mark.parametrize("n_components", (0, -3))
     def test_non_positive_component_count_is_rejected(self, verifier, state, n_components):
