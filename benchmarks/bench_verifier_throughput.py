@@ -1,4 +1,4 @@
-"""Verifier throughput — batched certification engine vs the scalar reference.
+"""Verifier throughput — batched certification engine vs the scalar oracle.
 
 The quantitative-certificate pipeline dominates Canopy's runtime: the paper
 evaluates with N=50 components per property at every coarse-grained decision.
@@ -15,15 +15,19 @@ both P4 cases), each certified over ``D = 50`` decisions at once (one
 milliseconds per ``certify`` call go into ``extra_info`` as ``stacked_*``, so
 the bench JSON tracks the blocked IBP kernel.
 
-The differential suite (``tests/test_verifier_differential.py``) proves the
-two paths produce numerically identical certificates, so the speedup is free.
+The scalar path is the one-component-at-a-time oracle in ``tests/oracle``
+(``conftest.py`` puts ``tests/`` on the import path).  The differential
+suite (``tests/test_verifier_differential.py``) proves the two paths produce
+numerically identical certificates, so the speedup is free.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
 from benchconfig import SEED
+from oracle import certify_reference
 
 from repro.core.properties import all_properties
 from repro.core.verifier import Verifier, VerifierConfig
@@ -86,13 +90,14 @@ def certify_pass(verifier, properties, contexts, certify):
 
 def test_batched_verifier_is_5x_faster_than_scalar_reference(benchmark):
     verifier, properties, contexts = make_workload()
+    scalar_certify = partial(certify_reference, verifier)
 
     # Warm up both paths (first-touch allocations, BLAS thread spin-up).
     certify_pass(verifier, properties, contexts[:1], verifier.certify)
-    certify_pass(verifier, properties, contexts[:1], verifier.certify_reference)
+    certify_pass(verifier, properties, contexts[:1], scalar_certify)
 
     start = time.perf_counter()
-    n_certificates = certify_pass(verifier, properties, contexts, verifier.certify_reference)
+    n_certificates = certify_pass(verifier, properties, contexts, scalar_certify)
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -8,13 +8,22 @@ bulk of each benchmark's time is the experiment itself, not training.
 
 Scale knobs live in :mod:`benchconfig` and can be overridden through the
 ``REPRO_BENCH_*`` environment variables.
+
+The test suite's directory goes on the end of the import path, so a
+benchmark can time the scalar certification oracle in ``tests/oracle``
+against the production engine.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 import benchconfig
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -1,30 +1,24 @@
 """Abstract interpretation substrate for Canopy.
 
 This package implements the box (hyper-interval) abstract domain used by the
-Canopy verifier (Section 3.2 of the paper), together with sound abstract
-transformers for every operation appearing in the Orca controller pipeline:
-affine layers, ReLU, tanh, element-wise arithmetic and the ``2^(2a) * cwnd``
-post-network computation (Eq. 1).
+Canopy verifier (Section 3.2 of the paper) as arrays, with one interval bound
+propagation (IBP) kernel through the controller network and sound
+transformers for the ``2^(2a) * cwnd`` post-network computation (Eq. 1).
 
 The key objects are:
 
-* :class:`repro.abstract.interval.Interval` — a scalar/vector interval with
-  sound arithmetic.
 * :class:`repro.abstract.box.Box` — the (center, deviation) representation of
-  an ``m``-dimensional hyper-interval used for abstract states ``s#``.
-* :mod:`repro.abstract.transformers` — sound lifted counterparts ``f#`` of the
-  concrete operations ``f``.
-* :func:`repro.abstract.propagate.propagate_mlp` — interval bound propagation
-  (IBP) through a :class:`repro.nn.mlp.MLP`.
+  a stack of ``m``-dimensional hyper-intervals used for abstract states ``s#``.
+* :func:`repro.abstract.propagate.propagate_mlp_batched` — IBP through a
+  :class:`repro.nn.mlp.MLP`, all components of all decisions in one call.
+* :mod:`repro.abstract.transformers` — the cwnd map and the checked actions
+  (Δcwnd, fractional cwnd change).
 """
 
 from repro.abstract.box import Box
-from repro.abstract.interval import Interval
-from repro.abstract.propagate import propagate_mlp, propagate_sequential
+from repro.abstract.propagate import propagate_mlp_batched
 
 __all__ = [
     "Box",
-    "Interval",
-    "propagate_mlp",
-    "propagate_sequential",
+    "propagate_mlp_batched",
 ]

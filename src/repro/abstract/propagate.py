@@ -1,30 +1,25 @@
-"""Interval bound propagation (IBP) through numpy neural networks.
+"""IBP, interval bound propagation, through numpy neural networks.
 
 Canopy wraps its controller with composable per-layer abstractions (Sonnet in
 the paper's prototype) and pushes an abstract input box through the network.
-Here we do the same for the :mod:`repro.nn` layer set: each concrete layer has
-a sound abstract counterpart from :mod:`repro.abstract.transformers`, and
-:func:`propagate_sequential` chains them.
+Here the :mod:`repro.nn` layer set is lifted the same way, in the textbook
+IBP form (Gowal et al. 2018): an affine layer maps a box
+``(c, d)`` to ``(c @ W.T + b, d @ |W|.T)``, and a monotone activation ``f``
+maps it to the midpoint and half-width of ``f(c + d)`` and ``f(c - d)``.
 
 The output box over-approximates the set of actions the controller can emit
 for any concrete input in the box — the object ``a# = π#(s#)`` of
 Section 4.3.1.
 
-Every propagation function also accepts *batched* boxes (``lo``/``hi`` of
-shape ``(N, d)``, or a stack ``(D, N, d)``; see :mod:`repro.abstract.box`):
-the affine transformer contracts the trailing feature axis and the
-element-wise transformers apply per element, so all component boxes move
-through the network in a single numpy call per layer.
-
-:func:`propagate_mlp_batched` is the entry point used by the batched
-verifier.  It does not go through the per-layer :class:`Box` transformers:
-it flattens the model into a plan of ``(W.T, |W|.T, b)`` affine steps and
-element-wise activations once per call, then runs that plan over blocks of
-about :data:`BLOCK_ROWS` component rows on bare centre/deviation arrays,
-reusing their buffers in place.  Every step repeats the transformer's
-arithmetic operation for operation, so the output is bit-identical to
-:func:`propagate_sequential` on each ``(N, d)`` slice, while the
-temporaries stay cache-sized whatever the number of decisions.
+:func:`propagate_mlp_batched` is the one propagation entry point.  It takes
+the component boxes as one batched box (``(N, d)``, or a stack
+``(D, N, d)``; see :mod:`repro.abstract.box`), flattens the model into a plan
+of ``(W.T, |W|.T, b)`` affine steps and element-wise activations once per
+call, then runs that plan over blocks of about :data:`BLOCK_ROWS` component
+rows on bare centre/deviation arrays, reusing their buffers in place, so the
+temporaries stay cache-sized whatever the number of decisions.  The test
+suite pins it bit for bit (``np.array_equal``) against a per-layer box
+oracle on each ``(N, d)`` slice.
 """
 
 from __future__ import annotations
@@ -34,53 +29,13 @@ from typing import Iterable
 import numpy as np
 
 from repro.abstract.box import Box
-from repro.abstract import transformers
 
-__all__ = ["propagate_layer", "propagate_sequential", "propagate_mlp", "propagate_mlp_batched"]
+__all__ = ["BLOCK_ROWS", "propagate_mlp_batched"]
 
 #: Component rows per block of :func:`propagate_mlp_batched`: a ``(D, N, d)``
 #: stack runs in blocks of ``max(1, BLOCK_ROWS // N)`` decisions, so each
 #: layer's temporaries stay a few hundred kB instead of growing with ``D``.
 BLOCK_ROWS = 512
-
-
-def propagate_layer(layer, box: Box) -> Box:
-    """Push an abstract box through a single :mod:`repro.nn` layer."""
-    # Imported lazily to avoid an import cycle at package-init time.
-    from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
-
-    if isinstance(layer, Dense):
-        return transformers.affine(box, layer.weight, layer.bias)
-    if isinstance(layer, ReLU):
-        return transformers.relu(box)
-    if isinstance(layer, Tanh):
-        return transformers.tanh(box)
-    if isinstance(layer, Identity):
-        return box
-    if isinstance(layer, Sequential):
-        return propagate_sequential(layer.layers, box)
-    raise TypeError(f"no abstract transformer registered for layer type {type(layer).__name__}")
-
-
-def propagate_sequential(layers: Iterable, box: Box) -> Box:
-    """Push an abstract box through a sequence of layers in order."""
-    current = box
-    for layer in layers:
-        current = propagate_layer(layer, current)
-    return current
-
-
-def propagate_mlp(model, box: Box) -> Box:
-    """Push an abstract box through an :class:`repro.nn.mlp.MLP` (or Sequential).
-
-    The input box dimensionality must match the model's input features.
-    """
-    in_features = getattr(model, "in_features", None)
-    if in_features is not None and box.center.shape[-1] != in_features:
-        raise ValueError(
-            f"input box has {box.center.shape[-1]} dims but model expects {in_features}"
-        )
-    return propagate_sequential(model.layers, box)
 
 
 def _ibp_plan(layers: Iterable) -> list:
@@ -121,10 +76,10 @@ def _run_plan(steps: list, center: np.ndarray, deviation: np.ndarray, buffers: l
 
     ``buffers[i]`` holds step ``i``'s preallocated outputs (see
     :func:`_plan_buffers`), sliced to the block's decisions.  An affine step
-    is :meth:`Box.affine` (``c @ W.T + b``, ``d @ |W|.T``, clamped at zero);
-    an activation is the midpoint/half-width of its images of ``c + d`` and
-    ``c - d``, as in :meth:`Box.relu` (``* 0.5`` rounds exactly like
-    ``/ 2.0``), computed over the arrays of the step before it.
+    is ``c @ W.T + b``, ``d @ |W|.T``, clamped at zero; an activation is the
+    midpoint/half-width of its images of ``c + d`` and ``c - d`` (``* 0.5``
+    rounds exactly like ``/ 2.0``), computed over the arrays of the step
+    before it.
     """
     rows = center.shape[0]
     if steps and not isinstance(steps[0], tuple):
@@ -167,10 +122,8 @@ def propagate_mlp_batched(model, box: Box) -> Box:
     """Push a batched box of shape ``(N, d)`` or ``(D, N, d)`` through an MLP in one pass.
 
     The result has shape ``(N, out_features)`` (or ``(D, N, out_features)``).
-    Row ``i`` equals ``propagate_mlp(model, box.unstack()[i])`` up to
-    floating-point associativity (the differential test suite pins them to
-    within 1e-12).  Slice ``j`` of a ``(D, N, d)`` stack is exactly — bit for
-    bit — the result of propagating that ``(N, d)`` slice alone: every affine
+    Slice ``j`` of a ``(D, N, d)`` stack is exactly — bit for bit — the
+    result of propagating that ``(N, d)`` slice alone: every affine
     layer runs the same ``(N, d) @ W.T`` gemm per slice, and every other step
     is element-wise.  A stack runs in blocks of ``max(1, BLOCK_ROWS // N)``
     decisions through one set of per-step buffers.

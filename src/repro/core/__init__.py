@@ -31,7 +31,7 @@ from repro.core.properties import (
     deep_buffer_properties,
     robustness_properties,
 )
-from repro.core.qc import CertificateBatch, ComponentCertificate, QuantitativeCertificate, interval_feedback
+from repro.core.qc import CertificateBatch, ComponentCertificate, QuantitativeCertificate
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.core.reward import CanopyRewardShaper, ShapedReward
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
@@ -55,7 +55,6 @@ __all__ = [
     "CertificateBatch",
     "ComponentCertificate",
     "QuantitativeCertificate",
-    "interval_feedback",
     "Verifier",
     "VerifierConfig",
     "CanopyRewardShaper",

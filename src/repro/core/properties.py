@@ -25,8 +25,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.abstract.box import Box
-from repro.abstract.interval import Interval
 from repro.orca.observations import ObservationBuilder
 
 __all__ = [
@@ -161,18 +159,15 @@ class PropertySpec:
             dims.extend(observer.feature_indices(feature))
         return dims
 
-    def input_region(self, state: np.ndarray, observer: ObservationBuilder) -> Box:
-        """The abstract input region X around the (concrete) current state.
+    def input_bounds(self, state: np.ndarray, observer: ObservationBuilder) -> Tuple[np.ndarray, np.ndarray]:
+        """The abstract input region X around the (concrete) current state,
+        as bounds ``(lo, hi)``: fresh float64 arrays shaped like ``state``.
 
         Only the variables of interest are abstracted (Section 5); every other
         dimension stays at its observed value.  A stack of states, shape
-        ``(D, state_dim)``, gives the stack of the ``D`` regions.
+        ``(D, state_dim)``, gives the stack of the ``D`` regions.  The bounds
+        are not validated here; the verifier checks them once per call.
         """
-        return Box.from_bounds(*self.input_bounds(state, observer))
-
-    def input_bounds(self, state: np.ndarray, observer: ObservationBuilder) -> Tuple[np.ndarray, np.ndarray]:
-        """The bounds ``(lo, hi)`` of :meth:`input_region`, as fresh float64
-        arrays shaped like ``state``, without the region's validation."""
         state = np.asarray(state, dtype=np.float64)
         if state.ndim not in (1, 2) or state.shape[-1] != observer.state_dim:
             raise ValueError(f"state has shape {state.shape}, expected (..., {observer.state_dim})")
@@ -200,13 +195,13 @@ class PropertySpec:
     # ------------------------------------------------------------------ #
     # Postcondition handling
     # ------------------------------------------------------------------ #
-    def allowed_interval(self) -> Interval:
-        """The allowed action region ``A \\ Y`` as an interval."""
+    def allowed_bounds(self) -> Tuple[float, float]:
+        """The allowed action region ``A \\ Y`` as bounds ``(lo, hi)``."""
         if self.kind is ActionKind.DELTA_CWND:
             if self.allowed_direction > 0:
-                return Interval(0.0, ACTION_BOUND)
-            return Interval(-ACTION_BOUND, 0.0)
-        return Interval(-float(self.epsilon), float(self.epsilon))
+                return 0.0, ACTION_BOUND
+            return -ACTION_BOUND, 0.0
+        return -float(self.epsilon), float(self.epsilon)
 
     def checked_action_concrete(self, cwnd: float, cwnd_prev: float, cwnd_reference: float) -> float:
         """The concrete checked action (Δcwnd or fractional change)."""
@@ -219,8 +214,8 @@ class PropertySpec:
     def satisfied_concretely(self, cwnd: float, cwnd_prev: float, cwnd_reference: float, tol: float = 1e-9) -> bool:
         """Empirical (non-certified) check of the postcondition on concrete values."""
         action = self.checked_action_concrete(cwnd, cwnd_prev, cwnd_reference)
-        allowed = self.allowed_interval()
-        return allowed.contains(action, tol=tol)
+        lo, hi = self.allowed_bounds()
+        return bool(lo - tol <= action <= hi + tol)
 
     def with_weight(self, weight: float) -> "PropertySpec":
         return replace(self, weight=weight)

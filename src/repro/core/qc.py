@@ -21,54 +21,40 @@ from typing import List
 
 import numpy as np
 
-from repro.abstract.interval import Interval
-
 __all__ = [
-    "interval_feedback",
     "interval_feedback_batch",
     "ComponentCertificate",
     "QuantitativeCertificate",
     "CertificateBatch",
 ]
 
-#: Containment tolerance shared by the scalar and batched feedback paths
-#: (matches the defaults of Interval.contains / contains_interval).
+#: Containment tolerance of the proof and of the degenerate-interval rule.
 _CONTAIN_TOL = 1e-9
-
-
-def interval_feedback(output: Interval, allowed: Interval) -> float:
-    """Eq. 6: the fraction of the output region provably inside ``allowed``.
-
-    * 1.0 when the output region is entirely inside the allowed region,
-    * 0.0 when it is entirely inside the undesired region ``Y``,
-    * otherwise the relative volume of the overlap.
-    """
-    if allowed.contains_interval(output):
-        return 1.0
-    if not output.intersects(allowed):
-        return 0.0
-    return output.overlap_fraction(allowed)
 
 
 def interval_feedback_batch(
     output_lo: np.ndarray,
     output_hi: np.ndarray,
-    allowed: Interval,
+    allowed_lo: float,
+    allowed_hi: float,
 ) -> tuple:
     """Vectorized proof + Eq. 6 feedback over many scalar output intervals.
 
     Takes the per-component checked-action bounds as arrays of one shape
     (``(N,)`` for one decision, ``(D, N)`` for a stack) and the (scalar)
-    allowed region; returns ``(satisfied, feedback)`` boolean and float arrays
-    of that shape.  Component ``i`` matches the scalar path
-    ``(allowed.contains_interval(out_i), interval_feedback(out_i, allowed))``
-    exactly, including the containment tolerance and the degenerate
-    (zero-width) interval rule.
+    allowed region ``[allowed_lo, allowed_hi]``; returns
+    ``(satisfied, feedback)`` boolean and float arrays of that shape.  A
+    component is *satisfied* when its output interval lies inside the allowed
+    region (within ``1e-9``).  Its feedback is
+
+    * 1.0 when satisfied,
+    * 0.0 when the output interval misses the allowed region,
+    * otherwise the fraction of its width inside the allowed region; a
+      zero-width interval counts 1.0 when its point lies inside (within
+      ``1e-9``) and 0.0 otherwise.
     """
     output_lo = np.asarray(output_lo, dtype=np.float64)
     output_hi = np.asarray(output_hi, dtype=np.float64)
-    allowed_lo = float(np.asarray(allowed.lo).reshape(-1)[0])
-    allowed_hi = float(np.asarray(allowed.hi).reshape(-1)[0])
 
     satisfied = (output_lo >= allowed_lo - _CONTAIN_TOL) & (output_hi <= allowed_hi + _CONTAIN_TOL)
     intersects = (output_lo <= allowed_hi) & (allowed_lo <= output_hi)
@@ -93,10 +79,6 @@ class ComponentCertificate:
     output_hi: float
     satisfied: bool
     feedback: float
-
-    @property
-    def output_interval(self) -> Interval:
-        return Interval(self.output_lo, self.output_hi)
 
 
 @dataclass
@@ -136,10 +118,6 @@ class QuantitativeCertificate:
         verification work: ``π ⊢_c φ`` on the whole input region ``X``.
         """
         return all(c.satisfied for c in self.components) if self.components else True
-
-    @property
-    def allowed_interval(self) -> Interval:
-        return Interval(self.allowed_lo, self.allowed_hi)
 
     def output_bounds(self) -> np.ndarray:
         """Per-component ``(lo, hi)`` output bounds — the data behind Figs. 6/8."""
@@ -182,8 +160,8 @@ class CertificateBatch:
     applicable_mask: np.ndarray
 
     @classmethod
-    def from_applicable(cls, property_name: str, allowed: Interval, applicable: np.ndarray,
-                        input_lo, input_hi, output_lo, output_hi, satisfied,
+    def from_applicable(cls, property_name: str, allowed_lo: float, allowed_hi: float,
+                        applicable: np.ndarray, input_lo, input_hi, output_lo, output_hi, satisfied,
                         component_feedback) -> "CertificateBatch":
         """Assemble a batch from the arrays of its applicable decisions only.
 
@@ -202,7 +180,7 @@ class CertificateBatch:
             satisfied = scatter(satisfied, False)
             component_feedback = scatter(component_feedback, np.nan)
             feedback = scatter(feedback, 1.0)
-        return cls(property_name, float(allowed.lo), float(allowed.hi), input_lo, input_hi,
+        return cls(property_name, float(allowed_lo), float(allowed_hi), input_lo, input_hi,
                    output_lo, output_hi, satisfied, component_feedback, feedback, applicable)
 
     @property

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.abstract.box import Box
 from repro.core.config import CanopyConfig
 from repro.core.properties import ActionKind
 from repro.core.reward import CanopyRewardShaper
@@ -181,9 +182,11 @@ class CanopyTrainer:
         actor.zero_grad()
         accumulated = False
         for prop in self.canopy_config.properties:
-            region = prop.input_region(state, observer).to_interval()
-            span = region.hi - region.lo
-            samples = region.lo + self._reg_rng.random((n_samples, region.lo.shape[0])) * span
+            # The verifier's centre/deviation round trip, so the samples
+            # cover exactly the region it certifies.
+            region = Box._trusted_bounds(*prop.input_bounds(state, observer))
+            lo, hi = region.lo, region.hi
+            samples = lo + self._reg_rng.random((n_samples, lo.shape[0])) * (hi - lo)
             if prop.kind is ActionKind.DELTA_CWND:
                 outputs = actor.forward(samples)
                 threshold = 0.5 * np.log2(max(cwnd_prev, 1e-6) / max(cwnd_tcp, 1e-6))

@@ -42,10 +42,11 @@ path for another row count, which moved action bounds by up to 2.8e-17.  The
 differential tests pin a stacked ``certify`` to per-decision ``certify`` with
 ``np.array_equal``.
 
-The original one-component-at-a-time path is retained as
-:meth:`Verifier.certify_reference` (plus ``certify_all_reference`` and
-``verifier_feedback_reference``); the differential test suite pins the
-engine to it within 1e-12.
+The engine is pinned against ``tests/oracle``: a one-component-at-a-time
+certifier over per-layer box transformers, kept in the test suite as the
+independently simple ground truth.  The differential tests hold the engine
+to it within 1e-12, and the kernel tests hold the IBP pass to the oracle's
+per-layer propagation bit for bit.
 """
 
 from __future__ import annotations
@@ -58,16 +59,9 @@ import numpy as np
 
 from repro.abstract import transformers
 from repro.abstract.box import Box
-from repro.abstract.interval import Interval
-from repro.abstract.propagate import propagate_mlp, propagate_mlp_batched
+from repro.abstract.propagate import propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec
-from repro.core.qc import (
-    CertificateBatch,
-    ComponentCertificate,
-    QuantitativeCertificate,
-    interval_feedback,
-    interval_feedback_batch,
-)
+from repro.core.qc import CertificateBatch, QuantitativeCertificate, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
@@ -237,10 +231,10 @@ class Verifier:
         else:
             input_lo = input_hi = np.empty((0, n, state_dim))
             output_lo = output_hi = np.empty((0, n))
-        allowed = prop.allowed_interval()
-        satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed)
+        allowed_lo, allowed_hi = prop.allowed_bounds()
+        satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed_lo, allowed_hi)
         return CertificateBatch.from_applicable(
-            prop.name, allowed, applicable.reshape(-1),
+            prop.name, allowed_lo, allowed_hi, applicable.reshape(-1),
             input_lo.reshape(-1, n, state_dim), input_hi.reshape(-1, n, state_dim),
             output_lo.reshape(-1, n), output_hi.reshape(-1, n),
             satisfied.reshape(-1, n), feedback.reshape(-1, n),
@@ -250,9 +244,9 @@ class Verifier:
         """Component input bounds ``(..., N, d)`` and checked-action bounds
         ``(..., N)`` for a state ``(d,)`` or a stack ``(D, d)``, one IBP call.
 
-        The region is checked once here and then built with the trusted
-        constructors, with the same centre/deviation round trip as
-        :meth:`PropertySpec.input_region`.
+        The region is checked once here (finite bounds, ``lo <= hi``) and
+        then built with the trusted constructors: centre ``(lo + hi) / 2``,
+        deviation ``max((hi - lo) / 2, 0)``, then split on ``c ∓ d``.
         """
         observer = self.observer
         lo, hi = prop.input_bounds(states, observer)
@@ -288,99 +282,6 @@ class Verifier:
         if prop.dcwnd_sign < 0:
             return np.all(dcwnd_history <= 1e-6, axis=-1)
         return np.all(dcwnd_history >= -1e-6, axis=-1)
-
-    # ------------------------------------------------------------------ #
-    # Certification (scalar reference path, retained for differential tests)
-    # ------------------------------------------------------------------ #
-    def certify_reference(
-        self,
-        prop: PropertySpec,
-        state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
-        n_components: Optional[int] = None,
-    ) -> QuantitativeCertificate:
-        """One-component-at-a-time reference implementation of :meth:`certify`.
-
-        Kept as the independently simple ground truth: the differential test
-        suite asserts the batched engine reproduces its certificates within
-        1e-12 over randomized actors, properties and decision contexts.
-        """
-        observer = self.observer
-        n = self._n_components(n_components)
-        context = DecisionContext(np.asarray(state, dtype=np.float64), float(cwnd_tcp), float(cwnd_prev))
-        allowed = prop.allowed_interval()
-        certificate = QuantitativeCertificate(
-            property_name=prop.name,
-            allowed_lo=float(allowed.lo),
-            allowed_hi=float(allowed.hi),
-        )
-
-        if self.config.check_applicability:
-            if not self._applicability_from_state(prop, context.state):
-                certificate.applicable = False
-                return certificate
-
-        region = prop.input_region(context.state, observer)
-        dims = prop.partition_dims(observer)
-        components = region.split(n, dims=dims if dims else None)
-        cwnd_reference = self._cwnd_reference(prop, context.state, context.cwnd_tcp)
-
-        for index, component in enumerate(components):
-            output_interval = self._checked_action_bounds(prop, component, context, cwnd_reference)
-            satisfied = allowed.contains_interval(output_interval)
-            feedback = interval_feedback(output_interval, allowed)
-            certificate.components.append(ComponentCertificate(
-                index=index,
-                input_lo=component.lo.copy(),
-                input_hi=component.hi.copy(),
-                output_lo=float(output_interval.lo),
-                output_hi=float(output_interval.hi),
-                satisfied=bool(satisfied),
-                feedback=float(feedback),
-            ))
-        return certificate
-
-    def _checked_action_bounds(self, prop, component: Box, context: DecisionContext, cwnd_reference) -> Interval:
-        action_box = propagate_mlp(self.actor, component)
-        cwnd_box = transformers.cwnd_from_action(action_box, context.cwnd_tcp)
-        if prop.kind is ActionKind.DELTA_CWND:
-            checked = transformers.delta_cwnd(cwnd_box, context.cwnd_prev)
-        else:
-            checked = transformers.cwnd_change_fraction(cwnd_box, cwnd_reference)
-        interval = checked.to_interval()
-        # The action (and hence the checked quantity) is scalar; collapse the
-        # 1-element vector interval into a scalar interval.
-        lo = np.asarray(interval.lo).reshape(-1)[0]
-        hi = np.asarray(interval.hi).reshape(-1)[0]
-        return Interval(float(lo), float(hi))
-
-    def certify_all_reference(
-        self,
-        properties: PropertySet | Sequence[PropertySpec],
-        state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
-        n_components: Optional[int] = None,
-    ) -> dict:
-        """Scalar-path counterpart of :meth:`certify_all`."""
-        return {
-            prop.name: self.certify_reference(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            for prop in properties
-        }
-
-    def verifier_feedback_reference(
-        self,
-        properties: PropertySet | Sequence[PropertySpec],
-        state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
-        n_components: Optional[int] = None,
-    ) -> float:
-        """Scalar-path counterpart of :meth:`verifier_feedback`."""
-        value, _ = weighted_feedback(properties, lambda prop: self.certify_reference(
-            prop, state, cwnd_tcp, cwnd_prev, n_components=n_components).feedback)
-        return value
 
     # ------------------------------------------------------------------ #
     # Aggregate feedback (Eq. 7)

@@ -259,6 +259,7 @@ def _make_handler(store_path: Path):
             except BrokenPipeError:  # client went away mid-response
                 pass
             except Exception as exc:  # noqa: BLE001 - surfaced to the client
+                log.exception("http_error", logger="obs", path=self.path)
                 try:
                     self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
                 except OSError:

@@ -306,6 +306,7 @@ def _serve_inline(plan, table: LeaseTable, pending, keys, finish_row,
             try:
                 row = plan.experiment.runner(task)
             except Exception as exc:  # noqa: BLE001 - recorded, surfaced by caller
+                log.exception("cell_failed", logger="serve", worker="inline", key=key)
                 table.fail(key, "inline", f"{type(exc).__name__}: {exc}")
                 continue
             table.complete(key, "inline")

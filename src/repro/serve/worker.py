@@ -48,6 +48,8 @@ import signal
 import threading
 from typing import Callable, Optional
 
+from repro.telemetry import log
+
 __all__ = ["worker_main"]
 
 
@@ -109,6 +111,7 @@ def worker_main(name: str, runner: Callable, task_queue, message_queue,
         try:
             row = runner(task)
         except Exception as exc:  # noqa: BLE001 - forwarded to the daemon verbatim
+            log.exception("cell_failed", logger="serve", worker=name, key=key)
             message_queue.put(("error", name, key, f"{type(exc).__name__}: {exc}"))
         else:
             if sampler is not None:

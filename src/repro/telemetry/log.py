@@ -25,7 +25,7 @@ import sys
 from typing import Optional
 
 __all__ = ["ROOT_LOGGER_NAME", "get_logger", "configure", "console",
-           "warn", "info", "debug", "format_event"]
+           "exception", "warn", "info", "debug", "format_event"]
 
 ROOT_LOGGER_NAME = "repro"
 
@@ -52,8 +52,16 @@ def format_event(event: str, **fields) -> str:
     return " ".join(parts)
 
 
-def _log(level: int, event: str, logger: Optional[str], fields: dict) -> None:
-    get_logger(logger or "").log(level, format_event(event, **fields))
+def _log(level: int, event: str, logger: Optional[str], fields: dict,
+         exc_info: bool = False) -> None:
+    get_logger(logger or "").log(level, format_event(event, **fields), exc_info=exc_info)
+
+
+def exception(event: str, logger: Optional[str] = None, **fields) -> None:
+    """A structured ERROR carrying the traceback of the exception being
+    handled — for ``except`` blocks that turn an error into a message and
+    would otherwise drop where it came from."""
+    _log(logging.ERROR, event, logger, fields, exc_info=True)
 
 
 def warn(event: str, logger: Optional[str] = None, **fields) -> None:

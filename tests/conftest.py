@@ -7,6 +7,19 @@ import pytest
 
 from repro.nn import make_actor
 from repro.orca.observations import ObservationBuilder, ObservationConfig
+from repro.telemetry import log
+
+
+@pytest.fixture(autouse=True)
+def _drop_cli_log_handler():
+    """A CLI call installs a stderr handler on the ``repro`` logger, bound to
+    the test's captured stderr; drop it when the test ends, so later log
+    lines do not go to a closed stream."""
+    yield
+    logger = log.get_logger()
+    for handler in list(logger.handlers):
+        if getattr(handler, "_repro_installed", False):
+            logger.removeHandler(handler)
 
 
 @pytest.fixture

@@ -1,33 +1,23 @@
-"""Tests for the batched Box convention and one-pass batched propagation."""
+"""Tests for the batched Box convention and one-pass batched propagation,
+pinned against the per-layer box oracle in ``tests/oracle``."""
 
 import numpy as np
 import pytest
 
+from oracle import Interval, affine, interval_feedback, propagate_mlp, relu, split, tanh
 from repro.abstract.box import Box
-from repro.abstract.interval import Interval
-from repro.abstract.propagate import BLOCK_ROWS, propagate_mlp, propagate_mlp_batched
-from repro.core.qc import interval_feedback, interval_feedback_batch
+from repro.abstract.propagate import BLOCK_ROWS, propagate_mlp_batched
+from repro.core.qc import interval_feedback_batch
 from repro.nn import make_actor
 from repro.nn.layers import Dense, Identity, Layer, ReLU, Sequential, Tanh
 
 
+def rows(box):
+    """The per-component boxes of a batched ``(N, d)`` box."""
+    return [Box(box.center[i], box.deviation[i]) for i in range(box.shape[0])]
+
+
 class TestBatchedBox:
-    def test_stack_and_unstack_roundtrip(self):
-        boxes = [Box.from_bounds([0.0, 1.0], [1.0, 2.0]), Box.from_bounds([-1.0, 0.5], [0.0, 0.5])]
-        stacked = Box.stack(boxes)
-        assert stacked.shape == (2, 2)
-        for original, recovered in zip(boxes, stacked.unstack()):
-            np.testing.assert_array_equal(original.lo, recovered.lo)
-            np.testing.assert_array_equal(original.hi, recovered.hi)
-
-    def test_stack_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Box.stack([])
-
-    def test_unstack_requires_batch_axis(self):
-        with pytest.raises(ValueError):
-            Box.from_bounds([0.0], [1.0]).unstack()
-
     def test_split_batched_matches_split(self):
         rng = np.random.default_rng(5)
         lo = rng.uniform(-1.0, 0.0, 6)
@@ -35,9 +25,9 @@ class TestBatchedBox:
         box = Box.from_bounds(lo, hi)
         for dims in (None, [1, 3], [0]):
             batched = box.split_batched(4, dims=dims)
-            pieces = box.split(4, dims=dims)
+            pieces = split(box, 4, dims=dims)
             assert batched.shape == (4, 6)
-            for row, piece in zip(batched.unstack(), pieces):
+            for row, piece in zip(rows(batched), pieces):
                 np.testing.assert_array_equal(row.lo, piece.lo)
                 np.testing.assert_array_equal(row.hi, piece.hi)
 
@@ -64,32 +54,22 @@ class TestBatchedBox:
         rng = np.random.default_rng(9)
         weight = rng.normal(size=(3, 4))
         bias = rng.normal(size=3)
-        boxes = [Box.from_bounds(rng.uniform(-1, 0, 4), rng.uniform(0, 1, 4)) for _ in range(5)]
-        batched = Box.stack(boxes).affine(weight, bias)
+        stacked = Box.from_bounds(rng.uniform(-1, 0, (5, 4)), rng.uniform(0, 1, (5, 4)))
+        batched = affine(stacked, weight, bias)
         assert batched.shape == (5, 3)
-        for row, box in zip(batched.unstack(), boxes):
-            single = box.affine(weight, bias)
+        for row, box in zip(rows(batched), rows(stacked)):
+            single = affine(box, weight, bias)
             np.testing.assert_allclose(row.lo, single.lo, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(row.hi, single.hi, rtol=0.0, atol=1e-12)
 
     def test_batched_elementwise_transformers_match_per_row(self):
         rng = np.random.default_rng(13)
-        boxes = [Box.from_bounds(rng.uniform(-2, 0, 3), rng.uniform(0, 2, 3)) for _ in range(4)]
-        stacked = Box.stack(boxes)
-        for name in ("relu", "tanh"):
-            batched = getattr(stacked, name)()
-            for row, box in zip(batched.unstack(), boxes):
-                single = getattr(box, name)()
+        stacked = Box.from_bounds(rng.uniform(-2, 0, (4, 3)), rng.uniform(0, 2, (4, 3)))
+        for transformer in (relu, tanh):
+            for row, box in zip(rows(transformer(stacked)), rows(stacked)):
+                single = transformer(box)
                 np.testing.assert_array_equal(row.lo, single.lo)
                 np.testing.assert_array_equal(row.hi, single.hi)
-
-    def test_add_elements_single_and_batched(self):
-        box = Box.from_bounds([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-        summed = box.add_elements(0, 1, 2)
-        np.testing.assert_array_equal(summed.lo, [3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(summed.hi, [5.0, 2.0, 3.0])
-        batched = Box.stack([box, box]).add_elements(0, 1, 2)
-        np.testing.assert_array_equal(batched.lo[1], [3.0, 1.0, 2.0])
 
 
 class TestBatchedPropagation:
@@ -99,7 +79,7 @@ class TestBatchedPropagation:
         box = Box.from_bounds(rng.uniform(0, 0.5, 6), rng.uniform(0.5, 1.0, 6))
         batched_out = propagate_mlp_batched(actor, box.split_batched(7))
         assert batched_out.shape == (7, 1)
-        for row, component in zip(batched_out.unstack(), box.split(7)):
+        for row, component in zip(rows(batched_out), split(box, 7)):
             single = propagate_mlp(actor, component)
             np.testing.assert_allclose(row.lo, single.lo, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(row.hi, single.hi, rtol=0.0, atol=1e-12)
@@ -130,8 +110,8 @@ def _random_stack(rng, n_decisions, n_components, state_dim):
 
 
 def _assert_matches_per_slice(model, stack):
-    """The blocked kernel on a ``(D, N, d)`` stack equals the Box-transformer
-    path on each ``(N, d)`` slice, bit for bit."""
+    """The blocked kernel on a ``(D, N, d)`` stack equals the oracle's
+    per-layer transformers on each ``(N, d)`` slice, bit for bit."""
     out = propagate_mlp_batched(model, stack)
     assert out.shape == stack.shape[:-1] + (1,)
     for row in range(stack.shape[0]):
@@ -224,16 +204,15 @@ class TestBatchedFeedback:
         hi = lo + rng.uniform(0.0, 3.0, 200)
         # Mix in degenerate (point) intervals.
         hi[::5] = lo[::5]
-        satisfied, feedback = interval_feedback_batch(lo, hi, allowed)
+        satisfied, feedback = interval_feedback_batch(lo, hi, -0.5, 1.5)
         for i in range(lo.shape[0]):
             output = Interval(lo[i], hi[i])
             assert satisfied[i] == allowed.contains_interval(output)
             assert feedback[i] == pytest.approx(interval_feedback(output, allowed), rel=0.0, abs=0.0)
 
     def test_boundary_cases(self):
-        allowed = Interval(0.0, 1.0)
         lo = np.array([0.0, -1.0, 1.0, 2.0, 0.25, -1.0])
         hi = np.array([1.0, -0.5, 1.0, 3.0, 0.75, 1.0])
-        satisfied, feedback = interval_feedback_batch(lo, hi, allowed)
+        satisfied, feedback = interval_feedback_batch(lo, hi, 0.0, 1.0)
         assert list(satisfied) == [True, False, True, False, True, False]
         np.testing.assert_allclose(feedback, [1.0, 0.0, 1.0, 0.0, 1.0, 0.5])

@@ -6,80 +6,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abstract.box import Box
-from repro.abstract.interval import Interval
 
 
 class TestConstruction:
     def test_point_box(self):
-        box = Box.point([1.0, 2.0])
-        assert np.allclose(box.deviation, 0.0)
-        assert box.contains([1.0, 2.0])
+        box = Box([1.0, 2.0], 0.0)
+        np.testing.assert_array_equal(box.deviation, [0.0, 0.0])
+        np.testing.assert_array_equal(box.lo, box.hi)
 
     def test_negative_deviation_rejected(self):
-        with pytest.raises(ValueError):
-            Box([0.0], [-1.0])
+        with pytest.raises(ValueError, match=r"deviation must be non-negative, got -1.0 at index \(1,\)"):
+            Box([0.0, 0.0], [0.0, -1.0])
 
     def test_from_bounds_round_trip(self):
         box = Box.from_bounds([0.0, -1.0], [2.0, 3.0])
         assert np.allclose(box.lo, [0.0, -1.0])
         assert np.allclose(box.hi, [2.0, 3.0])
 
-    def test_interval_round_trip(self):
-        iv = Interval([0.0, 1.0], [2.0, 5.0])
-        box = Box.from_interval(iv)
-        back = box.to_interval()
-        assert np.allclose(back.lo, iv.lo)
-        assert np.allclose(back.hi, iv.hi)
+    def test_from_bounds_rejects_inverted_bounds(self):
+        with pytest.raises(ValueError, match=r"lo exceeds hi at index \(0, 1\)"):
+            Box.from_bounds([[0.0, 2.0]], [[1.0, 1.0]])
 
-    def test_abstraction_function_covers_states(self):
-        states = [np.array([0.0, 1.0]), np.array([2.0, -1.0]), np.array([1.0, 0.5])]
-        box = Box.abstraction(states)
-        for state in states:
-            assert box.contains(state)
+    def test_from_bounds_matches_trusted_bounds(self):
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-1.0, 1.0, (4, 6))
+        hi = lo + rng.uniform(0.0, 1.0, lo.shape)
+        checked, trusted = Box.from_bounds(lo, hi), Box._trusted_bounds(lo, hi)
+        np.testing.assert_array_equal(checked.center, trusted.center)
+        np.testing.assert_array_equal(checked.deviation, trusted.deviation)
 
-    def test_abstraction_empty_raises(self):
-        with pytest.raises(ValueError):
-            Box.abstraction([])
+    def test_constructor_copies_its_inputs(self):
+        center = np.zeros(3)
+        box = Box(center, np.ones(3))
+        center[0] = 5.0
+        assert box.center[0] == 0.0
+
+
+class TestNonFiniteInputs:
+    # NaN fails every `<` / `>` comparison, so the sign and ordering checks
+    # alone let these through.
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_scalar_box(self, bad):
+        with pytest.raises(ValueError, match=r"box center must be finite, got .* at index \(\)"):
+            Box(bad, 1.0)
+        with pytest.raises(ValueError, match=r"box deviation must be finite, got .* at index \(\)"):
+            Box(0.0, bad)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_from_bounds(self, bad):
+        with pytest.raises(ValueError, match=r"box lo must be finite, got .* at index \(\)"):
+            Box.from_bounds(bad, 1.0)
+        with pytest.raises(ValueError, match=r"box hi must be finite, got .* at index \(\)"):
+            Box.from_bounds(0.0, bad)
+
+    def test_index_names_the_first_bad_entry(self):
+        deviation = np.ones((2, 3))
+        deviation[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"box deviation must be finite, got nan at index \(1, 2\)"):
+            Box(np.zeros((2, 3)), deviation)
+        hi = np.ones(4)
+        hi[2] = np.inf
+        with pytest.raises(ValueError, match=r"box hi must be finite, got inf at index \(2,\)"):
+            Box.from_bounds(np.zeros(4), hi)
 
 
 class TestTransformers:
-    def test_affine_exactness_on_point(self):
-        box = Box.point([1.0, -1.0])
-        weight = np.array([[2.0, 0.5], [1.0, -1.0]])
-        bias = np.array([0.1, -0.2])
-        result = box.affine(weight, bias)
-        expected = weight @ np.array([1.0, -1.0]) + bias
-        assert np.allclose(result.center, expected)
-        assert np.allclose(result.deviation, 0.0)
-
-    def test_affine_deviation_uses_abs_weight(self):
-        box = Box([0.0, 0.0], [1.0, 2.0])
-        weight = np.array([[1.0, -1.0]])
-        result = box.affine(weight)
-        assert result.deviation[0] == pytest.approx(3.0)
-
-    def test_relu_matches_paper_formula(self):
-        box = Box([0.0], [2.0])  # concretization [-2, 2]
-        result = box.relu()
-        assert result.lo[0] == pytest.approx(0.0)
-        assert result.hi[0] == pytest.approx(2.0)
-
-    def test_relu_all_negative(self):
-        result = Box([-3.0], [1.0]).relu()
-        assert result.lo[0] == pytest.approx(0.0)
-        assert result.hi[0] == pytest.approx(0.0)
-
-    def test_tanh_bounds(self):
-        result = Box([0.0], [1.0]).tanh()
-        assert result.lo[0] == pytest.approx(np.tanh(-1.0))
-        assert result.hi[0] == pytest.approx(np.tanh(1.0))
-
-    def test_add_elements(self):
-        box = Box.point([1.0, 2.0, 3.0])
-        result = box.add_elements(target=0, lhs=1, rhs=2)
-        assert result.center[0] == pytest.approx(5.0)
-        assert result.center[1] == pytest.approx(2.0)
-
     def test_scale_negative_factor(self):
         box = Box([1.0], [0.5])
         result = box.scale(-2.0)
@@ -92,65 +83,30 @@ class TestTransformers:
         assert result.center[0] == pytest.approx(3.0)
         assert result.deviation[0] == pytest.approx(0.5)
 
-    def test_join_is_upper_bound(self):
-        a = Box.from_bounds([0.0], [1.0])
-        b = Box.from_bounds([2.0], [3.0])
-        joined = a.join(b)
-        assert joined.contains_box(a)
-        assert joined.contains_box(b)
+    def test_shift_broadcasts_deviation(self):
+        result = Box([[1.0], [2.0]], [[0.5], [0.25]]).shift(np.array([[[1.0]], [[2.0]]]))
+        assert result.shape == (2, 2, 1)
+        np.testing.assert_array_equal(result.deviation[1], [[0.5], [0.25]])
 
 
-class TestSplit:
-    def test_split_covers_volume(self):
-        box = Box.from_bounds([0.0, 0.0], [1.0, 1.0])
-        pieces = box.split(4, dims=[0])
-        assert len(pieces) == 4
-        total = sum(piece.to_interval().width[0] for piece in pieces)
-        assert total == pytest.approx(1.0)
-
-    def test_split_scalar_box(self):
-        box = Box.from_bounds(np.array(0.0), np.array(1.0))
-        pieces = box.split(2)
-        assert len(pieces) == 2
+class TestSplitBatched:
+    def test_split_covers_width(self):
+        pieces = Box.from_bounds([0.0, 0.0], [1.0, 1.0]).split_batched(4, dims=[0])
+        assert pieces.shape == (4, 2)
+        assert np.sum(pieces.hi[:, 0] - pieces.lo[:, 0]) == pytest.approx(1.0)
+        np.testing.assert_array_equal(pieces.lo[:, 1], 0.0)
+        np.testing.assert_array_equal(pieces.hi[:, 1], 1.0)
 
 
-# ---------------------------------------------------------------------- #
-# Soundness: for random points in the box, the concrete image of each
-# transformer lies inside the abstract image.
-# ---------------------------------------------------------------------- #
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def box_and_point(draw, dim=3):
-    center = np.array([draw(coord) for _ in range(dim)])
-    deviation = np.array([abs(draw(coord)) / 2.0 for _ in range(dim)])
-    box = Box(center, deviation)
-    t = np.array([draw(st.floats(0.0, 1.0)) for _ in range(dim)])
-    point = box.lo + t * (box.hi - box.lo)
-    return box, point
-
-
-@given(box_and_point())
-@settings(max_examples=50, deadline=None)
-def test_affine_soundness(data):
-    box, point = data
-    weight = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
-    bias = np.array([0.5, -0.5])
-    abstract = box.affine(weight, bias)
-    concrete = weight @ point + bias
-    assert abstract.contains(concrete, tol=1e-6)
-
-
-@given(box_and_point())
-@settings(max_examples=50, deadline=None)
-def test_relu_soundness(data):
-    box, point = data
-    assert box.relu().contains(np.maximum(point, 0.0), tol=1e-9)
-
-
-@given(box_and_point())
-@settings(max_examples=50, deadline=None)
-def test_tanh_soundness(data):
-    box, point = data
-    assert box.tanh().contains(np.tanh(point), tol=1e-9)
+@given(st.lists(coord, min_size=3, max_size=3), st.lists(coord, min_size=3, max_size=3),
+       st.integers(1, 10), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_split_batched_covers_every_point(a, b, n, t):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    point = lo + t * (hi - lo)
+    pieces = Box.from_bounds(lo, hi).split_batched(n, dims=[0, 2])
+    inside = np.all((pieces.lo - 1e-9 <= point) & (point <= pieces.hi + 1e-9), axis=-1)
+    assert inside.any()

@@ -88,21 +88,13 @@ class TestTableTwoDefinitions:
 
 class TestAllowedRegions:
     def test_non_decrease_region(self):
-        allowed = property_p1().allowed_interval()
-        assert allowed.contains(0.0)
-        assert allowed.contains(ACTION_BOUND / 2)
-        assert not allowed.contains(-1.0)
+        assert property_p1().allowed_bounds() == (0.0, ACTION_BOUND)
 
     def test_non_increase_region(self):
-        allowed = property_p2().allowed_interval()
-        assert allowed.contains(-5.0)
-        assert not allowed.contains(1.0)
+        assert property_p2().allowed_bounds() == (-ACTION_BOUND, 0.0)
 
     def test_robustness_region_symmetric(self):
-        allowed = property_p5(epsilon=0.02).allowed_interval()
-        assert allowed.contains(0.015)
-        assert allowed.contains(-0.015)
-        assert not allowed.contains(0.03)
+        assert property_p5(epsilon=0.02).allowed_bounds() == (-0.02, 0.02)
 
     def test_checked_action_concrete(self):
         p1 = property_p1()
@@ -116,50 +108,55 @@ class TestAllowedRegions:
         p1 = property_p1()
         assert p1.satisfied_concretely(cwnd=12.0, cwnd_prev=10.0, cwnd_reference=10.0)
         assert not p1.satisfied_concretely(cwnd=8.0, cwnd_prev=10.0, cwnd_reference=10.0)
+        p5 = property_p5(epsilon=0.02)
+        assert p5.satisfied_concretely(cwnd=10.2, cwnd_prev=0.0, cwnd_reference=10.0)
+        assert p5.satisfied_concretely(cwnd=9.8, cwnd_prev=0.0, cwnd_reference=10.0)
+        assert not p5.satisfied_concretely(cwnd=10.3, cwnd_prev=0.0, cwnd_reference=10.0)
+        assert not p1.satisfied_concretely(cwnd=np.nan, cwnd_prev=10.0, cwnd_reference=10.0)
 
 
 class TestInputRegions:
     def test_p1_region_abstracts_delay_loss_dcwnd(self, observer):
         p1 = property_p1()
         state = np.full(observer.state_dim, 0.5)
-        box = p1.input_region(state, observer)
+        lo, hi = p1.input_bounds(state, observer)
         for idx in observer.feature_indices("delay"):
-            assert box.lo[idx] == pytest.approx(0.0)
-            assert box.hi[idx] == pytest.approx(0.01)
+            assert lo[idx] == pytest.approx(0.0)
+            assert hi[idx] == pytest.approx(0.01)
         for idx in observer.feature_indices("loss"):
-            assert box.lo[idx] == pytest.approx(0.0)
-            assert box.hi[idx] == pytest.approx(0.0)
+            assert lo[idx] == pytest.approx(0.0)
+            assert hi[idx] == pytest.approx(0.0)
         for idx in observer.feature_indices("dcwnd"):
-            assert box.lo[idx] == pytest.approx(-1.0)
-            assert box.hi[idx] == pytest.approx(0.0)
+            assert lo[idx] == pytest.approx(-1.0)
+            assert hi[idx] == pytest.approx(0.0)
         # Non-precondition dimensions keep their observed values.
         for idx in observer.feature_indices("throughput"):
-            assert box.lo[idx] == pytest.approx(0.5)
-            assert box.hi[idx] == pytest.approx(0.5)
+            assert lo[idx] == pytest.approx(0.5)
+            assert hi[idx] == pytest.approx(0.5)
 
     def test_p5_region_scales_noise_features(self, observer):
         p5 = property_p5(mu=0.1)
         state = np.full(observer.state_dim, 0.5)
-        box = p5.input_region(state, observer)
+        lo, hi = p5.input_bounds(state, observer)
         for idx in observer.feature_indices("delay"):
-            assert box.lo[idx] == pytest.approx(0.45)
-            assert box.hi[idx] == pytest.approx(0.55)
+            assert lo[idx] == pytest.approx(0.45)
+            assert hi[idx] == pytest.approx(0.55)
 
     def test_region_rejects_wrong_state_dim(self, observer):
         with pytest.raises(ValueError):
-            property_p1().input_region(np.zeros(3), observer)
+            property_p1().input_bounds(np.zeros(3), observer)
         with pytest.raises(ValueError):
-            property_p1().input_region(np.zeros((2, 2, observer.state_dim)), observer)
+            property_p1().input_bounds(np.zeros((2, 2, observer.state_dim)), observer)
 
     @pytest.mark.parametrize("factory", (property_p1, property_p2, property_p5))
     def test_region_of_a_state_stack_is_the_stack_of_regions(self, observer, factory):
         states = np.random.default_rng(8).uniform(-1.0, 1.0, (6, observer.state_dim))
-        stack = factory().input_region(states, observer)
-        assert stack.shape == states.shape
+        stack_lo, stack_hi = factory().input_bounds(states, observer)
+        assert stack_lo.shape == stack_hi.shape == states.shape
         for row, state in enumerate(states):
-            single = factory().input_region(state, observer)
-            np.testing.assert_array_equal(stack.center[row], single.center)
-            np.testing.assert_array_equal(stack.deviation[row], single.deviation)
+            lo, hi = factory().input_bounds(state, observer)
+            np.testing.assert_array_equal(stack_lo[row], lo)
+            np.testing.assert_array_equal(stack_hi[row], hi)
 
     def test_partition_dims_point_at_delay(self, observer):
         dims = property_p1().partition_dims(observer)

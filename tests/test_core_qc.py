@@ -5,35 +5,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abstract.interval import Interval
-from repro.core.qc import ComponentCertificate, QuantitativeCertificate, interval_feedback
+from repro.core.qc import ComponentCertificate, QuantitativeCertificate, interval_feedback_batch
+
+
+def feedback_of(lo, hi, allowed_lo, allowed_hi):
+    """Eq. 6 feedback of one output interval ``[lo, hi]``."""
+    return float(interval_feedback_batch(np.array([lo]), np.array([hi]), allowed_lo, allowed_hi)[1][0])
 
 
 class TestIntervalFeedback:
     def test_fully_inside_allowed(self):
-        assert interval_feedback(Interval(1.0, 2.0), Interval(0.0, 10.0)) == pytest.approx(1.0)
+        assert feedback_of(1.0, 2.0, 0.0, 10.0) == pytest.approx(1.0)
 
     def test_fully_inside_forbidden(self):
-        assert interval_feedback(Interval(-5.0, -1.0), Interval(0.0, 10.0)) == pytest.approx(0.0)
+        assert feedback_of(-5.0, -1.0, 0.0, 10.0) == pytest.approx(0.0)
 
     def test_partial_overlap_fraction(self):
-        assert interval_feedback(Interval(-1.0, 1.0), Interval(0.0, 10.0)) == pytest.approx(0.5)
+        assert feedback_of(-1.0, 1.0, 0.0, 10.0) == pytest.approx(0.5)
 
     def test_point_output(self):
-        assert interval_feedback(Interval.point(1.0), Interval(0.0, 2.0)) == pytest.approx(1.0)
-        assert interval_feedback(Interval.point(-1.0), Interval(0.0, 2.0)) == pytest.approx(0.0)
+        assert feedback_of(1.0, 1.0, 0.0, 2.0) == pytest.approx(1.0)
+        assert feedback_of(-1.0, -1.0, 0.0, 2.0) == pytest.approx(0.0)
 
 
 def make_component(index, lo, hi, allowed):
-    interval = Interval(lo, hi)
+    satisfied, feedback = interval_feedback_batch(np.array([lo]), np.array([hi]), *allowed)
     return ComponentCertificate(
         index=index,
         input_lo=np.zeros(2),
         input_hi=np.ones(2),
         output_lo=lo,
         output_hi=hi,
-        satisfied=allowed.contains_interval(interval),
-        feedback=interval_feedback(interval, allowed),
+        satisfied=bool(satisfied[0]),
+        feedback=float(feedback[0]),
     )
 
 
@@ -45,7 +49,7 @@ class TestQuantitativeCertificate:
         assert qc.satisfied_fraction == pytest.approx(1.0)
 
     def test_mixed_components(self):
-        allowed = Interval(0.0, 100.0)
+        allowed = (0.0, 100.0)
         qc = QuantitativeCertificate("P1", 0.0, 100.0, components=[
             make_component(0, 1.0, 2.0, allowed),      # satisfied, feedback 1
             make_component(1, -2.0, -1.0, allowed),    # violated, feedback 0
@@ -57,7 +61,7 @@ class TestQuantitativeCertificate:
         assert not qc.proof
 
     def test_proof_when_all_satisfied(self):
-        allowed = Interval(0.0, 100.0)
+        allowed = (0.0, 100.0)
         qc = QuantitativeCertificate("P1", 0.0, 100.0, components=[
             make_component(i, float(i), float(i) + 0.5, allowed) for i in range(5)
         ])
@@ -65,7 +69,7 @@ class TestQuantitativeCertificate:
         assert qc.feedback == pytest.approx(1.0)
 
     def test_output_bounds_matrix(self):
-        allowed = Interval(0.0, 100.0)
+        allowed = (0.0, 100.0)
         qc = QuantitativeCertificate("P1", 0.0, 100.0, components=[
             make_component(0, 1.0, 2.0, allowed),
             make_component(1, 3.0, 4.0, allowed),
@@ -80,23 +84,14 @@ class TestQuantitativeCertificate:
         assert summary["property"] == "P5"
         assert set(summary) >= {"feedback", "satisfied_fraction", "proof", "n_components", "applicable"}
 
-    def test_component_output_interval(self):
-        component = make_component(0, -1.0, 2.0, Interval(0.0, 5.0))
-        assert component.output_interval.lo == pytest.approx(-1.0)
-
 
 @given(st.floats(-10, 10), st.floats(0, 5), st.floats(-10, 10), st.floats(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_feedback_always_in_unit_interval(a, wa, b, wb):
-    output = Interval(a, a + wa)
-    allowed = Interval(b, b + wb)
-    value = interval_feedback(output, allowed)
-    assert 0.0 <= value <= 1.0
+    assert 0.0 <= feedback_of(a, a + wa, b, b + wb) <= 1.0
 
 
 @given(st.floats(-5, 5), st.floats(0.01, 5))
 @settings(max_examples=40, deadline=None)
 def test_feedback_one_iff_contained(lo, width):
-    output = Interval(lo, lo + width)
-    allowed = Interval(-100.0, 100.0)
-    assert interval_feedback(output, allowed) == pytest.approx(1.0)
+    assert feedback_of(lo, lo + width, -100.0, 100.0) == pytest.approx(1.0)

@@ -1,8 +1,12 @@
 """Tests for the Canopy trainer (certification in the loop)."""
 
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.abstract.box import Box
 from repro.core.config import CanopyConfig
 from repro.core.trainer import CanopyTrainer, TrainerConfig
 
@@ -18,6 +22,20 @@ def make_trainer(kind="shallow", **overrides):
     defaults = dict(total_steps=60, log_every=20)
     defaults.update(overrides)
     return CanopyTrainer(config, TrainerConfig(**defaults))
+
+
+#: SHA-256 over the actor parameters after a 150-step canopy-robust run
+#: (seed 2): TD3 updates start at step 100, so this covers them, the P5
+#: reward shaping and the regularization sampling next to them.
+ROBUST_150_STEP_DIGEST = "36b7b92d6bcd5ed6a4d4afefcb1e7d83906c14323f749417cbf1e0f14813b800"
+
+
+def actor_digest(actor) -> str:
+    digest = hashlib.sha256()
+    for array in actor.get_weights():
+        digest.update(f"{array.shape}{array.dtype}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 class TestTrainerConfig:
@@ -101,3 +119,28 @@ class TestTraining:
     def test_robust_training_runs(self):
         result = make_trainer("robust", total_steps=40, log_every=20).train()
         assert len(result.history) == 2
+
+    def test_robust_training_actor_digest_is_pinned(self):
+        result = make_trainer("robust", total_steps=150, log_every=75).train()
+        assert actor_digest(result.agent.actor) == ROBUST_150_STEP_DIGEST
+
+    def test_regularization_samples_the_region_the_verifier_certifies(self, monkeypatch):
+        """P5's regularization samples the verifier's box ``(c - d, c + d)``,
+        not the raw ``input_bounds``: at delay 0.49 the two differ in the
+        last bit of ``lo``."""
+        trainer = make_trainer("robust")
+        observer = trainer.verifier.observer
+        prop = trainer.canopy_config.properties.by_name("P5")
+        state = np.full(observer.state_dim, 0.49)
+        raw_lo, raw_hi = prop.input_bounds(state, observer)
+        region = Box._trusted_bounds(raw_lo, raw_hi)
+        draws = copy.deepcopy(trainer._reg_rng).random(
+            (trainer.trainer_config.regularization_samples, observer.state_dim))
+        actor = trainer.agent.actor
+        inputs = []
+        forward = actor.forward
+        monkeypatch.setattr(actor, "forward", lambda x: inputs.append(x.copy()) or forward(x))
+        trainer._property_regularization_step(state, 20.0, 20.0)
+        samples = inputs[-1]
+        np.testing.assert_array_equal(samples, region.lo + draws * (region.hi - region.lo))
+        assert not np.array_equal(samples, raw_lo + draws * (raw_hi - raw_lo))

@@ -10,6 +10,7 @@ byte-identical to a serial run with observability off.
 """
 
 import json
+import logging
 import urllib.request
 from urllib.parse import quote
 
@@ -262,9 +263,32 @@ class TestHttpSurface:
 
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(server.url("/cells/no-such-cell"))
-            assert err.value.code == 404
+            with err.value as response:  # closes the error's socket
+                assert response.code == 404
         finally:
             server.close()
+
+
+    def test_handler_error_is_a_500_and_logs_its_traceback(self, tmp_path, monkeypatch,
+                                                          caplog):
+        def broken(store_path):
+            raise RuntimeError("exposition exploded")
+
+        monkeypatch.setattr("repro.obs.http.render_exposition", broken)
+        server = ObsServer(tmp_path, port=0).start()
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(server.url("/metrics"))
+        finally:
+            server.close()
+        with err.value as response:
+            assert response.code == 500
+            assert json.load(response) == {"error": "RuntimeError: exposition exploded"}
+        [record] = [r for r in caplog.records if r.name == "repro.obs"
+                    and r.levelno == logging.ERROR]
+        assert record.getMessage() == "http_error path=/metrics"
+        assert "in broken" in caplog.text
 
 
 # --------------------------------------------------------------------- #

@@ -6,6 +6,8 @@ mid-cell and its lease is reclaimed.
 """
 
 import json
+import logging
+import queue
 from dataclasses import dataclass
 
 import pytest
@@ -15,6 +17,7 @@ from repro.harness.store import RunStore
 from repro.serve.daemon import serve_experiment
 from repro.serve.lease import LEASES_FILENAME, LeaseJournal, LeaseTable
 from repro.serve.status import format_status, read_status
+from repro.serve.worker import worker_main
 
 #: A cheap classical workload_stress mini-grid (no model training): 2 schemes
 #: x 2 seeds x 1 trace = 4 cells of a 2-second contended run each.
@@ -286,6 +289,38 @@ def _serve_toy_build(axes):
 
 
 class TestServeFailures:
+    @staticmethod
+    def _logged_failure(caplog):
+        """The one logged cell failure, checked to carry the runner's traceback."""
+        [record] = [r for r in caplog.records if r.name == "repro.serve"
+                    and r.levelno == logging.ERROR]
+        assert isinstance(record.exc_info[1], RuntimeError)
+        assert "_toy_runner" in caplog.text and "kaboom" in caplog.text
+        return record
+
+    def test_inline_failure_logs_its_traceback(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            with pytest.raises(RuntimeError, match="toy=boom: RuntimeError: kaboom"):
+                serve_experiment("serve_toy", {"names": ("a", "boom")},
+                                 store=tmp_path / "store", workers=0)
+        record = self._logged_failure(caplog)
+        assert record.getMessage() == "cell_failed worker=inline key=toy=boom"
+        # The journaled failure stays the bare "{Type}: {msg}" string.
+        errors = [event.get("error") for event in LeaseJournal(tmp_path / "store").read()
+                  if event["event"] == "failed"]
+        assert errors == ["RuntimeError: kaboom"]
+
+    def test_worker_failure_logs_its_traceback(self, caplog):
+        tasks, messages = queue.Queue(), queue.Queue()
+        tasks.put((0, "toy=boom", _ToyTask("boom")))
+        tasks.put(None)
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            worker_main("w0", _toy_runner, tasks, messages, heartbeat_s=60.0)
+        record = self._logged_failure(caplog)
+        assert record.getMessage() == "cell_failed worker=w0 key=toy=boom"
+        forwarded = [messages.get_nowait() for _ in range(messages.qsize())]
+        assert ("error", "w0", "toy=boom", "RuntimeError: kaboom") in forwarded
+
     def test_raising_cell_fails_the_sweep_without_retry(self, tmp_path):
         with pytest.raises(RuntimeError, match="toy=boom.*kaboom"):
             serve_experiment("serve_toy", {"names": ("a", "boom", "ccc")},

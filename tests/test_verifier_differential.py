@@ -1,8 +1,8 @@
-"""Differential tests: the batched certification engine vs the scalar reference.
+"""Differential tests: the batched certification engine vs the scalar oracle.
 
 ``Verifier.certify`` propagates all N components as one batched box;
-``Verifier.certify_reference`` retains the original one-component-at-a-time
-path.  Over randomized (MLP shape, property, decision context) draws the two
+``oracle.certify_reference`` is the one-component-at-a-time path over
+per-layer box transformers.  Over randomized (MLP shape, property, decision context) draws the two
 must produce numerically identical certificates — same proofs, same Eq. 6
 feedback, same component bounds — to within ``ATOL`` (the only permitted
 difference is matmul summation order).
@@ -11,6 +11,7 @@ difference is matmul summation order).
 import numpy as np
 import pytest
 
+from oracle import certify_all_reference, certify_reference, verifier_feedback_reference
 from repro.core.properties import (
     all_properties,
     property_p1,
@@ -69,13 +70,13 @@ def assert_certificates_identical(batched, reference):
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_certify_differential(seed):
-    """Batched certify == scalar certify_reference for every property."""
+    """Batched certify == the oracle's certify_reference for every property."""
     obs_config, actor, state, cwnd_tcp, cwnd_prev, n = random_setup(seed)
     verifier = Verifier(actor, obs_config, VerifierConfig(n_components=n))
     for factory in PROPERTY_FACTORIES:
         prop = factory()
         batched = verifier.certify(prop, state, cwnd_tcp, cwnd_prev)
-        reference = verifier.certify_reference(prop, state, cwnd_tcp, cwnd_prev)
+        reference = certify_reference(verifier, prop, state, cwnd_tcp, cwnd_prev)
         assert_certificates_identical(batched, reference)
 
 
@@ -86,13 +87,13 @@ def test_certify_all_and_feedback_differential(seed):
     properties = all_properties()
 
     batched = verifier.certify_all(properties, state, cwnd_tcp, cwnd_prev)
-    reference = verifier.certify_all_reference(properties, state, cwnd_tcp, cwnd_prev)
+    reference = certify_all_reference(verifier, properties, state, cwnd_tcp, cwnd_prev)
     assert set(batched) == set(reference)
     for name in batched:
         assert_certificates_identical(batched[name], reference[name])
 
     feedback = verifier.verifier_feedback(properties, state, cwnd_tcp, cwnd_prev)
-    feedback_reference = verifier.verifier_feedback_reference(properties, state, cwnd_tcp, cwnd_prev)
+    feedback_reference = verifier_feedback_reference(verifier, properties, state, cwnd_tcp, cwnd_prev)
     assert feedback == pytest.approx(feedback_reference, rel=0.0, abs=ATOL)
 
 
@@ -105,7 +106,7 @@ def test_certify_differential_at_evaluation_scale(seed):
         prop = factory()
         assert_certificates_identical(
             verifier.certify(prop, state, cwnd_tcp, cwnd_prev),
-            verifier.certify_reference(prop, state, cwnd_tcp, cwnd_prev),
+            certify_reference(verifier, prop, state, cwnd_tcp, cwnd_prev),
         )
 
 
@@ -174,5 +175,5 @@ def test_certify_differential_with_applicability_gating():
         gated_state[idx] = 0.5  # history of increases gates the dcwnd<=0 properties
     for factory in (property_p1, property_p2):
         batched = verifier.certify(factory(), gated_state, cwnd_tcp, cwnd_prev)
-        reference = verifier.certify_reference(factory(), gated_state, cwnd_tcp, cwnd_prev)
+        reference = certify_reference(verifier, factory(), gated_state, cwnd_tcp, cwnd_prev)
         assert_certificates_identical(batched, reference)
