@@ -60,7 +60,8 @@ def interval_feedback_batch(
     intersects = (output_lo <= allowed_hi) & (allowed_lo <= output_hi)
     width = output_hi - output_lo
     overlap = np.minimum(output_hi, allowed_hi) - np.maximum(output_lo, allowed_lo)
-    fraction = np.clip(overlap / np.where(width > 0, width, 1.0), 0.0, 1.0)
+    # Clip the overlap before dividing so a subnormal width cannot overflow.
+    fraction = np.clip(overlap, 0.0, np.maximum(width, 0.0)) / np.where(width > 0, width, 1.0)
     center = (output_lo + output_hi) / 2.0
     center_inside = (center >= allowed_lo - _CONTAIN_TOL) & (center <= allowed_hi + _CONTAIN_TOL)
     fraction = np.where(width > 0, fraction, np.where(center_inside, 1.0, 0.0))

@@ -35,6 +35,12 @@ class TestConstruction:
         np.testing.assert_array_equal(checked.center, trusted.center)
         np.testing.assert_array_equal(checked.deviation, trusted.deviation)
 
+    def test_shape_and_ndim_follow_the_center(self):
+        box = Box(np.zeros((2, 5, 3)), 1.0)
+        assert box.shape == (2, 5, 3)
+        assert box.ndim == 3
+        assert box.deviation.shape == (2, 5, 3)
+
     def test_constructor_copies_its_inputs(self):
         center = np.zeros(3)
         box = Box(center, np.ones(3))
@@ -110,3 +116,23 @@ def test_split_batched_covers_every_point(a, b, n, t):
     pieces = Box.from_bounds(lo, hi).split_batched(n, dims=[0, 2])
     inside = np.all((pieces.lo - 1e-9 <= point) & (point <= pieces.hi + 1e-9), axis=-1)
     assert inside.any()
+
+
+@given(st.lists(coord, min_size=3, max_size=3), st.lists(coord, min_size=3, max_size=3),
+       coord, st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_scale_soundness(a, b, factor, t):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    point = lo + t * (hi - lo)
+    scaled = Box.from_bounds(lo, hi).scale(factor)
+    assert np.all((scaled.lo - 1e-9 <= point * factor) & (point * factor <= scaled.hi + 1e-9))
+
+
+@given(st.lists(coord, min_size=3, max_size=3), st.lists(coord, min_size=3, max_size=3),
+       coord, st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_shift_soundness(a, b, offset, t):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    point = lo + t * (hi - lo)
+    shifted = Box.from_bounds(lo, hi).shift(offset)
+    assert np.all((shifted.lo - 1e-9 <= point + offset) & (point + offset <= shifted.hi + 1e-9))

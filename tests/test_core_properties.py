@@ -96,6 +96,12 @@ class TestAllowedRegions:
     def test_robustness_region_symmetric(self):
         assert property_p5(epsilon=0.02).allowed_bounds() == (-0.02, 0.02)
 
+    def test_every_allowed_region_is_ordered_and_holds_zero(self):
+        for prop in all_properties():
+            lo, hi = prop.allowed_bounds()
+            assert isinstance(lo, float) and isinstance(hi, float)
+            assert lo <= 0.0 <= hi and lo < hi
+
     def test_checked_action_concrete(self):
         p1 = property_p1()
         assert p1.checked_action_concrete(cwnd=12.0, cwnd_prev=10.0, cwnd_reference=10.0) == pytest.approx(2.0)
@@ -141,6 +147,23 @@ class TestInputRegions:
         for idx in observer.feature_indices("delay"):
             assert lo[idx] == pytest.approx(0.45)
             assert hi[idx] == pytest.approx(0.55)
+
+    def test_p5_region_of_a_negative_state_is_ordered(self, observer):
+        state = np.full(observer.state_dim, -0.5)
+        lo, hi = property_p5(mu=0.1).input_bounds(state, observer)
+        assert np.all(lo <= state) and np.all(state <= hi)
+        for idx in observer.feature_indices("delay"):
+            assert lo[idx] == pytest.approx(-0.55)
+            assert hi[idx] == pytest.approx(-0.45)
+
+    @pytest.mark.parametrize("factory", (property_p1, property_p5))
+    def test_region_bounds_are_fresh_arrays(self, observer, factory):
+        state = np.full(observer.state_dim, 0.5)
+        lo, hi = factory().input_bounds(state, observer)
+        lo[:] = -9.0
+        hi[:] = 9.0
+        np.testing.assert_array_equal(state, 0.5)
+        assert not np.shares_memory(lo, hi)
 
     def test_region_rejects_wrong_state_dim(self, observer):
         with pytest.raises(ValueError):

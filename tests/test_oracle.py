@@ -21,9 +21,26 @@ class TestInterval:
         assert iv.contains([0.5, 1.5])
         assert not iv.contains([0.5, 2.5])
 
-    def test_overlap_fraction(self):
+    def test_point_interval_has_zero_width(self):
+        iv = Interval([1.0, -2.0], [1.0, -2.0])
+        np.testing.assert_array_equal(iv.width, 0.0)
+        np.testing.assert_array_equal(iv.center, [1.0, -2.0])
+
+    def test_contains_interval_and_intersects(self):
+        outer = Interval(0.0, 4.0)
+        assert outer.contains_interval(Interval(1.0, 2.0))
+        assert not outer.contains_interval(Interval(3.0, 5.0))
+        assert outer.intersects(Interval(3.0, 5.0))
+        assert outer.intersects(Interval(4.0, 5.0))
+        assert not outer.intersects(Interval(4.5, 5.0))
+
+    def test_overlap_fraction_full(self):
         assert Interval(0.0, 1.0).overlap_fraction(Interval(-1.0, 2.0)) == pytest.approx(1.0)
+
+    def test_overlap_fraction_none(self):
         assert Interval(0.0, 1.0).overlap_fraction(Interval(2.0, 3.0)) == pytest.approx(0.0)
+
+    def test_overlap_fraction_partial(self):
         assert Interval(0.0, 2.0).overlap_fraction(Interval(1.0, 5.0)) == pytest.approx(0.5)
 
     def test_overlap_fraction_degenerate_point(self):
@@ -54,6 +71,10 @@ class TestIntervalFeedback:
 
     def test_partial_overlap_fraction(self):
         assert interval_feedback(Interval(-1.0, 1.0), Interval(0.0, 10.0)) == pytest.approx(0.5)
+
+    def test_point_output(self):
+        assert interval_feedback(Interval(1.0, 1.0), Interval(0.0, 2.0)) == pytest.approx(1.0)
+        assert interval_feedback(Interval(-1.0, -1.0), Interval(0.0, 2.0)) == pytest.approx(0.0)
 
 
 class TestLayerTransformers:
@@ -173,3 +194,13 @@ def test_relu_soundness(data):
 def test_tanh_soundness(data):
     box, point = data
     assert contains(tanh(box), np.tanh(point), tol=1e-9)
+
+
+@given(st.floats(-50.0, 50.0), st.floats(0.0, 20.0), st.integers(1, 10), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_split_covers_every_point(lo, width, n, t):
+    box = Box.from_bounds([lo], [lo + width])
+    point = box.lo[0] + t * (box.hi[0] - box.lo[0])
+    pieces = split(box, n)
+    assert len(pieces) == n
+    assert any(contains(piece, point, tol=1e-9) for piece in pieces)
