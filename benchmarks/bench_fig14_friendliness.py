@@ -7,9 +7,11 @@ bottlenecks, and across propagation delays.  The benchmark prints the
 throughput ratios for an increasing number of competing CUBIC flows and for
 a range of RTTs.
 
-Every sweep point is a declarative :class:`MultiFlowTask` (scheme label +
-model kind, no factory closures) built by the registered ``friendliness``
-experiment, so the whole grid shards across a process pool via
+Every sweep point is an ``ExperimentTask`` cell of the registered
+``friendliness`` experiment: the scheme under test on a constant 48 Mbps
+bottleneck, with its CUBIC competitors given as the ``responsive(cubic:n)``
+workload.  The runner adds per-flow ``throughputs_mbps`` (flow 0 is the
+scheme) and ``throughput_ratio``.  The grid shards across a process pool via
 ``REPRO_BENCH_JOBS`` with rows identical to a serial run (and is reachable
 generically as ``python -m repro run friendliness``).
 """
@@ -27,16 +29,20 @@ def test_fig14_friendliness(benchmark):
          "training_steps": TRAINING_STEPS, "duration": 15.0, "seeds": (SEED,)},
         n_jobs=N_JOBS,
     )
-    flow_rows = [row for row in result["rows"] if row["mode"] == "friendliness"]
-    rtt_rows = [row for row in result["rows"] if row["mode"] == "rtt_friendliness"]
+    for row in result["rows"]:
+        scheme_mbps, *cubic_mbps = row["throughputs_mbps"]
+        row["scheme_mbps"] = scheme_mbps
+        row["mean_cubic_mbps"] = sum(cubic_mbps) / len(cubic_mbps)
+    flow_rows = [row for row in result["rows"] if row["sweep"] == "flows"]
+    rtt_rows = [row for row in result["rows"] if row["sweep"] == "rtt"]
 
     print("\nFigure 14a/b: throughput ratio vs number of competing CUBIC flows")
-    print(format_rows(flow_rows, columns=["buffer_family", "scheme", "competing_cubic_flows",
-                                          "scheme_throughput_mbps", "mean_cubic_throughput_mbps",
+    print(format_rows(flow_rows, columns=["buffer_family", "scheme", "competing_flows",
+                                          "scheme_mbps", "mean_cubic_mbps",
                                           "throughput_ratio"]))
     print("\nFigure 14 (RTT friendliness, shallow buffers)")
-    print(format_rows(rtt_rows, columns=["scheme", "rtt_ms", "scheme_throughput_mbps",
-                                         "cubic_throughput_mbps", "throughput_ratio"]))
+    print(format_rows(rtt_rows, columns=["scheme", "rtt_ms", "scheme_mbps",
+                                         "mean_cubic_mbps", "throughput_ratio"]))
 
     # Shape: Canopy's friendliness stays within a small factor of CUBIC-vs-CUBIC.
     by_key = {}

@@ -6,11 +6,13 @@ turn behaves like CUBIC); the deep-buffer model converges more slowly but
 eventually.  The benchmark prints the per-flow final throughputs and the
 Jain fairness index per scheme.
 
-Every scheme is a declarative :class:`MultiFlowTask` (scheme label + model
-kind, no factory closures) built by the registered ``fairness`` experiment,
-so the grid shards across a process pool via ``REPRO_BENCH_JOBS`` with rows
-identical to a serial run (and is reachable generically as
-``python -m repro run fairness``).
+Every scheme is an ``ExperimentTask`` cell of the registered ``fairness``
+experiment: flow 0 of the scheme starts at once, and two more flows of the
+same scheme join at 12 s and 24 s as the ``step(12-:24-:self)`` workload.
+The runner adds per-flow ``throughputs_mbps`` over the window in which all
+three flows are active, and ``jain_index``.  The grid shards across a process
+pool via ``REPRO_BENCH_JOBS`` with rows identical to a serial run (and is
+reachable generically as ``python -m repro run fairness``).
 """
 
 from benchconfig import N_JOBS, SEED, TRAINING_STEPS, run_once
@@ -33,7 +35,7 @@ def test_fig15_fairness_convergence(benchmark):
     print("\nFigure 15: fairness convergence (3 flows joining every 12 s, 48 Mbps / 20 ms / 1 BDP)")
     rows = []
     for grid_row in grid_rows:
-        throughputs = grid_row["final_throughputs_mbps"]
+        throughputs = grid_row["throughputs_mbps"]
         rows.append({
             "scheme": grid_row["scheme"],
             "flow0_mbps": throughputs[0],

@@ -13,16 +13,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro.harness.evaluate import EvaluationSettings, run_schemes, scheme_factory
-from repro.harness.fairness import fairness_convergence
+from repro.harness.evaluate import EvaluationSettings, run_schemes_sharded
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
-from repro.cc.cubic import CubicController
 from repro.traces.cellular import make_cellular_trace
 from repro.traces.synthetic import make_synthetic_trace
 
 
 def main() -> None:
-    schemes = {name: scheme_factory(name) for name in ("cubic", "newreno", "vegas", "bbr")}
+    # Classical schemes need no model: every label maps to model kind None.
+    schemes = {name: None for name in ("cubic", "newreno", "vegas", "bbr")}
     traces = [
         make_synthetic_trace("step-12-48"),
         make_synthetic_trace("sawtooth-24-96"),
@@ -31,16 +31,17 @@ def main() -> None:
 
     for buffer_bdp in (1.0, 5.0):
         settings = EvaluationSettings(duration=20.0, buffer_bdp=buffer_bdp, min_rtt=0.04, seed=1)
-        results = run_schemes(schemes, traces, settings)
-        rows = [r.as_row() for r in results]
+        rows = run_schemes_sharded(schemes, traces, settings).rows
         print(f"\n=== Buffer = {buffer_bdp:g} BDP ===")
         print(format_rows(rows, columns=["trace", "scheme", "utilization",
                                          "avg_queuing_delay_ms", "p95_queuing_delay_ms", "loss_rate"]))
 
     print("\n=== Fairness: three CUBIC flows joining every 10 s ===")
-    fairness = fairness_convergence(CubicController, "cubic", n_flows=3, join_interval=10.0)
+    result = REGISTRY.run("fairness", {"schemes": ("cubic",), "n_flows": 3,
+                                       "join_interval": 10.0})
+    (fairness,) = result["rows"]
     print("final per-flow throughputs (Mbps):",
-          [round(t, 2) for t in fairness["final_throughputs_mbps"]])
+          [round(t, 2) for t in fairness["throughputs_mbps"]])
     print("Jain fairness index:", round(fairness["jain_index"], 3))
 
 

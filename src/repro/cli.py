@@ -212,6 +212,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if driver is None:
         raise SystemExit(f"no driver for figure {args.figure_id!r}; known: "
                          f"{', '.join(sorted([*FIGURE_DRIVERS, *FIGURE_EXPERIMENTS]))}")
+    ignored = [flag for flag, given in (("--store", args.store is not None),
+                                        ("--fresh", args.fresh),
+                                        ("--jobs", args.jobs != 1)) if given]
+    if ignored:
+        raise SystemExit(f"figure {args.figure_id} runs serially without a store, so "
+                         f"{', '.join(ignored)} would be ignored; only the registry-backed "
+                         f"figures {', '.join(FIGURE_EXPERIMENTS)} accept them")
     result = driver(training_steps=args.steps, seed=args.seed)
     print_experiment(f"Figure/table {args.figure_id}", result)
     return 0

@@ -41,7 +41,6 @@ __all__ = [
     "scheme_factory",
     "default_model_kind",
     "run_scheme_on_trace",
-    "run_schemes",
     "run_schemes_sharded",
     "evaluate_qcsat",
     "certificates_for_decisions",
@@ -115,11 +114,6 @@ class SchemeResult:
     decisions: List[DecisionRecord] = field(default_factory=list)
     #: The run's telemetry events (empty when telemetry was off).
     events: List[Dict] = field(default_factory=list)
-
-    def as_row(self) -> Dict[str, float]:
-        row = {"scheme": self.scheme, "trace": self.trace}
-        row.update(self.summary.as_dict())
-        return row
 
 
 @dataclass
@@ -201,9 +195,10 @@ def run_scheme_on_trace(
     """Run one scheme over one trace (on ``settings.topology``) and summarize it.
 
     ``settings.workload`` adds closed-loop background flows (responsive
-    competitors, churned arrivals) next to the flow under test; the summary
-    always scores flow 0.  The default ``static`` workload adds none, keeping
-    the legacy single-flow trajectory byte-identical.
+    competitors, churned arrivals, ``self`` flows built from ``factory``) next
+    to the flow under test; the summary always scores flow 0.  The default
+    ``static`` workload adds none, keeping the legacy single-flow trajectory
+    byte-identical.
 
     ``telemetry`` lets a caller share one :class:`EventTrace` across the run's
     emitters (e.g. the QC monitor and the simulator); when ``None`` a trace is
@@ -225,7 +220,7 @@ def run_scheme_on_trace(
     background = build_workload(settings.workload, duration=settings.duration,
                                 seed=settings.seed, trace_name=trace.name,
                                 topology=settings.topology)
-    flows = [flow] + [cross.build() for cross in background]
+    flows = [flow] + [cross.build(factory) for cross in background]
     # The process-wide profiler (serve workers, `run --profile` pools) rides
     # along on every simulator; wall-clock only, rows are untouched.
     simulator = NetworkSimulator(topology, flows, dt=settings.dt,
@@ -242,19 +237,6 @@ def run_scheme_on_trace(
         decisions=decisions,
         events=telemetry.to_json() if telemetry is not None else [],
     )
-
-
-def run_schemes(
-    schemes: Dict[str, Callable[[], CongestionController]],
-    traces: Sequence[BandwidthTrace],
-    settings: EvaluationSettings,
-) -> List[SchemeResult]:
-    """Cartesian product of schemes × traces (in-process, full SchemeResults)."""
-    results = []
-    for trace in traces:
-        for scheme_name, factory in schemes.items():
-            results.append(run_scheme_on_trace(factory, trace, settings, scheme_name=scheme_name))
-    return results
 
 
 def run_schemes_sharded(

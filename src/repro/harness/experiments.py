@@ -14,6 +14,10 @@ produce identical rows), and can serve the grid to a lease-based worker
 fleet (``python -m repro serve``).  The aggregators report the grid
 wall-clock and, for the certificate grids, certificates/sec, so the
 benchmark JSON captures verification throughput alongside the figures.
+Every grid is a list of :class:`~repro.harness.parallel.ExperimentTask`
+cells; ``friendliness`` and ``fairness`` express their competing flows as the
+cell's workload and add per-flow columns through their runner
+(:mod:`repro.harness.fairness`).
 
 The remaining figures (1, 2, 6/8, 11, 16, 17 and Table 4) are plain driver
 functions that accept scale knobs (training steps, run duration, number of
@@ -41,16 +45,17 @@ from repro.harness.evaluate import (
     run_scheme_on_trace,
     scheme_factory,
 )
-from repro.harness.fairness import MultiFlowTask, run_multiflow_task
+from repro.harness.fairness import run_multiflow_cell
 from repro.harness.models import get_trained_model
 from repro.harness.parallel import ExperimentTask
 from repro.harness.registry import REGISTRY
 from repro.harness.spec import trace_subset
 from repro.telemetry.events import canonical_telemetry
 from repro.topology.families import canonical_topology, topology_family_specs
-from repro.workload.spec import canonical_workload
+from repro.workload.spec import SELF_SCHEME, WorkloadSpec, canonical_workload
 from repro.traces.realworld import intercontinental_profiles, intracontinental_profiles
 from repro.traces.synthetic import make_synthetic_trace
+from repro.traces.trace import BandwidthTrace
 
 __all__ = [
     "motivation_noise",
@@ -895,6 +900,18 @@ _FRIENDLINESS_CASES = (
 )
 
 
+def _multiflow_task(scheme: str, model_kind: Optional[str], seed: int, training_steps: int,
+                    workload: str, duration: float, min_rtt: float, buffer_bdp: float,
+                    bandwidth_mbps: float = 48.0, tags: Optional[Dict] = None) -> ExperimentTask:
+    """One Fig. 14/15 cell: the scheme plus its workload on a constant-capacity
+    single bottleneck, throughputs averaged from 2 s after the last flow joins."""
+    settings = EvaluationSettings(duration=duration, min_rtt=min_rtt, buffer_bdp=buffer_bdp,
+                                  skip_seconds=2.0, workload=workload, seed=seed)
+    return ExperimentTask(scheme=scheme, trace=BandwidthTrace.constant(bandwidth_mbps, duration),
+                          settings=settings, model_kind=model_kind,
+                          training_steps=training_steps, model_seed=seed, tags=tags or {})
+
+
 @REGISTRY.register(
     "friendliness",
     axes={
@@ -904,29 +921,29 @@ _FRIENDLINESS_CASES = (
         "duration": 15.0,
         "seeds": (1,),
     },
-    runner=run_multiflow_task,
+    runner=run_multiflow_cell,
     description="throughput ratio vs competing CUBIC flows and RTTs (Fig. 14)",
 )
-def _friendliness_build(axes: Dict) -> List[MultiFlowTask]:
+def _friendliness_build(axes: Dict) -> List[ExperimentTask]:
     tasks = []
     for family, scheme, model_kind, buffer_bdp in _FRIENDLINESS_CASES:
         for seed in axes["seeds"]:
             for n_cubic in axes["flows"]:
-                tasks.append(MultiFlowTask(
-                    mode="friendliness", scheme=scheme, value=n_cubic,
-                    model_kind=model_kind, training_steps=axes["training_steps"],
-                    model_seed=seed, buffer_bdp=buffer_bdp,
-                    duration=axes["duration"], tags={"buffer_family": family}))
+                tasks.append(_multiflow_task(
+                    scheme, model_kind, seed, axes["training_steps"],
+                    canonical_workload(f"responsive(cubic:{n_cubic})"), axes["duration"],
+                    min_rtt=0.02, buffer_bdp=buffer_bdp,
+                    tags={"sweep": "flows", "buffer_family": family,
+                          "competing_flows": n_cubic}))
     for family, scheme, model_kind, buffer_bdp in _FRIENDLINESS_CASES:
         if family != "shallow":
             continue
         for seed in axes["seeds"]:
             for rtt_ms in axes["rtts_ms"]:
-                tasks.append(MultiFlowTask(
-                    mode="rtt_friendliness", scheme=scheme, value=rtt_ms,
-                    model_kind=model_kind, training_steps=axes["training_steps"],
-                    model_seed=seed, buffer_bdp=buffer_bdp,
-                    duration=axes["duration"], tags={"buffer_family": family}))
+                tasks.append(_multiflow_task(
+                    scheme, model_kind, seed, axes["training_steps"], "responsive(cubic)",
+                    axes["duration"], min_rtt=rtt_ms / 1000.0, buffer_bdp=buffer_bdp,
+                    tags={"sweep": "rtt", "buffer_family": family, "rtt_ms": rtt_ms}))
     return tasks
 
 
@@ -942,17 +959,20 @@ def _friendliness_build(axes: Dict) -> List[MultiFlowTask]:
         "training_steps": 400,
         "seeds": (1,),
     },
-    runner=run_multiflow_task,
+    runner=run_multiflow_cell,
     description="fairness convergence of homogeneous flows joining over time (Fig. 15)",
 )
-def _fairness_build(axes: Dict) -> List[MultiFlowTask]:
+def _fairness_build(axes: Dict) -> List[ExperimentTask]:
+    n_flows, join = axes["n_flows"], axes["join_interval"]
+    if n_flows < 2:
+        raise ValueError("fairness needs n_flows >= 2")
+    # Flow i of the scheme under test joins at i * join_interval.
+    joiners = WorkloadSpec(kind="step", scheme=SELF_SCHEME,
+                           windows=tuple((i * join, None) for i in range(1, n_flows)))
     return [
-        MultiFlowTask(
-            mode="fairness_convergence", scheme=scheme, value=axes["n_flows"],
-            model_kind=default_model_kind(scheme), training_steps=axes["training_steps"],
-            model_seed=seed, join_interval=axes["join_interval"],
-            bandwidth_mbps=axes["bandwidth_mbps"], min_rtt=axes["min_rtt"],
-            buffer_bdp=axes["buffer_bdp"])
+        _multiflow_task(scheme, default_model_kind(scheme), seed, axes["training_steps"],
+                        joiners.canonical(), n_flows * join + join, axes["min_rtt"],
+                        axes["buffer_bdp"], axes["bandwidth_mbps"])
         for scheme in axes["schemes"]
         for seed in axes["seeds"]
     ]

@@ -210,14 +210,12 @@ def get_trained_model(
 
 
 def model_for_task(task):
-    """The zoo model a task names (``ExperimentTask``, ``MultiFlowTask``, ...).
+    """The zoo model an :class:`~repro.harness.parallel.ExperimentTask` names.
 
     One definition of the task→model mapping, shared by pool workers
     (:func:`repro.harness.parallel.run_task`) and the registry's pre-training
     pass, so a task's model identity cannot drift between the pre-training
-    parent and the forked workers.  Task types without the optional override
-    fields (``lam``/``model_components``/``model_topologies``) get the zoo
-    defaults.
+    parent and the forked workers.
 
     Resolution order: in-process cache, then the ``REPRO_MODEL_ZOO`` on-disk
     zoo (returning a :class:`~repro.harness.checkpoints.SavedModel`, which
@@ -229,14 +227,8 @@ def model_for_task(task):
     """
     if task.model_kind is None:
         raise ValueError("task has no learned model (model_kind is None)")
-    key = _normalize_identity(
-        task.model_kind,
-        task.training_steps,
-        task.model_seed,
-        getattr(task, "lam", None),
-        getattr(task, "model_components", None),
-        getattr(task, "model_topologies", None),
-    )
+    key = _normalize_identity(task.model_kind, task.training_steps, task.model_seed,
+                              task.lam, task.model_components, task.model_topologies)
     if key in _CACHE:
         return _CACHE[key]
     saved = _zoo_load(key)

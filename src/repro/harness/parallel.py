@@ -50,6 +50,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cc.netsim import SimulationResult
 from repro.core.monitor import QCRuntimeMonitor
 from repro.harness.evaluate import (
     EvaluationSettings,
@@ -289,8 +290,18 @@ def _embed_telemetry(row: Dict, trace: Optional[EventTrace],
     row["telemetry_events"] = trace.to_json()
 
 
-def run_task(task: ExperimentTask) -> Dict:
-    """Run one grid cell and return its report row (module-level: picklable)."""
+def run_task(task: ExperimentTask,
+             columns: Optional[Callable[[SimulationResult, EvaluationSettings], Dict]] = None
+             ) -> Dict:
+    """Run one grid cell and return its report row (module-level: picklable).
+
+    ``columns`` derives extra row columns from the cell's
+    :class:`~repro.cc.netsim.SimulationResult` (the multi-flow grids'
+    per-flow throughputs, see :mod:`repro.harness.fairness`).  A certified
+    cell exposes no simulation, so it takes no ``columns``.
+    """
+    if task.certify and columns is not None:
+        raise ValueError("columns needs a simulated cell, not certify=True")
     model = _task_model(task) if task.model_kind is not None else None
     row: Dict = {"scheme": task.scheme, "trace": task.trace.name, "seed": task.settings.seed,
                  "topology": task.settings.topology}
@@ -348,6 +359,8 @@ def run_task(task: ExperimentTask) -> Dict:
     result = run_scheme_on_trace(factory, task.trace, task.settings, scheme_name=task.scheme,
                                  telemetry=telemetry)
     row.update(result.summary.as_dict())
+    if columns is not None:
+        row.update(columns(result.simulation, task.settings))
     if monitor is not None:
         row["fallback_fraction"] = monitor.fallback_fraction
         row["mean_qc"] = monitor.mean_qc
@@ -480,9 +493,9 @@ class ParallelRunner:
             on_result: Optional[Callable[[int, object, object], None]] = None) -> GridResult:
         """Run a grid of tasks through ``fn`` and merge the rows in task order.
 
-        ``fn`` defaults to :func:`run_task` (ExperimentTask grids); other task
-        types supply their own module-level worker (e.g.
-        :func:`repro.harness.fairness.run_multiflow_task`).  ``on_result`` is
+        ``fn`` defaults to :func:`run_task`; a grid that adds columns supplies
+        its own module-level runner (e.g.
+        :func:`repro.harness.fairness.run_multiflow_cell`).  ``on_result`` is
         forwarded to :meth:`map` (incremental per-cell persistence).
         """
         tasks = list(tasks)

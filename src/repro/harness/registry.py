@@ -11,8 +11,8 @@ The registry factors that shape out.  An :class:`Experiment` is:
   from the CLI (``--set seeds=0..9 --set trace=cellular``) or from code,
   and an unknown axis name raises immediately with the list of valid ones
   (typos can no longer vanish into a silently-unchanged grid).
-* a **build** hook — axes → the task list (``ExperimentTask``,
-  ``MultiFlowTask``, or anything with a ``cell_key()``),
+* a **build** hook — axes → the list of
+  :class:`~repro.harness.parallel.ExperimentTask` cells,
 * an optional **setup** hook — pre-trains models in-process so forked pool
   workers inherit the warm zoo cache,
 * an **aggregate** hook — ``(grid, axes, tasks) -> result dict`` (defaults
@@ -167,11 +167,10 @@ def pretrain_models(tasks: Sequence) -> None:
 
     seen = set()
     for task in tasks:
-        if getattr(task, "model_kind", None) is None:
+        if task.model_kind is None:
             continue
         identity = (task.model_kind, task.training_steps, task.model_seed,
-                    getattr(task, "lam", None), getattr(task, "model_components", None),
-                    getattr(task, "model_topologies", None))
+                    task.lam, task.model_components, task.model_topologies)
         if identity in seen:
             continue
         seen.add(identity)

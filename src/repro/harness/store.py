@@ -215,22 +215,19 @@ class RunRecord:
     @classmethod
     def for_task(cls, task, row: Dict, experiment: str = "",
                  producer: str = "unknown") -> "RunRecord":
-        """Build the record for one completed task (ExperimentTask or any task
-        type exposing ``cell_key()``; spec/hop-seeds are stamped when the task
-        describes a scenario)."""
-        spec = None
-        hop_seeds: Dict[str, int] = {}
-        scenario = getattr(task, "scenario", None)
-        if callable(scenario):
-            scenario = scenario()
-            spec = scenario.to_json()
-            # Local import: families is a topology-layer module and the store
-            # must stay importable without it for spec-less task types.
-            from repro.topology.families import topology_hop_seeds
+        """Build the record for one completed
+        :class:`~repro.harness.parallel.ExperimentTask`, stamped with its
+        scenario spec and per-hop seeds."""
+        # Local import: families is a topology-layer module, and the store
+        # stays importable without it.
+        from repro.topology.families import topology_hop_seeds
 
-            hop_seeds = topology_hop_seeds(scenario.topology, scenario.trace, scenario.seed)
+        scenario = task.scenario()
         return cls(key=task.cell_key(), row=canonical_json(row), experiment=experiment,
-                   spec=spec, hop_seeds=hop_seeds, producer=producer)
+                   spec=scenario.to_json(),
+                   hop_seeds=topology_hop_seeds(scenario.topology, scenario.trace,
+                                                scenario.seed),
+                   producer=producer)
 
     def to_json(self) -> Dict:
         return {

@@ -13,7 +13,6 @@ from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
 from repro.rl.td3 import TD3Agent, TD3Config
 from repro.rl.env import Environment
-from repro.rl.actors import ActorPool, ActorState
 
 __all__ = [
     "BoxSpace",
@@ -24,6 +23,4 @@ __all__ = [
     "TD3Agent",
     "TD3Config",
     "Environment",
-    "ActorPool",
-    "ActorState",
 ]

@@ -21,6 +21,7 @@ from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
 from repro.cc.newreno import NewRenoController
 from repro.cc.vegas import VegasController
+from repro.workload.spec import SELF_SCHEME
 
 __all__ = ["CONTROLLER_FACTORIES", "ResponsiveCrossFlow"]
 
@@ -42,7 +43,8 @@ class ResponsiveCrossFlow:
     stay reserved for the open-loop cross-traffic sources (reports key rows
     by flow id).  ``start_time`` / ``stop_time`` bound the flow's lifetime
     (``stop_time=None`` = run end), so churned workloads express arrivals and
-    departures directly.
+    departures directly.  The scheme ``self`` runs the controller of the flow
+    under test, so :meth:`build` needs that flow's factory.
     """
 
     scheme: str
@@ -55,16 +57,26 @@ class ResponsiveCrossFlow:
             raise ValueError("responsive cross flows need flow_id >= 1 "
                              "(0 is the flow under test, negative ids are "
                              "open-loop cross traffic)")
-        if self.scheme not in CONTROLLER_FACTORIES:
+        if self.scheme != SELF_SCHEME and self.scheme not in CONTROLLER_FACTORIES:
             raise ValueError(f"unknown responsive scheme {self.scheme!r}; "
-                             f"known: {sorted(CONTROLLER_FACTORIES)}")
+                             f"known: {sorted(CONTROLLER_FACTORIES)} or {SELF_SCHEME!r}")
         if self.start_time < 0:
             raise ValueError("start_time must be non-negative")
         if self.stop_time is not None and self.stop_time <= self.start_time:
             raise ValueError("stop_time must exceed start_time")
 
-    def build(self) -> Flow:
-        """A fresh :class:`Flow` (new controller instance) for one run."""
-        controller = CONTROLLER_FACTORIES[self.scheme]()
+    def build(self, own_factory: Optional[Callable[[], CongestionController]] = None) -> Flow:
+        """A fresh :class:`Flow` (new controller instance) for one run.
+
+        ``own_factory`` builds the controller of the flow under test; only a
+        ``self`` flow uses it, and it must be given for one.
+        """
+        if self.scheme == SELF_SCHEME:
+            if own_factory is None:
+                raise ValueError("a 'self' background flow needs the factory of the "
+                                 "flow under test")
+            controller = own_factory()
+        else:
+            controller = CONTROLLER_FACTORIES[self.scheme]()
         return Flow(self.flow_id, controller,
                     start_time=self.start_time, stop_time=self.stop_time)

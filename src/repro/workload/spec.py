@@ -28,9 +28,16 @@ Kinds
     a seeded Poisson process of ``rate`` flows/second and each departs after
     a seeded exponential lifetime — flows start and stop mid-run.
 
-``step(a-b)`` / ``step(a-b:c-d:...)``
+``step(a-b)`` / ``step(a-b:c-d:...)`` / ``step(a-b:...:scheme)``
     Scripted churn: one background flow per ``start-stop`` window (an empty
-    stop, ``step(2-)``, runs to the end of the experiment).
+    stop, ``step(2-)``, runs to the end of the experiment).  An optional
+    trailing token names the background scheme (default ``cubic``).
+
+Besides the classical controllers, every kind accepts the scheme ``self``: a
+background flow running a fresh controller of the scheme under test, built
+from the cell's own factory.  ``step(12-:24-:self)`` is the Fig. 15 setup —
+homogeneous flows joining every 12 s.  ``self`` is not in
+:data:`WORKLOAD_SCHEMES`, so :func:`mutate_workload` never proposes it.
 
 Every spec has one canonical form (:func:`canonical_workload`) — defaults
 elided, numbers ``%g``-formatted — so two spellings of the same workload
@@ -48,6 +55,7 @@ __all__ = [
     "WORKLOAD_SCHEMES",
     "DEFAULT_WORKLOAD",
     "DEFAULT_WORKLOAD_SCHEME",
+    "SELF_SCHEME",
     "WorkloadSpec",
     "parse_workload",
     "canonical_workload",
@@ -67,6 +75,9 @@ DEFAULT_WORKLOAD = "static"
 
 #: The controller backing background flows when the spec names none.
 DEFAULT_WORKLOAD_SCHEME = "cubic"
+
+#: The background scheme that runs the cell's own controller (see above).
+SELF_SCHEME = "self"
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^()]*?)\s*\))?\s*$")
 _WINDOW_RE = re.compile(r"^(\d+(?:\.\d+)?)-(\d+(?:\.\d+)?)?$")
@@ -95,9 +106,9 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}; known: {WORKLOAD_KINDS}")
-        if self.scheme not in WORKLOAD_SCHEMES:
+        if self.scheme not in WORKLOAD_SCHEMES + (SELF_SCHEME,):
             raise ValueError(f"unknown workload scheme {self.scheme!r}; "
-                             f"known: {WORKLOAD_SCHEMES}")
+                             f"known: {WORKLOAD_SCHEMES + (SELF_SCHEME,)}")
         if self.kind == "responsive" and self.count < 1:
             raise ValueError("responsive workload needs count >= 1")
         if self.kind == "poisson" and self.rate <= 0:
@@ -128,6 +139,8 @@ class WorkloadSpec:
             f"{_format_number(start)}-" if stop is None
             else f"{_format_number(start)}-{_format_number(stop)}"
             for start, stop in self.windows)
+        if self.scheme != DEFAULT_WORKLOAD_SCHEME:
+            windows += f":{self.scheme}"
         return f"step({windows})"
 
     def __str__(self) -> str:
@@ -184,6 +197,10 @@ def parse_workload(spec: str) -> WorkloadSpec:
             raise ValueError(f"poisson rate must be a number, got {raw_rate!r}") from None
         return WorkloadSpec(kind="poisson", rate=rate,
                             scheme=scheme.strip() or DEFAULT_WORKLOAD_SCHEME)
+    head, _, last = body.rpartition(":")
+    if head and last.strip()[:1].isalpha():
+        return WorkloadSpec(kind="step", windows=_parse_step_windows(head),
+                            scheme=last.strip())
     return WorkloadSpec(kind="step", windows=_parse_step_windows(body))
 
 
@@ -287,5 +304,5 @@ def mutate_workload(spec: str, rng) -> str:
                 stop = max(start + 1.0, stop + shift)
             windows[index] = (start, stop)
         windows.sort(key=lambda w: (w[0], w[1] if w[1] is not None else float("inf")))
-        mutated = WorkloadSpec(kind="step", windows=tuple(windows))
+        mutated = WorkloadSpec(kind="step", windows=tuple(windows), scheme=current.scheme)
     return mutated.canonical()

@@ -63,6 +63,19 @@ def test_figure_command_runs_driver(capsys):
     assert "Figure/table 17" in out
 
 
+@pytest.mark.parametrize("flags, named", [(["--store", "elsewhere"], "--store"),
+                                          (["--fresh"], "--fresh"),
+                                          (["--jobs", "2"], "--jobs"),
+                                          (["--jobs", "0", "--fresh"], "--fresh, --jobs")])
+def test_figure_driver_rejects_store_flags_it_would_ignore(flags, named):
+    # The driver figures run serially without a store, so these flags are
+    # rejected rather than ignored, naming the figures that accept them.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", "17", "--steps", "40", *flags])
+    message = str(excinfo.value)
+    assert named in message and "14, 15, topology" in message
+
+
 def test_figure_driver_registry_covers_evaluation():
     # Only the non-grid figures keep a driver function; every grid figure is
     # a registry experiment routed through FIGURE_EXPERIMENTS.

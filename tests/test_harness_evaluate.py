@@ -10,10 +10,8 @@ from repro.harness.evaluate import (
     certificates_for_decisions,
     evaluate_qcsat,
     run_scheme_on_trace,
-    run_schemes,
     scheme_factory,
 )
-from repro.traces.synthetic import make_synthetic_trace
 from repro.traces.trace import BandwidthTrace
 
 
@@ -61,18 +59,11 @@ class TestRunScheme:
         assert result.summary.avg_queuing_delay_ms >= 0.0
         assert result.decisions == []
 
-    def test_run_schemes_cartesian(self, settings, trace):
-        schemes = {"cubic": scheme_factory("cubic"), "vegas": scheme_factory("vegas")}
-        traces = [trace, make_synthetic_trace("step-12-48")]
-        results = run_schemes(schemes, traces, settings)
-        assert len(results) == 4
-        assert {r.scheme for r in results} == {"cubic", "vegas"}
-
     def test_learned_run_collects_decisions(self, settings, trace, quick_model):
         factory = scheme_factory("canopy", model=quick_model, seed=1)
         result = run_scheme_on_trace(factory, trace, settings, scheme_name="canopy")
         assert len(result.decisions) > 5
-        assert result.as_row()["scheme"] == "canopy"
+        assert result.scheme == "canopy"
 
     def test_random_loss_setting_increases_losses(self, trace):
         clean = run_scheme_on_trace(scheme_factory("cubic"), trace,

@@ -1,111 +1,149 @@
-"""Tests for the multi-flow friendliness and fairness experiments."""
+"""Tests for the multi-flow friendliness (Fig. 14) and fairness (Fig. 15) grids.
+
+Both grids are registry experiments of plain ``ExperimentTask`` cells whose
+competing flows come from the workload; their runner adds per-flow columns.
+"""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.cc.cubic import CubicController
-from repro.cc.vegas import VegasController
-from repro.harness.fairness import (
-    MultiFlowTask,
-    fairness_convergence,
-    friendliness,
-    rtt_friendliness,
-    run_multiflow_task,
-)
-from repro.harness.parallel import ParallelRunner, run_profiled
+from repro.harness.evaluate import run_scheme_on_trace, scheme_factory
+from repro.harness.fairness import multiflow_columns, run_multiflow_cell
+from repro.harness.parallel import ParallelRunner, run_profiled, run_task
+from repro.harness.registry import REGISTRY
+from repro.traces.trace import pps_to_mbps
+
+MULTIFLOW_COLUMNS = {"throughputs_mbps", "throughput_ratio", "jain_index", "series_mbps"}
+
+
+def friendliness_cells(overrides, scheme="cubic", family="shallow"):
+    """The planned friendliness cells of one (scheme, buffer family) case."""
+    plan = REGISTRY.plan("friendliness", overrides)
+    return [task for task in plan.tasks
+            if task.scheme == scheme and task.tags["buffer_family"] == family]
+
+
+def run_cells(tasks):
+    return ParallelRunner(1).run(tasks, fn=run_multiflow_cell).rows
+
+
+@pytest.fixture(scope="module")
+def fairness_rows():
+    """Two flows of one scheme, the second joining at 5 s, for 15 s."""
+    result = REGISTRY.run("fairness", {"schemes": "cubic,vegas", "n_flows": 2,
+                                       "join_interval": 5.0})
+    return {row["scheme"]: row for row in result["rows"]}
 
 
 class TestFriendliness:
     def test_cubic_vs_cubic_is_roughly_fair(self):
-        result = friendliness(CubicController, "cubic", competing_flows=(1,), duration=12.0)
-        row = result["rows"][0]
-        assert row["competing_cubic_flows"] == 1
+        (task,) = friendliness_cells({"flows": 1, "rtts_ms": (), "duration": 12.0})
+        (row,) = run_cells([task])
+        assert row["competing_flows"] == 1 and row["workload"] == "responsive(cubic)"
+        assert len(row["throughputs_mbps"]) == 2
         assert 0.4 <= row["throughput_ratio"] <= 2.5
 
-    def test_ratio_reported_for_each_flow_count(self):
-        result = friendliness(CubicController, "cubic", competing_flows=(1, 2), duration=8.0)
-        assert len(result["rows"]) == 2
-        assert result["figure"] == "14"
+    def test_one_row_per_flow_count_and_rtt(self):
+        overrides = {"flows": "1,2", "rtts_ms": "20,50", "duration": 4.0}
+        plan = REGISTRY.plan("friendliness", overrides)
+        # Six (family, scheme) cases per flow count, three shallow ones per RTT.
+        assert [task.tags["sweep"] for task in plan.tasks] == ["flows"] * 12 + ["rtt"] * 6
+        tasks = friendliness_cells(overrides)
+        assert [task.settings.workload for task in tasks] == [
+            "responsive(cubic)", "responsive(cubic:2)", "responsive(cubic)",
+            "responsive(cubic)"]
+        rows = run_cells(tasks)
+        assert [row["competing_flows"] for row in rows[:2]] == [1, 2]
+        assert [len(row["throughputs_mbps"]) for row in rows[:2]] == [2, 3]
+        assert [row["rtt_ms"] for row in rows[2:]] == [20.0, 50.0]
+        for row in rows[2:]:
+            scheme_mbps, cubic_mbps = row["throughputs_mbps"]
+            assert scheme_mbps > 0.0 and cubic_mbps > 0.0
 
-    def test_rtt_friendliness_rows(self):
-        result = rtt_friendliness(CubicController, "cubic", rtts_ms=(20.0, 50.0), duration=8.0)
-        assert len(result["rows"]) == 2
-        for row in result["rows"]:
-            assert row["scheme_throughput_mbps"] > 0.0
-            assert row["cubic_throughput_mbps"] > 0.0
+    def test_rtt_cells_set_the_path_rtt(self):
+        tasks = friendliness_cells({"flows": "1", "rtts_ms": "20,100"})
+        assert [task.settings.min_rtt for task in tasks] == [0.02, 0.02, 0.1]
 
 
-class TestFairnessConvergence:
-    def test_flows_join_and_share(self):
-        result = fairness_convergence(CubicController, "cubic", n_flows=2, join_interval=5.0,
-                                      duration=15.0)
-        assert result["figure"] == "15"
-        assert len(result["final_throughputs_mbps"]) == 2
-        assert 0.5 <= result["jain_index"] <= 1.0
+class TestFairness:
+    def test_flows_join_and_share(self, fairness_rows):
+        row = fairness_rows["cubic"]
+        assert row["workload"] == "step(5-:self)"
+        assert len(row["throughputs_mbps"]) == 2
         # The late-joining flow eventually gets a nontrivial share.
-        assert min(result["final_throughputs_mbps"]) > 1.0
+        assert min(row["throughputs_mbps"]) > 1.0
 
-    def test_series_has_one_entry_per_flow(self):
-        result = fairness_convergence(VegasController, "vegas", n_flows=2, join_interval=4.0,
-                                      duration=12.0)
+    @pytest.mark.parametrize("scheme", ["cubic", "vegas"])
+    def test_jain_index_is_bounded(self, fairness_rows, scheme):
+        row = fairness_rows[scheme]
+        n_flows = len(row["throughputs_mbps"])
+        assert 1.0 / n_flows <= row["jain_index"] <= 1.0 + 1e-12
+
+    def test_series_has_one_entry_per_flow(self, fairness_rows):
         # Flow ids are stringified so the row shape survives JSON round-trips
         # (run-store rows and in-process rows must be identical).
-        assert set(result["series_mbps"]) == {"0", "1"}
-        assert len(result["series_mbps"]["0"]) == 12
+        series = fairness_rows["vegas"]["series_mbps"]
+        assert set(series) == {"0", "1"}
+        assert len(series["0"]) == 15  # (n_flows + 1) * join_interval seconds
 
-    def test_late_flow_idle_before_join(self):
-        result = fairness_convergence(CubicController, "cubic", n_flows=2, join_interval=6.0,
-                                      duration=14.0)
-        early_buckets = result["series_mbps"]["1"][:5]
+    def test_late_flow_idle_before_join(self, fairness_rows):
+        early_buckets = fairness_rows["cubic"]["series_mbps"]["1"][:5]
         assert max(early_buckets) == pytest.approx(0.0, abs=1e-6)
+        assert fairness_rows["cubic"]["series_mbps"]["1"][5] > 0.0
+
+    def test_a_single_flow_is_rejected(self):
+        with pytest.raises(ValueError, match="n_flows >= 2"):
+            REGISTRY.plan("fairness", {"n_flows": 1})
 
 
-class TestDeclarativeMultiFlowGrid:
-    def test_task_validation(self):
-        with pytest.raises(ValueError):
-            MultiFlowTask(mode="nope", scheme="cubic", value=1)
-        with pytest.raises(ValueError):
-            MultiFlowTask(mode="friendliness", scheme="cubic", value=0)
-
-    def test_task_row_matches_direct_call(self):
-        task = MultiFlowTask(mode="friendliness", scheme="cubic", value=2, duration=8.0)
-        row = run_multiflow_task(task)
-        direct = friendliness(CubicController, "cubic", competing_flows=(2,), duration=8.0)
-        for key, value in direct["rows"][0].items():
-            assert row[key] == value
-        assert row["mode"] == "friendliness"
-
-    @pytest.mark.parametrize("mode, value", [("friendliness", 1),
-                                             ("rtt_friendliness", 20.0),
-                                             ("fairness_convergence", 2)])
-    def test_profiled_cell_counts_its_ticks(self, mode, value):
-        # Every multi-flow simulator attaches the active profiler, and the
-        # profiled row is the unprofiled one.
-        task = MultiFlowTask(mode=mode, scheme="cubic", value=value, duration=2.0,
-                             join_interval=1.0)
-        profiled = run_profiled(run_multiflow_task, task)
-        assert profiled["profile"]["ticks"] == 200
+class TestMultiFlowRunner:
+    @pytest.mark.parametrize("name, overrides", [
+        ("friendliness", {"flows": "1", "rtts_ms": "20", "duration": 2.0}),
+        ("fairness", {"schemes": "cubic", "n_flows": 2, "join_interval": 1.0}),
+    ])
+    def test_profiled_cell_counts_its_ticks(self, name, overrides):
+        # The shared simulator construction attaches the active profiler, and
+        # the profiled row is the unprofiled one.
+        task = next(task for task in REGISTRY.plan(name, overrides).tasks
+                    if task.model_kind is None)
+        profiled = run_profiled(run_multiflow_cell, task)
+        assert profiled["profile"]["ticks"] == round(task.settings.duration / task.settings.dt)
         assert profiled["profile"]["drain_s"] > 0.0
-        assert profiled["row"] == run_multiflow_task(task)
+        assert profiled["row"] == run_multiflow_cell(task)
 
-    def test_fairness_mode_reports_jain_index(self):
-        task = MultiFlowTask(mode="fairness_convergence", scheme="cubic", value=2,
-                             join_interval=5.0, duration=15.0)
-        row = run_multiflow_task(task)
-        assert 0.5 <= row["jain_index"] <= 1.0
-        assert len(row["final_throughputs_mbps"]) == 2
+    def test_columns_are_added_to_the_run_task_row_only(self):
+        (task,) = friendliness_cells({"flows": "2", "rtts_ms": (), "duration": 3.0})
+        plain = run_task(task)
+        row = run_multiflow_cell(task)
+        assert not MULTIFLOW_COLUMNS & set(plain)
+        assert set(row) - set(plain) == MULTIFLOW_COLUMNS
+        assert {key: row[key] for key in plain} == plain
+
+    def test_window_starts_skip_seconds_after_the_last_join(self):
+        (task,) = REGISTRY.plan("fairness", {"schemes": "cubic", "n_flows": 2,
+                                             "join_interval": 3.0}).tasks
+        result = run_scheme_on_trace(scheme_factory("cubic"), task.trace,
+                                     task.settings).simulation
+        columns = multiflow_columns(result, task.settings)
+        for flow_id, mbps in enumerate(columns["throughputs_mbps"]):
+            stats = result.stats_for(flow_id)
+            window = stats.times >= 3.0 + task.settings.skip_seconds
+            assert mbps == pytest.approx(pps_to_mbps(stats.acked[window].mean() / result.dt),
+                                         rel=1e-12)
+        assert columns["throughput_ratio"] == pytest.approx(
+            columns["throughputs_mbps"][0] / columns["throughputs_mbps"][1], rel=1e-12)
+
+    def test_certified_cells_take_no_columns(self):
+        cell = friendliness_cells({})[0]
+        task = replace(cell, model_kind="canopy-shallow", certify=True)
+        with pytest.raises(ValueError, match="not certify=True"):
+            run_task(task, columns=multiflow_columns)
 
     def test_grid_rows_identical_serial_and_parallel(self):
-        tasks = [
-            MultiFlowTask(mode="friendliness", scheme="cubic", value=n, duration=6.0,
-                          tags={"cell": index})
-            for index, n in enumerate((1, 2))
-        ] + [
-            MultiFlowTask(mode="rtt_friendliness", scheme="vegas", value=rtt, duration=6.0,
-                          tags={"cell": 2 + index})
-            for index, rtt in enumerate((20.0, 50.0))
-        ]
-        serial = ParallelRunner(1).run(tasks, fn=run_multiflow_task)
-        parallel = ParallelRunner(2).run(tasks, fn=run_multiflow_task)
-        assert serial.rows == parallel.rows
-        assert [row["cell"] for row in serial.rows] == [0, 1, 2, 3]
-        assert serial.n_tasks == 4
+        overrides = {"training_steps": 30, "duration": 2.0, "flows": "1", "rtts_ms": "20"}
+        serial = REGISTRY.run("friendliness", overrides)
+        parallel = REGISTRY.run("friendliness", overrides, n_jobs=2)
+        assert serial["rows"] == parallel["rows"]
+        assert len(serial["rows"]) == 9
+        assert {row["seed"] for row in serial["rows"]} == {1}

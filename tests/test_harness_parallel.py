@@ -123,6 +123,15 @@ class TestGridDeterminism:
         direct = run_task(ExperimentTask(scheme="cubic", trace=trace, settings=settings))
         assert grid.rows[0]["utilization"] == direct["utilization"]
 
+    def test_run_schemes_sharded_is_the_scheme_trace_product(self):
+        settings = make_tasks()[0].settings
+        traces = [make_tasks()[0].trace, BandwidthTrace.constant(24.0, duration=30.0,
+                                                                  name="const-24")]
+        grid = run_schemes_sharded({"cubic": None, "vegas": None}, traces, settings, n_jobs=1)
+        assert [(row["trace"], row["scheme"]) for row in grid.rows] == [
+            ("const-12", "cubic"), ("const-12", "vegas"),
+            ("const-24", "cubic"), ("const-24", "vegas")]
+
     def test_run_schemes_sharded_seed_replicates(self):
         tasks = make_tasks()
         trace = tasks[0].trace

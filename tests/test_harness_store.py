@@ -77,19 +77,16 @@ class TestCellKeys:
         assert other.scenario().key() != base.scenario().key()
         assert other.cell_key() != base.cell_key()
 
-    def test_multiflow_cell_key(self):
-        from repro.harness.fairness import MultiFlowTask
+    def test_multiflow_cell_keys_carry_exact_values(self):
+        from repro.harness.registry import REGISTRY
 
-        a = MultiFlowTask(mode="friendliness", scheme="cubic", value=2)
-        b = MultiFlowTask(mode="friendliness", scheme="cubic", value=2, buffer_bdp=5.0)
-        assert a.cell_key() == MultiFlowTask(mode="friendliness", scheme="cubic",
-                                             value=2).cell_key()
-        assert a.cell_key() != b.cell_key()
-        # Values that agree to 6 significant digits (the %g display) must
-        # still get distinct keys — the fingerprint carries the exact value.
-        close_a = MultiFlowTask(mode="rtt_friendliness", scheme="cubic", value=20.0)
-        close_b = MultiFlowTask(mode="rtt_friendliness", scheme="cubic", value=20.0000001)
-        assert close_a.cell_key() != close_b.cell_key()
+        keys = REGISTRY.plan("friendliness", {"flows": "1", "rtts_ms": "20"}).keys
+        assert keys == REGISTRY.plan("friendliness", {"flows": "1", "rtts_ms": "20"}).keys
+        assert len(set(keys)) == len(keys)  # buffer depth and sweep tags split cells
+        # RTTs that agree to 6 significant digits must still get distinct
+        # keys: the fingerprint carries the exact value.
+        close = REGISTRY.plan("friendliness", {"flows": (), "rtts_ms": (20.0, 20.0000001)})
+        assert len(set(close.keys)) == len(close.keys) == 6
 
     def test_fingerprint_is_order_insensitive(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
@@ -119,13 +116,27 @@ class TestRunRecord:
         # A bare "chain" spec derives with its canonical "chain(2)" form.
         assert topology_hop_seeds("chain", "const-12", 9) == seeds
 
-    def test_multiflow_record_has_no_scenario(self):
-        from repro.harness.fairness import MultiFlowTask
+    def test_old_spec_less_multiflow_record_loads_but_is_not_resumed(self, tmp_path):
+        # Stores written before the multi-flow grids became ExperimentTask
+        # cells hold records without a spec under "multiflow=..." keys.  They
+        # still load and validate; no current cell has their key, so a resumed
+        # grid recomputes instead of reusing them.
+        from repro.harness.registry import REGISTRY
 
-        task = MultiFlowTask(mode="friendliness", scheme="cubic", value=2)
-        record = RunRecord.for_task(task, {"throughput_ratio": 1.0})
-        record.validate()
-        assert record.spec is None and record.hop_seeds == {}
+        legacy = RunRecord(key="multiflow=friendliness scheme=cubic value=1 seed=3 "
+                               "#f28816468387",
+                           row={"mode": "friendliness", "throughput_ratio": 1.0},
+                           experiment="friendliness")
+        store = RunStore(tmp_path / "store")
+        store.put(legacy)
+        assert main([str(tmp_path / "store")]) == 0
+        (loaded,) = RunStore(tmp_path / "store").records()
+        assert loaded.spec is None and loaded.hop_seeds == {}
+        result = REGISTRY.run("friendliness", {"flows": "1", "rtts_ms": (), "duration": 2.0,
+                                               "training_steps": 30},
+                              store=RunStore(tmp_path / "store"), resume=True)
+        assert result["cached_cells"] == 0 and result["computed_cells"] == 6
+        assert len(RunStore(tmp_path / "store")) == 7
 
 
 class TestRunStore:

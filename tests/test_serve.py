@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.harness.evaluate import EvaluationSettings
+from repro.harness.parallel import ExperimentTask
 from repro.harness.registry import REGISTRY
 from repro.harness.store import RunStore
 from repro.serve.daemon import serve_experiment
 from repro.serve.lease import LEASES_FILENAME, LeaseJournal, LeaseTable
 from repro.serve.status import format_status, read_status
 from repro.serve.worker import worker_main
+from repro.traces.trace import BandwidthTrace
 
 #: A cheap classical workload_stress mini-grid (no model training): 2 schemes
 #: x 2 seeds x 1 trace = 4 cells of a 2-second contended run each.
@@ -269,23 +272,28 @@ class TestServeDeterminism:
 # Failure surfacing (deterministic runner errors)
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class _ToyTask:
-    name: str
+class _ToyTask(ExperimentTask):
+    """A cell the toy runner never simulates, keyed ``toy=<scheme>``."""
 
     def cell_key(self) -> str:
-        return f"toy={self.name}"
+        return f"toy={self.scheme}"
+
+
+def _toy_task(name: str) -> _ToyTask:
+    return _ToyTask(scheme=name, trace=BandwidthTrace.constant(12.0, duration=1.0),
+                    settings=EvaluationSettings(duration=1.0))
 
 
 def _toy_runner(task):
-    if task.name == "boom":
+    if task.scheme == "boom":
         raise RuntimeError("kaboom")
-    return {"value": len(task.name)}
+    return {"value": len(task.scheme)}
 
 
 @REGISTRY.register("serve_toy", axes={"names": ("a", "bb", "ccc")},
                    runner=_toy_runner, description="serve test fixture grid")
 def _serve_toy_build(axes):
-    return [_ToyTask(name) for name in axes["names"]]
+    return [_toy_task(name) for name in axes["names"]]
 
 
 class TestServeFailures:
@@ -312,7 +320,7 @@ class TestServeFailures:
 
     def test_worker_failure_logs_its_traceback(self, caplog):
         tasks, messages = queue.Queue(), queue.Queue()
-        tasks.put((0, "toy=boom", _ToyTask("boom")))
+        tasks.put((0, "toy=boom", _toy_task("boom")))
         tasks.put(None)
         with caplog.at_level(logging.ERROR, logger="repro"):
             worker_main("w0", _toy_runner, tasks, messages, heartbeat_s=60.0)

@@ -312,54 +312,6 @@ class TestChurnDeterminismWithTransit:
 
 
 # ---------------------------------------------------------------------- #
-# Golden mini-store: one cell recomputed locally
-# ---------------------------------------------------------------------- #
-class TestGoldenMiniStore:
-    """CI diffs the whole committed golden store against a fresh grid; this
-    recomputes two representative cells in-process so the physics pin also
-    trips locally under plain pytest."""
-
-    GOLDEN_DIR = "tests/golden/workload_stress_mini"
-
-    @pytest.fixture(scope="class")
-    def golden_rows(self):
-        import json
-        import os
-        path = os.path.join(os.path.dirname(__file__), "golden",
-                            "workload_stress_mini", "records.jsonl")
-        rows = {}
-        with open(path) as handle:
-            for line in handle:
-                row = json.loads(line)["row"]
-                rows[(row["scheme"], row["topology"], row["workload"])] = row
-        assert len(rows) == 8
-        return rows
-
-    @pytest.mark.parametrize("scheme,topology,workload", [
-        ("cubic", "chain(3)", "static"),
-        ("vegas", "fan_in(3)", "poisson(0.25)"),
-    ])
-    def test_recomputed_cell_matches_golden(self, golden_rows, scheme, topology, workload):
-        from repro.harness.evaluate import EvaluationSettings
-        from repro.harness.experiments import trace_subset
-        from repro.harness.parallel import ExperimentTask, ParallelRunner
-
-        trace = trace_subset("synthetic", 1)[0]
-        settings = EvaluationSettings(duration=3.0, buffer_bdp=1.0,
-                                      topology=topology, workload=workload, seed=1)
-        task = ExperimentTask(scheme=scheme, trace=trace, settings=settings,
-                              tags={"workload": workload})
-        (row,) = ParallelRunner(1).run([task]).rows
-        golden = golden_rows[(scheme, topology, workload)]
-        for name, value in golden.items():
-            if isinstance(value, float):
-                assert row[name] == pytest.approx(value, rel=1e-9, abs=1e-12), (
-                    f"{scheme}/{topology}/{workload}: {name} drifted from golden store")
-            else:
-                assert row[name] == value, name
-
-
-# ---------------------------------------------------------------------- #
 # FIFO ordering across hops, per flow, end to end
 # ---------------------------------------------------------------------- #
 class TestPerFlowFifoAcrossHops:

@@ -70,6 +70,18 @@ class TestParseWorkload:
             with pytest.raises(ValueError):
                 parse_workload(bad)
 
+    def test_step_takes_a_trailing_scheme(self):
+        assert parse_workload("step(12-:24-:self)") == WorkloadSpec(
+            kind="step", scheme="self", windows=((12.0, None), (24.0, None)))
+        assert parse_workload("step(2-6:vegas)").scheme == "vegas"
+        # The default scheme stays elided, so every existing key is unchanged.
+        assert canonical_workload("step(2-6:cubic)") == "step(2-6)"
+        assert canonical_workload("step(2-6:4-:bbr)") == "step(2-6:4-:bbr)"
+        assert canonical_workload("responsive(self:2)") == "responsive(self:2)"
+        for bad in ("step(self)", "step(2-6:quic)", "step(2-6:self:4-)"):
+            with pytest.raises(ValueError):
+                parse_workload(bad)
+
     def test_canonical_forms(self):
         assert canonical_workload("responsive(cubic:1)") == "responsive(cubic)"
         assert canonical_workload("poisson(0.10:cubic)") == "poisson(0.1)"
@@ -115,6 +127,17 @@ class TestMutateWorkload:
         kinds = {parse_workload(mutate_workload("static", rng)).kind
                  for _ in range(40)}
         assert kinds == {"responsive", "poisson", "step"}
+
+    def test_self_is_never_proposed_and_step_keeps_its_scheme(self):
+        from repro.workload.spec import SELF_SCHEME, WORKLOAD_SCHEMES, mutate_workload
+        assert SELF_SCHEME not in WORKLOAD_SCHEMES
+        rng = np.random.default_rng(5)
+        spec = "static"
+        for _ in range(200):
+            spec = mutate_workload(spec, rng)
+            assert SELF_SCHEME not in spec
+        for _ in range(20):
+            assert parse_workload(mutate_workload("step(2-6:vegas)", rng)).scheme == "vegas"
 
     def test_bounds_respected(self):
         from repro.workload.spec import mutate_workload
@@ -213,6 +236,17 @@ class TestBuildWorkload:
         other_cell = build_workload("poisson(1.0)", duration=20.0, seed=3,
                                     trace_name="t", topology="chain(2)")
         assert other_cell != same[0]
+
+    def test_self_flows_run_the_cell_controller(self):
+        from repro.cc.vegas import VegasController
+
+        (flow,) = build_workload("step(3-:self)", duration=10.0, seed=1)
+        assert flow.scheme == "self" and flow.flow_id == 1
+        with pytest.raises(ValueError, match="factory"):
+            flow.build()
+        built = flow.build(VegasController)
+        assert isinstance(built.controller, VegasController)
+        assert built.start_time == 3.0 and built.stop_time is None
 
     def test_cross_flow_validation(self):
         with pytest.raises(ValueError):
