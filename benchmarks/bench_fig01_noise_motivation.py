@@ -7,16 +7,18 @@ The benchmark prints per-scheme utilization/delay with and without noise and
 the utilization drop caused by the noise.
 """
 
-from benchconfig import DURATION, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
-def test_fig01_noise_motivation(benchmark, bench_scale):
+def test_fig01_noise_motivation(benchmark):
     result = run_once(
-        benchmark, experiments.motivation_noise,
-        duration=DURATION, noise=0.05, **bench_scale,
+        benchmark, REGISTRY.run, "motivation_noise",
+        {"duration": DURATION, "noise": 0.05,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 1: Orca vs Canopy under +-5% delay noise",

@@ -8,9 +8,9 @@ TCP-suggested window by more than 2x.
 """
 
 import numpy as np
-from benchconfig import DURATION, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
@@ -22,10 +22,11 @@ def _undercut_fraction(series: dict) -> float:
     return float(np.mean(enforced < 0.5 * tcp))
 
 
-def test_fig02_bad_state(benchmark, bench_scale):
+def test_fig02_bad_state(benchmark):
     result = run_once(
-        benchmark, experiments.motivation_bad_state,
-        duration=DURATION, **bench_scale,
+        benchmark, REGISTRY.run, "motivation_bad_state",
+        {"duration": DURATION, "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 2: behaviour on a deep-buffer (high BDP) path",

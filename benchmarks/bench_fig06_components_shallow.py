@@ -8,14 +8,16 @@ decisions on two traces, the fraction of certified components per scheme.
 """
 
 import numpy as np
-from benchconfig import DURATION, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
+
+TRACES = ("step-12-48", "pulse-drop-48-12")
 
 
-def _summarize(result: dict) -> dict:
-    feedbacks = [step["feedback"] for step in result["steps"]]
-    satisfied = [step["satisfied_fraction"] for step in result["steps"]]
+def _summarize(row: dict) -> dict:
+    feedbacks = [step["feedback"] for step in row["steps"]]
+    satisfied = [step["satisfied_fraction"] for step in row["steps"]]
     return {
         "mean_feedback": float(np.mean(feedbacks)) if feedbacks else 1.0,
         "mean_satisfied_fraction": float(np.mean(satisfied)) if satisfied else 1.0,
@@ -23,35 +25,26 @@ def _summarize(result: dict) -> dict:
     }
 
 
-def test_fig06_certified_components_shallow(benchmark, bench_scale):
-    def run_both():
-        outputs = {}
-        for model_kind in ("canopy-shallow", "orca"):
-            per_trace = {}
-            for trace_name in ("step-12-48", "pulse-drop-48-12"):
-                per_trace[trace_name] = experiments.certified_components(
-                    model_kind=model_kind, property_family="shallow", trace_name=trace_name,
-                    duration=DURATION, n_components=50, max_steps=50, buffer_bdp=0.5,
-                    **bench_scale,
-                )
-            outputs[model_kind] = per_trace
-        return outputs
-
-    outputs = run_once(benchmark, run_both)
+def test_fig06_certified_components_shallow(benchmark):
+    result = run_once(
+        benchmark, REGISTRY.run, "certified_components",
+        {"model_kind": ("canopy-shallow", "orca"), "property_family": "shallow",
+         "trace_name": TRACES, "duration": DURATION, "n_components": 50,
+         "max_steps": 50, "buffer_bdp": 0.5,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
+    )
 
     print("\nFigure 6: certified component distribution (shallow-buffer properties)")
     print(f"{'model':<16} {'trace':<20} {'mean QC feedback':>18} {'certified fraction':>20}")
     summary = {}
-    for model_kind, per_trace in outputs.items():
-        for trace_name, result in per_trace.items():
-            stats = _summarize(result)
-            summary[(model_kind, trace_name)] = stats
-            print(f"{model_kind:<16} {trace_name:<20} {stats['mean_feedback']:>18.3f} "
-                  f"{stats['mean_satisfied_fraction']:>20.3f}")
+    for row in result["rows"]:
+        stats = _summarize(row)
+        summary[(row["model"], row["trace"])] = stats
+        print(f"{row['model']:<16} {row['trace']:<20} {stats['mean_feedback']:>18.3f} "
+              f"{stats['mean_satisfied_fraction']:>20.3f}")
 
-    canopy_mean = np.mean([summary[("canopy-shallow", t)]["mean_feedback"]
-                           for t in ("step-12-48", "pulse-drop-48-12")])
-    orca_mean = np.mean([summary[("orca", t)]["mean_feedback"]
-                         for t in ("step-12-48", "pulse-drop-48-12")])
+    canopy_mean = np.mean([summary[("canopy-shallow", t)]["mean_feedback"] for t in TRACES])
+    orca_mean = np.mean([summary[("orca", t)]["mean_feedback"] for t in TRACES])
     print(f"mean feedback over both traces  canopy: {canopy_mean:.3f}  orca: {orca_mean:.3f}")
     assert canopy_mean >= orca_mean - 0.05

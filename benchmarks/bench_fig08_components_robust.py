@@ -8,15 +8,17 @@ certified change fraction observed for each scheme.
 """
 
 import numpy as np
-from benchconfig import DURATION, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
+
+TRACES = ("step-12-48", "flux-mid")
 
 
-def _band_statistics(result: dict, epsilon: float = 0.01) -> dict:
+def _band_statistics(row: dict, epsilon: float = 0.01) -> dict:
     inside = []
     widest = 0.0
-    for step in result["steps"]:
+    for step in row["steps"]:
         bounds = np.asarray(step["output_bounds"])
         if bounds.size == 0:
             continue
@@ -30,33 +32,26 @@ def _band_statistics(result: dict, epsilon: float = 0.01) -> dict:
     }
 
 
-def test_fig08_certified_components_robustness(benchmark, bench_scale):
-    def run_both():
-        outputs = {}
-        for model_kind in ("canopy-robust", "orca"):
-            per_trace = {}
-            for trace_name in ("step-12-48", "flux-mid"):
-                per_trace[trace_name] = experiments.certified_components(
-                    model_kind=model_kind, property_family="robustness", trace_name=trace_name,
-                    duration=DURATION, n_components=50, max_steps=50, buffer_bdp=2.0,
-                    **bench_scale,
-                )
-            outputs[model_kind] = per_trace
-        return outputs
-
-    outputs = run_once(benchmark, run_both)
+def test_fig08_certified_components_robustness(benchmark):
+    result = run_once(
+        benchmark, REGISTRY.run, "certified_components",
+        {"model_kind": ("canopy-robust", "orca"), "property_family": "robustness",
+         "trace_name": TRACES, "duration": DURATION, "n_components": 50,
+         "max_steps": 50, "buffer_bdp": 2.0,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
+    )
 
     print("\nFigure 8: certified cwnd-change components (robustness property, eps = 0.01)")
     print(f"{'model':<16} {'trace':<14} {'in +-eps band':>14} {'widest |change|':>18}")
     summary = {}
-    for model_kind, per_trace in outputs.items():
-        for trace_name, result in per_trace.items():
-            stats = _band_statistics(result)
-            summary[(model_kind, trace_name)] = stats
-            print(f"{model_kind:<16} {trace_name:<14} {stats['fraction_in_band']:>14.3f} "
-                  f"{stats['widest_change_fraction']:>18.4f}")
+    for row in result["rows"]:
+        stats = _band_statistics(row)
+        summary[(row["model"], row["trace"])] = stats
+        print(f"{row['model']:<16} {row['trace']:<14} {stats['fraction_in_band']:>14.3f} "
+              f"{stats['widest_change_fraction']:>18.4f}")
 
-    canopy = np.mean([summary[("canopy-robust", t)]["fraction_in_band"] for t in ("step-12-48", "flux-mid")])
-    orca = np.mean([summary[("orca", t)]["fraction_in_band"] for t in ("step-12-48", "flux-mid")])
+    canopy = np.mean([summary[("canopy-robust", t)]["fraction_in_band"] for t in TRACES])
+    orca = np.mean([summary[("orca", t)]["fraction_in_band"] for t in TRACES])
     print(f"mean in-band fraction  canopy: {canopy:.3f}  orca: {orca:.3f}")
     assert canopy >= orca - 0.05

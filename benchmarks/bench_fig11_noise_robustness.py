@@ -7,16 +7,18 @@ percentage changes of utilization / average delay / p95 delay and asserts that
 Canopy's worst-case utilization change is no worse than Orca's.
 """
 
-from benchconfig import DURATION, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
-def test_fig11_noise_robustness(benchmark, bench_scale):
+def test_fig11_noise_robustness(benchmark):
     result = run_once(
-        benchmark, experiments.noise_sensitivity,
-        duration=DURATION, noise=0.05, n_traces=3, **bench_scale,
+        benchmark, REGISTRY.run, "noise_sensitivity",
+        {"duration": DURATION, "noise": 0.05, "n_traces": 3,
+         "training_steps": TRAINING_STEPS, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 11: % change of metrics under 5% delay noise (closer to zero is better)",

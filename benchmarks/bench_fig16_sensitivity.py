@@ -8,18 +8,19 @@ default.  The benchmark trains a Canopy shallow model per configuration and
 prints the utilization / delay rows.
 """
 
-from benchconfig import DURATION, SCALE, run_once
+from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once
 
-from repro.harness import experiments
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
 def test_fig16_sensitivity(benchmark):
     result = run_once(
-        benchmark, experiments.sensitivity,
-        n_values=(1, 5, 10), lambda_values=(0.25, 0.5, 0.75),
-        training_steps=max(200, SCALE["training_steps"] // 2),
-        duration=DURATION, n_traces=2, seed=SCALE["seed"],
+        benchmark, REGISTRY.run, "sensitivity",
+        {"n_values": (1, 5, 10), "lambda_values": (0.25, 0.5, 0.75),
+         "training_steps": max(200, TRAINING_STEPS // 2),
+         "duration": DURATION, "n_traces": 2, "seeds": (SEED,)},
+        n_jobs=N_JOBS,
     )
     print_experiment(
         "Figure 16: sensitivity to the number of partitions N and the weight lambda",

@@ -30,10 +30,6 @@ N_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: Seed shared by all benchmarks so models are trained exactly once per session.
 SEED = 17
 
-#: Keyword arguments accepted by every non-grid driver function that trains
-#: models (grid experiments take ``training_steps`` and ``seeds`` axes).
-SCALE = {"training_steps": TRAINING_STEPS, "seed": SEED}
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing.

@@ -1,4 +1,4 @@
-"""Pytest fixtures for the benchmark harness.
+"""Pytest configuration for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation at
 a CI-friendly scale and prints the corresponding rows/series.  Learned models
@@ -19,17 +19,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import pytest
-
-import benchconfig
-
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
-
-
-@pytest.fixture(scope="session")
-def bench_scale():
-    """Keyword arguments (training budget, seed) splatted into experiment drivers."""
-    return dict(benchconfig.SCALE)
 
 
 def pytest_configure(config):

@@ -14,21 +14,22 @@ from __future__ import annotations
 
 import sys
 
-from repro.harness import experiments
+from repro.harness.models import get_trained_model
 from repro.harness.registry import REGISTRY
 from repro.harness.reporting import print_experiment
 
 
 def main(training_steps: int = 800) -> None:
     print(f"=== Training curves (Figure 17), {training_steps} steps per model ===")
-    curves = experiments.training_curves(training_steps=training_steps, seed=3)
+    training = {scheme: get_trained_model(kind, training_steps=training_steps, seed=3).training
+                for scheme, kind in (("canopy", "canopy-shallow"), ("orca", "orca"))}
     for scheme in ("orca", "canopy"):
-        series = curves["curves"][scheme]
+        series = training[scheme].reward_curves()
         print(f"\n{scheme}:")
         print(f"  {'step':>6} {'raw':>8} {'verifier':>10}")
         for step, raw, verifier in zip(series["step"], series["raw"], series["verifier"]):
             print(f"  {int(step):>6} {raw:>8.3f} {verifier:>10.3f}")
-    print("\nfinal metrics:", curves["final"])
+    print("\nfinal metrics:", {scheme: result.final_metrics() for scheme, result in training.items()})
 
     print("\n=== QC_sat comparison (Figure 5), shallow & deep properties ===")
     qcsat = REGISTRY.run("qcsat_buffers", {"training_steps": training_steps, "duration": 10.0,

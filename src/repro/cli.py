@@ -3,10 +3,10 @@
 Usage (after ``pip install -e .``)::
 
     python -m repro list-traces
-    python -m repro train --kind canopy-shallow --steps 800 --out model.npz
+    python -m repro train --kind canopy-shallow --steps 800 --out model.npz  # + Fig. 17 curve
     python -m repro evaluate --kind canopy-shallow --steps 400 --trace step-12-48
     python -m repro certify --kind canopy-shallow --steps 400 --trace step-12-48
-    python -m repro figure 5          # regenerate one evaluation figure
+    python -m repro figure 5          # regenerate one evaluation figure (1, 2, 5-16)
     python -m repro figure 9 --jobs 4 # shard the grid over 4 worker processes
     python -m repro figure topology   # sweep the multi-bottleneck families
     python -m repro figure 14         # multi-flow friendliness (15: fairness)
@@ -36,14 +36,15 @@ overrides, per-cell persistence to a :class:`~repro.harness.store.RunStore`
 interrupted sweep continues where it stopped, with rows byte-identical to an
 uninterrupted run).  ``serve`` runs the same grids across a lease-based
 worker fleet that survives worker crashes (:mod:`repro.serve`), and
-``status`` renders live progress from the store's lease journal.  The
-registry-backed ``figure`` ids route through the same resumable store
-(default ``runs/<experiment>``), so re-rendering a figure recomputes only
-missing cells.  ``trace`` renders the telemetry of a store produced with
-``--set telemetry=on``: per-cell event timelines and ``tele_*`` summaries.
-``falsify`` searches the scenario space of a registered experiment for
-counterexamples, shrinks them, and promotes them into a replayable
-regression store (see :mod:`repro.falsify`).
+``status`` renders live progress from the store's lease journal.  Every
+``figure`` id names a registered experiment (:data:`FIGURE_EXPERIMENTS`) and
+runs through the same resumable store (default ``runs/<experiment>``), so
+re-rendering a figure recomputes only missing cells.  ``train`` prints the
+model's per-window reward curve (Fig. 17).  ``trace`` renders the telemetry
+of a store produced with ``--set telemetry=on``: per-cell event timelines and
+``tele_*`` summaries.  ``falsify`` searches the scenario space of a
+registered experiment for counterexamples, shrinks them, and promotes them
+into a replayable regression store (see :mod:`repro.falsify`).
 
 Diagnostics go through :mod:`repro.telemetry.log`: ``--quiet`` silences
 everything below ERROR, ``-v`` surfaces INFO, ``-vv`` DEBUG.  Command
@@ -61,13 +62,12 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.falsify.objective import objective_names, resolve_objective
 from repro.falsify.promote import DEFAULT_COUNTEREXAMPLES_DIR, check_counterexamples
 from repro.falsify.report import format_report, read_campaign, report_stats
 from repro.falsify.search import STRATEGIES, CampaignConfig, run_campaign
-from repro.harness import experiments
 from repro.harness.evaluate import (
     EvaluationSettings,
     evaluate_qcsat,
@@ -101,31 +101,26 @@ __all__ = ["main", "build_parser"]
 #: explicit ``--store`` is given (one store per experiment name).
 DEFAULT_STORE_ROOT = Path("runs")
 
-#: Non-grid figure drivers reachable through ``python -m repro figure <id>``;
-#: each is called with ``(training_steps=..., seed=...)`` and runs serially.
-FIGURE_DRIVERS: Dict[str, Callable[..., dict]] = {
-    "1": experiments.motivation_noise,
-    "2": experiments.motivation_bad_state,
-    "6": experiments.certified_components,
-    "11": experiments.noise_sensitivity,
-    "16": experiments.sensitivity,
-    "17": experiments.training_curves,
-    "table4": experiments.verification_overhead,
-}
-
-#: Figure ids whose drivers are registered experiments: id → (experiment
-#: name, axis overrides the figure bakes in).  ``cmd_figure`` routes these
-#: through the resumable run-store front door (default store
-#: ``runs/<experiment>``), so re-rendering recomputes only missing cells.
+#: Every ``python -m repro figure <id>``: id → (registered experiment, axis
+#: overrides the figure bakes in).  ``cmd_figure`` runs each through the
+#: resumable run-store front door (default store ``runs/<experiment>``), so
+#: re-rendering recomputes only missing cells.
 FIGURE_EXPERIMENTS: Dict[str, tuple] = {
+    "1": ("motivation_noise", {}),
+    "2": ("motivation_bad_state", {}),
     "5": ("qcsat_buffers", {}),
+    "6": ("certified_components", {}),
     "7": ("qcsat_robustness", {}),
+    "8": ("certified_components", {"model_kind": ("canopy-robust", "orca"),
+                                   "property_family": "robustness", "buffer_bdp": 2.0}),
     "9": ("performance_sweep", {}),
     "10": ("performance_sweep", {"buffer_bdp": 5.0, "canopy_kind": "canopy-deep"}),
+    "11": ("noise_sensitivity", {}),
     "12": ("realworld_deployment", {}),
     "13": ("fallback_runtime", {}),
     "14": ("friendliness", {}),
     "15": ("fairness", {}),
+    "16": ("sensitivity", {}),
     "topology": ("topology_sweep", {}),
 }
 
@@ -162,6 +157,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     metrics = model.training.final_metrics()
     console(f"trained {args.kind} for {args.steps} steps "
             f"(raw reward {metrics['raw_reward']:.3f}, verifier reward {metrics['verifier_reward']:.3f})")
+    # The per-window reward curve (Fig. 17): step, raw, verifier and total reward.
+    curves = model.training.reward_curves()
+    console(format_rows([dict(zip(curves, values)) for values in zip(*curves.values())]))
     if args.out:
         path = save_weight_dict(model.training.agent.get_weights(), args.out)
         console(f"saved agent weights to {path}")
@@ -195,32 +193,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.figure_id in FIGURE_EXPERIMENTS:
-        # Registry-backed figures regenerate through the resumable store:
-        # every completed cell persists, and re-rendering (same store)
-        # recomputes only what is missing.  --fresh forces a full recompute.
-        name, baked = FIGURE_EXPERIMENTS[args.figure_id]
-        overrides = {"training_steps": args.steps, "seeds": (args.seed,), **baked}
-        store = RunStore(args.store if args.store is not None
-                         else DEFAULT_STORE_ROOT / name)
-        result = REGISTRY.run(name, overrides, n_jobs=args.jobs,
-                              store=store, resume=not args.fresh)
-        print_experiment(f"Figure/table {args.figure_id}", result)
-        console(f"store: {store.records_path} ({len(store)} records)")
-        return 0
-    driver = FIGURE_DRIVERS.get(args.figure_id)
-    if driver is None:
-        raise SystemExit(f"no driver for figure {args.figure_id!r}; known: "
-                         f"{', '.join(sorted([*FIGURE_DRIVERS, *FIGURE_EXPERIMENTS]))}")
-    ignored = [flag for flag, given in (("--store", args.store is not None),
-                                        ("--fresh", args.fresh),
-                                        ("--jobs", args.jobs != 1)) if given]
-    if ignored:
-        raise SystemExit(f"figure {args.figure_id} runs serially without a store, so "
-                         f"{', '.join(ignored)} would be ignored; only the registry-backed "
-                         f"figures {', '.join(FIGURE_EXPERIMENTS)} accept them")
-    result = driver(training_steps=args.steps, seed=args.seed)
-    print_experiment(f"Figure/table {args.figure_id}", result)
+    # Every figure regenerates through the resumable store: each completed
+    # cell persists, and re-rendering (same store) recomputes only what is
+    # missing.  --fresh forces a full recompute.
+    if args.figure_id not in FIGURE_EXPERIMENTS:
+        raise SystemExit(f"no figure {args.figure_id!r}; known: {', '.join(FIGURE_EXPERIMENTS)}")
+    name, baked = FIGURE_EXPERIMENTS[args.figure_id]
+    overrides = {"training_steps": args.steps, "seeds": (args.seed,), **baked}
+    store = RunStore(args.store if args.store is not None else DEFAULT_STORE_ROOT / name)
+    result = REGISTRY.run(name, overrides, n_jobs=args.jobs, store=store, resume=not args.fresh)
+    print_experiment(f"Figure {args.figure_id}", result)
+    console(f"store: {store.records_path} ({len(store)} records)")
     return 0
 
 
@@ -530,15 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     certify_parser.add_argument("--components", type=int, default=50)
     certify_parser.set_defaults(handler=cmd_certify)
 
-    figure_parser = subparsers.add_parser("figure", help="regenerate one evaluation figure/table")
-    figure_parser.add_argument("figure_id",
-                               help="1, 2, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, "
-                                    "table4 or topology")
+    figure_parser = subparsers.add_parser("figure", help="regenerate one evaluation figure")
+    figure_parser.add_argument("figure_id", help=", ".join(FIGURE_EXPERIMENTS))
     figure_parser.add_argument("--steps", type=int, default=400)
     figure_parser.add_argument("--seed", type=int, default=1)
     figure_parser.add_argument("--store", default=None, metavar="DIR",
-                               help="run store for registry-backed figures "
-                                    "(default: runs/<experiment>)")
+                               help="run store (default: runs/<experiment>)")
     figure_parser.add_argument("--fresh", action="store_true",
                                help="recompute every cell even if the store "
                                     "already holds it")

@@ -4,10 +4,9 @@
   used across experiments.
 * :mod:`repro.harness.evaluate` — runs a congestion-control scheme over a
   trace and computes the empirical metrics and QC_sat.
-* :mod:`repro.harness.experiments` — the evaluation: every grid figure
-  (5, 7, 9, 10, 12–15, plus the topology and workload grids) registered as a
-  :data:`~repro.harness.registry.REGISTRY` experiment, and plain driver
-  functions for the non-grid figures (1, 2, 6/8, 11, 16, 17 and Table 4).
+* :mod:`repro.harness.experiments` — the evaluation: every simulated figure
+  (1, 2, 5–16, plus the topology and workload grids) registered as a
+  :data:`~repro.harness.registry.REGISTRY` experiment.
 * :mod:`repro.harness.spec` — :class:`~repro.harness.spec.ScenarioSpec`, the
   declarative scenario identity (scheme × trace × topology × seed × model ×
   property family × certify) with canonical string/JSON round-trips — the
@@ -23,8 +22,8 @@
 * :mod:`repro.harness.parallel` — :class:`~repro.harness.parallel.ParallelRunner`,
   which shards (scheme × trace × seed) experiment grids across a process pool
   with deterministic seeding and in-order merged reporting.
-* :mod:`repro.harness.fairness` — the multi-flow friendliness and fairness
-  sweep points (Figures 14 and 15) behind the registered experiments.
+* :mod:`repro.harness.fairness` — the per-flow columns of the multi-flow
+  friendliness and fairness grids (Figures 14 and 15).
 * :mod:`repro.harness.reporting` — plain-text rendering of result tables.
 """
 
@@ -42,7 +41,7 @@ from repro.harness.checkpoints import SavedModel, load_model, save_model
 from repro.harness.parallel import ExperimentTask, GridResult, ParallelRunner, derive_seed
 # REGISTRY lazily imports repro.harness.experiments on first lookup, so the
 # built-in experiments are always available without this package import
-# paying for the experiment drivers.
+# paying for the experiment definitions.
 from repro.harness.registry import REGISTRY
 from repro.harness.spec import ScenarioSpec
 from repro.harness.store import RunRecord, RunStore

@@ -1,55 +1,47 @@
-"""Evaluation experiments — one per figure/table of the paper.
+"""Evaluation experiments — one registered grid per figure of the paper.
 
-Every grid-shaped experiment (``qcsat_buffers``, ``qcsat_robustness``,
-``performance_sweep``, ``topology_sweep``, ``topology_generalization``,
-``workload_stress``, ``realworld_deployment``, ``fallback_runtime``,
-``friendliness``, ``fairness``) is *declared* in
-:data:`repro.harness.registry.REGISTRY` — named axes, a grid-expansion build
-hook, and an aggregator — and runs only through
+Every simulated figure (1, 2, 5–16) and the beyond-the-paper grids
+(``topology_sweep``, ``topology_generalization``, ``workload_stress``) is
+*declared* in :data:`repro.harness.registry.REGISTRY` — named axes, a
+grid-expansion build hook, and an aggregator — and runs only through
 ``REGISTRY.run(name, axes, n_jobs=..., store=...)`` (or ``python -m repro run
-<name> --set axis=value``).  That one front door persists per-cell
+<name> --set axis=value``; ``python -m repro figure <id>`` names the same
+grids).  That one front door persists per-cell
 :class:`~repro.harness.store.RunRecord`\\ s, resumes interrupted sweeps,
 shards cells over ``n_jobs`` worker processes (serial and parallel runs
 produce identical rows), and can serve the grid to a lease-based worker
 fleet (``python -m repro serve``).  The aggregators report the grid
 wall-clock and, for the certificate grids, certificates/sec, so the
 benchmark JSON captures verification throughput alongside the figures.
-Every grid is a list of :class:`~repro.harness.parallel.ExperimentTask`
-cells; ``friendliness`` and ``fairness`` express their competing flows as the
-cell's workload and add per-flow columns through their runner
-(:mod:`repro.harness.fairness`).
 
-The remaining figures (1, 2, 6/8, 11, 16, 17 and Table 4) are plain driver
-functions that accept scale knobs (training steps, run duration, number of
-traces, number of QC components) and return plain dictionaries the
-reporting module renders.
+Every grid is a list of :class:`~repro.harness.parallel.ExperimentTask`
+cells.  A grid that needs more than the summary row registers
+``functools.partial(run_task, columns=...)``: ``friendliness`` and
+``fairness`` add per-flow columns (:mod:`repro.harness.fairness`), Figs. 1
+and 2 the per-tick series, Figs. 6/8 the per-component certificates of the
+first decisions.  Training curves (Fig. 17) print from ``python -m repro
+train``; Table 4 times training and lives in
+``benchmarks/bench_table4_overhead.py``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.properties import (
-    deep_buffer_properties,
-    robustness_properties,
-    shallow_buffer_properties,
-)
-from repro.core.trainer import CanopyTrainer, TrainerConfig
-from repro.core.config import CanopyConfig
 from repro.harness.evaluate import (
     EvaluationSettings,
+    SchemeResult,
     certificates_for_decisions,
     default_model_kind,
-    run_scheme_on_trace,
-    scheme_factory,
 )
-from repro.harness.fairness import run_multiflow_cell
-from repro.harness.models import get_trained_model
-from repro.harness.parallel import ExperimentTask
+from repro.harness.fairness import multiflow_columns
+from repro.harness.models import model_for_task
+from repro.harness.parallel import ExperimentTask, run_task
 from repro.harness.registry import REGISTRY
-from repro.harness.spec import trace_subset
+from repro.harness.spec import PROPERTY_FAMILIES, trace_subset
 from repro.telemetry.events import canonical_telemetry
 from repro.topology.families import canonical_topology, topology_family_specs
 from repro.workload.spec import SELF_SCHEME, WorkloadSpec, canonical_workload
@@ -57,15 +49,7 @@ from repro.traces.realworld import intercontinental_profiles, intracontinental_p
 from repro.traces.synthetic import make_synthetic_trace
 from repro.traces.trace import BandwidthTrace
 
-__all__ = [
-    "motivation_noise",
-    "motivation_bad_state",
-    "certified_components",
-    "noise_sensitivity",
-    "sensitivity",
-    "training_curves",
-    "verification_overhead",
-]
+__all__ = ["GENERALIZATION_FAMILIES", "MIXED_TRAINING_LABEL"]
 
 #: Default family catalog of the cross-family generalization grid (>= 3
 #: families, kept multi-hop-light so the grid stays CI-affordable).
@@ -89,87 +73,113 @@ def _qc_grid_summary(figure: str, rows: List[Dict], grid) -> Dict:
     }
 
 
-# ---------------------------------------------------------------------- #
-# Figure 1 — Orca vs Canopy under observation noise (motivation)
-# ---------------------------------------------------------------------- #
-def motivation_noise(
-    training_steps: int = 400,
-    duration: float = 12.0,
-    noise: float = 0.05,
-    seed: int = 1,
-) -> Dict:
-    """Sending rate of Orca and Canopy with and without ±5% delay noise (Fig. 1)."""
-    orca = get_trained_model("orca", training_steps=training_steps, seed=seed)
-    canopy = get_trained_model("canopy-robust", training_steps=training_steps, seed=seed)
-    trace = make_synthetic_trace("step-12-48")
-    settings_clean = EvaluationSettings(duration=duration, buffer_bdp=2.0, observation_noise=0.0, seed=seed)
-    settings_noisy = EvaluationSettings(duration=duration, buffer_bdp=2.0, observation_noise=noise, seed=seed)
-
-    rows = []
-    series = {}
-    for label, model, settings in (
-        ("orca", orca, settings_clean),
-        ("orca-noise", orca, settings_noisy),
-        ("canopy", canopy, settings_clean),
-        ("canopy-noise", canopy, settings_noisy),
-    ):
-        result = run_scheme_on_trace(
-            scheme_factory(label, model=model, observation_noise=settings.observation_noise, seed=seed),
-            trace, settings, scheme_name=label,
-        )
-        stats = result.simulation.stats_for(0)
-        series[label] = {
-            "time": stats.times.tolist(),
-            "throughput_pps": (stats.acked / result.simulation.dt).tolist(),
-            "cwnd": stats.cwnd.tolist(),
-        }
-        rows.append({"scheme": label, **result.summary.as_dict()})
-
-    def _util(name: str) -> float:
-        return next(r["utilization"] for r in rows if r["scheme"] == name)
-
+def _performance_means(cells: Sequence[Dict]) -> Dict[str, float]:
+    """Mean utilization, delays and loss of the cells behind one report row."""
     return {
-        "figure": "1",
-        "trace": trace.name,
-        "rows": rows,
-        "series": series,
-        "orca_noise_drop": _util("orca") - _util("orca-noise"),
-        "canopy_noise_drop": _util("canopy") - _util("canopy-noise"),
+        "utilization": float(np.mean([c["utilization"] for c in cells])),
+        "avg_delay_ms": float(np.mean([c["avg_queuing_delay_ms"] for c in cells])),
+        "p95_delay_ms": float(np.mean([c["p95_queuing_delay_ms"] for c in cells])),
+        "loss_rate": float(np.mean([c["loss_rate"] for c in cells])),
     }
 
 
 # ---------------------------------------------------------------------- #
-# Figure 2 — Orca entering bad states on a high-BDP path (motivation)
+# Figures 1 & 2 — motivation: Orca vs Canopy under noise and on a high BDP
 # ---------------------------------------------------------------------- #
-def motivation_bad_state(
-    training_steps: int = 400,
-    duration: float = 15.0,
-    seed: int = 1,
-) -> Dict:
-    """Orca vs Canopy (deep-buffer model) on a high-BDP trace (Fig. 2)."""
-    orca = get_trained_model("orca", training_steps=training_steps, seed=seed)
-    canopy = get_trained_model("canopy-deep", training_steps=training_steps, seed=seed)
-    trace = make_synthetic_trace("square-48-96")
-    settings = EvaluationSettings(duration=duration, buffer_bdp=5.0, min_rtt=0.08, seed=seed)
+def _rate_series(task: ExperimentTask, run: SchemeResult) -> Dict:
+    """Flow 0's per-tick throughput (packets/s) and cwnd (Figs. 1 and 2)."""
+    stats = run.simulation.stats_for(0)
+    return {"series": {
+        "time": stats.times.tolist(),
+        "throughput_pps": (stats.acked / run.simulation.dt).tolist(),
+        "cwnd": stats.cwnd.tolist(),
+    }}
 
-    rows = []
-    series = {}
-    for label, model in (("orca", orca), ("canopy", canopy)):
-        result = run_scheme_on_trace(
-            scheme_factory(label, model=model, seed=seed), trace, settings, scheme_name=label
-        )
-        stats = result.simulation.stats_for(0)
-        decisions = result.decisions
-        series[label] = {
-            "time": stats.times.tolist(),
-            "throughput_pps": (stats.acked / result.simulation.dt).tolist(),
-            "cwnd": stats.cwnd.tolist(),
-            "decision_time": [d.time for d in decisions],
-            "cwnd_tcp": [d.cwnd_tcp for d in decisions],
-            "cwnd_enforced": [d.cwnd_after for d in decisions],
-        }
-        rows.append({"scheme": label, **result.summary.as_dict()})
-    return {"figure": "2", "trace": trace.name, "rows": rows, "series": series}
+
+def _decision_series(task: ExperimentTask, run: SchemeResult) -> Dict:
+    """The rate series plus the TCP-suggested and enforced window of every
+    decision (Fig. 2)."""
+    columns = _rate_series(task, run)
+    columns["series"].update({
+        "decision_time": [d.time for d in run.decisions],
+        "cwnd_tcp": [d.cwnd_tcp for d in run.decisions],
+        "cwnd_enforced": [d.cwnd_after for d in run.decisions],
+    })
+    return columns
+
+
+def _series_rows(grid, axes: Dict, tasks: Sequence) -> Dict:
+    """The summary rows and, keyed by scheme label (``label/seed=<seed>``
+    when several seeds run), the per-tick series they carried."""
+    rows, series = [], {}
+    for row in grid.rows:
+        row = dict(row)
+        label = (row["scheme"] if len(axes["seeds"]) == 1
+                 else f"{row['scheme']}/seed={row['seed']}")
+        series[label] = row.pop("series")
+        rows.append(row)
+    return {"trace": tasks[0].trace.name, "rows": rows, "series": series,
+            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+
+
+def _motivation_noise_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
+    result = _series_rows(grid, axes, tasks)
+
+    def utilization(label: str) -> float:
+        return float(np.mean([row["utilization"] for row in result["rows"]
+                              if row["scheme"] == label]))
+
+    return {"figure": "1", **result,
+            "orca_noise_drop": utilization("orca") - utilization("orca-noise"),
+            "canopy_noise_drop": utilization("canopy") - utilization("canopy-noise")}
+
+
+@REGISTRY.register(
+    "motivation_noise",
+    axes={"training_steps": 400, "duration": 12.0, "noise": 0.05, "seeds": (1,)},
+    aggregate=_motivation_noise_aggregate,
+    runner=functools.partial(run_task, columns=_rate_series),
+    description="sending rate of Orca and Canopy-robust with and without delay noise (Fig. 1)",
+)
+def _motivation_noise_build(axes: Dict) -> List[ExperimentTask]:
+    trace = make_synthetic_trace("step-12-48")
+    tasks = []
+    for seed in axes["seeds"]:
+        for label, model_kind in (("orca", "orca"), ("canopy", "canopy-robust")):
+            for suffix, noise in (("", 0.0), ("-noise", axes["noise"])):
+                settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
+                                              observation_noise=noise, seed=seed)
+                tasks.append(ExperimentTask(
+                    scheme=label + suffix, trace=trace, settings=settings,
+                    model_kind=model_kind, training_steps=axes["training_steps"],
+                    model_seed=seed,
+                ))
+    return tasks
+
+
+def _motivation_bad_state_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
+    return {"figure": "2", **_series_rows(grid, axes, tasks)}
+
+
+@REGISTRY.register(
+    "motivation_bad_state",
+    axes={"training_steps": 400, "duration": 15.0, "seeds": (1,)},
+    aggregate=_motivation_bad_state_aggregate,
+    runner=functools.partial(run_task, columns=_decision_series),
+    description="Orca vs Canopy-deep windows on a high-BDP path (Fig. 2)",
+)
+def _motivation_bad_state_build(axes: Dict) -> List[ExperimentTask]:
+    trace = make_synthetic_trace("square-48-96")
+    tasks = []
+    for seed in axes["seeds"]:
+        settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=5.0,
+                                      min_rtt=0.08, seed=seed)
+        for label, model_kind in (("orca", "orca"), ("canopy", "canopy-deep")):
+            tasks.append(ExperimentTask(
+                scheme=label, trace=trace, settings=settings, model_kind=model_kind,
+                training_steps=axes["training_steps"], model_seed=seed,
+            ))
+    return tasks
 
 
 # ---------------------------------------------------------------------- #
@@ -224,34 +234,12 @@ def _qcsat_buffers_build(axes: Dict) -> List[ExperimentTask]:
 # ---------------------------------------------------------------------- #
 # Figures 6 & 8 — certified-component distributions
 # ---------------------------------------------------------------------- #
-def certified_components(
-    model_kind: str = "canopy-shallow",
-    property_family: str = "shallow",
-    trace_name: str = "step-12-48",
-    training_steps: int = 400,
-    duration: float = 10.0,
-    n_components: int = 50,
-    max_steps: int = 50,
-    buffer_bdp: float = 0.5,
-    seed: int = 1,
-) -> Dict:
-    """Per-component output bounds over the first ``max_steps`` decisions (Figs. 6/8)."""
-    families = {
-        "shallow": shallow_buffer_properties(),
-        "deep": deep_buffer_properties(),
-        "robustness": robustness_properties(),
-    }
-    properties = families[property_family]
-    model = get_trained_model(model_kind, training_steps=training_steps, seed=seed)
-    trace = make_synthetic_trace(trace_name)
-    settings = EvaluationSettings(duration=duration, buffer_bdp=buffer_bdp, seed=seed)
-
-    run = run_scheme_on_trace(scheme_factory(model_kind, model=model, seed=seed), trace, settings,
-                              scheme_name=model_kind)
-    verifier = model.make_verifier(n_components=n_components)
-    decisions = run.decisions[:max_steps]
-    batches = certificates_for_decisions(verifier, properties, decisions, n_components=n_components)
-
+def _component_columns(task: ExperimentTask, run: SchemeResult) -> Dict:
+    """Per-component output bounds of the first ``max_steps`` decisions."""
+    decisions = run.decisions[:task.tags["max_steps"]]
+    verifier = model_for_task(task).make_verifier(n_components=task.n_components)
+    batches = certificates_for_decisions(verifier, PROPERTY_FAMILIES[task.property_family](),
+                                         decisions, n_components=task.n_components)
     steps = []
     for step_index in range(len(decisions)):
         for name, batch in batches.items():
@@ -265,13 +253,48 @@ def certified_components(
                 "output_bounds": certificate.output_bounds().tolist(),
             })
     mean_feedback = float(np.mean([s["feedback"] for s in steps])) if steps else 1.0
-    return {
-        "figure": "6/8",
-        "model": model_kind,
-        "trace": trace.name,
-        "steps": steps,
-        "mean_feedback": mean_feedback,
-    }
+    return {"steps": steps, "mean_feedback": mean_feedback}
+
+
+def _certified_components_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
+    # One row per (model, trace, seed) cell, each with its certified steps.
+    return {"figure": "6/8", "rows": [{"model": row["scheme"], **row} for row in grid.rows],
+            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+
+
+@REGISTRY.register(
+    "certified_components",
+    axes={
+        "model_kind": ("canopy-shallow",),
+        "property_family": "shallow",
+        "trace_name": ("step-12-48",),
+        "training_steps": 400,
+        "duration": 10.0,
+        "n_components": 50,
+        "max_steps": 50,
+        "buffer_bdp": 0.5,
+        "seeds": (1,),
+    },
+    aggregate=_certified_components_aggregate,
+    runner=functools.partial(run_task, columns=_component_columns),
+    description="per-component certified output bounds of the first decisions (Figs. 6/8)",
+)
+def _certified_components_build(axes: Dict) -> List[ExperimentTask]:
+    tasks = []
+    for model_kind in axes["model_kind"]:
+        for trace_name in axes["trace_name"]:
+            trace = make_synthetic_trace(trace_name)
+            for seed in axes["seeds"]:
+                settings = EvaluationSettings(duration=axes["duration"],
+                                              buffer_bdp=axes["buffer_bdp"], seed=seed)
+                tasks.append(ExperimentTask(
+                    scheme=model_kind, trace=trace, settings=settings, model_kind=model_kind,
+                    training_steps=axes["training_steps"], model_seed=seed,
+                    property_family=axes["property_family"],
+                    n_components=axes["n_components"],
+                    tags={"max_steps": axes["max_steps"]},
+                ))
+    return tasks
 
 
 # ---------------------------------------------------------------------- #
@@ -342,10 +365,7 @@ def _performance_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                 row = {
                     "trace_kind": trace_kind,
                     "scheme": label,
-                    "utilization": float(np.mean([c["utilization"] for c in cells])),
-                    "avg_delay_ms": float(np.mean([c["avg_queuing_delay_ms"] for c in cells])),
-                    "p95_delay_ms": float(np.mean([c["p95_queuing_delay_ms"] for c in cells])),
-                    "loss_rate": float(np.mean([c["loss_rate"] for c in cells])),
+                    **_performance_means(cells),
                     "n_traces": len(cells),
                 }
                 if len(topologies) > 1:
@@ -412,10 +432,7 @@ def _topology_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
             rows.append({
                 "topology": family,
                 "scheme": label,
-                "utilization": float(np.mean([c["utilization"] for c in cells])),
-                "avg_delay_ms": float(np.mean([c["avg_queuing_delay_ms"] for c in cells])),
-                "p95_delay_ms": float(np.mean([c["p95_queuing_delay_ms"] for c in cells])),
-                "loss_rate": float(np.mean([c["loss_rate"] for c in cells])),
+                **_performance_means(cells),
                 "n_traces": len(cells) // n_seeds,
                 "n_cells": len(cells),
             })
@@ -519,10 +536,7 @@ def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dic
                     "eval_family": eval_family,
                     "qcsat": float(np.mean([c["qcsat"] for c in cells])),
                     "qcsat_std": float(np.std([c["qcsat"] for c in cells])),
-                    "utilization": float(np.mean([c["utilization"] for c in cells])),
-                    "avg_delay_ms": float(np.mean([c["avg_queuing_delay_ms"] for c in cells])),
-                    "p95_delay_ms": float(np.mean([c["p95_queuing_delay_ms"] for c in cells])),
-                    "loss_rate": float(np.mean([c["loss_rate"] for c in cells])),
+                    **_performance_means(cells),
                     "n_traces": len(cells) // n_seeds,
                     "n_cells": len(cells),
                 }
@@ -621,10 +635,7 @@ def _workload_stress_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                     "scheme": scheme,
                     "topology": canonical_topology(family),
                     "workload": canonical_workload(workload),
-                    "utilization": float(np.mean([c["utilization"] for c in cells])),
-                    "avg_delay_ms": float(np.mean([c["avg_queuing_delay_ms"] for c in cells])),
-                    "p95_delay_ms": float(np.mean([c["p95_queuing_delay_ms"] for c in cells])),
-                    "loss_rate": float(np.mean([c["loss_rate"] for c in cells])),
+                    **_performance_means(cells),
                     "n_traces": len(cells) // n_seeds,
                     "n_cells": len(cells),
                 }
@@ -703,44 +714,55 @@ def _workload_stress_build(axes: Dict) -> List[ExperimentTask]:
 # ---------------------------------------------------------------------- #
 # Figure 11 — robustness to observation noise
 # ---------------------------------------------------------------------- #
-def noise_sensitivity(
-    training_steps: int = 400,
-    duration: float = 12.0,
-    noise: float = 0.05,
-    n_traces: int = 3,
-    seed: int = 1,
-) -> Dict:
-    """Percentage change of metrics when ±5% delay noise is added (Fig. 11)."""
-    orca = get_trained_model("orca", training_steps=training_steps, seed=seed)
-    canopy = get_trained_model("canopy-robust", training_steps=training_steps, seed=seed)
-    traces = trace_subset("synthetic", n_traces)
+#: The (scheme label, model kind) pairs of the Fig. 11 grid.
+_NOISE_SCHEMES = (("orca", "orca"), ("canopy", "canopy-robust"))
+
+
+def _noise_sensitivity_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
+    def pct(new: float, old: float) -> float:
+        return 100.0 * (new - old) / old if old > 0 else 0.0
+
     rows = []
-    for scheme_label, model in (("orca", orca), ("canopy", canopy)):
-        changes = {"utilization": [], "avg_delay": [], "p95_delay": []}
-        for trace in traces:
-            base_settings = EvaluationSettings(duration=duration, buffer_bdp=2.0, seed=seed)
-            noisy_settings = EvaluationSettings(duration=duration, buffer_bdp=2.0,
-                                                observation_noise=noise, seed=seed)
-            base = run_scheme_on_trace(scheme_factory(scheme_label, model=model, seed=seed),
-                                       trace, base_settings, scheme_name=scheme_label).summary
-            noisy = run_scheme_on_trace(
-                scheme_factory(scheme_label, model=model, observation_noise=noise, seed=seed),
-                trace, noisy_settings, scheme_name=scheme_label).summary
-
-            def pct(new: float, old: float) -> float:
-                return 100.0 * (new - old) / old if old > 0 else 0.0
-
-            changes["utilization"].append(pct(noisy.utilization, base.utilization))
-            changes["avg_delay"].append(pct(noisy.avg_queuing_delay_ms, base.avg_queuing_delay_ms))
-            changes["p95_delay"].append(pct(noisy.p95_queuing_delay_ms, base.p95_queuing_delay_ms))
+    for label, _model_kind in _NOISE_SCHEMES:
+        pairs = list(zip(grid.select(scheme=label, noisy=False),
+                         grid.select(scheme=label, noisy=True)))
+        changes = {metric: [pct(noisy[metric], clean[metric]) for clean, noisy in pairs]
+                   for metric in ("utilization", "avg_queuing_delay_ms", "p95_queuing_delay_ms")}
         rows.append({
-            "scheme": scheme_label,
+            "scheme": label,
             "utilization_change_pct": float(np.mean(changes["utilization"])),
-            "avg_delay_change_pct": float(np.mean(changes["avg_delay"])),
-            "p95_delay_change_pct": float(np.mean(changes["p95_delay"])),
+            "avg_delay_change_pct": float(np.mean(changes["avg_queuing_delay_ms"])),
+            "p95_delay_change_pct": float(np.mean(changes["p95_queuing_delay_ms"])),
             "max_abs_utilization_change_pct": float(np.max(np.abs(changes["utilization"]))),
         })
-    return {"figure": "11", "noise": noise, "rows": rows}
+    return {"figure": "11", "noise": axes["noise"], "rows": rows,
+            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+
+
+@REGISTRY.register(
+    "noise_sensitivity",
+    axes={"training_steps": 400, "duration": 12.0, "noise": 0.05, "n_traces": 3,
+          "seeds": (1,)},
+    aggregate=_noise_sensitivity_aggregate,
+    description="percentage change of each metric under delay noise (Fig. 11)",
+)
+def _noise_sensitivity_build(axes: Dict) -> List[ExperimentTask]:
+    traces = trace_subset("synthetic", axes["n_traces"])
+    tasks = []
+    for label, model_kind in _NOISE_SCHEMES:
+        for seed in axes["seeds"]:
+            for trace in traces:
+                for noisy, noise in ((False, 0.0), (True, axes["noise"])):
+                    settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
+                                                  observation_noise=noise, seed=seed)
+                    # The tag pairs the cells and keeps the clean ones apart
+                    # from Fig. 1's (same run, but Fig. 1 rows carry series).
+                    tasks.append(ExperimentTask(
+                        scheme=label, trace=trace, settings=settings, model_kind=model_kind,
+                        training_steps=axes["training_steps"], model_seed=seed,
+                        tags={"noisy": noisy},
+                    ))
+    return tasks
 
 
 # ---------------------------------------------------------------------- #
@@ -921,7 +943,7 @@ def _multiflow_task(scheme: str, model_kind: Optional[str], seed: int, training_
         "duration": 15.0,
         "seeds": (1,),
     },
-    runner=run_multiflow_cell,
+    runner=functools.partial(run_task, columns=multiflow_columns),
     description="throughput ratio vs competing CUBIC flows and RTTs (Fig. 14)",
 )
 def _friendliness_build(axes: Dict) -> List[ExperimentTask]:
@@ -959,7 +981,7 @@ def _friendliness_build(axes: Dict) -> List[ExperimentTask]:
         "training_steps": 400,
         "seeds": (1,),
     },
-    runner=run_multiflow_cell,
+    runner=functools.partial(run_task, columns=multiflow_columns),
     description="fairness convergence of homogeneous flows joining over time (Fig. 15)",
 )
 def _fairness_build(axes: Dict) -> List[ExperimentTask]:
@@ -981,90 +1003,52 @@ def _fairness_build(axes: Dict) -> List[ExperimentTask]:
 # ---------------------------------------------------------------------- #
 # Figure 16 — sensitivity to N and λ
 # ---------------------------------------------------------------------- #
-def sensitivity(
-    n_values: Sequence[int] = (1, 5, 10),
-    lambda_values: Sequence[float] = (0.25, 0.5, 0.75),
-    training_steps: int = 300,
-    duration: float = 10.0,
-    n_traces: int = 2,
-    seed: int = 1,
-) -> Dict:
-    """Performance of Canopy-shallow for different N and λ (Fig. 16)."""
-    traces = trace_subset("synthetic", n_traces)
-    settings = EvaluationSettings(duration=duration, buffer_bdp=1.0, seed=seed)
-    rows = []
+def _sensitivity_configurations(axes: Dict) -> List[tuple]:
+    """The (N, λ) models of Fig. 16: N swept at λ = 0.25, λ swept at N = 5,
+    each model once, in first-seen order."""
+    configurations = ([(n, 0.25) for n in axes["n_values"]]
+                      + [(5, lam) for lam in axes["lambda_values"]])
+    return list(dict.fromkeys(configurations))
 
-    configurations = [("N", n, 0.25) for n in n_values] + [("lambda", 5, lam) for lam in lambda_values]
-    seen = set()
-    for axis, n_components, lam in configurations:
-        key = (n_components, lam)
-        if key in seen:
-            continue
-        seen.add(key)
-        model = get_trained_model("canopy-shallow", training_steps=training_steps, seed=seed,
-                                  lam=lam, n_components=n_components)
-        summaries = []
-        for trace in traces:
-            result = run_scheme_on_trace(scheme_factory("canopy", model=model, seed=seed),
-                                         trace, settings, scheme_name="canopy")
-            summaries.append(result.summary.as_dict())
+
+def _sensitivity_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
+    rows = []
+    for n_components, lam in _sensitivity_configurations(axes):
+        cells = [row for row, task in zip(grid.rows, tasks)
+                 if (task.model_components, task.lam) == (n_components, lam)]
         rows.append({
             "label": f"N{n_components}-lam{lam:g}",
             "n_components": n_components,
             "lambda": lam,
-            "utilization": float(np.mean([s["utilization"] for s in summaries])),
-            "avg_delay_ms": float(np.mean([s["avg_queuing_delay_ms"] for s in summaries])),
-            "p95_delay_ms": float(np.mean([s["p95_queuing_delay_ms"] for s in summaries])),
+            **_performance_means(cells),
         })
-    return {"figure": "16", "rows": rows}
+    return {"figure": "16", "rows": rows,
+            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
 
 
-# ---------------------------------------------------------------------- #
-# Figure 17 — training curves (appendix A.1)
-# ---------------------------------------------------------------------- #
-def training_curves(training_steps: int = 400, seed: int = 1) -> Dict:
-    """Raw / verifier / total reward over training for Orca and Canopy (Fig. 17)."""
-    canopy = get_trained_model("canopy-shallow", training_steps=training_steps, seed=seed)
-    orca = get_trained_model("orca", training_steps=training_steps, seed=seed)
-    curves = {
-        "canopy": {k: v.tolist() for k, v in canopy.training.reward_curves().items()},
-        "orca": {k: v.tolist() for k, v in orca.training.reward_curves().items()},
-    }
-    return {
-        "figure": "17",
-        "curves": curves,
-        "final": {
-            "canopy": canopy.training.final_metrics(),
-            "orca": orca.training.final_metrics(),
-        },
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Table 4 — training overhead of verification (appendix A.2)
-# ---------------------------------------------------------------------- #
-def verification_overhead(
-    n_values: Sequence[int] = (1, 5, 10),
-    training_steps: int = 150,
-    seed: int = 1,
-) -> Dict:
-    """Environment-step rate with and without in-loop verification (Table 4)."""
-    rows = []
-
-    orca_config = CanopyConfig.orca_baseline(seed=seed)
-    orca_trainer = CanopyTrainer(orca_config, TrainerConfig(
-        total_steps=training_steps, log_every=training_steps,
-        use_verifier_reward=False, verifier_every=10 ** 9,
-    ))
-    orca_result = orca_trainer.train()
-    rows.append({"scheme": "orca", "n_components": 0, "steps_per_second": orca_result.steps_per_second,
-                 "verifier_seconds": orca_result.verifier_seconds})
-
-    for n in n_values:
-        config = CanopyConfig.shallow(n_components=n, seed=seed)
-        trainer = CanopyTrainer(config, TrainerConfig(total_steps=training_steps, log_every=training_steps))
-        result = trainer.train()
-        rows.append({"scheme": f"canopy-N{n}", "n_components": n,
-                     "steps_per_second": result.steps_per_second,
-                     "verifier_seconds": result.verifier_seconds})
-    return {"table": "4", "rows": rows}
+@REGISTRY.register(
+    "sensitivity",
+    axes={
+        "n_values": (1, 5, 10),
+        "lambda_values": (0.25, 0.5, 0.75),
+        "training_steps": 300,
+        "duration": 10.0,
+        "n_traces": 2,
+        "seeds": (1,),
+    },
+    aggregate=_sensitivity_aggregate,
+    description="Canopy-shallow performance for different N and lambda (Fig. 16)",
+)
+def _sensitivity_build(axes: Dict) -> List[ExperimentTask]:
+    traces = trace_subset("synthetic", axes["n_traces"])
+    tasks = []
+    for n_components, lam in _sensitivity_configurations(axes):
+        for seed in axes["seeds"]:
+            settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=1.0, seed=seed)
+            for trace in traces:
+                tasks.append(ExperimentTask(
+                    scheme="canopy", trace=trace, settings=settings,
+                    model_kind="canopy-shallow", training_steps=axes["training_steps"],
+                    model_seed=seed, lam=lam, model_components=n_components,
+                ))
+    return tasks

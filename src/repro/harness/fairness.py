@@ -4,9 +4,9 @@ Both grids are ordinary :class:`~repro.harness.parallel.ExperimentTask` cells
 on a constant-capacity single bottleneck.  The competing flows come from the
 cell's workload: ``responsive(cubic:n)`` competitors for Fig. 14, and
 staggered ``step(12-:24-:self)`` joiners running the scheme under test for
-Fig. 15.  :func:`run_multiflow_cell` is the registered runner of both grids:
-the :func:`~repro.harness.parallel.run_task` row plus the columns of
-:func:`multiflow_columns`.  Every other grid keeps its row shape.
+Fig. 15.  Both grids register ``functools.partial(run_task,
+columns=multiflow_columns)``: the :func:`~repro.harness.parallel.run_task`
+row plus the columns of :func:`multiflow_columns`.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cc.metrics import jain_fairness_index, throughput_ratio
-from repro.cc.netsim import SimulationResult
-from repro.harness.evaluate import EvaluationSettings
-from repro.harness.parallel import ExperimentTask, run_task
+from repro.harness.evaluate import SchemeResult
+from repro.harness.parallel import ExperimentTask
 from repro.traces.trace import pps_to_mbps
 
-__all__ = ["multiflow_columns", "run_multiflow_cell"]
+__all__ = ["multiflow_columns"]
 
 
-def multiflow_columns(result: SimulationResult, settings: EvaluationSettings) -> Dict:
+def multiflow_columns(task: ExperimentTask, run: SchemeResult) -> Dict:
     """Per-flow throughput columns of one multi-flow run (one definition for all).
 
     ``throughputs_mbps`` averages each flow over ``t >= latest flow start +
@@ -33,6 +32,7 @@ def multiflow_columns(result: SimulationResult, settings: EvaluationSettings) ->
     throughputs.  ``series_mbps`` holds each flow's 1-second buckets, keyed
     by the stringified flow id so the row survives a JSON round trip as is.
     """
+    result, settings = run.simulation, task.settings
     start = max(start for start, _ in result.lifetimes.values()) + settings.skip_seconds
     throughputs = []
     series: Dict[str, list] = {}
@@ -50,8 +50,3 @@ def multiflow_columns(result: SimulationResult, settings: EvaluationSettings) ->
         "jain_index": jain_fairness_index(throughputs),
         "series_mbps": series,
     }
-
-
-def run_multiflow_cell(task: ExperimentTask) -> Dict:
-    """The friendliness/fairness cell runner (module-level: picklable)."""
-    return run_task(task, columns=multiflow_columns)

@@ -1,7 +1,7 @@
 """Training and caching of the learned models used across experiments.
 
 The paper trains three Canopy models (shallow-buffer, deep-buffer, robustness)
-and an Orca baseline.  Every experiment driver needs one or more of them, so
+and an Orca baseline.  Every learned experiment cell needs one of them, so
 this module trains each model once per process at a configurable (CI-scale)
 budget and memoizes the result.  Models are identified by
 ``(kind, training_steps, seed)``; the default budget is intentionally small —

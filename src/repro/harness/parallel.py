@@ -2,7 +2,7 @@
 
 The benchmark harness evaluates Cartesian grids of (scheme × trace × seed)
 cells; every cell is independent, so the grid shards naturally across worker
-processes.  This module provides the three pieces the experiment drivers and
+processes.  This module provides the three pieces the experiment registry and
 the CLI build on:
 
 * :class:`ExperimentTask` — one picklable grid cell: which scheme to run, on
@@ -24,9 +24,9 @@ Each task carries its own seeds (the link/noise seed inside ``settings`` and
 the model-training seed) — worker identity never influences results, and rows
 come back ordered by task index regardless of completion order.  Use
 :func:`derive_seed` to derive stable per-cell seeds from a base seed and the
-cell coordinates.  Learned models are trained in the parent process first
-(the drivers call :func:`~repro.harness.models.get_trained_model` up front),
-so forked workers inherit the warm model cache instead of retraining.
+cell coordinates.  Learned models are trained in the parent process before
+the pool forks (:func:`~repro.harness.registry.pretrain_models`), so forked
+workers inherit the warm model cache instead of retraining.
 
 Usage::
 
@@ -50,10 +50,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cc.netsim import SimulationResult
 from repro.core.monitor import QCRuntimeMonitor
 from repro.harness.evaluate import (
     EvaluationSettings,
+    SchemeResult,
     evaluate_qcsat,
     run_scheme_on_trace,
     scheme_factory,
@@ -291,14 +291,17 @@ def _embed_telemetry(row: Dict, trace: Optional[EventTrace],
 
 
 def run_task(task: ExperimentTask,
-             columns: Optional[Callable[[SimulationResult, EvaluationSettings], Dict]] = None
+             columns: Optional[Callable[[ExperimentTask, SchemeResult], Dict]] = None
              ) -> Dict:
     """Run one grid cell and return its report row (module-level: picklable).
 
-    ``columns`` derives extra row columns from the cell's
-    :class:`~repro.cc.netsim.SimulationResult` (the multi-flow grids'
-    per-flow throughputs, see :mod:`repro.harness.fairness`).  A certified
-    cell exposes no simulation, so it takes no ``columns``.
+    ``columns(task, run)`` derives extra row columns from the cell's
+    :class:`~repro.harness.evaluate.SchemeResult`: its simulation (the
+    multi-flow grids' per-flow throughputs, see :mod:`repro.harness.fairness`;
+    the per-tick series of Figs. 1 and 2) or its decisions (the per-component
+    certificates of Figs. 6 and 8).  A grid registers it as
+    ``functools.partial(run_task, columns=...)``.  A certified cell exposes no
+    run, so it takes no ``columns``.
     """
     if task.certify and columns is not None:
         raise ValueError("columns needs a simulated cell, not certify=True")
@@ -360,7 +363,7 @@ def run_task(task: ExperimentTask,
                                  telemetry=telemetry)
     row.update(result.summary.as_dict())
     if columns is not None:
-        row.update(columns(result.simulation, task.settings))
+        row.update(columns(task, result))
     if monitor is not None:
         row["fallback_fraction"] = monitor.fallback_fraction
         row["mean_qc"] = monitor.mean_qc
@@ -494,9 +497,9 @@ class ParallelRunner:
         """Run a grid of tasks through ``fn`` and merge the rows in task order.
 
         ``fn`` defaults to :func:`run_task`; a grid that adds columns supplies
-        its own module-level runner (e.g.
-        :func:`repro.harness.fairness.run_multiflow_cell`).  ``on_result`` is
-        forwarded to :meth:`map` (incremental per-cell persistence).
+        its registered runner (a ``functools.partial`` of :func:`run_task`).
+        ``on_result`` is forwarded to :meth:`map` (incremental per-cell
+        persistence).
         """
         tasks = list(tasks)
         start = time.perf_counter()

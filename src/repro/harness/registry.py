@@ -16,7 +16,10 @@ The registry factors that shape out.  An :class:`Experiment` is:
 * an optional **setup** hook — pre-trains models in-process so forked pool
   workers inherit the warm zoo cache,
 * an **aggregate** hook — ``(grid, axes, tasks) -> result dict`` (defaults
-  to the plain rows + grid accounting).
+  to the plain rows + grid accounting),
+* a **runner** — the per-cell function, :func:`~repro.harness.parallel.run_task`
+  or, for a grid whose rows carry extra columns,
+  ``functools.partial(run_task, columns=...)``.
 
 :meth:`ExperimentRegistry.run` executes an experiment with optional
 :class:`~repro.harness.store.RunStore` persistence: every completed cell is
@@ -40,6 +43,7 @@ Registering a new experiment is ~20 lines (see
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
@@ -123,6 +127,23 @@ def _coerce_sequence(value: str, default: Sequence):
     return tuple(elements)
 
 
+def _cast_number(name: str, value: object, template: object):
+    """Cast one typed numeric override to its axis's numeric type, so a
+    library call keys its cells exactly like the same ``--set``: ``20`` on a
+    float axis becomes ``20.0``, ``2.0`` on an integer axis ``2``.  Booleans
+    and non-numeric axes pass through."""
+    if (isinstance(value, bool) or isinstance(template, bool)
+            or not isinstance(value, numbers.Real)
+            or not isinstance(template, (int, float))):
+        return value
+    if isinstance(template, float):
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"axis {name!r}: expected an integer, got the fractional "
+                         f"value {value!r} (this axis is integer-typed)")
+    return int(value)
+
+
 def coerce_axis_value(name: str, value: object, default: object):
     """Coerce one override to its axis's shape, using the default as template.
 
@@ -131,7 +152,9 @@ def coerce_axis_value(name: str, value: object, default: object):
     of the repo, so int/float/bool handling matches everywhere; sequence axes
     split on commas, with ``a..b`` expanding to an inclusive whole-number
     range cast to the axis's element type.  Typed overrides (from library
-    callers) pass through, normalized to tuples for sequence axes.
+    callers) are normalized to tuples for sequence axes, and numbers (each
+    element of a sequence) are cast to the axis's numeric type, so both
+    spellings of an override plan the same cell keys.
     """
     is_sequence_axis = isinstance(default, (tuple, list))
     if isinstance(value, str):
@@ -141,10 +164,10 @@ def coerce_axis_value(name: str, value: object, default: object):
         except ValueError as exc:
             raise ValueError(f"axis {name!r}: cannot parse {value!r}: {exc}") from exc
     if is_sequence_axis:
-        if isinstance(value, (tuple, list)):
-            return tuple(value)
-        return (value,)
-    return value
+        template = _element_template(default)
+        values = value if isinstance(value, (tuple, list)) else (value,)
+        return tuple(_cast_number(name, element, template) for element in values)
+    return _cast_number(name, value, default)
 
 
 # ---------------------------------------------------------------------- #

@@ -51,13 +51,17 @@ def print_experiment(title: str, result: Dict, columns: Sequence[str] | None = N
     console("=" * len(title))
     rows = result.get("rows")
     if rows:
+        if columns is None:
+            # Per-cell payloads (series, certified steps, per-flow lists)
+            # would swamp the table; only scalar columns print.
+            columns = [key for key, value in rows[0].items()
+                       if not isinstance(value, (list, dict))]
         console(format_rows(rows, columns=columns))
     for key, value in result.items():
         # "axes" (the registry's resolved axis dict) and "profile" (the
         # merged phase report, rendered as a table by `run --profile`) are
         # structured payloads, not scalar metrics — kept out of the standard
         # layout like the row dumps.
-        if key in ("rows", "series", "curves", "steps", "series_mbps", "axes",
-                   "profile"):
+        if key in ("rows", "series", "axes", "profile"):
             continue
         console(f"{key}: {value}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import FIGURE_DRIVERS, FIGURE_EXPERIMENTS, build_parser, main
+from repro.cli import FIGURE_EXPERIMENTS, build_parser, main
 from repro.nn.serialization import load_weight_dict
 
 
@@ -31,6 +31,13 @@ def test_train_command_saves_weights(tmp_path, capsys):
     assert code == 0
     output = capsys.readouterr().out
     assert "trained orca" in output
+    # The per-window reward curve (Fig. 17) prints as a table.
+    trained, header, separator, *rows, saved = output.splitlines()
+    assert header.split() == ["step", "raw", "verifier", "total"]
+    assert set(separator) == {"-", " "}
+    assert [int(row.split()[0]) for row in rows] == [10, 20, 30]
+    assert all(len(row.split()) == 4 for row in rows)
+    assert saved.startswith("saved agent weights")
     weights = load_weight_dict(out_path)
     assert "actor" in weights and "critic1" in weights
 
@@ -56,30 +63,19 @@ def test_figure_command_unknown_id():
         main(["figure", "99"])
 
 
-def test_figure_command_runs_driver(capsys):
-    code = main(["figure", "17", "--steps", "40", "--seed", "53"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Figure/table 17" in out
+def test_figure_experiments_cover_every_simulated_figure():
+    # Every figure id is a registry experiment; the training curves (17)
+    # print from `train` and Table 4 lives in the benchmarks.
+    assert set(FIGURE_EXPERIMENTS) == {
+        "1", "2", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+        "topology"}
 
 
-@pytest.mark.parametrize("flags, named", [(["--store", "elsewhere"], "--store"),
-                                          (["--fresh"], "--fresh"),
-                                          (["--jobs", "2"], "--jobs"),
-                                          (["--jobs", "0", "--fresh"], "--fresh, --jobs")])
-def test_figure_driver_rejects_store_flags_it_would_ignore(flags, named):
-    # The driver figures run serially without a store, so these flags are
-    # rejected rather than ignored, naming the figures that accept them.
+@pytest.mark.parametrize("figure_id", ["17", "table4"])
+def test_figure_ids_without_a_grid_are_unknown(figure_id):
     with pytest.raises(SystemExit) as excinfo:
-        main(["figure", "17", "--steps", "40", *flags])
-    message = str(excinfo.value)
-    assert named in message and "14, 15, topology" in message
-
-
-def test_figure_driver_registry_covers_evaluation():
-    # Only the non-grid figures keep a driver function; every grid figure is
-    # a registry experiment routed through FIGURE_EXPERIMENTS.
-    assert set(FIGURE_DRIVERS) == {"1", "2", "6", "11", "16", "17", "table4"}
+        main(["figure", figure_id])
+    assert "known: 1, 2, 5" in str(excinfo.value)
 
 
 def test_list_traces_includes_topology_families(capsys):
@@ -210,10 +206,6 @@ def test_experiment_subcommand_is_gone(capsys):
 def test_figure_experiments_are_known_figure_ids():
     from repro.harness.registry import REGISTRY
 
-    assert not set(FIGURE_EXPERIMENTS) & set(FIGURE_DRIVERS)
-    assert set(FIGURE_EXPERIMENTS) | set(FIGURE_DRIVERS) == {
-        "1", "2", "5", "6", "7", "9", "10", "11", "12", "13", "14", "15", "16", "17",
-        "table4", "topology"}
     for name, overrides in FIGURE_EXPERIMENTS.values():
         axes = REGISTRY.get(name).axes
         assert {"training_steps", "seeds"} <= set(axes)
@@ -229,7 +221,7 @@ def test_figure_routes_registry_figures_through_resumable_store(
     store = str(tmp_path / "figstore")
     assert main(["figure", "topology", "--steps", "30", "--store", store]) == 0
     first = capsys.readouterr().out
-    assert "Figure/table topology" in first and "computed_cells: 1" in first
+    assert "Figure topology" in first and "computed_cells: 1" in first
     assert f"store: {store}" in first
     # Re-rendering the figure against the same store recomputes nothing.
     assert main(["figure", "topology", "--steps", "30", "--store", store]) == 0
@@ -239,6 +231,19 @@ def test_figure_routes_registry_figures_through_resumable_store(
     assert main(["figure", "topology", "--steps", "30", "--store", store,
                  "--fresh"]) == 0
     assert "computed_cells: 1" in capsys.readouterr().out
+
+
+def test_figure_11_resumes_from_its_store(tmp_path, capsys, monkeypatch):
+    # A former driver figure takes --store and --jobs like every other id.
+    monkeypatch.setitem(FIGURE_EXPERIMENTS, "11",
+                        ("noise_sensitivity", {"duration": 2.0, "n_traces": 1}))
+    store = str(tmp_path / "fig11")
+    assert main(["figure", "11", "--steps", "30", "--store", store, "--jobs", "2"]) == 0
+    first = capsys.readouterr().out
+    assert "Figure 11" in first and "computed_cells: 4" in first
+    assert main(["figure", "11", "--steps", "30", "--store", store]) == 0
+    second = capsys.readouterr().out
+    assert "computed_cells: 0" in second and "cached_cells: 4" in second
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,5 @@
 """Tests for the evaluation harness: scheme runs, summaries, QC_sat."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.harness.evaluate import (
@@ -110,23 +108,3 @@ class TestQCSat:
         assert result.scheme == "orca"
         assert result.property_names == ["P5"]
         assert 0.0 <= result.mean <= 1.0
-
-
-class TestGoldenQCSatStore:
-    """Certified rows pinned at atol=0: ``tests/golden/qcsat_mini`` is a
-    ``qcsat_buffers`` store (see its README), recomputed and diffed here."""
-
-    GOLDEN_DIR = Path(__file__).parent / "golden" / "qcsat_mini"
-    OVERRIDES = {"training_steps": 30, "duration": 2.0, "n_components": 8,
-                 "n_synthetic": 1, "n_cellular": 1}
-
-    def test_recomputed_store_matches_golden(self, tmp_path):
-        from repro.harness.benchjson import store_diff
-        from repro.harness.registry import REGISTRY
-        from repro.harness.store import RunStore
-
-        fresh = RunStore(tmp_path / "qcsat_mini")
-        REGISTRY.run("qcsat_buffers", self.OVERRIDES, n_jobs=1, store=fresh)
-        diff = store_diff(RunStore(self.GOLDEN_DIR), fresh, atol=0.0)
-        assert diff["n_cells_a"] == 8
-        assert diff["identical"], diff

@@ -1,8 +1,8 @@
 """Smoke tests for the evaluation experiments (at very small scale).
 
-These tests verify the structural contract of every figure/table — the
-non-grid drivers directly, the grid experiments through ``REGISTRY.run`` —
-and the benchmark suite exercises them at the reporting scale.
+These tests verify the structural contract of every figure through
+``REGISTRY.run``, and the benchmark suite exercises them at the reporting
+scale.
 """
 
 import numpy as np
@@ -12,26 +12,31 @@ from repro.harness import experiments
 from repro.harness.registry import REGISTRY
 from repro.harness.store import RunStore
 
-#: Scale knobs of the non-grid driver functions.
-QUICK = dict(training_steps=60, seed=31)
-#: The same scale as registry axes.
+#: Training budget and seed of every learned model in these tests.
 QUICK_AXES = {"training_steps": 60, "seeds": (31,)}
 
 
 @pytest.mark.slow
 class TestMotivation:
     def test_fig1_noise(self):
-        result = experiments.motivation_noise(duration=4.0, **QUICK)
+        result = REGISTRY.run("motivation_noise", {"duration": 4.0, **QUICK_AXES})
         assert result["figure"] == "1"
         assert {r["scheme"] for r in result["rows"]} == {"orca", "orca-noise", "canopy", "canopy-noise"}
         assert "orca_noise_drop" in result and "canopy_noise_drop" in result
         assert len(result["series"]["orca"]["time"]) > 0
 
     def test_fig2_bad_state(self):
-        result = experiments.motivation_bad_state(duration=4.0, **QUICK)
+        result = REGISTRY.run("motivation_bad_state", {"duration": 4.0, **QUICK_AXES})
         assert result["figure"] == "2"
         assert {r["scheme"] for r in result["rows"]} == {"orca", "canopy"}
         assert len(result["series"]["canopy"]["decision_time"]) > 0
+
+    def test_series_keys_carry_the_seed_when_several_run(self):
+        result = REGISTRY.run("motivation_bad_state", {"duration": 2.0, "training_steps": 30,
+                                                        "seeds": (1, 2)})
+        assert set(result["series"]) == {"orca/seed=1", "canopy/seed=1",
+                                         "orca/seed=2", "canopy/seed=2"}
+        assert all("series" not in row for row in result["rows"])
 
 
 @pytest.mark.slow
@@ -46,11 +51,30 @@ class TestQCSatFigures:
             assert 0.0 <= row["qcsat_mean"] <= 1.0
 
     def test_fig6_components(self):
-        result = experiments.certified_components(duration=3.0, n_components=6, max_steps=5, **QUICK)
+        result = REGISTRY.run("certified_components", {"duration": 3.0, "n_components": 6,
+                                                       "max_steps": 5, **QUICK_AXES})
         assert result["figure"] == "6/8"
-        assert len(result["steps"]) > 0
-        first = result["steps"][0]
+        (row,) = result["rows"]
+        assert row["model"] == "canopy-shallow"
+        assert len(row["steps"]) > 0
+        first = row["steps"][0]
         assert np.asarray(first["output_bounds"]).shape == (6, 2)
+
+    def test_fig8_grid_shards_identically(self):
+        # The model x trace grid of Fig. 8, its certificate columns computed
+        # in pool workers through the registered partial runner.
+        overrides = {"model_kind": "canopy-robust,orca", "property_family": "robustness",
+                     "trace_name": "step-12-48,flux-mid", "buffer_bdp": 2.0,
+                     "duration": 2.0, "n_components": 4, "max_steps": 3, **QUICK_AXES}
+        serial = REGISTRY.run("certified_components", overrides, n_jobs=1)
+        parallel = REGISTRY.run("certified_components", overrides, n_jobs=2)
+        assert serial["rows"] == parallel["rows"]
+        assert [(row["model"], row["trace"]) for row in serial["rows"]] == [
+            ("canopy-robust", "step-12-48"), ("canopy-robust", "flux-mid"),
+            ("orca", "step-12-48"), ("orca", "flux-mid")]
+        for row in serial["rows"]:
+            assert {step["property"] for step in row["steps"]} == {"P5"}
+            assert len(row["steps"]) == 3
 
     def test_fig7_robustness(self):
         result = REGISTRY.run("qcsat_robustness", {"duration": 3.0, "n_components": 5,
@@ -79,7 +103,8 @@ class TestPerformanceFigures:
         assert result["figure"] == "10"
 
     def test_fig11_noise_sensitivity(self):
-        result = experiments.noise_sensitivity(duration=4.0, n_traces=1, **QUICK)
+        result = REGISTRY.run("noise_sensitivity", {"duration": 4.0, "n_traces": 1,
+                                                    **QUICK_AXES})
         assert {row["scheme"] for row in result["rows"]} == {"orca", "canopy"}
         for row in result["rows"]:
             assert np.isfinite(row["utilization_change_pct"])
@@ -309,25 +334,18 @@ class TestWorkloadStress:
 
 
 @pytest.mark.slow
-class TestSensitivityAndTraining:
+class TestSensitivity:
+    GRID = {"n_values": (1, 2), "lambda_values": (0.25,), "training_steps": 40,
+            "duration": 3.0, "n_traces": 1, "seeds": (31,)}
+
     def test_fig16_sensitivity(self):
-        result = experiments.sensitivity(n_values=(1, 2), lambda_values=(0.25,),
-                                         training_steps=40, duration=3.0, n_traces=1, seed=31)
+        result = REGISTRY.run("sensitivity", self.GRID)
         labels = {row["label"] for row in result["rows"]}
         assert "N1-lam0.25" in labels and "N2-lam0.25" in labels
 
-    def test_fig17_training_curves(self):
-        result = experiments.training_curves(training_steps=60, seed=32)
-        assert set(result["curves"]) == {"canopy", "orca"}
-        assert len(result["curves"]["canopy"]["step"]) > 0
-        assert set(result["final"]["canopy"]) == {"raw_reward", "verifier_reward", "total_reward"}
-
-    def test_table4_overhead(self):
-        result = experiments.verification_overhead(n_values=(1, 5), training_steps=40, seed=33)
-        rows = result["rows"]
-        assert rows[0]["scheme"] == "orca"
-        assert len(rows) == 3
-        for row in rows:
-            assert row["steps_per_second"] > 0.0
-        # Verification adds measurable time compared to the Orca baseline.
-        assert rows[0]["verifier_seconds"] <= min(r["verifier_seconds"] for r in rows[1:]) + 1e-9
+    def test_fig16_trains_each_configuration_once(self):
+        # (5, 0.25) is both on the N axis and on the lambda axis: one model.
+        plan = REGISTRY.plan("sensitivity", {**self.GRID, "n_values": (1, 5),
+                                             "lambda_values": (0.25, 0.5)})
+        assert [(task.model_components, task.lam) for task in plan.tasks] == [
+            (1, 0.25), (5, 0.25), (5, 0.5)]

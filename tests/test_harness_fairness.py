@@ -9,12 +9,15 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.evaluate import run_scheme_on_trace, scheme_factory
-from repro.harness.fairness import multiflow_columns, run_multiflow_cell
+from repro.harness.fairness import multiflow_columns
 from repro.harness.parallel import ParallelRunner, run_profiled, run_task
 from repro.harness.registry import REGISTRY
 from repro.traces.trace import pps_to_mbps
 
 MULTIFLOW_COLUMNS = {"throughputs_mbps", "throughput_ratio", "jain_index", "series_mbps"}
+
+#: The registered runner of both multi-flow grids.
+run_multiflow_cell = REGISTRY.get("friendliness").runner
 
 
 def friendliness_cells(overrides, scheme="cubic", family="shallow"):
@@ -123,9 +126,9 @@ class TestMultiFlowRunner:
     def test_window_starts_skip_seconds_after_the_last_join(self):
         (task,) = REGISTRY.plan("fairness", {"schemes": "cubic", "n_flows": 2,
                                              "join_interval": 3.0}).tasks
-        result = run_scheme_on_trace(scheme_factory("cubic"), task.trace,
-                                     task.settings).simulation
-        columns = multiflow_columns(result, task.settings)
+        run = run_scheme_on_trace(scheme_factory("cubic"), task.trace, task.settings)
+        result = run.simulation
+        columns = multiflow_columns(task, run)
         for flow_id, mbps in enumerate(columns["throughputs_mbps"]):
             stats = result.stats_for(flow_id)
             window = stats.times >= 3.0 + task.settings.skip_seconds
@@ -139,6 +142,12 @@ class TestMultiFlowRunner:
         task = replace(cell, model_kind="canopy-shallow", certify=True)
         with pytest.raises(ValueError, match="not certify=True"):
             run_task(task, columns=multiflow_columns)
+
+    @pytest.mark.parametrize("name", ["friendliness", "fairness"])
+    def test_grid_registers_the_multiflow_columns(self, name):
+        runner = REGISTRY.get(name).runner
+        assert runner.func is run_task
+        assert runner.keywords == {"columns": multiflow_columns}
 
     def test_grid_rows_identical_serial_and_parallel(self):
         overrides = {"training_steps": 30, "duration": 2.0, "flows": "1", "rtts_ms": "20"}

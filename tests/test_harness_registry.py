@@ -71,6 +71,15 @@ class TestRegistration:
                 "qcsat_buffers", "qcsat_robustness", "performance_sweep",
                 "realworld_deployment"} <= set(REGISTRY.names())
 
+    def test_builtin_experiments_share_no_cell_key(self):
+        # One store can hold several experiments, so a key names one row
+        # shape: no two experiments plan the same cell at their defaults.
+        owners = {}
+        for name in REGISTRY.names():
+            for key in set(REGISTRY.plan(name).keys):
+                assert key not in owners, f"{name} and {owners[key]} share {key}"
+                owners[key] = name
+
     def test_reregistering_replaces(self):
         registry = make_registry()
         registry.register("toy", axes={"duration": 1.0})(_toy_build)
@@ -104,6 +113,26 @@ class TestAxisOverrides:
         assert axes["seeds"] == (1, 2)
         assert axes["duration"] == 4.0
         assert axes["schemes"] == ("vegas",)
+
+    def test_typed_numbers_cast_to_the_axis_type(self):
+        # A library override keys its cell like the same --set spelling.
+        assert coerce_axis_value("x", 20, (20.0, 50.0)) == (20.0,)
+        assert isinstance(coerce_axis_value("x", [20, 50], (1.0,))[0], float)
+        assert isinstance(coerce_axis_value("x", 2, 1.0), float)
+        assert isinstance(coerce_axis_value("x", 2.0, 1), int)
+        assert coerce_axis_value("x", True, 1) is True
+        assert coerce_axis_value("x", 3, None) == 3
+        with pytest.raises(ValueError, match="axis 'x'.*integer-typed"):
+            coerce_axis_value("x", (1, 2.5), (1,))
+
+    @pytest.mark.parametrize("name, typed, spelled", [
+        ("friendliness", {"rtts_ms": 20, "duration": 2}, {"rtts_ms": "20", "duration": "2"}),
+        ("fallback_runtime", {"thresholds": (0, 1)}, {"thresholds": "0,1"}),
+        ("sensitivity", {"lambda_values": [1], "n_values": 2.0},
+         {"lambda_values": "1", "n_values": "2"}),
+    ])
+    def test_typed_and_string_overrides_plan_identical_keys(self, name, typed, spelled):
+        assert REGISTRY.plan(name, typed).keys == REGISTRY.plan(name, spelled).keys
 
     def test_scalar_coercion_helpers(self):
         assert coerce_axis_value("x", "3", 1) == 3
@@ -305,6 +334,12 @@ class TestMultiFlowCellKeys:
     def test_default_grid_keys_are_pinned(self, name, keys):
         assert REGISTRY.plan(name).keys == keys
         assert REGISTRY.plan(name, {"seeds": (1,)}).keys == keys
+
+    def test_an_int_rtt_keys_like_the_float_default(self):
+        # Found in the multi-flow port: {"rtts_ms": 20} used to key its RTT
+        # cells apart from the 20.0 of the default grid and of --set.
+        keys = REGISTRY.plan("friendliness", {"rtts_ms": 20}).keys
+        assert keys == FRIENDLINESS_KEYS[:18] + FRIENDLINESS_KEYS[18::3]
 
     @pytest.mark.parametrize("name, keys", [("friendliness", FRIENDLINESS_KEYS),
                                             ("fairness", FAIRNESS_KEYS)])

@@ -35,6 +35,19 @@ BY_HAND = [pytest.param(seed, marks=pytest.mark.slow) for seed in (1, 2, 3)]
 #: overrides) that regenerate it; each store's README gives the same runs as
 #: ``python -m repro run`` command lines.
 GOLDEN_STORES = {
+    "qcsat_mini": [
+        ("qcsat_buffers", {"training_steps": 30, "duration": 2.0, "n_components": 8,
+                           "n_synthetic": 1, "n_cellular": 1}),
+    ],
+    "figures_mini": [
+        ("motivation_noise", {"training_steps": 30, "duration": 3.0}),
+        ("motivation_bad_state", {"training_steps": 30, "duration": 3.0}),
+        ("certified_components", {"model_kind": "canopy-shallow,orca", "training_steps": 30,
+                                  "duration": 3.0, "n_components": 8, "max_steps": 5}),
+        ("noise_sensitivity", {"training_steps": 30, "duration": 3.0, "n_traces": 1}),
+        ("sensitivity", {"n_values": (1, 5), "training_steps": 30, "duration": 3.0,
+                         "n_traces": 1}),
+    ],
     "workload_stress_mini": [
         ("workload_stress", {"schemes": "cubic,vegas", "topology": "chain(3),fan_in(3)",
                              "workload": "static,poisson(0.25)", "duration": 3.0}),
