@@ -52,6 +52,10 @@ GOLDEN_STORES = {
         ("workload_stress", {"schemes": "cubic,vegas", "topology": "chain(3),fan_in(3)",
                              "workload": "static,poisson(0.25)", "duration": 3.0}),
     ],
+    "monitor_mini": [
+        ("fallback_runtime", {"training_steps": 30, "duration": 3.0, "thresholds": (0.0, 0.5),
+                              "n_traces": 1, "n_components": 4, "telemetry": "on(25)"}),
+    ],
     "multiflow_mini": [
         ("friendliness", {"training_steps": 30, "duration": 4.0, "flows": 1,
                           "rtts_ms": 20.0}),
