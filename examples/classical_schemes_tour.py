@@ -13,7 +13,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.harness.evaluate import EvaluationSettings, run_schemes_sharded
+from repro.harness.evaluate import EvaluationSettings
+from repro.harness.parallel import ExperimentTask, ParallelRunner
 from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 from repro.traces.cellular import make_cellular_trace
@@ -21,8 +22,8 @@ from repro.traces.synthetic import make_synthetic_trace
 
 
 def main() -> None:
-    # Classical schemes need no model: every label maps to model kind None.
-    schemes = {name: None for name in ("cubic", "newreno", "vegas", "bbr")}
+    # Classical schemes need no model, so their cells leave model_kind unset.
+    schemes = ("cubic", "newreno", "vegas", "bbr")
     traces = [
         make_synthetic_trace("step-12-48"),
         make_synthetic_trace("sawtooth-24-96"),
@@ -31,7 +32,9 @@ def main() -> None:
 
     for buffer_bdp in (1.0, 5.0):
         settings = EvaluationSettings(duration=20.0, buffer_bdp=buffer_bdp, min_rtt=0.04, seed=1)
-        rows = run_schemes_sharded(schemes, traces, settings).rows
+        tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings)
+                 for trace in traces for scheme in schemes]
+        rows = ParallelRunner().run(tasks).rows
         print(f"\n=== Buffer = {buffer_bdp:g} BDP ===")
         print(format_rows(rows, columns=["trace", "scheme", "utilization",
                                          "avg_queuing_delay_ms", "p95_queuing_delay_ms", "loss_rate"]))

@@ -7,7 +7,7 @@ This walks through the whole pipeline in a couple of minutes on a laptop:
    quantitative-certificate feedback in the loop,
 2. evaluate it on an unseen synthetic trace against TCP CUBIC,
 3. compute QC_sat — the certified fraction of the property input region —
-   for the trained controller.
+   over the decisions of the evaluated Canopy run.
 
 Run with::
 
@@ -19,7 +19,13 @@ from __future__ import annotations
 import sys
 
 from repro.core import CanopyConfig, CanopyTrainer, TrainerConfig
-from repro.harness.evaluate import EvaluationSettings, evaluate_qcsat, run_scheme_on_trace, scheme_factory
+from repro.harness.evaluate import (
+    EvaluationSettings,
+    certificates_for_decisions,
+    qcsat_columns,
+    run_scheme_on_trace,
+    scheme_factory,
+)
 from repro.harness.models import TrainedModel
 from repro.harness.reporting import format_rows
 from repro.traces.synthetic import make_synthetic_trace
@@ -40,21 +46,20 @@ def main(training_steps: int = 600) -> None:
     # 2. Evaluate against CUBIC on an unseen trace ------------------------------
     trace = make_synthetic_trace("sawtooth-12-60")
     settings = EvaluationSettings(duration=15.0, buffer_bdp=0.5, min_rtt=0.04, seed=7)
-    rows = []
-    for name, factory in (
-        ("canopy", scheme_factory("canopy", model=model, seed=7)),
-        ("cubic", scheme_factory("cubic")),
-    ):
-        result = run_scheme_on_trace(factory, trace, settings, scheme_name=name)
-        rows.append({"scheme": name, **result.summary.as_dict()})
+    runs = {name: run_scheme_on_trace(factory, trace, settings, scheme_name=name)
+            for name, factory in (("canopy", scheme_factory("canopy", model=model, seed=7)),
+                                  ("cubic", scheme_factory("cubic")))}
+    rows = [{"scheme": name, **run.summary.as_dict()} for name, run in runs.items()]
     print(f"\nEmpirical performance on trace {trace.name!r} (shallow 0.5 BDP buffer):")
     print(format_rows(rows, columns=["scheme", "utilization", "avg_queuing_delay_ms",
                                      "p95_queuing_delay_ms", "loss_rate"]))
 
-    # 3. Certify ---------------------------------------------------------------
-    qcsat = evaluate_qcsat(model, trace, settings, n_components=50)
-    print(f"\nQC_sat for properties {qcsat.property_names} over {qcsat.n_decisions} decisions: "
-          f"{qcsat.mean:.3f} +/- {qcsat.std:.3f}")
+    # 3. Certify the Canopy run of step 2 --------------------------------------
+    batches = certificates_for_decisions(model.make_verifier(n_components=50), model.properties,
+                                         runs["canopy"].decisions, n_components=50)
+    qcsat = qcsat_columns(batches)
+    print(f"\nQC_sat for properties {list(batches)} over {qcsat['n_decisions']} decisions: "
+          f"{qcsat['qcsat']:.3f} +/- {qcsat['qcsat_decision_std']:.3f}")
     print("A QC_sat of 1.0 would be a full boolean proof that the controller always "
           "satisfies the properties over the certified input region.")
 

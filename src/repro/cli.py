@@ -53,6 +53,11 @@ commentary, not deliverables.
 
 Every subcommand is a thin wrapper over the public library API, so anything
 the CLI does can also be done programmatically (see the examples/ scripts).
+``evaluate`` and ``compare-classical`` build
+:class:`~repro.harness.parallel.ExperimentTask` cells and shard them with
+:class:`~repro.harness.parallel.ParallelRunner` (``--jobs``); ``certify`` runs
+one ``certify=True`` cell through :func:`~repro.harness.parallel.run_task`,
+the same cell path every registry grid takes.
 """
 
 from __future__ import annotations
@@ -68,12 +73,9 @@ from repro.falsify.objective import objective_names, resolve_objective
 from repro.falsify.promote import DEFAULT_COUNTEREXAMPLES_DIR, check_counterexamples
 from repro.falsify.report import format_report, read_campaign, report_stats
 from repro.falsify.search import STRATEGIES, CampaignConfig, run_campaign
-from repro.harness.evaluate import (
-    EvaluationSettings,
-    evaluate_qcsat,
-    run_schemes_sharded,
-)
+from repro.harness.evaluate import EvaluationSettings, default_model_kind
 from repro.harness.models import DEFAULT_TRAINING_STEPS, MODEL_KINDS, get_trained_model
+from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 from repro.harness.registry import REGISTRY, parse_set_overrides
 from repro.harness.reporting import format_rows, print_experiment
 from repro.harness.spec import resolve_trace
@@ -173,8 +175,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                   workload=args.workload, seed=args.seed)
     # Train in-process first so pool workers inherit the warm model cache.
     get_trained_model(args.kind, training_steps=args.steps, seed=args.seed)
-    grid = run_schemes_sharded({args.kind: args.kind, "cubic": None}, [trace], settings,
-                               n_jobs=args.jobs, training_steps=args.steps, model_seed=args.seed)
+    tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings,
+                            model_kind=default_model_kind(scheme),
+                            training_steps=args.steps, model_seed=args.seed)
+             for scheme in (args.kind, "cubic")]
+    grid = ParallelRunner(args.jobs).run(tasks)
     console(format_rows(grid.rows, columns=["scheme", "utilization", "avg_queuing_delay_ms",
                                             "p95_queuing_delay_ms", "loss_rate"]))
     return 0
@@ -186,9 +191,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
                                   min_rtt=args.rtt, topology=args.topology,
                                   workload=args.workload, seed=args.seed)
     model = get_trained_model(args.kind, training_steps=args.steps, seed=args.seed)
-    qcsat = evaluate_qcsat(model, trace, settings, n_components=args.components or 50)
-    console(f"QC_sat for {args.kind} on {trace.name}: {qcsat.mean:.3f} +/- {qcsat.std:.3f} "
-            f"({qcsat.n_decisions} decisions, properties {qcsat.property_names})")
+    row = run_task(ExperimentTask(scheme=args.kind, trace=trace, settings=settings,
+                                  model_kind=args.kind, training_steps=args.steps,
+                                  model_seed=args.seed, certify=True,
+                                  n_components=args.components or 50))
+    console(f"QC_sat for {args.kind} on {trace.name}: {row['qcsat']:.3f} "
+            f"+/- {row['qcsat_decision_std']:.3f} ({row['n_decisions']} decisions, "
+            f"properties {[prop.name for prop in model.properties]})")
     return 0
 
 
@@ -438,11 +447,11 @@ def cmd_compare_classical(args: argparse.Namespace) -> int:
     settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
                                   topology=args.topology, workload=args.workload,
                                   seed=args.seed)
-    scheme_kinds = {scheme: None for scheme in ("cubic", "newreno", "vegas", "bbr")}
-    grid = run_schemes_sharded(scheme_kinds, traces, settings, n_jobs=args.jobs)
-    # Present grouped by scheme (the grid enumerates trace-major).
-    rows = sorted(grid.rows, key=lambda row: list(scheme_kinds).index(row["scheme"]))
-    console(format_rows(rows, columns=["scheme", "trace", "utilization",
+    # Scheme-major, so the table prints grouped by scheme.
+    tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings)
+             for scheme in ("cubic", "newreno", "vegas", "bbr") for trace in traces]
+    grid = ParallelRunner(args.jobs).run(tasks)
+    console(format_rows(grid.rows, columns=["scheme", "trace", "utilization",
                                        "avg_queuing_delay_ms", "p95_queuing_delay_ms",
                                        "loss_rate"]))
     return 0

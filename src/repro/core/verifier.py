@@ -307,7 +307,8 @@ class Verifier:
         cwnd_prev: float,
         n_components: Optional[int] = None,
     ) -> dict:
-        """QCs for every property in the set, keyed by property name."""
+        """QCs for every property in the set, keyed by property name (one
+        :meth:`certify` call per property, in set order)."""
         return {
             prop.name: self.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
             for prop in properties

@@ -29,11 +29,8 @@
 
 from repro.harness.evaluate import (
     EvaluationSettings,
-    QCSatResult,
     SchemeResult,
-    evaluate_qcsat,
     run_scheme_on_trace,
-    run_schemes_sharded,
     scheme_factory,
 )
 from repro.harness.models import TrainedModel, get_trained_model, clear_model_cache
@@ -51,11 +48,8 @@ __all__ = [
     "save_model",
     "load_model",
     "EvaluationSettings",
-    "QCSatResult",
     "SchemeResult",
-    "evaluate_qcsat",
     "run_scheme_on_trace",
-    "run_schemes_sharded",
     "scheme_factory",
     "TrainedModel",
     "get_trained_model",

@@ -9,7 +9,7 @@ per-decision quantitative certificates that make up QC_sat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,13 +37,11 @@ from repro.workload.spec import DEFAULT_WORKLOAD, parse_workload
 __all__ = [
     "EvaluationSettings",
     "SchemeResult",
-    "QCSatResult",
     "scheme_factory",
     "default_model_kind",
     "run_scheme_on_trace",
-    "run_schemes_sharded",
-    "evaluate_qcsat",
     "certificates_for_decisions",
+    "qcsat_columns",
 ]
 
 CLASSICAL_SCHEMES = ("cubic", "vegas", "bbr", "newreno")
@@ -113,29 +111,6 @@ class SchemeResult:
     simulation: SimulationResult
     decisions: List[DecisionRecord] = field(default_factory=list)
     #: The run's telemetry events (empty when telemetry was off).
-    events: List[Dict] = field(default_factory=list)
-
-
-@dataclass
-class QCSatResult:
-    """QC_sat statistics for one (model, property set, trace) combination.
-
-    ``summary`` carries the empirical performance of the certified run (the
-    same run the certificates were computed over), so callers that need both
-    certified safety and performance — e.g. the cross-family generalization
-    grid — get them from a single simulation.
-    """
-
-    scheme: str
-    trace: str
-    property_names: List[str]
-    mean: float
-    std: float
-    n_decisions: int
-    n_applicable: int
-    per_decision: List[float] = field(default_factory=list)
-    summary: Optional[PerformanceSummary] = None
-    #: The certified run's telemetry events (empty when telemetry was off).
     events: List[Dict] = field(default_factory=list)
 
 
@@ -239,48 +214,6 @@ def run_scheme_on_trace(
     )
 
 
-def run_schemes_sharded(
-    scheme_kinds: Dict[str, Optional[str]],
-    traces: Sequence[BandwidthTrace],
-    settings: EvaluationSettings,
-    n_jobs: int = 1,
-    training_steps: int = 800,
-    model_seed: int = 1,
-    n_seeds: int = 1,
-):
-    """Cartesian product of schemes × traces (× seeds) sharded over a pool.
-
-    ``scheme_kinds`` maps the display label of each scheme to the model kind
-    that backs it (``None`` for classical schemes).  Learned models should be
-    trained in the calling process first so forked workers inherit the warm
-    cache.  With ``n_seeds > 1`` every (scheme, trace) cell is replicated
-    under distinct link/noise seeds derived deterministically from
-    ``settings.seed`` and the cell coordinates, and rows carry a
-    ``replicate`` tag.  Returns a :class:`repro.harness.parallel.GridResult`
-    of plain summary rows (one per cell, in grid order) — identical for
-    serial and parallel runs.
-    """
-    # Imported lazily: parallel imports this module for its worker helpers.
-    from repro.harness.parallel import ExperimentTask, ParallelRunner, derive_seed
-
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    tasks = []
-    for replicate in range(n_seeds):
-        for trace in traces:
-            for label, kind in scheme_kinds.items():
-                if n_seeds == 1:
-                    cell_settings, tags = settings, {}
-                else:
-                    cell_settings = replace(
-                        settings, seed=derive_seed(settings.seed, trace.name, label, replicate))
-                    tags = {"replicate": replicate}
-                tasks.append(ExperimentTask(
-                    scheme=label, trace=trace, settings=cell_settings, model_kind=kind,
-                    training_steps=training_steps, model_seed=model_seed, tags=tags))
-    return ParallelRunner(n_jobs).run(tasks)
-
-
 # ---------------------------------------------------------------------- #
 # QC_sat evaluation
 # ---------------------------------------------------------------------- #
@@ -302,39 +235,21 @@ def certificates_for_decisions(
     cwnd_tcp = np.array([decision.cwnd_tcp for decision in decisions], dtype=np.float64)
     cwnd_prev = np.array([decision.cwnd_before for decision in decisions[:1]]
                          + [decision.cwnd_after for decision in decisions[:-1]], dtype=np.float64)
-    return {
-        prop.name: verifier.certify(prop, states, cwnd_tcp, cwnd_prev, n_components=n_components)
-        for prop in properties
-    }
+    return verifier.certify_all(properties, states, cwnd_tcp, cwnd_prev, n_components=n_components)
 
 
-def evaluate_qcsat(
-    model: TrainedModel,
-    trace: BandwidthTrace,
-    settings: EvaluationSettings,
-    properties: Optional[PropertySet] = None,
-    n_components: int = 50,
-    scheme_name: str | None = None,
-    telemetry: Optional[EventTrace] = None,
-) -> QCSatResult:
-    """Run the learned model over a trace and compute QC_sat.
+def qcsat_columns(batches: Dict[str, CertificateBatch]) -> Dict:
+    """The QC_sat row columns of one certified run, from its certificate batches.
 
     QC_sat is the mean QC feedback (Eq. 6/7) over all decision steps where the
     property's concrete side conditions apply; when a property never applies
     during the run its vacuous (1.0) certificates are excluded from the mean.
+    ``qcsat`` and ``qcsat_decision_std`` are the per-trace mean and std over
+    decisions.
     """
-    properties = properties or model.properties
-    factory = scheme_factory(scheme_name or model.kind, model=model,
-                             observation_noise=settings.observation_noise,
-                             monitor_interval=settings.monitor_interval, seed=settings.seed)
-    run = run_scheme_on_trace(factory, trace, settings,
-                              scheme_name=scheme_name or model.kind,
-                              telemetry=telemetry)
-    verifier = model.make_verifier(n_components=n_components)
-    batches = certificates_for_decisions(verifier, properties, run.decisions, n_components=n_components).values()
     # (decision, property) arrays, properties in set order.
-    feedback = np.stack([batch.feedback for batch in batches], axis=-1)
-    applicable = np.stack([batch.applicable_mask for batch in batches], axis=-1)
+    feedback = np.stack([batch.feedback for batch in batches.values()], axis=-1)
+    applicable = np.stack([batch.applicable_mask for batch in batches.values()], axis=-1)
 
     per_decision = [float(np.mean(values[mask])) for values, mask in zip(feedback, applicable) if mask.any()]
     n_applicable = len(per_decision)
@@ -344,15 +259,11 @@ def evaluate_qcsat(
         per_decision = [float(np.mean(values)) for values in feedback]
     mean = float(np.mean(per_decision)) if per_decision else 1.0
     std = float(np.std(per_decision)) if per_decision else 0.0
-    return QCSatResult(
-        scheme=scheme_name or model.kind,
-        trace=trace.name,
-        property_names=[prop.name for prop in properties],
-        mean=mean,
-        std=std,
-        n_decisions=len(run.decisions),
-        n_applicable=n_applicable,
-        per_decision=per_decision,
-        summary=run.summary,
-        events=run.events,
-    )
+    n_decisions = len(feedback)
+    return {
+        "qcsat": mean,
+        "qcsat_decision_std": std,
+        "n_decisions": n_decisions,
+        "n_applicable": n_applicable,
+        "n_certificates": n_decisions * len(batches),
+    }

@@ -9,9 +9,10 @@ the CLI build on:
   which trace, with which :class:`~repro.harness.evaluate.EvaluationSettings`
   and seed, and whether to additionally compute QC_sat certificates.
 * :func:`run_task` — the module-level worker: builds the controller (fetching
-  the trained model from the per-process model zoo), runs the cell, and
-  returns a plain-dict row, so nothing non-picklable crosses the process
-  boundary.
+  the trained model from the per-process model zoo), simulates the cell once,
+  derives every row column (summary, QC_sat, monitor, telemetry) from that
+  run, and returns a plain-dict row, so nothing non-picklable crosses the
+  process boundary.
 * :class:`ParallelRunner` — shards a task list over a
   ``concurrent.futures.ProcessPoolExecutor`` and merges the rows back **in
   task order**, so serial (``n_jobs=1``) and parallel runs produce identical
@@ -54,7 +55,8 @@ from repro.core.monitor import QCRuntimeMonitor
 from repro.harness.evaluate import (
     EvaluationSettings,
     SchemeResult,
-    evaluate_qcsat,
+    certificates_for_decisions,
+    qcsat_columns,
     run_scheme_on_trace,
     scheme_factory,
 )
@@ -84,7 +86,8 @@ class ExperimentTask:
     For classical schemes leave ``model_kind`` as None; for learned schemes the
     worker fetches ``model_kind`` from the model zoo (instant when the parent
     trained it before forking).  With ``certify=True`` the cell additionally
-    runs the verifier over every decision and reports QC_sat columns.
+    certifies every decision of its run and reports QC_sat columns next to
+    the summary (and any ``columns`` a grid's runner adds) of that same run.
 
     ``monitor_threshold``/``monitor_family``/``monitor_components`` describe a
     :class:`repro.core.monitor.QCRuntimeMonitor` *declaratively*: the worker
@@ -295,16 +298,20 @@ def run_task(task: ExperimentTask,
              ) -> Dict:
     """Run one grid cell and return its report row (module-level: picklable).
 
+    Every cell takes one path: build the optional runtime monitor, simulate
+    once, then derive every column from that run — the performance summary,
+    the QC_sat columns of its decisions (``certify=True``), the ``columns``
+    callback, the monitor's fallback statistics and the telemetry summary.
+    A certified cell thus reports certified safety and performance of the
+    same run, and its certificates cover the decisions a monitor filtered.
+
     ``columns(task, run)`` derives extra row columns from the cell's
     :class:`~repro.harness.evaluate.SchemeResult`: its simulation (the
     multi-flow grids' per-flow throughputs, see :mod:`repro.harness.fairness`;
     the per-tick series of Figs. 1 and 2) or its decisions (the per-component
     certificates of Figs. 6 and 8).  A grid registers it as
-    ``functools.partial(run_task, columns=...)``.  A certified cell exposes no
-    run, so it takes no ``columns``.
+    ``functools.partial(run_task, columns=...)``.
     """
-    if task.certify and columns is not None:
-        raise ValueError("columns needs a simulated cell, not certify=True")
     model = _task_model(task) if task.model_kind is not None else None
     row: Dict = {"scheme": task.scheme, "trace": task.trace.name, "seed": task.settings.seed,
                  "topology": task.settings.topology}
@@ -316,28 +323,6 @@ def run_task(task: ExperimentTask,
     # One shared trace per cell: the monitor and the simulator emit into the
     # same stream, ordered by the simulator's tick clock.  None when off.
     telemetry = EventTrace.from_spec(task.settings.telemetry)
-
-    if task.certify:
-        properties = None
-        if task.property_family is not None:
-            properties = PROPERTY_FAMILIES[task.property_family]()
-        qcsat = evaluate_qcsat(model, task.trace, task.settings, properties=properties,
-                               n_components=task.n_components, scheme_name=task.scheme,
-                               telemetry=telemetry)
-        # The certified run doubles as a performance run, so certify rows carry
-        # the empirical summary columns too (certified safety + performance in
-        # one pass — what the generalization grids report per cell).
-        if qcsat.summary is not None:
-            row.update(qcsat.summary.as_dict())
-        row.update({
-            "qcsat": qcsat.mean,                  # per-trace mean over decisions
-            "qcsat_decision_std": qcsat.std,      # per-trace std over decisions
-            "n_decisions": qcsat.n_decisions,
-            "n_applicable": qcsat.n_applicable,
-            "n_certificates": qcsat.n_decisions * len(qcsat.property_names),
-        })
-        _embed_telemetry(row, telemetry, task.settings)
-        return row
 
     monitor = None
     decision_filter = None
@@ -362,6 +347,12 @@ def run_task(task: ExperimentTask,
     result = run_scheme_on_trace(factory, task.trace, task.settings, scheme_name=task.scheme,
                                  telemetry=telemetry)
     row.update(result.summary.as_dict())
+    if task.certify:
+        properties = (model.properties if task.property_family is None
+                      else PROPERTY_FAMILIES[task.property_family]())
+        verifier = model.make_verifier(n_components=task.n_components)
+        row.update(qcsat_columns(certificates_for_decisions(
+            verifier, properties, result.decisions, n_components=task.n_components)))
     if columns is not None:
         row.update(columns(task, result))
     if monitor is not None:

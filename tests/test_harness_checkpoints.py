@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.harness.checkpoints import SavedModel, load_model, save_model
-from repro.harness.evaluate import EvaluationSettings, evaluate_qcsat, run_scheme_on_trace, scheme_factory
+from repro.harness.evaluate import (
+    EvaluationSettings,
+    certificates_for_decisions,
+    qcsat_columns,
+    run_scheme_on_trace,
+    scheme_factory,
+)
 from repro.traces.trace import BandwidthTrace
 
 
@@ -36,8 +42,9 @@ def test_loaded_model_drives_evaluation(tmp_path, quick_model):
                               scheme_name="canopy")
     assert run.summary.utilization > 0.0
 
-    qcsat = evaluate_qcsat(loaded, trace, settings, n_components=4)
-    assert 0.0 <= qcsat.mean <= 1.0
+    qcsat = qcsat_columns(certificates_for_decisions(
+        loaded.make_verifier(n_components=4), loaded.properties, run.decisions, n_components=4))
+    assert 0.0 <= qcsat["qcsat"] <= 1.0
 
 
 def test_saved_model_verifier(tmp_path, quick_model):

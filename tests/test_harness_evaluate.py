@@ -1,15 +1,20 @@
 """Tests for the evaluation harness: scheme runs, summaries, QC_sat."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.harness.evaluate import (
     CLASSICAL_SCHEMES,
     EvaluationSettings,
     certificates_for_decisions,
-    evaluate_qcsat,
+    qcsat_columns,
     run_scheme_on_trace,
     scheme_factory,
 )
+from repro.harness.parallel import PROPERTY_FAMILIES, ExperimentTask, run_task
 from repro.traces.trace import BandwidthTrace
 
 
@@ -91,20 +96,63 @@ class TestQCSat:
                 assert got.output_bounds().tolist() == expected.output_bounds().tolist()
                 assert got.feedback == expected.feedback == batch.feedback[index]
 
-    def test_evaluate_qcsat_bounds(self, settings, trace, quick_model):
-        result = evaluate_qcsat(quick_model, trace, settings, n_components=6)
-        assert 0.0 <= result.mean <= 1.0
-        assert result.std >= 0.0
-        assert result.n_decisions > 0
-        assert len(result.per_decision) > 0
-        assert result.property_names == ["P1", "P2"]
+    def test_certified_cell_qcsat_bounds(self, settings, trace, quick_model):
+        task = ExperimentTask(scheme="canopy-shallow", trace=trace, settings=settings,
+                              model_kind="canopy-shallow", training_steps=150, model_seed=11,
+                              certify=True, n_components=6)
+        row = run_task(task)
+        assert 0.0 <= row["qcsat"] <= 1.0
+        assert row["qcsat_decision_std"] >= 0.0
+        assert row["n_decisions"] > 0
+        assert 0 <= row["n_applicable"] <= row["n_decisions"]
+        # Without a property family the model's own set (P1, P2) is certified.
+        assert [prop.name for prop in quick_model.properties] == ["P1", "P2"]
+        assert row["n_certificates"] == 2 * row["n_decisions"]
 
-    def test_evaluate_qcsat_with_explicit_properties(self, settings, trace, quick_orca_model):
-        from repro.core.properties import robustness_properties
+    def test_certified_cell_with_explicit_properties(self, settings, trace, quick_orca_model):
+        task = ExperimentTask(scheme="orca", trace=trace, settings=settings, model_kind="orca",
+                              training_steps=150, model_seed=11, certify=True,
+                              property_family="robustness", n_components=4)
+        row = run_task(task)
+        assert row["scheme"] == "orca"
+        assert [prop.name for prop in PROPERTY_FAMILIES["robustness"]()] == ["P5"]
+        assert row["n_certificates"] == row["n_decisions"] > 0
+        assert 0.0 <= row["qcsat"] <= 1.0
 
-        result = evaluate_qcsat(quick_orca_model, trace, settings,
-                                properties=robustness_properties(), n_components=4,
-                                scheme_name="orca")
-        assert result.scheme == "orca"
-        assert result.property_names == ["P5"]
-        assert 0.0 <= result.mean <= 1.0
+    def test_certified_cell_reports_the_run_it_certified(self, settings, trace, quick_model):
+        task = ExperimentTask(scheme="canopy", trace=trace, settings=settings,
+                              model_kind="canopy-shallow", training_steps=150, model_seed=11,
+                              n_components=6)
+        plain = run_task(task)
+        certified = run_task(replace(task, certify=True))
+        # Certification adds the QC_sat columns and leaves the run untouched.
+        assert {key: certified[key] for key in plain} == plain
+        run = run_scheme_on_trace(scheme_factory("canopy", model=quick_model, seed=settings.seed),
+                                  trace, settings, scheme_name="canopy")
+        expected = qcsat_columns(certificates_for_decisions(
+            quick_model.make_verifier(n_components=6), quick_model.properties, run.decisions,
+            n_components=6))
+        assert {key: certified[key] for key in expected} == expected
+
+
+class TestQCSatColumns:
+    @staticmethod
+    def batch(feedback, applicable):
+        return SimpleNamespace(feedback=np.array(feedback, dtype=np.float64),
+                               applicable_mask=np.array(applicable, dtype=bool))
+
+    def test_mean_over_applicable_properties_per_decision(self):
+        batches = {"A": self.batch([0.2, 0.4, 1.0], [True, True, False]),
+                   "B": self.batch([0.6, 1.0, 1.0], [True, False, False])}
+        columns = qcsat_columns(batches)
+        # Decision 0 averages both properties, decision 1 only A, decision 2 none.
+        per_decision = [np.mean([0.2, 0.6]), 0.4]
+        assert columns == {"qcsat": float(np.mean(per_decision)),
+                           "qcsat_decision_std": float(np.std(per_decision)),
+                           "n_decisions": 3, "n_applicable": 2, "n_certificates": 6}
+
+    def test_never_applicable_falls_back_to_unconditioned_feedback(self):
+        columns = qcsat_columns({"A": self.batch([0.5, 1.0], [False, False])})
+        assert columns["qcsat"] == 0.75
+        assert columns["n_applicable"] == 0
+        assert columns["n_certificates"] == 2

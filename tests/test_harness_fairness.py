@@ -137,11 +137,20 @@ class TestMultiFlowRunner:
         assert columns["throughput_ratio"] == pytest.approx(
             columns["throughputs_mbps"][0] / columns["throughputs_mbps"][1], rel=1e-12)
 
-    def test_certified_cells_take_no_columns(self):
-        cell = friendliness_cells({})[0]
-        task = replace(cell, model_kind="canopy-shallow", certify=True)
-        with pytest.raises(ValueError, match="not certify=True"):
-            run_task(task, columns=multiflow_columns)
+    def test_certified_cell_columns_see_the_certified_run(self):
+        (cell,) = friendliness_cells({"flows": "1", "rtts_ms": (), "duration": 3.0,
+                                      "training_steps": 30}, scheme="canopy")
+        task = replace(cell, certify=True, n_components=4)
+        runs = []
+
+        def columns(task, run):
+            runs.append(run)
+            return multiflow_columns(task, run)
+
+        row = run_task(task, columns=columns)
+        (run,) = runs
+        assert len(run.decisions) == row["n_decisions"] > 0
+        assert MULTIFLOW_COLUMNS <= set(row)
 
     @pytest.mark.parametrize("name", ["friendliness", "fairness"])
     def test_grid_registers_the_multiflow_columns(self, name):

@@ -1,9 +1,11 @@
 """Tests for the ParallelRunner: determinism, sharding, merged reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.harness.evaluate import EvaluationSettings, run_schemes_sharded
+from repro.harness.evaluate import EvaluationSettings
 from repro.harness.parallel import (
     ExperimentTask,
     GridResult,
@@ -114,41 +116,6 @@ class TestGridDeterminism:
         assert [row["cell"] for row in serial.rows] == [0, 1, 2]
         assert serial.wall_clock_s > 0.0
 
-    def test_run_schemes_sharded_matches_manual_grid(self):
-        tasks = make_tasks()
-        trace = tasks[0].trace
-        settings = tasks[0].settings
-        grid = run_schemes_sharded({"cubic": None, "vegas": None}, [trace], settings, n_jobs=1)
-        assert [row["scheme"] for row in grid.rows] == ["cubic", "vegas"]
-        direct = run_task(ExperimentTask(scheme="cubic", trace=trace, settings=settings))
-        assert grid.rows[0]["utilization"] == direct["utilization"]
-
-    def test_run_schemes_sharded_is_the_scheme_trace_product(self):
-        settings = make_tasks()[0].settings
-        traces = [make_tasks()[0].trace, BandwidthTrace.constant(24.0, duration=30.0,
-                                                                  name="const-24")]
-        grid = run_schemes_sharded({"cubic": None, "vegas": None}, traces, settings, n_jobs=1)
-        assert [(row["trace"], row["scheme"]) for row in grid.rows] == [
-            ("const-12", "cubic"), ("const-12", "vegas"),
-            ("const-24", "cubic"), ("const-24", "vegas")]
-
-    def test_run_schemes_sharded_seed_replicates(self):
-        tasks = make_tasks()
-        trace = tasks[0].trace
-        settings = tasks[0].settings
-        grid = run_schemes_sharded({"cubic": None}, [trace], settings, n_jobs=1, n_seeds=3)
-        assert grid.n_tasks == 3
-        assert [row["replicate"] for row in grid.rows] == [0, 1, 2]
-        # Replicates get distinct derived seeds, deterministically.
-        assert [row["seed"] for row in grid.rows] == [
-            derive_seed(settings.seed, trace.name, "cubic", replicate) for replicate in range(3)
-        ]
-        assert len(set(row["seed"] for row in grid.rows)) == 3
-        again = run_schemes_sharded({"cubic": None}, [trace], settings, n_jobs=1, n_seeds=3)
-        assert again.rows == grid.rows
-        with pytest.raises(ValueError):
-            run_schemes_sharded({"cubic": None}, [trace], settings, n_seeds=0)
-
 
 class TestGridResultReporting:
     def make_grid(self):
@@ -234,6 +201,22 @@ class TestDeclarativeMonitorSpec:
             monitor_threshold=0.0, monitor_family="shallow", monitor_components=4,
         ))
         assert baseline["fallback_fraction"] == 0.0
+
+    def test_certified_cell_keeps_its_monitor(self):
+        # One path: the monitor filters the run, and the certificates cover
+        # the decisions of that same monitored run.
+        trace = BandwidthTrace.constant(24.0, duration=30.0, name="const-24")
+        settings = EvaluationSettings(duration=3.0, buffer_bdp=1.0, seed=7)
+        monitored = ExperimentTask(
+            scheme="canopy", trace=trace, settings=settings,
+            model_kind="canopy-shallow", training_steps=30, model_seed=31,
+            monitor_threshold=0.8, monitor_family="shallow", monitor_components=4,
+        )
+        plain = run_task(monitored)
+        row = run_task(replace(monitored, certify=True, n_components=4))
+        assert 0.0 <= row["qcsat"] <= 1.0 and row["n_decisions"] > 0
+        assert row["fallback_fraction"] > 0.0
+        assert {key: row[key] for key in plain} == plain
 
     @pytest.mark.slow
     def test_monitor_grid_rows_identical_serial_and_parallel(self):

@@ -5,10 +5,10 @@ import pytest
 
 from repro.core.config import CanopyConfig
 from repro.core.monitor import QCRuntimeMonitor
-from repro.core.properties import shallow_buffer_properties
 from repro.core.trainer import CanopyTrainer, TrainerConfig
 from repro.core.verifier import Verifier, VerifierConfig
-from repro.harness.evaluate import EvaluationSettings, evaluate_qcsat, run_scheme_on_trace, scheme_factory
+from repro.harness.evaluate import EvaluationSettings, run_scheme_on_trace, scheme_factory
+from repro.harness.parallel import ExperimentTask, run_task
 from repro.traces.synthetic import make_synthetic_trace
 
 
@@ -26,12 +26,16 @@ def test_full_canopy_pipeline(quick_model, quick_orca_model):
     assert cubic_run.summary.utilization > 0.05
 
     # 2. QC_sat evaluation for both learned models on the same trace.
-    canopy_qc = evaluate_qcsat(quick_model, trace, settings, n_components=8)
-    orca_qc = evaluate_qcsat(quick_orca_model, trace, settings,
-                             properties=shallow_buffer_properties(), n_components=8,
-                             scheme_name="orca")
-    assert 0.0 <= canopy_qc.mean <= 1.0
-    assert 0.0 <= orca_qc.mean <= 1.0
+    canopy_qc = run_task(ExperimentTask(scheme="canopy", trace=trace, settings=settings,
+                                        model_kind="canopy-shallow", training_steps=150,
+                                        model_seed=11, certify=True, n_components=8))
+    orca_qc = run_task(ExperimentTask(scheme="orca", trace=trace, settings=settings,
+                                      model_kind="orca", training_steps=150, model_seed=11,
+                                      certify=True, property_family="shallow", n_components=8))
+    assert 0.0 <= canopy_qc["qcsat"] <= 1.0
+    assert 0.0 <= orca_qc["qcsat"] <= 1.0
+    # The certified canopy cell is the run evaluated in step 1.
+    assert canopy_qc["utilization"] == canopy_run.summary.utilization
 
     # 3. Runtime monitor gating the learned decisions.
     monitor = QCRuntimeMonitor(quick_model.make_verifier(n_components=4),
