@@ -158,7 +158,13 @@ class Box:
             width = hi[..., None, dims] - lo_dims
             lo_batched[..., dims] = lo_dims + width * index / n
             hi_batched[..., dims] = lo_dims + width * (index + 1) / n
-        return Box._trusted_bounds(lo_batched, hi_batched)
+        # _trusted_bounds' arithmetic with the deviation computed in
+        # hi_batched's memory, so at most three stack-sized arrays are alive.
+        center = (lo_batched + hi_batched) / 2.0
+        deviation = np.subtract(hi_batched, lo_batched, out=hi_batched)
+        del lo_batched, hi_batched
+        deviation /= 2.0
+        return Box._trusted(center, deviation)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Box(center={self.center!r}, deviation={self.deviation!r})"

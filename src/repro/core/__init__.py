@@ -31,7 +31,7 @@ from repro.core.properties import (
     deep_buffer_properties,
     robustness_properties,
 )
-from repro.core.qc import CertificateBatch, ComponentCertificate, QuantitativeCertificate
+from repro.core.qc import CertificateBatch, CertificateSet, ComponentCertificate, QuantitativeCertificate
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.core.reward import CanopyRewardShaper, ShapedReward
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
@@ -53,6 +53,7 @@ __all__ = [
     "deep_buffer_properties",
     "robustness_properties",
     "CertificateBatch",
+    "CertificateSet",
     "ComponentCertificate",
     "QuantitativeCertificate",
     "Verifier",

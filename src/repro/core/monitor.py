@@ -68,8 +68,9 @@ class QCRuntimeMonitor:
     # ------------------------------------------------------------------ #
     def evaluate(self, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> Tuple[float, dict]:
         """QC feedback (weighted over the property set) at this decision point."""
-        return weighted_feedback(self.properties, lambda prop: self.verifier.certify(
-            prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components).feedback)
+        certificates = self.verifier.certify(self.properties, state, cwnd_tcp, cwnd_prev,
+                                             n_components=self.n_components)
+        return weighted_feedback(self.properties, certificates)
 
     def decision_filter(self, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> Tuple[bool, float]:
         """The callback installed on :class:`repro.orca.agent.LearnedController`.

@@ -11,7 +11,9 @@ The :class:`QuantitativeCertificate` produced by the verifier carries both,
 plus enough detail (per-component output bounds) to reproduce the
 certified-component visualizations of Figures 6 and 8.  A
 :class:`CertificateBatch` holds the QCs of one property at many decisions as
-arrays, and builds the per-decision certificate on demand.
+arrays, and builds the per-decision certificate on demand.  A
+:class:`CertificateSet` maps property names to the certificates (or batches)
+one certification of several properties produced.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "ComponentCertificate",
     "QuantitativeCertificate",
     "CertificateBatch",
+    "CertificateSet",
 ]
 
 #: Containment tolerance of the proof and of the degenerate-interval rule.
@@ -139,6 +142,9 @@ class QuantitativeCertificate:
 class CertificateBatch:
     """The QCs of one property at ``D`` decisions, held as arrays.
 
+    The verifier certifies several properties in one stack; each property's
+    batch then holds its rows of the shared stack arrays.
+
     ``input_lo``/``input_hi`` have shape ``(D, N, d)``; ``output_lo``,
     ``output_hi``, ``satisfied`` and ``component_feedback`` have shape
     ``(D, N)``.  ``feedback`` ``(D,)`` is each decision's QC feedback (the
@@ -219,3 +225,17 @@ class CertificateBatch:
                     self.satisfied[index].tolist(), self.component_feedback[index].tolist()))
             ]
         return certificate
+
+
+class CertificateSet(dict):
+    """Certificates of several properties from one certification, keyed by
+    property name in property order.
+
+    The values are :class:`QuantitativeCertificate` (one decision) or
+    :class:`CertificateBatch` (a stack of decisions).
+    """
+
+    @property
+    def applicable(self) -> bool:
+        """Whether at least one property applies at one decision at least."""
+        return any(certificate.applicable for certificate in self.values())

@@ -47,8 +47,9 @@ class CanopyRewardShaper:
 
     def shape(self, raw_reward: float, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> ShapedReward:
         """Compute Eq. 10 for one step and return the decomposition."""
-        verifier_reward, per_property = weighted_feedback(self.properties, lambda prop: self.verifier.certify(
-            prop, state, cwnd_tcp, cwnd_prev, n_components=self.n_components).feedback)
+        certificates = self.verifier.certify(self.properties, state, cwnd_tcp, cwnd_prev,
+                                             n_components=self.n_components)
+        verifier_reward, per_property = weighted_feedback(self.properties, certificates)
         total = (1.0 - self.lam) * raw_reward + self.lam * verifier_reward
         return ShapedReward(
             total=float(total),

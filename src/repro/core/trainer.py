@@ -151,7 +151,7 @@ class CanopyTrainer:
         # its gradients do not disturb the TD3 actor optimizer's Adam moments.
         reg_lr = canopy_config.td3.actor_lr * max(canopy_config.lam, 0.0) * self.trainer_config.regularization_strength
         self._reg_optimizer = (
-            Adam(self.agent.actor.parameters(), self.agent.actor.grads(), lr=reg_lr) if reg_lr > 0 else None
+            Adam.for_model(self.agent.actor, lr=reg_lr) if reg_lr > 0 else None
         )
         self._reg_rng = np.random.default_rng(canopy_config.seed + 977)
 

@@ -18,29 +18,36 @@ The result is a :class:`repro.core.qc.QuantitativeCertificate`.
 Batched engine
 --------------
 
-One engine certifies one property over a stack of decisions.  Handed all
-``D`` decisions of a run, :meth:`Verifier.certify` builds their input regions
-at once (:meth:`PropertySpec.input_bounds` on a ``(D, d)`` state stack,
-checked once for finite, ordered bounds), partitions them into one
-``(D, N, d)`` box (:meth:`repro.abstract.box.Box.split_batched`) and runs a
-*single* IBP call for the property
+One engine certifies a stack of properties over a stack of decisions.
+Handed ``P`` properties and all ``D`` decisions of a run,
+:meth:`Verifier.certify` builds each property's input regions at once
+(:meth:`PropertySpec.input_bounds` on a ``(D, d)`` state stack, checked once
+for finite, ordered bounds), stacks them in property order, partitions them
+into one ``(P·D, N, d)`` box (:meth:`repro.abstract.box.Box.split_batched`,
+one call per run of properties sharing their partition dimensions) and runs a
+*single* IBP call for all of them
 (:func:`repro.abstract.propagate.propagate_mlp_batched`, which works through
-the stack in cache-sized blocks of decisions).  The cwnd map, the Δcwnd /
-fractional-change transformers, the containment check and the Eq. 6 feedback
-are vectorized over decisions and components, and the result is an
-array-backed :class:`repro.core.qc.CertificateBatch`.  One decision is the
-same engine on one state, propagated as an ``(N, d)`` box, and gives a
-:class:`repro.core.qc.QuantitativeCertificate`.
+the stack in cache-sized blocks of decisions).  The cwnd map and the Δcwnd /
+fractional-change transformers run once per :class:`ActionKind` present (P5's
+reference window included), and the containment check and the Eq. 6 feedback
+run once over the whole stack with each property's allowed bounds broadcast
+over its rows.  Each property gets an array-backed
+:class:`repro.core.qc.CertificateBatch`, and a sequence of properties gives a
+:class:`repro.core.qc.CertificateSet` keyed by name.  One property is the
+``P = 1`` case and one decision the ``D = 1`` case of the same engine; one
+decision gives :class:`repro.core.qc.QuantitativeCertificate` objects.  With
+``check_applicability`` a property contributes only the decisions it applies
+at.
 
-Batching does not move a single bit.  Each ``(N, d)`` slice of the stack goes
+Stacking does not move a single bit.  Each ``(N, d)`` slice of the stack goes
 through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
 issues (numpy's ``matmul`` loops that gemm over the leading axis), every other
 step is element-wise, so neither the stacking nor the block size matters, and
 the P5 reference window stays one ``(1, d)`` actor forward per decision.  The
-stack is deliberately never flattened to ``(D·N, d)``: BLAS picks another
+stack is deliberately never flattened to ``(P·D·N, d)``: BLAS picks another
 path for another row count, which moved action bounds by up to 2.8e-17.  The
-differential tests pin a stacked ``certify`` to per-decision ``certify`` with
-``np.array_equal``.
+differential tests pin a stacked ``certify`` to per-decision and
+per-property ``certify`` with ``np.array_equal``.
 
 The engine is pinned against ``tests/oracle``: a one-component-at-a-time
 certifier over per-layer box transformers, kept in the test suite as the
@@ -51,9 +58,10 @@ per-layer propagation bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +69,7 @@ from repro.abstract import transformers
 from repro.abstract.box import Box
 from repro.abstract.propagate import propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec
-from repro.core.qc import CertificateBatch, QuantitativeCertificate, interval_feedback_batch
+from repro.core.qc import CertificateBatch, CertificateSet, QuantitativeCertificate, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
@@ -89,25 +97,31 @@ def _check_decisions(state, cwnd_tcp, cwnd_prev) -> None:
 
 
 def weighted_feedback(
-    properties: Iterable[PropertySpec], feedback_of: Callable[[PropertySpec], float]
+    properties: Iterable[PropertySpec], certificates: Mapping[str, QuantitativeCertificate]
 ) -> Tuple[float, Dict[str, float]]:
     """Eq. 7: the weight-averaged QC feedback over ``properties``.
 
-    ``feedback_of(prop)`` gives one property's feedback.  Returns the weighted
-    average and the feedback of each property by name.  The sum runs in
-    property order, so the value is reproducible bit for bit.
+    ``certificates`` maps each property name to its one-decision certificate
+    (what :meth:`Verifier.certify` returns for a sequence of properties).
+    Returns the weighted average and the feedback of each property by name.
+    The sum runs in property order, so the value is reproducible bit for bit.
     """
     per_property: Dict[str, float] = {}
     total = 0.0
     weight_sum = 0.0
     for prop in properties:
-        feedback = feedback_of(prop)
+        feedback = certificates[prop.name].feedback
         per_property[prop.name] = feedback
         total += prop.weight * feedback
         weight_sum += prop.weight
     if not per_property:
         raise ValueError("need at least one property")
     return total / weight_sum, per_property
+
+
+def _stack(arrays: List[np.ndarray]) -> np.ndarray:
+    """``arrays`` concatenated along the decision axis (a lone array as is)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass
@@ -181,97 +195,154 @@ class Verifier:
     # ------------------------------------------------------------------ #
     def certify(
         self,
-        prop: PropertySpec,
+        prop: PropertySpec | PropertySet | Sequence[PropertySpec],
         state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
+        cwnd_tcp,
+        cwnd_prev,
         n_components: Optional[int] = None,
-    ) -> QuantitativeCertificate | CertificateBatch:
-        """Produce the QC for one property at one decision step, or at each
-        decision of a stack.
+    ) -> QuantitativeCertificate | CertificateBatch | CertificateSet:
+        """Produce the QC of one property, or of each property of a sequence,
+        at one decision step or at each decision of a stack.
 
         A ``state`` of shape ``(d,)`` with scalar windows gives one
-        :class:`QuantitativeCertificate`.  A stack of ``D`` states ``(D, d)``
-        with one ``cwnd_tcp`` and one ``cwnd_prev`` per decision gives a
-        :class:`CertificateBatch` whose decision ``i`` is bit-identical to
-        ``certify(prop, state[i], cwnd_tcp[i], cwnd_prev[i])``.  Either way
-        all components of all decisions go through the actor in a single IBP
-        pass.
+        :class:`QuantitativeCertificate` per property.  A stack of ``D``
+        states ``(D, d)`` with one ``cwnd_tcp`` and one ``cwnd_prev`` per
+        decision gives one :class:`CertificateBatch` per property, whose
+        decision ``i`` is bit-identical to
+        ``certify(prop, state[i], cwnd_tcp[i], cwnd_prev[i])``.  ``prop`` is
+        one :class:`PropertySpec` (the result is its certificate or batch) or
+        a sequence of them (the result is a :class:`CertificateSet` keyed by
+        property name, in sequence order).  Either way all components of all
+        decisions of all properties go through the actor in a single IBP pass.
         """
         n = self._n_components(n_components)
+        properties = [prop] if isinstance(prop, PropertySpec) else list(prop)
+        if not properties:
+            raise ValueError("need at least one property")
         state = np.asarray(state, dtype=np.float64)
         if state.ndim == 1:
             context = DecisionContext(state, float(cwnd_tcp), float(cwnd_prev))
-            return self._certify_stack(prop, context.state, context.cwnd_tcp, context.cwnd_prev, n).certificate(0)
-        cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
-        cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
-        if state.ndim != 2:
-            raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
-        if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
-            raise ValueError("a stack of decisions needs one cwnd_tcp and one cwnd_prev per decision")
-        _check_decisions(state, cwnd_tcp, cwnd_prev)
-        return self._certify_stack(prop, state, cwnd_tcp, cwnd_prev, n)
-
-    def _certify_stack(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp, cwnd_prev, n: int) -> CertificateBatch:
-        """The engine behind :meth:`certify`.
-
-        ``states`` is one state ``(d,)`` with scalar windows, propagated as an
-        ``(N, d)`` box, or a stack ``(D, d)`` with one window per decision,
-        propagated as one ``(D, N, d)`` box.  Decisions that fail the Δcwnd
-        side condition under ``check_applicability`` are not propagated.
-        """
-        applicable = np.ones(states.shape[:-1], dtype=bool)
-        if self.config.check_applicability:
-            applicable = self._applicability_from_state(prop, states)
-        if applicable.ndim and not applicable.all():
-            states, cwnd_tcp, cwnd_prev = states[applicable], cwnd_tcp[applicable], cwnd_prev[applicable]
-        state_dim = states.shape[-1]
-        if applicable.any():
-            input_lo, input_hi, output_lo, output_hi = self._component_bounds(prop, states, cwnd_tcp, cwnd_prev, n)
+            batches = self._certify_stack(properties, context.state[None], np.array([context.cwnd_tcp]),
+                                          np.array([context.cwnd_prev]), n)
+            certificates = [batch.certificate(0) for batch in batches]
         else:
-            input_lo = input_hi = np.empty((0, n, state_dim))
+            cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
+            cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
+            if state.ndim != 2:
+                raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
+            if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
+                raise ValueError("a stack of decisions needs one cwnd_tcp and one cwnd_prev per decision")
+            _check_decisions(state, cwnd_tcp, cwnd_prev)
+            certificates = self._certify_stack(properties, state, cwnd_tcp, cwnd_prev, n)
+        if isinstance(prop, PropertySpec):
+            return certificates[0]
+        return CertificateSet((certificate.property_name, certificate) for certificate in certificates)
+
+    def _certify_stack(self, properties: List[PropertySpec], states: np.ndarray, cwnd_tcp: np.ndarray,
+                       cwnd_prev: np.ndarray, n: int) -> List[CertificateBatch]:
+        """The engine behind :meth:`certify`: one batch per property.
+
+        ``states`` is a stack ``(D, d)`` with one window per decision.  Each
+        property keeps the decisions it applies at (all of them unless
+        ``check_applicability`` gates some out) and builds their regions.
+        The regions are stacked in property order, and each run of
+        consecutive properties with the same partition dimensions (every
+        built-in set is one run) is split into its ``N`` components in one
+        call.  The resulting ``(R, N, d)`` stack goes through one IBP call,
+        and the checked-action bounds and the Eq. 6 feedback are computed over
+        all ``R`` rows at once.
+        """
+        observer = self.observer
+        masks, counts, rows, regions = [], [], [], []
+        for prop in properties:
+            mask = np.ones(states.shape[0], dtype=bool)
+            if self.config.check_applicability:
+                mask = self._applicability_from_state(prop, states)
+            count = int(mask.sum())
+            decisions = (states, cwnd_tcp, cwnd_prev)
+            if count < mask.shape[0]:
+                decisions = tuple(values[mask] for values in decisions)
+            masks.append(mask)
+            counts.append(count)
+            rows.append(decisions)
+            regions.append(self._region(prop, decisions[0]) if count else None)
+        applicable = [index for index, count in enumerate(counts) if count]
+        if applicable:
+            boxes = []
+            for dims, run in itertools.groupby(applicable, key=lambda i: tuple(properties[i].partition_dims(observer))):
+                lo, hi = (_stack(list(bounds)) for bounds in zip(*(regions[index] for index in run)))
+                boxes.append(Box._trusted_bounds(lo, hi).split_batched(n, dims=list(dims) if dims else None))
+            components = boxes[0] if len(boxes) == 1 else Box._trusted(
+                np.concatenate([box.center for box in boxes]), np.concatenate([box.deviation for box in boxes]))
+            del boxes
+            output_lo, output_hi = self._checked_bounds(
+                components, [prop.kind for prop in properties], counts,
+                *(_stack(list(values)) for values in zip(*rows)))
+            # The components' bounds c - d and c + d, the latter written over
+            # the centre the IBP pass no longer needs.
+            input_lo = components.center - components.deviation
+            input_hi = np.add(components.center, components.deviation, out=components.center)
+            del components
+        else:
+            input_lo = input_hi = np.empty((0, n, states.shape[-1]))
             output_lo = output_hi = np.empty((0, n))
-        allowed_lo, allowed_hi = prop.allowed_bounds()
+        allowed = [prop.allowed_bounds() for prop in properties]
+        allowed_lo, allowed_hi = (np.repeat(bounds, counts)[:, None] for bounds in zip(*allowed))
         satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed_lo, allowed_hi)
-        return CertificateBatch.from_applicable(
-            prop.name, allowed_lo, allowed_hi, applicable.reshape(-1),
-            input_lo.reshape(-1, n, state_dim), input_hi.reshape(-1, n, state_dim),
-            output_lo.reshape(-1, n), output_hi.reshape(-1, n),
-            satisfied.reshape(-1, n), feedback.reshape(-1, n),
-        )
+        batches = []
+        for prop, mask, (lo, hi), end, count in zip(properties, masks, allowed, np.cumsum(counts), counts):
+            own = slice(end - count, end)
+            batches.append(CertificateBatch.from_applicable(
+                prop.name, lo, hi, mask, input_lo[own], input_hi[own], output_lo[own], output_hi[own],
+                satisfied[own], feedback[own]))
+        return batches
 
-    def _component_bounds(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp, cwnd_prev, n: int) -> tuple:
-        """Component input bounds ``(..., N, d)`` and checked-action bounds
-        ``(..., N)`` for a state ``(d,)`` or a stack ``(D, d)``, one IBP call.
+    def _region(self, prop: PropertySpec, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``prop``'s input regions ``(lo, hi)`` around a stack of states.
 
-        The region is checked once here (finite bounds, ``lo <= hi``) and
+        The regions are checked once here (finite bounds, ``lo <= hi``) and
         then built with the trusted constructors: centre ``(lo + hi) / 2``,
         deviation ``max((hi - lo) / 2, 0)``, then split on ``c ∓ d``.
         """
-        observer = self.observer
-        lo, hi = prop.input_bounds(states, observer)
+        lo, hi = prop.input_bounds(states, self.observer)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()) or (lo > hi + 1e-12).any():
             raise ValueError(f"{prop.name}: input region needs finite bounds with lo <= hi")
-        dims = prop.partition_dims(observer)
-        components = Box._trusted_bounds(lo, hi).split_batched(n, dims=dims if dims else None)
-        action_box = propagate_mlp_batched(self.actor, components)
-        # One window per decision, broadcast over its components.
-        cwnd_box = transformers.cwnd_from_action(action_box, np.asarray(cwnd_tcp)[..., None, None])
-        if prop.kind is ActionKind.DELTA_CWND:
-            checked = transformers.delta_cwnd(cwnd_box, np.asarray(cwnd_prev)[..., None, None])
-        else:
-            cwnd_reference = self._cwnd_reference(prop, states, cwnd_tcp)
-            checked = transformers.cwnd_change_fraction(cwnd_box, np.asarray(cwnd_reference)[..., None, None])
-        # The action (and hence the checked quantity) is scalar per component;
-        # drop the trailing 1-element axis.
-        return components.lo, components.hi, checked.lo[..., 0], checked.hi[..., 0]
+        return lo, hi
 
-    def _cwnd_reference(self, prop: PropertySpec, states: np.ndarray, cwnd_tcp):
-        """P5's concrete reference window: one ``(1, d)`` actor forward per decision."""
-        if prop.kind is not ActionKind.CWND_CHANGE_FRACTION:
-            return None
-        if states.ndim == 1:
-            return self.concrete_cwnd(states, cwnd_tcp)
+    def _checked_bounds(self, components: Box, kinds: List[ActionKind], counts: List[int], states: np.ndarray,
+                        cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> tuple:
+        """Checked-action bounds ``(R, N)`` of a stack of ``R`` component rows.
+
+        The stack holds runs of ``counts[i]`` rows of kind ``kinds[i]``, one
+        decision (state and windows) per row.  One IBP call covers the whole
+        stack; the cwnd map and the Δcwnd / fractional-change transformers
+        run once per :class:`ActionKind` present, on that kind's rows.
+        """
+        action_box = propagate_mlp_batched(self.actor, components)
+        output_lo = np.empty(action_box.shape[:-1])
+        output_hi = np.empty(action_box.shape[:-1])
+        for kind in dict.fromkeys(kind for kind, count in zip(kinds, counts) if count):
+            rows = np.repeat([other is kind for other in kinds], counts)
+            if rows.all():
+                action, states_k, tcp, prev = action_box, states, cwnd_tcp, cwnd_prev
+            else:
+                action = Box._trusted(action_box.center[rows], action_box.deviation[rows])
+                states_k, tcp, prev = states[rows], cwnd_tcp[rows], cwnd_prev[rows]
+            # One window per decision, broadcast over its components.
+            cwnd_box = transformers.cwnd_from_action(action, tcp[:, None, None])
+            if kind is ActionKind.DELTA_CWND:
+                checked = transformers.delta_cwnd(cwnd_box, prev[:, None, None])
+            else:
+                checked = transformers.cwnd_change_fraction(
+                    cwnd_box, self._cwnd_reference(states_k, tcp)[:, None, None])
+            # The action (and hence the checked quantity) is scalar per
+            # component; drop the trailing 1-element axis.
+            output_lo[rows] = checked.lo[..., 0]
+            output_hi[rows] = checked.hi[..., 0]
+        return output_lo, output_hi
+
+    def _cwnd_reference(self, states: np.ndarray, cwnd_tcp: np.ndarray) -> np.ndarray:
+        """P5's concrete reference windows: one ``(1, d)`` actor forward per decision."""
         return np.array([self.concrete_cwnd(state, tcp) for state, tcp in zip(states, cwnd_tcp)])
 
     def _applicability_from_state(self, prop: PropertySpec, states: np.ndarray) -> np.ndarray:
@@ -295,21 +366,17 @@ class Verifier:
         n_components: Optional[int] = None,
     ) -> float:
         """Weighted average QC feedback over a set of properties (r_verifier)."""
-        value, _ = weighted_feedback(properties, lambda prop: self.certify(
-            prop, state, cwnd_tcp, cwnd_prev, n_components=n_components).feedback)
-        return value
+        certificates = self.certify(properties, state, cwnd_tcp, cwnd_prev, n_components=n_components)
+        return weighted_feedback(properties, certificates)[0]
 
     def certify_all(
         self,
         properties: PropertySet | Sequence[PropertySpec],
         state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
+        cwnd_tcp,
+        cwnd_prev,
         n_components: Optional[int] = None,
-    ) -> dict:
-        """QCs for every property in the set, keyed by property name (one
-        :meth:`certify` call per property, in set order)."""
-        return {
-            prop.name: self.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            for prop in properties
-        }
+    ) -> CertificateSet:
+        """QCs for every property in the set, keyed by property name: one
+        :meth:`certify` call over the whole set."""
+        return self.certify(properties, state, cwnd_tcp, cwnd_prev, n_components=n_components)

@@ -39,27 +39,44 @@ tolerance under which they were compared — so a CI physics-drift failure is
 diagnosable straight from the job log.  The exit status is ``diff``-like: 0
 when the stores agree, 1 when they differ.
 
+Two arms of repository-benchmark runs (``perfbench/run.py``, declared in
+``BENCHMARK.json``) compare with ``--compare PARENT CHANGE``.  Each side is a
+file of run rows ``{"workload", "seed", "pair", "arm", "commit", "attempted",
+"failed", "metrics"}`` -- a JSON payload with a ``rows`` list (such as a
+committed ``BENCH_pr<N>.json``) or one JSON row per line -- optionally
+suffixed ``:ARM`` to keep only that arm's rows.  Rows pair up per workload by
+their ``pair`` index.  Per workload and metric the report prints the median
+and quartiles of each arm, the median ratio (change / parent), how many pairs
+the change won, and a verdict judged against ``BENCHMARK.json`` (read only):
+``worse`` when the change's median is worse than the parent's by more than
+the metric's bound, ``gain`` when the change won at least 90% of the pairs
+and its median moved by more than the parent's inter-quartile range, ``same``
+otherwise.  The exit status is 1 when any metric is ``worse`` or the change
+failed a larger share of operations.
+
 Usage (what the CI trajectory job runs)::
 
     python -m repro.harness.benchjson --commit "$GITHUB_SHA" \
         --out BENCH_ci.json bench-verifier.json bench-topology.json ...
     python -m repro.harness.benchjson --validate BENCH_ci.json
     python -m repro.harness.benchjson --store-diff runs/old runs/new --atol 1e-12
+    python -m repro.harness.benchjson --compare runs.json:parent runs.json:change
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.store import RECORDS_FILENAME, RunStore, validate_schema
 from repro.telemetry.log import console
 
 __all__ = ["canonical_rows", "store_rows", "merge_bench_files", "store_diff",
            "format_store_diff", "validate_bench_payload", "BENCH_PAYLOAD_SCHEMA",
-           "main"]
+           "load_runs", "compare_runs", "format_compare", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -283,6 +300,112 @@ def format_store_diff(diff: Dict, label_a: str = "A", label_b: str = "B") -> str
     return "\n".join(lines)
 
 
+def load_runs(spec: str) -> List[Dict]:
+    """The run rows of ``spec``: a file path, optionally suffixed ``:ARM``.
+
+    The file holds a JSON payload with a ``rows`` list or one JSON row per
+    line.  With an ``:ARM`` suffix (and no file of that literal name) only
+    the rows whose ``arm`` matches are kept.
+    """
+    path, arm = Path(spec), None
+    if not path.is_file() and ":" in spec:
+        raw, arm = spec.rsplit(":", 1)
+        path = Path(raw)
+    text = path.read_text()
+    try:
+        payload = json.loads(text)
+        rows = payload["rows"] if isinstance(payload, dict) else payload
+    except json.JSONDecodeError:
+        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    return [row for row in rows if arm is None or row.get("arm") == arm]
+
+
+def _run_metrics(row: Dict) -> Dict[str, float]:
+    """A run row's metrics as plain numbers (perfbench prints ``{"value", "unit"}``)."""
+    return {name: float(value["value"] if isinstance(value, dict) else value)
+            for name, value in row["metrics"].items()}
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare_runs(parent: Sequence[Dict], change: Sequence[Dict], benchmark: Dict) -> List[Dict]:
+    """Per workload and metric, the two arms' quartiles, the median ratio,
+    the change's win count over the pairs and a verdict (module docstring).
+
+    ``benchmark`` is the parsed ``BENCHMARK.json``: its ``end_to_end``
+    metrics carry a direction and a bound, its ``per_layer`` metrics a
+    direction only (their verdict is never ``worse``).  Each workload also
+    gets a ``failed_frac`` entry: failed over attempted operations, summed
+    over its runs.
+    """
+    declared = {entry["name"]: entry for entry in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
+    report: List[Dict] = []
+    in_change = {row["workload"] for row in change}
+    workloads = [name for name in dict.fromkeys(row["workload"] for row in parent) if name in in_change]
+    for workload in workloads:
+        arms = []
+        for rows in (parent, change):
+            own = [row for row in rows if row["workload"] == workload]
+            arms.append(sorted(own, key=lambda row: row.get("pair", 0)))
+        n_pairs = min(len(arm) for arm in arms)
+        runs = [[_run_metrics(row) for row in arm] for arm in arms]
+        names = [name for name in declared if all(name in metrics for arm in runs for metrics in arm)]
+        for name in names:
+            entry = declared[name]
+            higher = entry["better"] == "higher"
+            values = [[metrics[name] for metrics in arm] for arm in runs]
+            (p_q1, p_median, p_q3), (c_q1, c_median, c_q3) = (_quartiles(arm) for arm in values)
+            wins = sum((c > p) if higher else (c < p) for p, c in zip(values[0][:n_pairs], values[1][:n_pairs]))
+            bound = entry.get("bound")
+            if bound is not None and (c_median < p_median * (1.0 - bound) if higher
+                                      else c_median > p_median * (1.0 + bound)):
+                verdict = "worse"
+            elif n_pairs and wins >= 0.9 * n_pairs and abs(c_median - p_median) > p_q3 - p_q1:
+                verdict = "gain"
+            else:
+                verdict = "same"
+            report.append({
+                "workload": workload, "metric": name, "unit": entry.get("unit", ""), "better": entry["better"],
+                "bound": bound, "pairs": n_pairs, "parent": [p_median, p_q1, p_q3],
+                "change": [c_median, c_q1, c_q3], "ratio": c_median / p_median if p_median else float("nan"),
+                "wins": wins, "verdict": verdict,
+            })
+        fractions = [sum(row.get("failed", 0) for row in arm) / max(sum(row.get("attempted", 0) for row in arm), 1)
+                     for arm in arms]
+        report.append({
+            "workload": workload, "metric": "failed_frac", "unit": "ratio", "better": "lower", "bound": 0.0,
+            "pairs": n_pairs, "parent": [fractions[0]] * 3, "change": [fractions[1]] * 3,
+            "ratio": float("nan"), "wins": 0, "verdict": "worse" if fractions[1] > fractions[0] else "same",
+        })
+    return report
+
+
+def format_compare(report: Sequence[Dict]) -> str:
+    """The :func:`compare_runs` report as one table per workload."""
+    lines: List[str] = []
+
+    def arm(values: Sequence[float]) -> str:
+        median, q1, q3 = values
+        return f"{median:.4g} [{q1:.4g}-{q3:.4g}]"
+
+    for workload in dict.fromkeys(entry["workload"] for entry in report):
+        entries = [entry for entry in report if entry["workload"] == workload]
+        lines.append(f"workload {workload} ({entries[0]['pairs']} pairs)")
+        lines.append(f"  {'metric':<34} {'parent median [q1-q3]':>30} {'change median [q1-q3]':>30} "
+                     f"{'ratio':>7} {'wins':>6} {'bound':>6}  verdict")
+        for entry in entries:
+            bound = "-" if entry["bound"] is None else f"{entry['bound']:g}"
+            wins = "-" if entry["metric"] == "failed_frac" else f"{entry['wins']}/{entry['pairs']}"
+            lines.append(f"  {entry['metric']:<34} {arm(entry['parent']):>30} {arm(entry['change']):>30} "
+                         f"{entry['ratio']:>7.3f} {wins:>6} {bound:>6}  {entry['verdict']}")
+    return "\n".join(lines)
+
+
 def validate_bench_payload(payload: Dict) -> None:
     """Schema-check one canonical payload; raises ``ValueError`` on drift."""
     validate_schema(payload, BENCH_PAYLOAD_SCHEMA)
@@ -307,7 +430,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--atol", type=float, default=0.0,
                         help="absolute tolerance for --store-diff scalar comparisons "
                              "(default 0.0: exact)")
+    parser.add_argument("--compare", nargs=2, default=None, metavar=("PARENT", "CHANGE"),
+                        help="compare two arms of benchmark runs (each a file of run rows, "
+                             "optionally FILE:ARM) against the BENCHMARK.json bounds; exit 1 "
+                             "when a metric is worse than its bound")
+    parser.add_argument("--benchmark", default="BENCHMARK.json",
+                        help="benchmark declaration read by --compare (default: BENCHMARK.json)")
     args = parser.parse_args(list(argv) if argv is not None else None)
+
+    if args.compare is not None:
+        if args.files or args.store or args.validate or args.store_diff:
+            parser.error("--compare takes exactly two run files and no other inputs")
+        benchmark = json.loads(Path(args.benchmark).read_text())
+        report = compare_runs(load_runs(args.compare[0]), load_runs(args.compare[1]), benchmark)
+        console(format_compare(report))
+        return 1 if any(entry["verdict"] == "worse" for entry in report) else 0
 
     if args.store_diff is not None:
         if args.files or args.store or args.validate:

@@ -223,7 +223,8 @@ def certificates_for_decisions(
     decisions: Sequence[DecisionRecord],
     n_components: int = 50,
 ) -> Dict[str, CertificateBatch]:
-    """The certificates of every decision, one batch per property, keyed by name.
+    """The certificates of every decision, one batch per property, keyed by name
+    (one :meth:`Verifier.certify` call over all properties and decisions).
 
     Row ``i`` of each batch certifies decision ``i``.  The previous enforced
     window for decision ``i`` is decision ``i-1``'s enforced window (the

@@ -4,6 +4,20 @@ The architectures follow Orca's agent: two hidden layers with ReLU
 activations; the actor ends with a tanh squashing the coarse-grained action
 into ``[-1, 1]`` (Eq. 1 of the paper then maps it to a cwnd multiplier), and
 the critics end with a linear head producing a scalar Q-value.
+
+Flat buffers
+------------
+
+An :class:`MLP` keeps all its parameters in one contiguous ``flat_params``
+array and all their gradients in one ``flat_grads`` array.  Each
+:class:`~repro.nn.layers.Dense` layer's ``weight``, ``bias``, ``grad_weight``
+and ``grad_bias`` are reshaped views into them, every tensor starting at a
+multiple of :data:`ALIGN` elements; the padding between tensors stays 0.  An
+optimizer built with :meth:`repro.nn.optim.Optimizer.for_model`, zeroing the
+gradients, Polyak averaging and cloning are therefore one array operation
+per network, element for element the same arithmetic as the per-tensor
+loops.  Anything that reads ``layer.weight`` (the forward pass, IBP) sees
+every in-place update.  Pickling or deep-copying an MLP rebuilds the views.
 """
 
 from __future__ import annotations
@@ -14,7 +28,11 @@ import numpy as np
 
 from repro.nn.layers import Dense, Identity, Layer, ReLU, Sequential, Tanh
 
-__all__ = ["MLP", "make_actor", "make_critic"]
+__all__ = ["ALIGN", "MLP", "make_actor", "make_critic"]
+
+#: Each tensor of an MLP's flat buffers starts at a multiple of this many
+#: elements (64 bytes of float64).
+ALIGN = 8
 
 _ACTIVATIONS = {
     "relu": ReLU,
@@ -24,8 +42,15 @@ _ACTIVATIONS = {
 }
 
 
+def _padded(size: int) -> int:
+    """``size`` rounded up to a multiple of :data:`ALIGN`."""
+    return -(-size // ALIGN) * ALIGN
+
+
 class MLP(Sequential):
-    """A fully-connected network built from a list of hidden sizes."""
+    """A fully-connected network built from a list of hidden sizes, its
+    parameters and gradients held in the flat buffers ``flat_params`` and
+    ``flat_grads``."""
 
     def __init__(
         self,
@@ -59,6 +84,34 @@ class MLP(Sequential):
         self.hidden_sizes = tuple(hidden_sizes)
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
+        n_flat = sum(_padded(param.size) for param in self.parameters())
+        self.flat_params = np.zeros(n_flat)
+        self.flat_grads = np.zeros(n_flat)
+        self._bind_flat()
+
+    def _bind_flat(self) -> None:
+        """Copy every Dense tensor into its slot of the flat buffers and make
+        the layer attribute a view of that slot."""
+        offset = 0
+        for layer in self.layers:
+            if not isinstance(layer, Dense):
+                continue
+            for param_name, grad_name in (("weight", "grad_weight"), ("bias", "grad_bias")):
+                shape = getattr(layer, param_name).shape
+                end = offset + int(np.prod(shape))
+                for name, flat in ((param_name, self.flat_params), (grad_name, self.flat_grads)):
+                    view = flat[offset:end].reshape(shape)
+                    view[...] = getattr(layer, name)
+                    setattr(layer, name, view)
+                offset = _padded(end)
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickle and deepcopy restore each view as an array of its own.
+        self.__dict__.update(state)
+        self._bind_flat()
+
+    def zero_grad(self) -> None:
+        self.flat_grads.fill(0.0)
 
     # ------------------------------------------------------------------ #
     # Parameter (de)serialization — used for target-network updates.
@@ -79,14 +132,13 @@ class MLP(Sequential):
         """Polyak averaging ``θ ← τ θ_src + (1−τ) θ`` (target network update)."""
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        for target_param, source_param in zip(self.parameters(), source.parameters()):
-            target_param[...] = tau * source_param + (1.0 - tau) * target_param
+        self.flat_params[...] = tau * source.flat_params + (1.0 - tau) * self.flat_params
 
     def copy_from(self, source: "MLP") -> None:
         self.soft_update_from(source, tau=1.0)
 
     def clone(self) -> "MLP":
-        """A structural copy with identical weights (independent storage)."""
+        """A structural copy with identical weights (its own flat buffers)."""
         other = MLP(
             self.in_features,
             self.hidden_sizes,
@@ -94,7 +146,7 @@ class MLP(Sequential):
             hidden_activation=self.hidden_activation,
             output_activation=self.output_activation,
         )
-        other.set_weights(self.get_weights())
+        other.flat_params[...] = self.flat_params
         return other
 
 

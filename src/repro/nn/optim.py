@@ -23,8 +23,10 @@ class Optimizer:
 
     @classmethod
     def for_model(cls, model, lr: float, **kwargs) -> "Optimizer":
-        """Build an optimizer bound to a :class:`repro.nn.layers.Sequential`."""
-        return cls(model.parameters(), model.grads(), lr=lr, **kwargs)
+        """Build an optimizer over a :class:`repro.nn.mlp.MLP`'s flat
+        parameter and gradient buffers: one array each, so a step is one
+        pass of array operations over the whole network."""
+        return cls([model.flat_params], [model.flat_grads], lr=lr, **kwargs)
 
     def step(self) -> None:
         raise NotImplementedError

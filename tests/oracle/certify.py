@@ -96,6 +96,6 @@ def certify_all_reference(verifier: Verifier, properties: Sequence[PropertySpec]
 def verifier_feedback_reference(verifier: Verifier, properties: Sequence[PropertySpec], state: np.ndarray,
                                 cwnd_tcp: float, cwnd_prev: float, n_components: Optional[int] = None) -> float:
     """Counterpart of :meth:`Verifier.verifier_feedback`."""
-    value, _ = weighted_feedback(properties, lambda prop: certify_reference(
-        verifier, prop, state, cwnd_tcp, cwnd_prev, n_components=n_components).feedback)
-    return value
+    certificates = certify_all_reference(verifier, properties, state, cwnd_tcp, cwnd_prev,
+                                         n_components=n_components)
+    return weighted_feedback(properties, certificates)[0]

@@ -2,13 +2,16 @@
 
 import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.abstract.box import Box
 from repro.core.config import CanopyConfig
+from repro.core.properties import robustness_properties
 from repro.core.trainer import CanopyTrainer, TrainerConfig
+from repro.nn.optim import Adam
 
 
 def make_trainer(kind="shallow", **overrides):
@@ -144,3 +147,26 @@ class TestTraining:
         samples = inputs[-1]
         np.testing.assert_array_equal(samples, region.lo + draws * (region.hi - region.lo))
         assert not np.array_equal(samples, raw_lo + draws * (raw_hi - raw_lo))
+
+    def test_p5_regularization_step_matches_per_tensor_adam(self):
+        """With an ``epsilon`` small enough that P5 always violates, the
+        regularization step fires, moves the actor, and its flat-buffer Adam
+        lands on the same bits as a per-tensor Adam over the same actor."""
+        config = replace(CanopyConfig.robustness(seed=2), properties=robustness_properties(epsilon=1e-9))
+        trainer = CanopyTrainer(config, TrainerConfig(total_steps=60, log_every=20))
+        reference = CanopyTrainer(config, TrainerConfig(total_steps=60, log_every=20))
+        actor, reference_actor = trainer.agent.actor, reference.agent.actor
+        assert trainer._reg_optimizer.parameters == [actor.flat_params]
+        reference._reg_optimizer = Adam(reference_actor.parameters(), reference_actor.grads(),
+                                        lr=trainer._reg_optimizer.lr)
+        initial = actor.flat_params.copy()
+        assert np.array_equal(initial, reference_actor.flat_params)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            state = rng.uniform(0.1, 0.9, trainer.verifier.observer.state_dim)
+            before = actor.flat_params.copy()
+            trainer._property_regularization_step(state, 20.0, 20.0)
+            reference._property_regularization_step(state, 20.0, 20.0)
+            assert not np.array_equal(actor.flat_params, before)
+            assert np.array_equal(actor.flat_params, reference_actor.flat_params)
+        assert not actor.flat_grads.any()

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from oracle import certify_reference
+from repro.core.monitor import QCRuntimeMonitor
 from repro.core.properties import (
+    all_properties,
     deep_buffer_properties,
     property_p1,
     property_p2,
     property_p5,
     shallow_buffer_properties,
 )
+from repro.core.reward import CanopyRewardShaper
 from repro.core.verifier import Verifier, VerifierConfig
+from repro.harness.evaluate import certificates_for_decisions
 from repro.nn import make_actor
-from repro.orca.agent import cwnd_from_action
+from repro.orca.agent import DecisionRecord, cwnd_from_action
 from repro.orca.observations import ObservationConfig
 
 
@@ -226,3 +230,56 @@ class TestSemantics:
         verifier = Verifier(actor, obs_config, VerifierConfig(n_components=4))
         cert = verifier.certify(property_p5(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
         assert cert.proof
+
+
+class TestOneCertifyPerCallSite:
+    """Every caller that needs several properties makes one
+    ``Verifier.certify`` call over all of them (a profiler patching
+    ``Verifier.certify`` sees each of them)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        certify = Verifier.certify
+
+        def counting(self, prop, *args, **kwargs):
+            calls.append(prop)
+            return certify(self, prop, *args, **kwargs)
+
+        monkeypatch.setattr(Verifier, "certify", counting)
+        return calls
+
+    def per_property(self, verifier, properties, *args, **kwargs):
+        return {prop.name: Verifier.certify(verifier, prop, *args, **kwargs) for prop in properties}
+
+    def test_reward_shaper(self, verifier, state, calls):
+        properties = shallow_buffer_properties()
+        shaped = CanopyRewardShaper(verifier, properties, lam=0.5).shape(0.25, state, 20.0, 30.0)
+        assert calls == [properties]
+        expected = self.per_property(verifier, properties, state, 20.0, 30.0)
+        assert shaped.per_property == {name: cert.feedback for name, cert in expected.items()}
+        assert shaped.verifier == (expected["P1"].feedback + expected["P2"].feedback) / 2.0
+
+    def test_runtime_monitor(self, verifier, state, calls):
+        properties = deep_buffer_properties()
+        monitor = QCRuntimeMonitor(verifier, properties, n_components=7)
+        value, per_property = monitor.evaluate(state, 20.0, 30.0)
+        assert calls == [properties]
+        expected = self.per_property(verifier, properties, state, 20.0, 30.0, n_components=7)
+        assert per_property == {name: cert.feedback for name, cert in expected.items()}
+
+    def test_verifier_feedback_and_certify_all(self, verifier, state, calls):
+        properties = all_properties()
+        verifier.verifier_feedback(properties, state, 20.0, 30.0)
+        certificates = verifier.certify_all(properties, state, 20.0, 30.0)
+        assert calls == [properties, properties]
+        assert certificates.applicable
+
+    def test_certificates_for_decisions(self, verifier, state, calls):
+        properties = shallow_buffer_properties()
+        decisions = [DecisionRecord(time=0.1 * i, state=state * (1.0 - 0.1 * i), action=0.0, cwnd_tcp=20.0 + i,
+                                    cwnd_before=10.0 + i, cwnd_after=11.0 + i, used_fallback=False, qc_value=1.0)
+                     for i in range(4)]
+        batches = certificates_for_decisions(verifier, properties, decisions, n_components=3)
+        assert calls == [properties]
+        assert list(batches) == ["P1", "P2"]

@@ -7,7 +7,9 @@ import pytest
 from repro.harness.benchjson import (
     SCHEMA_VERSION,
     canonical_rows,
+    compare_runs,
     format_store_diff,
+    load_runs,
     main,
     merge_bench_files,
     store_diff,
@@ -260,3 +262,70 @@ def test_schema_version_is_pinned():
     assert SCHEMA_VERSION == 1
     with pytest.raises(SystemExit):  # argparse: files are required
         main([])
+
+
+BENCHMARK = {
+    "end_to_end": [
+        {"name": "train_steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ],
+    "per_layer": [{"name": "core.certify.count", "unit": "count", "better": "lower"}],
+}
+
+
+def run_row(arm, pair, steps, setup, workload="train_canopy", failed=0):
+    return {"workload": workload, "seed": pair, "pair": pair, "arm": arm, "commit": arm[0] * 7,
+            "attempted": 3, "failed": failed,
+            "metrics": {"train_steps_per_s": {"value": steps, "unit": "1/s"}, "setup_s": setup}}
+
+
+class TestCompare:
+    def arms(self, change_steps=600.0, change_setup=0.25, change_failed=0):
+        parent = [run_row("parent", i, 480.0 + i, 0.25) for i in range(10)]
+        change = [run_row("change", i, change_steps + i, change_setup, failed=change_failed) for i in range(10)]
+        return parent, change
+
+    def test_gain_is_judged_over_the_pairs(self):
+        report = {entry["metric"]: entry for entry in compare_runs(*self.arms(), BENCHMARK)}
+        steps = report["train_steps_per_s"]
+        assert steps["pairs"] == 10 and steps["wins"] == 10
+        assert steps["verdict"] == "gain"
+        assert steps["ratio"] == pytest.approx(604.5 / 484.5)
+        assert steps["parent"] == pytest.approx([484.5, 482.25, 486.75])
+        assert report["setup_s"]["verdict"] == "same" and report["setup_s"]["wins"] == 0
+        assert report["failed_frac"]["verdict"] == "same"
+        assert "core.certify.count" not in report  # only metrics both arms measured
+
+    def test_a_metric_past_its_bound_is_worse(self):
+        report = {entry["metric"]: entry for entry in compare_runs(*self.arms(change_setup=0.32), BENCHMARK)}
+        assert report["setup_s"]["verdict"] == "worse"
+        report = {entry["metric"]: entry for entry in compare_runs(*self.arms(change_steps=380.0), BENCHMARK)}
+        assert report["train_steps_per_s"]["verdict"] == "worse"
+        report = {entry["metric"]: entry for entry in compare_runs(*self.arms(change_failed=1), BENCHMARK)}
+        assert report["failed_frac"]["verdict"] == "worse"
+
+    def test_a_small_lead_inside_the_parent_spread_is_not_a_gain(self):
+        report = {entry["metric"]: entry for entry in compare_runs(*self.arms(change_steps=482.0), BENCHMARK)}
+        assert report["train_steps_per_s"]["wins"] == 10
+        assert report["train_steps_per_s"]["verdict"] == "same"
+
+    def test_main_reads_arms_from_one_payload_or_json_lines(self, tmp_path, capsys):
+        parent, change = self.arms()
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+        both = tmp_path / "bench.json"
+        both.write_text(json.dumps({"rows": parent + change}))
+        lines = tmp_path / "change.jsonl"
+        lines.write_text("\n".join(json.dumps(row) for row in change) + "\n")
+        assert load_runs(f"{both}:change") == change
+        assert load_runs(str(lines)) == change
+        benchmark = ["--benchmark", str(tmp_path / "BENCHMARK.json")]
+        assert main(["--compare", f"{both}:parent", str(lines)] + benchmark) == 0
+        out = capsys.readouterr().out
+        assert "workload train_canopy (10 pairs)" in out
+        assert "10/10" in out and "gain" in out
+        _, slow = self.arms(change_steps=300.0)
+        lines.write_text("\n".join(json.dumps(row) for row in slow) + "\n")
+        assert main(["--compare", f"{both}:parent", str(lines)] + benchmark) == 1
+        assert "worse" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["--compare", str(lines), str(lines), "--validate"])

@@ -1,9 +1,15 @@
 """Tests for the MLP container, actor/critic builders, and weight management."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn.mlp import MLP, make_actor, make_critic
+from repro.nn.losses import mse_loss
+from repro.nn.mlp import ALIGN, MLP, make_actor, make_critic
+from repro.nn.optim import Adam
+from repro.nn.serialization import load_mlp, save_mlp
 
 
 def test_mlp_output_shape():
@@ -86,3 +92,98 @@ def test_copy_from_makes_exact_copy():
     target.copy_from(source)
     x = np.random.default_rng(11).normal(size=(2, 3))
     assert np.allclose(source.forward(x), target.forward(x))
+
+
+# ---------------------------------------------------------------------- #
+# Flat parameter and gradient buffers
+# ---------------------------------------------------------------------- #
+def _offsets(flat, tensors):
+    """Element offset of each tensor's first element inside ``flat``."""
+    base = flat.__array_interface__["data"][0]
+    return [(tensor.__array_interface__["data"][0] - base) // flat.itemsize for tensor in tensors]
+
+
+def _padding_mask(model):
+    """True at the flat-buffer elements no tensor covers."""
+    mask = np.ones(model.flat_params.size, dtype=bool)
+    for offset, tensor in zip(_offsets(model.flat_params, model.parameters()), model.parameters()):
+        mask[offset:offset + tensor.size] = False
+    return mask
+
+
+def test_parameters_and_grads_are_views_of_the_flat_buffers():
+    model = MLP(5, (7, 3), 2, rng=np.random.default_rng(12))
+    assert model.flat_params.ndim == model.flat_grads.ndim == 1
+    assert model.flat_params.shape == model.flat_grads.shape
+    for param, grad in zip(model.parameters(), model.grads()):
+        assert np.shares_memory(param, model.flat_params)
+        assert np.shares_memory(grad, model.flat_grads)
+    param_offsets = _offsets(model.flat_params, model.parameters())
+    assert param_offsets == _offsets(model.flat_grads, model.grads())
+    assert all(offset % ALIGN == 0 for offset in param_offsets)
+    assert param_offsets == sorted(param_offsets)
+    assert _padding_mask(model).any()
+
+
+def test_padding_stays_zero_through_training_and_polyak_updates():
+    model = MLP(5, (7, 3), 2, rng=np.random.default_rng(13))
+    target = model.clone()
+    optimizer = Adam.for_model(model, lr=0.05)
+    rng = np.random.default_rng(14)
+    padding = _padding_mask(model)
+    for _ in range(20):
+        model.zero_grad()
+        loss, grad = mse_loss(model.forward(rng.normal(size=(8, 5))), rng.normal(size=(8, 2)))
+        model.backward(grad)
+        optimizer.step()
+        target.soft_update_from(model, tau=0.3)
+        assert not model.flat_params[padding].any() and not model.flat_grads[padding].any()
+        assert not target.flat_params[padding].any()
+
+
+def test_flat_soft_update_matches_per_tensor_polyak_bit_for_bit():
+    source = MLP(5, (7, 3), 2, rng=np.random.default_rng(15))
+    target = MLP(5, (7, 3), 2, rng=np.random.default_rng(16))
+    expected = [param.copy() for param in target.parameters()]
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        source.flat_params += rng.normal(size=source.flat_params.shape) * ~_padding_mask(source)
+        tau = 0.005
+        expected = [tau * src + (1.0 - tau) * tgt for src, tgt in zip(source.parameters(), expected)]
+        target.soft_update_from(source, tau)
+        for got, want in zip(target.parameters(), expected):
+            assert np.array_equal(got, want)
+    target.copy_from(source)
+    assert np.array_equal(target.flat_params, source.flat_params)
+
+
+def _rebuilt_models(tmp_path):
+    model = MLP(4, (6, 3), 1, rng=np.random.default_rng(18))
+    loaded_into = MLP(4, (6, 3), 1, rng=np.random.default_rng(19))
+    loaded_into.set_weights(model.get_weights())
+    return {
+        "clone": model.clone(),
+        "set_weights": loaded_into,
+        "load_mlp": load_mlp(save_mlp(model, tmp_path / "model.npz")),
+        "pickle": pickle.loads(pickle.dumps(model)),
+        "deepcopy": copy.deepcopy(model),
+    }
+
+
+@pytest.mark.parametrize("how", ["clone", "set_weights", "load_mlp", "pickle", "deepcopy"])
+def test_optimizer_step_moves_layer_weights_after_rebuild(tmp_path, how):
+    model = _rebuilt_models(tmp_path)[how]
+    for param, grad in zip(model.parameters(), model.grads()):
+        assert np.shares_memory(param, model.flat_params)
+        assert np.shares_memory(grad, model.flat_grads)
+    first = model.layers[0]
+    before = first.weight.copy()
+    x = np.random.default_rng(20).normal(size=(8, 4))
+    model.zero_grad()
+    output = model.forward(x)
+    loss, grad = mse_loss(output, np.ones((8, 1)))
+    model.backward(grad)
+    assert first.grad_weight.any()
+    Adam.for_model(model, lr=0.01).step()
+    assert not np.array_equal(first.weight, before)
+    assert not np.array_equal(model.forward(x), output)

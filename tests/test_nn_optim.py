@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, Sequential
 from repro.nn.losses import mse_loss
 from repro.nn.mlp import MLP
 from repro.nn.optim import SGD, Adam
@@ -87,6 +86,47 @@ def test_adam_trains_regression_model():
 
 
 def test_for_model_binds_model_buffers():
-    model = Sequential([Dense(2, 2, rng=np.random.default_rng(1))])
+    model = MLP(2, (3,), 2, rng=np.random.default_rng(1))
     opt = Adam.for_model(model, lr=0.01)
-    assert opt.parameters[0] is model.layers[0].weight
+    assert len(opt.parameters) == len(opt.grads) == 1
+    assert opt.parameters[0] is model.flat_params
+    assert opt.grads[0] is model.flat_grads
+    assert np.shares_memory(opt.parameters[0], model.layers[0].weight)
+
+
+def _train_step(model, rng):
+    """One forward/backward pass on random data, gradients accumulated."""
+    x = rng.normal(size=(16, model.in_features))
+    y = rng.normal(size=(16, model.out_features))
+    model.zero_grad()
+    loss, grad = mse_loss(model.forward(x), y)
+    model.backward(grad)
+
+
+def test_flat_adam_matches_per_tensor_adam_bit_for_bit():
+    flat_model = MLP(5, (7, 3), 2, rng=np.random.default_rng(2))
+    tensor_model = MLP(5, (7, 3), 2, rng=np.random.default_rng(2))
+    flat_opt = Adam.for_model(flat_model, lr=0.01)
+    tensor_opt = Adam(tensor_model.parameters(), tensor_model.grads(), lr=0.01)
+    assert len(tensor_opt.parameters) == 6
+    flat_rng, tensor_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(50):
+        _train_step(flat_model, flat_rng)
+        _train_step(tensor_model, tensor_rng)
+        flat_opt.step()
+        tensor_opt.step()
+        assert np.array_equal(flat_model.flat_params, tensor_model.flat_params)
+    for flat, tensor in zip(flat_model.parameters(), tensor_model.parameters()):
+        assert np.array_equal(flat, tensor)
+
+
+def test_flat_zero_grad_matches_per_tensor_zero_grad():
+    model = MLP(4, (6,), 1, rng=np.random.default_rng(4))
+    _train_step(model, np.random.default_rng(5))
+    assert all(np.any(grad != 0.0) for grad in model.grads())
+    Adam.for_model(model, lr=0.01).zero_grad()
+    assert not model.flat_grads.any()
+    _train_step(model, np.random.default_rng(5))
+    model.zero_grad()
+    assert not model.flat_grads.any()
+    assert all(not grad.any() for grad in model.grads())

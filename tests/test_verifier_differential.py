@@ -14,13 +14,17 @@ import pytest
 from oracle import certify_all_reference, certify_reference, verifier_feedback_reference
 from repro.core.properties import (
     all_properties,
+    deep_buffer_properties,
     property_p1,
     property_p2,
     property_p3,
     property_p4_case_i,
     property_p4_case_ii,
     property_p5,
+    robustness_properties,
+    shallow_buffer_properties,
 )
+from repro.core.qc import CertificateSet
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.nn import make_actor
 from repro.orca.observations import ObservationConfig
@@ -177,3 +181,110 @@ def test_certify_differential_with_applicability_gating():
         batched = verifier.certify(factory(), gated_state, cwnd_tcp, cwnd_prev)
         reference = certify_reference(verifier, factory(), gated_state, cwnd_tcp, cwnd_prev)
         assert_certificates_identical(batched, reference)
+
+
+# ---------------------------------------------------------------------- #
+# Cross-property stack: certify(properties, ...) == per-property certify
+# ---------------------------------------------------------------------- #
+PROPERTY_SETS = {
+    "shallow": shallow_buffer_properties,
+    "deep": deep_buffer_properties,
+    "robustness": robustness_properties,
+    "all": all_properties,
+}
+
+BATCH_ARRAYS = ("input_lo", "input_hi", "output_lo", "output_hi", "satisfied",
+                "component_feedback", "feedback", "applicable_mask")
+
+
+def assert_batches_bit_identical(got, expected):
+    assert (got.property_name, got.allowed_lo, got.allowed_hi) == (
+        expected.property_name, expected.allowed_lo, expected.allowed_hi)
+    for name in BATCH_ARRAYS:
+        got_array, expected_array = getattr(got, name), getattr(expected, name)
+        assert got_array.shape == expected_array.shape, name
+        assert np.array_equal(got_array, expected_array, equal_nan=True), name
+
+
+def assert_certificates_bit_identical(got, expected):
+    assert (got.property_name, got.applicable, got.allowed_lo, got.allowed_hi) == (
+        expected.property_name, expected.applicable, expected.allowed_lo, expected.allowed_hi)
+    assert got.n_components == expected.n_components
+    for component, want in zip(got.components, expected.components):
+        assert component.index == want.index
+        assert np.array_equal(component.input_lo, want.input_lo)
+        assert np.array_equal(component.input_hi, want.input_hi)
+        assert (component.output_lo, component.output_hi) == (want.output_lo, want.output_hi)
+        assert (component.satisfied, component.feedback) == (want.satisfied, want.feedback)
+    assert got.feedback == expected.feedback
+
+
+def stack_setup(seed, n_components, check_applicability, n_decisions=9):
+    rng = np.random.default_rng(seed)
+    obs_config = ObservationConfig()
+    hidden_sizes = tuple(int(rng.integers(4, 33)) for _ in range(int(rng.integers(1, 4))))
+    actor = make_actor(obs_config.state_dim, hidden_sizes=hidden_sizes, rng=rng)
+    verifier = Verifier(actor, obs_config, VerifierConfig(n_components=n_components,
+                                                          check_applicability=check_applicability))
+    states = rng.uniform(0.0, 1.0, (n_decisions, obs_config.state_dim))
+    dcwnd = verifier.observer.feature_indices("dcwnd")
+    states[:, dcwnd] = rng.uniform(-1.0, 1.0, (n_decisions, len(dcwnd)))
+    states[::3, dcwnd] = -np.abs(states[::3, dcwnd])
+    states[1::3, dcwnd] = np.abs(states[1::3, dcwnd])
+    cwnd_tcp = rng.uniform(5.0, 200.0, n_decisions)
+    cwnd_prev = rng.uniform(5.0, 200.0, n_decisions)
+    return verifier, states, cwnd_tcp, cwnd_prev
+
+
+@pytest.mark.parametrize("check_applicability", (False, True))
+@pytest.mark.parametrize("n_components", (5, 50))
+@pytest.mark.parametrize("set_name", sorted(PROPERTY_SETS))
+def test_property_stack_is_bit_identical_to_per_property_certify(set_name, n_components,
+                                                                 check_applicability):
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(
+        6000 + 10 * n_components + sorted(PROPERTY_SETS).index(set_name), n_components, check_applicability)
+    properties = PROPERTY_SETS[set_name]()
+    names = [prop.name for prop in properties]
+
+    stacked = verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
+    assert isinstance(stacked, CertificateSet)
+    assert list(stacked) == names
+    assert stacked.applicable is any(batch.applicable for batch in stacked.values())
+    for prop in properties:
+        assert_batches_bit_identical(stacked[prop.name], verifier.certify(prop, states, cwnd_tcp, cwnd_prev))
+    if check_applicability and any(prop.dcwnd_sign is not None for prop in properties):
+        masks = [stacked[prop.name].applicable_mask for prop in properties if prop.dcwnd_sign is not None]
+        assert any(0 < mask.sum() < len(states) for mask in masks)
+
+    for index in range(3):
+        args = (states[index], cwnd_tcp[index], cwnd_prev[index])
+        one = verifier.certify(properties, *args)
+        assert isinstance(one, CertificateSet) and list(one) == names
+        assert one.applicable is any(certificate.applicable for certificate in one.values())
+        per_property = {prop.name: verifier.certify(prop, *args) for prop in properties}
+        for prop in properties:
+            assert_certificates_bit_identical(one[prop.name], per_property[prop.name])
+        expected = sum(prop.weight * per_property[prop.name].feedback for prop in properties)
+        expected /= sum(prop.weight for prop in properties)
+        assert verifier.verifier_feedback(properties, *args) == expected
+
+
+def test_property_stack_with_no_applicable_property():
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(6100, 5, True)
+    properties = [property_p1(), property_p3(), property_p4_case_ii()]
+    assert {prop.dcwnd_sign for prop in properties} == {-1}
+    gated = states[1]  # a history of increases: no property that needs decreases applies
+    one = verifier.certify(properties, gated, cwnd_tcp[1], cwnd_prev[1])
+    assert not one.applicable
+    assert all(certificate.feedback == 1.0 for certificate in one.values())
+    stacked = verifier.certify(properties, states[1::3], cwnd_tcp[1::3], cwnd_prev[1::3])
+    assert not stacked.applicable
+    for prop in properties:
+        assert_batches_bit_identical(
+            stacked[prop.name], verifier.certify(prop, states[1::3], cwnd_tcp[1::3], cwnd_prev[1::3]))
+
+
+def test_empty_property_sequence_is_rejected():
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(6200, 5, False)
+    with pytest.raises(ValueError, match="at least one property"):
+        verifier.certify([], states, cwnd_tcp, cwnd_prev)
