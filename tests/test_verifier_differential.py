@@ -288,3 +288,16 @@ def test_empty_property_sequence_is_rejected():
     verifier, states, cwnd_tcp, cwnd_prev = stack_setup(6200, 5, False)
     with pytest.raises(ValueError, match="at least one property"):
         verifier.certify([], states, cwnd_tcp, cwnd_prev)
+
+
+@pytest.mark.parametrize("n_components", (5, 50))
+def test_batch_feedback_is_the_mean_of_its_component_list(n_components):
+    """``CertificateBatch.feedback`` is bit for bit the ``np.mean`` of each
+    applicable row's component feedback taken as a Python list, the value
+    Eq. 7 has always averaged over the properties."""
+    for seed in range(4):
+        verifier, states, cwnd_tcp, cwnd_prev = stack_setup(
+            7000 + 10 * n_components + seed, n_components, check_applicability=seed % 2 == 1, n_decisions=32)
+        for batch in verifier.certify(all_properties(), states, cwnd_tcp, cwnd_prev).values():
+            for index in np.flatnonzero(batch.applicable_mask):
+                assert batch.feedback[index] == float(np.mean(batch.component_feedback[index].tolist()))
