@@ -26,16 +26,16 @@ def test_ablation_smoothed_vs_boolean_feedback(benchmark):
     rng = np.random.default_rng(5)
 
     def run_ablation():
-        smoothed, boolean = [], []
+        states, cwnd_tcp, cwnd_prev = [], [], []
         for _ in range(100):
-            state = np.clip(rng.uniform(0.0, 1.0, obs_config.state_dim), 0.0, 1.0)
-            cwnd_tcp = float(rng.uniform(5.0, 200.0))
-            cwnd_prev = float(rng.uniform(5.0, 200.0))
-            for prop in properties:
-                cert = verifier.certify(prop, state, cwnd_tcp, cwnd_prev)
-                smoothed.append(cert.feedback)
-                boolean.append(1.0 if cert.proof else 0.0)
-        return np.array(smoothed), np.array(boolean)
+            states.append(np.clip(rng.uniform(0.0, 1.0, obs_config.state_dim), 0.0, 1.0))
+            cwnd_tcp.append(float(rng.uniform(5.0, 200.0)))
+            cwnd_prev.append(float(rng.uniform(5.0, 200.0)))
+        batches = verifier.certify(properties, np.array(states), np.array(cwnd_tcp), np.array(cwnd_prev)).values()
+        # (draw, property) order; a proof is a decision whose every component is satisfied.
+        smoothed = np.stack([batch.feedback for batch in batches], axis=-1).ravel()
+        boolean = np.stack([batch.satisfied.all(axis=-1) for batch in batches], axis=-1).ravel().astype(float)
+        return smoothed, boolean
 
     smoothed, boolean = run_once(benchmark, run_ablation)
 

@@ -43,16 +43,16 @@ def make_custom_property() -> PropertySpec:
 
 
 def average_qcsat(verifier: Verifier, prop: PropertySpec, n_states: int = 50, seed: int = 0) -> float:
-    """Mean QC feedback over random decision contexts."""
+    """Mean QC feedback over random decision contexts, certified in one stacked call."""
     rng = np.random.default_rng(seed)
     obs_dim = verifier.observer.state_dim
-    values = []
+    states, cwnd_tcp, cwnd_prev = [], [], []
     for _ in range(n_states):
-        state = np.clip(rng.uniform(0.0, 1.0, obs_dim), 0.0, 1.0)
-        cwnd_tcp = float(rng.uniform(10.0, 150.0))
-        cwnd_prev = float(rng.uniform(10.0, 150.0))
-        values.append(verifier.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=20).feedback)
-    return float(np.mean(values))
+        states.append(np.clip(rng.uniform(0.0, 1.0, obs_dim), 0.0, 1.0))
+        cwnd_tcp.append(rng.uniform(10.0, 150.0))
+        cwnd_prev.append(rng.uniform(10.0, 150.0))
+    batch = verifier.certify(prop, np.array(states), np.array(cwnd_tcp), np.array(cwnd_prev))
+    return float(np.mean(batch.feedback))
 
 
 def main(training_steps: int = 600) -> None:

@@ -56,7 +56,7 @@ def main(training_steps: int = 600) -> None:
 
     # 3. Certify the Canopy run of step 2 --------------------------------------
     batches = certificates_for_decisions(model.make_verifier(n_components=50), model.properties,
-                                         runs["canopy"].decisions, n_components=50)
+                                         runs["canopy"].decisions)
     qcsat = qcsat_columns(batches)
     print(f"\nQC_sat for properties {list(batches)} over {qcsat['n_decisions']} decisions: "
           f"{qcsat['qcsat']:.3f} +/- {qcsat['qcsat_decision_std']:.3f}")

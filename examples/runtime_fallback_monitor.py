@@ -36,7 +36,6 @@ def main(training_steps: int = 600) -> None:
                 scheme_model.make_verifier(n_components=10),
                 model.properties,             # monitor against the deep-buffer properties
                 threshold=threshold,
-                n_components=10,
                 enabled=threshold > 0.0,
             )
             factory = scheme_factory(scheme_name, model=scheme_model,

@@ -190,11 +190,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
                                   min_rtt=args.rtt, topology=args.topology,
                                   workload=args.workload, seed=args.seed)
+    # Build (and so validate) the task before training the model.
+    task = ExperimentTask(scheme=args.kind, trace=trace, settings=settings, model_kind=args.kind,
+                          training_steps=args.steps, model_seed=args.seed, certify=True,
+                          n_components=args.components)
     model = get_trained_model(args.kind, training_steps=args.steps, seed=args.seed)
-    row = run_task(ExperimentTask(scheme=args.kind, trace=trace, settings=settings,
-                                  model_kind=args.kind, training_steps=args.steps,
-                                  model_seed=args.seed, certify=True,
-                                  n_components=args.components or 50))
+    row = run_task(task)
     console(f"QC_sat for {args.kind} on {trace.name}: {row['qcsat']:.3f} "
             f"+/- {row['qcsat_decision_std']:.3f} ({row['n_decisions']} decisions, "
             f"properties {[prop.name for prop in model.properties]})")

@@ -4,8 +4,9 @@ This package implements the paper's primary contribution:
 
 * :mod:`repro.core.properties` — the property language and the five concrete
   properties P1–P5 of Table 2 (shallow-buffer, deep-buffer, robustness).
-* :mod:`repro.core.qc` — the quantitative certificate (QC) object: per-component
-  proofs plus the smoothed feedback of Eq. 6.
+* :mod:`repro.core.qc` — the quantitative certificate (QC) batch: per-component
+  proofs plus the smoothed feedback of Eq. 6, as arrays over the certified
+  decisions.
 * :mod:`repro.core.verifier` — the abstract-interpretation verifier that
   propagates property input regions through the controller and the cwnd map.
 * :mod:`repro.core.reward` — QC-shaped reward (Eq. 10) combining the raw Orca
@@ -31,7 +32,7 @@ from repro.core.properties import (
     deep_buffer_properties,
     robustness_properties,
 )
-from repro.core.qc import CertificateBatch, CertificateSet, ComponentCertificate, QuantitativeCertificate
+from repro.core.qc import CertificateBatch, CertificateSet
 from repro.core.verifier import Verifier, VerifierConfig
 from repro.core.reward import CanopyRewardShaper, ShapedReward
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
@@ -54,8 +55,6 @@ __all__ = [
     "robustness_properties",
     "CertificateBatch",
     "CertificateSet",
-    "ComponentCertificate",
-    "QuantitativeCertificate",
     "Verifier",
     "VerifierConfig",
     "CanopyRewardShaper",

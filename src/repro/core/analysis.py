@@ -50,10 +50,6 @@ class SatisfactionGrid:
         return rows
 
 
-def _base_state(verifier: Verifier, fill: float = 0.5) -> np.ndarray:
-    return np.full(verifier.observer.state_dim, fill)
-
-
 def satisfaction_grid(
     verifier: Verifier,
     prop: PropertySpec,
@@ -63,55 +59,51 @@ def satisfaction_grid(
     y_values: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     cwnd_tcp: float = 50.0,
     cwnd_prev: float = 50.0,
-    n_components: int = 10,
     fill: float = 0.5,
 ) -> SatisfactionGrid:
     """Sweep two *non-abstracted* observation features and certify at each cell.
 
     The features the property abstracts (delay/loss/Δcwnd or the noise dims)
     are always covered by the certificate; this sweeps the remaining context
-    the controller conditions on.
+    the controller conditions on.  All cells are certified in one stacked
+    :meth:`Verifier.certify` call.
     """
     observer = verifier.observer
     x_values = np.asarray(list(x_values), dtype=np.float64)
     y_values = np.asarray(list(y_values), dtype=np.float64)
-    feedback = np.zeros((y_values.size, x_values.size))
-    for yi, y in enumerate(y_values):
-        for xi, x in enumerate(x_values):
-            state = _base_state(verifier, fill)
-            for idx in observer.feature_indices(x_feature):
-                state[idx] = x
-            for idx in observer.feature_indices(y_feature):
-                state[idx] = y
-            certificate = verifier.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-            feedback[yi, xi] = certificate.feedback
+    states = np.full((y_values.size, x_values.size, observer.state_dim), fill, dtype=np.float64)
+    states[:, :, observer.feature_indices(x_feature)] = x_values[None, :, None]
+    states[:, :, observer.feature_indices(y_feature)] = y_values[:, None, None]
+    states = states.reshape(-1, observer.state_dim)
+    batch = verifier.certify(prop, states, np.full(len(states), cwnd_tcp), np.full(len(states), cwnd_prev))
+    feedback = batch.feedback.reshape(y_values.size, x_values.size)
     return SatisfactionGrid(prop.name, x_feature, y_feature, x_values, y_values, feedback)
 
 
 def property_report(
     verifier: Verifier,
     properties: PropertySet,
-    states: Sequence[np.ndarray],
+    states: Sequence[np.ndarray] | np.ndarray,
     cwnd_tcp: float = 50.0,
     cwnd_prev: float = 50.0,
-    n_components: int = 10,
 ) -> List[Dict[str, float]]:
-    """Per-property satisfaction statistics over a set of observation states."""
+    """Per-property satisfaction statistics over a set of observation states
+    (a sequence of ``(d,)`` states or an ``(S, d)`` array), from one stacked
+    :meth:`Verifier.certify` call.  No states give vacuous 1.0 rows."""
+    states = np.asarray(states, dtype=np.float64).reshape(-1, verifier.observer.state_dim)
+    n_states = len(states)
+    certificates = verifier.certify(properties, states, np.full(n_states, cwnd_tcp), np.full(n_states, cwnd_prev))
     rows = []
     for prop in properties:
-        feedbacks = []
-        proofs = 0
-        for state in states:
-            certificate = verifier.certify(prop, np.asarray(state, dtype=np.float64),
-                                           cwnd_tcp, cwnd_prev, n_components=n_components)
-            feedbacks.append(certificate.feedback)
-            proofs += 1 if certificate.proof else 0
+        batch = certificates[prop.name]
+        # A non-applicable decision has no components, so it is vacuously proved.
+        proofs = int((batch.satisfied.all(axis=-1) | ~batch.applicable_mask).sum())
         rows.append({
             "property": prop.name,
-            "mean_feedback": float(np.mean(feedbacks)) if feedbacks else 1.0,
-            "min_feedback": float(np.min(feedbacks)) if feedbacks else 1.0,
-            "proof_fraction": proofs / len(states) if states else 1.0,
-            "n_states": len(states),
+            "mean_feedback": float(np.mean(batch.feedback)) if n_states else 1.0,
+            "min_feedback": float(np.min(batch.feedback)) if n_states else 1.0,
+            "proof_fraction": proofs / n_states if n_states else 1.0,
+            "n_states": n_states,
         })
     return rows
 
@@ -119,15 +111,14 @@ def property_report(
 def compare_controllers(
     verifiers: Dict[str, Verifier],
     properties: PropertySet,
-    states: Sequence[np.ndarray],
+    states: Sequence[np.ndarray] | np.ndarray,
     cwnd_tcp: float = 50.0,
     cwnd_prev: float = 50.0,
-    n_components: int = 10,
 ) -> List[Dict[str, float]]:
     """Side-by-side mean QC feedback of several controllers on the same states."""
     rows = []
     for name, verifier in verifiers.items():
-        report = property_report(verifier, properties, states, cwnd_tcp, cwnd_prev, n_components)
+        report = property_report(verifier, properties, states, cwnd_tcp, cwnd_prev)
         overall = float(np.mean([row["mean_feedback"] for row in report])) if report else 1.0
         rows.append({"controller": name, "mean_feedback": overall,
                      **{f"{row['property']}_feedback": row["mean_feedback"] for row in report}})

@@ -37,7 +37,6 @@ __all__ = ["QCRuntimeMonitor"]
 class _MonitorRecord:
     qc_value: float
     allowed_learned: bool
-    per_property: dict
 
 
 class QCRuntimeMonitor:
@@ -48,18 +47,14 @@ class QCRuntimeMonitor:
         verifier: Verifier,
         properties: PropertySet,
         threshold: float = 0.5,
-        n_components: int = 50,
         enabled: bool = True,
         telemetry: Optional[EventTrace] = None,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-        if n_components <= 0:
-            raise ValueError("n_components must be positive")
         self.verifier = verifier
         self.properties = properties
         self.threshold = float(threshold)
-        self.n_components = int(n_components)
         self.enabled = enabled
         self.telemetry = telemetry
         self.records: List[_MonitorRecord] = []
@@ -68,8 +63,7 @@ class QCRuntimeMonitor:
     # ------------------------------------------------------------------ #
     def evaluate(self, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> Tuple[float, dict]:
         """QC feedback (weighted over the property set) at this decision point."""
-        certificates = self.verifier.certify(self.properties, state, cwnd_tcp, cwnd_prev,
-                                             n_components=self.n_components)
+        certificates = self.verifier.certify(self.properties, state, cwnd_tcp, cwnd_prev)
         return weighted_feedback(self.properties, certificates)
 
     def decision_filter(self, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> Tuple[bool, float]:
@@ -77,9 +71,9 @@ class QCRuntimeMonitor:
 
         Returns ``(allow_learned_action, qc_value)``.
         """
-        qc_value, per_property = self.evaluate(state, cwnd_tcp, cwnd_prev)
+        qc_value, _ = self.evaluate(state, cwnd_tcp, cwnd_prev)
         allow = (not self.enabled) or qc_value >= self.threshold
-        self.records.append(_MonitorRecord(qc_value, allow, per_property))
+        self.records.append(_MonitorRecord(qc_value, allow))
         tel = self.telemetry
         if tel is not None:
             tel.emit("qc_decision", qc=qc_value,

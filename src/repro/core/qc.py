@@ -7,26 +7,22 @@ A QC (Section 4.3) has two pieces:
 * **feedback**: the smoothed fractional-volume measure of Eq. 6, averaged
   across components, which the Canopy trainer folds into the reward.
 
-The :class:`QuantitativeCertificate` produced by the verifier carries both,
-plus enough detail (per-component output bounds) to reproduce the
-certified-component visualizations of Figures 6 and 8.  A
-:class:`CertificateBatch` holds the QCs of one property at many decisions as
-arrays, and builds the per-decision certificate on demand.  A
-:class:`CertificateSet` maps property names to the certificates (or batches)
-one certification of several properties produced.
+A :class:`CertificateBatch` holds the QCs of one property at ``D`` decisions
+as arrays: the per-component input and output bounds (the data behind the
+certified-component views of Figures 6 and 8), the per-component proof and
+feedback, and each decision's feedback.  One decision is the ``D = 1`` batch.
+A :class:`CertificateSet` maps property names to the batches one
+certification of several properties produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "interval_feedback_batch",
-    "ComponentCertificate",
-    "QuantitativeCertificate",
     "CertificateBatch",
     "CertificateSet",
 ]
@@ -73,72 +69,6 @@ def interval_feedback_batch(
 
 
 @dataclass(frozen=True)
-class ComponentCertificate:
-    """Certification outcome for one input component ``X_n``."""
-
-    index: int
-    input_lo: np.ndarray
-    input_hi: np.ndarray
-    output_lo: float
-    output_hi: float
-    satisfied: bool
-    feedback: float
-
-
-@dataclass
-class QuantitativeCertificate:
-    """The QC for one property at one decision step."""
-
-    property_name: str
-    allowed_lo: float
-    allowed_hi: float
-    components: List[ComponentCertificate] = field(default_factory=list)
-    applicable: bool = True
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
-    def feedback(self) -> float:
-        """QC feedback: mean of the per-component smoothed feedback (Eq. 6)."""
-        if not self.components:
-            return 1.0
-        return float(np.mean([c.feedback for c in self.components]))
-
-    @property
-    def satisfied_fraction(self) -> float:
-        """Fraction of components whose certification is a full (boolean) proof."""
-        if not self.components:
-            return 1.0
-        return float(np.mean([1.0 if c.satisfied else 0.0 for c in self.components]))
-
-    @property
-    def proof(self) -> bool:
-        """True iff every component provably satisfies the property.
-
-        When this holds the QC coincides with the boolean certificate of prior
-        verification work: ``π ⊢_c φ`` on the whole input region ``X``.
-        """
-        return all(c.satisfied for c in self.components) if self.components else True
-
-    def output_bounds(self) -> np.ndarray:
-        """Per-component ``(lo, hi)`` output bounds — the data behind Figs. 6/8."""
-        return np.array([[c.output_lo, c.output_hi] for c in self.components], dtype=np.float64)
-
-    def summary(self) -> dict:
-        return {
-            "property": self.property_name,
-            "feedback": self.feedback,
-            "satisfied_fraction": self.satisfied_fraction,
-            "proof": self.proof,
-            "n_components": self.n_components,
-            "applicable": self.applicable,
-        }
-
-
-@dataclass(frozen=True)
 class CertificateBatch:
     """The QCs of one property at ``D`` decisions, held as arrays.
 
@@ -147,11 +77,12 @@ class CertificateBatch:
 
     ``input_lo``/``input_hi`` have shape ``(D, N, d)``; ``output_lo``,
     ``output_hi``, ``satisfied`` and ``component_feedback`` have shape
-    ``(D, N)``.  ``feedback`` ``(D,)`` is each decision's QC feedback (the
-    component mean, exactly as :attr:`QuantitativeCertificate.feedback`
-    computes it) and ``applicable_mask`` ``(D,)`` marks the decisions the
-    property applies at.  A non-applicable decision has NaN bounds, no
-    satisfied component and the vacuous feedback 1.0.
+    ``(D, N)``.  ``feedback`` ``(D,)`` is each decision's QC feedback, the
+    mean of its ``N`` component feedbacks (bit for bit the ``np.mean`` of the
+    row as a Python list), and ``applicable_mask`` ``(D,)`` marks the
+    decisions the property applies at.  A non-applicable decision has NaN
+    bounds, no satisfied component and the vacuous feedback 1.0.  The proof
+    of an applicable decision ``i`` is ``satisfied[i].all()``.
     """
 
     property_name: str
@@ -200,39 +131,12 @@ class CertificateBatch:
         every certificate in the batch is vacuous."""
         return bool(self.applicable_mask.any())
 
-    def certificate(self, index: int) -> QuantitativeCertificate:
-        """Decision ``index`` as a :class:`QuantitativeCertificate`."""
-        certificate = QuantitativeCertificate(
-            property_name=self.property_name,
-            allowed_lo=self.allowed_lo,
-            allowed_hi=self.allowed_hi,
-            applicable=bool(self.applicable_mask[index]),
-        )
-        if certificate.applicable:
-            input_lo, input_hi = self.input_lo[index], self.input_hi[index]
-            certificate.components = [
-                ComponentCertificate(
-                    index=component,
-                    input_lo=input_lo[component].copy(),
-                    input_hi=input_hi[component].copy(),
-                    output_lo=output_lo,
-                    output_hi=output_hi,
-                    satisfied=satisfied,
-                    feedback=feedback,
-                )
-                for component, (output_lo, output_hi, satisfied, feedback) in enumerate(zip(
-                    self.output_lo[index].tolist(), self.output_hi[index].tolist(),
-                    self.satisfied[index].tolist(), self.component_feedback[index].tolist()))
-            ]
-        return certificate
-
 
 class CertificateSet(dict):
     """Certificates of several properties from one certification, keyed by
     property name in property order.
 
-    The values are :class:`QuantitativeCertificate` (one decision) or
-    :class:`CertificateBatch` (a stack of decisions).
+    Each value is that property's :class:`CertificateBatch`.
     """
 
     @property

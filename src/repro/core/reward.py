@@ -12,7 +12,7 @@ for worst-case property adherence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -36,19 +36,16 @@ class ShapedReward:
 class CanopyRewardShaper:
     """Combines the raw reward with verifier feedback at every decision step."""
 
-    def __init__(self, verifier: Verifier, properties: PropertySet, lam: float = 0.25,
-                 n_components: Optional[int] = None) -> None:
+    def __init__(self, verifier: Verifier, properties: PropertySet, lam: float = 0.25) -> None:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
         self.verifier = verifier
         self.properties = properties
         self.lam = float(lam)
-        self.n_components = n_components
 
     def shape(self, raw_reward: float, state: np.ndarray, cwnd_tcp: float, cwnd_prev: float) -> ShapedReward:
         """Compute Eq. 10 for one step and return the decomposition."""
-        certificates = self.verifier.certify(self.properties, state, cwnd_tcp, cwnd_prev,
-                                             n_components=self.n_components)
+        certificates = self.verifier.certify(self.properties, state, cwnd_tcp, cwnd_prev)
         verifier_reward, per_property = weighted_feedback(self.properties, certificates)
         total = (1.0 - self.lam) * raw_reward + self.lam * verifier_reward
         return ShapedReward(

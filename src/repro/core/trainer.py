@@ -143,10 +143,7 @@ class CanopyTrainer:
             observation_config=canopy_config.observation,
             config=VerifierConfig(n_components=canopy_config.n_components),
         )
-        self.shaper = CanopyRewardShaper(
-            self.verifier, canopy_config.properties, lam=canopy_config.lam,
-            n_components=canopy_config.n_components,
-        )
+        self.shaper = CanopyRewardShaper(self.verifier, canopy_config.properties, lam=canopy_config.lam)
         # Dedicated optimizer for the verifier-guided policy regularization so
         # its gradients do not disturb the TD3 actor optimizer's Adam moments.
         reg_lr = canopy_config.td3.actor_lr * max(canopy_config.lam, 0.0) * self.trainer_config.regularization_strength

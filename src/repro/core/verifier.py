@@ -13,7 +13,7 @@ actor network, the verifier:
    allowed region and computes the per-component proof and smoothed feedback
    (Eq. 6).
 
-The result is a :class:`repro.core.qc.QuantitativeCertificate`.
+The result is a :class:`repro.core.qc.CertificateBatch`.
 
 Batched engine
 --------------
@@ -34,8 +34,9 @@ run once over the whole stack with each property's allowed bounds broadcast
 over its rows.  Each property gets an array-backed
 :class:`repro.core.qc.CertificateBatch`, and a sequence of properties gives a
 :class:`repro.core.qc.CertificateSet` keyed by name.  One property is the
-``P = 1`` case and one decision the ``D = 1`` case of the same engine; one
-decision gives :class:`repro.core.qc.QuantitativeCertificate` objects.  With
+``P = 1`` case and one decision the ``D = 1`` case of the same engine, so a
+lone decision gives ``D = 1`` batches.  The number of components ``N`` is
+:attr:`VerifierConfig.n_components`, the same for every call.  With
 ``check_applicability`` a property contributes only the decisions it applies
 at.
 
@@ -59,9 +60,8 @@ per-layer propagation bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -69,48 +69,44 @@ from repro.abstract import transformers
 from repro.abstract.box import Box
 from repro.abstract.propagate import propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec
-from repro.core.qc import CertificateBatch, CertificateSet, QuantitativeCertificate, interval_feedback_batch
+from repro.core.qc import CertificateBatch, CertificateSet, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
 __all__ = ["VerifierConfig", "Verifier", "weighted_feedback"]
 
 
-def _check_decisions(state, cwnd_tcp, cwnd_prev) -> None:
+def _check_decisions(state: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> None:
     """Reject non-finite decision inputs and non-positive TCP windows.
 
-    Each input is a float (one decision) or an array (a stack).  A NaN fails
-    no ``<=`` comparison downstream, so it would otherwise come out as an
-    unsatisfied certificate with feedback 0.0.
+    A NaN fails no ``<=`` comparison downstream, so it would otherwise come
+    out as an unsatisfied certificate with feedback 0.0.
     """
     for name, value in (("state", state), ("cwnd_tcp", cwnd_tcp), ("cwnd_prev", cwnd_prev)):
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            continue
         finite = np.isfinite(value)
         if not finite.all():
             index = tuple(int(i) for i in np.argwhere(~finite)[0])
             raise ValueError(f"{name} must be finite, got {value[index]} at index {index}")
-    if (np.asarray(cwnd_tcp) <= 0).any():
+    if (cwnd_tcp <= 0).any():
         raise ValueError("cwnd_tcp must be positive")
 
 
 def weighted_feedback(
-    properties: Iterable[PropertySpec], certificates: Mapping[str, QuantitativeCertificate]
+    properties: Iterable[PropertySpec], certificates: Mapping[str, CertificateBatch]
 ) -> Tuple[float, Dict[str, float]]:
     """Eq. 7: the weight-averaged QC feedback over ``properties``.
 
-    ``certificates`` maps each property name to its one-decision certificate
-    (what :meth:`Verifier.certify` returns for a sequence of properties).
-    Returns the weighted average and the feedback of each property by name.
-    The sum runs in property order, so the value is reproducible bit for bit.
+    ``certificates`` maps each property name to its batch of one decision
+    (what :meth:`Verifier.certify` returns for one state and a sequence of
+    properties).  Returns the weighted average and the feedback of each
+    property by name.  The sum runs in property order, so the value is
+    reproducible bit for bit.
     """
     per_property: Dict[str, float] = {}
     total = 0.0
     weight_sum = 0.0
     for prop in properties:
-        feedback = certificates[prop.name].feedback
+        feedback = float(certificates[prop.name].feedback[0])
         per_property[prop.name] = feedback
         total += prop.weight * feedback
         weight_sum += prop.weight
@@ -124,7 +120,7 @@ def _stack(arrays: List[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifierConfig:
     """Verifier settings.
 
@@ -145,18 +141,6 @@ class VerifierConfig:
     def __post_init__(self) -> None:
         if self.n_components <= 0:
             raise ValueError("n_components must be positive")
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    """Concrete quantities surrounding one coarse-grained decision."""
-
-    state: np.ndarray
-    cwnd_tcp: float
-    cwnd_prev: float
-
-    def __post_init__(self) -> None:
-        _check_decisions(self.state, self.cwnd_tcp, self.cwnd_prev)
 
 
 class Verifier:
@@ -184,12 +168,6 @@ class Verifier:
         """The concrete enforced window for ``state`` (Eq. 1)."""
         return cwnd_from_action(self.concrete_action(state), cwnd_tcp)
 
-    def _n_components(self, n_components: Optional[int]) -> int:
-        n = self.config.n_components if n_components is None else int(n_components)
-        if n <= 0:
-            raise ValueError("n_components must be positive")
-        return n
-
     # ------------------------------------------------------------------ #
     # Certification (batched engine)
     # ------------------------------------------------------------------ #
@@ -199,47 +177,41 @@ class Verifier:
         state: np.ndarray,
         cwnd_tcp,
         cwnd_prev,
-        n_components: Optional[int] = None,
-    ) -> QuantitativeCertificate | CertificateBatch | CertificateSet:
+    ) -> CertificateBatch | CertificateSet:
         """Produce the QC of one property, or of each property of a sequence,
-        at one decision step or at each decision of a stack.
+        at each decision of a stack.
 
-        A ``state`` of shape ``(d,)`` with scalar windows gives one
-        :class:`QuantitativeCertificate` per property.  A stack of ``D``
-        states ``(D, d)`` with one ``cwnd_tcp`` and one ``cwnd_prev`` per
-        decision gives one :class:`CertificateBatch` per property, whose
-        decision ``i`` is bit-identical to
+        A stack of ``D`` states ``(D, d)`` takes one ``cwnd_tcp`` and one
+        ``cwnd_prev`` per decision; a lone state ``(d,)`` with scalar windows
+        is the ``D = 1`` stack.  Each property gets a :class:`CertificateBatch`
+        of ``D`` decisions with :attr:`VerifierConfig.n_components` components
+        each, whose decision ``i`` is bit-identical to
         ``certify(prop, state[i], cwnd_tcp[i], cwnd_prev[i])``.  ``prop`` is
-        one :class:`PropertySpec` (the result is its certificate or batch) or
-        a sequence of them (the result is a :class:`CertificateSet` keyed by
-        property name, in sequence order).  Either way all components of all
-        decisions of all properties go through the actor in a single IBP pass.
+        one :class:`PropertySpec` (the result is its batch) or a sequence of
+        them (the result is a :class:`CertificateSet` keyed by property name,
+        in sequence order).  Either way all components of all decisions of all
+        properties go through the actor in a single IBP pass.
         """
-        n = self._n_components(n_components)
         properties = [prop] if isinstance(prop, PropertySpec) else list(prop)
         if not properties:
             raise ValueError("need at least one property")
         state = np.asarray(state, dtype=np.float64)
+        cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
+        cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
         if state.ndim == 1:
-            context = DecisionContext(state, float(cwnd_tcp), float(cwnd_prev))
-            batches = self._certify_stack(properties, context.state[None], np.array([context.cwnd_tcp]),
-                                          np.array([context.cwnd_prev]), n)
-            certificates = [batch.certificate(0) for batch in batches]
-        else:
-            cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
-            cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
-            if state.ndim != 2:
-                raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
-            if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
-                raise ValueError("a stack of decisions needs one cwnd_tcp and one cwnd_prev per decision")
-            _check_decisions(state, cwnd_tcp, cwnd_prev)
-            certificates = self._certify_stack(properties, state, cwnd_tcp, cwnd_prev, n)
+            state, cwnd_tcp, cwnd_prev = state[None], cwnd_tcp[None], cwnd_prev[None]
+        if state.ndim != 2:
+            raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
+        if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
+            raise ValueError("certify needs one cwnd_tcp and one cwnd_prev per decision")
+        _check_decisions(state, cwnd_tcp, cwnd_prev)
+        batches = self._certify_stack(properties, state, cwnd_tcp, cwnd_prev)
         if isinstance(prop, PropertySpec):
-            return certificates[0]
-        return CertificateSet((certificate.property_name, certificate) for certificate in certificates)
+            return batches[0]
+        return CertificateSet((batch.property_name, batch) for batch in batches)
 
     def _certify_stack(self, properties: List[PropertySpec], states: np.ndarray, cwnd_tcp: np.ndarray,
-                       cwnd_prev: np.ndarray, n: int) -> List[CertificateBatch]:
+                       cwnd_prev: np.ndarray) -> List[CertificateBatch]:
         """The engine behind :meth:`certify`: one batch per property.
 
         ``states`` is a stack ``(D, d)`` with one window per decision.  Each
@@ -253,6 +225,7 @@ class Verifier:
         all ``R`` rows at once.
         """
         observer = self.observer
+        n = self.config.n_components
         masks, counts, rows, regions = [], [], [], []
         for prop in properties:
             mask = np.ones(states.shape[0], dtype=bool)
@@ -353,30 +326,3 @@ class Verifier:
         if prop.dcwnd_sign < 0:
             return np.all(dcwnd_history <= 1e-6, axis=-1)
         return np.all(dcwnd_history >= -1e-6, axis=-1)
-
-    # ------------------------------------------------------------------ #
-    # Aggregate feedback (Eq. 7)
-    # ------------------------------------------------------------------ #
-    def verifier_feedback(
-        self,
-        properties: PropertySet | Sequence[PropertySpec],
-        state: np.ndarray,
-        cwnd_tcp: float,
-        cwnd_prev: float,
-        n_components: Optional[int] = None,
-    ) -> float:
-        """Weighted average QC feedback over a set of properties (r_verifier)."""
-        certificates = self.certify(properties, state, cwnd_tcp, cwnd_prev, n_components=n_components)
-        return weighted_feedback(properties, certificates)[0]
-
-    def certify_all(
-        self,
-        properties: PropertySet | Sequence[PropertySpec],
-        state: np.ndarray,
-        cwnd_tcp,
-        cwnd_prev,
-        n_components: Optional[int] = None,
-    ) -> CertificateSet:
-        """QCs for every property in the set, keyed by property name: one
-        :meth:`certify` call over the whole set."""
-        return self.certify(properties, state, cwnd_tcp, cwnd_prev, n_components=n_components)

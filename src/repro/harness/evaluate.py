@@ -221,7 +221,6 @@ def certificates_for_decisions(
     verifier: Verifier,
     properties: PropertySet,
     decisions: Sequence[DecisionRecord],
-    n_components: int = 50,
 ) -> Dict[str, CertificateBatch]:
     """The certificates of every decision, one batch per property, keyed by name
     (one :meth:`Verifier.certify` call over all properties and decisions).
@@ -236,7 +235,7 @@ def certificates_for_decisions(
     cwnd_tcp = np.array([decision.cwnd_tcp for decision in decisions], dtype=np.float64)
     cwnd_prev = np.array([decision.cwnd_before for decision in decisions[:1]]
                          + [decision.cwnd_after for decision in decisions[:-1]], dtype=np.float64)
-    return verifier.certify_all(properties, states, cwnd_tcp, cwnd_prev, n_components=n_components)
+    return verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
 
 
 def qcsat_columns(batches: Dict[str, CertificateBatch]) -> Dict:

@@ -238,19 +238,21 @@ def _component_columns(task: ExperimentTask, run: SchemeResult) -> Dict:
     """Per-component output bounds of the first ``max_steps`` decisions."""
     decisions = run.decisions[:task.tags["max_steps"]]
     verifier = model_for_task(task).make_verifier(n_components=task.n_components)
-    batches = certificates_for_decisions(verifier, PROPERTY_FAMILIES[task.property_family](),
-                                         decisions, n_components=task.n_components)
+    batches = certificates_for_decisions(verifier, PROPERTY_FAMILIES[task.property_family](), decisions)
     steps = []
     for step_index in range(len(decisions)):
         for name, batch in batches.items():
-            certificate = batch.certificate(step_index)
+            # A non-applicable decision has no components: vacuous 1.0 values.
+            applicable = bool(batch.applicable_mask[step_index])
+            satisfied = batch.satisfied[step_index]
             steps.append({
                 "step": step_index,
                 "property": name,
-                "applicable": certificate.applicable,
-                "feedback": certificate.feedback,
-                "satisfied_fraction": certificate.satisfied_fraction,
-                "output_bounds": certificate.output_bounds().tolist(),
+                "applicable": applicable,
+                "feedback": float(batch.feedback[step_index]),
+                "satisfied_fraction": float(satisfied.mean()) if applicable else 1.0,
+                "output_bounds": (np.stack([batch.output_lo[step_index], batch.output_hi[step_index]], axis=-1)
+                                  .tolist() if applicable else []),
             })
     mean_feedback = float(np.mean([s["feedback"] for s in steps])) if steps else 1.0
     return {"steps": steps, "mean_feedback": mean_feedback}

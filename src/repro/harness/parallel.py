@@ -123,6 +123,9 @@ class ExperimentTask:
     def __post_init__(self) -> None:
         if self.certify and self.model_kind is None:
             raise ValueError("certify=True requires a learned model_kind")
+        for name in ("n_components", "monitor_components"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.model_topologies is not None:
             if self.model_kind is None:
                 raise ValueError("model_topologies requires a learned model_kind")
@@ -331,7 +334,6 @@ def run_task(task: ExperimentTask,
             model.make_verifier(n_components=task.monitor_components),
             PROPERTY_FAMILIES[task.monitor_family](),
             threshold=task.monitor_threshold,
-            n_components=task.monitor_components,
             enabled=task.monitor_threshold > 0.0,
             telemetry=telemetry,
         )
@@ -351,8 +353,7 @@ def run_task(task: ExperimentTask,
         properties = (model.properties if task.property_family is None
                       else PROPERTY_FAMILIES[task.property_family]())
         verifier = model.make_verifier(n_components=task.n_components)
-        row.update(qcsat_columns(certificates_for_decisions(
-            verifier, properties, result.decisions, n_components=task.n_components)))
+        row.update(qcsat_columns(certificates_for_decisions(verifier, properties, result.decisions)))
     if columns is not None:
         row.update(columns(task, result))
     if monitor is not None:

@@ -7,8 +7,8 @@ A deliberately simple, one-object-at-a-time restatement of the verifier:
   :func:`interval_feedback`;
 * :mod:`oracle.ibp` — per-layer box transformers (affine, ReLU, tanh), the
   per-component :func:`split` and :func:`propagate_mlp` through a network;
-* :mod:`oracle.certify` — :func:`certify_reference` and friends: one
-  component at a time through :func:`propagate_mlp`, for a given
+* :mod:`oracle.certify` — :func:`certify_reference`: one component at a
+  time through :func:`propagate_mlp`, for a given
   :class:`repro.core.verifier.Verifier`.
 
 Every operation repeats the arithmetic of the production kernel's earlier
@@ -16,7 +16,7 @@ object-level form, so the ``np.array_equal`` pins in the test suite compare
 the kernel against exactly those numbers.
 """
 
-from oracle.certify import certify_all_reference, certify_reference, verifier_feedback_reference
+from oracle.certify import certify_reference
 from oracle.ibp import affine, propagate_layer, propagate_mlp, propagate_sequential, relu, split, tanh
 from oracle.interval import Interval, interval_feedback
 
@@ -31,6 +31,4 @@ __all__ = [
     "propagate_sequential",
     "propagate_mlp",
     "certify_reference",
-    "certify_all_reference",
-    "verifier_feedback_reference",
 ]

@@ -58,6 +58,16 @@ def test_certify_command_reports_qcsat(capsys):
     assert "QC_sat" in out
 
 
+def test_certify_rejects_zero_components_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model for an invalid task")
+
+    monkeypatch.setattr("repro.cli.get_trained_model", no_training)
+    with pytest.raises(ValueError, match="n_components must be positive"):
+        main(["certify", "--kind", "canopy-shallow", "--steps", "30", "--seed", "52",
+              "--trace", "step-12-48", "--duration", "3.0", "--components", "0"])
+
+
 def test_figure_command_unknown_id():
     with pytest.raises(SystemExit):
         main(["figure", "99"])

@@ -33,30 +33,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=1.5)
 
-    def test_invalid_components(self, setup):
-        _, verifier, _ = setup
-        with pytest.raises(ValueError):
-            QCRuntimeMonitor(verifier, shallow_buffer_properties(), n_components=0)
-
 
 class TestDecisions:
     def test_evaluate_returns_per_property(self, setup):
         _, verifier, state = setup
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5, n_components=5)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5)
         value, per_property = monitor.evaluate(state, 20.0, 20.0)
         assert 0.0 <= value <= 1.0
         assert set(per_property) == {"P1", "P2"}
 
     def test_threshold_zero_always_allows(self, setup):
         _, verifier, state = setup
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.0, n_components=5)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.0)
         allow, _ = monitor.decision_filter(state, 20.0, 20.0)
         assert allow
 
     def test_disabled_monitor_always_allows(self, setup):
         _, verifier, state = setup
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=1.0,
-                                   n_components=5, enabled=False)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=1.0, enabled=False)
         allow, _ = monitor.decision_filter(state, 20.0, 20.0)
         assert allow
 
@@ -65,7 +59,7 @@ class TestDecisions:
         # ~0.5 (P1 violated, P2 satisfied); a 0.9 threshold must trip fallback.
         _, _, state = setup
         verifier = make_biased_verifier(ObservationConfig(), bias=-10.0)
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9, n_components=5)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9)
         allow, value = monitor.decision_filter(state, 20.0, 20.0)
         assert not allow
         assert value < 0.9
@@ -76,14 +70,14 @@ class TestDecisions:
         # both shallow-buffer properties, so feedback is 1.0 everywhere.
         _, _, state = setup
         verifier = make_biased_verifier(ObservationConfig(), bias=0.0)
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9, n_components=5)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9)
         allow, value = monitor.decision_filter(state, 20.0, 20.0)
         assert allow
         assert value == pytest.approx(1.0)
 
     def test_records_and_reset(self, setup):
         _, verifier, state = setup
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5, n_components=3)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5)
         monitor.decision_filter(state, 20.0, 20.0)
         monitor.decision_filter(state, 25.0, 20.0)
         assert len(monitor.records) == 2
@@ -99,7 +93,7 @@ class TestEmptyRecordGuards:
 
     def test_empty_monitor_summaries_are_neutral(self, setup):
         _, verifier, _ = setup
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5, n_components=3)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5)
         assert monitor.records == []
         assert monitor.fallback_fraction == 0.0
         assert monitor.mean_qc == pytest.approx(1.0)
@@ -109,7 +103,7 @@ class TestEmptyRecordGuards:
     def test_guards_hold_after_reset(self, setup):
         _, verifier, state = setup
         verifier = make_biased_verifier(ObservationConfig(), bias=-10.0)
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9, n_components=5)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9)
         monitor.decision_filter(state, 20.0, 20.0)
         assert monitor.fallback_fraction == pytest.approx(1.0)
         monitor.reset()
@@ -127,8 +121,7 @@ class TestTelemetryEmission:
         verifier = make_biased_verifier(ObservationConfig(), bias=-10.0)
         trace = EventTrace()
         trace.advance(1.0)
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9,
-                                   n_components=5, telemetry=trace)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9, telemetry=trace)
         monitor.decision_filter(state, 20.0, 20.0)
         kinds = [event["kind"] for event in trace.events]
         assert kinds == ["qc_decision", "fallback_enter"]
@@ -149,8 +142,7 @@ class TestTelemetryEmission:
         _, _, state = setup
         trace = EventTrace()
         verifier = make_biased_verifier(ObservationConfig(), bias=0.0)
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9,
-                                   n_components=5, telemetry=trace)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.9, telemetry=trace)
         monitor._in_fallback = True  # as if a storm were in progress
         monitor.decision_filter(state, 20.0, 20.0)
         kinds = [event["kind"] for event in trace.events]
@@ -159,5 +151,5 @@ class TestTelemetryEmission:
 
     def test_untraced_monitor_emits_nothing(self, setup):
         _, verifier, state = setup
-        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5, n_components=3)
+        monitor = QCRuntimeMonitor(verifier, shallow_buffer_properties(), threshold=0.5)
         monitor.decision_filter(state, 20.0, 20.0)  # telemetry=None: no-op path

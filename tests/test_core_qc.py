@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import Interval, interval_feedback
-from repro.core.qc import CertificateBatch, ComponentCertificate, QuantitativeCertificate, interval_feedback_batch
+from repro.core.qc import CertificateBatch, interval_feedback_batch
 
 
 def feedback_of(lo, hi, allowed_lo, allowed_hi):
@@ -51,69 +51,6 @@ class TestIntervalFeedback:
             np.testing.assert_array_equal(feedback[row], row_feedback)
 
 
-def make_component(index, lo, hi, allowed):
-    satisfied, feedback = interval_feedback_batch(np.array([lo]), np.array([hi]), *allowed)
-    return ComponentCertificate(
-        index=index,
-        input_lo=np.zeros(2),
-        input_hi=np.ones(2),
-        output_lo=lo,
-        output_hi=hi,
-        satisfied=bool(satisfied[0]),
-        feedback=float(feedback[0]),
-    )
-
-
-class TestQuantitativeCertificate:
-    def test_empty_certificate_is_trivially_satisfied(self):
-        qc = QuantitativeCertificate("P1", 0.0, 100.0)
-        assert qc.feedback == pytest.approx(1.0)
-        assert qc.proof
-        assert qc.satisfied_fraction == pytest.approx(1.0)
-
-    def test_mixed_components(self):
-        allowed = (0.0, 100.0)
-        qc = QuantitativeCertificate("P1", 0.0, 100.0, components=[
-            make_component(0, 1.0, 2.0, allowed),      # satisfied, feedback 1
-            make_component(1, -2.0, -1.0, allowed),    # violated, feedback 0
-            make_component(2, -1.0, 1.0, allowed),     # partial, feedback 0.5
-        ])
-        assert qc.n_components == 3
-        assert qc.feedback == pytest.approx(0.5)
-        assert qc.satisfied_fraction == pytest.approx(1.0 / 3.0)
-        assert not qc.proof
-
-    def test_proof_when_all_satisfied(self):
-        allowed = (0.0, 100.0)
-        qc = QuantitativeCertificate("P1", 0.0, 100.0, components=[
-            make_component(i, float(i), float(i) + 0.5, allowed) for i in range(5)
-        ])
-        assert qc.proof
-        assert qc.feedback == pytest.approx(1.0)
-
-    def test_output_bounds_matrix(self):
-        allowed = (0.0, 100.0)
-        qc = QuantitativeCertificate("P1", 0.0, 100.0, components=[
-            make_component(0, 1.0, 2.0, allowed),
-            make_component(1, 3.0, 4.0, allowed),
-        ])
-        bounds = qc.output_bounds()
-        assert bounds.shape == (2, 2)
-        assert bounds[1, 0] == pytest.approx(3.0)
-
-    def test_component_output_interval(self):
-        component = make_component(0, -1.0, 2.0, (0.0, 5.0))
-        assert (component.output_lo, component.output_hi) == (-1.0, 2.0)
-        assert not component.satisfied
-        assert component.feedback == pytest.approx(2.0 / 3.0)
-
-    def test_summary_keys(self):
-        qc = QuantitativeCertificate("P5", -0.01, 0.01)
-        summary = qc.summary()
-        assert summary["property"] == "P5"
-        assert set(summary) >= {"feedback", "satisfied_fraction", "proof", "n_components", "applicable"}
-
-
 def applicable_rows(n_rows, n_components=3, dim=2, seed=0):
     """Component arrays of ``n_rows`` applicable decisions, allowed region [0, 1]."""
     rng = np.random.default_rng(seed)
@@ -138,16 +75,16 @@ class TestCertificateBatch:
         assert batch.feedback[1] == 1.0
         np.testing.assert_array_equal(batch.feedback[[0, 2]], np.mean(rows[5], axis=-1))
 
-    def test_certificate_matches_its_row(self):
-        rows = applicable_rows(2, seed=1)
-        batch = CertificateBatch.from_applicable("P1", 0.0, 1.0, np.array([False, True, True]), *rows)
-        vacuous = batch.certificate(0)
-        assert not vacuous.applicable and vacuous.n_components == 0 and vacuous.feedback == 1.0
-        certificate = batch.certificate(2)
-        assert certificate.applicable and certificate.n_components == 3
-        np.testing.assert_array_equal(certificate.output_bounds(), np.stack([rows[2][1], rows[3][1]], axis=-1))
-        assert certificate.feedback == pytest.approx(batch.feedback[2], rel=0.0, abs=1e-15)
-        np.testing.assert_array_equal(certificate.components[1].input_lo, rows[0][1, 1])
+    def test_mixed_components(self):
+        # A satisfied, a violated and a partly satisfied component.
+        output_lo, output_hi = np.array([[1.0, -2.0, -1.0]]), np.array([[2.0, -1.0, 1.0]])
+        satisfied, feedback = interval_feedback_batch(output_lo, output_hi, 0.0, 100.0)
+        batch = CertificateBatch.from_applicable("P1", 0.0, 100.0, np.array([True]), np.zeros((1, 3, 2)),
+                                                 np.ones((1, 3, 2)), output_lo, output_hi, satisfied, feedback)
+        np.testing.assert_array_equal(batch.component_feedback, [[1.0, 0.0, 0.5]])
+        assert batch.feedback.tolist() == [0.5]
+        assert batch.satisfied.mean() == pytest.approx(1.0 / 3.0)
+        assert not batch.satisfied[0].all()
 
     def test_no_applicable_decision(self):
         rows = applicable_rows(0)

@@ -17,7 +17,7 @@ from repro.core.properties import (
     shallow_buffer_properties,
 )
 from repro.core.reward import CanopyRewardShaper
-from repro.core.verifier import Verifier, VerifierConfig
+from repro.core.verifier import Verifier, VerifierConfig, weighted_feedback
 from repro.harness.evaluate import certificates_for_decisions
 from repro.nn import make_actor
 from repro.orca.agent import DecisionRecord, cwnd_from_action
@@ -46,9 +46,15 @@ def state(obs_config):
 
 
 class TestConfig:
-    def test_invalid_components(self):
-        with pytest.raises(ValueError):
-            VerifierConfig(n_components=0)
+    @pytest.mark.parametrize("n_components", (0, -3))
+    def test_invalid_components(self, n_components):
+        with pytest.raises(ValueError, match="n_components must be positive"):
+            VerifierConfig(n_components=n_components)
+
+    def test_config_is_frozen(self, verifier):
+        # N is fixed once the verifier is built: no call can change it.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verifier.config.n_components = 7
 
     def test_invalid_context(self, verifier, state):
         with pytest.raises(ValueError):
@@ -57,6 +63,8 @@ class TestConfig:
             verifier.certify(property_p1(), state[None], [0.0], [10.0])
         with pytest.raises(ValueError):
             verifier.certify(property_p1(), state[None], [20.0, 20.0], [10.0, 10.0])
+        with pytest.raises(ValueError, match="one cwnd_tcp and one cwnd_prev per decision"):
+            verifier.certify(property_p1(), state, [20.0], 10.0)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     @pytest.mark.parametrize("field", ("state", "cwnd_tcp", "cwnd_prev"))
@@ -85,66 +93,54 @@ class TestConfig:
         with pytest.raises(ValueError, match="input region"):
             verifier.certify(unbounded, state[None], [20.0], [10.0])
 
-    @pytest.mark.parametrize("n_components", (0, -3))
-    def test_non_positive_component_count_is_rejected(self, verifier, state, n_components):
-        # A count of 0 used to fall back silently to the configured default.
-        for certify in (verifier.certify, partial(certify_reference, verifier)):
-            with pytest.raises(ValueError):
-                certify(property_p1(), state, 20.0, 20.0, n_components=n_components)
-        with pytest.raises(ValueError):
-            verifier.certify(property_p1(), state[None], [20.0], [20.0], n_components=n_components)
+def with_components(verifier, n_components):
+    """``verifier``'s actor and observer under another N."""
+    return Verifier(verifier.actor, verifier.observer.config, VerifierConfig(n_components=n_components))
 
 
 class TestCertification:
     def test_certificate_structure(self, verifier, state):
-        cert = verifier.certify(property_p1(), state, cwnd_tcp=20.0, cwnd_prev=20.0, n_components=7)
+        cert = with_components(verifier, 7).certify(property_p1(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
         assert cert.property_name == "P1"
-        assert cert.n_components == 7
-        assert 0.0 <= cert.feedback <= 1.0
-        assert 0.0 <= cert.satisfied_fraction <= 1.0
-        bounds = cert.output_bounds()
-        assert bounds.shape == (7, 2)
-        assert np.all(bounds[:, 0] <= bounds[:, 1] + 1e-12)
+        assert cert.n_decisions == 1 and cert.applicable
+        assert cert.input_lo.shape == (1, 7, state.shape[0])
+        assert cert.output_lo.shape == cert.satisfied.shape == cert.component_feedback.shape == (1, 7)
+        assert 0.0 <= cert.feedback[0] <= 1.0
+        assert np.all(cert.output_lo <= cert.output_hi + 1e-12)
 
     def test_components_cover_delay_dimension(self, verifier, state):
         prop = property_p1()
-        cert = verifier.certify(prop, state, cwnd_tcp=20.0, cwnd_prev=20.0, n_components=4)
-        observer = verifier.observer
-        delay_dim = observer.feature_indices("delay")[0]
-        lows = sorted(c.input_lo[delay_dim] for c in cert.components)
-        highs = sorted(c.input_hi[delay_dim] for c in cert.components)
-        assert lows[0] == pytest.approx(0.0)
-        assert highs[-1] == pytest.approx(prop.delay_range[1])
+        cert = with_components(verifier, 4).certify(prop, state, cwnd_tcp=20.0, cwnd_prev=20.0)
+        delay_dim = verifier.observer.feature_indices("delay")[0]
+        assert cert.input_lo[0, :, delay_dim].min() == pytest.approx(0.0)
+        assert cert.input_hi[0, :, delay_dim].max() == pytest.approx(prop.delay_range[1])
 
     def test_soundness_against_concrete_samples(self, verifier, actor, state):
         """Concrete Δcwnd for points in each component lies inside its bounds."""
         prop = property_p1()
         cwnd_tcp, cwnd_prev = 25.0, 22.0
-        cert = verifier.certify(prop, state, cwnd_tcp, cwnd_prev, n_components=3)
+        cert = with_components(verifier, 3).certify(prop, state, cwnd_tcp, cwnd_prev)
         rng = np.random.default_rng(11)
-        for component in cert.components:
+        for input_lo, input_hi, output_lo, output_hi in zip(cert.input_lo[0], cert.input_hi[0],
+                                                            cert.output_lo[0], cert.output_hi[0]):
             for _ in range(5):
-                point = component.input_lo + rng.random(state.shape[0]) * (
-                    component.input_hi - component.input_lo)
+                point = input_lo + rng.random(state.shape[0]) * (input_hi - input_lo)
                 action = float(actor.forward(point.reshape(1, -1))[0, 0])
                 delta = cwnd_from_action(action, cwnd_tcp) - cwnd_prev
-                assert component.output_lo - 1e-6 <= delta <= component.output_hi + 1e-6
+                assert output_lo - 1e-6 <= delta <= output_hi + 1e-6
 
     def test_finer_partition_gives_tighter_output_bounds(self, verifier, state):
         """The hull of the fine-partition outputs lies inside the coarse bounds."""
         prop = property_p2()
-        coarse = verifier.certify(prop, state, 20.0, 20.0, n_components=1)
-        fine = verifier.certify(prop, state, 20.0, 20.0, n_components=10)
-        coarse_lo = coarse.components[0].output_lo
-        coarse_hi = coarse.components[0].output_hi
-        fine_bounds = fine.output_bounds()
-        assert fine_bounds[:, 0].min() >= coarse_lo - 1e-9
-        assert fine_bounds[:, 1].max() <= coarse_hi + 1e-9
+        coarse = with_components(verifier, 1).certify(prop, state, 20.0, 20.0)
+        fine = with_components(verifier, 10).certify(prop, state, 20.0, 20.0)
+        assert fine.output_lo.min() >= coarse.output_lo[0, 0] - 1e-9
+        assert fine.output_hi.max() <= coarse.output_hi[0, 0] + 1e-9
 
     def test_robustness_property_uses_reference_cwnd(self, verifier, actor, state):
         prop = property_p5(mu=0.05, epsilon=0.01)
-        cert = verifier.certify(prop, state, cwnd_tcp=30.0, cwnd_prev=30.0, n_components=5)
-        assert cert.n_components == 5
+        cert = verifier.certify(prop, state, cwnd_tcp=30.0, cwnd_prev=30.0)
+        assert cert.output_lo.shape == (1, 5)
         # The allowed region is the +-epsilon band.
         assert cert.allowed_lo == pytest.approx(-0.01)
         assert cert.allowed_hi == pytest.approx(0.01)
@@ -154,8 +150,8 @@ class TestCertification:
         # so the certified change fraction must be exactly zero.
         state = np.zeros(obs_config.state_dim)
         cert = verifier.certify(property_p5(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
-        assert cert.proof
-        assert cert.feedback == pytest.approx(1.0)
+        assert cert.satisfied.all()
+        assert cert.feedback[0] == pytest.approx(1.0)
 
     def test_applicability_gating_optional(self, actor, obs_config, state):
         gated = Verifier(actor, obs_config, VerifierConfig(n_components=3, check_applicability=True))
@@ -165,7 +161,7 @@ class TestCertification:
             state_increasing[idx] = 0.5  # history of increases
         cert = gated.certify(property_p1(), state_increasing, 20.0, 20.0)
         assert not cert.applicable
-        assert cert.feedback == pytest.approx(1.0)
+        assert cert.feedback[0] == pytest.approx(1.0)
 
     def test_concrete_action_and_cwnd(self, verifier, state):
         action = verifier.concrete_action(state)
@@ -175,26 +171,29 @@ class TestCertification:
 
 
 class TestAggregation:
-    def test_verifier_feedback_weighted_average(self, verifier, state):
+    def test_weighted_feedback_average(self, verifier, state):
         props = shallow_buffer_properties()
-        value = verifier.verifier_feedback(props, state, 20.0, 20.0)
-        per_prop = [verifier.certify(p, state, 20.0, 20.0).feedback for p in props]
+        value, per_property = weighted_feedback(props, verifier.certify(props, state, 20.0, 20.0))
+        per_prop = [verifier.certify(p, state, 20.0, 20.0).feedback[0] for p in props]
         assert value == pytest.approx(np.mean(per_prop))
+        assert per_property == dict(zip(("P1", "P2"), per_prop))
 
-    def test_verifier_feedback_respects_weights(self, verifier, state):
+    def test_weighted_feedback_respects_weights(self, verifier, state):
         props = deep_buffer_properties().reweighted({"P3": 3.0})
-        value = verifier.verifier_feedback(props, state, 20.0, 20.0)
-        certificates = {p.name: verifier.certify(p, state, 20.0, 20.0).feedback for p in props}
+        value, _ = weighted_feedback(props, verifier.certify(props, state, 20.0, 20.0))
+        certificates = {p.name: verifier.certify(p, state, 20.0, 20.0).feedback[0] for p in props}
         expected = (3.0 * certificates["P3"] + certificates["P4i"] + certificates["P4ii"]) / 5.0
         assert value == pytest.approx(expected)
 
     def test_empty_property_list_rejected(self, verifier, state):
         with pytest.raises(ValueError):
-            verifier.verifier_feedback([], state, 20.0, 20.0)
+            verifier.certify([], state, 20.0, 20.0)
+        with pytest.raises(ValueError):
+            weighted_feedback([], {})
 
-    def test_certify_all_returns_per_property(self, verifier, state):
-        certificates = verifier.certify_all(shallow_buffer_properties(), state, 20.0, 20.0)
-        assert set(certificates) == {"P1", "P2"}
+    def test_property_sequence_returns_per_property(self, verifier, state):
+        certificates = verifier.certify(shallow_buffer_properties(), state, 20.0, 20.0)
+        assert list(certificates) == ["P1", "P2"]
 
 
 class TestSemantics:
@@ -208,10 +207,10 @@ class TestSemantics:
         verifier = Verifier(actor, obs_config, VerifierConfig(n_components=4))
         cert_p1 = verifier.certify(property_p1(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
         cert_p2 = verifier.certify(property_p2(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
-        assert cert_p1.proof
-        assert cert_p1.feedback == pytest.approx(1.0)
-        assert not cert_p2.proof
-        assert cert_p2.feedback == pytest.approx(0.0, abs=1e-6)
+        assert cert_p1.satisfied.all()
+        assert cert_p1.feedback[0] == pytest.approx(1.0)
+        assert not cert_p2.satisfied.all()
+        assert cert_p2.feedback[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_always_decrease_policy_satisfies_p2_violates_p1(self, obs_config, state):
         actor = make_actor(obs_config.state_dim, hidden_sizes=(8,), rng=np.random.default_rng(0))
@@ -219,8 +218,8 @@ class TestSemantics:
         output_dense.weight[...] = 0.0
         output_dense.bias[...] = -10.0
         verifier = Verifier(actor, obs_config, VerifierConfig(n_components=4))
-        assert verifier.certify(property_p2(), state, 20.0, 20.0).proof
-        assert not verifier.certify(property_p1(), state, 20.0, 20.0).proof
+        assert verifier.certify(property_p2(), state, 20.0, 20.0).satisfied.all()
+        assert not verifier.certify(property_p1(), state, 20.0, 20.0).satisfied.all()
 
     def test_constant_policy_is_perfectly_robust(self, obs_config, state):
         actor = make_actor(obs_config.state_dim, hidden_sizes=(8,), rng=np.random.default_rng(0))
@@ -229,7 +228,7 @@ class TestSemantics:
         output_dense.bias[...] = 0.3
         verifier = Verifier(actor, obs_config, VerifierConfig(n_components=4))
         cert = verifier.certify(property_p5(), state, cwnd_tcp=20.0, cwnd_prev=20.0)
-        assert cert.proof
+        assert cert.satisfied.all()
 
 
 class TestOneCertifyPerCallSite:
@@ -249,30 +248,28 @@ class TestOneCertifyPerCallSite:
         monkeypatch.setattr(Verifier, "certify", counting)
         return calls
 
-    def per_property(self, verifier, properties, *args, **kwargs):
-        return {prop.name: Verifier.certify(verifier, prop, *args, **kwargs) for prop in properties}
+    def per_property(self, verifier, properties, *args):
+        return {prop.name: float(Verifier.certify(verifier, prop, *args).feedback[0]) for prop in properties}
 
     def test_reward_shaper(self, verifier, state, calls):
         properties = shallow_buffer_properties()
         shaped = CanopyRewardShaper(verifier, properties, lam=0.5).shape(0.25, state, 20.0, 30.0)
         assert calls == [properties]
         expected = self.per_property(verifier, properties, state, 20.0, 30.0)
-        assert shaped.per_property == {name: cert.feedback for name, cert in expected.items()}
-        assert shaped.verifier == (expected["P1"].feedback + expected["P2"].feedback) / 2.0
+        assert shaped.per_property == expected
+        assert shaped.verifier == (expected["P1"] + expected["P2"]) / 2.0
 
     def test_runtime_monitor(self, verifier, state, calls):
         properties = deep_buffer_properties()
-        monitor = QCRuntimeMonitor(verifier, properties, n_components=7)
+        monitor = QCRuntimeMonitor(verifier, properties)
         value, per_property = monitor.evaluate(state, 20.0, 30.0)
         assert calls == [properties]
-        expected = self.per_property(verifier, properties, state, 20.0, 30.0, n_components=7)
-        assert per_property == {name: cert.feedback for name, cert in expected.items()}
+        assert per_property == self.per_property(verifier, properties, state, 20.0, 30.0)
 
-    def test_verifier_feedback_and_certify_all(self, verifier, state, calls):
+    def test_property_sequence(self, verifier, state, calls):
         properties = all_properties()
-        verifier.verifier_feedback(properties, state, 20.0, 30.0)
-        certificates = verifier.certify_all(properties, state, 20.0, 30.0)
-        assert calls == [properties, properties]
+        certificates = verifier.certify(properties, state, 20.0, 30.0)
+        assert calls == [properties]
         assert certificates.applicable
 
     def test_certificates_for_decisions(self, verifier, state, calls):
@@ -280,6 +277,35 @@ class TestOneCertifyPerCallSite:
         decisions = [DecisionRecord(time=0.1 * i, state=state * (1.0 - 0.1 * i), action=0.0, cwnd_tcp=20.0 + i,
                                     cwnd_before=10.0 + i, cwnd_after=11.0 + i, used_fallback=False, qc_value=1.0)
                      for i in range(4)]
-        batches = certificates_for_decisions(verifier, properties, decisions, n_components=3)
+        batches = certificates_for_decisions(verifier, properties, decisions)
         assert calls == [properties]
         assert list(batches) == ["P1", "P2"]
+
+
+class TestOneComponentCount:
+    """The verifier's ``VerifierConfig.n_components`` is the only N: every
+    caller's certificates have that many components."""
+
+    @pytest.fixture
+    def batches(self, actor, obs_config, monkeypatch):
+        batches = []
+        certify = Verifier.certify
+
+        def recording(self, *args):
+            result = certify(self, *args)
+            batches.extend(result.values())
+            return result
+
+        monkeypatch.setattr(Verifier, "certify", recording)
+        return batches
+
+    def test_every_caller_uses_the_configured_n(self, actor, obs_config, state, batches):
+        verifier = Verifier(actor, obs_config, VerifierConfig(n_components=7))
+        properties = shallow_buffer_properties()
+        CanopyRewardShaper(verifier, properties).shape(0.0, state, 20.0, 30.0)
+        QCRuntimeMonitor(verifier, properties).decision_filter(state, 20.0, 30.0)
+        decisions = [DecisionRecord(time=0.1 * i, state=state, action=0.0, cwnd_tcp=20.0, cwnd_before=10.0,
+                                    cwnd_after=11.0, used_fallback=False, qc_value=1.0) for i in range(3)]
+        certificates_for_decisions(verifier, properties, decisions)
+        assert [batch.output_lo.shape for batch in batches] == [(1, 7)] * 4 + [(3, 7)] * 2
+        assert all(batch.input_lo.shape[1] == batch.component_feedback.shape[1] == 7 for batch in batches)

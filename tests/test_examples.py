@@ -24,6 +24,7 @@ def load_example(name: str):
     ("classical_schemes_tour", (), ["=== Buffer = 1 BDP ===", "=== Buffer = 5 BDP ===",
                                     "Jain fairness index"]),
     ("runtime_fallback_monitor", (30,), ["Runtime QC monitoring", "fallback_fraction"]),
+    ("custom_property", (30,), ["QC feedback before training", "QC feedback after  training"]),
 ])
 def test_example_runs(name, args, expected, capsys):
     load_example(name).main(*args)

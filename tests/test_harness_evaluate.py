@@ -82,19 +82,17 @@ class TestQCSat:
         run = run_scheme_on_trace(factory, trace, settings, scheme_name="canopy")
         verifier = quick_model.make_verifier(n_components=4)
         decisions = run.decisions[:5]
-        batches = certificates_for_decisions(verifier, quick_model.properties,
-                                             decisions, n_components=4)
+        batches = certificates_for_decisions(verifier, quick_model.properties, decisions)
         assert set(batches) == {p.name for p in quick_model.properties}
         for prop in quick_model.properties:
             batch = batches[prop.name]
             assert batch.n_decisions == 5
             for index, decision in enumerate(decisions):
                 cwnd_prev = decisions[index - 1].cwnd_after if index else decision.cwnd_before
-                expected = verifier.certify(prop, decision.state, decision.cwnd_tcp, cwnd_prev,
-                                            n_components=4)
-                got = batch.certificate(index)
-                assert got.output_bounds().tolist() == expected.output_bounds().tolist()
-                assert got.feedback == expected.feedback == batch.feedback[index]
+                expected = verifier.certify(prop, decision.state, decision.cwnd_tcp, cwnd_prev)
+                assert batch.output_lo[index].tolist() == expected.output_lo[0].tolist()
+                assert batch.output_hi[index].tolist() == expected.output_hi[0].tolist()
+                assert batch.feedback[index] == expected.feedback[0]
 
     def test_certified_cell_qcsat_bounds(self, settings, trace, quick_model):
         task = ExperimentTask(scheme="canopy-shallow", trace=trace, settings=settings,
@@ -130,8 +128,7 @@ class TestQCSat:
         run = run_scheme_on_trace(scheme_factory("canopy", model=quick_model, seed=settings.seed),
                                   trace, settings, scheme_name="canopy")
         expected = qcsat_columns(certificates_for_decisions(
-            quick_model.make_verifier(n_components=6), quick_model.properties, run.decisions,
-            n_components=6))
+            quick_model.make_verifier(n_components=6), quick_model.properties, run.decisions))
         assert {key: certified[key] for key in expected} == expected
 
 

@@ -85,6 +85,13 @@ class TestExperimentTask:
             ExperimentTask(scheme="canopy", trace=task.trace, settings=task.settings,
                            model_kind="canopy-shallow", certify=True, property_family="nope")
 
+    @pytest.mark.parametrize("field", ("n_components", "monitor_components"))
+    @pytest.mark.parametrize("count", (0, -2))
+    def test_non_positive_component_counts_rejected(self, field, count):
+        # These used to fail only inside run_task, after the simulation.
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            replace(make_tasks()[0], **{field: count})
+
     def test_model_topologies_requires_model(self):
         task = make_tasks()[0]
         with pytest.raises(ValueError):

@@ -38,8 +38,7 @@ def test_full_canopy_pipeline(quick_model, quick_orca_model):
     assert canopy_qc["utilization"] == canopy_run.summary.utilization
 
     # 3. Runtime monitor gating the learned decisions.
-    monitor = QCRuntimeMonitor(quick_model.make_verifier(n_components=4),
-                               quick_model.properties, threshold=0.5, n_components=4)
+    monitor = QCRuntimeMonitor(quick_model.make_verifier(n_components=4), quick_model.properties, threshold=0.5)
     guarded = run_scheme_on_trace(
         scheme_factory("canopy-guarded", model=quick_model, decision_filter=monitor.decision_filter, seed=3),
         trace, settings, scheme_name="canopy-guarded")
@@ -73,6 +72,6 @@ def test_verifier_certifies_trained_model_on_fresh_states(quick_model):
         cwnd_prev = float(rng.uniform(5.0, 200.0))
         for prop in quick_model.properties:
             cert = verifier.certify(prop, state, cwnd_tcp, cwnd_prev)
-            assert 0.0 <= cert.feedback <= 1.0
-            feedbacks.append(cert.feedback)
+            assert 0.0 <= cert.feedback[0] <= 1.0
+            feedbacks.append(cert.feedback[0])
     assert len(feedbacks) == 20

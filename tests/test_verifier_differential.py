@@ -3,7 +3,7 @@
 ``Verifier.certify`` propagates all N components as one batched box;
 ``oracle.certify_reference`` is the one-component-at-a-time path over
 per-layer box transformers.  Over randomized (MLP shape, property, decision context) draws the two
-must produce numerically identical certificates — same proofs, same Eq. 6
+must produce numerically identical certificate batches — same proofs, same Eq. 6
 feedback, same component bounds — to within ``ATOL`` (the only permitted
 difference is matmul summation order).
 """
@@ -11,7 +11,7 @@ difference is matmul summation order).
 import numpy as np
 import pytest
 
-from oracle import certify_all_reference, certify_reference, verifier_feedback_reference
+from oracle import certify_reference
 from repro.core.properties import (
     all_properties,
     deep_buffer_properties,
@@ -25,7 +25,7 @@ from repro.core.properties import (
     shallow_buffer_properties,
 )
 from repro.core.qc import CertificateSet
-from repro.core.verifier import Verifier, VerifierConfig
+from repro.core.verifier import Verifier, VerifierConfig, weighted_feedback
 from repro.nn import make_actor
 from repro.orca.observations import ObservationConfig
 
@@ -56,20 +56,21 @@ def random_setup(seed):
     return obs_config, actor, state, cwnd_tcp, cwnd_prev, n_components
 
 
+BATCH_ARRAYS = ("input_lo", "input_hi", "output_lo", "output_hi", "satisfied",
+                "component_feedback", "feedback", "applicable_mask")
+EXACT_ARRAYS = ("satisfied", "applicable_mask")
+
+
 def assert_certificates_identical(batched, reference):
-    assert batched.property_name == reference.property_name
-    assert batched.applicable == reference.applicable
-    assert batched.allowed_lo == reference.allowed_lo
-    assert batched.allowed_hi == reference.allowed_hi
-    assert batched.n_components == reference.n_components
-    for got, expected in zip(batched.components, reference.components):
-        assert got.index == expected.index
-        assert got.satisfied == expected.satisfied
-        np.testing.assert_allclose(got.input_lo, expected.input_lo, rtol=0.0, atol=ATOL)
-        np.testing.assert_allclose(got.input_hi, expected.input_hi, rtol=0.0, atol=ATOL)
-        assert got.output_lo == pytest.approx(expected.output_lo, rel=0.0, abs=ATOL)
-        assert got.output_hi == pytest.approx(expected.output_hi, rel=0.0, abs=ATOL)
-        assert got.feedback == pytest.approx(expected.feedback, rel=0.0, abs=ATOL)
+    assert (batched.property_name, batched.allowed_lo, batched.allowed_hi) == (
+        reference.property_name, reference.allowed_lo, reference.allowed_hi)
+    for name in BATCH_ARRAYS:
+        got, expected = getattr(batched, name), getattr(reference, name)
+        assert got.shape == expected.shape, name
+        if name in EXACT_ARRAYS:
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=ATOL, err_msg=name)
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -85,19 +86,19 @@ def test_certify_differential(seed):
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
-def test_certify_all_and_feedback_differential(seed):
+def test_property_set_and_feedback_differential(seed):
     obs_config, actor, state, cwnd_tcp, cwnd_prev, n = random_setup(seed + 1000)
     verifier = Verifier(actor, obs_config, VerifierConfig(n_components=n))
     properties = all_properties()
 
-    batched = verifier.certify_all(properties, state, cwnd_tcp, cwnd_prev)
-    reference = certify_all_reference(verifier, properties, state, cwnd_tcp, cwnd_prev)
+    batched = verifier.certify(properties, state, cwnd_tcp, cwnd_prev)
+    reference = {prop.name: certify_reference(verifier, prop, state, cwnd_tcp, cwnd_prev) for prop in properties}
     assert set(batched) == set(reference)
     for name in batched:
         assert_certificates_identical(batched[name], reference[name])
 
-    feedback = verifier.verifier_feedback(properties, state, cwnd_tcp, cwnd_prev)
-    feedback_reference = verifier_feedback_reference(verifier, properties, state, cwnd_tcp, cwnd_prev)
+    feedback = weighted_feedback(properties, batched)[0]
+    feedback_reference = weighted_feedback(properties, reference)[0]
     assert feedback == pytest.approx(feedback_reference, rel=0.0, abs=ATOL)
 
 
@@ -115,19 +116,12 @@ def test_certify_differential_at_evaluation_scale(seed):
 
 
 def assert_batch_row_bit_identical(batch, index, single):
-    """Row ``index`` of a CertificateBatch == a lone certify, bit for bit."""
-    got = batch.certificate(index)
-    assert got.property_name == single.property_name
-    assert got.applicable == single.applicable == bool(batch.applicable_mask[index])
-    assert (got.allowed_lo, got.allowed_hi) == (single.allowed_lo, single.allowed_hi)
-    assert got.n_components == single.n_components
-    for component, expected in zip(got.components, single.components):
-        assert component.index == expected.index
-        assert np.array_equal(component.input_lo, expected.input_lo)
-        assert np.array_equal(component.input_hi, expected.input_hi)
-        assert (component.output_lo, component.output_hi) == (expected.output_lo, expected.output_hi)
-        assert (component.satisfied, component.feedback) == (expected.satisfied, expected.feedback)
-    assert batch.feedback[index] == single.feedback
+    """Row ``index`` of a CertificateBatch == a lone certify (a D=1 batch), bit for bit."""
+    assert (batch.property_name, batch.allowed_lo, batch.allowed_hi) == (
+        single.property_name, single.allowed_lo, single.allowed_hi)
+    assert single.n_decisions == 1
+    for name in BATCH_ARRAYS:
+        assert np.array_equal(getattr(batch, name)[index], getattr(single, name)[0], equal_nan=True), name
 
 
 @pytest.mark.parametrize("check_applicability", (False, True))
@@ -162,9 +156,8 @@ def test_stacked_certify_is_bit_identical_to_per_decision_certify(n_decisions, n
 
 def test_stacked_certify_of_no_decisions():
     obs_config, actor, *_ = random_setup(5000)
-    verifier = Verifier(actor, obs_config)
-    batch = verifier.certify(property_p5(), np.empty((0, obs_config.state_dim)),
-                             np.empty(0), np.empty(0), n_components=3)
+    verifier = Verifier(actor, obs_config, VerifierConfig(n_components=3))
+    batch = verifier.certify(property_p5(), np.empty((0, obs_config.state_dim)), np.empty(0), np.empty(0))
     assert batch.n_decisions == 0
     assert batch.output_lo.shape == (0, 3) and batch.feedback.shape == (0,)
     assert not batch.applicable
@@ -193,10 +186,6 @@ PROPERTY_SETS = {
     "all": all_properties,
 }
 
-BATCH_ARRAYS = ("input_lo", "input_hi", "output_lo", "output_hi", "satisfied",
-                "component_feedback", "feedback", "applicable_mask")
-
-
 def assert_batches_bit_identical(got, expected):
     assert (got.property_name, got.allowed_lo, got.allowed_hi) == (
         expected.property_name, expected.allowed_lo, expected.allowed_hi)
@@ -204,19 +193,6 @@ def assert_batches_bit_identical(got, expected):
         got_array, expected_array = getattr(got, name), getattr(expected, name)
         assert got_array.shape == expected_array.shape, name
         assert np.array_equal(got_array, expected_array, equal_nan=True), name
-
-
-def assert_certificates_bit_identical(got, expected):
-    assert (got.property_name, got.applicable, got.allowed_lo, got.allowed_hi) == (
-        expected.property_name, expected.applicable, expected.allowed_lo, expected.allowed_hi)
-    assert got.n_components == expected.n_components
-    for component, want in zip(got.components, expected.components):
-        assert component.index == want.index
-        assert np.array_equal(component.input_lo, want.input_lo)
-        assert np.array_equal(component.input_hi, want.input_hi)
-        assert (component.output_lo, component.output_hi) == (want.output_lo, want.output_hi)
-        assert (component.satisfied, component.feedback) == (want.satisfied, want.feedback)
-    assert got.feedback == expected.feedback
 
 
 def stack_setup(seed, n_components, check_applicability, n_decisions=9):
@@ -263,10 +239,10 @@ def test_property_stack_is_bit_identical_to_per_property_certify(set_name, n_com
         assert one.applicable is any(certificate.applicable for certificate in one.values())
         per_property = {prop.name: verifier.certify(prop, *args) for prop in properties}
         for prop in properties:
-            assert_certificates_bit_identical(one[prop.name], per_property[prop.name])
-        expected = sum(prop.weight * per_property[prop.name].feedback for prop in properties)
+            assert_batches_bit_identical(one[prop.name], per_property[prop.name])
+        expected = sum(prop.weight * float(per_property[prop.name].feedback[0]) for prop in properties)
         expected /= sum(prop.weight for prop in properties)
-        assert verifier.verifier_feedback(properties, *args) == expected
+        assert weighted_feedback(properties, one)[0] == expected
 
 
 def test_property_stack_with_no_applicable_property():
@@ -276,7 +252,7 @@ def test_property_stack_with_no_applicable_property():
     gated = states[1]  # a history of increases: no property that needs decreases applies
     one = verifier.certify(properties, gated, cwnd_tcp[1], cwnd_prev[1])
     assert not one.applicable
-    assert all(certificate.feedback == 1.0 for certificate in one.values())
+    assert all(batch.feedback.tolist() == [1.0] for batch in one.values())
     stacked = verifier.certify(properties, states[1::3], cwnd_tcp[1::3], cwnd_prev[1::3])
     assert not stacked.applicable
     for prop in properties:

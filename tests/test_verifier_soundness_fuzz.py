@@ -52,9 +52,14 @@ def random_verifier(seed, n_components):
     return rng, verifier, actor, state, cwnd_tcp, cwnd_prev
 
 
-def sample_points(rng, component, n_points):
-    span = component.input_hi - component.input_lo
-    return [component.input_lo + rng.random(span.shape[0]) * span for _ in range(n_points)]
+def components(certificate):
+    """``(input_lo, input_hi, output_lo, output_hi)`` of each component of a one-decision certificate."""
+    return zip(certificate.input_lo[0], certificate.input_hi[0], certificate.output_lo[0], certificate.output_hi[0])
+
+
+def sample_points(rng, input_lo, input_hi, n_points):
+    span = input_hi - input_lo
+    return [input_lo + rng.random(span.shape[0]) * span for _ in range(n_points)]
 
 
 def concrete_cwnd(actor, point, cwnd_tcp):
@@ -68,10 +73,10 @@ def test_delta_cwnd_soundness(seed):
     rng, verifier, actor, state, cwnd_tcp, cwnd_prev = random_verifier(seed, n_components=5)
     prop = DELTA_PROPERTIES[seed % len(DELTA_PROPERTIES)]()
     certificate = verifier.certify(prop, state, cwnd_tcp, cwnd_prev)
-    for component in certificate.components:
-        for point in sample_points(rng, component, POINTS_PER_COMPONENT):
+    for input_lo, input_hi, output_lo, output_hi in components(certificate):
+        for point in sample_points(rng, input_lo, input_hi, POINTS_PER_COMPONENT):
             delta = concrete_cwnd(actor, point, cwnd_tcp) - cwnd_prev
-            assert component.output_lo - TOL <= delta <= component.output_hi + TOL
+            assert output_lo - TOL <= delta <= output_hi + TOL
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -81,10 +86,10 @@ def test_cwnd_change_fraction_soundness(seed):
     prop = property_p5(mu=0.05, epsilon=0.01)
     certificate = verifier.certify(prop, state, cwnd_tcp, cwnd_prev)
     cwnd_reference = verifier.concrete_cwnd(state, cwnd_tcp)
-    for component in certificate.components:
-        for point in sample_points(rng, component, POINTS_PER_COMPONENT):
+    for input_lo, input_hi, output_lo, output_hi in components(certificate):
+        for point in sample_points(rng, input_lo, input_hi, POINTS_PER_COMPONENT):
             fraction = (concrete_cwnd(actor, point, cwnd_tcp) - cwnd_reference) / cwnd_reference
-            assert component.output_lo - TOL <= fraction <= component.output_hi + TOL
+            assert output_lo - TOL <= fraction <= output_hi + TOL
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -93,7 +98,7 @@ def test_component_endpoints_are_sound(seed):
     _rng, verifier, actor, state, cwnd_tcp, cwnd_prev = random_verifier(seed + 900, n_components=3)
     prop = property_p1()
     certificate = verifier.certify(prop, state, cwnd_tcp, cwnd_prev)
-    for component in certificate.components:
-        for point in (component.input_lo, component.input_hi):
-            delta = concrete_cwnd(actor, np.asarray(point), cwnd_tcp) - cwnd_prev
-            assert component.output_lo - TOL <= delta <= component.output_hi + TOL
+    for input_lo, input_hi, output_lo, output_hi in components(certificate):
+        for point in (input_lo, input_hi):
+            delta = concrete_cwnd(actor, point, cwnd_tcp) - cwnd_prev
+            assert output_lo - TOL <= delta <= output_hi + TOL
