@@ -119,7 +119,7 @@ def compare_controllers(
     rows = []
     for name, verifier in verifiers.items():
         report = property_report(verifier, properties, states, cwnd_tcp, cwnd_prev)
-        overall = float(np.mean([row["mean_feedback"] for row in report])) if report else 1.0
+        overall = float(np.mean([row["mean_feedback"] for row in report]))
         rows.append({"controller": name, "mean_feedback": overall,
                      **{f"{row['property']}_feedback": row["mean_feedback"] for row in report}})
     return rows

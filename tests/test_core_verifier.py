@@ -287,7 +287,7 @@ class TestOneComponentCount:
     caller's certificates have that many components."""
 
     @pytest.fixture
-    def batches(self, actor, obs_config, monkeypatch):
+    def batches(self, monkeypatch):
         batches = []
         certify = Verifier.certify
 
