@@ -123,9 +123,9 @@ class ExperimentTask:
     def __post_init__(self) -> None:
         if self.certify and self.model_kind is None:
             raise ValueError("certify=True requires a learned model_kind")
-        for name in ("n_components", "monitor_components"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, count in (("n_components", self.n_components), ("monitor_components", self.monitor_components)):
+            if count <= 0:
+                raise ValueError(f"{name} must be positive, got {count}")
         if self.model_topologies is not None:
             if self.model_kind is None:
                 raise ValueError("model_topologies requires a learned model_kind")
