@@ -1,5 +1,7 @@
 """Tests for the TD3 agent: configuration, acting, updates, and learning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,36 @@ def test_rollout_helper_reports_rewards():
     assert summary["steps"] == 10
     assert len(summary["rewards"]) == 10
     assert summary["total_reward"] <= 0.0
+
+
+#: The digest of :func:`_trajectory_digest` for the two-critic TD3 update.
+TRAJECTORY_SHA256 = "6846ab7340d7c4ba0622798d73fd9b3b110e6fec274d48c3f6c8cbb5d1e6e3f3"
+
+
+def _trajectory_digest() -> str:
+    """SHA-256 over a seeded 300-update run: the final weights, the target
+    networks and every update's metrics."""
+    agent = TD3Agent(TD3Config(state_dim=21, hidden_sizes=(64, 32), seed=11))
+    rng = np.random.default_rng(5)
+    digest = hashlib.sha256()
+    for step in range(500):
+        state, next_state = rng.uniform(0.0, 1.0, 21), rng.uniform(0.0, 1.0, 21)
+        action = rng.uniform(-1.0, 1.0, 1)
+        agent.observe(state, action, float(rng.normal()), next_state, bool(rng.random() < 0.05))
+        if step >= 200:
+            metrics = agent.update()
+            assert metrics
+            digest.update(repr(sorted(metrics.items())).encode())
+    weights = agent.get_weights()
+    for network in (weights["actor"], weights["critic1"], weights["critic2"],
+                    agent.target_actor.get_weights(), agent.target_critic1.get_weights(),
+                    agent.target_critic2.get_weights()):
+        for array in network:
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert agent.total_updates == 300
+    return digest.hexdigest()
+
+
+def test_update_trajectory_is_pinned():
+    # Any change to the TD3 arithmetic (losses, Adam, Polyak, RNG order) moves this digest.
+    assert _trajectory_digest() == TRAJECTORY_SHA256
