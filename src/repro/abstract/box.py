@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Box"]
+__all__ = ["Box", "split_bounds"]
 
 
 def _first(mask: np.ndarray) -> tuple:
@@ -145,26 +145,35 @@ class Box:
             raise ValueError("n must be positive")
         if self.ndim < 1:
             raise ValueError("split_batched requires a box with a feature axis")
-        lo = self.lo
-        hi = self.hi
-        if dims is None:
-            dims = list(range(lo.shape[-1]))
-        dims = np.asarray(list(dims), dtype=int)
-        lo_batched = np.repeat(lo[..., None, :], n, axis=-2)
-        hi_batched = np.repeat(hi[..., None, :], n, axis=-2)
-        if dims.size:
-            index = np.arange(n, dtype=np.float64)[:, None]
-            lo_dims = lo[..., None, dims]
-            width = hi[..., None, dims] - lo_dims
-            lo_batched[..., dims] = lo_dims + width * index / n
-            hi_batched[..., dims] = lo_dims + width * (index + 1) / n
-        # _trusted_bounds' arithmetic with the deviation computed in
-        # hi_batched's memory, so at most three stack-sized arrays are alive.
-        center = (lo_batched + hi_batched) / 2.0
-        deviation = np.subtract(hi_batched, lo_batched, out=hi_batched)
-        del lo_batched, hi_batched
-        deviation /= 2.0
-        return Box._trusted(center, deviation)
+        dims = None if dims is None else np.asarray(list(dims), dtype=int)
+        return Box._trusted(*split_bounds(self.lo, self.hi, n, dims))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Box(center={self.center!r}, deviation={self.deviation!r})"
+
+
+def split_bounds(lo: np.ndarray, hi: np.ndarray, n: int, dims: np.ndarray | None) -> tuple:
+    """The engine of :meth:`Box.split_batched` on bare arrays.
+
+    Splits the boxes ``[lo, hi]`` (shape ``(..., d)``) into ``n`` components
+    each along the integer array ``dims`` (``None``: all dimensions) and
+    returns their ``(center, deviation)``, shape ``(..., n, d)``, the
+    deviation not yet clamped at zero.
+    """
+    if dims is None:
+        dims = np.arange(lo.shape[-1])
+    lo_batched = np.repeat(lo[..., None, :], n, axis=-2)
+    hi_batched = np.repeat(hi[..., None, :], n, axis=-2)
+    if dims.size:
+        index = np.arange(n, dtype=np.float64)[:, None]
+        lo_dims = lo[..., None, dims]
+        width = hi[..., None, dims] - lo_dims
+        lo_batched[..., dims] = lo_dims + width * index / n
+        hi_batched[..., dims] = lo_dims + width * (index + 1) / n
+    # _trusted_bounds' arithmetic with the deviation computed in
+    # hi_batched's memory, so at most three stack-sized arrays are alive.
+    center = (lo_batched + hi_batched) / 2.0
+    deviation = np.subtract(hi_batched, lo_batched, out=hi_batched)
+    del lo_batched, hi_batched
+    deviation /= 2.0
+    return center, deviation

@@ -20,14 +20,34 @@ import numpy as np
 
 from repro.abstract.box import Box
 
-__all__ = ["exp2", "cwnd_from_action", "delta_cwnd", "cwnd_change_fraction"]
+__all__ = ["exp2", "cwnd_from_action", "delta_cwnd", "cwnd_change_fraction", "checked_action_arrays"]
+
+
+def _exp2(center: np.ndarray, deviation: np.ndarray) -> tuple:
+    upper = np.exp2(center + deviation)
+    lower = np.exp2(center - deviation)
+    return (upper + lower) / 2.0, np.maximum((upper - lower) / 2.0, 0.0)
 
 
 def exp2(box: Box) -> Box:
     """``2^x`` transformer: exact for the box domain, as ``2^x`` is monotone."""
-    upper = np.exp2(box.hi)
-    lower = np.exp2(box.lo)
-    return Box._trusted((upper + lower) / 2.0, (upper - lower) / 2.0)
+    return Box._trusted(*_exp2(box.center, box.deviation))
+
+
+def _cwnd_from_action(center: np.ndarray, deviation: np.ndarray, cwnd_tcp, action_clip: tuple) -> tuple:
+    cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
+    if np.any(cwnd_tcp < 0):
+        raise ValueError("cwnd_tcp must be non-negative")
+    lo_a, hi_a = action_clip
+    # np.clip's result, without its Python-level dispatch.
+    lo = np.minimum(np.maximum(center - deviation, lo_a), hi_a)
+    hi = np.minimum(np.maximum(center + deviation, lo_a), hi_a)
+    # The clipped box, scaled by 2, through 2^x, scaled by cwnd_TCP; every
+    # step clamps its deviation at zero like a Box does.
+    center = (lo + hi) / 2.0 * 2.0
+    deviation = np.maximum(np.maximum((hi - lo) / 2.0, 0.0) * 2.0, 0.0)
+    center, deviation = _exp2(center, deviation)
+    return center * cwnd_tcp, np.maximum(deviation * np.abs(cwnd_tcp), 0.0)
 
 
 def cwnd_from_action(action: Box, cwnd_tcp, action_clip: tuple[float, float] = (-1.0, 1.0)) -> Box:
@@ -40,22 +60,44 @@ def cwnd_from_action(action: Box, cwnd_tcp, action_clip: tuple[float, float] = (
     concrete in Canopy; only the network-state variables of interest are
     abstracted).
     """
-    cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
-    if np.any(cwnd_tcp < 0):
-        raise ValueError("cwnd_tcp must be non-negative")
-    lo_a, hi_a = action_clip
-    clipped = Box._trusted_bounds(np.clip(action.lo, lo_a, hi_a), np.clip(action.hi, lo_a, hi_a))
-    return exp2(clipped.scale(2.0)).scale(cwnd_tcp)
+    return Box._trusted(*_cwnd_from_action(action.center, action.deviation, cwnd_tcp, action_clip))
+
+
+def _delta_cwnd(center: np.ndarray, deviation: np.ndarray, cwnd_prev) -> tuple:
+    center = center + -np.asarray(cwnd_prev, dtype=np.float64)
+    if deviation.shape != center.shape:
+        deviation = np.broadcast_to(deviation, center.shape)
+    return center, np.maximum(deviation, 0.0)
 
 
 def delta_cwnd(cwnd: Box, cwnd_prev) -> Box:
     """Δcwnd# = cwnd# − cwnd_{i−1}, the checked action for P1–P4."""
-    return cwnd.shift(-np.asarray(cwnd_prev, dtype=np.float64))
+    return Box._trusted(*_delta_cwnd(cwnd.center, cwnd.deviation, cwnd_prev))
+
+
+def _cwnd_change_fraction(center: np.ndarray, deviation: np.ndarray, cwnd_ref) -> tuple:
+    cwnd_ref = np.asarray(cwnd_ref, dtype=np.float64)
+    if np.any(cwnd_ref <= 0):
+        raise ValueError("cwnd_ref must be positive")
+    center, deviation = _delta_cwnd(center, deviation, cwnd_ref)
+    factor = 1.0 / cwnd_ref
+    return center * factor, np.maximum(deviation * np.abs(factor), 0.0)
 
 
 def cwnd_change_fraction(cwnd: Box, cwnd_ref) -> Box:
     """(cwnd# − cwnd_i) / cwnd_i, the checked action for P5 (robustness)."""
-    cwnd_ref = np.asarray(cwnd_ref, dtype=np.float64)
-    if np.any(cwnd_ref <= 0):
-        raise ValueError("cwnd_ref must be positive")
-    return cwnd.shift(-cwnd_ref).scale(1.0 / cwnd_ref)
+    return Box._trusted(*_cwnd_change_fraction(cwnd.center, cwnd.deviation, cwnd_ref))
+
+
+def checked_action_arrays(center: np.ndarray, deviation: np.ndarray, cwnd_tcp, cwnd_prev=None,
+                          cwnd_ref=None) -> tuple:
+    """Bounds ``(lo, hi)`` of the checked action of an action box given as
+    ``center``/``deviation`` arrays: :func:`cwnd_from_action` followed by
+    :func:`delta_cwnd` (given ``cwnd_prev``) or :func:`cwnd_change_fraction`
+    (given ``cwnd_ref``), with the same arithmetic and no Box in between."""
+    center, deviation = _cwnd_from_action(center, deviation, cwnd_tcp, (-1.0, 1.0))
+    if cwnd_ref is None:
+        center, deviation = _delta_cwnd(center, deviation, cwnd_prev)
+    else:
+        center, deviation = _cwnd_change_fraction(center, deviation, cwnd_ref)
+    return center - deviation, center + deviation

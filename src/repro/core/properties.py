@@ -29,6 +29,7 @@ from repro.orca.observations import ObservationBuilder
 
 __all__ = [
     "ActionKind",
+    "RegionPlan",
     "PropertySpec",
     "PropertySet",
     "property_p1",
@@ -55,6 +56,42 @@ class ActionKind(Enum):
 
     DELTA_CWND = "delta_cwnd"              # cwnd_i − cwnd_{i−1}  (P1–P4)
     CWND_CHANGE_FRACTION = "cwnd_change"   # (cwnd − cwnd_i) / cwnd_i  (P5)
+
+
+@dataclass(frozen=True, eq=False)
+class RegionPlan:
+    """The state-independent part of one property's input region X.
+
+    :meth:`PropertySpec.region_plan` builds it once for a state layout;
+    :meth:`bounds` then builds the region around any stack of states.  For a
+    Δcwnd property (P1–P4) the abstracted dimensions ``indices`` take the
+    constant bounds ``lo``/``hi``; for a robustness property (P5) they range
+    over the observed value scaled by ``1 ∓ noise_mu``.
+    """
+
+    indices: np.ndarray
+    lo: Optional[np.ndarray] = None
+    hi: Optional[np.ndarray] = None
+    noise_mu: Optional[float] = None
+
+    def bounds(self, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The regions ``(lo, hi)`` around float64 ``states`` of shape ``(..., state_dim)``."""
+        lo = states.copy()
+        hi = states.copy()
+        self.fill(lo, hi)
+        return lo, hi
+
+    def fill(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Turn two copies of a state stack into its regions, in place."""
+        if self.noise_mu is None:
+            lo[..., self.indices] = self.lo
+            hi[..., self.indices] = self.hi
+        else:
+            observed = lo[..., self.indices]
+            low_value = observed * (1.0 - self.noise_mu)
+            high_value = observed * (1.0 + self.noise_mu)
+            lo[..., self.indices] = np.minimum(low_value, high_value)
+            hi[..., self.indices] = np.maximum(low_value, high_value)
 
 
 @dataclass(frozen=True)
@@ -159,6 +196,26 @@ class PropertySpec:
             dims.extend(observer.feature_indices(feature))
         return dims
 
+    def region_plan(self, observer: ObservationBuilder) -> "RegionPlan":
+        """The state-independent part of the input region X under ``observer``'s
+        state layout: which dimensions are abstracted, and how."""
+        if self.kind is ActionKind.CWND_CHANGE_FRACTION:
+            indices = [i for feature in self.noise_features for i in observer.feature_indices(feature)]
+            return RegionPlan(np.array(indices, dtype=np.intp), noise_mu=self.noise_mu)
+        indices: List[int] = []
+        lo: List[float] = []
+        hi: List[float] = []
+        for feature, bounds in (("delay", self.delay_range), ("loss", self.loss_range),
+                                ("dcwnd", None if self.dcwnd_sign is None
+                                 else (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0))):
+            if bounds is not None:
+                feature_indices = observer.feature_indices(feature)
+                indices.extend(feature_indices)
+                lo.extend([bounds[0]] * len(feature_indices))
+                hi.extend([bounds[1]] * len(feature_indices))
+        return RegionPlan(np.array(indices, dtype=np.intp), lo=np.array(lo, dtype=np.float64),
+                          hi=np.array(hi, dtype=np.float64))
+
     def input_bounds(self, state: np.ndarray, observer: ObservationBuilder) -> Tuple[np.ndarray, np.ndarray]:
         """The abstract input region X around the (concrete) current state,
         as bounds ``(lo, hi)``: fresh float64 arrays shaped like ``state``.
@@ -171,26 +228,7 @@ class PropertySpec:
         state = np.asarray(state, dtype=np.float64)
         if state.ndim not in (1, 2) or state.shape[-1] != observer.state_dim:
             raise ValueError(f"state has shape {state.shape}, expected (..., {observer.state_dim})")
-        lo = state.copy()
-        hi = state.copy()
-        if self.kind is ActionKind.CWND_CHANGE_FRACTION:
-            for feature in self.noise_features:
-                idx = observer.feature_indices(feature)
-                low_value = state[..., idx] * (1.0 - self.noise_mu)
-                high_value = state[..., idx] * (1.0 + self.noise_mu)
-                lo[..., idx] = np.minimum(low_value, high_value)
-                hi[..., idx] = np.maximum(low_value, high_value)
-            return lo, hi
-        if self.delay_range is not None:
-            idx = observer.feature_indices("delay")
-            lo[..., idx], hi[..., idx] = self.delay_range
-        if self.loss_range is not None:
-            idx = observer.feature_indices("loss")
-            lo[..., idx], hi[..., idx] = self.loss_range
-        if self.dcwnd_sign is not None:
-            idx = observer.feature_indices("dcwnd")
-            lo[..., idx], hi[..., idx] = (-1.0, 0.0) if self.dcwnd_sign < 0 else (0.0, 1.0)
-        return lo, hi
+        return self.region_plan(observer).bounds(state)
 
     # ------------------------------------------------------------------ #
     # Postcondition handling

@@ -106,7 +106,8 @@ class CertificateBatch:
         Row ``j`` of the component arrays belongs to the ``j``-th True entry
         of ``applicable``; the other decisions get vacuous rows.
         """
-        feedback = np.mean(component_feedback, axis=-1)
+        # np.mean's own arithmetic (a sum, then a division by N) without its overhead.
+        feedback = component_feedback.sum(axis=-1) / component_feedback.shape[-1]
         if not applicable.all():
             def scatter(values: np.ndarray, fill) -> np.ndarray:
                 full = np.full(applicable.shape + values.shape[1:], fill, dtype=values.dtype)

@@ -171,17 +171,17 @@ class CanopyTrainer:
         if self._reg_optimizer is None:
             return
         cfg = self.trainer_config
-        observer = self.verifier.observer
+        properties = self.canopy_config.properties
         actor = self.agent.actor
         n_samples = cfg.regularization_samples
         margin = cfg.regularization_margin
 
         actor.zero_grad()
         accumulated = False
-        for prop in self.canopy_config.properties:
+        for prop, region_plan in zip(properties, self.verifier.plan(properties).regions):
             # The verifier's centre/deviation round trip, so the samples
             # cover exactly the region it certifies.
-            region = Box._trusted_bounds(*prop.input_bounds(state, observer))
+            region = Box._trusted_bounds(*region_plan.bounds(state))
             lo, hi = region.lo, region.hi
             samples = lo + self._reg_rng.random((n_samples, lo.shape[0])) * (hi - lo)
             if prop.kind is ActionKind.DELTA_CWND:
@@ -205,7 +205,7 @@ class CanopyTrainer:
             if not np.any(violating):
                 continue
             accumulated = True
-            actor.backward(prop.weight * grad / (n_samples * len(self.canopy_config.properties)))
+            actor.backward(prop.weight * grad / (n_samples * len(properties)))
         if accumulated:
             self._reg_optimizer.step()
         actor.zero_grad()

@@ -66,14 +66,14 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.abstract import transformers
-from repro.abstract.box import Box
+from repro.abstract.box import Box, split_bounds
 from repro.abstract.propagate import propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec
 from repro.core.qc import CertificateBatch, CertificateSet, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
-__all__ = ["VerifierConfig", "Verifier", "weighted_feedback"]
+__all__ = ["CertifyPlan", "VerifierConfig", "Verifier", "weighted_feedback"]
 
 
 def _check_decisions(state: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> None:
@@ -120,6 +120,42 @@ def _stack(arrays: List[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+#: Property sequences whose plans one verifier keeps (the cache is emptied when full).
+_MAX_PLANS = 64
+
+
+class CertifyPlan:
+    """What certifying one property sequence needs that depends on neither
+    the decisions nor the actor's weights, built once per sequence.
+
+    Per property, in sequence order: its :class:`RegionPlan` (the abstracted
+    state dimensions and their constant bounds, or P5's noise dimensions and
+    ``μ``), its allowed region ``(lo, hi)`` (also as the columns
+    ``allowed_lo``/``allowed_hi``) and its past-Δcwnd sign condition
+    ``(sign, dcwnd indices)`` or ``None``.  ``runs`` lists each run of
+    consecutive properties with the same partition dimensions as
+    ``(start, stop, dims)`` (``dims`` ``None``: every dimension), and
+    ``kinds`` each :class:`ActionKind` present with its property mask.
+    """
+
+    def __init__(self, properties: Tuple[PropertySpec, ...], observer: ObservationBuilder) -> None:
+        self.properties = properties
+        self.regions = [prop.region_plan(observer) for prop in properties]
+        self.allowed = [prop.allowed_bounds() for prop in properties]
+        self.allowed_lo = np.array([lo for lo, _ in self.allowed], dtype=np.float64)
+        self.allowed_hi = np.array([hi for _, hi in self.allowed], dtype=np.float64)
+        dcwnd = np.array(observer.feature_indices("dcwnd"), dtype=np.intp)
+        self.sign_conditions = [None if prop.dcwnd_sign is None else (prop.dcwnd_sign, dcwnd)
+                                for prop in properties]
+        self.runs = []
+        for dims, run in itertools.groupby(range(len(properties)),
+                                           key=lambda i: tuple(properties[i].partition_dims(observer))):
+            run = list(run)
+            self.runs.append((run[0], run[-1] + 1, np.array(dims, dtype=np.intp) if dims else None))
+        kinds = [prop.kind for prop in properties]
+        self.kinds = [(kind, np.array([other is kind for other in kinds])) for kind in dict.fromkeys(kinds)]
+
+
 @dataclass(frozen=True)
 class VerifierConfig:
     """Verifier settings.
@@ -155,6 +191,7 @@ class Verifier:
         self.actor = actor
         self.observer = ObservationBuilder(observation_config)
         self.config = config or VerifierConfig()
+        self._plans: Dict[Tuple[PropertySpec, ...], CertifyPlan] = {}
 
     # ------------------------------------------------------------------ #
     # Concrete helpers
@@ -210,6 +247,17 @@ class Verifier:
             return batches[0]
         return CertificateSet((batch.property_name, batch) for batch in batches)
 
+    def plan(self, properties: Sequence[PropertySpec]) -> CertifyPlan:
+        """The :class:`CertifyPlan` of a property sequence, built on first use
+        and then reused; keyed by the tuple of (frozen) properties."""
+        key = tuple(properties)
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _MAX_PLANS:
+                self._plans.clear()
+            plan = self._plans[key] = CertifyPlan(key, self.observer)
+        return plan
+
     def _certify_stack(self, properties: List[PropertySpec], states: np.ndarray, cwnd_tcp: np.ndarray,
                        cwnd_prev: np.ndarray) -> List[CertificateBatch]:
         """The engine behind :meth:`certify`: one batch per property.
@@ -217,40 +265,32 @@ class Verifier:
         ``states`` is a stack ``(D, d)`` with one window per decision.  Each
         property keeps the decisions it applies at (all of them unless
         ``check_applicability`` gates some out) and builds their regions.
-        The regions are stacked in property order, and each run of
-        consecutive properties with the same partition dimensions (every
-        built-in set is one run) is split into its ``N`` components in one
-        call.  The resulting ``(R, N, d)`` stack goes through one IBP call,
-        and the checked-action bounds and the Eq. 6 feedback are computed over
-        all ``R`` rows at once.
+        The regions are stacked in property order and checked once, and each
+        run of consecutive properties with the same partition dimensions
+        (every built-in set is one run) is split into its ``N`` components in
+        one call.  The resulting ``(R, N, d)`` stack goes through one IBP
+        call, and the checked-action bounds and the Eq. 6 feedback are
+        computed over all ``R`` rows at once.
         """
-        observer = self.observer
+        plan = self.plan(properties)
         n = self.config.n_components
-        masks, counts, rows, regions = [], [], [], []
-        for prop in properties:
-            mask = np.ones(states.shape[0], dtype=bool)
-            if self.config.check_applicability:
-                mask = self._applicability_from_state(prop, states)
-            count = int(mask.sum())
-            decisions = (states, cwnd_tcp, cwnd_prev)
-            if count < mask.shape[0]:
-                decisions = tuple(values[mask] for values in decisions)
-            masks.append(mask)
-            counts.append(count)
-            rows.append(decisions)
-            regions.append(self._region(prop, decisions[0]) if count else None)
-        applicable = [index for index, count in enumerate(counts) if count]
-        if applicable:
-            boxes = []
-            for dims, run in itertools.groupby(applicable, key=lambda i: tuple(properties[i].partition_dims(observer))):
-                lo, hi = (_stack(list(bounds)) for bounds in zip(*(regions[index] for index in run)))
-                boxes.append(Box._trusted_bounds(lo, hi).split_batched(n, dims=list(dims) if dims else None))
-            components = boxes[0] if len(boxes) == 1 else Box._trusted(
-                np.concatenate([box.center for box in boxes]), np.concatenate([box.deviation for box in boxes]))
-            del boxes
-            output_lo, output_hi = self._checked_bounds(
-                components, [prop.kind for prop in properties], counts,
-                *(_stack(list(values)) for values in zip(*rows)))
+        n_decisions = states.shape[0]
+        masks = []
+        for condition in plan.sign_conditions:
+            if self.config.check_applicability and condition is not None:
+                sign, dcwnd = condition
+                history = states[:, dcwnd]
+                masks.append(np.all(history <= 1e-6, axis=-1) if sign < 0 else np.all(history >= -1e-6, axis=-1))
+            else:
+                masks.append(np.ones(n_decisions, dtype=bool))
+        # Row r of the stack is decision take[r]; property i holds rows offsets[i]:offsets[i + 1].
+        take = _stack([np.flatnonzero(mask) for mask in masks])
+        counts = [int(mask.sum()) for mask in masks]
+        offsets = [0, *itertools.accumulate(counts)]
+        if take.size:
+            components = self._components(plan, states, take, offsets)
+            output_lo, output_hi = self._checked_bounds(plan, components, counts, states, take,
+                                                        cwnd_tcp[take], cwnd_prev[take])
             # The components' bounds c - d and c + d, the latter written over
             # the centre the IBP pass no longer needs.
             input_lo = components.center - components.deviation
@@ -259,70 +299,95 @@ class Verifier:
         else:
             input_lo = input_hi = np.empty((0, n, states.shape[-1]))
             output_lo = output_hi = np.empty((0, n))
-        allowed = [prop.allowed_bounds() for prop in properties]
-        allowed_lo, allowed_hi = (np.repeat(bounds, counts)[:, None] for bounds in zip(*allowed))
+        allowed_lo = np.repeat(plan.allowed_lo, counts)[:, None]
+        allowed_hi = np.repeat(plan.allowed_hi, counts)[:, None]
         satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed_lo, allowed_hi)
         batches = []
-        for prop, mask, (lo, hi), end, count in zip(properties, masks, allowed, np.cumsum(counts), counts):
-            own = slice(end - count, end)
+        for prop, mask, (lo, hi), start, end in zip(properties, masks, plan.allowed, offsets, offsets[1:]):
             batches.append(CertificateBatch.from_applicable(
-                prop.name, lo, hi, mask, input_lo[own], input_hi[own], output_lo[own], output_hi[own],
-                satisfied[own], feedback[own]))
+                prop.name, lo, hi, mask, input_lo[start:end], input_hi[start:end], output_lo[start:end],
+                output_hi[start:end], satisfied[start:end], feedback[start:end]))
         return batches
 
-    def _region(self, prop: PropertySpec, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``prop``'s input regions ``(lo, hi)`` around a stack of states.
+    def _components(self, plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int]) -> Box:
+        """The ``(R, N, d)`` components of the regions around ``states[take]``,
+        row ``r`` in its property's region.
 
-        The regions are checked once here (finite bounds, ``lo <= hi``) and
-        then built with the trusted constructors: centre ``(lo + hi) / 2``,
-        deviation ``max((hi - lo) / 2, 0)``, then split on ``c ∓ d``.
+        The regions are built in place on two copies of the stacked states
+        and checked once for the whole stack, then split run by run.  Each region goes through the centre/deviation round trip
+        ``c = (lo + hi) / 2``, ``d = max((hi - lo) / 2, 0)``, ``[c - d, c + d]``
+        before it is split.
         """
-        lo, hi = prop.input_bounds(states, self.observer)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()) or (lo > hi + 1e-12).any():
-            raise ValueError(f"{prop.name}: input region needs finite bounds with lo <= hi")
-        return lo, hi
+        lo, hi = states[take], states[take]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for region, start, stop in zip(plan.regions, offsets, offsets[1:]):
+                if start < stop:
+                    region.fill(lo[start:stop], hi[start:stop])
+            center = (lo + hi) / 2.0
+            deviation = (hi - lo) / 2.0
+        if not (np.isfinite(center).all() and np.isfinite(deviation).all()) or (lo > hi + 1e-12).any():
+            self._reject_region(plan, lo, hi, center, deviation, take, offsets)
+        np.maximum(deviation, 0.0, out=deviation)
+        lo = center - deviation
+        hi = np.add(center, deviation, out=center)
+        del center, deviation
+        n = self.config.n_components
+        pieces = [split_bounds(lo[offsets[start]:offsets[stop]], hi[offsets[start]:offsets[stop]], n, dims)
+                  for start, stop, dims in plan.runs if offsets[start] < offsets[stop]]
+        if len(pieces) == 1:
+            return Box._trusted(*pieces[0])
+        return Box._trusted(np.concatenate([center for center, _ in pieces]),
+                            np.concatenate([deviation for _, deviation in pieces]))
 
-    def _checked_bounds(self, components: Box, kinds: List[ActionKind], counts: List[int], states: np.ndarray,
-                        cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> tuple:
+    @staticmethod
+    def _reject_region(plan: CertifyPlan, lo: np.ndarray, hi: np.ndarray, center: np.ndarray,
+                       deviation: np.ndarray, take: np.ndarray, offsets: List[int]) -> None:
+        """Raise for the first region entry that is unordered or whose centre
+        or deviation is not finite (a finite state can still overflow them)."""
+        bad = ~np.isfinite(center) | ~np.isfinite(deviation) | (lo > hi + 1e-12)
+        row, index = (int(i) for i in np.argwhere(bad)[0])
+        prop = next(i for i, end in enumerate(offsets[1:]) if row < end)
+        raise ValueError(
+            f"{plan.properties[prop].name}: input region needs lo <= hi with a finite centre and deviation, "
+            f"got [{lo[row, index]}, {hi[row, index]}] at decision {take[row]}, state index {index}")
+
+    def _checked_bounds(self, plan: CertifyPlan, components: Box, counts: List[int], states: np.ndarray,
+                        take: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> tuple:
         """Checked-action bounds ``(R, N)`` of a stack of ``R`` component rows.
 
-        The stack holds runs of ``counts[i]`` rows of kind ``kinds[i]``, one
-        decision (state and windows) per row.  One IBP call covers the whole
+        The stack holds ``counts[i]`` rows of property ``i``; row ``r`` is
+        decision ``take[r]`` of ``states`` and has the windows
+        ``cwnd_tcp[r]``/``cwnd_prev[r]``.  One IBP call covers the whole
         stack; the cwnd map and the Δcwnd / fractional-change transformers
         run once per :class:`ActionKind` present, on that kind's rows.
         """
         action_box = propagate_mlp_batched(self.actor, components)
         output_lo = np.empty(action_box.shape[:-1])
         output_hi = np.empty(action_box.shape[:-1])
-        for kind in dict.fromkeys(kind for kind, count in zip(kinds, counts) if count):
-            rows = np.repeat([other is kind for other in kinds], counts)
+        for kind, kind_mask in plan.kinds:
+            rows = np.repeat(kind_mask, counts)
+            if not rows.any():
+                continue
             if rows.all():
-                action, states_k, tcp, prev = action_box, states, cwnd_tcp, cwnd_prev
+                center, deviation, take_k, tcp, prev = action_box.center, action_box.deviation, take, \
+                    cwnd_tcp, cwnd_prev
             else:
-                action = Box._trusted(action_box.center[rows], action_box.deviation[rows])
-                states_k, tcp, prev = states[rows], cwnd_tcp[rows], cwnd_prev[rows]
+                center, deviation = action_box.center[rows], action_box.deviation[rows]
+                take_k, tcp, prev = take[rows], cwnd_tcp[rows], cwnd_prev[rows]
             # One window per decision, broadcast over its components.
-            cwnd_box = transformers.cwnd_from_action(action, tcp[:, None, None])
             if kind is ActionKind.DELTA_CWND:
-                checked = transformers.delta_cwnd(cwnd_box, prev[:, None, None])
+                checked_lo, checked_hi = transformers.checked_action_arrays(
+                    center, deviation, tcp[:, None, None], cwnd_prev=prev[:, None, None])
             else:
-                checked = transformers.cwnd_change_fraction(
-                    cwnd_box, self._cwnd_reference(states_k, tcp)[:, None, None])
+                checked_lo, checked_hi = transformers.checked_action_arrays(
+                    center, deviation, tcp[:, None, None],
+                    cwnd_ref=self._cwnd_reference(states[take_k], tcp)[:, None, None])
             # The action (and hence the checked quantity) is scalar per
             # component; drop the trailing 1-element axis.
-            output_lo[rows] = checked.lo[..., 0]
-            output_hi[rows] = checked.hi[..., 0]
+            output_lo[rows] = checked_lo[..., 0]
+            output_hi[rows] = checked_hi[..., 0]
         return output_lo, output_hi
 
     def _cwnd_reference(self, states: np.ndarray, cwnd_tcp: np.ndarray) -> np.ndarray:
         """P5's concrete reference windows: one ``(1, d)`` actor forward per decision."""
         return np.array([self.concrete_cwnd(state, tcp) for state, tcp in zip(states, cwnd_tcp)])
-
-    def _applicability_from_state(self, prop: PropertySpec, states: np.ndarray) -> np.ndarray:
-        """Check the concrete Δcwnd side-condition directly on the state vector(s)."""
-        if prop.dcwnd_sign is None:
-            return np.ones(states.shape[:-1], dtype=bool)
-        dcwnd_history = states[..., self.observer.feature_indices("dcwnd")]
-        if prop.dcwnd_sign < 0:
-            return np.all(dcwnd_history <= 1e-6, axis=-1)
-        return np.all(dcwnd_history >= -1e-6, axis=-1)

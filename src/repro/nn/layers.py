@@ -24,6 +24,12 @@ from repro.nn import init as initializers
 __all__ = ["Layer", "Dense", "ReLU", "Tanh", "Identity", "Sequential"]
 
 
+def _rows(x) -> np.ndarray:
+    """``x`` as a float64 array of at least two dimensions (a lone sample becomes one row)."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim >= 2 else x.reshape(1, -1)
+
+
 class Layer:
     """Base class for all layers."""
 
@@ -48,7 +54,14 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer ``y = x @ W.T + b``."""
+    """Fully connected layer ``y = x @ W.T + b``.
+
+    A stack of ``k`` layers of one shape is one Dense whose ``weight`` is
+    ``(k, out, in)`` and ``bias`` ``(k, out)``: an input ``(batch, in)``
+    (shared) or ``(k, batch, in)`` gives ``(k, batch, out)``, slice ``i``
+    bit for bit what layer ``i`` alone computes (``matmul`` runs the same
+    gemm per slice).
+    """
 
     def __init__(
         self,
@@ -74,23 +87,23 @@ class Dense(Layer):
 
     @property
     def in_features(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_features(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _rows(x)
         self._cached_input = x
-        return x @ self.weight.T + self.bias
+        return x @ self.weight.mT + self.bias[..., None, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cached_input is None:
             raise RuntimeError("backward() called before forward()")
-        grad_output = np.atleast_2d(grad_output)
-        self.grad_weight += grad_output.T @ self._cached_input
-        self.grad_bias += grad_output.sum(axis=0)
+        grad_output = _rows(grad_output)
+        self.grad_weight += grad_output.mT @ self._cached_input
+        self.grad_bias += grad_output.sum(axis=-2)
         return grad_output @ self.weight
 
     def parameters(self) -> List[np.ndarray]:
@@ -150,7 +163,7 @@ class Sequential(Layer):
         self.layers: List[Layer] = list(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = _rows(x)
         for layer in self.layers:
             out = layer.forward(out)
         return out

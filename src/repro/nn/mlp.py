@@ -22,13 +22,14 @@ every in-place update.  Pickling or deep-copying an MLP rebuilds the views.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Sequence
 
 import numpy as np
 
 from repro.nn.layers import Dense, Identity, Layer, ReLU, Sequential, Tanh
 
-__all__ = ["ALIGN", "MLP", "make_actor", "make_critic"]
+__all__ = ["ALIGN", "MLP", "MLPStack", "make_actor", "make_critic"]
 
 #: Each tensor of an MLP's flat buffers starts at a multiple of this many
 #: elements (64 bytes of float64).
@@ -47,7 +48,50 @@ def _padded(size: int) -> int:
     return -(-size // ALIGN) * ALIGN
 
 
-class MLP(Sequential):
+def _architecture(mlp: "MLP") -> tuple:
+    return (mlp.in_features, mlp.hidden_sizes, mlp.out_features, mlp.hidden_activation, mlp.output_activation)
+
+
+def _slots(layers: Sequence[Layer]):
+    """``(layer, param name, grad name, start, end)`` of every Dense tensor,
+    in flat-buffer order."""
+    offset = 0
+    for layer in layers:
+        if not isinstance(layer, Dense):
+            continue
+        for param_name, grad_name in (("weight", "grad_weight"), ("bias", "grad_bias")):
+            end = offset + getattr(layer, param_name).size
+            yield layer, param_name, grad_name, offset, end
+            offset = _padded(end)
+
+
+class _FlatNetwork(Sequential):
+    """A network whose parameters and gradients live in the arrays
+    ``flat_params`` and ``flat_grads``, its layer tensors views into them
+    (made by ``_bind_flat``)."""
+
+    flat_params: np.ndarray
+    flat_grads: np.ndarray
+
+    def _bind_flat(self) -> None:
+        raise NotImplementedError
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickle and deepcopy restore each view as an array of its own.
+        self.__dict__.update(state)
+        self._bind_flat()
+
+    def zero_grad(self) -> None:
+        self.flat_grads.fill(0.0)
+
+    def soft_update_from(self, source: "_FlatNetwork", tau: float) -> None:
+        """Polyak averaging ``θ ← τ θ_src + (1−τ) θ`` (target network update)."""
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError("tau must be in [0, 1]")
+        self.flat_params[...] = tau * source.flat_params + (1.0 - tau) * self.flat_params
+
+
+class MLP(_FlatNetwork):
     """A fully-connected network built from a list of hidden sizes, its
     parameters and gradients held in the flat buffers ``flat_params`` and
     ``flat_grads``."""
@@ -92,26 +136,12 @@ class MLP(Sequential):
     def _bind_flat(self) -> None:
         """Copy every Dense tensor into its slot of the flat buffers and make
         the layer attribute a view of that slot."""
-        offset = 0
-        for layer in self.layers:
-            if not isinstance(layer, Dense):
-                continue
-            for param_name, grad_name in (("weight", "grad_weight"), ("bias", "grad_bias")):
-                shape = getattr(layer, param_name).shape
-                end = offset + int(np.prod(shape))
-                for name, flat in ((param_name, self.flat_params), (grad_name, self.flat_grads)):
-                    view = flat[offset:end].reshape(shape)
-                    view[...] = getattr(layer, name)
-                    setattr(layer, name, view)
-                offset = _padded(end)
-
-    def __setstate__(self, state: dict) -> None:
-        # Pickle and deepcopy restore each view as an array of its own.
-        self.__dict__.update(state)
-        self._bind_flat()
-
-    def zero_grad(self) -> None:
-        self.flat_grads.fill(0.0)
+        for layer, param_name, grad_name, start, end in _slots(self.layers):
+            shape = getattr(layer, param_name).shape
+            for name, flat in ((param_name, self.flat_params), (grad_name, self.flat_grads)):
+                view = flat[start:end].reshape(shape)
+                view[...] = getattr(layer, name)
+                setattr(layer, name, view)
 
     # ------------------------------------------------------------------ #
     # Parameter (de)serialization — used for target-network updates.
@@ -128,12 +158,6 @@ class MLP(Sequential):
                 raise ValueError("weight shape mismatch")
             param[...] = new
 
-    def soft_update_from(self, source: "MLP", tau: float) -> None:
-        """Polyak averaging ``θ ← τ θ_src + (1−τ) θ`` (target network update)."""
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
-        self.flat_params[...] = tau * source.flat_params + (1.0 - tau) * self.flat_params
-
     def copy_from(self, source: "MLP") -> None:
         self.soft_update_from(source, tau=1.0)
 
@@ -148,6 +172,46 @@ class MLP(Sequential):
         )
         other.flat_params[...] = self.flat_params
         return other
+
+
+class MLPStack(_FlatNetwork):
+    """``k`` MLPs of one architecture stepped as one network.
+
+    ``flat_params`` and ``flat_grads`` are ``(k, n)``: row ``i`` is member
+    ``i``'s flat buffer, and each member stays a full :class:`MLP` whose
+    buffers and layer tensors are views of its row.  The stack's own Dense
+    layers view the same memory as ``(k, out, in)`` weights and ``(k, out)``
+    biases, so one forward, one backward, one optimizer step or one Polyak
+    update covers every member, bit for bit what each member would compute
+    alone.  Pickling or deep-copying the stack rebinds the members to its
+    rows.
+    """
+
+    def __init__(self, members: Sequence[MLP]) -> None:
+        self.members = list(members)
+        first = self.members[0]
+        if len({_architecture(member) for member in self.members}) != 1:
+            raise ValueError("stacked MLPs need one architecture")
+        self.flat_params = np.stack([member.flat_params for member in self.members])
+        self.flat_grads = np.stack([member.flat_grads for member in self.members])
+        super().__init__([copy.copy(layer) for layer in first.layers])
+        self._bind_flat()
+
+    def _bind_flat(self) -> None:
+        """Make every member's buffers row views and every stacked tensor a
+        ``(k, ...)`` view of the stack's buffers."""
+        for row, member in enumerate(self.members):
+            member.flat_params = self.flat_params[row]
+            member.flat_grads = self.flat_grads[row]
+            member._bind_flat()
+        first = self.members[0]
+        stacked = {id(member_layer): layer for member_layer, layer in zip(first.layers, self.layers)}
+        for member_layer, param_name, grad_name, start, end in _slots(first.layers):
+            shape = (len(self.members),) + getattr(member_layer, param_name).shape
+            layer = stacked[id(member_layer)]
+            setattr(layer, param_name, self.flat_params[:, start:end].reshape(shape))
+            setattr(layer, grad_name, self.flat_grads[:, start:end].reshape(shape))
+
 
 
 def make_actor(

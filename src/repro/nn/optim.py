@@ -85,8 +85,16 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
         for param, grad, m, v in zip(self.parameters, self.grads, self._m, self._v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # θ -= lr · m̂ / (√v̂ + eps), in place: the same roundings as the
+            # textbook expression, operation for operation.
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * np.square(grad)
+            step = m / bias1
+            step *= self.lr
+            denominator = v / bias2
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            step /= denominator
+            param -= step

@@ -22,7 +22,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.nn.losses import mse_loss
-from repro.nn.mlp import make_actor, make_critic
+from repro.nn.mlp import MLP, MLPStack, make_actor, make_critic
 from repro.nn.optim import Adam
 from repro.rl.noise import GaussianNoise
 from repro.rl.replay import ReplayBuffer
@@ -60,6 +60,16 @@ class TD3Config:
             raise ValueError("tau must be in (0, 1]")
         if self.policy_delay <= 0:
             raise ValueError("policy_delay must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        for name in ("exploration_sigma", "target_noise_sigma", "target_noise_clip", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.buffer_capacity < max(self.batch_size, self.warmup_steps):
+            # update() waits for max(batch_size, warmup_steps) transitions,
+            # which a smaller buffer never holds: the agent would never learn.
+            raise ValueError(f"buffer_capacity ({self.buffer_capacity}) must be at least "
+                             f"max(batch_size, warmup_steps) = {max(self.batch_size, self.warmup_steps)}")
 
 
 class TD3Agent:
@@ -79,16 +89,15 @@ class TD3Agent:
         self._rng = rng
 
         self.actor = make_actor(config.state_dim, config.action_dim, config.hidden_sizes, rng=rng)
-        self.critic1 = make_critic(config.state_dim, config.action_dim, config.hidden_sizes, rng=rng)
-        self.critic2 = make_critic(config.state_dim, config.action_dim, config.hidden_sizes, rng=rng)
+        # Critic 1 is initialised before critic 2, then both become rows of one pair.
+        self.critics = MLPStack([make_critic(config.state_dim, config.action_dim, config.hidden_sizes, rng=rng)
+                                 for _ in range(2)])
 
         self.target_actor = self.actor.clone()
-        self.target_critic1 = self.critic1.clone()
-        self.target_critic2 = self.critic2.clone()
+        self.target_critics = MLPStack([critic.clone() for critic in self.critics.members])
 
         self.actor_optimizer = Adam.for_model(self.actor, lr=config.actor_lr)
-        self.critic1_optimizer = Adam.for_model(self.critic1, lr=config.critic_lr)
-        self.critic2_optimizer = Adam.for_model(self.critic2, lr=config.critic_lr)
+        self.critic_optimizer = Adam.for_model(self.critics, lr=config.critic_lr)
 
         self.replay = ReplayBuffer(
             config.buffer_capacity, config.state_dim, config.action_dim, seed=config.seed
@@ -98,6 +107,24 @@ class TD3Agent:
         )
         self.total_updates = 0
         self.total_env_steps = 0
+
+    @property
+    def critic1(self) -> MLP:
+        """Critic 1: an :class:`MLP` over row 0 of :attr:`critics`."""
+        return self.critics.members[0]
+
+    @property
+    def critic2(self) -> MLP:
+        """Critic 2: an :class:`MLP` over row 1 of :attr:`critics`."""
+        return self.critics.members[1]
+
+    @property
+    def target_critic1(self) -> MLP:
+        return self.target_critics.members[0]
+
+    @property
+    def target_critic2(self) -> MLP:
+        return self.target_critics.members[1]
 
     # ------------------------------------------------------------------ #
     # Acting
@@ -157,25 +184,19 @@ class TD3Agent:
         next_actions = np.clip(next_actions + noise, -cfg.max_action, cfg.max_action)
 
         target_inputs = np.concatenate([next_states, next_actions], axis=1)
-        target_q1 = self.target_critic1.forward(target_inputs)
-        target_q2 = self.target_critic2.forward(target_inputs)
+        target_q1, target_q2 = self.target_critics.forward(target_inputs)
         target_q = np.minimum(target_q1, target_q2).reshape(-1)
         targets = batch["rewards"] + cfg.gamma * (1.0 - batch["dones"]) * target_q
         targets = targets.reshape(-1, 1)
 
         inputs = np.concatenate([batch["states"], batch["actions"]], axis=1)
 
-        self.critic1.zero_grad()
-        q1 = self.critic1.forward(inputs)
+        self.critics.zero_grad()
+        q1, q2 = self.critics.forward(inputs)
         loss1, grad1 = mse_loss(q1, targets)
-        self.critic1.backward(grad1)
-        self.critic1_optimizer.step()
-
-        self.critic2.zero_grad()
-        q2 = self.critic2.forward(inputs)
         loss2, grad2 = mse_loss(q2, targets)
-        self.critic2.backward(grad2)
-        self.critic2_optimizer.step()
+        self.critics.backward(np.stack([grad1, grad2]))
+        self.critic_optimizer.step()
 
         return {"critic1_loss": loss1, "critic2_loss": loss2, "target_q_mean": float(targets.mean())}
 
@@ -205,8 +226,7 @@ class TD3Agent:
     def _update_targets(self) -> None:
         tau = self.config.tau
         self.target_actor.soft_update_from(self.actor, tau)
-        self.target_critic1.soft_update_from(self.critic1, tau)
-        self.target_critic2.soft_update_from(self.critic2, tau)
+        self.target_critics.soft_update_from(self.critics, tau)
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -223,5 +243,4 @@ class TD3Agent:
         self.critic1.set_weights(weights["critic1"])
         self.critic2.set_weights(weights["critic2"])
         self.target_actor.copy_from(self.actor)
-        self.target_critic1.copy_from(self.critic1)
-        self.target_critic2.copy_from(self.critic2)
+        self.target_critics.soft_update_from(self.critics, tau=1.0)

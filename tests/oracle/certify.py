@@ -44,7 +44,7 @@ def certify_reference(
     allowed = Interval(*prop.allowed_bounds())
 
     components = []
-    applicable = not verifier.config.check_applicability or bool(verifier._applicability_from_state(prop, state))
+    applicable = not verifier.config.check_applicability or _sign_condition_holds(prop, state, observer)
     if applicable:
         region = Box.from_bounds(*prop.input_bounds(state, observer))
         dims = prop.partition_dims(observer)
@@ -65,6 +65,14 @@ def certify_reference(
     feedback = np.array([interval_feedback(output, allowed) for output in outputs]).reshape(-1, n)
     return CertificateBatch.from_applicable(prop.name, allowed.lo, allowed.hi, np.array([applicable]),
                                             input_lo, input_hi, output_lo, output_hi, satisfied, feedback)
+
+
+def _sign_condition_holds(prop: PropertySpec, state: np.ndarray, observer) -> bool:
+    """Whether the past Δcwnd entries of ``state`` meet ``prop``'s sign condition (within 1e-6)."""
+    if prop.dcwnd_sign is None:
+        return True
+    history = state[observer.feature_indices("dcwnd")]
+    return bool(np.all(history <= 1e-6)) if prop.dcwnd_sign < 0 else bool(np.all(history >= -1e-6))
 
 
 def _checked_action_bounds(verifier: Verifier, prop: PropertySpec, component: Box, cwnd_tcp: float,

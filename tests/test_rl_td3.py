@@ -1,10 +1,14 @@
 """Tests for the TD3 agent: configuration, acting, updates, and learning."""
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.nn.layers import Dense
+from repro.nn.mlp import make_actor, make_critic
 from repro.rl.env import Environment
 from repro.rl.spaces import BoxSpace
 from repro.rl.td3 import TD3Agent, TD3Config
@@ -29,6 +33,28 @@ class TestConfig:
     def test_invalid_policy_delay(self):
         with pytest.raises(ValueError):
             TD3Config(state_dim=2, policy_delay=0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"buffer_capacity": 10}, "buffer_capacity"),
+        ({"buffer_capacity": 99, "batch_size": 8, "warmup_steps": 100}, "buffer_capacity"),
+        ({"buffer_capacity": 63, "batch_size": 64, "warmup_steps": 0}, "buffer_capacity"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": -1}, "batch_size"),
+        ({"exploration_sigma": -0.1}, "exploration_sigma"),
+        ({"target_noise_sigma": -0.2}, "target_noise_sigma"),
+        ({"target_noise_clip": -0.5}, "target_noise_clip"),
+        ({"warmup_steps": -1}, "warmup_steps"),
+    ])
+    def test_config_that_could_never_learn_is_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            TD3Config(state_dim=3, **overrides)
+
+    def test_smallest_buffer_that_can_learn_is_accepted(self):
+        agent = TD3Agent(TD3Config(state_dim=3, buffer_capacity=100, batch_size=8, warmup_steps=100, seed=0))
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            agent.observe(rng.normal(size=3), rng.uniform(-1, 1, 1), 0.0, rng.normal(size=3), False)
+        assert agent.update()
 
 
 class TestActing:
@@ -169,3 +195,76 @@ def _trajectory_digest() -> str:
 def test_update_trajectory_is_pinned():
     # Any change to the TD3 arithmetic (losses, Adam, Polyak, RNG order) moves this digest.
     assert _trajectory_digest() == TRAJECTORY_SHA256
+
+
+def assert_critics_are_rows_of_their_pair(agent: TD3Agent) -> None:
+    """``critic1``/``critic2`` (and the targets) are views of rows 0 and 1 of
+    their pair, and the critic optimizer steps the pair's buffer."""
+    for pair, members in ((agent.critics, (agent.critic1, agent.critic2)),
+                          (agent.target_critics, (agent.target_critic1, agent.target_critic2))):
+        stacked = [layer for layer in pair.layers if isinstance(layer, Dense)]
+        for row, member in enumerate(members):
+            assert np.shares_memory(member.flat_params, pair.flat_params[row])
+            assert np.shares_memory(member.flat_grads, pair.flat_grads[row])
+            own = [layer for layer in member.layers if isinstance(layer, Dense)]
+            assert len(own) == len(stacked)
+            for layer, stacked_layer in zip(own, stacked):
+                for name, flat in (("weight", pair.flat_params), ("bias", pair.flat_params),
+                                   ("grad_weight", pair.flat_grads), ("grad_bias", pair.flat_grads)):
+                    assert np.shares_memory(getattr(layer, name), flat[row]), name
+                    assert np.shares_memory(getattr(stacked_layer, name)[row], flat[row]), name
+                    np.testing.assert_array_equal(getattr(stacked_layer, name)[row], getattr(layer, name))
+        # A write through the pair is seen by the member's layers.
+        before = members[1].layers[0].weight[0, 0]
+        pair.flat_params[1, 0] += 1.0
+        assert members[1].layers[0].weight[0, 0] == before + 1.0
+        pair.flat_params[1, 0] -= 1.0
+    assert agent.critic_optimizer.parameters[0] is agent.critics.flat_params
+    assert agent.critic_optimizer.grads[0] is agent.critics.flat_grads
+
+
+def filled_agent(seed: int = 0) -> TD3Agent:
+    agent = make_agent(seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        agent.observe(rng.normal(size=4), rng.uniform(-1, 1, 1), rng.normal(), rng.normal(size=4), False)
+    return agent
+
+
+class TestCriticPair:
+    def test_critics_are_rows_after_construction(self):
+        assert_critics_are_rows_of_their_pair(make_agent())
+
+    def test_critics_are_rows_after_set_weights(self):
+        agent = make_agent()
+        source = make_agent(seed=99)
+        agent.set_weights(source.get_weights())
+        assert_critics_are_rows_of_their_pair(agent)
+        for name in ("critic1", "critic2"):
+            for got, expected in zip(getattr(agent, name).get_weights(), getattr(source, name).get_weights()):
+                np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(agent.target_critics.flat_params, agent.critics.flat_params)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda agent: pickle.loads(pickle.dumps(agent))],
+                             ids=["deepcopy", "pickle"])
+    def test_critics_are_rows_of_a_copy_that_trains_like_the_original(self, duplicate):
+        agent = filled_agent()
+        agent.update()
+        other = duplicate(agent)
+        assert_critics_are_rows_of_their_pair(other)
+        assert not np.shares_memory(other.critics.flat_params, agent.critics.flat_params)
+        for _ in range(4):
+            assert other.update() == agent.update()
+        for name, weights in agent.get_weights().items():
+            for got, expected in zip(other.get_weights()[name], weights):
+                np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(other.target_critics.flat_params, agent.target_critics.flat_params)
+
+    def test_initialisation_keeps_the_two_critic_rng_order(self):
+        # Critic 1 is drawn before critic 2 from the agent's generator, after the actor.
+        rng = np.random.default_rng(5)
+        make_actor(4, 1, (16, 16), rng=rng)
+        expected = [make_critic(4, 1, (16, 16), rng=rng) for _ in range(2)]
+        agent = make_agent(seed=5)
+        for critic, reference in zip((agent.critic1, agent.critic2), expected):
+            np.testing.assert_array_equal(critic.flat_params, reference.flat_params)
