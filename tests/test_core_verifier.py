@@ -93,6 +93,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="input region"):
             verifier.certify(unbounded, state[None], [20.0], [10.0])
 
+    @pytest.mark.parametrize("prop, feature", [
+        (property_p5(), "delay"),
+        (property_p1(), "throughput"),
+        (property_p2(), "throughput"),
+    ])
+    def test_overflowing_region_is_rejected(self, verifier, obs_config, state, prop, feature):
+        # 1e308 is finite, so it passes the input check, but the region's
+        # centre (lo + hi) / 2 (or P5's hi = 1.05e308) overflows.  This used
+        # to come back as NaN/inf bounds with feedback 0.0.
+        index = verifier.observer.feature_indices(feature)[1]
+        single = state.copy()
+        single[index] = 1e308
+        stack = np.tile(state, (3, 1))
+        stack[2, index] = 1e308
+        with pytest.raises(ValueError, match=rf"{prop.name}: input region .* decision 0, state index {index}$"):
+            verifier.certify(prop, single, 20.0, 10.0)
+        with pytest.raises(ValueError, match=rf"{prop.name}: input region .* decision 2, state index {index}$"):
+            verifier.certify([prop], stack, np.full(3, 20.0), np.full(3, 10.0))
+        # In a stack of properties the error names the first one whose region fails.
+        first = "P1" if feature == "throughput" else "P5"
+        with pytest.raises(ValueError, match=rf"{first}: input region .* decision 2, state index {index}$"):
+            verifier.certify(all_properties(), stack, np.full(3, 20.0), np.full(3, 10.0))
+
+    def test_largest_safe_region_is_certified(self, verifier, state):
+        # Just below the overflow, the region's arithmetic is finite and so is the certificate.
+        single = state.copy()
+        single[verifier.observer.feature_indices("throughput")[0]] = 8e307
+        batch = verifier.certify(property_p1(), single, 20.0, 10.0)
+        assert np.isfinite(batch.input_hi).all() and np.isfinite(batch.feedback).all()
+
+
 def with_components(verifier, n_components):
     """``verifier``'s actor and observer under another N."""
     return Verifier(verifier.actor, verifier.observer.config, VerifierConfig(n_components=n_components))

@@ -27,7 +27,8 @@ from repro.core.properties import (
 from repro.core.qc import CertificateSet
 from repro.core.verifier import Verifier, VerifierConfig, weighted_feedback
 from repro.nn import make_actor
-from repro.orca.observations import ObservationConfig
+from repro.nn.optim import Adam
+from repro.orca.observations import ObservationBuilder, ObservationConfig
 
 ATOL = 1e-12
 N_SEEDS = 24
@@ -277,3 +278,63 @@ def test_batch_feedback_is_the_mean_of_its_component_list(n_components):
         for batch in verifier.certify(all_properties(), states, cwnd_tcp, cwnd_prev).values():
             for index in np.flatnonzero(batch.applicable_mask):
                 assert batch.feedback[index] == float(np.mean(batch.component_feedback[index].tolist()))
+
+
+def fresh_certify(verifier, properties, *decision):
+    """``certify`` on a new verifier over the same actor, observer and config
+    (so no plan built by an earlier call can be reused)."""
+    fresh = Verifier(verifier.actor, verifier.observer.config, verifier.config)
+    return fresh.certify(properties, *decision)
+
+
+def assert_sets_bit_identical(got, expected):
+    assert list(got) == list(expected)
+    for name in expected:
+        assert_batches_bit_identical(got[name], expected[name])
+
+
+@pytest.mark.parametrize("check_applicability", (False, True))
+def test_one_verifier_reusing_its_plans_matches_fresh_verifiers(check_applicability):
+    """One verifier alternating over every property set, at D=1 and D=9,
+    gives what a fresh verifier gives on each call."""
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8000 + check_applicability, 5, check_applicability)
+    for _ in range(2):
+        for set_name in sorted(PROPERTY_SETS):
+            properties = PROPERTY_SETS[set_name]()
+            for decision in ((states[4], cwnd_tcp[4], cwnd_prev[4]), (states, cwnd_tcp, cwnd_prev)):
+                assert_sets_bit_identical(verifier.certify(properties, *decision),
+                                          fresh_certify(verifier, properties, *decision))
+    assert len(verifier._plans) == len(PROPERTY_SETS)
+
+
+def test_plan_holds_no_weights():
+    """After an Adam step moves the actor in place, a verifier that already
+    built its plan certifies the updated actor like a fresh verifier."""
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8100, 5, False)
+    properties = all_properties()
+    before = verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
+    actor = verifier.actor
+    optimizer = Adam.for_model(actor, lr=0.05)
+    actor.zero_grad()
+    actor.forward(states)
+    actor.backward(np.ones((len(states), 1)))
+    optimizer.step()
+    after = verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
+    assert_sets_bit_identical(after, fresh_certify(verifier, properties, states, cwnd_tcp, cwnd_prev))
+    assert not np.array_equal(after["P1"].output_lo, before["P1"].output_lo)
+
+
+def test_repeat_certify_looks_up_no_feature_indices(monkeypatch):
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8200, 5, True)
+    properties = all_properties()
+    verifier.certify(properties, states[0], cwnd_tcp[0], cwnd_prev[0])
+    calls = []
+    lookup = ObservationBuilder.feature_indices
+    monkeypatch.setattr(ObservationBuilder, "feature_indices",
+                        lambda self, *args, **kwargs: calls.append(args) or lookup(self, *args, **kwargs))
+    verifier.certify(properties, states[1], cwnd_tcp[1], cwnd_prev[1])
+    verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
+    verifier.certify(all_properties(), states, cwnd_tcp, cwnd_prev)  # equal specs, new objects
+    assert calls == []
+    verifier.certify(shallow_buffer_properties(), states, cwnd_tcp, cwnd_prev)
+    assert calls  # a new property sequence builds its plan once
