@@ -176,6 +176,10 @@ class CanopyTrainer:
         n_samples = cfg.regularization_samples
         margin = cfg.regularization_margin
 
+        # The Δcwnd properties' action threshold, clipped to [-0.95, 0.95].
+        threshold = 0.5 * np.log2(max(cwnd_prev, 1e-6) / max(cwnd_tcp, 1e-6))
+        threshold = float(min(max(threshold, -0.95), 0.95))
+
         actor.zero_grad()
         accumulated = False
         for prop, region_plan in zip(properties, self.verifier.plan(properties).regions):
@@ -186,8 +190,6 @@ class CanopyTrainer:
             samples = lo + self._reg_rng.random((n_samples, lo.shape[0])) * (hi - lo)
             if prop.kind is ActionKind.DELTA_CWND:
                 outputs = actor.forward(samples)
-                threshold = 0.5 * np.log2(max(cwnd_prev, 1e-6) / max(cwnd_tcp, 1e-6))
-                threshold = float(np.clip(threshold, -0.95, 0.95))
                 if prop.allowed_direction > 0:
                     violating = outputs < threshold + margin
                     grad = -violating.astype(np.float64)
@@ -202,7 +204,7 @@ class CanopyTrainer:
                 diff = outputs - reference
                 violating = np.abs(diff) > epsilon_action
                 grad = np.sign(diff) * violating.astype(np.float64)
-            if not np.any(violating):
+            if not violating.any():
                 continue
             accumulated = True
             actor.backward(prop.weight * grad / (n_samples * len(properties)))

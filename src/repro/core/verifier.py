@@ -20,10 +20,12 @@ Batched engine
 
 One engine certifies a stack of properties over a stack of decisions.
 Handed ``P`` properties and all ``D`` decisions of a run,
-:meth:`Verifier.certify` builds each property's input regions at once
-(:meth:`PropertySpec.input_bounds` on a ``(D, d)`` state stack, checked once
-for finite, ordered bounds), stacks them in property order, partitions them
-into one ``(P·D, N, d)`` box (:meth:`repro.abstract.box.Box.split_batched`,
+:meth:`Verifier.certify` builds the input regions of every property at once
+on one ``(P·D, d)`` stack of states in property order (each property's
+:class:`~repro.core.properties.RegionPlan`, the code path
+:meth:`PropertySpec.input_bounds` also runs), checks the whole stack once
+(ordered bounds with a finite centre and deviation), partitions it into one
+``(P·D, N, d)`` stack of components (:func:`repro.abstract.box.split_bounds`,
 one call per run of properties sharing their partition dimensions) and runs a
 *single* IBP call for all of them
 (:func:`repro.abstract.propagate.propagate_mlp_batched`, which works through
@@ -39,6 +41,16 @@ lone decision gives ``D = 1`` batches.  The number of components ``N`` is
 :attr:`VerifierConfig.n_components`, the same for every call.  With
 ``check_applicability`` a property contributes only the decisions it applies
 at.
+
+What does not depend on the decisions is computed once per property sequence:
+the verifier keeps a :class:`CertifyPlan` per tuple of (frozen) properties,
+holding each property's abstracted state indices with their constant bounds
+(P5: its noise indices and ``μ``), the partition-dimension runs, the
+allowed-bound columns, the Δcwnd sign conditions and the per-kind row masks,
+so a repeat ``certify`` looks up no feature index.  The plan holds no weights:
+the IBP pass reads every ``layer.weight`` afresh on each call, so a plan stays
+valid while the actor trains in place.  The trainer's regularization step
+samples the regions of the same plan.
 
 Stacking does not move a single bit.  Each ``(N, d)`` slice of the stack goes
 through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
@@ -115,11 +127,6 @@ def weighted_feedback(
     return total / weight_sum, per_property
 
 
-def _stack(arrays: List[np.ndarray]) -> np.ndarray:
-    """``arrays`` concatenated along the decision axis (a lone array as is)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 #: Property sequences whose plans one verifier keeps (the cache is emptied when full).
 _MAX_PLANS = 64
 
@@ -128,7 +135,8 @@ class CertifyPlan:
     """What certifying one property sequence needs that depends on neither
     the decisions nor the actor's weights, built once per sequence.
 
-    Per property, in sequence order: its :class:`RegionPlan` (the abstracted
+    Per property, in sequence order: its
+    :class:`~repro.core.properties.RegionPlan` (the abstracted
     state dimensions and their constant bounds, or P5's noise dimensions and
     ``μ``), its allowed region ``(lo, hi)`` (also as the columns
     ``allowed_lo``/``allowed_hi``) and its past-Δcwnd sign condition
@@ -275,17 +283,16 @@ class Verifier:
         plan = self.plan(properties)
         n = self.config.n_components
         n_decisions = states.shape[0]
-        masks = []
-        for condition in plan.sign_conditions:
-            if self.config.check_applicability and condition is not None:
-                sign, dcwnd = condition
-                history = states[:, dcwnd]
-                masks.append(np.all(history <= 1e-6, axis=-1) if sign < 0 else np.all(history >= -1e-6, axis=-1))
-            else:
-                masks.append(np.ones(n_decisions, dtype=bool))
+        masks = np.ones((len(properties), n_decisions), dtype=bool)
+        if self.config.check_applicability:
+            for mask, condition in zip(masks, plan.sign_conditions):
+                if condition is not None:
+                    sign, dcwnd = condition
+                    history = states[:, dcwnd]
+                    mask[:] = np.all(history <= 1e-6, axis=-1) if sign < 0 else np.all(history >= -1e-6, axis=-1)
+        counts = masks.sum(axis=1).tolist()
+        take = np.nonzero(masks)[1]
         # Row r of the stack is decision take[r]; property i holds rows offsets[i]:offsets[i + 1].
-        take = _stack([np.flatnonzero(mask) for mask in masks])
-        counts = [int(mask.sum()) for mask in masks]
         offsets = [0, *itertools.accumulate(counts)]
         if take.size:
             components = self._components(plan, states, take, offsets)
@@ -314,7 +321,8 @@ class Verifier:
         row ``r`` in its property's region.
 
         The regions are built in place on two copies of the stacked states
-        and checked once for the whole stack, then split run by run.  Each region goes through the centre/deviation round trip
+        and checked once for the whole stack, then split run by run.  Each
+        region goes through the centre/deviation round trip
         ``c = (lo + hi) / 2``, ``d = max((hi - lo) / 2, 0)``, ``[c - d, c + d]``
         before it is split.
         """
@@ -365,15 +373,14 @@ class Verifier:
         output_lo = np.empty(action_box.shape[:-1])
         output_hi = np.empty(action_box.shape[:-1])
         for kind, kind_mask in plan.kinds:
-            rows = np.repeat(kind_mask, counts)
-            if not rows.any():
-                continue
-            if rows.all():
-                center, deviation, take_k, tcp, prev = action_box.center, action_box.deviation, take, \
-                    cwnd_tcp, cwnd_prev
+            if len(plan.kinds) == 1:
+                rows = slice(None)  # every row, taken as views
             else:
-                center, deviation = action_box.center[rows], action_box.deviation[rows]
-                take_k, tcp, prev = take[rows], cwnd_tcp[rows], cwnd_prev[rows]
+                rows = np.repeat(kind_mask, counts)
+                if not rows.any():
+                    continue
+            center, deviation = action_box.center[rows], action_box.deviation[rows]
+            take_k, tcp, prev = take[rows], cwnd_tcp[rows], cwnd_prev[rows]
             # One window per decision, broadcast over its components.
             if kind is ActionKind.DELTA_CWND:
                 checked_lo, checked_hi = transformers.checked_action_arrays(

@@ -18,6 +18,14 @@ gradients, Polyak averaging and cloning are therefore one array operation
 per network, element for element the same arithmetic as the per-tensor
 loops.  Anything that reads ``layer.weight`` (the forward pass, IBP) sees
 every in-place update.  Pickling or deep-copying an MLP rebuilds the views.
+
+An :class:`MLPStack` stacks ``k`` MLPs of one architecture as the rows of
+``(k, n)`` buffers: each member's ``flat_params``/``flat_grads`` is a row
+view, and the stack's own Dense layers view the same memory as ``(k, out,
+in)`` weights and ``(k, out)`` biases.  One forward, backward, optimizer
+step or Polyak update on the stack then does every member's work; each
+``matmul`` runs member ``i``'s gemm on slice ``i`` (the rows are never
+flattened into one bigger gemm), so the bits are the members' own.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ def _padded(size: int) -> int:
     return -(-size // ALIGN) * ALIGN
 
 
-def _architecture(mlp: "MLP") -> tuple:
+def _architecture(mlp: MLP) -> tuple:
     return (mlp.in_features, mlp.hidden_sizes, mlp.out_features, mlp.hidden_activation, mlp.output_activation)
 
 

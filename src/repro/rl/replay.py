@@ -82,12 +82,13 @@ class ReplayBuffer:
         if batch_size > self._size:
             raise ValueError(f"cannot sample {batch_size} from buffer of size {self._size}")
         indices = self._rng.integers(0, self._size, size=batch_size)
+        # Indexing with an index array already copies.
         return {
-            "states": self._states[indices].copy(),
-            "actions": self._actions[indices].copy(),
-            "rewards": self._rewards[indices].copy(),
-            "next_states": self._next_states[indices].copy(),
-            "dones": self._dones[indices].copy(),
+            "states": self._states[indices],
+            "actions": self._actions[indices],
+            "rewards": self._rewards[indices],
+            "next_states": self._next_states[indices],
+            "dones": self._dones[indices],
         }
 
     def clear(self) -> None:

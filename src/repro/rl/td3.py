@@ -12,6 +12,22 @@ self-contained on top of :mod:`repro.nn`:
 
 The agent is agnostic to where the reward comes from — Canopy simply feeds it
 the QC-shaped reward of Eq. 10 instead of the raw Orca reward.
+
+The critic pair
+---------------
+
+The twin critics share one architecture, so they are held as one
+:class:`~repro.nn.mlp.MLPStack` of two rows, :attr:`TD3Agent.critics`, and
+their targets as another, :attr:`TD3Agent.target_critics`.  The critic
+forward, backward, Adam step (one optimizer, ``critic_optimizer``) and Polyak
+update are one call each on the pair, bit for bit the two per-critic calls
+they replace.  ``critic1``/``critic2`` (and ``target_critic1``/
+``target_critic2``) are full :class:`~repro.nn.mlp.MLP` views of rows 0 and
+1: the actor update differentiates through ``critic1`` alone, and
+:meth:`TD3Agent.get_weights`/:meth:`TD3Agent.set_weights` keep their
+``{"actor", "critic1", "critic2"}`` layout.  Critic 1 is initialised before
+critic 2 from the agent's generator, so seeds give the networks they always
+gave.
 """
 
 from __future__ import annotations

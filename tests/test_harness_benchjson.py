@@ -1,6 +1,7 @@
 """Tests for the bench-JSON canonicalizer (the BENCH_ci.json trajectory)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -329,3 +330,27 @@ class TestCompare:
         assert "worse" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["--compare", str(lines), str(lines), "--validate"])
+
+
+REPO = Path(__file__).resolve().parents[1]
+COMMITTED_BENCH_FILES = sorted(REPO.glob("BENCH_pr*.json"))
+
+
+def test_bench_files_are_committed():
+    assert COMMITTED_BENCH_FILES
+
+
+@pytest.mark.parametrize("path", COMMITTED_BENCH_FILES, ids=lambda path: path.name)
+def test_committed_bench_file_compares_cleanly(path):
+    """Every committed ``BENCH_pr*.json`` has both arms, only correct runs
+    without failures, and passes ``--compare`` against ``BENCHMARK.json``."""
+    parent, change = load_runs(f"{path}:parent"), load_runs(f"{path}:change")
+    assert parent and change
+    for row in parent + change:
+        assert row["correct"] is True and row["failed"] == 0, (row["workload"], row["arm"], row["pair"])
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    report = compare_runs(parent, change, benchmark)
+    workloads = {row["workload"] for row in parent}
+    assert {entry["workload"] for entry in report} == workloads
+    assert all(entry["pairs"] >= 10 for entry in report)
+    assert [entry for entry in report if entry["verdict"] == "worse"] == []
