@@ -196,7 +196,7 @@ class PropertySpec:
             dims.extend(observer.feature_indices(feature))
         return dims
 
-    def region_plan(self, observer: ObservationBuilder) -> "RegionPlan":
+    def region_plan(self, observer: ObservationBuilder) -> RegionPlan:
         """The state-independent part of the input region X under ``observer``'s
         state layout: which dimensions are abstracted, and how."""
         if self.kind is ActionKind.CWND_CHANGE_FRACTION:

@@ -98,6 +98,9 @@ class _FlatNetwork(Sequential):
             raise ValueError("tau must be in [0, 1]")
         self.flat_params[...] = tau * source.flat_params + (1.0 - tau) * self.flat_params
 
+    def copy_from(self, source: "_FlatNetwork") -> None:
+        self.soft_update_from(source, tau=1.0)
+
 
 class MLP(_FlatNetwork):
     """A fully-connected network built from a list of hidden sizes, its
@@ -166,9 +169,6 @@ class MLP(_FlatNetwork):
                 raise ValueError("weight shape mismatch")
             param[...] = new
 
-    def copy_from(self, source: "MLP") -> None:
-        self.soft_update_from(source, tau=1.0)
-
     def clone(self) -> "MLP":
         """A structural copy with identical weights (its own flat buffers)."""
         other = MLP(
@@ -219,7 +219,6 @@ class MLPStack(_FlatNetwork):
             layer = stacked[id(member_layer)]
             setattr(layer, param_name, self.flat_params[:, start:end].reshape(shape))
             setattr(layer, grad_name, self.flat_grads[:, start:end].reshape(shape))
-
 
 
 def make_actor(

@@ -259,4 +259,4 @@ class TD3Agent:
         self.critic1.set_weights(weights["critic1"])
         self.critic2.set_weights(weights["critic2"])
         self.target_actor.copy_from(self.actor)
-        self.target_critics.soft_update_from(self.critics, tau=1.0)
+        self.target_critics.copy_from(self.critics)
