@@ -19,12 +19,12 @@ A Box may carry leading batch axes: ``center``/``deviation`` (and hence
 :meth:`Box.split_batched` partitions a ``(d,)`` box into its ``N`` QC
 components directly in batched form, and a ``(D, d)`` stack into a
 ``(D, N, d)`` one, ready for one-shot propagation
-(:func:`repro.abstract.propagate.propagate_mlp_batched`).  :meth:`Box.scale`
-and :meth:`Box.shift` apply element-wise to the whole stack.
+(:func:`repro.abstract.propagate.propagate_mlp_batched`); :func:`split_bounds`
+is the same split on bare ``lo``/``hi`` arrays.
 
 The public constructors validate their inputs: finite values, a non-negative
 deviation (``lo <= hi`` for :meth:`Box.from_bounds`), each within ``1e-12``.
-The verifier checks its region once and then builds boxes with
+The verifier checks its regions once and then builds boxes with
 :meth:`Box._trusted` / :meth:`Box._trusted_bounds`, which keep only the
 ``max(deviation, 0)`` clamp.
 """
@@ -117,19 +117,6 @@ class Box:
     @property
     def ndim(self) -> int:
         return self.center.ndim
-
-    # ------------------------------------------------------------------ #
-    # Element-wise transformers
-    # ------------------------------------------------------------------ #
-    def scale(self, factor) -> "Box":
-        """Multiplication by a concrete (possibly negative) factor."""
-        factor = np.asarray(factor, dtype=np.float64)
-        return Box._trusted(self.center * factor, self.deviation * np.abs(factor))
-
-    def shift(self, offset) -> "Box":
-        """Addition of a concrete offset."""
-        center = self.center + np.asarray(offset, dtype=np.float64)
-        return Box._trusted(center, np.broadcast_to(self.deviation, center.shape))
 
     def split_batched(self, n: int, dims: Sequence[int] | None = None) -> "Box":
         """Partition a box into ``n`` components as one batched Box.
