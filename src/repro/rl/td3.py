@@ -38,7 +38,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.nn.losses import mse_loss
-from repro.nn.mlp import MLP, MLPStack, make_actor, make_critic
+from repro.nn.mlp import MLPStack, make_actor, make_critic
 from repro.nn.optim import Adam
 from repro.rl.noise import GaussianNoise
 from repro.rl.replay import ReplayBuffer
@@ -111,6 +111,9 @@ class TD3Agent:
 
         self.target_actor = self.actor.clone()
         self.target_critics = MLPStack([critic.clone() for critic in self.critics.members])
+        # MLP views of rows 0 and 1 (pickling keeps them the stacks' members).
+        self.critic1, self.critic2 = self.critics.members
+        self.target_critic1, self.target_critic2 = self.target_critics.members
 
         self.actor_optimizer = Adam.for_model(self.actor, lr=config.actor_lr)
         self.critic_optimizer = Adam.for_model(self.critics, lr=config.critic_lr)
@@ -123,24 +126,6 @@ class TD3Agent:
         )
         self.total_updates = 0
         self.total_env_steps = 0
-
-    @property
-    def critic1(self) -> MLP:
-        """Critic 1: an :class:`MLP` over row 0 of :attr:`critics`."""
-        return self.critics.members[0]
-
-    @property
-    def critic2(self) -> MLP:
-        """Critic 2: an :class:`MLP` over row 1 of :attr:`critics`."""
-        return self.critics.members[1]
-
-    @property
-    def target_critic1(self) -> MLP:
-        return self.target_critics.members[0]
-
-    @property
-    def target_critic2(self) -> MLP:
-        return self.target_critics.members[1]
 
     # ------------------------------------------------------------------ #
     # Acting

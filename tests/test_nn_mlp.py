@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.nn.losses import mse_loss
-from repro.nn.mlp import ALIGN, MLP, make_actor, make_critic
+from repro.nn.mlp import ALIGN, MLP, MLPStack, make_actor, make_critic
 from repro.nn.optim import Adam
 from repro.nn.serialization import load_mlp, save_mlp
 
@@ -187,3 +187,39 @@ def test_optimizer_step_moves_layer_weights_after_rebuild(tmp_path, how):
     Adam.for_model(model, lr=0.01).step()
     assert not np.array_equal(first.weight, before)
     assert not np.array_equal(model.forward(x), output)
+
+
+def test_stack_steps_like_its_members_bit_for_bit():
+    """One forward, backward, Adam step and Polyak update of a two-row stack
+    equal each member's own calls."""
+    rng = np.random.default_rng(21)
+    members = [make_critic(21, 1, (64, 32), rng=rng) for _ in range(2)]
+    alone = [member.clone() for member in members]
+    stack = MLPStack(members)
+    targets = MLPStack([member.clone() for member in members])
+    alone_targets = [member.clone() for member in members]
+    stack_opt = Adam.for_model(stack, lr=0.01)
+    alone_opts = [Adam.for_model(member, lr=0.01) for member in alone]
+    for _ in range(20):
+        x = rng.normal(size=(64, 22))
+        grad = rng.normal(size=(2, 64, 1))
+        stack.zero_grad()
+        out = stack.forward(x)
+        input_grad = stack.backward(grad)
+        stack_opt.step()
+        targets.soft_update_from(stack, 0.05)
+        for row, (member, optimizer, target) in enumerate(zip(alone, alone_opts, alone_targets)):
+            member.zero_grad()
+            assert np.array_equal(out[row], member.forward(x))
+            assert np.array_equal(input_grad[row], member.backward(grad[row]))
+            optimizer.step()
+            target.soft_update_from(member, 0.05)
+            assert np.array_equal(stack.flat_params[row], member.flat_params)
+            assert np.array_equal(targets.flat_params[row], target.flat_params)
+    for member, reference in zip(stack.members, alone):
+        assert np.array_equal(member.forward(x), reference.forward(x))
+
+
+def test_stack_needs_one_architecture():
+    with pytest.raises(ValueError, match="one architecture"):
+        MLPStack([make_critic(4, 1, (8, 8)), make_critic(4, 1, (8, 4))])

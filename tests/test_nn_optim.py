@@ -130,3 +130,20 @@ def test_flat_zero_grad_matches_per_tensor_zero_grad():
     model.zero_grad()
     assert not model.flat_grads.any()
     assert all(not grad.any() for grad in model.grads())
+
+
+def test_adam_matches_the_textbook_update_bit_for_bit():
+    """The in-place step rounds exactly like ``θ -= lr · m̂ / (√v̂ + eps)``."""
+    rng = np.random.default_rng(6)
+    param, grad = rng.normal(size=300), np.zeros(300)
+    expected, m, v = param.copy(), np.zeros(300), np.zeros(300)
+    optimizer = Adam([param], [grad], lr=0.01)
+    for t in range(1, 60):
+        grad[...] = rng.normal(size=300) * 10.0 ** rng.integers(-6, 3, size=300)
+        optimizer.step()
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad ** 2
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(param, expected)
