@@ -98,7 +98,7 @@ class TestConfig:
         (property_p1(), "throughput"),
         (property_p2(), "throughput"),
     ])
-    def test_overflowing_region_is_rejected(self, verifier, obs_config, state, prop, feature):
+    def test_overflowing_region_is_rejected(self, verifier, state, prop, feature):
         # 1e308 is finite, so it passes the input check, but the region's
         # centre (lo + hi) / 2 (or P5's hi = 1.05e308) overflows.  This used
         # to come back as NaN/inf bounds with feedback 0.0.
