@@ -138,8 +138,8 @@ class CertifyPlan:
     Per property, in sequence order: its
     :class:`~repro.core.properties.RegionPlan` (the abstracted
     state dimensions and their constant bounds, or P5's noise dimensions and
-    ``μ``), its allowed region ``(lo, hi)`` (also as the columns
-    ``allowed_lo``/``allowed_hi``) and its past-Δcwnd sign condition
+    ``μ``), its allowed region as the columns ``allowed_lo``/``allowed_hi``
+    and its past-Δcwnd sign condition
     ``(sign, dcwnd indices)`` or ``None``.  ``runs`` lists each run of
     consecutive properties with the same partition dimensions as
     ``(start, stop, dims)`` (``dims`` ``None``: every dimension), and
@@ -149,9 +149,8 @@ class CertifyPlan:
     def __init__(self, properties: Tuple[PropertySpec, ...], observer: ObservationBuilder) -> None:
         self.properties = properties
         self.regions = [prop.region_plan(observer) for prop in properties]
-        self.allowed = [prop.allowed_bounds() for prop in properties]
-        self.allowed_lo = np.array([lo for lo, _ in self.allowed], dtype=np.float64)
-        self.allowed_hi = np.array([hi for _, hi in self.allowed], dtype=np.float64)
+        self.allowed_lo, self.allowed_hi = np.array([prop.allowed_bounds() for prop in properties],
+                                                    dtype=np.float64).T
         dcwnd = np.array(observer.feature_indices("dcwnd"), dtype=np.intp)
         self.sign_conditions = [None if prop.dcwnd_sign is None else (prop.dcwnd_sign, dcwnd)
                                 for prop in properties]
@@ -310,7 +309,8 @@ class Verifier:
         allowed_hi = np.repeat(plan.allowed_hi, counts)[:, None]
         satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed_lo, allowed_hi)
         batches = []
-        for prop, mask, (lo, hi), start, end in zip(properties, masks, plan.allowed, offsets, offsets[1:]):
+        for prop, mask, lo, hi, start, end in zip(properties, masks, plan.allowed_lo, plan.allowed_hi, offsets,
+                                                  offsets[1:]):
             batches.append(CertificateBatch.from_applicable(
                 prop.name, lo, hi, mask, input_lo[start:end], input_hi[start:end], output_lo[start:end],
                 output_hi[start:end], satisfied[start:end], feedback[start:end]))
