@@ -20,7 +20,8 @@ A Box may carry leading batch axes: ``center``/``deviation`` (and hence
 components directly in batched form, and a ``(D, d)`` stack into a
 ``(D, N, d)`` one, ready for one-shot propagation
 (:func:`repro.abstract.propagate.propagate_mlp_batched`); :func:`split_bounds`
-is the same split on bare ``lo``/``hi`` arrays.
+is the same split on bare ``lo``/``hi`` arrays.  :meth:`Box.scale` and
+:meth:`Box.shift` apply element-wise to the whole stack.
 
 The public constructors validate their inputs: finite values, a non-negative
 deviation (``lo <= hi`` for :meth:`Box.from_bounds`), each within ``1e-12``.
@@ -117,6 +118,19 @@ class Box:
     @property
     def ndim(self) -> int:
         return self.center.ndim
+
+    # ------------------------------------------------------------------ #
+    # Element-wise transformers
+    # ------------------------------------------------------------------ #
+    def scale(self, factor) -> "Box":
+        """Multiplication by a concrete (possibly negative) factor."""
+        factor = np.asarray(factor, dtype=np.float64)
+        return Box._trusted(self.center * factor, self.deviation * np.abs(factor))
+
+    def shift(self, offset) -> "Box":
+        """Addition of a concrete offset."""
+        center = self.center + np.asarray(offset, dtype=np.float64)
+        return Box._trusted(center, np.broadcast_to(self.deviation, center.shape))
 
     def split_batched(self, n: int, dims: Sequence[int] | None = None) -> "Box":
         """Partition a box into ``n`` components as one batched Box.

@@ -131,6 +131,12 @@ class PropertySpec:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        # Sequences are kept as tuples so that a spec stays hashable (the
+        # verifier keys its plans by the tuple of specs).
+        for field_name in ("delay_range", "loss_range", "noise_features"):
+            value = getattr(self, field_name)
+            if value is not None and not isinstance(value, (tuple, str)):
+                object.__setattr__(self, field_name, tuple(value))
         if self.kind is ActionKind.DELTA_CWND:
             if self.allowed_direction not in (-1, 1):
                 raise ValueError(f"{self.name}: Δcwnd properties need allowed_direction ±1")

@@ -82,8 +82,7 @@ class TestPerDecisionWindows:
             np.testing.assert_array_equal(stacked.hi[d], single.hi)
 
     def test_delta_cwnd_and_change_fraction(self):
-        action, windows = self.stack(), np.array([4.0, 10.0, 250.0])
-        cwnd = Box(action.center + 20.0, action.deviation)
+        cwnd, windows = self.stack().shift(20.0), np.array([4.0, 10.0, 250.0])
         for transform in (transformers.delta_cwnd, transformers.cwnd_change_fraction):
             stacked = transform(cwnd, windows.reshape(3, 1, 1))
             for d, window in enumerate(windows):

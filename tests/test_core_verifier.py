@@ -194,6 +194,18 @@ class TestCertification:
         assert not cert.applicable
         assert cert.feedback[0] == pytest.approx(1.0)
 
+    def test_spec_with_list_ranges_is_certified(self, verifier, state):
+        """Ranges given as lists are kept as tuples, so the spec stays hashable
+        (plans are keyed by specs) and certifies like its tuple twin."""
+        p1 = property_p1()
+        listed = dataclasses.replace(p1, delay_range=list(p1.delay_range), loss_range=list(p1.loss_range),
+                                     noise_features=list(p1.noise_features))
+        assert listed == p1 and hash(listed) == hash(p1)
+        assert isinstance(listed.delay_range, tuple) and isinstance(listed.noise_features, tuple)
+        got, expected = verifier.certify(listed, state, 20.0, 20.0), verifier.certify(p1, state, 20.0, 20.0)
+        np.testing.assert_array_equal(got.component_feedback, expected.component_feedback)
+        np.testing.assert_array_equal(got.output_lo, expected.output_lo)
+
     def test_concrete_action_and_cwnd(self, verifier, state):
         action = verifier.concrete_action(state)
         assert -1.0 <= action <= 1.0

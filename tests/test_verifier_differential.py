@@ -25,7 +25,7 @@ from repro.core.properties import (
     shallow_buffer_properties,
 )
 from repro.core.qc import CertificateSet
-from repro.core.verifier import Verifier, VerifierConfig, weighted_feedback
+from repro.core.verifier import _MAX_PLANS, Verifier, VerifierConfig, weighted_feedback
 from repro.nn import make_actor
 from repro.nn.optim import Adam
 from repro.orca.observations import ObservationBuilder, ObservationConfig
@@ -305,6 +305,21 @@ def test_one_verifier_reusing_its_plans_matches_fresh_verifiers(check_applicabil
                 assert_sets_bit_identical(verifier.certify(properties, *decision),
                                           fresh_certify(verifier, properties, *decision))
     assert len(verifier._plans) == len(PROPERTY_SETS)
+
+
+def test_a_full_plan_cache_is_emptied_and_rebuilt():
+    """Past ``_MAX_PLANS`` property sequences the cache starts over; a plan
+    built again after that certifies like a fresh verifier."""
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8050, 5, True)
+    variants = [property_p1(q_min_delay=0.01 + 1e-4 * i) for i in range(_MAX_PLANS + 1)]
+    for prop in variants:
+        verifier.certify(prop, states, cwnd_tcp, cwnd_prev)
+        assert 1 <= len(verifier._plans) <= _MAX_PLANS
+    assert list(verifier._plans) == [(variants[-1],)]
+    for prop in (variants[0], variants[-1]):
+        assert_batches_bit_identical(verifier.certify(prop, states, cwnd_tcp, cwnd_prev),
+                                     fresh_certify(verifier, prop, states, cwnd_tcp, cwnd_prev))
+    assert len(verifier._plans) == 2
 
 
 def test_plan_holds_no_weights():
