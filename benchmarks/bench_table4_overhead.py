@@ -9,9 +9,13 @@ the monotone ordering.
 
 The rows are wall-clock measurements by definition, so they are timed here
 rather than produced by a registry experiment (run-store rows hold no
-wall-clock).
+wall-clock).  N = 5 and N = 10 differ by less than one run's timing noise,
+so each Canopy row is the median of :data:`REPEATS` training runs, taken
+round-robin over N (N1, N5, N10, N1, ...) so that drift of the host hits
+every N alike.
 """
 
+import statistics
 from typing import Dict, Sequence
 
 from benchconfig import SEED, TRAINING_STEPS, run_once
@@ -20,8 +24,12 @@ from repro.core.config import CanopyConfig
 from repro.core.trainer import CanopyTrainer, TrainerConfig
 from repro.harness.reporting import print_experiment
 
+#: Training runs per Canopy configuration; its row holds their medians.
+REPEATS = 3
 
-def verification_overhead(n_values: Sequence[int], training_steps: int, seed: int) -> Dict:
+
+def verification_overhead(n_values: Sequence[int], training_steps: int, seed: int,
+                          repeats: int = REPEATS) -> Dict:
     """Environment-step rate with and without in-loop verification (Table 4)."""
     rows = []
 
@@ -34,13 +42,20 @@ def verification_overhead(n_values: Sequence[int], training_steps: int, seed: in
     rows.append({"scheme": "orca", "n_components": 0, "steps_per_second": orca_result.steps_per_second,
                  "verifier_seconds": orca_result.verifier_seconds})
 
+    results = {n: [] for n in n_values}
+    for _ in range(repeats):
+        for n in n_values:
+            config = CanopyConfig.shallow(n_components=n, seed=seed)
+            trainer = CanopyTrainer(config, TrainerConfig(total_steps=training_steps,
+                                                          log_every=training_steps))
+            results[n].append(trainer.train())
     for n in n_values:
-        config = CanopyConfig.shallow(n_components=n, seed=seed)
-        trainer = CanopyTrainer(config, TrainerConfig(total_steps=training_steps, log_every=training_steps))
-        result = trainer.train()
         rows.append({"scheme": f"canopy-N{n}", "n_components": n,
-                     "steps_per_second": result.steps_per_second,
-                     "verifier_seconds": result.verifier_seconds})
+                     "steps_per_second": statistics.median(
+                         result.steps_per_second for result in results[n]),
+                     "verifier_seconds": statistics.median(
+                         result.verifier_seconds for result in results[n]),
+                     "runs": len(results[n])})
     return {"table": "4", "rows": rows}
 
 

@@ -34,7 +34,11 @@ class BBRController(CongestionController):
         super().__init__(initial_cwnd)
         self._initial_cwnd = max(MIN_CWND, initial_cwnd)
         self._mode = "startup"
-        self._bw_samples: Deque[Tuple[float, float]] = deque()  # (time, pps)
+        # Bandwidth filter: (time, pps) samples with strictly decreasing
+        # rates.  A sample at or below a newer one can never be the window's
+        # max again (the newer one leaves the window later), so it is dropped
+        # on arrival, and the windowed max is the front sample.
+        self._bw_samples: Deque[Tuple[float, float]] = deque()
         self._btl_bw = 0.0
         self._full_bw = 0.0
         self._full_bw_count = 0
@@ -67,13 +71,18 @@ class BBRController(CongestionController):
         if rtt > 0 and (rtt <= self._min_rtt or now - self._min_rtt_stamp > self.PROBE_RTT_INTERVAL):
             self._min_rtt = rtt
             self._min_rtt_stamp = now
-        if feedback.delivery_rate > 0:
-            self._bw_samples.append((now, feedback.delivery_rate))
+        samples = self._bw_samples
+        rate = feedback.delivery_rate
+        if rate > 0:
+            while samples and samples[-1][1] <= rate:
+                samples.pop()
+            samples.append((now, rate))
         rtt_est = self._min_rtt if self._min_rtt < float("inf") else max(rtt, 0.01)
         window = self.BW_WINDOW_RTTS * max(rtt_est, 0.01)
-        while self._bw_samples and self._bw_samples[0][0] < now - window:
-            self._bw_samples.popleft()
-        self._btl_bw = max((sample for _, sample in self._bw_samples), default=self._btl_bw)
+        while samples and samples[0][0] < now - window:
+            samples.popleft()
+        if samples:
+            self._btl_bw = samples[0][1]
 
     def _check_full_pipe(self) -> None:
         if self._mode != "startup":

@@ -78,12 +78,8 @@ class Flow:
         self._loss_events: Deque[Tuple[float, float]] = deque()
         self._pacing_credit = 0.0
         # Per-tick accumulators, reset by finish_tick().
-        self._tick_sent = 0.0
-        self._tick_acked = 0.0
-        self._tick_lost = 0.0
-        self._tick_rtt = 0.0
-        self._tick_delay = 0.0
-        self._tick_ack_weight = 0.0
+        self._tick_sent = self._tick_acked = self._tick_lost = 0.0
+        self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
         # Lifetime counters.
         self.total_sent = 0.0
         self.total_acked = 0.0
@@ -114,12 +110,8 @@ class Flow:
         self._reset_tick()
 
     def _reset_tick(self) -> None:
-        self._tick_sent = 0.0
-        self._tick_acked = 0.0
-        self._tick_lost = 0.0
-        self._tick_rtt = 0.0
-        self._tick_delay = 0.0
-        self._tick_ack_weight = 0.0
+        self._tick_sent = self._tick_acked = self._tick_lost = 0.0
+        self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
 
     # ------------------------------------------------------------------ #
     # Sending side
@@ -281,35 +273,28 @@ class Flow:
         self.delivery_rate = (1 - alpha) * self.delivery_rate + alpha * instant_rate
 
     def finish_tick(self, now: float, dt: float) -> TickRecord:
-        """Build feedback, update the controller, and return the tick record."""
-        if self._tick_ack_weight > 0:
-            rtt = self._tick_rtt / self._tick_ack_weight
-            delay = self._tick_delay / self._tick_ack_weight
+        """Build feedback, update the controller, and return the tick record.
+
+        Both tuples are built positionally, the cheaper form on this path.
+        """
+        weight = self._tick_ack_weight
+        if weight > 0:
+            rtt = self._tick_rtt / weight
+            delay = self._tick_delay / weight
         else:
             rtt = 0.0
             delay = 0.0
-        feedback = TickFeedback(
-            now=now,
-            dt=dt,
-            acked=self._tick_acked,
-            lost=self._tick_lost,
-            rtt=rtt,
-            min_rtt=self.min_rtt if self.min_rtt < _INF else 0.0,
-            queuing_delay=delay,
-            inflight=self.inflight,
-            delivery_rate=self.delivery_rate,
-        )
+        acked = self._tick_acked
+        lost = self._tick_lost
+        inflight = self.inflight
+        controller = self.controller
         if self.is_active(now):
-            self.controller.on_tick(feedback)
-        record = TickRecord(
-            time=now,
-            sent=self._tick_sent,
-            acked=self._tick_acked,
-            lost=self._tick_lost,
-            rtt=rtt,
-            queuing_delay=delay,
-            cwnd=self.controller.cwnd,
-            inflight=self.inflight,
-        )
-        self._reset_tick()
+            min_rtt = self.min_rtt
+            controller.on_tick(TickFeedback(now, dt, acked, lost, rtt,
+                                            min_rtt if min_rtt < _INF else 0.0, delay,
+                                            inflight, self.delivery_rate))
+        record = TickRecord(now, self._tick_sent, acked, lost, rtt, delay, controller.cwnd,
+                            inflight)
+        self._tick_sent = self._tick_acked = self._tick_lost = 0.0
+        self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
         return record

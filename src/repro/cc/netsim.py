@@ -31,7 +31,9 @@ Two consumption styles are supported:
   :class:`SimulationResult` (used by the evaluation harness).
 * ``tick()`` / ``monitor_report(flow_id)`` — step manually; used by
   :class:`repro.orca.env.OrcaNetworkEnv`, whose RL agent interacts with the
-  network once per monitor interval.
+  network once per monitor interval.  The tick keeps no monitor
+  accumulators: a report sums the flow's tick records since the previous
+  report when it is asked for.
 
 Both styles share one lean tick loop.  Every hop's drain capacity (pps) and
 the bottleneck's logged capacity (Mbps) come from a capacity schedule
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,8 +143,7 @@ class FlowStats:
         return self._column("inflight")
 
 
-@dataclass(frozen=True)
-class MonitorReport:
+class MonitorReport(NamedTuple):
     """Aggregated statistics over one monitor interval (the paper's Table 1)."""
 
     throughput_pps: float      # thr — average delivery rate over the interval
@@ -232,11 +233,12 @@ class NetworkSimulator:
         self.stats: Dict[int, FlowStats] = {fid: FlowStats(fid) for fid in self.flows}
         self._capacity_log: List[float] = []
         self._time_log: List[float] = []
-        # Monitor-interval accumulators keyed by flow id.  The first report
-        # interval of a late-starting flow begins at its start time, not at
-        # t=0, so churned flows do not dilute their first interval with the
-        # silence before they arrived.
-        self._monitor_acc: Dict[int, Dict[str, float]] = {fid: self._fresh_acc() for fid in self.flows}
+        # Monitor intervals, keyed by flow id: the index of the first tick
+        # record not yet reported, and the time the interval began.  The
+        # first interval of a late-starting flow begins at its start time,
+        # not at t=0, so churned flows do not dilute their first interval
+        # with the silence before they arrived.
+        self._report_index: Dict[int, int] = dict.fromkeys(self.flows, 0)
         self._last_report_time: Dict[int, float] = {fid: flow.start_time
                                                     for fid, flow in self.flows.items()}
         self._tick_count = 0
@@ -306,11 +308,6 @@ class NetworkSimulator:
             if successor is not None:
                 incurred += 0.5 * link.delay
         self._ack_delay[flow_id] = rtt - incurred
-
-    @staticmethod
-    def _fresh_acc() -> Dict[str, float]:
-        return {"acked": 0.0, "lost": 0.0, "sent": 0.0, "delay_weighted": 0.0,
-                "rtt_weighted": 0.0, "ack_weight": 0.0}
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -500,21 +497,11 @@ class NetworkSimulator:
         end_of_tick = now + dt
         records: Dict[int, TickRecord] = {}
         stats = self.stats
-        monitor_acc = self._monitor_acc
         for fid, flow in flows.items():
             flow.process_events(end_of_tick, dt)
             record = flow.finish_tick(end_of_tick, dt)
             stats[fid].append(record)
             records[fid] = record
-            _, sent, acked, lost, rtt, queuing_delay, _, _ = record
-            acc = monitor_acc[fid]
-            acc["acked"] += acked
-            acc["lost"] += lost
-            acc["sent"] += sent
-            if acked > 0:
-                acc["delay_weighted"] += queuing_delay * acked
-                acc["rtt_weighted"] += rtt * acked
-                acc["ack_weight"] += acked
 
         self._capacity_log.append(self._schedule_mbps[slot])
         self._time_log.append(end_of_tick)
@@ -568,14 +555,16 @@ class NetworkSimulator:
     # Monitor-interval reporting (Orca's observation pipeline)
     # ------------------------------------------------------------------ #
     def monitor_report(self, flow_id: int) -> MonitorReport:
-        """Aggregate and reset the accumulators for ``flow_id``.
+        """Aggregate ``flow_id``'s interval since its previous report.
 
         Called by the Orca environment once per monitor interval; the report
         fields correspond to the observed network states in Table 1 of the
-        paper.  All statistics are end-to-end: queuing delays accumulate over
-        every hop of the flow's route and RTTs include the summed path delay
-        (the transit stage charges forward shares in simulation time, the ack
-        charges the rest, so the sum is always the path RTT).
+        paper.  The interval's totals are summed here from the flow's tick
+        records since the previous report, in tick order and from 0.0.  All
+        statistics are end-to-end: queuing delays accumulate over every hop of
+        the flow's route and RTTs include the summed path delay (the transit
+        stage charges forward shares in simulation time, the ack charges the
+        rest, so the sum is always the path RTT).
 
         Before the first ack arrives ``flow.min_rtt`` is still the +inf
         sentinel; it is clamped to the flow's path RTT — the physical lower
@@ -583,23 +572,30 @@ class NetworkSimulator:
         so the Orca observation's first interval never sees a zero min-RTT.
         """
         flow = self.flows[flow_id]
-        acc = self._monitor_acc[flow_id]
+        records = self.stats[flow_id].records
+        acked = lost = sent = delay_weighted = rtt_weighted = weight = 0.0
+        for index in range(self._report_index[flow_id], len(records)):
+            _, tick_sent, tick_acked, tick_lost, rtt, queuing_delay, _, _ = records[index]
+            acked += tick_acked
+            lost += tick_lost
+            sent += tick_sent
+            if tick_acked > 0:
+                delay_weighted += queuing_delay * tick_acked
+                rtt_weighted += rtt * tick_acked
+                weight += tick_acked
         interval = max(self.now - self._last_report_time[flow_id], self.dt)
-        acked = acc["acked"]
-        lost = acc["lost"]
-        weight = acc["ack_weight"]
         report = MonitorReport(
             throughput_pps=acked / interval,
             loss_rate=lost / (acked + lost) if (acked + lost) > 0 else 0.0,
-            avg_queuing_delay=acc["delay_weighted"] / weight if weight > 0 else 0.0,
+            avg_queuing_delay=delay_weighted / weight if weight > 0 else 0.0,
             n_acks=acked,
             interval=interval,
             srtt=flow.srtt,
             min_rtt=flow.min_rtt if flow.min_rtt < float("inf") else self._route_rtt[flow_id],
-            avg_rtt=acc["rtt_weighted"] / weight if weight > 0 else flow.srtt,
+            avg_rtt=rtt_weighted / weight if weight > 0 else flow.srtt,
             cwnd=flow.controller.cwnd,
-            sent_pps=acc["sent"] / interval,
+            sent_pps=sent / interval,
         )
-        self._monitor_acc[flow_id] = self._fresh_acc()
+        self._report_index[flow_id] = len(records)
         self._last_report_time[flow_id] = self.now
         return report

@@ -13,6 +13,11 @@ An optional *decision filter* implements Canopy's runtime fallback
 (Section 4.4): before the learned override is applied, the filter can inspect
 the state and veto the learned action, in which case the CUBIC window is kept
 as-is.
+
+Per tick the controller only steps CUBIC and keeps the tick's
+:class:`~repro.cc.base.TickFeedback`; the interval's statistics are summed
+from those feedbacks when a decision builds its report, and every scalar
+clip on the decision path is a plain-float :func:`clip_float`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from repro.cc.base import MIN_CWND, CongestionController, TickFeedback
 from repro.cc.cubic import CubicController
 from repro.cc.netsim import MonitorReport
-from repro.orca.observations import ObservationBuilder, ObservationConfig
+from repro.orca.observations import ObservationBuilder, ObservationConfig, clip_float
 
 __all__ = ["cwnd_from_action", "DecisionRecord", "LearnedController"]
 
@@ -38,7 +43,7 @@ DecisionFilter = Callable[[np.ndarray, float, float], tuple]
 
 def cwnd_from_action(action: float, cwnd_tcp: float) -> float:
     """Eq. 1: ``cwnd = 2^(2a) · cwnd_TCP`` with the action clipped to [-1, 1]."""
-    action = float(np.clip(action, -1.0, 1.0))
+    action = clip_float(action, -1.0, 1.0)
     return max(MIN_CWND, float(2.0 ** (2.0 * action) * cwnd_tcp))
 
 
@@ -89,16 +94,8 @@ class LearnedController(CongestionController):
         self._last_decision_time = 0.0
         self._prev_decision_cwnd = inner.cwnd
         self.decisions: List[DecisionRecord] = []
-        self._acc = self._fresh_acc()
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fresh_acc() -> dict:
-        return {
-            "acked": 0.0, "lost": 0.0, "sent": 0.0,
-            "delay_weighted": 0.0, "rtt_weighted": 0.0, "ack_weight": 0.0,
-            "start": None, "last_srtt": 0.0, "last_min_rtt": 0.0,
-        }
+        #: The feedback of every tick since the last decision.
+        self._interval: List[TickFeedback] = []
 
     @property
     def cwnd(self) -> float:
@@ -113,31 +110,27 @@ class LearnedController(CongestionController):
         self._last_decision_time = 0.0
         self._prev_decision_cwnd = self.inner.cwnd
         self.decisions = []
-        self._acc = self._fresh_acc()
+        self._interval = []
 
     # ------------------------------------------------------------------ #
-    def _accumulate(self, feedback: TickFeedback) -> None:
-        acc = self._acc
-        if acc["start"] is None:
-            acc["start"] = feedback.now - feedback.dt
-        acc["acked"] += feedback.acked
-        acc["lost"] += feedback.lost
-        acc["sent"] += feedback.acked + feedback.lost
-        if feedback.acked > 0:
-            acc["delay_weighted"] += feedback.queuing_delay * feedback.acked
-            acc["rtt_weighted"] += feedback.rtt * feedback.acked
-            acc["ack_weight"] += feedback.acked
-        acc["last_srtt"] = feedback.rtt if feedback.rtt > 0 else acc["last_srtt"]
-        acc["last_min_rtt"] = feedback.min_rtt
-
     def _build_report(self, now: float) -> MonitorReport:
-        acc = self._acc
-        start = acc["start"] if acc["start"] is not None else now - self.monitor_interval
+        # Sums start from 0.0 and run in tick order, as a running total would.
+        ticks = self._interval
+        acked = lost = sent = delay_weighted = rtt_weighted = weight = 0.0
+        last_srtt = last_min_rtt = 0.0
+        for _, _, tick_acked, tick_lost, rtt, last_min_rtt, delay, _, _ in ticks:
+            acked += tick_acked
+            lost += tick_lost
+            sent += tick_acked + tick_lost
+            if tick_acked > 0:
+                delay_weighted += delay * tick_acked
+                rtt_weighted += rtt * tick_acked
+                weight += tick_acked
+            if rtt > 0:
+                last_srtt = rtt
+        start = ticks[0].now - ticks[0].dt if ticks else now - self.monitor_interval
         interval = max(now - start, 1e-3)
-        acked = acc["acked"]
-        lost = acc["lost"]
-        weight = acc["ack_weight"]
-        avg_delay = acc["delay_weighted"] / weight if weight > 0 else 0.0
+        avg_delay = delay_weighted / weight if weight > 0 else 0.0
         if self.observation_noise > 0:
             # Uniform multiplicative noise on the observed queuing delay — the
             # perturbation studied in Section 2 / Figure 11.
@@ -149,11 +142,11 @@ class LearnedController(CongestionController):
             avg_queuing_delay=avg_delay,
             n_acks=acked,
             interval=interval,
-            srtt=acc["last_srtt"],
-            min_rtt=acc["last_min_rtt"],
-            avg_rtt=acc["rtt_weighted"] / weight if weight > 0 else acc["last_srtt"],
+            srtt=last_srtt,
+            min_rtt=last_min_rtt,
+            avg_rtt=rtt_weighted / weight if weight > 0 else last_srtt,
             cwnd=self.inner.cwnd,
-            sent_pps=acc["sent"] / interval,
+            sent_pps=sent / interval,
         )
 
     def _coarse_grained_step(self, now: float) -> None:
@@ -163,7 +156,7 @@ class LearnedController(CongestionController):
         cwnd_before = cwnd_tcp
 
         action = float(np.asarray(self.policy(state)).reshape(-1)[0])
-        action = float(np.clip(action, -1.0, 1.0))
+        action = clip_float(action, -1.0, 1.0)
 
         allow_learned = True
         qc_value = 1.0
@@ -187,12 +180,12 @@ class LearnedController(CongestionController):
             qc_value=float(qc_value),
         ))
         self._prev_decision_cwnd = new_cwnd
-        self._acc = self._fresh_acc()
+        self._interval = []
 
     # ------------------------------------------------------------------ #
     def on_tick(self, feedback: TickFeedback) -> None:
         self.inner.on_tick(feedback)
-        self._accumulate(feedback)
+        self._interval.append(feedback)
         if feedback.now - self._last_decision_time >= self.monitor_interval - 1e-9:
             self._coarse_grained_step(feedback.now)
             self._last_decision_time = feedback.now

@@ -234,8 +234,7 @@ class OrcaNetworkEnv(Environment):
         if noise_level <= 0:
             return report
         noise = self._noise_rng.uniform(-noise_level, noise_level)
-        from dataclasses import replace
-        return replace(report, avg_queuing_delay=max(0.0, report.avg_queuing_delay * (1.0 + noise)))
+        return report._replace(avg_queuing_delay=max(0.0, report.avg_queuing_delay * (1.0 + noise)))
 
     # ------------------------------------------------------------------ #
     def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:

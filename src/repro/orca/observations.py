@@ -34,10 +34,24 @@ import numpy as np
 
 from repro.cc.netsim import MonitorReport
 
-__all__ = ["FEATURE_NAMES", "ObservationConfig", "ObservationBuilder"]
+__all__ = ["FEATURE_NAMES", "ObservationConfig", "ObservationBuilder", "clip_float"]
 
 FEATURE_NAMES = ("throughput", "loss", "delay", "acks", "interval", "inv_rtt", "dcwnd")
 _FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
+
+
+def clip_float(value: float, lo: float, hi: float) -> float:
+    """``float(np.clip(value, lo, hi))`` for one scalar, without numpy.
+
+    Bounds must not be NaN.  As in ``np.clip``, a NaN value passes through
+    and only a value strictly outside a bound is replaced, so ``-0.0``
+    clipped to ``[0.0, 1.0]`` stays ``-0.0``.
+    """
+    if value < lo:
+        value = lo
+    if value > hi:
+        value = hi
+    return float(value)
 
 
 @dataclass
@@ -94,19 +108,19 @@ class ObservationBuilder:
         cfg = self.config
         self._max_throughput = max(self._max_throughput, report.throughput_pps, 1.0)
         throughput = report.throughput_pps / self._max_throughput
-        loss = float(np.clip(report.loss_rate, 0.0, 1.0))
-        delay = float(np.clip(report.avg_queuing_delay / cfg.delay_scale, 0.0, 1.0))
-        acks = float(np.clip(report.n_acks / cfg.ack_scale, 0.0, 1.0))
-        interval = float(np.clip(report.interval / cfg.monitor_interval, 0.0, 2.0))
+        loss = clip_float(report.loss_rate, 0.0, 1.0)
+        delay = clip_float(report.avg_queuing_delay / cfg.delay_scale, 0.0, 1.0)
+        acks = clip_float(report.n_acks / cfg.ack_scale, 0.0, 1.0)
+        interval = clip_float(report.interval / cfg.monitor_interval, 0.0, 2.0)
         if report.srtt > 0 and report.min_rtt > 0:
-            inv_rtt = float(np.clip(report.min_rtt / report.srtt, 0.0, 1.0))
+            inv_rtt = clip_float(report.min_rtt / report.srtt, 0.0, 1.0)
         else:
             inv_rtt = 1.0
         if self._prev_cwnd is None or self._prev_cwnd <= 0:
             dcwnd = 0.0
         else:
             rel_change = (report.cwnd - self._prev_cwnd) / self._prev_cwnd
-            dcwnd = float(np.clip(rel_change / cfg.dcwnd_scale, -1.0, 1.0))
+            dcwnd = clip_float(rel_change / cfg.dcwnd_scale, -1.0, 1.0)
         self._prev_cwnd = report.cwnd
         return np.array([throughput, loss, delay, acks, interval, inv_rtt, dcwnd], dtype=np.float64)
 
