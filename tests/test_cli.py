@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURE_EXPERIMENTS, build_parser, main
@@ -151,6 +153,28 @@ def test_compare_classical_command(capsys):
     out = capsys.readouterr().out
     for scheme in ("cubic", "newreno", "vegas", "bbr"):
         assert scheme in out
+
+
+#: Byte-for-byte stdout pins of the evaluate/certify/compare-classical
+#: presets (regenerate per tests/golden/cli/README.md).
+CLI_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
+SMALL_MODEL = ["--steps", "30", "--seed", "52", "--duration", "3.0"]
+COMPARE_PARKING_LOT = ["compare-classical", "--traces", "2", "--duration", "3.0",
+                       "--topology", "parking_lot(2)"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("evaluate_fan_in_responsive.txt",
+     ["evaluate", *SMALL_MODEL, "--topology", "fan_in(2)", "--workload", "responsive(cubic)"]),
+    ("evaluate_rtt_buffer.txt", ["evaluate", *SMALL_MODEL, "--rtt", "0.06", "--buffer-bdp", "2.0"]),
+    ("certify_components_5.txt", ["certify", *SMALL_MODEL, "--components", "5"]),
+    ("compare_classical_parking_lot.txt", [*COMPARE_PARKING_LOT, "--jobs", "1"]),
+    ("compare_classical_parking_lot.txt", [*COMPARE_PARKING_LOT, "--jobs", "2"]),
+], ids=["evaluate-fan_in", "evaluate-rtt-buffer", "certify-N5",
+        "compare-classical-jobs1", "compare-classical-jobs2"])
+def test_cli_stdout_matches_golden(golden, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (CLI_GOLDEN_DIR / golden).read_text()
 
 
 RUN_SETS = ["--set", "schemes=cubic", "--set", "families=single_bottleneck,chain(2)",
