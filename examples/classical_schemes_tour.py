@@ -13,30 +13,19 @@ Run with::
 
 from __future__ import annotations
 
-from repro.harness.evaluate import EvaluationSettings
-from repro.harness.parallel import ExperimentTask, ParallelRunner
 from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
-from repro.traces.cellular import make_cellular_trace
-from repro.traces.synthetic import make_synthetic_trace
 
 
 def main() -> None:
-    # Classical schemes need no model, so their cells leave model_kind unset.
-    schemes = ("cubic", "newreno", "vegas", "bbr")
-    traces = [
-        make_synthetic_trace("step-12-48"),
-        make_synthetic_trace("sawtooth-24-96"),
-        make_cellular_trace("cellular-att", duration=20.0),
-    ]
-
+    # The scheme grid's default schemes are the four classical controllers,
+    # which need no model.
+    traces = ("step-12-48", "sawtooth-24-96", "cellular-att")
     for buffer_bdp in (1.0, 5.0):
-        settings = EvaluationSettings(duration=20.0, buffer_bdp=buffer_bdp, min_rtt=0.04, seed=1)
-        tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings)
-                 for trace in traces for scheme in schemes]
-        rows = ParallelRunner().run(tasks).rows
+        rows = REGISTRY.run("scheme_grid", {"traces": traces, "duration": 20.0,
+                                            "buffer_bdp": buffer_bdp})["rows"]
         print(f"\n=== Buffer = {buffer_bdp:g} BDP ===")
-        print(format_rows(rows, columns=["trace", "scheme", "utilization",
+        print(format_rows(rows, columns=["scheme", "trace", "utilization",
                                          "avg_queuing_delay_ms", "p95_queuing_delay_ms", "loss_rate"]))
 
     print("\n=== Fairness: three CUBIC flows joining every 10 s ===")

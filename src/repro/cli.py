@@ -20,6 +20,7 @@ Usage (after ``pip install -e .``)::
     python -m repro status runs/stress --watch --interval 1
     python -m repro run topology_sweep --profile   # tick-phase cost table
     python -m repro compare-classical --buffer-bdp 1.0 --jobs 0
+    python -m repro run scheme_grid --set schemes=cubic,bbr --resume  # same cells, stored
     python -m repro evaluate --topology "chain(3)" --trace step-12-48
     python -m repro evaluate --topology "fan_in(3)" --workload "responsive(cubic:2)"
     python -m repro run workload_stress --set telemetry=on(10) --store runs/traced
@@ -53,11 +54,12 @@ commentary, not deliverables.
 
 Every subcommand is a thin wrapper over the public library API, so anything
 the CLI does can also be done programmatically (see the examples/ scripts).
-``evaluate`` and ``compare-classical`` build
-:class:`~repro.harness.parallel.ExperimentTask` cells and shard them with
-:class:`~repro.harness.parallel.ParallelRunner` (``--jobs``); ``certify`` runs
-one ``certify=True`` cell through :func:`~repro.harness.parallel.run_task`,
-the same cell path every registry grid takes.
+``evaluate``, ``certify`` and ``compare-classical`` are presets of the
+registered ``scheme_grid`` experiment, the way ``figure`` presets
+:data:`FIGURE_EXPERIMENTS`: each sets its axes from its flags and runs it
+through ``REGISTRY.run`` without a store, so ``python -m repro run
+scheme_grid --set ...`` runs the same cells with a store, ``--resume`` and
+``--profile``.
 """
 
 from __future__ import annotations
@@ -73,12 +75,15 @@ from repro.falsify.objective import objective_names, resolve_objective
 from repro.falsify.promote import DEFAULT_COUNTEREXAMPLES_DIR, check_counterexamples
 from repro.falsify.report import format_report, read_campaign, report_stats
 from repro.falsify.search import STRATEGIES, CampaignConfig, run_campaign
-from repro.harness.evaluate import EvaluationSettings, default_model_kind
-from repro.harness.models import DEFAULT_TRAINING_STEPS, MODEL_KINDS, get_trained_model
-from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
+from repro.harness.models import (
+    DEFAULT_TRAINING_STEPS,
+    MODEL_KINDS,
+    get_trained_model,
+    model_for_task,
+)
 from repro.harness.registry import REGISTRY, parse_set_overrides
 from repro.harness.reporting import format_rows, print_experiment
-from repro.harness.spec import resolve_trace
+from repro.harness.spec import trace_names
 from repro.harness.store import RECORDS_FILENAME, RunStore
 from repro.nn.serialization import save_weight_dict
 from repro.obs.metrics import METRICS_FILENAME
@@ -95,7 +100,7 @@ from repro.telemetry.render import render_summary, render_timeline, resolve_grou
 from repro.topology.families import topology_family_specs
 from repro.workload.spec import workload_specs
 from repro.traces.cellular import CELLULAR_TRACE_NAMES
-from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES, make_synthetic_trace
+from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -127,11 +132,23 @@ FIGURE_EXPERIMENTS: Dict[str, tuple] = {
 }
 
 
-def _get_trace(name: str):
-    try:
-        return resolve_trace(name)
-    except ValueError:
-        raise SystemExit(f"unknown trace {name!r}; run 'python -m repro list-traces'") from None
+#: The columns ``evaluate`` and ``compare-classical`` print.
+PERFORMANCE_COLUMNS = ["utilization", "avg_queuing_delay_ms", "p95_queuing_delay_ms",
+                       "loss_rate"]
+
+
+def _path_axes(args: argparse.Namespace) -> Dict:
+    """The ``scheme_grid`` axes every preset sets from its path flags."""
+    return {"topology": args.topology, "workload": args.workload, "duration": args.duration,
+            "buffer_bdp": args.buffer_bdp, "seeds": (args.seed,)}
+
+
+def _model_axes(args: argparse.Namespace) -> Dict:
+    """The axes of the presets that run a learned model over one named trace."""
+    if args.trace not in trace_names():
+        raise SystemExit(f"unknown trace {args.trace!r}; run 'python -m repro list-traces'")
+    return {**_path_axes(args), "traces": (args.trace,), "min_rtt": args.rtt,
+            "training_steps": args.steps}
 
 
 # ---------------------------------------------------------------------- #
@@ -169,36 +186,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    trace = _get_trace(args.trace)
-    settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
-                                  min_rtt=args.rtt, topology=args.topology,
-                                  workload=args.workload, seed=args.seed)
-    # Train in-process first so pool workers inherit the warm model cache.
-    get_trained_model(args.kind, training_steps=args.steps, seed=args.seed)
-    tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings,
-                            model_kind=default_model_kind(scheme),
-                            training_steps=args.steps, model_seed=args.seed)
-             for scheme in (args.kind, "cubic")]
-    grid = ParallelRunner(args.jobs).run(tasks)
-    console(format_rows(grid.rows, columns=["scheme", "utilization", "avg_queuing_delay_ms",
-                                            "p95_queuing_delay_ms", "loss_rate"]))
+    result = REGISTRY.run("scheme_grid", {**_model_axes(args), "schemes": (args.kind, "cubic")},
+                          n_jobs=args.jobs)
+    console(format_rows(result["rows"], columns=["scheme", *PERFORMANCE_COLUMNS]))
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    trace = _get_trace(args.trace)
-    settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
-                                  min_rtt=args.rtt, topology=args.topology,
-                                  workload=args.workload, seed=args.seed)
-    # Build (and so validate) the task before training the model.
-    task = ExperimentTask(scheme=args.kind, trace=trace, settings=settings, model_kind=args.kind,
-                          training_steps=args.steps, model_seed=args.seed, certify=True,
-                          n_components=args.components)
-    model = get_trained_model(args.kind, training_steps=args.steps, seed=args.seed)
-    row = run_task(task)
-    console(f"QC_sat for {args.kind} on {trace.name}: {row['qcsat']:.3f} "
+    overrides = {**_model_axes(args), "schemes": (args.kind,), "certify": True,
+                 "n_components": args.components}
+    (row,) = REGISTRY.run("scheme_grid", overrides)["rows"]
+    (task,) = REGISTRY.plan("scheme_grid", overrides).tasks
+    console(f"QC_sat for {args.kind} on {args.trace}: {row['qcsat']:.3f} "
             f"+/- {row['qcsat_decision_std']:.3f} ({row['n_decisions']} decisions, "
-            f"properties {[prop.name for prop in model.properties]})")
+            f"properties {[prop.name for prop in model_for_task(task).properties]})")
     return 0
 
 
@@ -444,17 +445,11 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_classical(args: argparse.Namespace) -> int:
-    traces = [make_synthetic_trace(name) for name in SYNTHETIC_TRACE_NAMES[:args.traces]]
-    settings = EvaluationSettings(duration=args.duration, buffer_bdp=args.buffer_bdp,
-                                  topology=args.topology, workload=args.workload,
-                                  seed=args.seed)
-    # Scheme-major, so the table prints grouped by scheme.
-    tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings)
-             for scheme in ("cubic", "newreno", "vegas", "bbr") for trace in traces]
-    grid = ParallelRunner(args.jobs).run(tasks)
-    console(format_rows(grid.rows, columns=["scheme", "trace", "utilization",
-                                       "avg_queuing_delay_ms", "p95_queuing_delay_ms",
-                                       "loss_rate"]))
+    # The grid's default schemes are the four classical controllers.
+    result = REGISTRY.run("scheme_grid", {**_path_axes(args),
+                                          "traces": tuple(SYNTHETIC_TRACE_NAMES[:args.traces])},
+                          n_jobs=args.jobs)
+    console(format_rows(result["rows"], columns=["scheme", "trace", *PERFORMANCE_COLUMNS]))
     return 0
 
 

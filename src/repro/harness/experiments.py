@@ -1,7 +1,9 @@
 """Evaluation experiments — one registered grid per figure of the paper.
 
-Every simulated figure (1, 2, 5–16) and the beyond-the-paper grids
-(``topology_sweep``, ``topology_generalization``, ``workload_stress``) is
+Every simulated figure (1, 2, 5–16), the beyond-the-paper grids
+(``topology_sweep``, ``topology_generalization``, ``workload_stress``) and
+``scheme_grid`` (schemes × named traces × seeds on one path, which ``python -m
+repro evaluate``, ``certify`` and ``compare-classical`` preset) is
 *declared* in :data:`repro.harness.registry.REGISTRY` — named axes, a
 grid-expansion build hook, and an aggregator — and runs only through
 ``REGISTRY.run(name, axes, n_jobs=..., store=...)`` (or ``python -m repro run
@@ -38,10 +40,10 @@ from repro.harness.evaluate import (
     default_model_kind,
 )
 from repro.harness.fairness import multiflow_columns
-from repro.harness.models import model_for_task
+from repro.harness.models import DEFAULT_TRAINING_STEPS, model_for_task
 from repro.harness.parallel import ExperimentTask, run_task
 from repro.harness.registry import REGISTRY
-from repro.harness.spec import PROPERTY_FAMILIES, trace_subset
+from repro.harness.spec import PROPERTY_FAMILIES, resolve_trace, trace_subset
 from repro.telemetry.events import canonical_telemetry
 from repro.topology.families import canonical_topology, topology_family_specs
 from repro.workload.spec import SELF_SCHEME, WorkloadSpec, canonical_workload
@@ -1052,5 +1054,47 @@ def _sensitivity_build(axes: Dict) -> List[ExperimentTask]:
                     scheme="canopy", trace=trace, settings=settings,
                     model_kind="canopy-shallow", training_steps=axes["training_steps"],
                     model_seed=seed, lam=lam, model_components=n_components,
+                ))
+    return tasks
+
+
+# ---------------------------------------------------------------------- #
+# Scheme grid — the CLI's evaluate, certify and compare-classical
+# ---------------------------------------------------------------------- #
+@REGISTRY.register(
+    "scheme_grid",
+    axes={
+        "schemes": ("cubic", "newreno", "vegas", "bbr"),
+        "traces": ("step-12-48",),
+        "topology": "single_bottleneck",
+        "workload": "static",
+        "duration": 15.0,
+        "buffer_bdp": 1.0,
+        "min_rtt": 0.04,
+        "training_steps": DEFAULT_TRAINING_STEPS,
+        "certify": False,
+        "n_components": 50,
+        "seeds": (1,),
+    },
+    description="schemes x named traces x seeds on one path; certify=true certifies "
+                "the learned cells (evaluate / certify / compare-classical)",
+)
+def _scheme_grid_build(axes: Dict) -> List[ExperimentTask]:
+    traces = [resolve_trace(name) for name in axes["traces"]]
+    tasks = []
+    # Scheme-major, so the CLI tables print grouped by scheme.
+    for scheme in axes["schemes"]:
+        model_kind = default_model_kind(scheme)
+        for trace in traces:
+            for seed in axes["seeds"]:
+                settings = EvaluationSettings(
+                    duration=axes["duration"], buffer_bdp=axes["buffer_bdp"],
+                    min_rtt=axes["min_rtt"], topology=canonical_topology(axes["topology"]),
+                    workload=canonical_workload(axes["workload"]), seed=seed)
+                tasks.append(ExperimentTask(
+                    scheme=scheme, trace=trace, settings=settings, model_kind=model_kind,
+                    training_steps=axes["training_steps"], model_seed=seed,
+                    certify=axes["certify"] and model_kind is not None,
+                    n_components=axes["n_components"],
                 ))
     return tasks

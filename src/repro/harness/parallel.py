@@ -2,8 +2,8 @@
 
 The benchmark harness evaluates Cartesian grids of (scheme × trace × seed)
 cells; every cell is independent, so the grid shards naturally across worker
-processes.  This module provides the three pieces the experiment registry and
-the CLI build on:
+processes.  This module provides the three pieces the experiment registry (and so
+every CLI grid) builds on:
 
 * :class:`ExperimentTask` — one picklable grid cell: which scheme to run, on
   which trace, with which :class:`~repro.harness.evaluate.EvaluationSettings`
@@ -13,9 +13,9 @@ the CLI build on:
   derives every row column (summary, QC_sat, monitor, telemetry) from that
   run, and returns a plain-dict row, so nothing non-picklable crosses the
   process boundary.
-* :class:`ParallelRunner` — shards a task list over a
-  ``concurrent.futures.ProcessPoolExecutor`` and merges the rows back **in
-  task order**, so serial (``n_jobs=1``) and parallel runs produce identical
+* :class:`ParallelRunner` — maps a cell function over a task list on a
+  ``concurrent.futures.ProcessPoolExecutor`` and returns the rows **in task
+  order**, so serial (``n_jobs=1``) and parallel runs produce identical
   reports.
 
 Determinism
@@ -29,20 +29,18 @@ cell coordinates.  Learned models are trained in the parent process before
 the pool forks (:func:`~repro.harness.registry.pretrain_models`), so forked
 workers inherit the warm model cache instead of retraining.
 
-Usage::
+Usage (a grid with a store, resume and aggregation is a registered
+experiment run by ``REGISTRY.run``; this is the layer beneath it)::
 
     tasks = [ExperimentTask(scheme="cubic", trace=trace, settings=settings)
              for trace in traces]
-    result = ParallelRunner(n_jobs=4).run(tasks)
-    rows = result.rows           # one dict per task, in task order
-    result.wall_clock_s          # grid wall-clock, recorded in bench JSON
+    rows = ParallelRunner(n_jobs=4).map(run_task, tasks)  # in task order
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -483,22 +481,3 @@ class ParallelRunner:
             return True
         except (pickle.PicklingError, AttributeError, TypeError):
             return False
-
-    def run(self, tasks: Iterable, fn: Callable = run_task,
-            on_result: Optional[Callable[[int, object, object], None]] = None) -> GridResult:
-        """Run a grid of tasks through ``fn`` and merge the rows in task order.
-
-        ``fn`` defaults to :func:`run_task`; a grid that adds columns supplies
-        its registered runner (a ``functools.partial`` of :func:`run_task`).
-        ``on_result`` is forwarded to :meth:`map` (incremental per-cell
-        persistence).
-        """
-        tasks = list(tasks)
-        start = time.perf_counter()
-        rows = self.map(fn, tasks, on_result=on_result)
-        return GridResult(
-            rows=rows,
-            wall_clock_s=time.perf_counter() - start,
-            n_tasks=len(tasks),
-            n_jobs=self.n_jobs,
-        )

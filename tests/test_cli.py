@@ -64,7 +64,11 @@ def test_certify_rejects_zero_components_before_training(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained a model for an invalid task")
 
-    monkeypatch.setattr("repro.cli.get_trained_model", no_training)
+    # With the model caches empty and no zoo, every model acquisition (the
+    # registry's pre-training pass included) trains through CanopyTrainer.
+    monkeypatch.setattr("repro.harness.models._CACHE", {})
+    monkeypatch.delenv("REPRO_MODEL_ZOO", raising=False)
+    monkeypatch.setattr("repro.harness.models.CanopyTrainer", no_training)
     with pytest.raises(ValueError, match="n_components must be positive"):
         main(["certify", "--kind", "canopy-shallow", "--steps", "30", "--seed", "52",
               "--trace", "step-12-48", "--duration", "3.0", "--components", "0"])

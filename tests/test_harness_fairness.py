@@ -28,7 +28,7 @@ def friendliness_cells(overrides, scheme="cubic", family="shallow"):
 
 
 def run_cells(tasks):
-    return ParallelRunner(1).run(tasks, fn=run_multiflow_cell).rows
+    return ParallelRunner(1).map(run_multiflow_cell, tasks)
 
 
 @pytest.fixture(scope="module")

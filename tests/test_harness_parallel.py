@@ -116,12 +116,11 @@ class TestExperimentTask:
 class TestGridDeterminism:
     def test_serial_and_parallel_grids_identical(self):
         tasks = make_tasks()
-        serial = ParallelRunner(1).run(tasks)
-        parallel = ParallelRunner(2).run(tasks)
-        assert serial.n_tasks == parallel.n_tasks == len(tasks)
-        assert serial.rows == parallel.rows
-        assert [row["cell"] for row in serial.rows] == [0, 1, 2]
-        assert serial.wall_clock_s > 0.0
+        serial = ParallelRunner(1).map(run_task, tasks)
+        parallel = ParallelRunner(2).map(run_task, tasks)
+        assert len(serial) == len(parallel) == len(tasks)
+        assert serial == parallel
+        assert [row["cell"] for row in serial] == [0, 1, 2]
 
 
 class TestGridResultReporting:
@@ -239,9 +238,9 @@ class TestDeclarativeMonitorSpec:
                            monitor_components=4, tags={"threshold": threshold})
             for threshold in (0.0, 0.5, 0.8)
         ]
-        serial = ParallelRunner(1).run(tasks)
-        parallel = ParallelRunner(2).run(tasks)
-        assert serial.rows == parallel.rows
+        serial = ParallelRunner(1).map(run_task, tasks)
+        parallel = ParallelRunner(2).map(run_task, tasks)
+        assert serial == parallel
 
 
 class TestShardedSeedReproducibility:
@@ -253,10 +252,10 @@ class TestShardedSeedReproducibility:
                                       random_loss_rate=0.02, seed=7)
         tasks = [ExperimentTask(scheme=scheme, trace=trace, settings=settings)
                  for scheme in ("cubic", "vegas", "newreno", "bbr")]
-        serial = ParallelRunner(1).run(tasks)
-        parallel = ParallelRunner(2).run(tasks)
-        assert serial.rows == parallel.rows
-        assert all(row["loss_rate"] > 0.0 for row in serial.rows)
+        serial = ParallelRunner(1).map(run_task, tasks)
+        parallel = ParallelRunner(2).map(run_task, tasks)
+        assert serial == parallel
+        assert all(row["loss_rate"] > 0.0 for row in serial)
 
     def test_topology_tasks_shard_identically(self):
         trace = BandwidthTrace.constant(24.0, duration=30.0, name="const-24")
@@ -265,10 +264,10 @@ class TestShardedSeedReproducibility:
             settings = EvaluationSettings(duration=3.0, buffer_bdp=1.0,
                                           topology=topology, seed=7)
             tasks.append(ExperimentTask(scheme="cubic", trace=trace, settings=settings))
-        serial = ParallelRunner(1).run(tasks)
-        parallel = ParallelRunner(3).run(tasks)
-        assert serial.rows == parallel.rows
-        assert [row["topology"] for row in serial.rows] == [
+        serial = ParallelRunner(1).map(run_task, tasks)
+        parallel = ParallelRunner(3).map(run_task, tasks)
+        assert serial == parallel
+        assert [row["topology"] for row in serial] == [
             "chain(2)", "parking_lot(2)", "dumbbell"]
 
     def test_derive_seed_import_location_is_stable(self):

@@ -17,7 +17,7 @@ from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
 from repro.cc.netsim import NetworkSimulator
 from repro.harness.evaluate import EvaluationSettings, run_scheme_on_trace, scheme_factory
-from repro.harness.parallel import ExperimentTask, ParallelRunner
+from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 from repro.harness.registry import REGISTRY
 from repro.telemetry import (
     EVENT_GROUPS,
@@ -173,11 +173,11 @@ def _stress_tasks(telemetry):
 
 class TestTraceDeterminism:
     def test_serial_and_sharded_traces_byte_identical(self):
-        serial = ParallelRunner(1).run(_stress_tasks("on(10)"))
-        sharded = ParallelRunner(2).run(_stress_tasks("on(10)"))
-        assert json.dumps(serial.rows, sort_keys=True) == \
-            json.dumps(sharded.rows, sort_keys=True)
-        for row in serial.rows:
+        serial = ParallelRunner(1).map(run_task, _stress_tasks("on(10)"))
+        sharded = ParallelRunner(2).map(run_task, _stress_tasks("on(10)"))
+        assert json.dumps(serial, sort_keys=True) == \
+            json.dumps(sharded, sort_keys=True)
+        for row in serial:
             assert row["telemetry"] == "on(10)"
             assert row["telemetry_events"], "traced cell carried no events"
 
@@ -340,7 +340,7 @@ class TestTickProfiler:
     def test_profiler_never_enters_rows(self):
         """Rows must stay byte-identical across runs, so no wall-clock metric
         may leak into them."""
-        (row,) = ParallelRunner(1).run(_stress_tasks("on(10)")[:1]).rows
+        (row,) = ParallelRunner(1).map(run_task, _stress_tasks("on(10)")[:1])
         assert not any("tick" in key or key.endswith("_frac") for key in row)
 
 

@@ -559,7 +559,7 @@ class TestStochasticLoss:
         # task coordinates, so a stochastic-loss grid is bit-identical whether
         # it runs serially or across a process pool.
         from repro.harness.evaluate import EvaluationSettings
-        from repro.harness.parallel import ExperimentTask, ParallelRunner
+        from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 
         trace = BandwidthTrace.constant(24.0, duration=30.0, name="const-24")
         tasks = []
@@ -569,7 +569,7 @@ class TestStochasticLoss:
                                               random_loss_rate=0.02, stochastic_loss=True,
                                               topology=topology, seed=7)
                 tasks.append(ExperimentTask(scheme=scheme, trace=trace, settings=settings))
-        serial = ParallelRunner(1).run(tasks)
-        parallel = ParallelRunner(2).run(tasks)
-        assert serial.rows == parallel.rows
-        assert all(row["loss_rate"] > 0.0 for row in serial.rows)
+        serial = ParallelRunner(1).map(run_task, tasks)
+        parallel = ParallelRunner(2).map(run_task, tasks)
+        assert serial == parallel
+        assert all(row["loss_rate"] > 0.0 for row in serial)

@@ -294,7 +294,7 @@ class TestFamilyInvariants:
 class TestChurnDeterminismWithTransit:
     def test_serial_and_sharded_rows_identical_on_multihop(self):
         from repro.harness.evaluate import EvaluationSettings
-        from repro.harness.parallel import ExperimentTask, ParallelRunner
+        from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 
         trace = constant_trace(24.0, duration=30.0, name="const-24")
         tasks = []
@@ -305,10 +305,10 @@ class TestChurnDeterminismWithTransit:
                                               seed=7)
                 tasks.append(ExperimentTask(scheme="cubic", trace=trace,
                                             settings=settings))
-        serial = ParallelRunner(1).run(tasks)
-        sharded = ParallelRunner(2).run(tasks)
-        assert serial.rows == sharded.rows
-        assert len(serial.rows) == len(tasks)
+        serial = ParallelRunner(1).map(run_task, tasks)
+        sharded = ParallelRunner(2).map(run_task, tasks)
+        assert serial == sharded
+        assert len(serial) == len(tasks)
 
 
 # ---------------------------------------------------------------------- #

@@ -22,7 +22,7 @@ from repro.cc.flow import Flow
 from repro.cc.metrics import summarize_result
 from repro.cc.netsim import NetworkSimulator
 from repro.harness.evaluate import EvaluationSettings, run_scheme_on_trace, scheme_factory
-from repro.harness.parallel import ExperimentTask, ParallelRunner
+from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 from repro.topology import build_topology
 from repro.traces.trace import BandwidthTrace
 from repro.workload import (
@@ -339,11 +339,11 @@ class TestChurnDeterminism:
                                               seed=7)
                 tasks.append(ExperimentTask(scheme="cubic", trace=trace,
                                             settings=settings))
-        serial = ParallelRunner(1).run(tasks)
-        sharded = ParallelRunner(2).run(tasks)
-        assert serial.rows == sharded.rows
+        serial = ParallelRunner(1).map(run_task, tasks)
+        sharded = ParallelRunner(2).map(run_task, tasks)
+        assert serial == sharded
         assert all(row["workload"] in ("poisson(0.6)", "responsive(cubic)", "step(1-3)")
-                   for row in serial.rows)
+                   for row in serial)
 
 
 # ---------------------------------------------------------------------- #
