@@ -8,11 +8,14 @@ transformers for the ``2^(2a) * cwnd`` post-network computation (Eq. 1).
 The key objects are:
 
 * :class:`repro.abstract.box.Box` — the (center, deviation) representation of
-  a stack of ``m``-dimensional hyper-intervals used for abstract states ``s#``.
+  a stack of ``m``-dimensional hyper-intervals used for abstract states ``s#``,
+  and :func:`repro.abstract.box.split_bounds`, the one partition of bare
+  ``lo``/``hi`` bounds into QC components.
 * :func:`repro.abstract.propagate.propagate_mlp_batched` — IBP through a
   :class:`repro.nn.mlp.MLP`, all components of all decisions in one call.
-* :mod:`repro.abstract.transformers` — the cwnd map and the checked actions
-  (Δcwnd, fractional cwnd change).
+* :func:`repro.abstract.transformers.checked_action_arrays` — the cwnd map and
+  the checked action (Δcwnd or the fractional cwnd change) on the action
+  box's ``center``/``deviation`` arrays.
 """
 
 from repro.abstract.box import Box

@@ -16,12 +16,10 @@ Batched convention
 A Box may carry leading batch axes: ``center``/``deviation`` (and hence
 ``lo``/``hi``) of shape ``(N, d)`` represent ``N`` independent
 ``d``-dimensional boxes, and a stack ``(D, N, d)`` holds ``D`` such sets.
-:meth:`Box.split_batched` partitions a ``(d,)`` box into its ``N`` QC
-components directly in batched form, and a ``(D, d)`` stack into a
+:func:`split_bounds` partitions the bare bounds of a ``(d,)`` box into its
+``N`` QC components in batched form, and a ``(D, d)`` stack into a
 ``(D, N, d)`` one, ready for one-shot propagation
-(:func:`repro.abstract.propagate.propagate_mlp_batched`); :func:`split_bounds`
-is the same split on bare ``lo``/``hi`` arrays.  :meth:`Box.scale` and
-:meth:`Box.shift` apply element-wise to the whole stack.
+(:func:`repro.abstract.propagate.propagate_mlp_batched`).
 
 The public constructors validate their inputs: finite values, a non-negative
 deviation (``lo <= hi`` for :meth:`Box.from_bounds`), each within ``1e-12``.
@@ -33,7 +31,6 @@ The verifier checks its regions once and then builds boxes with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -119,47 +116,19 @@ class Box:
     def ndim(self) -> int:
         return self.center.ndim
 
-    # ------------------------------------------------------------------ #
-    # Element-wise transformers
-    # ------------------------------------------------------------------ #
-    def scale(self, factor) -> "Box":
-        """Multiplication by a concrete (possibly negative) factor."""
-        factor = np.asarray(factor, dtype=np.float64)
-        return Box._trusted(self.center * factor, self.deviation * np.abs(factor))
-
-    def shift(self, offset) -> "Box":
-        """Addition of a concrete offset."""
-        center = self.center + np.asarray(offset, dtype=np.float64)
-        return Box._trusted(center, np.broadcast_to(self.deviation, center.shape))
-
-    def split_batched(self, n: int, dims: Sequence[int] | None = None) -> "Box":
-        """Partition a box into ``n`` components as one batched Box.
-
-        A 1-d box of shape ``(d,)`` gives a ``(n, d)`` box: the listed
-        ``dims`` (default: all) are sliced *jointly* into ``n`` equal-width
-        pieces, row ``i`` taking the ``i``-th sub-range in each of them, and
-        every other dimension stays whole.  A stack of boxes, shape
-        ``(..., d)``, splits every box the same way into a ``(..., n, d)``
-        stack.
-        """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if self.ndim < 1:
-            raise ValueError("split_batched requires a box with a feature axis")
-        dims = None if dims is None else np.asarray(list(dims), dtype=int)
-        return Box._trusted(*split_bounds(self.lo, self.hi, n, dims))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Box(center={self.center!r}, deviation={self.deviation!r})"
 
 
 def split_bounds(lo: np.ndarray, hi: np.ndarray, n: int, dims: np.ndarray | None) -> tuple:
-    """The engine of :meth:`Box.split_batched` on bare arrays.
+    """Partition boxes into their QC components, on bare arrays.
 
     Splits the boxes ``[lo, hi]`` (shape ``(..., d)``) into ``n`` components
     each along the integer array ``dims`` (``None``: all dimensions) and
     returns their ``(center, deviation)``, shape ``(..., n, d)``, the
-    deviation not yet clamped at zero.
+    deviation not yet clamped at zero.  The listed dimensions are sliced
+    *jointly* into ``n`` equal-width pieces, row ``i`` taking the ``i``-th
+    sub-range in each of them; every other dimension stays whole.
     """
     if dims is None:
         dims = np.arange(lo.shape[-1])

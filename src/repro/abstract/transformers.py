@@ -3,11 +3,12 @@
 Beyond the neural-network layers (see :mod:`repro.abstract.propagate`),
 Canopy needs a transformer for the cwnd map of Eq. 1,
 ``cwnd = 2^(2a) · cwnd_TCP``, and for the derived actions used in the
-property postconditions (Δcwnd and the fractional cwnd change of P5).  Each
-returns a Box whose concretization contains the image of the concrete inputs,
-i.e. ``γ(f#(s#)) ⊇ {f(s) : s ∈ γ(s#)}``.
+property postconditions (Δcwnd and the fractional cwnd change of P5).
+:func:`checked_action_arrays` composes them on the ``center``/``deviation``
+arrays of an action box and returns bounds whose interval contains the image
+of the concrete inputs, i.e. ``γ(f#(s#)) ⊇ {f(s) : s ∈ γ(s#)}``.
 
-All transformers are batch-transparent: handed a batched box (``lo``/``hi`` of
+The transformers are batch-transparent: handed a batched box (arrays of
 shape ``(N, d)`` or ``(D, N, d)``, see :mod:`repro.abstract.box`) they
 transform every component box in the same numpy calls.  The concrete windows
 may be arrays broadcasting against the box (one window per decision of a
@@ -18,23 +19,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.abstract.box import Box
-
-__all__ = ["exp2", "cwnd_from_action", "delta_cwnd", "cwnd_change_fraction", "checked_action_arrays"]
+__all__ = ["checked_action_arrays"]
 
 
 def _exp2(center: np.ndarray, deviation: np.ndarray) -> tuple:
+    """``2^x``: exact for the box domain, as ``2^x`` is monotone."""
     upper = np.exp2(center + deviation)
     lower = np.exp2(center - deviation)
     return (upper + lower) / 2.0, np.maximum((upper - lower) / 2.0, 0.0)
 
 
-def exp2(box: Box) -> Box:
-    """``2^x`` transformer: exact for the box domain, as ``2^x`` is monotone."""
-    return Box._trusted(*_exp2(box.center, box.deviation))
-
-
 def _cwnd_from_action(center: np.ndarray, deviation: np.ndarray, cwnd_tcp, action_clip: tuple) -> tuple:
+    """Orca's cwnd map (Eq. 1), ``cwnd = 2^(2a) · cwnd_TCP``, with ``a``
+    clipped to ``action_clip`` so the map stays sound for any upstream
+    network.  ``cwnd_TCP`` stays concrete, as in Canopy."""
     cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
     if np.any(cwnd_tcp < 0):
         raise ValueError("cwnd_tcp must be non-negative")
@@ -50,32 +48,13 @@ def _cwnd_from_action(center: np.ndarray, deviation: np.ndarray, cwnd_tcp, actio
     return center * cwnd_tcp, np.maximum(deviation * np.abs(cwnd_tcp), 0.0)
 
 
-def cwnd_from_action(action: Box, cwnd_tcp, action_clip: tuple[float, float] = (-1.0, 1.0)) -> Box:
-    """Abstract counterpart of Orca's cwnd map (Eq. 1).
-
-    ``cwnd = 2^(2a) * cwnd_TCP`` with ``a`` clipped to ``action_clip`` — the
-    Orca agent's output layer is a tanh scaled into [-1, 1], but we clip
-    defensively so the transformer stays sound for any upstream network.
-    ``cwnd_TCP`` is the concrete TCP-suggested window at this step (kept
-    concrete in Canopy; only the network-state variables of interest are
-    abstracted).
-    """
-    return Box._trusted(*_cwnd_from_action(action.center, action.deviation, cwnd_tcp, action_clip))
-
-
 def _delta_cwnd(center: np.ndarray, deviation: np.ndarray, cwnd_prev) -> tuple:
-    center = center + -np.asarray(cwnd_prev, dtype=np.float64)
-    if deviation.shape != center.shape:
-        deviation = np.broadcast_to(deviation, center.shape)
-    return center, np.maximum(deviation, 0.0)
-
-
-def delta_cwnd(cwnd: Box, cwnd_prev) -> Box:
     """Δcwnd# = cwnd# − cwnd_{i−1}, the checked action for P1–P4."""
-    return Box._trusted(*_delta_cwnd(cwnd.center, cwnd.deviation, cwnd_prev))
+    return center + -np.asarray(cwnd_prev, dtype=np.float64), np.maximum(deviation, 0.0)
 
 
 def _cwnd_change_fraction(center: np.ndarray, deviation: np.ndarray, cwnd_ref) -> tuple:
+    """(cwnd# − cwnd_i) / cwnd_i, the checked action for P5 (robustness)."""
     cwnd_ref = np.asarray(cwnd_ref, dtype=np.float64)
     if np.any(cwnd_ref <= 0):
         raise ValueError("cwnd_ref must be positive")
@@ -84,17 +63,12 @@ def _cwnd_change_fraction(center: np.ndarray, deviation: np.ndarray, cwnd_ref) -
     return center * factor, np.maximum(deviation * np.abs(factor), 0.0)
 
 
-def cwnd_change_fraction(cwnd: Box, cwnd_ref) -> Box:
-    """(cwnd# − cwnd_i) / cwnd_i, the checked action for P5 (robustness)."""
-    return Box._trusted(*_cwnd_change_fraction(cwnd.center, cwnd.deviation, cwnd_ref))
-
-
 def checked_action_arrays(center: np.ndarray, deviation: np.ndarray, cwnd_tcp, cwnd_prev=None,
                           cwnd_ref=None) -> tuple:
     """Bounds ``(lo, hi)`` of the checked action of an action box given as
-    ``center``/``deviation`` arrays: :func:`cwnd_from_action` followed by
-    :func:`delta_cwnd` (given ``cwnd_prev``) or :func:`cwnd_change_fraction`
-    (given ``cwnd_ref``), with the same arithmetic and no Box in between."""
+    ``center``/``deviation`` arrays: the cwnd map of Eq. 1 (the action
+    clipped to ``[-1, 1]``) followed by Δcwnd (given ``cwnd_prev``) or the
+    fractional cwnd change (given ``cwnd_ref``)."""
     center, deviation = _cwnd_from_action(center, deviation, cwnd_tcp, (-1.0, 1.0))
     if cwnd_ref is None:
         center, deviation = _delta_cwnd(center, deviation, cwnd_prev)

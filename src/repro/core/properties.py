@@ -47,9 +47,6 @@ __all__ = [
 #: A large-but-finite bound standing in for +inf on cwnd deltas (packets).
 ACTION_BOUND = 1e9
 
-#: Tolerance used when checking concrete sign conditions on past Δcwnd.
-_SIGN_TOL = 1e-6
-
 
 class ActionKind(Enum):
     """Which derived action a property's postcondition constrains."""
@@ -108,7 +105,8 @@ class PropertySpec:
         loss_range: Normalized loss-rate precondition (abstracted when the
             range has positive width), or ``None``.
         dcwnd_sign: Concrete side condition on past cwnd changes: ``-1`` means
-            all past Δcwnd ≤ 0, ``+1`` means ≥ 0, ``None`` means no condition.
+            all past Δcwnd ≤ 0, ``+1`` means ≥ 0, ``None`` means no condition
+            (checked by the verifier under ``check_applicability``).
         allowed_direction: For Δcwnd properties: ``+1`` allows non-decrease
             (Y = {Δcwnd < 0}), ``-1`` allows non-increase (Y = {Δcwnd > 0}).
         epsilon: For robustness: the allowed fractional cwnd fluctuation.
@@ -156,20 +154,6 @@ class PropertySpec:
     # ------------------------------------------------------------------ #
     # Precondition handling
     # ------------------------------------------------------------------ #
-    def concrete_precondition_holds(self, observer: ObservationBuilder) -> bool:
-        """Whether the non-abstracted side conditions hold at the current state.
-
-        For P1–P4 this is the sign condition on the past cwnd changes; the
-        delay/loss ranges are part of the abstracted input region and hence do
-        not gate applicability.  P5 applies at every state.
-        """
-        if self.dcwnd_sign is None:
-            return True
-        history = observer.feature_history("dcwnd")
-        if self.dcwnd_sign < 0:
-            return bool(np.all(history <= _SIGN_TOL))
-        return bool(np.all(history >= -_SIGN_TOL))
-
     def abstracted_features(self) -> List[str]:
         """Observation features replaced by intervals in the input region.
 
@@ -221,20 +205,6 @@ class PropertySpec:
                 hi.extend([bounds[1]] * len(feature_indices))
         return RegionPlan(np.array(indices, dtype=np.intp), lo=np.array(lo, dtype=np.float64),
                           hi=np.array(hi, dtype=np.float64))
-
-    def input_bounds(self, state: np.ndarray, observer: ObservationBuilder) -> Tuple[np.ndarray, np.ndarray]:
-        """The abstract input region X around the (concrete) current state,
-        as bounds ``(lo, hi)``: fresh float64 arrays shaped like ``state``.
-
-        Only the variables of interest are abstracted (Section 5); every other
-        dimension stays at its observed value.  A stack of states, shape
-        ``(D, state_dim)``, gives the stack of the ``D`` regions.  The bounds
-        are not validated here; the verifier checks them once per call.
-        """
-        state = np.asarray(state, dtype=np.float64)
-        if state.ndim not in (1, 2) or state.shape[-1] != observer.state_dim:
-            raise ValueError(f"state has shape {state.shape}, expected (..., {observer.state_dim})")
-        return self.region_plan(observer).bounds(state)
 
     # ------------------------------------------------------------------ #
     # Postcondition handling

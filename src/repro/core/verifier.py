@@ -22,8 +22,7 @@ One engine certifies a stack of properties over a stack of decisions.
 Handed ``P`` properties and all ``D`` decisions of a run,
 :meth:`Verifier.certify` builds the input regions of every property at once
 on one ``(P·D, d)`` stack of states in property order (each property's
-:class:`~repro.core.properties.RegionPlan`, the code path
-:meth:`PropertySpec.input_bounds` also runs), checks the whole stack once
+:class:`~repro.core.properties.RegionPlan`), checks the whole stack once
 (ordered bounds with a finite centre and deviation), partitions it into one
 ``(P·D, N, d)`` stack of components (:func:`repro.abstract.box.split_bounds`,
 one call per run of properties sharing their partition dimensions) and runs a
@@ -130,6 +129,10 @@ def weighted_feedback(
 #: Property sequences whose plans one verifier keeps (the cache is emptied when full).
 _MAX_PLANS = 64
 
+#: Slack on a past Δcwnd sign condition: ``dcwnd_sign = -1`` holds while every
+#: past Δcwnd entry is at most this, ``+1`` while every entry is at least its negative.
+SIGN_TOL = 1e-6
+
 
 class CertifyPlan:
     """What certifying one property sequence needs that depends on neither
@@ -171,11 +174,12 @@ class VerifierConfig:
         n_components: Number of QC input partitions N (the paper uses 5 during
             training and 50 during evaluation).
         check_applicability: When True, a property whose precondition side
-            conditions on past Δcwnd do not hold at the current state is
-            reported as non-applicable with neutral feedback 1.0.  The default
-            (False) matches the paper's worst-case reading: the Δcwnd
-            precondition is abstracted over its full range, so the QC covers
-            every history consistent with the precondition.
+            conditions on past Δcwnd do not hold at the current state (within
+            :data:`SIGN_TOL`) is reported as non-applicable with neutral
+            feedback 1.0.  The default (False) matches the paper's
+            worst-case reading: the Δcwnd precondition is abstracted over its
+            full range, so the QC covers every history consistent with the
+            precondition.
     """
 
     n_components: int = 5
@@ -225,11 +229,12 @@ class Verifier:
         """Produce the QC of one property, or of each property of a sequence,
         at each decision of a stack.
 
-        A stack of ``D`` states ``(D, d)`` takes one ``cwnd_tcp`` and one
-        ``cwnd_prev`` per decision; a lone state ``(d,)`` with scalar windows
-        is the ``D = 1`` stack.  Each property gets a :class:`CertificateBatch`
-        of ``D`` decisions with :attr:`VerifierConfig.n_components` components
-        each, whose decision ``i`` is bit-identical to
+        A stack of ``D`` states ``(D, d)``, ``d`` the observer's
+        ``state_dim``, takes one ``cwnd_tcp`` and one ``cwnd_prev`` per
+        decision; a lone state ``(d,)`` with scalar windows is the ``D = 1``
+        stack.  Each property gets a :class:`CertificateBatch` of ``D``
+        decisions with :attr:`VerifierConfig.n_components` components each,
+        whose decision ``i`` is bit-identical to
         ``certify(prop, state[i], cwnd_tcp[i], cwnd_prev[i])``.  ``prop`` is
         one :class:`PropertySpec` (the result is its batch) or a sequence of
         them (the result is a :class:`CertificateSet` keyed by property name,
@@ -244,8 +249,9 @@ class Verifier:
         cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
         if state.ndim == 1:
             state, cwnd_tcp, cwnd_prev = state[None], cwnd_tcp[None], cwnd_prev[None]
-        if state.ndim != 2:
-            raise ValueError(f"state must have shape (d,) or (D, d), got {state.shape}")
+        if state.ndim != 2 or state.shape[1] != self.observer.state_dim:
+            raise ValueError(f"state must have shape (d,) or (D, d) with d = {self.observer.state_dim}, "
+                             f"got {state.shape}")
         if cwnd_tcp.shape != state.shape[:1] or cwnd_prev.shape != state.shape[:1]:
             raise ValueError("certify needs one cwnd_tcp and one cwnd_prev per decision")
         _check_decisions(state, cwnd_tcp, cwnd_prev)
@@ -288,7 +294,8 @@ class Verifier:
                 if condition is not None:
                     sign, dcwnd = condition
                     history = states[:, dcwnd]
-                    mask[:] = np.all(history <= 1e-6, axis=-1) if sign < 0 else np.all(history >= -1e-6, axis=-1)
+                    mask[:] = (np.all(history <= SIGN_TOL, axis=-1) if sign < 0
+                               else np.all(history >= -SIGN_TOL, axis=-1))
         counts = masks.sum(axis=1).tolist()
         take = np.nonzero(masks)[1]
         # Row r of the stack is decision take[r]; property i holds rows offsets[i]:offsets[i + 1].

@@ -29,41 +29,8 @@
 * :mod:`repro.harness.fairness` — the per-flow columns of the multi-flow
   friendliness and fairness grids (Figures 14 and 15).
 * :mod:`repro.harness.reporting` — plain-text rendering of result tables.
+
+Import names from their modules (``from repro.harness.store import
+RunStore``).  The package itself imports no submodule, so
+``python -m repro.harness.store`` runs a module that is not yet loaded.
 """
-
-from repro.harness.evaluate import (
-    EvaluationSettings,
-    SchemeResult,
-    run_scheme_on_trace,
-    scheme_factory,
-)
-from repro.harness.models import TrainedModel, get_trained_model, clear_model_cache
-from repro.harness.checkpoints import SavedModel, load_model, save_model
-from repro.harness.parallel import ExperimentTask, GridResult, ParallelRunner, derive_seed
-# REGISTRY lazily imports repro.harness.experiments on first lookup, so the
-# built-in experiments are always available without this package import
-# paying for the experiment definitions.
-from repro.harness.registry import REGISTRY
-from repro.harness.spec import ScenarioSpec
-from repro.harness.store import RunRecord, RunStore
-
-__all__ = [
-    "SavedModel",
-    "save_model",
-    "load_model",
-    "EvaluationSettings",
-    "SchemeResult",
-    "run_scheme_on_trace",
-    "scheme_factory",
-    "TrainedModel",
-    "get_trained_model",
-    "clear_model_cache",
-    "ExperimentTask",
-    "GridResult",
-    "ParallelRunner",
-    "derive_seed",
-    "ScenarioSpec",
-    "RunRecord",
-    "RunStore",
-    "REGISTRY",
-]

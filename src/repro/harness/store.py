@@ -61,6 +61,7 @@ __all__ = [
     "migrate_payload",
     "migrate_store",
     "parse_records",
+    "record_line",
     "validate_schema",
     "main",
 ]
@@ -254,6 +255,13 @@ class RunRecord:
         validate_schema(self.to_json(), RUN_RECORD_SCHEMA)
 
 
+def record_line(payload: Dict) -> str:
+    """One ``records.jsonl`` line, without the newline.  Keys keep their
+    order, so a resumed row prints its columns in the fresh row's order;
+    older stores, written with sorted keys, load to equal records."""
+    return json.dumps(payload)
+
+
 # ---------------------------------------------------------------------- #
 # Record-file parsing (shared by RunStore.load and the validation CLI)
 # ---------------------------------------------------------------------- #
@@ -330,7 +338,7 @@ class RunStore:
         record.validate()
         self.load()
         with self.records_path.open("a") as handle:
-            handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            handle.write(record_line(record.to_json()) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         self._records[record.key] = record
@@ -416,7 +424,7 @@ def migrate_store(path: str | Path) -> tuple:
         except ValueError as exc:
             raise ValueError(f"{records_path}:{line_number}: {exc}") from exc
         upgraded += not was_current
-        out_lines.append(json.dumps(migrated, sort_keys=True))
+        out_lines.append(record_line(migrated))
     tmp_path = records_path.with_name(records_path.name + ".migrate-tmp")
     tmp_path.write_text("".join(line + "\n" for line in out_lines))
     os.replace(tmp_path, records_path)

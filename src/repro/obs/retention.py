@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.harness.store import RECORDS_FILENAME, RunRecord, parse_records
+from repro.harness.store import RECORDS_FILENAME, RunRecord, parse_records, record_line
 from repro.obs.aggregate import percentile
 from repro.obs.metrics import METRICS_FILENAME, MetricsJournal
 from repro.telemetry.log import console
@@ -139,7 +139,7 @@ def _compact_records(records_path: Path, policy: RetentionPolicy,
             row["telemetry_events_dropped"] = True
             payload["row"] = row
         RunRecord.from_json(payload)  # never replace the file with bad lines
-        out_lines.append(json.dumps(payload, sort_keys=True))
+        out_lines.append(record_line(payload))
     tmp_path = records_path.with_name(records_path.name + ".compact-tmp")
     tmp_path.write_text("".join(line + "\n" for line in out_lines))
     os.replace(tmp_path, records_path)

@@ -155,11 +155,6 @@ class ObservationBuilder:
             indices.append(step * dim + offset)
         return indices
 
-    def feature_history(self, name: str) -> np.ndarray:
-        """Values of a named feature over the past ``k`` steps, newest first."""
-        state = self.state()
-        return state[self.feature_indices(name)]
-
     @property
     def state_dim(self) -> int:
         return self.config.state_dim

@@ -4,9 +4,16 @@
 traffic injection, sender enqueue, transit arrivals, hop draining, ack/event
 processing — without touching the deterministic event trace: profiler numbers
 are wall-clock (``time.perf_counter``), so they never enter rows that must be
-byte-identical across serial/sharded/resumed runs.  The consumer is the
-benchmark layer (``benchmarks/bench_topology_sweep.py`` reports the traced
-vs. untraced tick rate and its phase split).
+byte-identical across serial/sharded/resumed runs.  Its consumers:
+
+* ``python -m repro run --profile`` (one profiler per cell through
+  :func:`repro.harness.parallel.run_profiled`, printed as a phase table);
+* serve workers and the inline serve loop, whose metric frames carry the
+  phase seconds (:class:`repro.obs.metrics.MetricsSampler`);
+* perfbench's traced runs (``perfbench/run.py --trace 1``, the
+  ``cc.phase.*_s`` metrics);
+* ``benchmarks/bench_topology_sweep.py``, which reports the traced vs.
+  untraced tick rate and its phase split.
 
 Usage (what :meth:`NetworkSimulator.tick <repro.cc.netsim.NetworkSimulator.tick>`
 does when a profiler is attached)::

@@ -3,10 +3,13 @@
 :func:`certify_reference` produces the same one-decision
 :class:`~repro.core.qc.CertificateBatch` as
 :meth:`repro.core.verifier.Verifier.certify` on a lone state, but builds the
-region as a validated box, splits it into a list of components and propagates
-each through :func:`oracle.ibp.propagate_mlp` and the cwnd transformers on its
-own, scoring it with the scalar Eq. 6 feedback.  Only the finished arrays go
-through :meth:`CertificateBatch.from_applicable`.
+region (the property's :meth:`~repro.core.properties.RegionPlan.bounds`) as a
+validated box, splits it into a list of components and propagates each through
+:func:`oracle.ibp.propagate_mlp` and
+:func:`~repro.abstract.transformers.checked_action_arrays` on its own, scoring
+it with the scalar Eq. 6 feedback.  Its past-Δcwnd sign check reads the state
+vector directly.  Only the finished arrays go through
+:meth:`CertificateBatch.from_applicable`.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import numpy as np
 
 from oracle.ibp import propagate_mlp, split
 from oracle.interval import Interval, interval_feedback
-from repro.abstract import transformers
 from repro.abstract.box import Box
+from repro.abstract.transformers import checked_action_arrays
 from repro.core.properties import ActionKind, PropertySpec
 from repro.core.qc import CertificateBatch
-from repro.core.verifier import Verifier
+from repro.core.verifier import SIGN_TOL, Verifier
 
 __all__ = ["certify_reference"]
 
@@ -46,7 +49,7 @@ def certify_reference(
     components = []
     applicable = not verifier.config.check_applicability or _sign_condition_holds(prop, state, observer)
     if applicable:
-        region = Box.from_bounds(*prop.input_bounds(state, observer))
+        region = Box.from_bounds(*prop.region_plan(observer).bounds(state))
         dims = prop.partition_dims(observer)
         components = split(region, n, dims=dims if dims else None)
     cwnd_reference = None
@@ -68,21 +71,20 @@ def certify_reference(
 
 
 def _sign_condition_holds(prop: PropertySpec, state: np.ndarray, observer) -> bool:
-    """Whether the past Δcwnd entries of ``state`` meet ``prop``'s sign condition (within 1e-6)."""
+    """Whether the past Δcwnd entries of ``state`` meet ``prop``'s sign condition (within ``SIGN_TOL``)."""
     if prop.dcwnd_sign is None:
         return True
     history = state[observer.feature_indices("dcwnd")]
-    return bool(np.all(history <= 1e-6)) if prop.dcwnd_sign < 0 else bool(np.all(history >= -1e-6))
+    return bool(np.all(history <= SIGN_TOL)) if prop.dcwnd_sign < 0 else bool(np.all(history >= -SIGN_TOL))
 
 
 def _checked_action_bounds(verifier: Verifier, prop: PropertySpec, component: Box, cwnd_tcp: float,
                            cwnd_prev: float, cwnd_reference) -> Interval:
     action_box = propagate_mlp(verifier.actor, component)
-    cwnd_box = transformers.cwnd_from_action(action_box, cwnd_tcp)
     if prop.kind is ActionKind.DELTA_CWND:
-        checked = transformers.delta_cwnd(cwnd_box, cwnd_prev)
+        lo, hi = checked_action_arrays(action_box.center, action_box.deviation, cwnd_tcp, cwnd_prev=cwnd_prev)
     else:
-        checked = transformers.cwnd_change_fraction(cwnd_box, cwnd_reference)
+        lo, hi = checked_action_arrays(action_box.center, action_box.deviation, cwnd_tcp, cwnd_ref=cwnd_reference)
     # The action (and hence the checked quantity) is scalar; collapse the
     # 1-element vector interval into a scalar interval.
-    return Interval(float(checked.lo.reshape(-1)[0]), float(checked.hi.reshape(-1)[0]))
+    return Interval(float(lo.reshape(-1)[0]), float(hi.reshape(-1)[0]))

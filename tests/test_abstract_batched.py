@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle import Interval, affine, interval_feedback, propagate_mlp, relu, split, tanh
-from repro.abstract.box import Box
+from repro.abstract.box import Box, split_bounds
 from repro.abstract.propagate import BLOCK_ROWS, propagate_mlp_batched
 from repro.core.qc import interval_feedback_batch
 from repro.nn import make_actor
@@ -17,36 +17,34 @@ def rows(box):
     return [Box(box.center[i], box.deviation[i]) for i in range(box.shape[0])]
 
 
+def split_box(lo, hi, n, dims=None):
+    """The ``n`` components of the boxes ``[lo, hi]`` along ``dims``, as one batched Box."""
+    return Box._trusted(*split_bounds(lo, hi, n, None if dims is None else np.array(dims, dtype=np.intp)))
+
+
 class TestBatchedBox:
-    def test_split_batched_matches_split(self):
+    def test_split_bounds_matches_split(self):
         rng = np.random.default_rng(5)
         lo = rng.uniform(-1.0, 0.0, 6)
         hi = lo + rng.uniform(0.0, 2.0, 6)
         box = Box.from_bounds(lo, hi)
         for dims in (None, [1, 3], [0]):
-            batched = box.split_batched(4, dims=dims)
+            batched = split_box(box.lo, box.hi, 4, dims)
             pieces = split(box, 4, dims=dims)
             assert batched.shape == (4, 6)
             for row, piece in zip(rows(batched), pieces):
                 np.testing.assert_array_equal(row.lo, piece.lo)
                 np.testing.assert_array_equal(row.hi, piece.hi)
 
-    def test_split_batched_rejects_scalar_boxes_and_bad_counts(self):
-        with pytest.raises(ValueError):
-            Box.from_bounds(0.0, 1.0).split_batched(2)
-        with pytest.raises(ValueError):
-            Box.from_bounds([0.0], [1.0]).split_batched(0)
-
-    def test_split_batched_over_a_stack_matches_each_box(self):
+    def test_split_bounds_over_a_stack_matches_each_box(self):
         rng = np.random.default_rng(6)
         lo = rng.uniform(-1.0, 0.0, (5, 6))
         hi = lo + rng.uniform(0.0, 2.0, (5, 6))
-        stack = Box.from_bounds(lo, hi)
         for dims in (None, [1, 3], []):
-            batched = stack.split_batched(4, dims=dims)
+            batched = split_box(lo, hi, 4, dims)
             assert batched.shape == (5, 4, 6)
             for row in range(5):
-                single = Box.from_bounds(lo[row], hi[row]).split_batched(4, dims=dims)
+                single = split_box(lo[row], hi[row], 4, dims)
                 np.testing.assert_array_equal(batched.center[row], single.center)
                 np.testing.assert_array_equal(batched.deviation[row], single.deviation)
 
@@ -77,7 +75,7 @@ class TestBatchedPropagation:
         rng = np.random.default_rng(21)
         actor = make_actor(6, hidden_sizes=(8, 4), rng=rng)
         box = Box.from_bounds(rng.uniform(0, 0.5, 6), rng.uniform(0.5, 1.0, 6))
-        batched_out = propagate_mlp_batched(actor, box.split_batched(7))
+        batched_out = propagate_mlp_batched(actor, split_box(box.lo, box.hi, 7))
         assert batched_out.shape == (7, 1)
         for row, component in zip(rows(batched_out), split(box, 7)):
             single = propagate_mlp(actor, component)
@@ -88,7 +86,7 @@ class TestBatchedPropagation:
         rng = np.random.default_rng(22)
         actor = make_actor(6, hidden_sizes=(64, 32), rng=rng)
         lo = rng.uniform(0.0, 0.5, (9, 6))
-        stack = Box.from_bounds(lo, lo + rng.uniform(0.0, 0.5, (9, 6))).split_batched(50)
+        stack = split_box(lo, lo + rng.uniform(0.0, 0.5, (9, 6)), 50)
         out = propagate_mlp_batched(actor, stack)
         assert out.shape == (9, 50, 1)
         for row in range(9):
@@ -106,7 +104,7 @@ class TestBatchedPropagation:
 
 def _random_stack(rng, n_decisions, n_components, state_dim):
     lo = rng.uniform(-1.0, 1.0, (n_decisions, state_dim))
-    return Box.from_bounds(lo, lo + rng.uniform(0.0, 0.5, lo.shape)).split_batched(n_components, dims=[0, 2])
+    return split_box(lo, lo + rng.uniform(0.0, 0.5, lo.shape), n_components, [0, 2])
 
 
 def _assert_matches_per_slice(model, stack):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abstract.box import Box
+from repro.abstract.box import Box, split_bounds
 
 
 class TestConstruction:
@@ -76,32 +76,14 @@ class TestNonFiniteInputs:
             Box.from_bounds(np.zeros(4), hi)
 
 
-class TestTransformers:
-    def test_scale_negative_factor(self):
-        box = Box([1.0], [0.5])
-        result = box.scale(-2.0)
-        assert result.lo[0] == pytest.approx(-3.0)
-        assert result.hi[0] == pytest.approx(-1.0)
-
-    def test_shift(self):
-        box = Box([1.0], [0.5])
-        result = box.shift(2.0)
-        assert result.center[0] == pytest.approx(3.0)
-        assert result.deviation[0] == pytest.approx(0.5)
-
-    def test_shift_broadcasts_deviation(self):
-        result = Box([[1.0], [2.0]], [[0.5], [0.25]]).shift(np.array([[[1.0]], [[2.0]]]))
-        assert result.shape == (2, 2, 1)
-        np.testing.assert_array_equal(result.deviation[1], [[0.5], [0.25]])
-
-
-class TestSplitBatched:
+class TestSplitBounds:
     def test_split_covers_width(self):
-        pieces = Box.from_bounds([0.0, 0.0], [1.0, 1.0]).split_batched(4, dims=[0])
-        assert pieces.shape == (4, 2)
-        assert np.sum(pieces.hi[:, 0] - pieces.lo[:, 0]) == pytest.approx(1.0)
-        np.testing.assert_array_equal(pieces.lo[:, 1], 0.0)
-        np.testing.assert_array_equal(pieces.hi[:, 1], 1.0)
+        center, deviation = split_bounds(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 4, np.array([0]))
+        lo, hi = center - deviation, center + deviation
+        assert lo.shape == (4, 2)
+        assert np.sum(hi[:, 0] - lo[:, 0]) == pytest.approx(1.0)
+        np.testing.assert_array_equal(lo[:, 1], 0.0)
+        np.testing.assert_array_equal(hi[:, 1], 1.0)
 
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -110,29 +92,9 @@ coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infini
 @given(st.lists(coord, min_size=3, max_size=3), st.lists(coord, min_size=3, max_size=3),
        st.integers(1, 10), st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
-def test_split_batched_covers_every_point(a, b, n, t):
+def test_split_bounds_covers_every_point(a, b, n, t):
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     point = lo + t * (hi - lo)
-    pieces = Box.from_bounds(lo, hi).split_batched(n, dims=[0, 2])
-    inside = np.all((pieces.lo - 1e-9 <= point) & (point <= pieces.hi + 1e-9), axis=-1)
+    center, deviation = split_bounds(lo, hi, n, np.array([0, 2]))
+    inside = np.all((center - deviation - 1e-9 <= point) & (point <= center + deviation + 1e-9), axis=-1)
     assert inside.any()
-
-
-@given(st.lists(coord, min_size=3, max_size=3), st.lists(coord, min_size=3, max_size=3),
-       coord, st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
-def test_scale_soundness(a, b, factor, t):
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    point = lo + t * (hi - lo)
-    scaled = Box.from_bounds(lo, hi).scale(factor)
-    assert np.all((scaled.lo - 1e-9 <= point * factor) & (point * factor <= scaled.hi + 1e-9))
-
-
-@given(st.lists(coord, min_size=3, max_size=3), st.lists(coord, min_size=3, max_size=3),
-       coord, st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
-def test_shift_soundness(a, b, offset, t):
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    point = lo + t * (hi - lo)
-    shifted = Box.from_bounds(lo, hi).shift(offset)
-    assert np.all((shifted.lo - 1e-9 <= point + offset) & (point + offset <= shifted.hi + 1e-9))

@@ -1,118 +1,101 @@
-"""Tests for the cwnd-map abstract transformers."""
+"""Tests for the cwnd-map abstract transformers, through
+:func:`repro.abstract.transformers.checked_action_arrays`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abstract import transformers
-from repro.abstract.box import Box
+from repro.abstract.transformers import checked_action_arrays
 
 
-class TestExp2:
-    def test_exp2(self):
-        result = transformers.exp2(Box([1.0], [1.0]))
-        assert result.lo[0] == pytest.approx(1.0)
-        assert result.hi[0] == pytest.approx(4.0)
+def bounds_of(lo, hi, cwnd_tcp, **windows):
+    """Checked-action bounds of the action box ``[lo, hi]``."""
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=np.float64)), np.atleast_1d(np.asarray(hi, dtype=np.float64))
+    return checked_action_arrays((lo + hi) / 2.0, (hi - lo) / 2.0, cwnd_tcp, **windows)
 
 
 class TestCwndMap:
+    # With cwnd_prev = 0 the checked Δcwnd is the window itself.
     def test_point_action_matches_equation(self):
-        action = Box([0.5], 0.0)
-        cwnd = transformers.cwnd_from_action(action, cwnd_tcp=10.0)
+        lo, hi = bounds_of(0.5, 0.5, cwnd_tcp=10.0, cwnd_prev=0.0)
         expected = 2.0 ** (2 * 0.5) * 10.0
-        assert cwnd.lo[0] == pytest.approx(expected)
-        assert cwnd.hi[0] == pytest.approx(expected)
+        assert lo[0] == pytest.approx(expected)
+        assert hi[0] == pytest.approx(expected)
 
     def test_full_action_range_bounds(self):
-        action = Box.from_bounds([-1.0], [1.0])
-        cwnd = transformers.cwnd_from_action(action, cwnd_tcp=10.0)
-        assert cwnd.lo[0] == pytest.approx(2.5)   # 2^-2 * 10
-        assert cwnd.hi[0] == pytest.approx(40.0)  # 2^2 * 10
+        lo, hi = bounds_of(-1.0, 1.0, cwnd_tcp=10.0, cwnd_prev=0.0)
+        assert lo[0] == pytest.approx(2.5)   # 2^-2 * 10
+        assert hi[0] == pytest.approx(40.0)  # 2^2 * 10
 
     def test_action_clipping(self):
-        action = Box.from_bounds([-5.0], [5.0])
-        cwnd = transformers.cwnd_from_action(action, cwnd_tcp=10.0)
-        assert cwnd.lo[0] == pytest.approx(2.5)
-        assert cwnd.hi[0] == pytest.approx(40.0)
+        lo, hi = bounds_of(-5.0, 5.0, cwnd_tcp=10.0, cwnd_prev=0.0)
+        assert lo[0] == pytest.approx(2.5)
+        assert hi[0] == pytest.approx(40.0)
 
     def test_negative_cwnd_tcp_rejected(self):
-        with pytest.raises(ValueError):
-            transformers.cwnd_from_action(Box([0.0], 0.0), cwnd_tcp=-1.0)
+        with pytest.raises(ValueError, match="cwnd_tcp must be non-negative"):
+            bounds_of(0.0, 0.0, cwnd_tcp=-1.0, cwnd_prev=0.0)
 
     def test_delta_cwnd(self):
-        cwnd = Box.from_bounds([8.0], [12.0])
-        delta = transformers.delta_cwnd(cwnd, cwnd_prev=10.0)
-        assert delta.lo[0] == pytest.approx(-2.0)
-        assert delta.hi[0] == pytest.approx(2.0)
+        # The window spans [10, 20]; Δcwnd against 10 spans [0, 10].
+        lo, hi = bounds_of(0.0, 0.5, cwnd_tcp=10.0, cwnd_prev=10.0)
+        assert lo[0] == pytest.approx(0.0)
+        assert hi[0] == pytest.approx(10.0)
 
     def test_cwnd_change_fraction(self):
-        cwnd = Box.from_bounds([9.0], [11.0])
-        frac = transformers.cwnd_change_fraction(cwnd, cwnd_ref=10.0)
-        assert frac.lo[0] == pytest.approx(-0.1)
-        assert frac.hi[0] == pytest.approx(0.1)
+        lo, hi = bounds_of(0.0, 0.5, cwnd_tcp=10.0, cwnd_ref=10.0)
+        assert lo[0] == pytest.approx(0.0)
+        assert hi[0] == pytest.approx(1.0)
 
     def test_cwnd_change_fraction_requires_positive_reference(self):
-        with pytest.raises(ValueError):
-            transformers.cwnd_change_fraction(Box([10.0], 0.0), cwnd_ref=0.0)
+        with pytest.raises(ValueError, match="cwnd_ref must be positive"):
+            bounds_of(0.0, 0.0, cwnd_tcp=10.0, cwnd_ref=0.0)
 
-    def test_negative_window_anywhere_in_a_stack_rejected(self):
-        action = Box(np.zeros((3, 4, 1)), 0.1)
-        with pytest.raises(ValueError):
-            transformers.cwnd_from_action(action, cwnd_tcp=np.array([10.0, -1.0, 5.0]).reshape(3, 1, 1))
-        with pytest.raises(ValueError):
-            transformers.cwnd_change_fraction(action, cwnd_ref=np.array([10.0, 0.0, 5.0]).reshape(3, 1, 1))
+    def test_bad_window_anywhere_in_a_stack_rejected(self):
+        center, deviation = np.zeros((3, 4, 1)), np.full((3, 4, 1), 0.1)
+        with pytest.raises(ValueError, match="cwnd_tcp"):
+            checked_action_arrays(center, deviation, np.array([10.0, -1.0, 5.0]).reshape(3, 1, 1), cwnd_prev=0.0)
+        with pytest.raises(ValueError, match="cwnd_ref"):
+            checked_action_arrays(center, deviation, 10.0, cwnd_ref=np.array([10.0, 0.0, 5.0]).reshape(3, 1, 1))
 
 
 class TestPerDecisionWindows:
     """A ``(D, N, 1)`` stack takes one concrete window per decision, shaped
     ``(D, 1, 1)``, and gives each slice the result of its own call."""
 
-    def stack(self):
+    @pytest.mark.parametrize("window", ("cwnd_prev", "cwnd_ref"))
+    def test_stack_matches_each_decision(self, window):
         rng = np.random.default_rng(6)
         lo = rng.uniform(-1.5, 1.0, (3, 4, 1))
-        return Box.from_bounds(lo, lo + rng.uniform(0.0, 0.5, lo.shape))
-
-    def test_cwnd_from_action(self):
-        action, windows = self.stack(), np.array([4.0, 10.0, 250.0])
-        stacked = transformers.cwnd_from_action(action, windows.reshape(3, 1, 1))
-        for d, window in enumerate(windows):
-            single = transformers.cwnd_from_action(Box(action.center[d], action.deviation[d]), window)
-            np.testing.assert_array_equal(stacked.lo[d], single.lo)
-            np.testing.assert_array_equal(stacked.hi[d], single.hi)
-
-    def test_delta_cwnd_and_change_fraction(self):
-        cwnd, windows = self.stack().shift(20.0), np.array([4.0, 10.0, 250.0])
-        for transform in (transformers.delta_cwnd, transformers.cwnd_change_fraction):
-            stacked = transform(cwnd, windows.reshape(3, 1, 1))
-            for d, window in enumerate(windows):
-                single = transform(Box(cwnd.center[d], cwnd.deviation[d]), window)
-                np.testing.assert_array_equal(stacked.lo[d], single.lo)
-                np.testing.assert_array_equal(stacked.hi[d], single.hi)
+        hi = lo + rng.uniform(0.0, 0.5, lo.shape)
+        center, deviation = (lo + hi) / 2.0, (hi - lo) / 2.0
+        tcp, windows = np.array([8.0, 20.0, 120.0]), np.array([4.0, 10.0, 250.0])
+        stacked = checked_action_arrays(center, deviation, tcp.reshape(3, 1, 1), **{window: windows.reshape(3, 1, 1)})
+        for d in range(3):
+            single = checked_action_arrays(center[d], deviation[d], tcp[d], **{window: windows[d]})
+            np.testing.assert_array_equal(stacked[0][d], single[0])
+            np.testing.assert_array_equal(stacked[1][d], single[1])
 
 
 @given(
-    st.floats(-1.0, 1.0),
-    st.floats(-1.0, 1.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
     st.floats(0.0, 1.0),
+    st.floats(1.0, 500.0),
     st.floats(1.0, 500.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_cwnd_map_soundness(a, b, t, cwnd_tcp):
+def test_checked_actions_are_sound(a, b, t, cwnd_tcp, window):
+    """Every concrete action of the box maps into the checked-action bounds:
+    the cwnd map (action clipped to [-1, 1], through ``2^(2a)``) followed by
+    Δcwnd or the fractional change."""
     lo, hi = min(a, b), max(a, b)
-    action_box = Box.from_bounds([lo], [hi])
-    concrete_action = lo + t * (hi - lo)
+    concrete_action = float(np.clip(lo + t * (hi - lo), -1.0, 1.0))
     concrete_cwnd = 2.0 ** (2 * concrete_action) * cwnd_tcp
-    abstract = transformers.cwnd_from_action(action_box, cwnd_tcp)
     tol = 1e-6 * max(1.0, concrete_cwnd)
-    assert abstract.lo[0] - tol <= concrete_cwnd <= abstract.hi[0] + tol
-
-
-@given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(0.0, 1.0))
-@settings(max_examples=60, deadline=None)
-def test_exp2_soundness(a, b, t):
-    lo, hi = min(a, b), max(a, b)
-    concrete = 2.0 ** (lo + t * (hi - lo))
-    abstract = transformers.exp2(Box.from_bounds([lo], [hi]))
-    tol = 1e-9 * max(1.0, concrete)
-    assert abstract.lo[0] - tol <= concrete <= abstract.hi[0] + tol
+    delta_lo, delta_hi = bounds_of(lo, hi, cwnd_tcp, cwnd_prev=window)
+    assert delta_lo[0] - tol <= concrete_cwnd - window <= delta_hi[0] + tol
+    fraction_lo, fraction_hi = bounds_of(lo, hi, cwnd_tcp, cwnd_ref=window)
+    fraction = (concrete_cwnd - window) / window
+    assert fraction_lo[0] - tol / window <= fraction <= fraction_hi[0] + tol / window

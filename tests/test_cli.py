@@ -231,6 +231,21 @@ def test_run_topology_sweep_with_store_and_resume(tmp_path, capsys):
     assert store_main([store]) == 0
 
 
+def test_resumed_run_prints_the_fresh_table(tmp_path, capsys):
+    """Cached rows come back from the store with the columns in the order
+    the fresh run printed them."""
+    argv = ["run", "scheme_grid", "--set", "schemes=cubic,bbr", "--set", "traces=step-12-48",
+            "--set", "duration=2.0", "--store", str(tmp_path / "store"), "--resume"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main(argv) == 0
+    resumed = capsys.readouterr().out
+    assert "computed_cells: 2" in fresh and "resume: all 2 cells cached" in resumed
+    table = fresh.split("wall_clock_s:")[0]
+    assert table.strip().splitlines()[3].split()[:4] == ["scheme", "trace", "seed", "topology"]
+    assert resumed.split("wall_clock_s:")[0] == table
+
+
 def test_experiment_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["experiment", "topology_sweep"])

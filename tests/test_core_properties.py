@@ -125,7 +125,7 @@ class TestInputRegions:
     def test_p1_region_abstracts_delay_loss_dcwnd(self, observer):
         p1 = property_p1()
         state = np.full(observer.state_dim, 0.5)
-        lo, hi = p1.input_bounds(state, observer)
+        lo, hi = p1.region_plan(observer).bounds(state)
         for idx in observer.feature_indices("delay"):
             assert lo[idx] == pytest.approx(0.0)
             assert hi[idx] == pytest.approx(0.01)
@@ -143,14 +143,14 @@ class TestInputRegions:
     def test_p5_region_scales_noise_features(self, observer):
         p5 = property_p5(mu=0.1)
         state = np.full(observer.state_dim, 0.5)
-        lo, hi = p5.input_bounds(state, observer)
+        lo, hi = p5.region_plan(observer).bounds(state)
         for idx in observer.feature_indices("delay"):
             assert lo[idx] == pytest.approx(0.45)
             assert hi[idx] == pytest.approx(0.55)
 
     def test_p5_region_of_a_negative_state_is_ordered(self, observer):
         state = np.full(observer.state_dim, -0.5)
-        lo, hi = property_p5(mu=0.1).input_bounds(state, observer)
+        lo, hi = property_p5(mu=0.1).region_plan(observer).bounds(state)
         assert np.all(lo <= state) and np.all(state <= hi)
         for idx in observer.feature_indices("delay"):
             assert lo[idx] == pytest.approx(-0.55)
@@ -159,45 +159,25 @@ class TestInputRegions:
     @pytest.mark.parametrize("factory", (property_p1, property_p5))
     def test_region_bounds_are_fresh_arrays(self, observer, factory):
         state = np.full(observer.state_dim, 0.5)
-        lo, hi = factory().input_bounds(state, observer)
+        lo, hi = factory().region_plan(observer).bounds(state)
         lo[:] = -9.0
         hi[:] = 9.0
         np.testing.assert_array_equal(state, 0.5)
         assert not np.shares_memory(lo, hi)
 
-    def test_region_rejects_wrong_state_dim(self, observer):
-        with pytest.raises(ValueError):
-            property_p1().input_bounds(np.zeros(3), observer)
-        with pytest.raises(ValueError):
-            property_p1().input_bounds(np.zeros((2, 2, observer.state_dim)), observer)
-
     @pytest.mark.parametrize("factory", (property_p1, property_p2, property_p5))
     def test_region_of_a_state_stack_is_the_stack_of_regions(self, observer, factory):
         states = np.random.default_rng(8).uniform(-1.0, 1.0, (6, observer.state_dim))
-        stack_lo, stack_hi = factory().input_bounds(states, observer)
+        stack_lo, stack_hi = factory().region_plan(observer).bounds(states)
         assert stack_lo.shape == stack_hi.shape == states.shape
         for row, state in enumerate(states):
-            lo, hi = factory().input_bounds(state, observer)
+            lo, hi = factory().region_plan(observer).bounds(state)
             np.testing.assert_array_equal(stack_lo[row], lo)
             np.testing.assert_array_equal(stack_hi[row], hi)
 
     def test_partition_dims_point_at_delay(self, observer):
         dims = property_p1().partition_dims(observer)
         assert dims == observer.feature_indices("delay")
-
-    def test_concrete_precondition_uses_dcwnd_history(self, observer):
-        from repro.cc.netsim import MonitorReport
-
-        def report(cwnd):
-            return MonitorReport(throughput_pps=100.0, loss_rate=0.0, avg_queuing_delay=0.0,
-                                 n_acks=10.0, interval=0.2, srtt=0.05, min_rtt=0.05,
-                                 avg_rtt=0.05, cwnd=cwnd, sent_pps=100.0)
-
-        for cwnd in (10.0, 9.0, 8.0, 7.0):
-            observer.observe(report(cwnd))
-        assert property_p1().concrete_precondition_holds(observer)       # decreasing history
-        assert not property_p2().concrete_precondition_holds(observer)   # needs increasing
-        assert property_p5().concrete_precondition_holds(observer)       # always applies
 
 
 class TestPropertySets:

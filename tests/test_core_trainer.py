@@ -129,13 +129,13 @@ class TestTraining:
 
     def test_regularization_samples_the_region_the_verifier_certifies(self, monkeypatch):
         """P5's regularization samples the verifier's box ``(c - d, c + d)``,
-        not the raw ``input_bounds``: at delay 0.49 the two differ in the
+        not the raw region bounds: at delay 0.49 the two differ in the
         last bit of ``lo``."""
         trainer = make_trainer("robust")
         observer = trainer.verifier.observer
         prop = trainer.canopy_config.properties.by_name("P5")
         state = np.full(observer.state_dim, 0.49)
-        raw_lo, raw_hi = prop.input_bounds(state, observer)
+        raw_lo, raw_hi = prop.region_plan(observer).bounds(state)
         region = Box._trusted_bounds(raw_lo, raw_hi)
         draws = copy.deepcopy(trainer._reg_rng).random(
             (trainer.trainer_config.regularization_samples, observer.state_dim))

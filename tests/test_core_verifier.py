@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import certify_reference
+from repro.cc.netsim import MonitorReport
 from repro.core.monitor import QCRuntimeMonitor
 from repro.core.properties import (
     all_properties,
@@ -21,7 +22,7 @@ from repro.core.verifier import Verifier, VerifierConfig, weighted_feedback
 from repro.harness.evaluate import certificates_for_decisions
 from repro.nn import make_actor
 from repro.orca.agent import DecisionRecord, cwnd_from_action
-from repro.orca.observations import ObservationConfig
+from repro.orca.observations import ObservationBuilder, ObservationConfig
 
 
 @pytest.fixture
@@ -65,6 +66,13 @@ class TestConfig:
             verifier.certify(property_p1(), state[None], [20.0, 20.0], [10.0, 10.0])
         with pytest.raises(ValueError, match="one cwnd_tcp and one cwnd_prev per decision"):
             verifier.certify(property_p1(), state, [20.0], 10.0)
+
+    @pytest.mark.parametrize("prop", (property_p1(), property_p5()))
+    def test_wrong_state_dim_is_rejected(self, verifier, prop):
+        d = verifier.observer.state_dim
+        for bad in (np.zeros(3), np.zeros(d + 1), np.zeros((2, 3)), np.zeros((2, 2, d))):
+            with pytest.raises(ValueError, match=rf"state must have shape \(d,\) or \(D, d\) with d = {d}"):
+                verifier.certify(prop, bad, 20.0, 10.0)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     @pytest.mark.parametrize("field", ("state", "cwnd_tcp", "cwnd_prev"))
@@ -193,6 +201,18 @@ class TestCertification:
         cert = gated.certify(property_p1(), state_increasing, 20.0, 20.0)
         assert not cert.applicable
         assert cert.feedback[0] == pytest.approx(1.0)
+
+    def test_applicability_follows_the_observed_dcwnd_history(self, actor, obs_config):
+        """On a decreasing cwnd history P1 applies, P2 (which needs an
+        increasing one) does not, and P5 applies at every state."""
+        observer = ObservationBuilder(obs_config)
+        for cwnd in (10.0, 9.0, 8.0, 7.0):
+            observer.observe(MonitorReport(throughput_pps=100.0, loss_rate=0.0, avg_queuing_delay=0.0,
+                                           n_acks=10.0, interval=0.2, srtt=0.05, min_rtt=0.05,
+                                           avg_rtt=0.05, cwnd=cwnd, sent_pps=100.0))
+        gated = Verifier(actor, obs_config, VerifierConfig(n_components=3, check_applicability=True))
+        certificates = gated.certify([property_p1(), property_p2(), property_p5()], observer.state(), 20.0, 20.0)
+        assert [certificates[name].applicable for name in ("P1", "P2", "P5")] == [True, False, True]
 
     def test_spec_with_list_ranges_is_certified(self, verifier, state):
         """Ranges given as lists are kept as tuples, so the spec stays hashable

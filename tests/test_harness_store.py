@@ -1,6 +1,10 @@
 """Tests for the resumable RunStore / RunRecord layer."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,9 @@ from repro.harness.store import (
 from repro.seeding import derive_seed
 from repro.topology.families import topology_hop_seeds, topology_link_names
 from repro.traces.trace import BandwidthTrace
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_STORE = REPO / "tests" / "golden" / "qcsat_mini"
 
 
 def make_task(duration=2.0, seed=7, topology="single_bottleneck", tags=None):
@@ -151,6 +158,21 @@ class TestRunStore:
         assert reloaded.get(record.key).to_json() == record.to_json()
         assert reloaded.rows() == [{"utilization": 0.5}]
 
+    def test_rows_keep_their_column_order_on_disk(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.put(RunRecord(key="k", row={"scheme": "cubic", "seed": 1, "avg_rtt_ms": 2.0}))
+        assert list(RunStore(tmp_path).get("k").row) == ["scheme", "seed", "avg_rtt_ms"]
+
+    def test_sorted_key_store_reloads_equal_after_a_rewrite(self, tmp_path):
+        """A committed store (written with sorted keys) loads to the same
+        records after its records go through put into a fresh store."""
+        golden = RunStore(GOLDEN_STORE).records()
+        store = RunStore(tmp_path)
+        for record in golden:
+            store.put(record)
+        assert [record.to_json() for record in RunStore(tmp_path).records()] == \
+            [record.to_json() for record in golden]
+
     def test_last_record_per_key_wins(self, tmp_path):
         store = RunStore(tmp_path)
         record = RunRecord(key="k", row={"v": 1})
@@ -277,6 +299,16 @@ class TestStoreCli:
         store.put(RunRecord.for_task(make_task(), {"utilization": 1.0}, experiment="toy"))
         assert main([str(tmp_path / "s")]) == 0
         assert "1 valid records" in capsys.readouterr().out
+
+    def test_module_command_prints_no_warning(self):
+        """``python -m repro.harness.store`` runs a module its package has not
+        already imported, so runpy has nothing to warn about."""
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        result = subprocess.run([sys.executable, "-W", "error", "-m", "repro.harness.store", str(GOLDEN_STORE)],
+                                capture_output=True, text=True, env=env, cwd=REPO)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "8 valid records" in result.stdout
 
     def test_validate_rejects_invalid_and_missing(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -103,11 +103,3 @@ class TestBuilder:
         indices = builder.feature_indices("delay")
         assert len(indices) == 3
         assert len(set(indices)) == 3
-
-    def test_feature_history_matches_observations(self):
-        builder = ObservationBuilder(ObservationConfig(history_len=3, delay_scale=1.0))
-        for delay in (0.1, 0.2, 0.3):
-            builder.observe(make_report(delay=delay))
-        history = builder.feature_history("delay")
-        assert history[0] == pytest.approx(0.3)
-        assert history[2] == pytest.approx(0.1)
