@@ -1,18 +1,32 @@
-"""Tests for the cwnd-map abstract transformers, through
-:func:`repro.abstract.transformers.checked_action_arrays`."""
+"""Tests for the cwnd-map abstract transformers: the composed
+:func:`repro.abstract.transformers.checked_action_arrays` and each of the
+array-level steps it runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abstract.transformers import checked_action_arrays
+from repro.abstract.transformers import (
+    _cwnd_change_fraction,
+    _cwnd_from_action,
+    _delta_cwnd,
+    _exp2,
+    checked_action_arrays,
+)
 
 
 def bounds_of(lo, hi, cwnd_tcp, **windows):
     """Checked-action bounds of the action box ``[lo, hi]``."""
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=np.float64)), np.atleast_1d(np.asarray(hi, dtype=np.float64))
     return checked_action_arrays((lo + hi) / 2.0, (hi - lo) / 2.0, cwnd_tcp, **windows)
+
+
+class TestExp2:
+    def test_exp2(self):
+        center, deviation = _exp2(np.array([1.0]), np.array([1.0]))
+        assert center[0] - deviation[0] == pytest.approx(1.0)
+        assert center[0] + deviation[0] == pytest.approx(4.0)
 
 
 class TestCwndMap:
@@ -77,6 +91,30 @@ class TestPerDecisionWindows:
             np.testing.assert_array_equal(stacked[0][d], single[0])
             np.testing.assert_array_equal(stacked[1][d], single[1])
 
+    def stack(self):
+        rng = np.random.default_rng(6)
+        lo = rng.uniform(-1.5, 1.0, (3, 4, 1))
+        hi = lo + rng.uniform(0.0, 0.5, lo.shape)
+        return (lo + hi) / 2.0, (hi - lo) / 2.0
+
+    def test_cwnd_from_action(self):
+        (center, deviation), windows = self.stack(), np.array([4.0, 10.0, 250.0])
+        stacked = _cwnd_from_action(center, deviation, windows.reshape(3, 1, 1), (-1.0, 1.0))
+        for d, window in enumerate(windows):
+            single = _cwnd_from_action(center[d], deviation[d], window, (-1.0, 1.0))
+            np.testing.assert_array_equal(stacked[0][d], single[0])
+            np.testing.assert_array_equal(stacked[1][d], single[1])
+
+    def test_delta_cwnd_and_change_fraction(self):
+        (center, deviation), windows = self.stack(), np.array([4.0, 10.0, 250.0])
+        center = center + 20.0
+        for transform in (_delta_cwnd, _cwnd_change_fraction):
+            stacked = transform(center, deviation, windows.reshape(3, 1, 1))
+            for d, window in enumerate(windows):
+                single = transform(center[d], deviation[d], window)
+                np.testing.assert_array_equal(stacked[0][d], single[0])
+                np.testing.assert_array_equal(stacked[1][d], single[1])
+
 
 @given(
     st.floats(-3.0, 3.0),
@@ -99,3 +137,31 @@ def test_checked_actions_are_sound(a, b, t, cwnd_tcp, window):
     fraction_lo, fraction_hi = bounds_of(lo, hi, cwnd_tcp, cwnd_ref=window)
     fraction = (concrete_cwnd - window) / window
     assert fraction_lo[0] - tol / window <= fraction <= fraction_hi[0] + tol / window
+
+
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(1.0, 500.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_cwnd_map_soundness(a, b, t, cwnd_tcp):
+    """With ``cwnd_prev = 0`` the checked Δcwnd is the window: every action of
+    a box inside [-1, 1] maps into it."""
+    lo, hi = min(a, b), max(a, b)
+    concrete_action = lo + t * (hi - lo)
+    concrete_cwnd = 2.0 ** (2 * concrete_action) * cwnd_tcp
+    cwnd_lo, cwnd_hi = bounds_of(lo, hi, cwnd_tcp, cwnd_prev=0.0)
+    tol = 1e-6 * max(1.0, concrete_cwnd)
+    assert cwnd_lo[0] - tol <= concrete_cwnd <= cwnd_hi[0] + tol
+
+
+@given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_exp2_soundness(a, b, t):
+    lo, hi = min(a, b), max(a, b)
+    concrete = 2.0 ** (lo + t * (hi - lo))
+    center, deviation = _exp2(np.array([(lo + hi) / 2.0]), np.array([(hi - lo) / 2.0]))
+    tol = 1e-9 * max(1.0, concrete)
+    assert center[0] - deviation[0] - tol <= concrete <= center[0] + deviation[0] + tol
