@@ -66,7 +66,7 @@ from repro.telemetry.events import EventTrace
 from repro.telemetry.profiler import TickProfiler
 from repro.traces.trace import mbps_to_pps
 
-__all__ = ["NetworkSimulator", "FlowStats", "MonitorReport", "SimulationResult"]
+__all__ = ["NetworkSimulator", "FlowStats", "MonitorReport", "SimulationResult", "interval_report"]
 
 DEFAULT_TICK = 0.01
 
@@ -155,7 +155,35 @@ class MonitorReport(NamedTuple):
     min_rtt: float             # minimum RTT observed so far (s)
     avg_rtt: float             # packet-weighted average RTT over the interval (s)
     cwnd: float                # controller window at the end of the interval
-    sent_pps: float            # sending rate over the interval
+
+
+def interval_report(ticks: Sequence, start: float, now: float, floor: float, srtt: float,
+                    min_rtt: float, cwnd: float) -> MonitorReport:
+    """The report of one monitor interval's ``TickRecord`` or ``TickFeedback`` tuples.
+
+    Acked, lost, delay·acked and rtt·acked are summed from 0.0 in tick order;
+    the interval is ``now - start``, at least ``floor``.
+    """
+    acked = lost = delay_weighted = rtt_weighted = 0.0
+    for tick in ticks:
+        tick_acked = tick.acked
+        acked += tick_acked
+        lost += tick.lost
+        if tick_acked > 0:
+            delay_weighted += tick.queuing_delay * tick_acked
+            rtt_weighted += tick.rtt * tick_acked
+    interval = max(now - start, floor)
+    return MonitorReport(
+        throughput_pps=acked / interval,
+        loss_rate=lost / (acked + lost) if (acked + lost) > 0 else 0.0,
+        avg_queuing_delay=delay_weighted / acked if acked > 0 else 0.0,
+        n_acks=acked,
+        interval=interval,
+        srtt=srtt,
+        min_rtt=min_rtt,
+        avg_rtt=rtt_weighted / acked if acked > 0 else srtt,
+        cwnd=cwnd,
+    )
 
 
 @dataclass
@@ -559,12 +587,15 @@ class NetworkSimulator:
 
         Called by the Orca environment once per monitor interval; the report
         fields correspond to the observed network states in Table 1 of the
-        paper.  The interval's totals are summed here from the flow's tick
-        records since the previous report, in tick order and from 0.0.  All
-        statistics are end-to-end: queuing delays accumulate over every hop of
-        the flow's route and RTTs include the summed path delay (the transit
-        stage charges forward shares in simulation time, the ack charges the
-        rest, so the sum is always the path RTT).
+        paper.  The flow's tick records since the previous report go through
+        :func:`interval_report`, as the deployed
+        :class:`~repro.orca.agent.LearnedController`'s feedbacks do, but two
+        inputs still differ until the observation rebase: here the interval
+        starts at the previous report and ``srtt`` is the flow's smoothed RTT
+        (deployed: the first tick's start, the last RTT sample).  All statistics are end-to-end: queuing delays accumulate over every
+        hop of the flow's route and RTTs include the summed path delay (the
+        transit stage charges forward shares in simulation time, the ack
+        charges the rest, so the sum is always the path RTT).
 
         Before the first ack arrives ``flow.min_rtt`` is still the +inf
         sentinel; it is clamped to the flow's path RTT — the physical lower
@@ -573,29 +604,11 @@ class NetworkSimulator:
         """
         flow = self.flows[flow_id]
         records = self.stats[flow_id].records
-        acked = lost = sent = delay_weighted = rtt_weighted = weight = 0.0
-        for index in range(self._report_index[flow_id], len(records)):
-            _, tick_sent, tick_acked, tick_lost, rtt, queuing_delay, _, _ = records[index]
-            acked += tick_acked
-            lost += tick_lost
-            sent += tick_sent
-            if tick_acked > 0:
-                delay_weighted += queuing_delay * tick_acked
-                rtt_weighted += rtt * tick_acked
-                weight += tick_acked
-        interval = max(self.now - self._last_report_time[flow_id], self.dt)
-        report = MonitorReport(
-            throughput_pps=acked / interval,
-            loss_rate=lost / (acked + lost) if (acked + lost) > 0 else 0.0,
-            avg_queuing_delay=delay_weighted / weight if weight > 0 else 0.0,
-            n_acks=acked,
-            interval=interval,
-            srtt=flow.srtt,
-            min_rtt=flow.min_rtt if flow.min_rtt < float("inf") else self._route_rtt[flow_id],
-            avg_rtt=rtt_weighted / weight if weight > 0 else flow.srtt,
-            cwnd=flow.controller.cwnd,
-            sent_pps=sent / interval,
-        )
+        report = interval_report(
+            records[self._report_index[flow_id]:], self._last_report_time[flow_id], self.now,
+            self.dt, flow.srtt,
+            flow.min_rtt if flow.min_rtt < float("inf") else self._route_rtt[flow_id],
+            flow.controller.cwnd)
         self._report_index[flow_id] = len(records)
         self._last_report_time[flow_id] = self.now
         return report

@@ -19,7 +19,7 @@ from repro.cc.bbr import BBRController
 from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
 from repro.cc.metrics import PerformanceSummary, summarize_result
-from repro.cc.netsim import NetworkSimulator, SimulationResult
+from repro.cc.netsim import SimulationResult
 from repro.cc.newreno import NewRenoController
 from repro.cc.vegas import VegasController
 from repro.core.properties import PropertySet
@@ -27,9 +27,11 @@ from repro.core.qc import CertificateBatch
 from repro.core.verifier import Verifier
 from repro.harness.models import TrainedModel
 from repro.orca.agent import DecisionRecord, LearnedController
+from repro.orca.env import build_simulator
 from repro.telemetry.events import DEFAULT_TELEMETRY, EventTrace, parse_telemetry
-from repro.telemetry.profiler import active_profiler
-from repro.topology.families import DEFAULT_TOPOLOGY, build_topology, parse_topology
+# build_topology stays a name here although build_simulator calls it:
+# perfbench's traced run patches it by name in this module.
+from repro.topology.families import DEFAULT_TOPOLOGY, build_topology, parse_topology  # noqa: F401
 from repro.traces.trace import BandwidthTrace
 from repro.workload.build import build_workload
 from repro.workload.spec import DEFAULT_WORKLOAD, parse_workload
@@ -182,24 +184,15 @@ def run_scheme_on_trace(
     controller = factory()
     if telemetry is None:
         telemetry = EventTrace.from_spec(settings.telemetry)
-    topology = build_topology(
-        settings.topology,
-        trace,
-        min_rtt=settings.min_rtt,
-        buffer_bdp=settings.buffer_bdp,
-        random_loss_rate=settings.random_loss_rate,
-        stochastic_loss=settings.stochastic_loss,
-        seed=settings.seed,
-    )
     flow = Flow(0, controller)
     background = build_workload(settings.workload, duration=settings.duration,
                                 seed=settings.seed, trace_name=trace.name,
                                 topology=settings.topology)
     flows = [flow] + [cross.build(factory) for cross in background]
-    # The process-wide profiler (serve workers, `run --profile` pools) rides
-    # along on every simulator; wall-clock only, rows are untouched.
-    simulator = NetworkSimulator(topology, flows, dt=settings.dt,
-                                 telemetry=telemetry, profiler=active_profiler())
+    simulator = build_simulator(settings.topology, trace, flows, dt=settings.dt,
+                                min_rtt=settings.min_rtt, buffer_bdp=settings.buffer_bdp,
+                                seed=settings.seed, random_loss_rate=settings.random_loss_rate,
+                                stochastic_loss=settings.stochastic_loss, telemetry=telemetry)
     result = simulator.run(settings.duration)
     summary = summarize_result(result, flow_id=0, skip_seconds=settings.skip_seconds)
     decisions = list(getattr(controller, "decisions", []))

@@ -23,16 +23,17 @@ clip on the decision path is a plain-float :func:`clip_float`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cc.base import MIN_CWND, CongestionController, TickFeedback
 from repro.cc.cubic import CubicController
-from repro.cc.netsim import MonitorReport
-from repro.orca.observations import ObservationBuilder, ObservationConfig, clip_float
+from repro.cc.netsim import MonitorReport, interval_report
+from repro.orca.observations import (ObservationBuilder, ObservationConfig, clip_float,
+                                     with_delay_noise)
 
-__all__ = ["cwnd_from_action", "DecisionRecord", "LearnedController"]
+__all__ = ["action_step", "cwnd_from_action", "DecisionRecord", "LearnedController"]
 
 #: Policy signature: maps a stacked state vector to an action in [-1, 1].
 Policy = Callable[[np.ndarray], np.ndarray]
@@ -41,10 +42,16 @@ Policy = Callable[[np.ndarray], np.ndarray]
 DecisionFilter = Callable[[np.ndarray, float, float], tuple]
 
 
-def cwnd_from_action(action: float, cwnd_tcp: float) -> float:
-    """Eq. 1: ``cwnd = 2^(2a) · cwnd_TCP`` with the action clipped to [-1, 1]."""
+def action_step(action: float, cwnd_tcp: float) -> Tuple[float, float]:
+    """Eq. 1 for training and deployment: the action clipped to [-1, 1] once,
+    and ``cwnd = max(MIN_CWND, 2^(2a) · cwnd_TCP)``."""
     action = clip_float(action, -1.0, 1.0)
-    return max(MIN_CWND, float(2.0 ** (2.0 * action) * cwnd_tcp))
+    return action, max(MIN_CWND, float(2.0 ** (2.0 * action) * cwnd_tcp))
+
+
+def cwnd_from_action(action: float, cwnd_tcp: float) -> float:
+    """The window of :func:`action_step` alone (the verifier's concrete window)."""
+    return action_step(action, cwnd_tcp)[1]
 
 
 @dataclass(frozen=True)
@@ -114,49 +121,18 @@ class LearnedController(CongestionController):
 
     # ------------------------------------------------------------------ #
     def _build_report(self, now: float) -> MonitorReport:
-        # Sums start from 0.0 and run in tick order, as a running total would.
         ticks = self._interval
-        acked = lost = sent = delay_weighted = rtt_weighted = weight = 0.0
-        last_srtt = last_min_rtt = 0.0
-        for _, _, tick_acked, tick_lost, rtt, last_min_rtt, delay, _, _ in ticks:
-            acked += tick_acked
-            lost += tick_lost
-            sent += tick_acked + tick_lost
-            if tick_acked > 0:
-                delay_weighted += delay * tick_acked
-                rtt_weighted += rtt * tick_acked
-                weight += tick_acked
-            if rtt > 0:
-                last_srtt = rtt
-        start = ticks[0].now - ticks[0].dt if ticks else now - self.monitor_interval
-        interval = max(now - start, 1e-3)
-        avg_delay = delay_weighted / weight if weight > 0 else 0.0
-        if self.observation_noise > 0:
-            # Uniform multiplicative noise on the observed queuing delay — the
-            # perturbation studied in Section 2 / Figure 11.
-            noise = self._noise_rng.uniform(-self.observation_noise, self.observation_noise)
-            avg_delay = max(0.0, avg_delay * (1.0 + noise))
-        return MonitorReport(
-            throughput_pps=acked / interval,
-            loss_rate=lost / (acked + lost) if (acked + lost) > 0 else 0.0,
-            avg_queuing_delay=avg_delay,
-            n_acks=acked,
-            interval=interval,
-            srtt=last_srtt,
-            min_rtt=last_min_rtt,
-            avg_rtt=rtt_weighted / weight if weight > 0 else last_srtt,
-            cwnd=self.inner.cwnd,
-            sent_pps=sent / interval,
-        )
+        srtt = next((tick.rtt for tick in reversed(ticks) if tick.rtt > 0), 0.0)
+        report = interval_report(ticks, ticks[0].now - ticks[0].dt, now, 1e-3, srtt,
+                                 ticks[-1].min_rtt, self.inner.cwnd)
+        return with_delay_noise(report, self.observation_noise, self._noise_rng)
 
     def _coarse_grained_step(self, now: float) -> None:
         report = self._build_report(now)
         state = self.observer.observe(report)
         cwnd_tcp = self.inner.cwnd
-        cwnd_before = cwnd_tcp
-
-        action = float(np.asarray(self.policy(state)).reshape(-1)[0])
-        action = clip_float(action, -1.0, 1.0)
+        action, learned_cwnd = action_step(float(np.asarray(self.policy(state)).reshape(-1)[0]),
+                                           cwnd_tcp)
 
         allow_learned = True
         qc_value = 1.0
@@ -164,7 +140,7 @@ class LearnedController(CongestionController):
             allow_learned, qc_value = self.decision_filter(state, cwnd_tcp, self._prev_decision_cwnd)
 
         if allow_learned:
-            new_cwnd = cwnd_from_action(action, cwnd_tcp)
+            new_cwnd = learned_cwnd
             self.inner.set_cwnd(new_cwnd)
         else:
             new_cwnd = cwnd_tcp  # fall back to pure CUBIC
@@ -174,7 +150,7 @@ class LearnedController(CongestionController):
             state=state,
             action=action,
             cwnd_tcp=cwnd_tcp,
-            cwnd_before=cwnd_before,
+            cwnd_before=cwnd_tcp,
             cwnd_after=new_cwnd,
             used_fallback=not allow_learned,
             qc_value=float(qc_value),

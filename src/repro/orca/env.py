@@ -43,18 +43,30 @@ import numpy as np
 from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
 from repro.cc.netsim import NetworkSimulator
-from repro.orca.agent import cwnd_from_action
-from repro.orca.observations import ObservationBuilder, ObservationConfig
+from repro.orca.agent import action_step
+from repro.orca.observations import ObservationBuilder, ObservationConfig, with_delay_noise
 from repro.orca.reward import OrcaRewardConfig, orca_reward
 from repro.rl.env import Environment
 from repro.rl.spaces import BoxSpace
 from repro.seeding import derive_seed
+from repro.telemetry.events import EventTrace
 from repro.telemetry.profiler import active_profiler
 from repro.topology.families import build_topology, parse_topology
-from repro.topology.graph import Topology
 from repro.traces.trace import BandwidthTrace
 
-__all__ = ["OrcaEnvConfig", "OrcaNetworkEnv", "EpisodeScenario"]
+__all__ = ["OrcaEnvConfig", "OrcaNetworkEnv", "EpisodeScenario", "build_simulator"]
+
+
+def build_simulator(spec: str, trace: BandwidthTrace, flows: Sequence[Flow], dt: float,
+                    telemetry: Optional[EventTrace] = None, **topology: Any) -> NetworkSimulator:
+    """A simulator of ``flows`` on ``build_topology(spec, trace, **topology)``.
+
+    The one construction path of training, evaluation and the topology bench.
+    It carries the process-wide profiler (serve workers, ``run --profile``,
+    perfbench's traced runs), which times wall-clock only.
+    """
+    return NetworkSimulator(build_topology(spec, trace, **topology), flows, dt=dt,
+                            telemetry=telemetry, profiler=active_profiler())
 
 
 @dataclass
@@ -170,8 +182,8 @@ class OrcaNetworkEnv(Environment):
         """Every scenario sampled so far (one entry per ``reset``)."""
         return tuple(self._scenario_history)
 
-    def _sample_topology(self) -> Tuple[Topology, EpisodeScenario]:
-        """Draw one episode scenario: (family spec, trace, RTT, derived seeds).
+    def _sample_scenario(self) -> Tuple[str, BandwidthTrace, float, int]:
+        """Draw one episode scenario: (family spec, trace, RTT, topology seed).
 
         The draws happen in a fixed order — family (only when more than one is
         configured), trace/bandwidth, RTT, episode entropy — so a
@@ -194,26 +206,22 @@ class OrcaNetworkEnv(Environment):
         # One entropy draw per episode; all topology/link seeds derive from it
         # and the scenario coordinates, matching the sharding convention.
         entropy = int(self._rng.integers(0, 2 ** 31))
-        episode_seed = derive_seed(entropy, spec, trace.name)
-        topology = build_topology(spec, trace, min_rtt=min_rtt,
-                                  buffer_bdp=cfg.buffer_bdp, seed=episode_seed)
-        hop_seeds = tuple((link.name, link.queue.seed) for link in topology.ordered_links)
-        scenario = EpisodeScenario(episode=self._episodes, spec=spec, trace_name=trace.name,
-                                   min_rtt=min_rtt, seed=episode_seed, hop_seeds=hop_seeds)
-        return topology, scenario
+        return spec, trace, min_rtt, derive_seed(entropy, spec, trace.name)
 
     # ------------------------------------------------------------------ #
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         cfg = self.config
-        topology, scenario = self._sample_topology()
-        self._scenario = scenario
-        self._scenario_history.append(scenario)
-        self._episodes += 1
+        spec, trace, min_rtt, episode_seed = self._sample_scenario()
         self._cubic = CubicController(initial_cwnd=10.0)
-        flow = Flow(self._flow_id, self._cubic)
-        self._sim = NetworkSimulator(topology, [flow], dt=cfg.tick, profiler=active_profiler())
+        self._sim = build_simulator(spec, trace, [Flow(self._flow_id, self._cubic)], dt=cfg.tick,
+                                    min_rtt=min_rtt, buffer_bdp=cfg.buffer_bdp, seed=episode_seed)
+        hop_seeds = tuple((link.name, link.queue.seed) for link in self._sim.topology.ordered_links)
+        self._scenario = EpisodeScenario(episode=self._episodes, spec=spec, trace_name=trace.name,
+                                         min_rtt=min_rtt, seed=episode_seed, hop_seeds=hop_seeds)
+        self._scenario_history.append(self._scenario)
+        self._episodes += 1
         self.observer.reset()
         self._steps = 0
         self._prev_enforced_cwnd = self._cubic.cwnd
@@ -230,21 +238,16 @@ class OrcaNetworkEnv(Environment):
             self._sim.tick()
 
     def _maybe_noisy(self, report):
-        noise_level = self.config.observation_noise
-        if noise_level <= 0:
-            return report
-        noise = self._noise_rng.uniform(-noise_level, noise_level)
-        return report._replace(avg_queuing_delay=max(0.0, report.avg_queuing_delay * (1.0 + noise)))
+        return with_delay_noise(report, self.config.observation_noise, self._noise_rng)
 
     # ------------------------------------------------------------------ #
     def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
         if self._sim is None or self._cubic is None:
             raise RuntimeError("call reset() before step()")
-        action_value = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0], -1.0, 1.0))
-
         cwnd_tcp = self._cubic.cwnd
         cwnd_prev = self._prev_enforced_cwnd
-        new_cwnd = cwnd_from_action(action_value, cwnd_tcp)
+        action_value, new_cwnd = action_step(
+            float(np.asarray(action, dtype=np.float64).reshape(-1)[0]), cwnd_tcp)
         self._cubic.set_cwnd(new_cwnd)
         self._prev_enforced_cwnd = new_cwnd
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.cc.netsim import MonitorReport
 
-__all__ = ["FEATURE_NAMES", "ObservationConfig", "ObservationBuilder", "clip_float"]
+__all__ = ["FEATURE_NAMES", "ObservationConfig", "ObservationBuilder", "clip_float",
+           "with_delay_noise"]
 
 FEATURE_NAMES = ("throughput", "loss", "delay", "acks", "interval", "inv_rtt", "dcwnd")
 _FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
@@ -52,6 +53,17 @@ def clip_float(value: float, lo: float, hi: float) -> float:
     if value > hi:
         value = hi
     return float(value)
+
+
+def with_delay_noise(report: MonitorReport, level: float, rng: np.random.Generator) -> MonitorReport:
+    """``report`` with delay ``d`` set to ``max(0, d·(1+U(-level, level)))`` (Section 2).
+
+    One draw from the caller's ``rng``; ``level <= 0`` draws nothing.
+    """
+    if level <= 0:
+        return report
+    noise = rng.uniform(-level, level)
+    return report._replace(avg_queuing_delay=max(0.0, report.avg_queuing_delay * (1.0 + noise)))
 
 
 @dataclass

@@ -73,7 +73,6 @@ class TestAccumulatorReset:
         assert second.throughput_pps == 0.0
         assert second.loss_rate == 0.0
         assert second.avg_queuing_delay == 0.0
-        assert second.sent_pps == 0.0
 
     def test_second_interval_only_counts_new_traffic(self):
         sim = make_sim()

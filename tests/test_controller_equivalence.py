@@ -109,7 +109,7 @@ def test_monitor_report_matches_per_tick_accumulation():
     flows.append(Flow(3, BBRController(), start_time=1.25, stop_time=4.0))
     sim = NetworkSimulator(topology, flows)
 
-    fields = ("acked", "lost", "sent", "delay_weighted", "rtt_weighted", "ack_weight")
+    fields = ("acked", "lost", "delay_weighted", "rtt_weighted", "ack_weight")
     acc = {fid: dict.fromkeys(fields, 0.0) for fid in sim.flows}
     last_report = {fid: flow.start_time for fid, flow in sim.flows.items()}
     reports = lossy = late_acked = 0
@@ -118,7 +118,6 @@ def test_monitor_report_matches_per_tick_accumulation():
             a = acc[fid]
             a["acked"] += record.acked
             a["lost"] += record.lost
-            a["sent"] += record.sent
             if record.acked > 0:
                 a["delay_weighted"] += record.queuing_delay * record.acked
                 a["rtt_weighted"] += record.rtt * record.acked
@@ -141,11 +140,10 @@ def test_monitor_report_matches_per_tick_accumulation():
                     acked,
                     interval,
                     a["rtt_weighted"] / weight if weight > 0 else flow.srtt,
-                    a["sent"] / interval,
                 )
                 assert bits([report.throughput_pps, report.loss_rate, report.avg_queuing_delay,
-                             report.n_acks, report.interval, report.avg_rtt,
-                             report.sent_pps]) == bits(expected), (tick, fid)
+                             report.n_acks, report.interval,
+                             report.avg_rtt]) == bits(expected), (tick, fid)
                 acc[fid] = dict.fromkeys(fields, 0.0)
                 last_report[fid] = sim.now
                 reports += 1
@@ -207,7 +205,7 @@ class ReferenceLearnedController(CongestionController):
 
     @staticmethod
     def fresh():
-        return {"acked": 0.0, "lost": 0.0, "sent": 0.0, "delay_weighted": 0.0,
+        return {"acked": 0.0, "lost": 0.0, "delay_weighted": 0.0,
                 "rtt_weighted": 0.0, "ack_weight": 0.0, "start": None, "last_srtt": 0.0,
                 "last_min_rtt": 0.0}
 
@@ -228,7 +226,6 @@ class ReferenceLearnedController(CongestionController):
             acc["start"] = feedback.now - feedback.dt
         acc["acked"] += feedback.acked
         acc["lost"] += feedback.lost
-        acc["sent"] += feedback.acked + feedback.lost
         if feedback.acked > 0:
             acc["delay_weighted"] += feedback.queuing_delay * feedback.acked
             acc["rtt_weighted"] += feedback.rtt * feedback.acked
@@ -253,7 +250,7 @@ class ReferenceLearnedController(CongestionController):
             avg_queuing_delay=avg_delay, n_acks=acked, interval=interval,
             srtt=acc["last_srtt"], min_rtt=acc["last_min_rtt"],
             avg_rtt=acc["rtt_weighted"] / weight if weight > 0 else acc["last_srtt"],
-            cwnd=self.inner.cwnd, sent_pps=acc["sent"] / interval)
+            cwnd=self.inner.cwnd)
         features, self.max_throughput, self.prev_cwnd = reference_normalize(
             self.config, report, self.max_throughput, self.prev_cwnd)
         self.history.append(features)
@@ -325,7 +322,7 @@ def test_observation_features_match_np_clip():
             throughput_pps=abs(value) * 100.0, loss_rate=value,
             avg_queuing_delay=value * cfg.delay_scale, n_acks=other * cfg.ack_scale,
             interval=value * cfg.monitor_interval, srtt=abs(other) + 0.01,
-            min_rtt=abs(value), avg_rtt=0.05, cwnd=10.0 + other, sent_pps=1.0)
+            min_rtt=abs(value), avg_rtt=0.05, cwnd=10.0 + other)
         features, max_throughput, prev_cwnd = reference_normalize(
             cfg, report, max_throughput, prev_cwnd)
         assert builder._normalize(report).tobytes() == features.tobytes(), index

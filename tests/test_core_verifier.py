@@ -209,7 +209,7 @@ class TestCertification:
         for cwnd in (10.0, 9.0, 8.0, 7.0):
             observer.observe(MonitorReport(throughput_pps=100.0, loss_rate=0.0, avg_queuing_delay=0.0,
                                            n_acks=10.0, interval=0.2, srtt=0.05, min_rtt=0.05,
-                                           avg_rtt=0.05, cwnd=cwnd, sent_pps=100.0))
+                                           avg_rtt=0.05, cwnd=cwnd))
         gated = Verifier(actor, obs_config, VerifierConfig(n_components=3, check_applicability=True))
         certificates = gated.certify([property_p1(), property_p2(), property_p5()], observer.state(), 20.0, 20.0)
         assert [certificates[name].applicable for name in ("P1", "P2", "P5")] == [True, False, True]

@@ -11,7 +11,7 @@ def make_report(throughput=500.0, loss=0.0, delay=0.02, n_acks=100.0, interval=0
                 srtt=0.05, min_rtt=0.04, cwnd=20.0):
     return MonitorReport(throughput_pps=throughput, loss_rate=loss, avg_queuing_delay=delay,
                          n_acks=n_acks, interval=interval, srtt=srtt, min_rtt=min_rtt,
-                         avg_rtt=srtt, cwnd=cwnd, sent_pps=throughput)
+                         avg_rtt=srtt, cwnd=cwnd)
 
 
 class TestConfig:

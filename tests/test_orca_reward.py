@@ -10,7 +10,7 @@ def make_report(throughput=1000.0, loss=0.0, delay=0.0, srtt=0.05, min_rtt=0.05,
     return MonitorReport(throughput_pps=throughput, loss_rate=loss, avg_queuing_delay=delay,
                          n_acks=throughput * 0.2, interval=0.2, srtt=srtt, min_rtt=min_rtt,
                          avg_rtt=avg_rtt if avg_rtt is not None else srtt,
-                         cwnd=20.0, sent_pps=throughput)
+                         cwnd=20.0)
 
 
 class TestConfig:
