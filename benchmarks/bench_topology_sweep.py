@@ -24,11 +24,10 @@ from benchconfig import DURATION, N_JOBS, SEED, run_once
 
 from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
-from repro.cc.netsim import NetworkSimulator
 from repro.harness.registry import REGISTRY
 from repro.harness.reporting import format_rows
 from repro.harness.spec import parse_topologies
-from repro.topology import build_topology
+from repro.orca.env import build_simulator
 from repro.traces.synthetic import make_synthetic_trace
 
 FAMILIES = parse_topologies(os.environ.get(
@@ -89,12 +88,11 @@ def test_multi_hop_tick_throughput(benchmark):
 
     def run_ticks():
         trace = make_synthetic_trace("step-12-48")
-        topology = build_topology("chain(3)", trace, min_rtt=0.06,
-                                  buffer_bdp=1.0, seed=7)
         flows = [Flow(0, CubicController()),
                  Flow(1, CubicController(), start_time=1.0),
                  Flow(2, CubicController(), start_time=2.0)]
-        sim = NetworkSimulator(topology, flows, dt=0.01)
+        sim = build_simulator("chain(3)", trace, flows, dt=0.01, min_rtt=0.06,
+                              buffer_bdp=1.0, seed=7)
         start = time.perf_counter()
         for _ in range(MULTI_HOP_TICKS):
             sim.tick()
@@ -126,12 +124,11 @@ def test_telemetry_tick_overhead(benchmark):
 
     def run_ticks(telemetry):
         trace = make_synthetic_trace("step-12-48")
-        topology = build_topology("chain(3)", trace, min_rtt=0.06,
-                                  buffer_bdp=1.0, seed=7)
         flows = [Flow(0, CubicController()),
                  Flow(1, CubicController(), start_time=1.0),
                  Flow(2, CubicController(), start_time=2.0)]
-        sim = NetworkSimulator(topology, flows, dt=0.01, telemetry=telemetry)
+        sim = build_simulator("chain(3)", trace, flows, dt=0.01, min_rtt=0.06,
+                              buffer_bdp=1.0, seed=7, telemetry=telemetry)
         start = time.perf_counter()
         for _ in range(MULTI_HOP_TICKS):
             sim.tick()

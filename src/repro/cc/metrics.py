@@ -23,7 +23,6 @@ __all__ = [
     "jain_fairness_index",
     "throughput_ratio",
     "utilization",
-    "delay_percentile",
 ]
 
 
@@ -65,12 +64,6 @@ def _weighted_percentile(values: np.ndarray, weights: np.ndarray, percentile: fl
     index = int(np.searchsorted(cum, cutoff))
     index = min(index, values.size - 1)
     return float(values[index])
-
-
-def delay_percentile(stats: FlowStats, percentile: float) -> float:
-    """Packet-weighted queuing-delay percentile in milliseconds."""
-    mask = stats.acked > 0
-    return _weighted_percentile(stats.queuing_delay[mask], stats.acked[mask], percentile) * 1000.0
 
 
 def utilization(stats: FlowStats, capacity_mbps: np.ndarray, dt: float, skip_seconds: float = 1.0) -> float:

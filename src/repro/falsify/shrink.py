@@ -61,9 +61,9 @@ def shrink_reductions(task: ExperimentTask) -> List[Tuple[str, ExperimentTask]]:
 
     Workload cuts, topology collapse/shaving, duration halving, then a move
     to the canonical first synthetic trace.  Every candidate is a valid cell
-    (invalid topology shaves — fixed-shape families, branch minimums — are
-    skipped), so the shrink loop never proposes something the harness would
-    reject.
+    (invalid topology shaves — fixed-shape families, branch minimums — and
+    durations not longer than the cell's ``skip_seconds`` are skipped), so the
+    shrink loop never proposes something the harness would reject.
     """
     reductions: List[Tuple[str, ExperimentTask]] = []
     settings = task.settings
@@ -85,8 +85,8 @@ def shrink_reductions(task: ExperimentTask) -> List[Tuple[str, ExperimentTask]]:
             pass
         else:
             reductions.append((f"topology={smaller}", with_settings(topology=smaller)))
-    if settings.duration > _MIN_DURATION:
-        shorter = max(_MIN_DURATION, settings.duration / 2.0)
+    shorter = max(_MIN_DURATION, settings.duration / 2.0)
+    if settings.duration > _MIN_DURATION and shorter > settings.skip_seconds:
         reductions.append((f"duration={shorter:g}", with_settings(duration=shorter)))
     baseline_trace = SYNTHETIC_TRACE_NAMES[0]
     if task.trace.name != baseline_trace:

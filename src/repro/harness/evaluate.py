@@ -97,6 +97,10 @@ class EvaluationSettings:
             raise ValueError("duration, dt and min_rtt must be positive")
         if self.buffer_bdp <= 0:
             raise ValueError("buffer_bdp must be positive")
+        if self.duration <= self.skip_seconds:
+            # The summary scores only t >= skip_seconds: the row would be all zeros.
+            raise ValueError(f"duration ({self.duration:g} s) must exceed skip_seconds "
+                             f"({self.skip_seconds:g} s)")
         parse_topology(self.topology)  # fail fast on malformed specs
         parse_workload(self.workload)
         parse_telemetry(self.telemetry)

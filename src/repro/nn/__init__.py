@@ -14,7 +14,7 @@ needs:
 
 from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
 from repro.nn.mlp import MLP, make_actor, make_critic
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.losses import mse_loss
 from repro.nn.serialization import load_mlp, save_mlp
 
@@ -27,7 +27,6 @@ __all__ = [
     "MLP",
     "make_actor",
     "make_critic",
-    "SGD",
     "Adam",
     "mse_loss",
     "save_mlp",

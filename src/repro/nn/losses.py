@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["mse_loss", "huber_loss"]
+__all__ = ["mse_loss"]
 
 
 def mse_loss(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -25,19 +25,3 @@ def mse_loss(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndar
     grad = 2.0 * diff / diff.size
     return loss, grad
 
-
-def huber_loss(prediction: np.ndarray, target: np.ndarray, delta: float = 1.0) -> Tuple[float, np.ndarray]:
-    """Huber loss and gradient; more robust to outlier TD errors than MSE."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    prediction = np.asarray(prediction, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if prediction.shape != target.shape:
-        raise ValueError(f"shape mismatch: {prediction.shape} vs {target.shape}")
-    diff = prediction - target
-    abs_diff = np.abs(diff)
-    quadratic = np.minimum(abs_diff, delta)
-    linear = abs_diff - quadratic
-    loss = float(np.mean(0.5 * quadratic ** 2 + delta * linear))
-    grad = np.where(abs_diff <= delta, diff, delta * np.sign(diff)) / diff.size
-    return loss, grad

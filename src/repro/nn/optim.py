@@ -6,7 +6,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -34,28 +34,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for grad in self.grads:
             grad[...] = 0.0
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Sequence[np.ndarray],
-        grads: Sequence[np.ndarray],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, grads, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, grad, velocity in zip(self.parameters, self.grads, self._velocity):
-            velocity[...] = self.momentum * velocity - self.lr * grad
-            param += velocity
 
 
 class Adam(Optimizer):

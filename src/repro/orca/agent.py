@@ -15,9 +15,18 @@ the state and veto the learned action, in which case the CUBIC window is kept
 as-is.
 
 Per tick the controller only steps CUBIC and keeps the tick's
-:class:`~repro.cc.base.TickFeedback`; the interval's statistics are summed
-from those feedbacks when a decision builds its report, and every scalar
-clip on the decision path is a plain-float :func:`clip_float`.
+:class:`~repro.cc.base.TickFeedback`.  A decision reduces those feedbacks
+with :func:`repro.cc.netsim.interval_report`, the reducer training's
+``monitor_report`` uses, perturbs the delay with
+:func:`repro.orca.observations.with_delay_noise` from the controller's own
+RNG, and turns the action into a window with :func:`action_step`, the step
+:class:`~repro.orca.env.OrcaNetworkEnv` takes too; every scalar clip on the
+decision path is a plain-float :func:`clip_float`.  The reducer's inputs
+still differ from training's: ``srtt`` is the interval's last non-zero RTT
+sample (training: the flow's smoothed RTT), ``min_rtt`` the last feedback's
+and the interval starts at the first tick (training: at the previous
+report).  Aligning them waits for the observation rebase (ROADMAP item 2,
+step 2).
 """
 
 from __future__ import annotations

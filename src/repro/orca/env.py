@@ -31,6 +31,20 @@ monitor interval, and the raw Orca reward (Eqs. 2–3) is returned.  The info
 dict carries everything the Canopy trainer needs to compute the verifier
 reward: the TCP-suggested window, the previously enforced window and the
 aggregated report, plus the sampled topology spec of the running episode.
+
+Training observes the network through the same code as the deployed
+:class:`~repro.orca.agent.LearnedController`: each interval's ticks go
+through :func:`repro.cc.netsim.interval_report` (via
+:meth:`~repro.cc.netsim.NetworkSimulator.monitor_report`), observation noise
+through :func:`repro.orca.observations.with_delay_noise` (with this
+environment's own RNG), the action through
+:func:`repro.orca.agent.action_step`, and the simulator comes from
+:func:`build_simulator`, which evaluation uses too.  Two inputs to the
+reducer still differ: training's ``srtt`` is the flow's smoothed RTT where
+deployment takes the interval's last RTT sample, and training's interval
+starts at the previous report where deployment's starts at its first tick.
+Aligning them moves observed values (``inv_rtt`` above all), so it waits for
+the observation rebase (ROADMAP item 2, step 2).
 """
 
 from __future__ import annotations

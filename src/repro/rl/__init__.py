@@ -3,14 +3,14 @@
 Orca (and hence Canopy) trains its coarse-grained controller with TD3
 (twin-delayed deep deterministic policy gradient).  This package provides a
 self-contained numpy TD3 implementation plus the supporting pieces: a uniform
-replay buffer, Gaussian / Ornstein-Uhlenbeck exploration noise, box
+replay buffer, Gaussian exploration noise, box
 action/observation spaces, and the minimal environment protocol implemented by
 :class:`repro.orca.env.OrcaNetworkEnv`.
 """
 
 from repro.rl.spaces import BoxSpace
 from repro.rl.replay import ReplayBuffer, Transition
-from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
+from repro.rl.noise import GaussianNoise
 from repro.rl.td3 import TD3Agent, TD3Config
 from repro.rl.env import Environment
 
@@ -19,7 +19,6 @@ __all__ = [
     "ReplayBuffer",
     "Transition",
     "GaussianNoise",
-    "OrnsteinUhlenbeckNoise",
     "TD3Agent",
     "TD3Config",
     "Environment",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GaussianNoise", "OrnsteinUhlenbeckNoise"]
+__all__ = ["GaussianNoise"]
 
 
 class GaussianNoise:
@@ -23,34 +23,3 @@ class GaussianNoise:
     def sample(self) -> np.ndarray:
         return self._rng.normal(0.0, self.sigma, size=self.dim)
 
-
-class OrnsteinUhlenbeckNoise:
-    """Temporally correlated OU noise (used by DDPG; available for ablations)."""
-
-    def __init__(
-        self,
-        dim: int,
-        mu: float = 0.0,
-        theta: float = 0.15,
-        sigma: float = 0.2,
-        dt: float = 1.0,
-        seed: int | None = None,
-    ) -> None:
-        if sigma < 0 or theta < 0 or dt <= 0:
-            raise ValueError("sigma/theta must be non-negative and dt positive")
-        self.dim = dim
-        self.mu = mu
-        self.theta = theta
-        self.sigma = sigma
-        self.dt = dt
-        self._rng = np.random.default_rng(seed)
-        self._state = np.full(dim, mu, dtype=np.float64)
-
-    def reset(self) -> None:
-        self._state = np.full(self.dim, self.mu, dtype=np.float64)
-
-    def sample(self) -> np.ndarray:
-        drift = self.theta * (self.mu - self._state) * self.dt
-        diffusion = self.sigma * np.sqrt(self.dt) * self._rng.normal(size=self.dim)
-        self._state = self._state + drift + diffusion
-        return self._state.copy()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cc.flow import TickRecord
 from repro.cc.metrics import (
-    delay_percentile,
     jain_fairness_index,
     summarize_flow,
     throughput_ratio,
@@ -74,12 +73,6 @@ class TestSummaries:
         summary = summarize_flow(stats, np.full(50, 12.0), dt=0.01, skip_seconds=0.0)
         assert summary.throughput_mbps == 0.0
         assert summary.avg_queuing_delay_ms == 0.0
-
-    def test_delay_percentile_helper(self):
-        stats = make_stats(np.ones(100), delays=np.linspace(0.0, 0.1, 100))
-        p50 = delay_percentile(stats, 50.0)
-        p95 = delay_percentile(stats, 95.0)
-        assert p95 > p50
 
     def test_zero_capacity_gives_zero_utilization(self):
         stats = make_stats(np.ones(10))

@@ -272,6 +272,13 @@ class TestShrink:
         assert "topology=single_bottleneck" in actions
         assert not any(action.startswith("topology=dumbbell") for action in actions)
 
+    def test_duration_never_shrinks_to_skip_seconds(self):
+        # Friendliness/fairness cells skip 2 s, the shortest shrink target.
+        task = classical_task(duration=4.0)
+        task = replace(task, settings=replace(task.settings, skip_seconds=2.0))
+        actions = [action for action, _ in shrink_reductions(task)]
+        assert not any(action.startswith("duration=") for action in actions)
+
     def test_minimal_cell_yields_no_reductions(self):
         minimal = classical_task(workload="static", topology="single_bottleneck",
                                  duration=2.0, trace="step-12-48")

@@ -37,6 +37,11 @@ class TestSettings:
         with pytest.raises(ValueError):
             EvaluationSettings(buffer_bdp=0.0)
 
+    def test_duration_must_exceed_skip_seconds(self):
+        # The summary window starts at skip_seconds: an empty one scored all zeros.
+        with pytest.raises(ValueError, match=r"duration \(1 s\).*skip_seconds \(1 s\)"):
+            EvaluationSettings(duration=1.0, skip_seconds=1.0)
+
 
 class TestSchemeFactory:
     @pytest.mark.parametrize("name", CLASSICAL_SCHEMES)

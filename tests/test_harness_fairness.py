@@ -102,7 +102,7 @@ class TestFairness:
 
 class TestMultiFlowRunner:
     @pytest.mark.parametrize("name, overrides", [
-        ("friendliness", {"flows": "1", "rtts_ms": "20", "duration": 2.0}),
+        ("friendliness", {"flows": "1", "rtts_ms": "20", "duration": 3.0}),
         ("fairness", {"schemes": "cubic", "n_flows": 2, "join_interval": 1.0}),
     ])
     def test_profiled_cell_counts_its_ticks(self, name, overrides):
@@ -159,7 +159,7 @@ class TestMultiFlowRunner:
         assert runner.keywords == {"columns": multiflow_columns}
 
     def test_grid_rows_identical_serial_and_parallel(self):
-        overrides = {"training_steps": 30, "duration": 2.0, "flows": "1", "rtts_ms": "20"}
+        overrides = {"training_steps": 30, "duration": 3.0, "flows": "1", "rtts_ms": "20"}
         serial = REGISTRY.run("friendliness", overrides)
         parallel = REGISTRY.run("friendliness", overrides, n_jobs=2)
         assert serial["rows"] == parallel["rows"]

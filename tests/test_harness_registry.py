@@ -126,7 +126,7 @@ class TestAxisOverrides:
             coerce_axis_value("x", (1, 2.5), (1,))
 
     @pytest.mark.parametrize("name, typed, spelled", [
-        ("friendliness", {"rtts_ms": 20, "duration": 2}, {"rtts_ms": "20", "duration": "2"}),
+        ("friendliness", {"rtts_ms": 20, "duration": 3}, {"rtts_ms": "20", "duration": "3"}),
         ("fallback_runtime", {"thresholds": (0, 1)}, {"thresholds": "0,1"}),
         ("sensitivity", {"lambda_values": [1], "n_values": 2.0},
          {"lambda_values": "1", "n_values": "2"}),

@@ -139,7 +139,7 @@ class TestRunRecord:
         assert main([str(tmp_path / "store")]) == 0
         (loaded,) = RunStore(tmp_path / "store").records()
         assert loaded.spec is None and loaded.hop_seeds == {}
-        result = REGISTRY.run("friendliness", {"flows": "1", "rtts_ms": (), "duration": 2.0,
+        result = REGISTRY.run("friendliness", {"flows": "1", "rtts_ms": (), "duration": 3.0,
                                                "training_steps": 30},
                               store=RunStore(tmp_path / "store"), resume=True)
         assert result["cached_cells"] == 0 and result["computed_cells"] == 6

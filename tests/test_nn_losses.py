@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import huber_loss, mse_loss
+from repro.nn.losses import mse_loss
 
 
 def test_mse_zero_for_perfect_prediction():
@@ -39,27 +39,3 @@ def test_mse_gradient_matches_numerical():
         numerical[i, 0] = (mse_loss(plus, target)[0] - mse_loss(minus, target)[0]) / (2 * eps)
     assert np.allclose(grad, numerical, atol=1e-5)
 
-
-def test_huber_equals_mse_half_for_small_errors():
-    pred = np.array([[0.1], [-0.2]])
-    target = np.zeros((2, 1))
-    huber, _ = huber_loss(pred, target, delta=1.0)
-    mse, _ = mse_loss(pred, target)
-    assert huber == pytest.approx(mse / 2.0)
-
-
-def test_huber_linear_region_gradient_is_bounded():
-    pred = np.array([[100.0]])
-    target = np.array([[0.0]])
-    _, grad = huber_loss(pred, target, delta=1.0)
-    assert abs(grad[0, 0]) <= 1.0
-
-
-def test_huber_invalid_delta():
-    with pytest.raises(ValueError):
-        huber_loss(np.zeros((1, 1)), np.zeros((1, 1)), delta=0.0)
-
-
-def test_huber_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        huber_loss(np.zeros((2, 1)), np.zeros((1, 1)))

@@ -1,45 +1,21 @@
-"""Tests for the SGD and Adam optimizers."""
+"""Tests for the optimizer base class and Adam."""
 
 import numpy as np
 import pytest
 
 from repro.nn.losses import mse_loss
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
-        SGD([np.zeros(2)], [], lr=0.1)
+        Adam([np.zeros(2)], [], lr=0.1)
 
 
 def test_nonpositive_lr_rejected():
     with pytest.raises(ValueError):
         Adam([np.zeros(2)], [np.zeros(2)], lr=0.0)
-
-
-def test_sgd_step_moves_against_gradient():
-    param = np.array([1.0, -1.0])
-    grad = np.array([0.5, -0.5])
-    opt = SGD([param], [grad], lr=0.1)
-    opt.step()
-    assert np.allclose(param, [0.95, -0.95])
-
-
-def test_sgd_momentum_accumulates():
-    param = np.array([0.0])
-    grad = np.array([1.0])
-    opt = SGD([param], [grad], lr=0.1, momentum=0.9)
-    opt.step()
-    first = param.copy()
-    opt.step()
-    second_step = param - first
-    assert abs(second_step[0]) > 0.1  # momentum makes the second step larger
-
-
-def test_sgd_invalid_momentum():
-    with pytest.raises(ValueError):
-        SGD([np.zeros(1)], [np.zeros(1)], lr=0.1, momentum=1.5)
 
 
 def test_adam_invalid_betas():
@@ -50,7 +26,7 @@ def test_adam_invalid_betas():
 def test_zero_grad_clears_buffers():
     param = np.array([1.0])
     grad = np.array([2.0])
-    opt = SGD([param], [grad], lr=0.1)
+    opt = Adam([param], [grad], lr=0.1)
     opt.zero_grad()
     assert np.all(grad == 0.0)
 

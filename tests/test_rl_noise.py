@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
+from repro.rl.noise import GaussianNoise
 
 
 def test_gaussian_noise_statistics():
@@ -22,28 +22,6 @@ def test_gaussian_zero_sigma_is_deterministic():
 def test_gaussian_negative_sigma_rejected():
     with pytest.raises(ValueError):
         GaussianNoise(dim=1, sigma=-0.1)
-
-
-def test_ou_noise_reverts_to_mean():
-    noise = OrnsteinUhlenbeckNoise(dim=1, mu=0.0, theta=0.5, sigma=0.0, seed=0)
-    noise._state = np.array([10.0])
-    for _ in range(50):
-        value = noise.sample()
-    assert abs(value[0]) < 0.1
-
-
-def test_ou_noise_reset():
-    noise = OrnsteinUhlenbeckNoise(dim=2, mu=1.0, seed=0)
-    noise.sample()
-    noise.reset()
-    assert np.allclose(noise._state, 1.0)
-
-
-def test_ou_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        OrnsteinUhlenbeckNoise(dim=1, sigma=-1.0)
-    with pytest.raises(ValueError):
-        OrnsteinUhlenbeckNoise(dim=1, dt=0.0)
 
 
 def test_noise_is_reproducible_with_seed():

@@ -281,7 +281,7 @@ class _ToyTask(ExperimentTask):
 
 def _toy_task(name: str) -> _ToyTask:
     return _ToyTask(scheme=name, trace=BandwidthTrace.constant(12.0, duration=1.0),
-                    settings=EvaluationSettings(duration=1.0))
+                    settings=EvaluationSettings(duration=2.0))
 
 
 def _toy_runner(task):
