@@ -15,7 +15,7 @@ import pytest
 from repro.cc.base import CongestionController, TickFeedback
 from repro.cc.flow import Flow
 from repro.cc.link import BottleneckLink
-from repro.cc.netsim import NetworkSimulator
+from repro.cc.netsim import NetworkSimulator, interval_report
 from repro.traces.trace import BandwidthTrace
 
 
@@ -113,3 +113,33 @@ class TestZeroAckFallbacks:
         report = sim.monitor_report(0)
         assert report.loss_rate == 0.0
         assert report.avg_queuing_delay == 0.0
+
+
+class TestIntervalReport:
+    """The reducer shared by ``monitor_report`` and the deployed controller."""
+
+    @staticmethod
+    def feedback(now, acked, lost, rtt, delay, dt=0.01):
+        return TickFeedback(now=now, dt=dt, acked=acked, lost=lost, rtt=rtt, min_rtt=0.04,
+                            queuing_delay=delay, inflight=0.0, delivery_rate=0.0)
+
+    def test_reduces_tick_feedbacks_ack_weighted(self):
+        ticks = [self.feedback(0.01, 4.0, 1.0, 0.06, 0.02),
+                 self.feedback(0.02, 0.0, 1.0, 0.0, 0.5),  # no acks: no delay/RTT weight
+                 self.feedback(0.03, 2.0, 0.0, 0.09, 0.05)]
+        report = interval_report(ticks, 0.0, 0.03, 1e-3, 0.07, 0.04, 12.0)
+        assert report.n_acks == 6.0
+        assert report.interval == pytest.approx(0.03)
+        assert report.throughput_pps == pytest.approx(6.0 / 0.03)
+        assert report.loss_rate == pytest.approx(2.0 / 8.0)
+        assert report.avg_queuing_delay == pytest.approx((4 * 0.02 + 2 * 0.05) / 6)
+        assert report.avg_rtt == pytest.approx((4 * 0.06 + 2 * 0.09) / 6)
+        assert (report.srtt, report.min_rtt, report.cwnd) == (0.07, 0.04, 12.0)
+
+    def test_empty_interval_uses_floor_and_srtt(self):
+        report = interval_report([], 1.0, 1.0, 0.01, 0.05, 0.04, 10.0)
+        assert report.interval == 0.01
+        assert report.throughput_pps == 0.0
+        assert report.loss_rate == 0.0
+        assert report.avg_queuing_delay == 0.0
+        assert report.avg_rtt == 0.05

@@ -7,7 +7,7 @@ from repro.cc.cubic import CubicController
 from repro.cc.flow import Flow
 from repro.cc.link import BottleneckLink
 from repro.cc.netsim import NetworkSimulator
-from repro.orca.agent import LearnedController, cwnd_from_action
+from repro.orca.agent import LearnedController, action_step, cwnd_from_action
 from repro.orca.observations import ObservationConfig
 from repro.traces.trace import BandwidthTrace
 
@@ -40,6 +40,12 @@ class TestCwndMap:
 
     def test_minimum_window_enforced(self):
         assert cwnd_from_action(-1.0, 0.5) >= 2.0
+
+    def test_action_step_returns_the_clipped_action_with_its_window(self):
+        assert action_step(3.0, 10.0) == (1.0, cwnd_from_action(1.0, 10.0))
+        assert action_step(-7.5, 10.0) == (-1.0, cwnd_from_action(-1.0, 10.0))
+        assert action_step(0.25, 10.0) == (0.25, cwnd_from_action(0.25, 10.0))
+        assert all(isinstance(value, float) for value in action_step(np.float32(0.5), 10.0))
 
 
 class TestLearnedController:

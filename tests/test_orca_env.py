@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.orca.env import OrcaEnvConfig, OrcaNetworkEnv
+from repro.cc.cubic import CubicController
+from repro.cc.flow import Flow
+from repro.orca.env import OrcaEnvConfig, OrcaNetworkEnv, build_simulator
 from repro.seeding import derive_seed
 from repro.telemetry.profiler import TickProfiler, activate_profiler, deactivate_profiler
+from repro.topology.families import build_topology
 from repro.traces.trace import BandwidthTrace
 
 
@@ -67,6 +70,20 @@ class TestEnvironment:
         assert profiler.ticks == 2 * ticks_per_interval
         env.reset()
         assert profiler.ticks == 2 * ticks_per_interval
+
+    def test_build_simulator_builds_the_family_with_the_active_profiler(self):
+        trace = BandwidthTrace.constant(24.0, duration=10.0)
+        expected = build_topology("chain(3)", trace, min_rtt=0.05, buffer_bdp=2.0, seed=11)
+        profiler = activate_profiler(TickProfiler())
+        try:
+            sim = build_simulator("chain(3)", trace, [Flow(0, CubicController())], dt=0.01,
+                                  min_rtt=0.05, buffer_bdp=2.0, seed=11)
+            sim.tick()
+        finally:
+            deactivate_profiler()
+        assert profiler.ticks == 1
+        assert ([(link.name, link.queue.seed) for link in sim.topology.ordered_links]
+                == [(link.name, link.queue.seed) for link in expected.ordered_links])
 
     def test_info_contains_decision_context(self):
         env = make_env()

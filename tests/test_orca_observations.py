@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cc.netsim import MonitorReport
-from repro.orca.observations import FEATURE_NAMES, ObservationBuilder, ObservationConfig
+from repro.orca.observations import (FEATURE_NAMES, ObservationBuilder, ObservationConfig,
+                                     with_delay_noise)
 
 
 def make_report(throughput=500.0, loss=0.0, delay=0.02, n_acks=100.0, interval=0.2,
@@ -103,3 +104,22 @@ class TestBuilder:
         indices = builder.feature_indices("delay")
         assert len(indices) == 3
         assert len(set(indices)) == 3
+
+
+class TestDelayNoise:
+    def test_zero_level_returns_report_and_draws_nothing(self):
+        report = make_report(delay=0.03)
+        rng = np.random.default_rng(5)
+        assert with_delay_noise(report, 0.0, rng) is report
+        assert rng.uniform() == np.random.default_rng(5).uniform()
+
+    def test_one_draw_scales_only_the_delay_and_clamps_at_zero(self):
+        report = make_report(delay=0.03)
+        noise = np.random.default_rng(7).uniform(-0.5, 0.5)
+        noisy = with_delay_noise(report, 0.5, np.random.default_rng(7))
+        assert noisy.avg_queuing_delay == max(0.0, 0.03 * (1.0 + noise))
+        assert noisy._replace(avg_queuing_delay=report.avg_queuing_delay) == report
+        # A level above 1 can push the factor below zero; the delay stays >= 0.
+        rng = np.random.default_rng(0)
+        assert all(with_delay_noise(report, 3.0, rng).avg_queuing_delay >= 0.0
+                   for _ in range(50))
