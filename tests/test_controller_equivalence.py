@@ -1,15 +1,19 @@
-"""Bit-for-bit pins of the controller half of the tick against brute force.
+"""Bit-for-bit pins of both halves of the tick against brute force.
 
 Each test runs the program next to a reference written here in the most
 direct form: BBR's bandwidth filter as a full-window ``max``, the
 simulator's monitor report as per-tick accumulation over the records
-``tick()`` returns, and the learned controller as dict accumulation plus
-``np.clip`` on every scalar.  Values are compared as IEEE-754 bit patterns,
-so a reordered sum or a lost ``-0.0`` fails.  The last test observes one
-trajectory through both the training (``monitor_report``) and the deployed
-(``LearnedController``) pipeline and pins where the two agree.
+``tick()`` returns, the learned controller as dict accumulation plus
+``np.clip`` on every scalar, a hop's drain as a plain-list FIFO and the
+transit stage as a list sorted by ``(eligible_time, seq)``.  Values are
+compared as IEEE-754 bit patterns, so a reordered sum or a lost ``-0.0``
+fails.  Whole trajectories on three multi-hop scenarios are pinned by a
+SHA-256 digest.  One test observes one trajectory through both the training
+(``monitor_report``) and the deployed (``LearnedController``) pipeline and
+pins where the two agree.
 """
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -28,7 +32,8 @@ from repro.orca.observations import (
     ObservationConfig,
     clip_float,
 )
-from repro.topology import build_topology
+from repro.telemetry.events import EventTrace
+from repro.topology import CrossTrafficSource, OnOff, Topology, TransitQueue, build_topology
 from repro.traces.cellular import make_cellular_trace
 from repro.traces.synthetic import make_synthetic_trace
 from repro.traces.trace import BandwidthTrace
@@ -364,3 +369,230 @@ def test_training_and_deployed_observations_agree_except_inv_rtt(trace_name, buf
                                    err_msg=name)
     inv_rtt = FEATURE_NAMES.index("inv_rtt")
     assert np.count_nonzero(deployed[:, inv_rtt] != trained[:, inv_rtt]) > 0
+
+
+# ---------------------------------------------------------------------- #
+# Link half: a hop's drain equals a plain-list FIFO
+# ---------------------------------------------------------------------- #
+def reference_drain(fifo, state, capacity_pps, now, dt):
+    """Drain ``fifo`` (``[flow, packets, enqueue_time, carried]`` lists) head first.
+
+    The budget is ``capacity·dt`` plus the credit the previous drain left;
+    a head with at most 1e-12 packets left is dropped from the FIFO (its
+    residue stays in the occupancy), and the credit survives only while
+    packets are still queued.
+    """
+    budget = capacity_pps * dt + state["credit"]
+    delivered = []
+    while budget > 1e-12 and fifo:
+        head = fifo[0]
+        take = min(budget, head[1])
+        delivered.append((head[0], take, head[3] + max(now - head[2], 0.0)))
+        state["occupancy"] = max(state["occupancy"] - take, 0.0)
+        state["delivered"] += take
+        budget -= take
+        head[1] -= take
+        if head[1] <= 1e-12:
+            state["residue_pops"] += head[1] > 0.0
+            fifo.pop(0)
+        else:
+            state["partial_heads"] += 1
+    state["credit"] = budget if fifo else 0.0
+    state["credit_carries"] += state["credit"] > 0.0
+    return delivered
+
+
+def flat(chunks):
+    """Every field of every chunk, read positionally, as one float sequence."""
+    return [value for chunk in chunks for value in chunk]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3))
+def test_drain_matches_plain_list_fifo(seed):
+    rng = np.random.default_rng(seed)
+    link = BottleneckLink(BandwidthTrace.constant(12.0, duration=60.0), min_rtt=0.05,
+                          buffer_packets=40.0)
+    fifo = []
+    state = dict(occupancy=0.0, delivered=0.0, credit=0.0,
+                 residue_pops=0, partial_heads=0, credit_carries=0)
+    now, empty_drains = 0.0, 0
+    for step in range(1500):
+        dt = 0.01 if step % 5 else 0.004
+        for _ in range(int(rng.integers(0, 4))):
+            fid = int(rng.integers(-1, 3))
+            kind = rng.random()
+            packets = (5e-13 if kind < 0.05 else 2e-12 if kind < 0.1
+                       else float(rng.uniform(0.0, 8.0)))
+            carried = float(rng.uniform(0.0, 0.05)) if rng.random() < 0.5 else 0.0
+            accepted, _, _ = link.enqueue(fid, packets, now, carried_delay=carried)
+            if accepted > 0:
+                fifo.append([fid, accepted, now, carried])
+                state["occupancy"] += accepted
+        # Capacities: idle, random, or the head's remainder ± a few 1e-13
+        # (leaving a head residue or a carried credit around 1e-12).
+        kind = rng.random()
+        if kind < 0.1:
+            capacity = 0.0
+        elif kind < 0.45 and fifo:
+            offset = (-5e-13, 5e-13, -2e-12, 2e-12, 0.0)[int(rng.integers(0, 5))]
+            capacity = (fifo[0][1] + offset - state["credit"]) / dt
+        else:
+            capacity = float(rng.uniform(50.0, 3000.0))
+        empty_drains += not fifo and capacity > 0.0
+        if step % 7 == 0:
+            capacity = link.capacity_pps(now)
+            got = link.drain(now, dt)
+        else:
+            got = link.drain_at(capacity, now, dt)
+        expected = reference_drain(fifo, state, capacity, now, dt)
+        assert len(got) == len(expected), step
+        assert bits(flat(got)) == bits(flat(expected)), step
+        assert bits([link.queue_occupancy, link.total_delivered]) == bits(
+            [state["occupancy"], state["delivered"]]), step
+        per_flow = {}
+        for fid, packets, _, _ in fifo:
+            per_flow[fid] = per_flow.get(fid, 0.0) + packets
+        assert link.per_flow_occupancy() == per_flow, step
+        now += dt
+    assert state["residue_pops"] > 0 and state["partial_heads"] > 0
+    assert state["credit_carries"] > 0 and empty_drains > 0
+
+
+# ---------------------------------------------------------------------- #
+# Link half: transit releases equal a list sorted by (eligible_time, seq)
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_transit_arrivals_match_sorted_list(seed):
+    rng = np.random.default_rng(seed)
+    telemetry = EventTrace()
+    transit = TransitQueue(telemetry=telemetry)
+    dests = ("root", "leaf")
+    pending = {dest: [] for dest in dests}
+    dest_occupancy = dict.fromkeys(dests, 0.0)
+    marks = dict.fromkeys(dests, 0.0)
+    expected_marks = []
+    seq, occupancy, now, ties = 0, 0.0, 0.0, 0
+    for step in range(600):
+        telemetry.advance(now)
+        # Three source hops fan in, mostly towards "root"; forward shares on a
+        # 5 ms grid make equal eligibility times common.
+        for source in range(3):
+            if rng.random() < 0.3:
+                continue
+            dest = dests[0] if rng.random() < 0.8 else dests[1]
+            packets = 0.0 if rng.random() < 0.05 else float(rng.uniform(0.0, 4.0))
+            delay = float(rng.uniform(0.0, 0.03))
+            eligible = now + 0.005 * int(rng.integers(1, 4))
+            transit.send(dest, source, packets, delay, eligible)
+            if packets > 0:
+                pending[dest].append((eligible, seq, source, packets, delay))
+                seq += 1
+                occupancy += packets
+                dest_occupancy[dest] += packets
+                if dest_occupancy[dest] > marks[dest] * 1.05:
+                    marks[dest] = dest_occupancy[dest]
+                    expected_marks.append((dest, dest_occupancy[dest]))
+        for dest in dests:
+            limit = now + 1e-12
+            due = sorted(entry for entry in pending[dest] if entry[0] <= limit)
+            pending[dest] = [entry for entry in pending[dest] if entry[0] > limit]
+            ties += sum(a[0] == b[0] for a, b in zip(due, due[1:]))
+            for entry in due:
+                occupancy -= entry[3]
+            if due:
+                dest_occupancy[dest] = max(0.0, dest_occupancy[dest]
+                                           - sum(entry[3] for entry in due))
+            expected = [(flow, packets, delay, eligible)
+                        for eligible, _, flow, packets, delay in due]
+            got = transit.arrivals(dest, now)
+            assert len(got) == len(expected), (step, dest)
+            assert bits(flat(got)) == bits(flat(expected)), (step, dest)
+        assert bits(transit.occupancy) == bits(max(0.0, occupancy)), step
+        in_flight = [entry for dest in dests for entry in pending[dest]]
+        per_flow = {}
+        for _, _, flow, packets, _ in in_flight:
+            per_flow[flow] = per_flow.get(flow, 0.0) + packets
+        assert transit.per_flow_occupancy() == pytest.approx(per_flow, abs=1e-9), step
+        per_link = {dest: sum(entry[3] for entry in pending[dest])
+                    for dest in dests if pending[dest]}
+        assert transit.per_link_occupancy() == pytest.approx(per_link, abs=1e-9), step
+        now += 0.01
+    got_marks = [(event["hop"], event["packets"])
+                 for event in telemetry.select(["transit_high_water"])]
+    assert [hop for hop, _ in got_marks] == [hop for hop, _ in expected_marks]
+    assert bits([p for _, p in got_marks]) == bits([p for _, p in expected_marks])
+    assert ties > 0 and len(expected_marks) > len(dests)
+
+
+# ---------------------------------------------------------------------- #
+# Whole trajectories: SHA-256 of every tick's observable state
+# ---------------------------------------------------------------------- #
+def shared_segment_with_cross_traffic(trace):
+    """``shared_segment`` with seeded binomial loss and an on/off cross source."""
+    base = build_topology("shared_segment", trace, min_rtt=0.04, buffer_bdp=0.5,
+                          random_loss_rate=0.02, stochastic_loss=True, seed=3)
+    cross = CrossTrafficSource(name="onoff-b", flow_id=-1, path=("access-b", "shared", "exit-b"),
+                               generator=OnOff(8.0, on_seconds=0.5, off_seconds=0.7, phase=0.2))
+    return Topology("shared_segment", list(base.links.values()),
+                    route_cycle=[("access-a", "shared", "exit-a"),
+                                 ("access-b", "shared", "exit-b")],
+                    cross_traffic=[cross], bottleneck="shared")
+
+
+def trajectory_scenario(name):
+    trace = make_synthetic_trace("step-12-48")
+    duration = 6.0
+    if name == "fan_in":
+        topology = build_topology("fan_in(3)", trace, min_rtt=0.05, buffer_bdp=0.5, seed=5)
+        workload = "poisson(0.25)"
+    elif name == "chain":
+        topology = build_topology("chain(3)", trace, min_rtt=0.06, buffer_bdp=0.5, seed=5)
+        workload = "responsive(cubic:2)"
+    else:
+        topology = shared_segment_with_cross_traffic(trace)
+        workload = "static"
+    flows = [Flow(0, CubicController())]
+    flows += [cross.build() for cross in build_workload(workload, duration, seed=5)]
+    if name == "shared_segment":
+        flows.append(Flow(1, BBRController(), start_time=0.5))
+    return NetworkSimulator(topology, flows), int(round(duration / 0.01))
+
+
+def trajectory_digest(sim, ticks):
+    """SHA-256 over each tick's records, hop queues, in-transit packets and cross counters."""
+    digest = hashlib.sha256()
+    seen = dict(transit=0.0, lost=0.0, cross=0.0)
+    for _ in range(ticks):
+        records = sim.tick()
+        for fid in sorted(records):
+            digest.update(bits(records[fid]))
+            seen["lost"] += records[fid].lost
+        for name, packets in sim.hop_occupancy().items():
+            digest.update(name.encode())
+            digest.update(bits(packets))
+        for fid, packets in sorted(sim.in_transit_per_flow().items()):
+            digest.update(bits([fid, packets]))
+            seen["transit"] += packets
+        for source_id, counters in sorted(sim.cross_stats.items()):
+            digest.update(bits([source_id, counters["offered"], counters["delivered"],
+                                counters["dropped"]]))
+            seen["cross"] += counters["delivered"]
+    return digest.hexdigest(), seen
+
+
+#: Computed while delivered and in-transit chunks were still named tuples;
+#: a change to how the link half builds or stores chunks must not move them.
+TRAJECTORY_DIGESTS = {
+    "fan_in": "dbc36dc83d4d92389b24bf35e624f4a396a6943b0afd89cd404192a6a013c0f6",
+    "chain": "6ba44998452a64bf7db0921f43e7a8071200d12aada3206f481ab958341d0af9",
+    "shared_segment": "796c945ae2454892ac6793db49ea45faf94ce61b0469d6e0e5841af86a4bf27d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+def test_whole_trajectory_digest_is_pinned(name):
+    sim, ticks = trajectory_scenario(name)
+    digest, seen = trajectory_digest(sim, ticks)
+    assert seen["transit"] > 0 and seen["lost"] > 0
+    assert seen["cross"] > 0 or name != "shared_segment"
+    assert digest == TRAJECTORY_DIGESTS[name]
