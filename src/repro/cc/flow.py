@@ -20,9 +20,10 @@ dup-acks from the packets behind it (:meth:`Flow.record_sent`, the legacy
 convention the one-hop differential pins keep bit-identical).
 
 Pending notifications are plain tuples — ``(time, packets, rtt,
-queuing_delay)`` acks and ``(time, packets)`` losses — and each tick's
-:class:`TickRecord` is a named tuple, so the per-tick path builds no
-dataclasses.
+queuing_delay)`` acks and ``(time, packets)`` losses.  Each tick's
+:class:`TickRecord` and :class:`~repro.cc.base.TickFeedback` are named tuples
+(read by name downstream) but are built with ``tuple.__new__``, so the
+per-tick path builds no dataclasses and runs no generated constructor.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from repro.cc.base import CongestionController, TickFeedback
 __all__ = ["Flow", "TickRecord"]
 
 _INF = float("inf")
+
+# Builds TickRecord/TickFeedback without the named tuples' generated __new__ frame.
+_new_tuple = tuple.__new__
 
 
 class TickRecord(NamedTuple):
@@ -275,7 +279,8 @@ class Flow:
     def finish_tick(self, now: float, dt: float) -> TickRecord:
         """Build feedback, update the controller, and return the tick record.
 
-        Both tuples are built positionally, the cheaper form on this path.
+        Both named tuples are built by ``tuple.__new__`` from every field in
+        order, the cheapest form on this path.
         """
         weight = self._tick_ack_weight
         if weight > 0:
@@ -290,11 +295,11 @@ class Flow:
         controller = self.controller
         if self.is_active(now):
             min_rtt = self.min_rtt
-            controller.on_tick(TickFeedback(now, dt, acked, lost, rtt,
-                                            min_rtt if min_rtt < _INF else 0.0, delay,
-                                            inflight, self.delivery_rate))
-        record = TickRecord(now, self._tick_sent, acked, lost, rtt, delay, controller.cwnd,
-                            inflight)
+            controller.on_tick(_new_tuple(TickFeedback, (
+                now, dt, acked, lost, rtt, min_rtt if min_rtt < _INF else 0.0, delay,
+                inflight, self.delivery_rate)))
+        record = _new_tuple(TickRecord, (now, self._tick_sent, acked, lost, rtt, delay,
+                                         controller.cwnd, inflight))
         self._tick_sent = self._tick_acked = self._tick_lost = 0.0
         self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
         return record

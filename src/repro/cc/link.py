@@ -11,9 +11,9 @@ drawn from the link's seeded RNG, so repeated runs vary per seed but remain
 bit-reproducible for a given seed.
 
 Queued chunks are mutable ``[flow_id, packets, enqueue_time, carried_delay]``
-lists and delivered chunks are :class:`DeliveredChunk` named tuples, so the
-drain loop unpacks and builds tuples, not dataclasses.  There is one
-drain body, :meth:`BottleneckLink.drain_at`, which takes the tick's capacity
+lists and delivered chunks are plain ``(flow_id, packets, queuing_delay)``
+tuples, so the drain loop builds no named tuples or dataclasses.  There is
+one drain body, :meth:`BottleneckLink.drain_at`, which takes the tick's capacity
 as an argument: the network simulator passes it from its precomputed
 per-hop capacity schedule, and :meth:`BottleneckLink.drain` looks it up from
 the trace.
@@ -22,21 +22,13 @@ the trace.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, NamedTuple, Tuple
+from typing import Deque, Dict, List, Tuple
 
 import numpy as np
 
 from repro.traces.trace import BandwidthTrace
 
-__all__ = ["BottleneckLink", "DeliveredChunk"]
-
-
-class DeliveredChunk(NamedTuple):
-    """A chunk of packets that left the bottleneck queue this tick."""
-
-    flow_id: int
-    packets: float
-    queuing_delay: float
+__all__ = ["BottleneckLink"]
 
 
 class BottleneckLink:
@@ -163,17 +155,22 @@ class BottleneckLink:
         self.total_dropped += dropped + random_lost
         return accepted, dropped, random_lost
 
-    def drain(self, now: float, dt: float) -> List[DeliveredChunk]:
+    def drain(self, now: float, dt: float) -> List[Tuple[int, float, float]]:
         """Dequeue up to ``capacity(now) * dt`` packets (FIFO) and return them."""
         return self.drain_at(self.capacity_pps(now), now, dt)
 
-    def drain_at(self, capacity_pps: float, now: float, dt: float) -> List[DeliveredChunk]:
-        """Dequeue up to ``capacity_pps * dt`` packets (FIFO) and return them."""
+    def drain_at(self, capacity_pps: float, now: float,
+                 dt: float) -> List[Tuple[int, float, float]]:
+        """Dequeue up to ``capacity_pps * dt`` packets (FIFO) and return them.
+
+        Each delivered chunk is a ``(flow_id, packets, queuing_delay)`` tuple;
+        the delay includes the ``carried_delay`` of upstream hops.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
         budget = capacity_pps * dt + self._drain_credit
         queue = self._queue
-        delivered: List[DeliveredChunk] = []
+        delivered: List[Tuple[int, float, float]] = []
         occupancy = self._occupancy
         total_delivered = self.total_delivered
         while budget > 1e-12 and queue:
@@ -181,8 +178,8 @@ class BottleneckLink:
             flow_id, packets, enqueue_time, carried_delay = chunk
             take = budget if budget < packets else packets
             waited = now - enqueue_time
-            delivered.append(DeliveredChunk(
-                flow_id, take, carried_delay + (waited if waited > 0.0 else 0.0)))
+            delivered.append((flow_id, take,
+                              carried_delay + (waited if waited > 0.0 else 0.0)))
             occupancy -= take
             if not occupancy > 0.0:
                 occupancy = 0.0

@@ -39,8 +39,10 @@ Both styles share one lean tick loop.  Every hop's drain capacity (pps) and
 the bottleneck's logged capacity (Mbps) come from a capacity schedule
 precomputed :data:`SCHEDULE_BLOCK` ticks at a time, on tick times accumulated
 with the same ``now += dt`` as :meth:`NetworkSimulator.tick`, so each value is
-bit-identical to a per-tick trace lookup.  Chunks, ack/loss notifications and
-tick records are tuples or named tuples that the loop unpacks directly.
+bit-identical to a per-tick trace lookup.  Delivered and in-transit chunks
+and ack/loss notifications are plain tuples that the loop unpacks
+positionally; tick records are named tuples built without their generated
+constructor (see :meth:`repro.cc.flow.Flow.finish_tick`).
 
 Observability: an optional :class:`~repro.telemetry.events.EventTrace`
 records structured, sim-time-stamped events from the tick loop — per-hop

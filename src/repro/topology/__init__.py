@@ -37,13 +37,12 @@ from repro.topology.families import (
     topology_family_specs,
 )
 from repro.topology.graph import Link, Route, Topology
-from repro.topology.transit import TransitChunk, TransitQueue
+from repro.topology.transit import TransitQueue
 
 __all__ = [
     "Link",
     "Route",
     "Topology",
-    "TransitChunk",
     "TransitQueue",
     "ConstantBitRate",
     "OnOff",

@@ -28,30 +28,26 @@ suites) account for every packet that has left one queue but not yet reached
 the next: ``sent == acked + lost + queued + in-transit + notifications
 in flight`` at every tick.
 
-Chunks are :class:`TransitChunk` named tuples held in ``(eligible_time, seq,
-chunk)`` heap entries, so the hot path pushes and pops plain tuples (no
-per-chunk dataclass construction) while callers keep attribute access.
+Chunks are plain ``(flow_id, packets, queuing_delay, eligible_time)`` tuples
+held in ``(eligible_time, seq, chunk)`` heap entries, so the hot path pushes
+and pops tuples and builds no named tuple or dataclass per chunk; readers
+unpack them positionally (``queuing_delay`` is the queuing accumulated on
+upstream hops, ``eligible_time`` when the chunk reaches the downstream FIFO).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.events import EventTrace
 
-__all__ = ["TransitChunk", "TransitQueue"]
+__all__ = ["TransitQueue"]
 
 _EPS = 1e-12
 
-
-class TransitChunk(NamedTuple):
-    """A chunk of packets propagating between two hops."""
-
-    flow_id: int
-    packets: float
-    queuing_delay: float   # queuing accumulated on upstream hops (carried over)
-    eligible_time: float   # when it reaches the downstream hop's FIFO
+#: ``(flow_id, packets, queuing_delay, eligible_time)``.
+Chunk = Tuple[int, float, float, float]
 
 
 class TransitQueue:
@@ -70,7 +66,7 @@ class TransitQueue:
     """
 
     def __init__(self, telemetry: Optional[EventTrace] = None) -> None:
-        self._pending: Dict[str, List[Tuple[float, int, TransitChunk]]] = {}
+        self._pending: Dict[str, List[Tuple[float, int, Chunk]]] = {}
         self._seq = 0
         self._occupancy = 0.0
         self._telemetry = telemetry
@@ -85,9 +81,9 @@ class TransitQueue:
         """Put a forwarded chunk on the wire towards hop ``dest``."""
         if packets <= 0:
             return
-        chunk = TransitChunk(flow_id, packets, queuing_delay, eligible_time)
         heapq.heappush(self._pending.setdefault(dest, []),
-                       (eligible_time, self._seq, chunk))
+                       (eligible_time, self._seq,
+                        (flow_id, packets, queuing_delay, eligible_time)))
         self._seq += 1
         self._occupancy += packets
         tel = self._telemetry
@@ -99,12 +95,12 @@ class TransitQueue:
                 self._high_water[dest] = occupancy
                 tel.emit("transit_high_water", hop=dest, packets=occupancy)
 
-    def arrivals(self, dest: str, now: float) -> List[TransitChunk]:
+    def arrivals(self, dest: str, now: float) -> List[Chunk]:
         """Pop every chunk destined to ``dest`` whose transit time has elapsed."""
         heap = self._pending.get(dest)
         if not heap:
             return []
-        due: List[TransitChunk] = []
+        due: List[Chunk] = []
         limit = now + _EPS
         occupancy = self._occupancy
         heappop = heapq.heappop
@@ -114,7 +110,7 @@ class TransitQueue:
             occupancy -= chunk[1]
         self._occupancy = occupancy
         if due and self._telemetry is not None:
-            popped = sum(chunk.packets for chunk in due)
+            popped = sum(chunk[1] for chunk in due)
             self._dest_occupancy[dest] = max(
                 0.0, self._dest_occupancy.get(dest, 0.0) - popped)
         return due
@@ -129,15 +125,15 @@ class TransitQueue:
 
     def per_link_occupancy(self) -> Dict[str, float]:
         """In-transit packets keyed by the hop they are travelling towards."""
-        return {dest: sum(entry[2].packets for entry in heap)
+        return {dest: sum(entry[2][1] for entry in heap)
                 for dest, heap in self._pending.items() if heap}
 
     def per_flow_occupancy(self) -> Dict[int, float]:
         """In-transit packets broken down by flow (conservation diagnostics)."""
         occupancy: Dict[int, float] = {}
         for heap in self._pending.values():
-            for _, _, chunk in heap:
-                occupancy[chunk.flow_id] = occupancy.get(chunk.flow_id, 0.0) + chunk.packets
+            for _, _, (flow_id, packets, _, _) in heap:
+                occupancy[flow_id] = occupancy.get(flow_id, 0.0) + packets
         return occupancy
 
     def reset(self) -> None:

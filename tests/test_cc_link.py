@@ -67,7 +67,7 @@ class TestDrain:
         link = make_link(mbps=12.0, buffer_bdp=10.0)
         link.enqueue(0, 1000.0, 0.0)
         delivered = link.drain(0.0, dt=0.1)
-        total = sum(chunk.packets for chunk in delivered)
+        total = sum(packets for _, packets, _ in delivered)
         assert total == pytest.approx(mbps_to_pps(12.0) * 0.1, rel=1e-6)
 
     def test_drain_empty_queue(self):
@@ -82,21 +82,21 @@ class TestDrain:
         link.enqueue(0, 5.0, 0.0)
         link.enqueue(1, 5.0, 0.0)
         delivered = link.drain(0.0, dt=10.0)
-        assert delivered[0].flow_id == 0
-        assert delivered[-1].flow_id == 1
+        assert delivered[0][0] == 0
+        assert delivered[-1][0] == 1
 
     def test_queuing_delay_reported(self):
         link = make_link(mbps=12.0, buffer_bdp=10.0)
         link.enqueue(0, 5.0, now=0.0)
         delivered = link.drain(now=0.5, dt=0.1)
-        assert all(chunk.queuing_delay == pytest.approx(0.5) for chunk in delivered)
+        assert all(delay == pytest.approx(0.5) for _, _, delay in delivered)
 
     def test_no_capacity_carryover_on_empty_queue(self):
         link = make_link(mbps=12.0)
         link.drain(0.0, dt=1.0)  # nothing queued; credit must not accumulate
         link.enqueue(0, 1000.0, 1.0)
         delivered = link.drain(1.0, dt=0.1)
-        total = sum(chunk.packets for chunk in delivered)
+        total = sum(packets for _, packets, _ in delivered)
         assert total <= mbps_to_pps(12.0) * 0.1 + 1e-6
 
     def test_expected_queuing_delay(self):

@@ -500,8 +500,8 @@ class TestConservationInvariants:
         drained = []
         t = 0.03
         while link.queue_occupancy > 1e-9:
-            for chunk in link.drain(t, 0.2):
-                drained.append((chunk.flow_id, chunk.packets))
+            for flow_id, packets, _ in link.drain(t, 0.2):
+                drained.append((flow_id, packets))
             t += 0.2
         # Flow ids come back in exactly the interleaved arrival order.
         assert [fid for fid, _ in drained[:4]] == [0, 1, 0, 2]
@@ -515,15 +515,15 @@ class TestConservationInvariants:
         for t in (0.0, 0.1, 0.2):
             link.enqueue(0, 5.0, t)
         chunks = link.drain(1.0, 10.0)
-        delays = [chunk.queuing_delay for chunk in chunks]
+        delays = [delay for _, _, delay in chunks]
         assert delays == sorted(delays, reverse=True)  # oldest (longest-waiting) first
         assert delays[0] == pytest.approx(1.0)
 
     def test_carried_delay_accumulates_across_hops(self):
         downstream = BottleneckLink(constant_trace(12.0), min_rtt=0.05, buffer_packets=50.0)
         downstream.enqueue(0, 2.0, 1.0, carried_delay=0.25)
-        (chunk,) = downstream.drain(1.5, 10.0)
-        assert chunk.queuing_delay == pytest.approx(0.25 + 0.5)
+        ((_, _, delay),) = downstream.drain(1.5, 10.0)
+        assert delay == pytest.approx(0.25 + 0.5)
 
 
 class TestStochasticLoss:

@@ -51,8 +51,8 @@ class LegacySingleLinkSimulator:
                 flow.record_sent(accepted, dropped, random_lost, now, prop_rtt)
         self._tick_count += 1
 
-        for chunk in self.link.drain(now, dt):
-            self.flows[chunk.flow_id].record_delivery(chunk.packets, chunk.queuing_delay, now, prop_rtt)
+        for flow_id, packets, queuing_delay in self.link.drain(now, dt):
+            self.flows[flow_id].record_delivery(packets, queuing_delay, now, prop_rtt)
 
         end_of_tick = now + dt
         records = {}

@@ -76,8 +76,8 @@ class TestTransitQueue:
         transit.send("hop2", 0, 5.0, 0.0, eligible_time=0.03)
         assert transit.arrivals("hop2", 0.0) == []
         assert transit.arrivals("hop2", 0.02) == []
-        (chunk,) = transit.arrivals("hop2", 0.03)
-        assert chunk.packets == 5.0
+        ((_, packets, _, _),) = transit.arrivals("hop2", 0.03)
+        assert packets == 5.0
         assert transit.occupancy == 0.0
 
     def test_release_order_is_time_then_sequence(self):
@@ -87,7 +87,7 @@ class TestTransitQueue:
         transit.send("root", 0, 1.0, 0.0, eligible_time=0.05)
         transit.send("root", 1, 2.0, 0.0, eligible_time=0.02)
         transit.send("root", 2, 3.0, 0.0, eligible_time=0.05)
-        order = [(c.flow_id, c.packets) for c in transit.arrivals("root", 0.05)]
+        order = [(flow_id, packets) for flow_id, packets, _, _ in transit.arrivals("root", 0.05)]
         assert order == [(1, 2.0), (0, 1.0), (2, 3.0)]
 
     def test_per_flow_fifo_preserved(self):
@@ -96,7 +96,7 @@ class TestTransitQueue:
         transit = TransitQueue()
         for index in range(5):
             transit.send("hop2", 0, float(index + 1), 0.0, eligible_time=0.01 * index)
-        packets = [c.packets for c in transit.arrivals("hop2", 1.0)]
+        packets = [packets for _, packets, _, _ in transit.arrivals("hop2", 1.0)]
         assert packets == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_occupancy_buckets(self):
