@@ -926,13 +926,17 @@ _FRIENDLINESS_CASES = (
 )
 
 
+#: Seconds after the last flow joins before a multi-flow cell is scored.
+_MULTIFLOW_SKIP_S = 2.0
+
+
 def _multiflow_task(scheme: str, model_kind: Optional[str], seed: int, training_steps: int,
                     workload: str, duration: float, min_rtt: float, buffer_bdp: float,
                     bandwidth_mbps: float = 48.0, tags: Optional[Dict] = None) -> ExperimentTask:
     """One Fig. 14/15 cell: the scheme plus its workload on a constant-capacity
     single bottleneck, throughputs averaged from 2 s after the last flow joins."""
     settings = EvaluationSettings(duration=duration, min_rtt=min_rtt, buffer_bdp=buffer_bdp,
-                                  skip_seconds=2.0, workload=workload, seed=seed)
+                                  skip_seconds=_MULTIFLOW_SKIP_S, workload=workload, seed=seed)
     return ExperimentTask(scheme=scheme, trace=BandwidthTrace.constant(bandwidth_mbps, duration),
                           settings=settings, model_kind=model_kind,
                           training_steps=training_steps, model_seed=seed, tags=tags or {})
@@ -992,6 +996,13 @@ def _fairness_build(axes: Dict) -> List[ExperimentTask]:
     n_flows, join = axes["n_flows"], axes["join_interval"]
     if n_flows < 2:
         raise ValueError("fairness needs n_flows >= 2")
+    # A cell runs (n_flows + 1) * join s and scores from the last join
+    # ((n_flows - 1) * join) plus the skip, a window of 2 * join - skip s.
+    window = 2 * join - _MULTIFLOW_SKIP_S
+    if window <= 0:
+        raise ValueError(f"join_interval ({join:g} s) leaves no scoring window "
+                         f"(2 * join_interval - {_MULTIFLOW_SKIP_S:g} s = {window:g} s); "
+                         f"join_interval must exceed {_MULTIFLOW_SKIP_S / 2:g} s")
     # Flow i of the scheme under test joins at i * join_interval.
     joiners = WorkloadSpec(kind="step", scheme=SELF_SCHEME,
                            windows=tuple((i * join, None) for i in range(1, n_flows)))

@@ -31,6 +31,7 @@ def multiflow_columns(task: ExperimentTask, run: SchemeResult) -> Dict:
     over the mean of the others, and ``jain_index`` is Jain's index of the
     throughputs.  ``series_mbps`` holds each flow's 1-second buckets, keyed
     by the stringified flow id so the row survives a JSON round trip as is.
+    A flow with no sample in the window raises ``ValueError``.
     """
     result, settings = run.simulation, task.settings
     start = max(start for start, _ in result.lifetimes.values()) + settings.skip_seconds
@@ -38,8 +39,10 @@ def multiflow_columns(task: ExperimentTask, run: SchemeResult) -> Dict:
     series: Dict[str, list] = {}
     for flow_id, stats in result.flow_stats.items():
         acked = stats.acked[stats.times >= start]
-        throughputs.append(pps_to_mbps(acked.sum() / (acked.size * result.dt))
-                           if acked.size else 0.0)
+        if not acked.size:
+            raise ValueError(f"flow {flow_id} has no samples in the scoring window "
+                             f"t >= {start:g} s of a {result.duration:g} s run")
+        throughputs.append(pps_to_mbps(acked.sum() / (acked.size * result.dt)))
         series[str(flow_id)] = [
             pps_to_mbps(stats.acked[(stats.times >= second) & (stats.times < second + 1)].sum())
             for second in range(int(settings.duration))

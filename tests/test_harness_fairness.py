@@ -99,11 +99,23 @@ class TestFairness:
         with pytest.raises(ValueError, match="n_flows >= 2"):
             REGISTRY.plan("fairness", {"n_flows": 1})
 
+    def test_an_empty_scoring_window_is_rejected(self):
+        # The window is 2 * join_interval - 2 s: empty at join_interval 1 s.
+        with pytest.raises(ValueError, match=r"join_interval \(1 s\) leaves no scoring window"):
+            REGISTRY.plan("fairness", {"schemes": "cubic", "n_flows": 2, "join_interval": 1.0})
+        # A run that ends before its window opens raises instead of scoring 0.0.
+        (task,) = REGISTRY.plan("fairness", {"schemes": "cubic", "n_flows": 2,
+                                             "join_interval": 1.5}).tasks
+        task = replace(task, settings=replace(task.settings, duration=3.0))
+        run = run_scheme_on_trace(scheme_factory("cubic"), task.trace, task.settings)
+        with pytest.raises(ValueError, match="no samples in the scoring window"):
+            multiflow_columns(task, run)
+
 
 class TestMultiFlowRunner:
     @pytest.mark.parametrize("name, overrides", [
         ("friendliness", {"flows": "1", "rtts_ms": "20", "duration": 3.0}),
-        ("fairness", {"schemes": "cubic", "n_flows": 2, "join_interval": 1.0}),
+        ("fairness", {"schemes": "cubic", "n_flows": 2, "join_interval": 1.5}),
     ])
     def test_profiled_cell_counts_its_ticks(self, name, overrides):
         # The shared simulator construction attaches the active profiler, and
