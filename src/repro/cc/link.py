@@ -159,8 +159,7 @@ class BottleneckLink:
         """Dequeue up to ``capacity(now) * dt`` packets (FIFO) and return them."""
         return self.drain_at(self.capacity_pps(now), now, dt)
 
-    def drain_at(self, capacity_pps: float, now: float,
-                 dt: float) -> List[Tuple[int, float, float]]:
+    def drain_at(self, capacity_pps: float, now: float, dt: float) -> List[Tuple[int, float, float]]:
         """Dequeue up to ``capacity_pps * dt`` packets (FIFO) and return them.
 
         Each delivered chunk is a ``(flow_id, packets, queuing_delay)`` tuple;
