@@ -14,12 +14,15 @@ Section 4.3.1.
 :func:`propagate_mlp_batched` is the one propagation entry point.  It takes
 the component boxes as one batched box (``(N, d)``, or a stack
 ``(D, N, d)``; see :mod:`repro.abstract.box`), flattens the model into a plan
-of ``(W.T, |W|.T, b)`` affine steps and element-wise activations once per
+of ``(W.T, |W|.T, b)`` affine steps and element-wise activations on every
 call, then runs that plan over blocks of about :data:`BLOCK_ROWS` component
 rows on bare centre/deviation arrays, reusing their buffers in place, so the
-temporaries stay cache-sized whatever the number of decisions.  The test
-suite pins it bit for bit (``np.array_equal``) against a per-layer box
-oracle on each ``(N, d)`` slice.
+temporaries stay cache-sized whatever the number of decisions.  A caller
+that propagates the same shapes again and again (the verifier, once per
+training step) hands in an :class:`IBPBuffers`, which keeps the ``|W|``
+and output arrays between calls and refills ``|W|`` from the live weights.
+The test suite pins it bit for bit (``np.array_equal``) against a per-layer
+box oracle on each ``(N, d)`` slice.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from typing import Iterable
 import numpy as np
 
 from repro.abstract.box import Box
+from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
 
-__all__ = ["BLOCK_ROWS", "propagate_mlp_batched"]
+__all__ = ["BLOCK_ROWS", "IBPBuffers", "propagate_mlp_batched"]
 
 #: Component rows per block of :func:`propagate_mlp_batched`: a ``(D, N, d)``
 #: stack runs in blocks of ``max(1, BLOCK_ROWS // N)`` decisions, so each
@@ -38,29 +42,73 @@ __all__ = ["BLOCK_ROWS", "propagate_mlp_batched"]
 BLOCK_ROWS = 512
 
 
-def _ibp_plan(layers: Iterable) -> list:
-    """Flatten ``layers`` into IBP steps: ``(W.T, |W|.T, b)`` for a Dense
-    layer, ``np.maximum``-against-zero for ReLU and ``np.tanh`` for Tanh.
+def _flatten(layers: Iterable) -> list:
+    """The IBP steps of ``layers`` in order: the float64 ``(W, b)`` of each
+    Dense layer, read afresh (training updates them in place), and
+    ``np.maximum``-against-zero for ReLU and ``np.tanh`` for Tanh.
 
-    Nested Sequentials are inlined and Identity layers dropped.  The weights
-    are read afresh on every call: training updates them in place.
+    Nested Sequentials are inlined and Identity layers dropped.
     """
-    from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
-
     steps = []
     for layer in layers:
         if isinstance(layer, Dense):
-            weight = np.asarray(layer.weight, dtype=np.float64)
-            steps.append((weight.T, np.abs(weight).T, np.asarray(layer.bias, dtype=np.float64)))
+            steps.append((np.asarray(layer.weight, dtype=np.float64), np.asarray(layer.bias, dtype=np.float64)))
         elif isinstance(layer, ReLU):
             steps.append(_relu_inplace)
         elif isinstance(layer, Tanh):
             steps.append(_tanh_inplace)
         elif isinstance(layer, Sequential):
-            steps.extend(_ibp_plan(layer.layers))
+            steps.extend(_flatten(layer.layers))
         elif not isinstance(layer, Identity):
             raise TypeError(f"no abstract transformer registered for layer type {type(layer).__name__}")
     return steps
+
+
+class IBPBuffers:
+    """The arrays of :func:`propagate_mlp_batched` kept from one call to the next.
+
+    Per affine step an ``(out, in)`` array for ``|W|``, refilled from
+    ``layer.weight`` on every call and read through its transposed view
+    (the layout of ``np.abs(W).T``, so every gemm takes the path it takes
+    without buffers), and per step the outputs of one block of component
+    rows.  The arrays are reallocated when a layer shape or the block's
+    trailing shape changes, or when a block has more rows than they hold.
+    Nothing is keyed on the identity of a network and no weight is kept, so
+    one holder stays valid while a network trains in place or is replaced.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._rows = 0
+        self._abs_weights: list = []
+        self._outputs: list = []
+
+    def plan(self, layers: Iterable, shape: tuple) -> tuple:
+        """The steps of ``layers``, ``(W.T, |W|.T, b)`` per Dense layer with
+        ``|W|`` refilled, and per step the outputs for a block of shape
+        ``shape = (rows, ..., width)``, at least ``rows`` long."""
+        steps = _flatten(layers)
+        key = (shape[1:], *[step[0].shape if isinstance(step, tuple) else step for step in steps])
+        if key != self._key or shape[0] > self._rows:
+            self._allocate(steps, shape)
+            self._key, self._rows = key, shape[0]
+        for index, abs_weight in enumerate(self._abs_weights):
+            if abs_weight is not None:
+                weight, bias = steps[index]
+                steps[index] = (weight.T, np.abs(weight, out=abs_weight).T, bias)
+        return steps, self._outputs
+
+    def _allocate(self, steps: list, shape: tuple) -> None:
+        leading, width = shape[:-1], shape[-1]
+        self._abs_weights, self._outputs = [], []
+        for step in steps:
+            if isinstance(step, tuple):
+                width = step[0].shape[0]
+                self._abs_weights.append(np.empty(step[0].shape))
+                self._outputs.append((np.empty(leading + (width,)), np.empty(leading + (width,))))
+            else:
+                self._abs_weights.append(None)
+                self._outputs.append(np.empty(leading + (width,)))
 
 
 def _relu_inplace(values: np.ndarray) -> None:
@@ -75,7 +123,7 @@ def _run_plan(steps: list, center: np.ndarray, deviation: np.ndarray, buffers: l
     """One block through the plan, writing only into ``buffers``.
 
     ``buffers[i]`` holds step ``i``'s preallocated outputs (see
-    :func:`_plan_buffers`), sliced to the block's decisions.  An affine step
+    :class:`IBPBuffers`), sliced to the block's decisions.  An affine step
     is ``c @ W.T + b``, ``d @ |W|.T``, clamped at zero; an activation is the
     midpoint/half-width of its images of ``c + d`` and ``c - d`` (``* 0.5``
     rounds exactly like ``/ 2.0``), computed over the arrays of the step
@@ -105,20 +153,7 @@ def _run_plan(steps: list, center: np.ndarray, deviation: np.ndarray, buffers: l
     return center, deviation
 
 
-def _plan_buffers(steps: list, shape: tuple) -> list:
-    """Per-step output arrays for a block of shape ``shape = (..., width)``."""
-    leading, width = shape[:-1], shape[-1]
-    buffers = []
-    for step in steps:
-        if isinstance(step, tuple):
-            width = step[0].shape[1]
-            buffers.append((np.empty(leading + (width,)), np.empty(leading + (width,))))
-        else:
-            buffers.append(np.empty(leading + (width,)))
-    return buffers
-
-
-def propagate_mlp_batched(model, box: Box) -> Box:
+def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None) -> Box:
     """Push a batched box of shape ``(N, d)`` or ``(D, N, d)`` through an MLP in one pass.
 
     The result has shape ``(N, out_features)`` (or ``(D, N, out_features)``).
@@ -126,7 +161,9 @@ def propagate_mlp_batched(model, box: Box) -> Box:
     result of propagating that ``(N, d)`` slice alone: every affine
     layer runs the same ``(N, d) @ W.T`` gemm per slice, and every other step
     is element-wise.  A stack runs in blocks of ``max(1, BLOCK_ROWS // N)``
-    decisions through one set of per-step buffers.
+    decisions through one set of per-step buffers.  Given ``buffers``, those
+    are its arrays, and a result that fits one block is a view of them: it
+    holds until the next call with the same ``buffers``.
     """
     if box.ndim not in (2, 3):
         raise ValueError(f"batched propagation expects lo/hi of shape (N, d) or (D, N, d), got ndim={box.ndim}")
@@ -135,17 +172,18 @@ def propagate_mlp_batched(model, box: Box) -> Box:
         raise ValueError(
             f"input box has {box.center.shape[-1]} dims but model expects {in_features}"
         )
-    steps = _ibp_plan(model.layers)
     center, deviation = box.center, box.deviation
     n_rows = center.shape[-2]
     block = max(1, BLOCK_ROWS // max(n_rows, 1))
-    if box.ndim == 2 or center.shape[0] <= block:
-        return Box._trusted(*_run_plan(steps, center, deviation, _plan_buffers(steps, center.shape)))
-    buffers = _plan_buffers(steps, (block,) + center.shape[1:])
+    whole = box.ndim == 2 or center.shape[0] <= block
+    steps, outputs = (IBPBuffers() if buffers is None else buffers).plan(
+        model.layers, center.shape if whole else (block,) + center.shape[1:])
+    if whole:
+        return Box._trusted(*_run_plan(steps, center, deviation, outputs))
     # The buffers are reused by the next block, so each block's result is copied out.
     blocks = [
         [array.copy() for array in _run_plan(
-            steps, center[start:start + block], deviation[start:start + block], buffers)]
+            steps, center[start:start + block], deviation[start:start + block], outputs)]
         for start in range(0, center.shape[0], block)
     ]
     return Box._trusted(np.concatenate([c for c, _ in blocks]), np.concatenate([d for _, d in blocks]))

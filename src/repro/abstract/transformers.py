@@ -34,7 +34,7 @@ def _cwnd_from_action(center: np.ndarray, deviation: np.ndarray, cwnd_tcp, actio
     clipped to ``action_clip`` so the map stays sound for any upstream
     network.  ``cwnd_TCP`` stays concrete, as in Canopy."""
     cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
-    if np.any(cwnd_tcp < 0):
+    if (cwnd_tcp < 0).any():
         raise ValueError("cwnd_tcp must be non-negative")
     lo_a, hi_a = action_clip
     # np.clip's result, without its Python-level dispatch.
@@ -56,7 +56,7 @@ def _delta_cwnd(center: np.ndarray, deviation: np.ndarray, cwnd_prev) -> tuple:
 def _cwnd_change_fraction(center: np.ndarray, deviation: np.ndarray, cwnd_ref) -> tuple:
     """(cwnd# − cwnd_i) / cwnd_i, the checked action for P5 (robustness)."""
     cwnd_ref = np.asarray(cwnd_ref, dtype=np.float64)
-    if np.any(cwnd_ref <= 0):
+    if (cwnd_ref <= 0).any():
         raise ValueError("cwnd_ref must be positive")
     center, deviation = _delta_cwnd(center, deviation, cwnd_ref)
     factor = 1.0 / cwnd_ref

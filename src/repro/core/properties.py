@@ -84,11 +84,14 @@ class RegionPlan:
             lo[..., self.indices] = self.lo
             hi[..., self.indices] = self.hi
         else:
-            observed = lo[..., self.indices]
-            low_value = observed * (1.0 - self.noise_mu)
-            high_value = observed * (1.0 + self.noise_mu)
-            lo[..., self.indices] = np.minimum(low_value, high_value)
-            hi[..., self.indices] = np.maximum(low_value, high_value)
+            lo[..., self.indices], hi[..., self.indices] = self.noise_bounds(lo[..., self.indices])
+
+    def noise_bounds(self, observed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """A robustness region's bounds on its ``indices`` columns, given
+        their ``observed`` values: the observation scaled by ``1 ∓ noise_mu``."""
+        low_value = observed * (1.0 - self.noise_mu)
+        high_value = observed * (1.0 + self.noise_mu)
+        return np.minimum(low_value, high_value), np.maximum(low_value, high_value)
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,18 @@ def interval_feedback_batch(
     output_lo = np.asarray(output_lo, dtype=np.float64)
     output_hi = np.asarray(output_hi, dtype=np.float64)
 
-    satisfied = (output_lo >= allowed_lo - _CONTAIN_TOL) & (output_hi <= allowed_hi + _CONTAIN_TOL)
+    inside_lo = allowed_lo - _CONTAIN_TOL
+    inside_hi = allowed_hi + _CONTAIN_TOL
+    satisfied = (output_lo >= inside_lo) & (output_hi <= inside_hi)
     intersects = (output_lo <= allowed_hi) & (allowed_lo <= output_hi)
     width = output_hi - output_lo
+    wide = width > 0
     overlap = np.minimum(output_hi, allowed_hi) - np.maximum(output_lo, allowed_lo)
     # Clip the overlap before dividing so a subnormal width cannot overflow.
-    fraction = np.minimum(np.maximum(overlap, 0.0), np.maximum(width, 0.0)) / np.where(width > 0, width, 1.0)
+    fraction = np.minimum(np.maximum(overlap, 0.0), np.maximum(width, 0.0)) / np.where(wide, width, 1.0)
     center = (output_lo + output_hi) / 2.0
-    center_inside = (center >= allowed_lo - _CONTAIN_TOL) & (center <= allowed_hi + _CONTAIN_TOL)
-    fraction = np.where(width > 0, fraction, np.where(center_inside, 1.0, 0.0))
+    center_inside = (center >= inside_lo) & (center <= inside_hi)
+    fraction = np.where(wide, fraction, np.where(center_inside, 1.0, 0.0))
     feedback = np.where(satisfied, 1.0, np.where(intersects, fraction, 0.0))
     return satisfied, feedback
 

@@ -20,36 +20,56 @@ Batched engine
 
 One engine certifies a stack of properties over a stack of decisions.
 Handed ``P`` properties and all ``D`` decisions of a run,
-:meth:`Verifier.certify` builds the input regions of every property at once
-on one ``(P·D, d)`` stack of states in property order (each property's
-:class:`~repro.core.properties.RegionPlan`), checks the whole stack once
-(ordered bounds with a finite centre and deviation), partitions it into one
-``(P·D, N, d)`` stack of components (:func:`repro.abstract.box.split_bounds`,
-one call per run of properties sharing their partition dimensions) and runs a
-*single* IBP call for all of them
-(:func:`repro.abstract.propagate.propagate_mlp_batched`, which works through
-the stack in cache-sized blocks of decisions).  The cwnd map and the Δcwnd /
-fractional-change transformers run once per :class:`ActionKind` present (P5's
-reference window included), and the containment check and the Eq. 6 feedback
-run once over the whole stack with each property's allowed bounds broadcast
-over its rows.  Each property gets an array-backed
-:class:`repro.core.qc.CertificateBatch`, and a sequence of properties gives a
-:class:`repro.core.qc.CertificateSet` keyed by name.  One property is the
-``P = 1`` case and one decision the ``D = 1`` case of the same engine, so a
-lone decision gives ``D = 1`` batches.  The number of components ``N`` is
-:attr:`VerifierConfig.n_components`, the same for every call.  With
-``check_applicability`` a property contributes only the decisions it applies
-at.
+:meth:`Verifier.certify` builds the components of every property's input
+region at once, as one ``(P·D, N, d)`` stack in property order: the state
+rows broadcast over the ``N`` components, with each property's abstracted
+columns written over them (the plan's constant columns for P1–P4; P5's noise
+columns through the centre/deviation round trip and
+:func:`repro.abstract.box.split_bounds`).  The state columns are checked
+once (their region centre must not overflow), and a *single* IBP call
+covers the whole stack (:func:`repro.abstract.propagate.propagate_mlp_batched`,
+which works through it in cache-sized blocks of decisions).  The cwnd map
+and the Δcwnd / fractional-change transformers run once per
+:class:`ActionKind` present (P5's reference window included), and the
+containment check and the Eq. 6 feedback run once over the whole stack with
+each property's allowed bounds broadcast over its rows.  Each property gets
+an array-backed :class:`repro.core.qc.CertificateBatch`, and a sequence of
+properties gives a :class:`repro.core.qc.CertificateSet` keyed by name.  One
+property is the ``P = 1`` case and one decision the ``D = 1`` case of the
+same engine, so a lone decision gives ``D = 1`` batches.  The number of
+components ``N`` is :attr:`VerifierConfig.n_components`, the same for every
+call.  With ``check_applicability`` a property contributes only the
+decisions it applies at.
 
 What does not depend on the decisions is computed once per property sequence:
-the verifier keeps a :class:`CertifyPlan` per tuple of (frozen) properties,
-holding each property's abstracted state indices with their constant bounds
-(P5: its noise indices and ``μ``), the partition-dimension runs, the
-allowed-bound columns, the Δcwnd sign conditions and the per-kind row masks,
-so a repeat ``certify`` looks up no feature index.  The plan holds no weights:
-the IBP pass reads every ``layer.weight`` afresh on each call, so a plan stays
-valid while the actor trains in place.  The trainer's regularization step
+the verifier keeps a :class:`CertifyPlan` per tuple of (frozen) properties.
+It holds each property's region plan (abstracted indices with their
+constant bounds; P5: its noise indices and ``μ``), the ``(N, d)`` component
+centre and deviation of P1–P4's constant columns, already through the round
+trip and the split and checked once when the plan is built, the
+abstracted-column masks, the allowed bounds, the Δcwnd sign conditions, the
+row layout of the last stack that kept every decision (which decision and
+property each row is, per-kind rows, allowed-bound columns) and the IBP
+kernel's :class:`~repro.abstract.propagate.IBPBuffers`: ``|W|`` and the
+per-step outputs of one block.  So a repeat ``certify`` looks up no feature
+index and splits no constant column; per call it only gathers the state
+rows, writes the columns and runs the arithmetic that depends on the state
+or the weights.  The plan holds no weights: the IBP pass reads every
+``layer.weight`` afresh and refills ``|W|`` from it on each call, so a plan
+stays valid while the actor trains in place.  Every array a ``certify``
+returns is fresh; none is a plan buffer.  The trainer's regularization step
 samples the regions of the same plan.
+
+Two layout traps lie in those buffers:
+
+* ``|W|.T`` is the transposed view of an ``(out, in)`` array, the layout
+  ``np.abs(W).T`` has.  A contiguous ``(in, out)`` buffer would send the
+  one-output last layer, and every one-row product (``N = 1``), through
+  another gemv, which moves the trained actors' bits.
+* The buffers are keyed on the layer shapes and the block shape, never on
+  the identity of a network: ids are reused once a network is collected,
+  and a step list cached on ``id(actor)`` would propagate through stale
+  layers.
 
 Stacking does not move a single bit.  Each ``(N, d)`` slice of the stack goes
 through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
@@ -78,8 +98,8 @@ import numpy as np
 
 from repro.abstract import transformers
 from repro.abstract.box import Box, split_bounds
-from repro.abstract.propagate import propagate_mlp_batched
-from repro.core.properties import ActionKind, PropertySet, PropertySpec
+from repro.abstract.propagate import IBPBuffers, propagate_mlp_batched
+from repro.core.properties import ActionKind, PropertySet, PropertySpec, RegionPlan
 from repro.core.qc import CertificateBatch, CertificateSet, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
@@ -129,6 +149,9 @@ def weighted_feedback(
 #: Property sequences whose plans one verifier keeps (the cache is emptied when full).
 _MAX_PLANS = 64
 
+#: The largest ``s`` whose ``s + s`` does not overflow.
+_HALF_MAX = np.finfo(np.float64).max / 2.0
+
 #: Slack on a past Δcwnd sign condition: ``dcwnd_sign = -1`` holds while every
 #: past Δcwnd entry is at most this, ``+1`` while every entry is at least its negative.
 SIGN_TOL = 1e-6
@@ -141,15 +164,27 @@ class CertifyPlan:
     Per property, in sequence order: its
     :class:`~repro.core.properties.RegionPlan` (the abstracted
     state dimensions and their constant bounds, or P5's noise dimensions and
-    ``μ``), its allowed region as the columns ``allowed_lo``/``allowed_hi``
-    and its past-Δcwnd sign condition
-    ``(sign, dcwnd indices)`` or ``None``.  ``runs`` lists each run of
-    consecutive properties with the same partition dimensions as
-    ``(start, stop, dims)`` (``dims`` ``None``: every dimension), and
-    ``kinds`` each :class:`ActionKind` present with its property mask.
+    ``μ``), its allowed region as the columns ``allowed_lo``/``allowed_hi``,
+    its past-Δcwnd sign condition ``(sign, dcwnd indices)`` or ``None``, its
+    row of ``abstracted`` ``(P, d)``, the mask of the dimensions its region
+    abstracts, and its ``columns``: the ``(N, d)`` centre and deviation its
+    ``N`` components take on those dimensions (0 on every other one).  A
+    robustness property's centre is ``None`` and its deviation all 0: its
+    noise columns follow the state.  ``kinds`` lists each
+    :class:`ActionKind` present with its property mask, ``ibp`` holds the
+    IBP kernel's ``|W|`` and output arrays between calls, and :meth:`layout`
+    keeps the row layout of the last stack that kept every decision.
+
+    The constant columns of P1–P4 go through exactly the arithmetic of a
+    state-dependent region, the centre/deviation round trip and
+    :func:`~repro.abstract.box.split_bounds` along the property's partition
+    dimensions (always among its abstracted ones), and they are checked
+    here, once: a non-finite or unordered constant bound raises when the
+    plan is built.
     """
 
-    def __init__(self, properties: Tuple[PropertySpec, ...], observer: ObservationBuilder) -> None:
+    def __init__(self, properties: Tuple[PropertySpec, ...], observer: ObservationBuilder,
+                 n_components: int) -> None:
         self.properties = properties
         self.regions = [prop.region_plan(observer) for prop in properties]
         self.allowed_lo, self.allowed_hi = np.array([prop.allowed_bounds() for prop in properties],
@@ -157,13 +192,68 @@ class CertifyPlan:
         dcwnd = np.array(observer.feature_indices("dcwnd"), dtype=np.intp)
         self.sign_conditions = [None if prop.dcwnd_sign is None else (prop.dcwnd_sign, dcwnd)
                                 for prop in properties]
-        self.runs = []
-        for dims, run in itertools.groupby(range(len(properties)),
-                                           key=lambda i: tuple(properties[i].partition_dims(observer))):
-            run = list(run)
-            self.runs.append((run[0], run[-1] + 1, np.array(dims, dtype=np.intp) if dims else None))
+        self.abstracted = np.zeros((len(properties), observer.state_dim), dtype=bool)
+        for abstracted, region in zip(self.abstracted, self.regions):
+            abstracted[region.indices] = True
+        self.columns = [_columns(prop, region, prop.partition_dims(observer), abstracted, n_components)
+                        for prop, region, abstracted in zip(properties, self.regions, self.abstracted)]
         kinds = [prop.kind for prop in properties]
         self.kinds = [(kind, np.array([other is kind for other in kinds])) for kind in dict.fromkeys(kinds)]
+        self.ibp = IBPBuffers()
+        self._full_layout: tuple | None = None
+
+    def layout(self, n_decisions: int, masks: np.ndarray | None) -> tuple:
+        """``(take, offsets, abstracted, kind_rows, allowed_lo, allowed_hi)``
+        of the stack in which property ``i`` keeps the decisions
+        ``masks[i]`` (``None``: all ``n_decisions``).  Row ``r`` is decision
+        ``take[r]``; property ``i`` holds the rows ``offsets[i]`` to
+        ``offsets[i + 1]``; ``abstracted`` ``(R, d)`` masks each row's
+        abstracted dimensions; ``kind_rows`` pairs each :class:`ActionKind`
+        with rows with those rows (every row, as a slice, when there is one
+        kind); and the allowed bounds are one ``(R, 1)`` column each.  The
+        layout that keeps every decision depends only on ``D`` and is reused
+        while ``D`` stays the same."""
+        if masks is None:
+            if self._full_layout is not None and self._full_layout[0] == n_decisions:
+                return self._full_layout[1]
+            counts = [n_decisions] * len(self.properties)
+            take = np.tile(np.arange(n_decisions), len(self.properties))
+        else:
+            counts = masks.sum(axis=1).tolist()
+            take = np.nonzero(masks)[1]
+        kind_rows = [(kind, np.repeat(kind_mask, counts)) for kind, kind_mask in self.kinds]
+        kind_rows = [(kind, rows) for kind, rows in kind_rows if rows.any()]
+        if len(kind_rows) == 1:
+            kind_rows = [(kind_rows[0][0], slice(None))]
+        layout = (take, [0, *itertools.accumulate(counts)], np.repeat(self.abstracted, counts, axis=0), kind_rows,
+                  np.repeat(self.allowed_lo, counts)[:, None], np.repeat(self.allowed_hi, counts)[:, None])
+        if masks is None:
+            self._full_layout = (n_decisions, layout)
+        return layout
+
+
+def _columns(prop: PropertySpec, region: RegionPlan, dims: List[int], abstracted: np.ndarray,
+             n_components: int) -> tuple:
+    """A property's entry of :attr:`CertifyPlan.columns`, built on a
+    placeholder state of zeros."""
+    if region.noise_mu is not None:
+        return None, np.zeros((n_components, abstracted.size))
+    lo, hi = region.bounds(np.zeros(abstracted.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = (lo + hi) / 2.0
+        deviation = (hi - lo) / 2.0
+    bad = ~np.isfinite(center) | ~np.isfinite(deviation) | (lo > hi + 1e-12)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(f"{prop.name}: input region needs lo <= hi with a finite centre and deviation, "
+                         f"got [{lo[index]}, {hi[index]}] at state index {index}")
+    np.maximum(deviation, 0.0, out=deviation)
+    center, deviation = split_bounds(center - deviation, center + deviation, n_components,
+                                     np.array(dims, dtype=np.intp) if dims else None)
+    np.maximum(deviation, 0.0, out=deviation)
+    center[:, ~abstracted] = 0.0
+    deviation[:, ~abstracted] = 0.0
+    return center, deviation
 
 
 @dataclass(frozen=True)
@@ -268,7 +358,7 @@ class Verifier:
         if plan is None:
             if len(self._plans) >= _MAX_PLANS:
                 self._plans.clear()
-            plan = self._plans[key] = CertifyPlan(key, self.observer)
+            plan = self._plans[key] = CertifyPlan(key, self.observer, self.config.n_components)
         return plan
 
     def _certify_stack(self, properties: List[PropertySpec], states: np.ndarray, cwnd_tcp: np.ndarray,
@@ -277,18 +367,14 @@ class Verifier:
 
         ``states`` is a stack ``(D, d)`` with one window per decision.  Each
         property keeps the decisions it applies at (all of them unless
-        ``check_applicability`` gates some out) and builds their regions.
-        The regions are stacked in property order and checked once, and each
-        run of consecutive properties with the same partition dimensions
-        (every built-in set is one run) is split into its ``N`` components in
-        one call.  The resulting ``(R, N, d)`` stack goes through one IBP
-        call, and the checked-action bounds and the Eq. 6 feedback are
-        computed over all ``R`` rows at once.
+        ``check_applicability`` gates some out).  Their components are
+        stacked in property order into one ``(R, N, d)`` stack, which goes
+        through one IBP call; the checked-action bounds and the Eq. 6
+        feedback are computed over all ``R`` rows at once.
         """
         plan = self.plan(properties)
         n = self.config.n_components
-        n_decisions = states.shape[0]
-        masks = np.ones((len(properties), n_decisions), dtype=bool)
+        masks = np.ones((len(properties), states.shape[0]), dtype=bool)
         if self.config.check_applicability:
             for mask, condition in zip(masks, plan.sign_conditions):
                 if condition is not None:
@@ -296,13 +382,11 @@ class Verifier:
                     history = states[:, dcwnd]
                     mask[:] = (np.all(history <= SIGN_TOL, axis=-1) if sign < 0
                                else np.all(history >= -SIGN_TOL, axis=-1))
-        counts = masks.sum(axis=1).tolist()
-        take = np.nonzero(masks)[1]
-        # Row r of the stack is decision take[r]; property i holds rows offsets[i]:offsets[i + 1].
-        offsets = [0, *itertools.accumulate(counts)]
+        take, offsets, abstracted, kind_rows, allowed_lo, allowed_hi = plan.layout(
+            states.shape[0], masks if self.config.check_applicability else None)
         if take.size:
-            components = self._components(plan, states, take, offsets)
-            output_lo, output_hi = self._checked_bounds(plan, components, counts, states, take,
+            components = self._components(plan, states, take, offsets, abstracted)
+            output_lo, output_hi = self._checked_bounds(plan, components, kind_rows, states, take,
                                                         cwnd_tcp[take], cwnd_prev[take])
             # The components' bounds c - d and c + d, the latter written over
             # the centre the IBP pass no longer needs.
@@ -312,8 +396,6 @@ class Verifier:
         else:
             input_lo = input_hi = np.empty((0, n, states.shape[-1]))
             output_lo = output_hi = np.empty((0, n))
-        allowed_lo = np.repeat(plan.allowed_lo, counts)[:, None]
-        allowed_hi = np.repeat(plan.allowed_hi, counts)[:, None]
         satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed_lo, allowed_hi)
         batches = []
         for prop, mask, lo, hi, start, end in zip(properties, masks, plan.allowed_lo, plan.allowed_hi, offsets,
@@ -323,71 +405,92 @@ class Verifier:
                 output_hi[start:end], satisfied[start:end], feedback[start:end]))
         return batches
 
-    def _components(self, plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int]) -> Box:
+    def _components(self, plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int],
+                    abstracted: np.ndarray) -> Box:
         """The ``(R, N, d)`` components of the regions around ``states[take]``,
-        row ``r`` in its property's region.
+        row ``r`` in its property's region, whose abstracted dimensions
+        ``abstracted[r]`` marks.
 
-        The regions are built in place on two copies of the stacked states
-        and checked once for the whole stack, then split run by run.  Each
-        region goes through the centre/deviation round trip
+        Every region goes through the centre/deviation round trip
         ``c = (lo + hi) / 2``, ``d = max((hi - lo) / 2, 0)``, ``[c - d, c + d]``
-        before it is split.
+        and is then split along its partition dimensions.  On a dimension
+        that keeps its state value ``s`` (and is never split with a width
+        other than 0) that arithmetic gives every component the centre
+        ``(s + s) / 2 + 0.0`` and the deviation 0.  ``(s + s) / 2`` is ``s``
+        itself unless ``s + s`` overflows, which it does exactly when
+        ``|s| > MAX / 2``, and the ``+ 0.0`` is the round trip turning
+        ``-0.0`` into ``0.0``.  So the state rows plus 0.0 are broadcast over
+        the ``N`` components, and each property's abstracted columns are
+        written over them: the plan's constant columns, or P5's noise
+        columns, which go through the round trip and
+        :func:`~repro.abstract.box.split_bounds` here.  A region whose centre
+        or deviation is not finite raises (:meth:`_reject_region`).
         """
-        lo, hi = states[take], states[take]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for region, start, stop in zip(plan.regions, offsets, offsets[1:]):
-                if start < stop:
-                    region.fill(lo[start:stop], hi[start:stop])
-            center = (lo + hi) / 2.0
-            deviation = (hi - lo) / 2.0
-        if not (np.isfinite(center).all() and np.isfinite(deviation).all()) or (lo > hi + 1e-12).any():
-            self._reject_region(plan, lo, hi, center, deviation, take, offsets)
-        np.maximum(deviation, 0.0, out=deviation)
-        lo = center - deviation
-        hi = np.add(center, deviation, out=center)
-        del center, deviation
         n = self.config.n_components
-        pieces = [split_bounds(lo[offsets[start]:offsets[stop]], hi[offsets[start]:offsets[stop]], n, dims)
-                  for start, stop, dims in plan.runs if offsets[start] < offsets[stop]]
-        if len(pieces) == 1:
-            return Box._trusted(*pieces[0])
-        return Box._trusted(np.concatenate([center for center, _ in pieces]),
-                            np.concatenate([deviation for _, deviation in pieces]))
+        rows = states[take]
+        noise = []
+        for region, (constant, _), start, stop in zip(plan.regions, plan.columns, offsets, offsets[1:]):
+            if constant is None and start < stop:
+                lo, hi = region.noise_bounds(rows[start:stop, region.indices])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    center = (lo + hi) / 2.0
+                    deviation = (hi - lo) / 2.0
+                if not (np.isfinite(center).all() and np.isfinite(deviation).all()) or (lo > hi + 1e-12).any():
+                    self._reject_region(plan, states, take, offsets)
+                np.maximum(deviation, 0.0, out=deviation)
+                center, deviation = split_bounds(center - deviation, np.add(center, deviation, out=center), n,
+                                                 None)
+                noise.append((region.indices, center, np.maximum(deviation, 0.0, out=deviation), start, stop))
+        # Only the dimensions that keep their state value are checked here.
+        np.copyto(rows, 0.0, where=abstracted)
+        if np.abs(rows).max() > _HALF_MAX:
+            self._reject_region(plan, states, take, offsets)
+        rows += 0.0
+        center = rows[:, None, :].repeat(n, axis=1)
+        deviation = np.empty_like(center)
+        for (column_center, column_deviation), mask, start, stop in zip(plan.columns, plan.abstracted, offsets,
+                                                                        offsets[1:]):
+            if column_center is not None:
+                np.copyto(center[start:stop], column_center, where=mask)
+            deviation[start:stop] = column_deviation
+        for indices, column_center, column_deviation, start, stop in noise:
+            center[start:stop, :, indices] = column_center
+            deviation[start:stop, :, indices] = column_deviation
+        return Box._trusted(center, deviation)
 
     @staticmethod
-    def _reject_region(plan: CertifyPlan, lo: np.ndarray, hi: np.ndarray, center: np.ndarray,
-                       deviation: np.ndarray, take: np.ndarray, offsets: List[int]) -> None:
+    def _reject_region(plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int]) -> None:
         """Raise for the first region entry that is unordered or whose centre
-        or deviation is not finite (a finite state can still overflow them)."""
-        bad = ~np.isfinite(center) | ~np.isfinite(deviation) | (lo > hi + 1e-12)
+        or deviation is not finite (a finite state can still overflow them).
+
+        Rebuilds every region of the stack in full, so the entry named is the
+        first one in row-major order whichever check caught it."""
+        lo, hi = states[take], states[take]
+        for region, start, stop in zip(plan.regions, offsets, offsets[1:]):
+            region.fill(lo[start:stop], hi[start:stop])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite((lo + hi) / 2.0) | ~np.isfinite((hi - lo) / 2.0) | (lo > hi + 1e-12)
         row, index = (int(i) for i in np.argwhere(bad)[0])
         prop = next(i for i, end in enumerate(offsets[1:]) if row < end)
         raise ValueError(
             f"{plan.properties[prop].name}: input region needs lo <= hi with a finite centre and deviation, "
             f"got [{lo[row, index]}, {hi[row, index]}] at decision {take[row]}, state index {index}")
 
-    def _checked_bounds(self, plan: CertifyPlan, components: Box, counts: List[int], states: np.ndarray,
+    def _checked_bounds(self, plan: CertifyPlan, components: Box, kind_rows: list, states: np.ndarray,
                         take: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> tuple:
         """Checked-action bounds ``(R, N)`` of a stack of ``R`` component rows.
 
-        The stack holds ``counts[i]`` rows of property ``i``; row ``r`` is
-        decision ``take[r]`` of ``states`` and has the windows
-        ``cwnd_tcp[r]``/``cwnd_prev[r]``.  One IBP call covers the whole
-        stack; the cwnd map and the Δcwnd / fractional-change transformers
-        run once per :class:`ActionKind` present, on that kind's rows.
+        Row ``r`` is decision ``take[r]`` of ``states`` and has the windows
+        ``cwnd_tcp[r]``/``cwnd_prev[r]``; ``kind_rows`` pairs each
+        :class:`ActionKind` present with its rows.  One IBP call covers the
+        whole stack; the cwnd map and the Δcwnd / fractional-change
+        transformers run once per kind, on that kind's rows.
         """
-        action_box = propagate_mlp_batched(self.actor, components)
-        output_lo = np.empty(action_box.shape[:-1])
-        output_hi = np.empty(action_box.shape[:-1])
-        for kind, kind_mask in plan.kinds:
-            if len(plan.kinds) == 1:
-                rows = slice(None)  # every row, taken as views
-            else:
-                rows = np.repeat(kind_mask, counts)
-                if not rows.any():
-                    continue
+        action_box = propagate_mlp_batched(self.actor, components, plan.ibp)
+        bounds = []
+        for kind, rows in kind_rows:
             center, deviation = action_box.center[rows], action_box.deviation[rows]
-            take_k, tcp, prev = take[rows], cwnd_tcp[rows], cwnd_prev[rows]
+            tcp, prev = cwnd_tcp[rows], cwnd_prev[rows]
             # One window per decision, broadcast over its components.
             if kind is ActionKind.DELTA_CWND:
                 checked_lo, checked_hi = transformers.checked_action_arrays(
@@ -395,11 +498,17 @@ class Verifier:
             else:
                 checked_lo, checked_hi = transformers.checked_action_arrays(
                     center, deviation, tcp[:, None, None],
-                    cwnd_ref=self._cwnd_reference(states[take_k], tcp)[:, None, None])
+                    cwnd_ref=self._cwnd_reference(states[take[rows]], tcp)[:, None, None])
             # The action (and hence the checked quantity) is scalar per
             # component; drop the trailing 1-element axis.
-            output_lo[rows] = checked_lo[..., 0]
-            output_hi[rows] = checked_hi[..., 0]
+            bounds.append((rows, checked_lo[..., 0], checked_hi[..., 0]))
+        if len(bounds) == 1:
+            return bounds[0][1:]
+        output_lo = np.empty(action_box.shape[:-1])
+        output_hi = np.empty(action_box.shape[:-1])
+        for rows, checked_lo, checked_hi in bounds:
+            output_lo[rows] = checked_lo
+            output_hi[rows] = checked_hi
         return output_lo, output_hi
 
     def _cwnd_reference(self, states: np.ndarray, cwnd_tcp: np.ndarray) -> np.ndarray:

@@ -322,21 +322,54 @@ def test_a_full_plan_cache_is_emptied_and_rebuilt():
     assert len(verifier._plans) == 2
 
 
-def test_plan_holds_no_weights():
+@pytest.mark.parametrize("n_components", (1, 5, 50))
+@pytest.mark.parametrize("n_decisions", (1, 9))
+def test_plan_holds_no_weights(n_decisions, n_components):
     """After an Adam step moves the actor in place, a verifier that already
-    built its plan certifies the updated actor like a fresh verifier."""
-    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8100, 5, False)
+    built its plan (and its IBP buffers) certifies the updated actor like a
+    fresh verifier, at the training shape D = 1 as on a stack."""
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8100 + n_components, n_components, False)
+    decision = (states, cwnd_tcp, cwnd_prev) if n_decisions > 1 else (states[0], cwnd_tcp[0], cwnd_prev[0])
     properties = all_properties()
-    before = verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
+    before = verifier.certify(properties, *decision)
     actor = verifier.actor
     optimizer = Adam.for_model(actor, lr=0.05)
     actor.zero_grad()
     actor.forward(states)
     actor.backward(np.ones((len(states), 1)))
     optimizer.step()
-    after = verifier.certify(properties, states, cwnd_tcp, cwnd_prev)
-    assert_sets_bit_identical(after, fresh_certify(verifier, properties, states, cwnd_tcp, cwnd_prev))
+    after = verifier.certify(properties, *decision)
+    assert_sets_bit_identical(after, fresh_certify(verifier, properties, *decision))
     assert not np.array_equal(after["P1"].output_lo, before["P1"].output_lo)
+
+
+@pytest.mark.parametrize("check_applicability", (False, True))
+@pytest.mark.parametrize("n_components", (1, 5, 50))
+def test_returned_certificates_keep_their_values_after_later_calls(n_components, check_applicability):
+    """No array of a returned :class:`CertificateSet` is a buffer the plan
+    keeps: every set keeps its values while the same verifier certifies
+    other decisions with the same and the other property sets."""
+    verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8400 + n_components, n_components, check_applicability)
+    order = np.random.default_rng(8401).permutation(len(states))
+    later_stack = (states[order] * 0.5, cwnd_tcp[order] + 1.0, cwnd_prev[order])
+    decisions = [((states[4], cwnd_tcp[4], cwnd_prev[4]), tuple(array[0] for array in later_stack)),
+                 ((states, cwnd_tcp, cwnd_prev), later_stack)]
+    returned = []
+    for set_name in sorted(PROPERTY_SETS):
+        properties = PROPERTY_SETS[set_name]()
+        for decision, later in decisions:
+            got = verifier.certify(properties, *decision)
+            returned.append((got, {name: {array: getattr(batch, array).copy() for array in BATCH_ARRAYS}
+                                   for name, batch in got.items()}))
+            # The same shapes again, at once and after the other sets.
+            verifier.certify(properties, *later)
+    for set_name in sorted(PROPERTY_SETS):
+        for _, later in decisions:
+            verifier.certify(PROPERTY_SETS[set_name](), *later)
+    for got, expected in returned:
+        for name, batch in got.items():
+            for array in BATCH_ARRAYS:
+                assert np.array_equal(getattr(batch, array), expected[name][array], equal_nan=True), (name, array)
 
 
 def test_repeat_certify_looks_up_no_feature_indices(monkeypatch):
