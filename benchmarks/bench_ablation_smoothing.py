@@ -1,9 +1,10 @@
 """Ablation — smoothed QC feedback (Eq. 6) vs boolean per-component certification.
 
-DESIGN.md calls out the smoothing of the QC feedback as a load-bearing design
-choice: boolean per-component feedback (1 iff the component is fully
-certified) is sparse and rarely positive early in training (Section 2.2 /
-Section 4.3.2 of the paper).  This ablation measures, over a set of random
+The smoothing of the QC feedback is a load-bearing design choice of the
+paper (Section 2.2 / Section 4.3.2; implemented by
+``repro.core.qc.interval_feedback_batch``): boolean per-component feedback
+(1 iff the component is fully certified) is sparse and rarely positive early
+in training.  This ablation measures, over a set of random
 decision contexts and an untrained controller, how often each signal is
 exactly zero and its variance — the smoothed signal should be informative
 (non-degenerate) on far more states.

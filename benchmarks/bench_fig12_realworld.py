@@ -5,7 +5,8 @@ model provides higher bandwidth than Orca, the Canopy deep model provides
 lower delays than Orca, and both dominate CUBIC on the throughput/delay
 tradeoff.  The real testbed (CloudLab sender + nine Azure regions) is
 substituted by the heterogeneous WAN profile set in
-``repro.traces.realworld`` (see DESIGN.md).
+``repro.traces.realworld``, whose module docstring gives the rationale: the
+experiment needs heterogeneity across paths, not the testbed's numbers.
 """
 
 from benchconfig import DURATION, N_JOBS, SEED, TRAINING_STEPS, run_once

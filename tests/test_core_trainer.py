@@ -111,6 +111,22 @@ class TestTraining:
         result = make_trainer().train()
         assert 0.0 <= result.verifier_seconds <= result.total_seconds
 
+    def test_regularization_seconds_accounted(self):
+        result = make_trainer().train()
+        assert 0.0 < result.regularization_seconds <= result.total_seconds
+        assert all(log.regularization_seconds > 0.0 for log in result.history)
+        assert sum(log.regularization_seconds for log in result.history) <= result.regularization_seconds + 1e-9
+        assert result.regularization_seconds + result.verifier_seconds <= result.total_seconds
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("shallow", {"property_regularization": False}),
+        ("orca", {"use_verifier_reward": False}),
+    ])
+    def test_regularization_seconds_are_zero_when_off(self, kind, overrides):
+        result = make_trainer(kind, **overrides).train()
+        assert result.regularization_seconds == 0.0
+        assert [log.regularization_seconds for log in result.history] == [0.0] * len(result.history)
+
     def test_regularization_changes_actor(self):
         """With property regularization on, training moves the actor's behavior
         toward property satisfaction relative to the Orca baseline."""
