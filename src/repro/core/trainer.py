@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.abstract.box import Box
 from repro.core.config import CanopyConfig
 from repro.core.properties import ActionKind
 from repro.core.reward import CanopyRewardShaper
@@ -187,12 +186,8 @@ class CanopyTrainer:
 
         actor.zero_grad()
         accumulated = False
-        for prop, region_plan in zip(properties, self.verifier.plan(properties).regions):
-            # The verifier's centre/deviation round trip, so the samples
-            # cover exactly the region it certifies.
-            region = Box._trusted_bounds(*region_plan.bounds(state))
-            lo, hi = region.lo, region.hi
-            samples = lo + self._reg_rng.random((n_samples, lo.shape[0])) * (hi - lo)
+        for prop, (lo, width) in zip(properties, self.verifier.plan(properties).sampling_regions(state)):
+            samples = lo + self._reg_rng.random((n_samples, lo.shape[0])) * width
             if prop.kind is ActionKind.DELTA_CWND:
                 outputs = actor.forward(samples)
                 if prop.allowed_direction > 0:

@@ -195,12 +195,33 @@ class CertifyPlan:
         self.abstracted = np.zeros((len(properties), observer.state_dim), dtype=bool)
         for abstracted, region in zip(self.abstracted, self.regions):
             abstracted[region.indices] = True
-        self.columns = [_columns(prop, region, prop.partition_dims(observer), abstracted, n_components)
-                        for prop, region, abstracted in zip(properties, self.regions, self.abstracted)]
+        self.columns, self._sampling = zip(*[
+            _columns(prop, region, prop.partition_dims(observer), abstracted, n_components)
+            for prop, region, abstracted in zip(properties, self.regions, self.abstracted)])
         kinds = [prop.kind for prop in properties]
         self.kinds = [(kind, np.array([other is kind for other in kinds])) for kind in dict.fromkeys(kinds)]
         self.ibp = IBPBuffers()
         self._full_layout: tuple | None = None
+
+    def sampling_regions(self, state: np.ndarray) -> list:
+        """Per property, ``(lo, width)`` of its input region around one
+        ``state`` as the verifier certifies it (after the centre/deviation
+        round trip): ``lo + u * width`` for ``u`` in ``[0, 1]`` covers it.
+        On a dimension that keeps its state value ``lo`` is that value and
+        ``width`` 0, what the round trip gives unless the state is so large
+        that its region overflows, which ``certify`` rejects."""
+        regions = []
+        for region, (constant_lo, width) in zip(self.regions, self._sampling):
+            lo = state.copy()
+            if constant_lo is None:
+                noise = Box._trusted_bounds(*region.noise_bounds(state[region.indices]))
+                lo[region.indices] = noise.lo
+                width = width.copy()
+                width[region.indices] = noise.hi - noise.lo
+            else:
+                lo[region.indices] = constant_lo[region.indices]
+            regions.append((lo, width))
+        return regions
 
     def layout(self, n_decisions: int, masks: np.ndarray | None) -> tuple:
         """``(take, offsets, abstracted, kind_rows, allowed_lo, allowed_hi)``
@@ -234,26 +255,33 @@ class CertifyPlan:
 
 def _columns(prop: PropertySpec, region: RegionPlan, dims: List[int], abstracted: np.ndarray,
              n_components: int) -> tuple:
-    """A property's entry of :attr:`CertifyPlan.columns`, built on a
-    placeholder state of zeros."""
+    """A property's entries of :attr:`CertifyPlan.columns` and of its
+    sampling columns (``lo`` and ``width`` of the round-tripped region on the
+    abstracted dimensions, 0 elsewhere), built on a placeholder state of
+    zeros; a robustness property has no constant column."""
+    zeros = np.zeros(abstracted.size)
     if region.noise_mu is not None:
-        return None, np.zeros((n_components, abstracted.size))
-    lo, hi = region.bounds(np.zeros(abstracted.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        center = (lo + hi) / 2.0
-        deviation = (hi - lo) / 2.0
-    bad = ~np.isfinite(center) | ~np.isfinite(deviation) | (lo > hi + 1e-12)
+        return (None, np.zeros((n_components, zeros.size))), (None, zeros)
+    lo, hi = region.bounds(zeros)
+    bad = _unsound(lo, hi)
     if bad.any():
         index = int(np.argmax(bad))
         raise ValueError(f"{prop.name}: input region needs lo <= hi with a finite centre and deviation, "
                          f"got [{lo[index]}, {hi[index]}] at state index {index}")
-    np.maximum(deviation, 0.0, out=deviation)
-    center, deviation = split_bounds(center - deviation, center + deviation, n_components,
-                                     np.array(dims, dtype=np.intp) if dims else None)
+    box = Box._trusted_bounds(lo, hi)  # the centre/deviation round trip
+    lo, hi = box.lo, box.hi
+    center, deviation = split_bounds(lo, hi, n_components, np.array(dims, dtype=np.intp) if dims else None)
     np.maximum(deviation, 0.0, out=deviation)
     center[:, ~abstracted] = 0.0
     deviation[:, ~abstracted] = 0.0
-    return center, deviation
+    return (center, deviation), (lo, np.where(abstracted, hi - lo, 0.0))
+
+
+def _unsound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where a region ``[lo, hi]`` is unordered or has a centre or deviation
+    that is not finite (finite bounds can still overflow them)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~np.isfinite((lo + hi) / 2.0) | ~np.isfinite((hi - lo) / 2.0) | (lo > hi + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -432,14 +460,10 @@ class Verifier:
         for region, (constant, _), start, stop in zip(plan.regions, plan.columns, offsets, offsets[1:]):
             if constant is None and start < stop:
                 lo, hi = region.noise_bounds(rows[start:stop, region.indices])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    center = (lo + hi) / 2.0
-                    deviation = (hi - lo) / 2.0
-                if not (np.isfinite(center).all() and np.isfinite(deviation).all()) or (lo > hi + 1e-12).any():
+                if _unsound(lo, hi).any():
                     self._reject_region(plan, states, take, offsets)
-                np.maximum(deviation, 0.0, out=deviation)
-                center, deviation = split_bounds(center - deviation, np.add(center, deviation, out=center), n,
-                                                 None)
+                box = Box._trusted_bounds(lo, hi)  # the centre/deviation round trip
+                center, deviation = split_bounds(box.lo, box.hi, n, None)
                 noise.append((region.indices, center, np.maximum(deviation, 0.0, out=deviation), start, stop))
         # Only the dimensions that keep their state value are checked here.
         np.copyto(rows, 0.0, where=abstracted)
@@ -468,9 +492,7 @@ class Verifier:
         lo, hi = states[take], states[take]
         for region, start, stop in zip(plan.regions, offsets, offsets[1:]):
             region.fill(lo[start:stop], hi[start:stop])
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.isfinite((lo + hi) / 2.0) | ~np.isfinite((hi - lo) / 2.0) | (lo > hi + 1e-12)
-        row, index = (int(i) for i in np.argwhere(bad)[0])
+        row, index = (int(i) for i in np.argwhere(_unsound(lo, hi))[0])
         prop = next(i for i, end in enumerate(offsets[1:]) if row < end)
         raise ValueError(
             f"{plan.properties[prop].name}: input region needs lo <= hi with a finite centre and deviation, "

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracle import certify_reference
+from repro.abstract.box import Box
 from repro.core.properties import (
     all_properties,
     deep_buffer_properties,
@@ -370,6 +371,23 @@ def test_returned_certificates_keep_their_values_after_later_calls(n_components,
         for name, batch in got.items():
             for array in BATCH_ARRAYS:
                 assert np.array_equal(getattr(batch, array), expected[name][array], equal_nan=True), (name, array)
+
+
+@pytest.mark.parametrize("set_name", sorted(PROPERTY_SETS))
+def test_sampling_regions_are_the_round_tripped_regions(set_name):
+    """``CertifyPlan.sampling_regions`` samples, bit for bit, the regions
+    ``Box._trusted_bounds`` makes of ``RegionPlan.bounds``: what the trainer's
+    regularization step sampled before the plan kept the constant columns."""
+    verifier, states, _, _ = stack_setup(8500, 5, False)
+    states[0, :4] = -0.0
+    states[1] *= 1e-310
+    plan = verifier.plan(PROPERTY_SETS[set_name]())
+    draws = np.random.default_rng(8501).random((8, states.shape[1]))
+    for state in states:
+        for region, (lo, width) in zip(plan.regions, plan.sampling_regions(state)):
+            box = Box._trusted_bounds(*region.bounds(state))
+            expected = box.lo + draws * (box.hi - box.lo)
+            np.testing.assert_array_equal((lo + draws * width).view(np.uint64), expected.view(np.uint64))
 
 
 def test_repeat_certify_looks_up_no_feature_indices(monkeypatch):
