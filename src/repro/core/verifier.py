@@ -172,8 +172,10 @@ class CertifyPlan:
     robustness property's centre is ``None`` and its deviation all 0: its
     noise columns follow the state.  ``kinds`` lists each
     :class:`ActionKind` present with its property mask, ``ibp`` holds the
-    IBP kernel's ``|W|`` and output arrays between calls, and :meth:`layout`
-    keeps the row layout of the last stack that kept every decision.
+    IBP kernel's ``|W|`` and output arrays between calls, :meth:`layout`
+    keeps the row layout of the last stack that kept every decision, and
+    :meth:`sampling_regions` hands the trainer's regularization step the
+    regions it certifies.
 
     The constant columns of P1–P4 go through exactly the arithmetic of a
     state-dependent region, the centre/deviation round trip and
@@ -255,10 +257,10 @@ class CertifyPlan:
 
 def _columns(prop: PropertySpec, region: RegionPlan, dims: List[int], abstracted: np.ndarray,
              n_components: int) -> tuple:
-    """A property's entries of :attr:`CertifyPlan.columns` and of its
-    sampling columns (``lo`` and ``width`` of the round-tripped region on the
-    abstracted dimensions, 0 elsewhere), built on a placeholder state of
-    zeros; a robustness property has no constant column."""
+    """A property's entry of :attr:`CertifyPlan.columns` and its sampling
+    columns, the ``lo`` and ``width`` of its round-tripped region on the
+    abstracted dimensions (``width`` 0 elsewhere), built on a placeholder
+    state of zeros.  A robustness property has no constant column."""
     zeros = np.zeros(abstracted.size)
     if region.noise_mu is not None:
         return (None, np.zeros((n_components, zeros.size))), (None, zeros)
