@@ -42,23 +42,18 @@ call.  With ``check_applicability`` a property contributes only the
 decisions it applies at.
 
 What does not depend on the decisions is computed once per property sequence:
-the verifier keeps a :class:`CertifyPlan` per tuple of (frozen) properties.
-It holds each property's region plan (abstracted indices with their
-constant bounds; P5: its noise indices and ``μ``), the ``(N, d)`` component
-centre and deviation of P1–P4's constant columns, already through the round
-trip and the split and checked once when the plan is built, the
-abstracted-column masks, the allowed bounds, the Δcwnd sign conditions, the
-row layout of the last stack that kept every decision (which decision and
-property each row is, per-kind rows, allowed-bound columns) and the IBP
-kernel's :class:`~repro.abstract.propagate.IBPBuffers`: ``|W|`` and the
-per-step outputs of one block.  So a repeat ``certify`` looks up no feature
-index and splits no constant column; per call it only gathers the state
-rows, writes the columns and runs the arithmetic that depends on the state
-or the weights.  The plan holds no weights: the IBP pass reads every
-``layer.weight`` afresh and refills ``|W|`` from it on each call, so a plan
-stays valid while the actor trains in place.  Every array a ``certify``
-returns is fresh; none is a plan buffer.  The trainer's regularization step
-samples the regions of the same plan.
+the verifier keeps a :class:`CertifyPlan` per tuple of (frozen) properties,
+which holds every state-independent array of a call: the region plans,
+P1–P4's constant columns already split into their ``N`` components (and
+checked once, when the plan is built), the row layout of the last stack
+and the IBP kernel's :class:`~repro.abstract.propagate.IBPBuffers`.  So a
+repeat ``certify`` looks up no feature index and splits no constant column;
+it gathers the state rows, writes the columns and runs only the arithmetic
+that depends on the state or the weights.  The plan holds no weights: the
+IBP pass reads every ``layer.weight`` afresh and refills ``|W|`` from it on
+each call, so a plan stays valid while the actor trains in place.  Every
+array a ``certify`` returns is fresh, never a plan buffer.  The trainer's
+regularization step samples the regions of the same plan.
 
 Two layout traps lie in those buffers:
 
