@@ -58,9 +58,9 @@ regularization step samples the regions of the same plan.
 Two layout traps lie in those buffers:
 
 * ``|W|.T`` is the transposed view of an ``(out, in)`` array, the layout
-  ``np.abs(W).T`` has.  A contiguous ``(in, out)`` buffer would send the
+  ``np.abs(W).T`` has.  A contiguous ``(in, out)`` buffer can send the
   one-output last layer, and every one-row product (``N = 1``), through
-  another gemv, which moves the trained actors' bits.
+  another gemv and move the trained actors' bits.
 * The buffers are keyed on the layer shapes and the block shape, never on
   the identity of a network: ids are reused once a network is collected,
   and a step list cached on ``id(actor)`` would propagate through stale
