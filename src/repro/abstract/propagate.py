@@ -21,6 +21,10 @@ temporaries stay cache-sized whatever the number of decisions.  A caller
 that propagates the same shapes again and again (the verifier, once per
 training step) hands in an :class:`IBPBuffers`, which keeps the ``|W|``
 and output arrays between calls and refills ``|W|`` from the live weights.
+The verifier never hands in more than one block: it fills the components
+of at most ``BLOCK_ROWS // N`` decisions into buffers of its own and calls
+this function once per such block, so each call runs whole and returns
+views of the buffers, which the verifier copies out before the next call.
 The test suite pins it bit for bit (``np.array_equal``) against a per-layer
 box oracle on each ``(N, d)`` slice.
 """

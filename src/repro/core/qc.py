@@ -8,16 +8,19 @@ A QC (Section 4.3) has two pieces:
   across components, which the Canopy trainer folds into the reward.
 
 A :class:`CertificateBatch` holds the QCs of one property at ``D`` decisions
-as arrays: the per-component input and output bounds (the data behind the
+as arrays: the per-component output bounds (the data behind the
 certified-component views of Figures 6 and 8), the per-component proof and
 feedback, and each decision's feedback.  One decision is the ``D = 1`` batch.
+The per-component input bounds are derived on first access.
 A :class:`CertificateSet` maps property names to the batches one
 certification of several properties produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -78,52 +81,69 @@ class CertificateBatch:
     The verifier certifies several properties in one stack; each property's
     batch then holds its rows of the shared stack arrays.
 
-    ``input_lo``/``input_hi`` have shape ``(D, N, d)``; ``output_lo``,
-    ``output_hi``, ``satisfied`` and ``component_feedback`` have shape
-    ``(D, N)``.  ``feedback`` ``(D,)`` is each decision's QC feedback, the
-    mean of its ``N`` component feedbacks (bit for bit the ``np.mean`` of the
-    row as a Python list), and ``applicable_mask`` ``(D,)`` marks the
-    decisions the property applies at.  A non-applicable decision has NaN
-    bounds, no satisfied component and the vacuous feedback 1.0.  The proof
-    of an applicable decision ``i`` is ``satisfied[i].all()``.
+    ``output_lo``, ``output_hi``, ``satisfied`` and ``component_feedback``
+    have shape ``(D, N)``.  ``feedback`` ``(D,)`` is each decision's QC
+    feedback, the mean of its ``N`` component feedbacks (bit for bit the
+    ``np.mean`` of the row as a Python list), and ``applicable_mask``
+    ``(D,)`` marks the decisions the property applies at.  A non-applicable
+    decision has NaN bounds, no satisfied component and the vacuous feedback
+    1.0.  The proof of an applicable decision ``i`` is ``satisfied[i].all()``.
+
+    ``input_lo``/``input_hi`` ``(D, N, d)``, the bounds of each component,
+    are computed on first access by ``input_bounds``, which returns the rows
+    of the applicable decisions (the verifier refills them from the state
+    rows it kept), and are then kept.
     """
 
     property_name: str
     allowed_lo: float
     allowed_hi: float
-    input_lo: np.ndarray
-    input_hi: np.ndarray
     output_lo: np.ndarray
     output_hi: np.ndarray
     satisfied: np.ndarray
     component_feedback: np.ndarray
     feedback: np.ndarray
     applicable_mask: np.ndarray
+    input_bounds: Callable[[], tuple] = field(repr=False, compare=False)
 
     @classmethod
     def from_applicable(cls, property_name: str, allowed_lo: float, allowed_hi: float,
                         applicable: np.ndarray, input_lo, input_hi, output_lo, output_hi, satisfied,
-                        component_feedback) -> "CertificateBatch":
+                        component_feedback, *, input_bounds: Callable[[], tuple] | None = None
+                        ) -> "CertificateBatch":
         """Assemble a batch from the arrays of its applicable decisions only.
 
         Row ``j`` of the component arrays belongs to the ``j``-th True entry
-        of ``applicable``; the other decisions get vacuous rows.
+        of ``applicable``; the other decisions get vacuous rows.  The input
+        bounds are the arrays ``input_lo``/``input_hi``, or (both ``None``)
+        what ``input_bounds()`` returns when they are first read.
         """
+        if input_bounds is None:
+            input_bounds = functools.partial(_given, input_lo, input_hi)
         # np.mean's own arithmetic (a sum, then a division by N) without its overhead.
         feedback = component_feedback.sum(axis=-1) / component_feedback.shape[-1]
         if not applicable.all():
-            def scatter(values: np.ndarray, fill) -> np.ndarray:
-                full = np.full(applicable.shape + values.shape[1:], fill, dtype=values.dtype)
-                full[applicable] = values
-                return full
+            output_lo, output_hi = _scatter(applicable, output_lo, np.nan), _scatter(applicable, output_hi, np.nan)
+            satisfied = _scatter(applicable, satisfied, False)
+            component_feedback = _scatter(applicable, component_feedback, np.nan)
+            feedback = _scatter(applicable, feedback, 1.0)
+        return cls(property_name, float(allowed_lo), float(allowed_hi), output_lo, output_hi, satisfied,
+                   component_feedback, feedback, applicable, input_bounds)
 
-            input_lo, input_hi = scatter(input_lo, np.nan), scatter(input_hi, np.nan)
-            output_lo, output_hi = scatter(output_lo, np.nan), scatter(output_hi, np.nan)
-            satisfied = scatter(satisfied, False)
-            component_feedback = scatter(component_feedback, np.nan)
-            feedback = scatter(feedback, 1.0)
-        return cls(property_name, float(allowed_lo), float(allowed_hi), input_lo, input_hi,
-                   output_lo, output_hi, satisfied, component_feedback, feedback, applicable)
+    @functools.cached_property
+    def _inputs(self) -> tuple:
+        input_lo, input_hi = self.input_bounds()
+        if not self.applicable_mask.all():
+            return _scatter(self.applicable_mask, input_lo, np.nan), _scatter(self.applicable_mask, input_hi, np.nan)
+        return input_lo, input_hi
+
+    @property
+    def input_lo(self) -> np.ndarray:
+        return self._inputs[0]
+
+    @property
+    def input_hi(self) -> np.ndarray:
+        return self._inputs[1]
 
     @property
     def n_decisions(self) -> int:
@@ -134,6 +154,17 @@ class CertificateBatch:
         """Whether the property applies at one decision at least; when False
         every certificate in the batch is vacuous."""
         return bool(self.applicable_mask.any())
+
+
+def _given(input_lo: np.ndarray, input_hi: np.ndarray) -> tuple:
+    return input_lo, input_hi
+
+
+def _scatter(applicable: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """``values``, the rows of the applicable decisions, with ``fill`` rows for the others."""
+    full = np.full(applicable.shape + values.shape[1:], fill, dtype=values.dtype)
+    full[applicable] = values
+    return full
 
 
 class CertificateSet(dict):

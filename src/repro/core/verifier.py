@@ -20,40 +20,49 @@ Batched engine
 
 One engine certifies a stack of properties over a stack of decisions.
 Handed ``P`` properties and all ``D`` decisions of a run,
-:meth:`Verifier.certify` builds the components of every property's input
+:meth:`Verifier.certify` certifies the components of every property's input
 region at once, as one ``(P·D, N, d)`` stack in property order: the state
 rows broadcast over the ``N`` components, with each property's abstracted
 columns written over them (the plan's constant columns for P1–P4; P5's noise
 columns through the centre/deviation round trip and
-:func:`repro.abstract.box.split_bounds`).  The state columns are checked
-once (their region centre must not overflow), and a *single* IBP call
-covers the whole stack (:func:`repro.abstract.propagate.propagate_mlp_batched`,
-which works through it in cache-sized blocks of decisions).  The cwnd map
-and the Δcwnd / fractional-change transformers run once per
+:func:`repro.abstract.box.split_bounds`).  The stack is never built whole.
+The state columns are checked once (their region centre must not overflow),
+and the stack is then filled block by block into two ``(b, N, d)`` buffers
+the plan owns, ``b`` at most ``BLOCK_ROWS // N`` decisions
+(:data:`repro.abstract.propagate.BLOCK_ROWS`): the centre and the deviation
+of ``b`` consecutive rows.  Each block goes through one call of
+:func:`repro.abstract.propagate.propagate_mlp_batched` and its ``(b, N, 1)``
+action bounds are copied out before the next block reuses the buffers.  The
+cwnd map and the Δcwnd / fractional-change transformers run once per
 :class:`ActionKind` present (P5's reference window included), and the
 containment check and the Eq. 6 feedback run once over the whole stack with
 each property's allowed bounds broadcast over its rows.  Each property gets
 an array-backed :class:`repro.core.qc.CertificateBatch`, and a sequence of
-properties gives a :class:`repro.core.qc.CertificateSet` keyed by name.  One
-property is the ``P = 1`` case and one decision the ``D = 1`` case of the
-same engine, so a lone decision gives ``D = 1`` batches.  The number of
-components ``N`` is :attr:`VerifierConfig.n_components`, the same for every
-call.  With ``check_applicability`` a property contributes only the
-decisions it applies at.
+properties gives a :class:`repro.core.qc.CertificateSet` keyed by name (the
+names must differ).  The per-component input bounds ``c - d`` and ``c + d``
+are not computed by a ``certify``: a batch derives them when they are first
+read, by filling its rows through the same blocks.  One property is the
+``P = 1`` case and one decision the ``D = 1`` case of the same engine, so a
+lone decision gives ``D = 1`` batches.  The number of components ``N`` is
+:attr:`VerifierConfig.n_components`, the same for every call.  With
+``check_applicability`` a property contributes only the decisions it applies
+at.
 
-What does not depend on the decisions is computed once per property sequence:
-the verifier keeps a :class:`CertifyPlan` per tuple of (frozen) properties,
-which holds every state-independent array of a call: the region plans,
-P1–P4's constant columns already split into their ``N`` components (and
-checked once, when the plan is built), the row layout of the last stack
-and the IBP kernel's :class:`~repro.abstract.propagate.IBPBuffers`.  So a
-repeat ``certify`` looks up no feature index and splits no constant column;
-it gathers the state rows, writes the columns and runs only the arithmetic
-that depends on the state or the weights.  The plan holds no weights: the
-IBP pass reads every ``layer.weight`` afresh and refills ``|W|`` from it on
-each call, so a plan stays valid while the actor trains in place.  Every
-array a ``certify`` returns is fresh, never a plan buffer.  The trainer's
-regularization step samples the regions of the same plan.
+What does not depend on the decisions is computed once per property
+sequence: the verifier keeps a :class:`CertifyPlan` per tuple of (frozen)
+properties, which holds every state-independent array of a call: the region
+plans, P1–P4's constant columns already split into their ``N`` components
+(and checked once, when the plan is built), the row layout of the last
+stack, the two block buffers and the IBP kernel's
+:class:`~repro.abstract.propagate.IBPBuffers`.  So a repeat ``certify``
+looks up no feature index, splits no constant column and allocates no
+stack-sized array; it gathers the state rows, writes the columns block by
+block and runs only the arithmetic that depends on the state or the weights.
+The plan holds no weights: the IBP pass reads every ``layer.weight`` afresh
+and refills ``|W|`` from it on each call, so a plan stays valid while the
+actor trains in place.  Every array a ``certify`` returns is fresh, never a
+plan buffer.  The trainer's regularization step samples the regions of the
+same plan.
 
 Two layout traps lie in those buffers:
 
@@ -69,7 +78,9 @@ Two layout traps lie in those buffers:
 Stacking does not move a single bit.  Each ``(N, d)`` slice of the stack goes
 through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
 issues (numpy's ``matmul`` loops that gemm over the leading axis), every other
-step is element-wise, so neither the stacking nor the block size matters, and
+step is element-wise, so neither the stacking nor the block size matters
+(nor where a block starts: one may hold the last rows of one property and
+the first of the next), and
 the P5 reference window stays one ``(1, d)`` actor forward per decision.  The
 stack is deliberately never flattened to ``(P·D·N, d)``: BLAS picks another
 path for another row count, which moved action bounds by up to 2.8e-17.  The
@@ -85,6 +96,7 @@ per-layer propagation bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -93,7 +105,7 @@ import numpy as np
 
 from repro.abstract import transformers
 from repro.abstract.box import Box, split_bounds
-from repro.abstract.propagate import IBPBuffers, propagate_mlp_batched
+from repro.abstract.propagate import BLOCK_ROWS, IBPBuffers, propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec, RegionPlan
 from repro.core.qc import CertificateBatch, CertificateSet, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
@@ -167,10 +179,12 @@ class CertifyPlan:
     robustness property's centre is ``None`` and its deviation all 0: its
     noise columns follow the state.  ``kinds`` lists each
     :class:`ActionKind` present with its property mask, ``ibp`` holds the
-    IBP kernel's ``|W|`` and output arrays between calls, :meth:`layout`
-    keeps the row layout of the last stack that kept every decision, and
-    :meth:`sampling_regions` hands the trainer's regularization step the
-    regions it certifies.
+    IBP kernel's ``|W|`` and output arrays between calls,
+    :meth:`block_buffers` the centre and deviation of one block of
+    component rows (``block_rows`` decisions at most, the kernel's own
+    block), :meth:`layout` keeps the row layout of the last stack that kept
+    every decision, and :meth:`sampling_regions` hands the trainer's
+    regularization step the regions it certifies.
 
     The constant columns of P1–P4 go through exactly the arithmetic of a
     state-dependent region, the centre/deviation round trip and
@@ -198,7 +212,20 @@ class CertifyPlan:
         kinds = [prop.kind for prop in properties]
         self.kinds = [(kind, np.array([other is kind for other in kinds])) for kind in dict.fromkeys(kinds)]
         self.ibp = IBPBuffers()
+        self.component_shape = (n_components, observer.state_dim)
+        self.block_rows = max(1, BLOCK_ROWS // n_components)
+        self._block = (np.empty((0, *self.component_shape)),) * 2
         self._full_layout: tuple | None = None
+
+    def block_buffers(self, rows: int) -> tuple:
+        """The centre and deviation buffers of a block of ``rows`` component
+        rows, ``(rows, N, d)`` each: views of two arrays the plan keeps,
+        reallocated only when a block has more rows than they hold."""
+        center, deviation = self._block
+        if center.shape[0] < rows:
+            shape = (rows, *self.component_shape)
+            center, deviation = self._block = np.empty(shape), np.empty(shape)
+        return center[:rows], deviation[:rows]
 
     def sampling_regions(self, state: np.ndarray) -> list:
         """Per property, ``(lo, width)`` of its input region around one
@@ -281,6 +308,65 @@ def _unsound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return ~np.isfinite((lo + hi) / 2.0) | ~np.isfinite((hi - lo) / 2.0) | (lo > hi + 1e-12)
 
 
+class _ComponentStack:
+    """The ``(R, N, d)`` components of one ``certify``, never built whole.
+
+    ``rows`` ``(R, d)`` holds the state rows with every abstracted dimension
+    zeroed and 0.0 added; property ``i`` holds the rows ``offsets[i]`` to
+    ``offsets[i + 1]``, and ``noise[i]`` is ``None`` or, for a robustness
+    property, ``(indices, center, deviation)`` of its noise columns on its
+    rows.  :meth:`fill` writes the components of a run of rows into the
+    plan's block buffers: the state row broadcast over the ``N``
+    components with the property's columns written over it.  The IBP pass
+    and the input bounds both read the stack through it, block by block.
+    """
+
+    def __init__(self, plan: CertifyPlan, rows: np.ndarray, offsets: List[int], noise: list) -> None:
+        self.plan = plan
+        self.rows = rows
+        self.offsets = offsets
+        self.noise = noise
+
+    def fill(self, start: int, stop: int) -> tuple:
+        """The centre and deviation ``(stop - start, N, d)`` of the rows
+        ``start`` to ``stop``, as views of the plan's block buffers."""
+        center, deviation = self.plan.block_buffers(stop - start)
+        center[...] = self.rows[start:stop, None, :]
+        for (column_center, column_deviation), mask, noise, first, last in zip(
+                self.plan.columns, self.plan.abstracted, self.noise, self.offsets, self.offsets[1:]):
+            lo, hi = max(first, start), min(last, stop)
+            if lo >= hi:
+                continue
+            block = slice(lo - start, hi - start)
+            if column_center is not None:
+                np.copyto(center[block], column_center, where=mask)
+            deviation[block] = column_deviation
+            if noise is not None:
+                indices, noise_center, noise_deviation = noise
+                center[block, :, indices] = noise_center[lo - first:hi - first]
+                deviation[block, :, indices] = noise_deviation[lo - first:hi - first]
+        return center, deviation
+
+    def blocks(self, start: int, stop: int):
+        """``(first, last, center, deviation)`` per block of the rows
+        ``start`` to ``stop``, at most :attr:`CertifyPlan.block_rows` each;
+        a block's arrays hold until the next block is filled."""
+        for first in range(start, stop, self.plan.block_rows):
+            last = min(first + self.plan.block_rows, stop)
+            yield (first, last, *self.fill(first, last))
+
+    def input_bounds(self, index: int) -> tuple:
+        """``(lo, hi)`` ``(k, N, d)`` of the components of property
+        ``index``'s ``k`` rows: ``c - d`` and ``c + d``, fresh arrays."""
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        shape = (stop - start, *self.plan.component_shape)
+        lo, hi = np.empty(shape), np.empty(shape)
+        for first, last, center, deviation in self.blocks(start, stop):
+            np.subtract(center, deviation, out=lo[first - start:last - start])
+            np.add(center, deviation, out=hi[first - start:last - start])
+        return lo, hi
+
+
 @dataclass(frozen=True)
 class VerifierConfig:
     """Verifier settings.
@@ -352,13 +438,18 @@ class Verifier:
         whose decision ``i`` is bit-identical to
         ``certify(prop, state[i], cwnd_tcp[i], cwnd_prev[i])``.  ``prop`` is
         one :class:`PropertySpec` (the result is its batch) or a sequence of
-        them (the result is a :class:`CertificateSet` keyed by property name,
-        in sequence order).  Either way all components of all decisions of all
-        properties go through the actor in a single IBP pass.
+        them with distinct names (the result is a :class:`CertificateSet`
+        keyed by property name, in sequence order).  Either way all
+        components of all decisions of all properties go through the actor
+        in one IBP pass, block by block.
         """
         properties = [prop] if isinstance(prop, PropertySpec) else list(prop)
         if not properties:
             raise ValueError("need at least one property")
+        names = [p.name for p in properties]
+        if len(set(names)) != len(names):
+            duplicate = next(name for index, name in enumerate(names) if name in names[:index])
+            raise ValueError(f"property names must be unique: {duplicate!r} names more than one property")
         state = np.asarray(state, dtype=np.float64)
         cwnd_tcp = np.asarray(cwnd_tcp, dtype=np.float64)
         cwnd_prev = np.asarray(cwnd_prev, dtype=np.float64)
@@ -392,10 +483,11 @@ class Verifier:
 
         ``states`` is a stack ``(D, d)`` with one window per decision.  Each
         property keeps the decisions it applies at (all of them unless
-        ``check_applicability`` gates some out).  Their components are
-        stacked in property order into one ``(R, N, d)`` stack, which goes
-        through one IBP call; the checked-action bounds and the Eq. 6
-        feedback are computed over all ``R`` rows at once.
+        ``check_applicability`` gates some out).  Their components form one
+        ``(R, N, d)`` stack in property order, which goes through the IBP
+        kernel block by block (:meth:`_propagate`); the checked-action bounds
+        and the Eq. 6 feedback are computed over all ``R`` rows at once.
+        Each batch derives its input bounds from the same stack on demand.
         """
         plan = self.plan(properties)
         n = self.config.n_components
@@ -409,32 +501,26 @@ class Verifier:
                                else np.all(history >= -SIGN_TOL, axis=-1))
         take, offsets, abstracted, kind_rows, allowed_lo, allowed_hi = plan.layout(
             states.shape[0], masks if self.config.check_applicability else None)
+        stack = self._stack(plan, states, take, offsets, abstracted)
         if take.size:
-            components = self._components(plan, states, take, offsets, abstracted)
-            output_lo, output_hi = self._checked_bounds(plan, components, kind_rows, states, take,
+            output_lo, output_hi = self._checked_bounds(*self._propagate(plan, stack), kind_rows, states, take,
                                                         cwnd_tcp[take], cwnd_prev[take])
-            # The components' bounds c - d and c + d, the latter written over
-            # the centre the IBP pass no longer needs.
-            input_lo = components.center - components.deviation
-            input_hi = np.add(components.center, components.deviation, out=components.center)
-            del components
         else:
-            input_lo = input_hi = np.empty((0, n, states.shape[-1]))
             output_lo = output_hi = np.empty((0, n))
         satisfied, feedback = interval_feedback_batch(output_lo, output_hi, allowed_lo, allowed_hi)
         batches = []
-        for prop, mask, lo, hi, start, end in zip(properties, masks, plan.allowed_lo, plan.allowed_hi, offsets,
-                                                  offsets[1:]):
+        for index, (prop, mask, lo, hi, start, end) in enumerate(zip(
+                properties, masks, plan.allowed_lo, plan.allowed_hi, offsets, offsets[1:])):
             batches.append(CertificateBatch.from_applicable(
-                prop.name, lo, hi, mask, input_lo[start:end], input_hi[start:end], output_lo[start:end],
-                output_hi[start:end], satisfied[start:end], feedback[start:end]))
+                prop.name, lo, hi, mask, None, None, output_lo[start:end], output_hi[start:end],
+                satisfied[start:end], feedback[start:end], input_bounds=functools.partial(stack.input_bounds, index)))
         return batches
 
-    def _components(self, plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int],
-                    abstracted: np.ndarray) -> Box:
-        """The ``(R, N, d)`` components of the regions around ``states[take]``,
-        row ``r`` in its property's region, whose abstracted dimensions
-        ``abstracted[r]`` marks.
+    def _stack(self, plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int],
+               abstracted: np.ndarray) -> "_ComponentStack":
+        """The components of the regions around ``states[take]``, row ``r``
+        in its property's region, whose abstracted dimensions
+        ``abstracted[r]`` marks, ready to be filled block by block.
 
         Every region goes through the centre/deviation round trip
         ``c = (lo + hi) / 2``, ``d = max((hi - lo) / 2, 0)``, ``[c - d, c + d]``
@@ -444,12 +530,13 @@ class Verifier:
         ``(s + s) / 2 + 0.0`` and the deviation 0.  ``(s + s) / 2`` is ``s``
         itself unless ``s + s`` overflows, which it does exactly when
         ``|s| > MAX / 2``, and the ``+ 0.0`` is the round trip turning
-        ``-0.0`` into ``0.0``.  So the state rows plus 0.0 are broadcast over
-        the ``N`` components, and each property's abstracted columns are
-        written over them: the plan's constant columns, or P5's noise
-        columns, which go through the round trip and
+        ``-0.0`` into ``0.0``.  So the state rows plus 0.0 are kept, to be
+        broadcast over the ``N`` components, with each property's abstracted
+        columns written over them: the plan's constant columns, or P5's
+        noise columns, which go through the round trip and
         :func:`~repro.abstract.box.split_bounds` here.  A region whose centre
-        or deviation is not finite raises (:meth:`_reject_region`).
+        or deviation is not finite raises (:meth:`_reject_region`) before
+        any row is propagated.
         """
         n = self.config.n_components
         rows = states[take]
@@ -461,23 +548,33 @@ class Verifier:
                     self._reject_region(plan, states, take, offsets)
                 box = Box._trusted_bounds(lo, hi)  # the centre/deviation round trip
                 center, deviation = split_bounds(box.lo, box.hi, n, None)
-                noise.append((region.indices, center, np.maximum(deviation, 0.0, out=deviation), start, stop))
+                noise.append((region.indices, center, np.maximum(deviation, 0.0, out=deviation)))
+            else:
+                noise.append(None)
         # Only the dimensions that keep their state value are checked here.
         np.copyto(rows, 0.0, where=abstracted)
-        if np.abs(rows).max() > _HALF_MAX:
+        if rows.size and np.abs(rows).max() > _HALF_MAX:
             self._reject_region(plan, states, take, offsets)
         rows += 0.0
-        center = rows[:, None, :].repeat(n, axis=1)
-        deviation = np.empty_like(center)
-        for (column_center, column_deviation), mask, start, stop in zip(plan.columns, plan.abstracted, offsets,
-                                                                        offsets[1:]):
-            if column_center is not None:
-                np.copyto(center[start:stop], column_center, where=mask)
-            deviation[start:stop] = column_deviation
-        for indices, column_center, column_deviation, start, stop in noise:
-            center[start:stop, :, indices] = column_center
-            deviation[start:stop, :, indices] = column_deviation
-        return Box._trusted(center, deviation)
+        return _ComponentStack(plan, rows, offsets, noise)
+
+    def _propagate(self, plan: CertifyPlan, stack: "_ComponentStack") -> tuple:
+        """The action centre and deviation ``(R, N, out)`` of every row of
+        ``stack``: one IBP call per block of the plan's buffers, each
+        ``(b, N, out)`` result copied out before the next block reuses them
+        (a lone block's result is returned as it is)."""
+        n_rows = stack.rows.shape[0]
+        action_center = action_deviation = None
+        for start, stop, center, deviation in stack.blocks(0, n_rows):
+            action = propagate_mlp_batched(self.actor, Box._trusted(center, deviation), plan.ibp)
+            if stop - start == n_rows:
+                return action.center, action.deviation
+            if action_center is None:
+                shape = (n_rows,) + action.shape[1:]
+                action_center, action_deviation = np.empty(shape), np.empty(shape)
+            action_center[start:stop] = action.center
+            action_deviation[start:stop] = action.deviation
+        return action_center, action_deviation
 
     @staticmethod
     def _reject_region(plan: CertifyPlan, states: np.ndarray, take: np.ndarray, offsets: List[int]) -> None:
@@ -495,20 +592,20 @@ class Verifier:
             f"{plan.properties[prop].name}: input region needs lo <= hi with a finite centre and deviation, "
             f"got [{lo[row, index]}, {hi[row, index]}] at decision {take[row]}, state index {index}")
 
-    def _checked_bounds(self, plan: CertifyPlan, components: Box, kind_rows: list, states: np.ndarray,
-                        take: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> tuple:
-        """Checked-action bounds ``(R, N)`` of a stack of ``R`` component rows.
+    def _checked_bounds(self, action_center: np.ndarray, action_deviation: np.ndarray, kind_rows: list,
+                        states: np.ndarray, take: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> tuple:
+        """Checked-action bounds ``(R, N)`` of the actions ``(R, N, 1)`` of a
+        stack of ``R`` component rows.
 
         Row ``r`` is decision ``take[r]`` of ``states`` and has the windows
         ``cwnd_tcp[r]``/``cwnd_prev[r]``; ``kind_rows`` pairs each
-        :class:`ActionKind` present with its rows.  One IBP call covers the
-        whole stack; the cwnd map and the Δcwnd / fractional-change
-        transformers run once per kind, on that kind's rows.
+        :class:`ActionKind` present with its rows.  The cwnd map and the
+        Δcwnd / fractional-change transformers run once per kind, on that
+        kind's rows.
         """
-        action_box = propagate_mlp_batched(self.actor, components, plan.ibp)
         bounds = []
         for kind, rows in kind_rows:
-            center, deviation = action_box.center[rows], action_box.deviation[rows]
+            center, deviation = action_center[rows], action_deviation[rows]
             tcp, prev = cwnd_tcp[rows], cwnd_prev[rows]
             # One window per decision, broadcast over its components.
             if kind is ActionKind.DELTA_CWND:
@@ -523,8 +620,8 @@ class Verifier:
             bounds.append((rows, checked_lo[..., 0], checked_hi[..., 0]))
         if len(bounds) == 1:
             return bounds[0][1:]
-        output_lo = np.empty(action_box.shape[:-1])
-        output_hi = np.empty(action_box.shape[:-1])
+        output_lo = np.empty(action_center.shape[:-1])
+        output_hi = np.empty(action_center.shape[:-1])
         for rows, checked_lo, checked_hi in bounds:
             output_lo[rows] = checked_lo
             output_hi[rows] = checked_hi

@@ -30,7 +30,7 @@ from repro.nn.mlp import MLP
 from repro.nn.serialization import load_mlp, save_mlp
 from repro.orca.observations import ObservationConfig
 
-__all__ = ["SavedModel", "save_model", "load_model", "publish_model"]
+__all__ = ["VerifierCache", "SavedModel", "save_model", "load_model", "publish_model"]
 
 _PROPERTY_SETS = {
     "shallow": shallow_buffer_properties,
@@ -39,8 +39,36 @@ _PROPERTY_SETS = {
 }
 
 
+class VerifierCache:
+    """The one :meth:`make_verifier` of both model handles: a
+    :class:`~repro.core.verifier.Verifier` per component count, built on
+    first use and then reused, so its certify plans and buffers stay warm
+    from one cell to the next (the post-run certify, the runtime monitor and
+    the Figs. 6/8 columns all share it).
+
+    The handle's ``actor`` and ``observation_config`` define it.  A verifier
+    holds its actor, so the cache is checked by identity against the live
+    ``actor`` and rebuilt when that was rebound; the actor may train in
+    place.  The cache lives outside the dataclass fields, so it is in no
+    ``repr`` or equality, and pickling a handle drops it.
+    """
+
+    def make_verifier(self, n_components: int = 50) -> Verifier:
+        verifiers = self.__dict__.setdefault("_verifiers", {})
+        verifier = verifiers.get(n_components)
+        if verifier is None or verifier.actor is not self.actor:
+            verifier = verifiers[n_components] = Verifier(self.actor, self.observation_config,
+                                                          VerifierConfig(n_components=n_components))
+        return verifier
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_verifiers", None)
+        return state
+
+
 @dataclass
-class SavedModel:
+class SavedModel(VerifierCache):
     """A trained policy restored from disk, usable by the evaluation harness."""
 
     kind: str
@@ -56,9 +84,6 @@ class SavedModel:
             return np.clip(output[0], -1.0, 1.0)
 
         return _policy
-
-    def make_verifier(self, n_components: int = 50) -> Verifier:
-        return Verifier(self.actor, self.observation_config, VerifierConfig(n_components=n_components))
 
 
 def save_model(model, directory: str | Path, name: Optional[str] = None) -> Path:

@@ -248,14 +248,21 @@ def qcsat_columns(batches: Dict[str, CertificateBatch]) -> Dict:
     feedback = np.stack([batch.feedback for batch in batches.values()], axis=-1)
     applicable = np.stack([batch.applicable_mask for batch in batches.values()], axis=-1)
 
-    per_decision = [float(np.mean(values[mask])) for values, mask in zip(feedback, applicable) if mask.any()]
-    n_applicable = len(per_decision)
-    if not per_decision:
+    # Each decision's mean over its applicable properties, as a masked sum
+    # over a count.  numpy adds fewer than 8 values in order, so with 0.0 in
+    # the place of the others the sum is bit for bit np.mean's of the kept
+    # values (every property family has at most 5 properties).
+    counts = applicable.sum(axis=-1)
+    kept = counts > 0
+    n_applicable = int(kept.sum())
+    if n_applicable:
+        per_decision = np.where(applicable, feedback, 0.0).sum(axis=-1)[kept] / counts[kept]
+    else:
         # The side conditions never held during this run; report the
         # unconditioned feedback so the result is still informative.
-        per_decision = [float(np.mean(values)) for values in feedback]
-    mean = float(np.mean(per_decision)) if per_decision else 1.0
-    std = float(np.std(per_decision)) if per_decision else 0.0
+        per_decision = feedback.sum(axis=-1) / feedback.shape[-1]
+    mean = float(np.mean(per_decision)) if per_decision.size else 1.0
+    std = float(np.std(per_decision)) if per_decision.size else 0.0
     n_decisions = len(feedback)
     return {
         "qcsat": mean,

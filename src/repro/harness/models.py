@@ -33,8 +33,7 @@ import numpy as np
 from repro.core.config import CanopyConfig
 from repro.core.properties import PropertySet
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
-from repro.core.verifier import Verifier, VerifierConfig
-from repro.harness.checkpoints import SavedModel, load_model, publish_model
+from repro.harness.checkpoints import SavedModel, VerifierCache, load_model, publish_model
 from repro.harness.store import fingerprint
 from repro.orca.observations import ObservationConfig
 from repro.telemetry import log
@@ -51,7 +50,7 @@ MODEL_KINDS = ("canopy-shallow", "canopy-deep", "canopy-robust", "orca")
 
 
 @dataclass
-class TrainedModel:
+class TrainedModel(VerifierCache):
     """A trained policy plus everything needed to evaluate it."""
 
     kind: str
@@ -73,9 +72,6 @@ class TrainedModel:
     @property
     def observation_config(self) -> ObservationConfig:
         return self.config.observation
-
-    def make_verifier(self, n_components: int = 50) -> Verifier:
-        return Verifier(self.actor, self.observation_config, VerifierConfig(n_components=n_components))
 
 
 def _make_config(kind: str, lam: float | None, n_components: int | None, seed: int,

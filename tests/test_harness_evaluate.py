@@ -153,6 +153,33 @@ class TestQCSatColumns:
                            "qcsat_decision_std": float(np.std(per_decision)),
                            "n_decisions": 3, "n_applicable": 2, "n_certificates": 6}
 
+    def test_matches_the_per_decision_loop(self):
+        """The masked sums give, bit for bit, the per-decision loop they
+        replaced: the mean of each decision's applicable feedbacks, then
+        the mean and std over those decisions."""
+        rng = np.random.default_rng(7)
+        for case in range(2000):
+            n_properties, n_decisions = int(rng.integers(1, 6)), int(rng.integers(0, 80))
+            feedback = rng.random((n_decisions, n_properties))
+            if case % 2:
+                feedback = np.round(feedback * 8) / 8  # ties and exact 0.0 and 1.0
+            applicable = rng.random((n_decisions, n_properties)) < rng.choice([0.0, 0.3, 0.7, 1.0])
+            applicable[rng.random(n_decisions) < 0.2] = False  # rows no property applies at
+            batches = {f"P{i}": self.batch(feedback[:, i], applicable[:, i]) for i in range(n_properties)}
+            per_decision = [float(np.mean(values[mask])) for values, mask in zip(feedback, applicable)
+                            if mask.any()]
+            n_applicable = len(per_decision)
+            if not per_decision:
+                per_decision = [float(np.mean(values)) for values in feedback]
+            expected = {"qcsat": float(np.mean(per_decision)) if per_decision else 1.0,
+                        "qcsat_decision_std": float(np.std(per_decision)) if per_decision else 0.0,
+                        "n_decisions": n_decisions, "n_applicable": n_applicable,
+                        "n_certificates": n_decisions * n_properties}
+            columns = qcsat_columns(batches)
+            assert columns == expected
+            assert [float(columns[key]).hex() for key in ("qcsat", "qcsat_decision_std")] == [
+                float(expected[key]).hex() for key in ("qcsat", "qcsat_decision_std")]
+
     def test_never_applicable_falls_back_to_unconditioned_feedback(self):
         columns = qcsat_columns({"A": self.batch([0.5, 1.0], [False, False])})
         assert columns["qcsat"] == 0.75

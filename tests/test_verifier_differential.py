@@ -349,7 +349,9 @@ def test_plan_holds_no_weights(n_decisions, n_components):
 def test_returned_certificates_keep_their_values_after_later_calls(n_components, check_applicability):
     """No array of a returned :class:`CertificateSet` is a buffer the plan
     keeps: every set keeps its values while the same verifier certifies
-    other decisions with the same and the other property sets."""
+    other decisions with the same and the other property sets.  A set whose
+    input bounds are first read after those calls (they are streamed
+    through the plan's block buffers on demand) reads the same values."""
     verifier, states, cwnd_tcp, cwnd_prev = stack_setup(8400 + n_components, n_components, check_applicability)
     order = np.random.default_rng(8401).permutation(len(states))
     later_stack = (states[order] * 0.5, cwnd_tcp[order] + 1.0, cwnd_prev[order])
@@ -360,8 +362,10 @@ def test_returned_certificates_keep_their_values_after_later_calls(n_components,
         properties = PROPERTY_SETS[set_name]()
         for decision, later in decisions:
             got = verifier.certify(properties, *decision)
-            returned.append((got, {name: {array: getattr(batch, array).copy() for array in BATCH_ARRAYS}
-                                   for name, batch in got.items()}))
+            expected = {name: {array: getattr(batch, array).copy() for array in BATCH_ARRAYS}
+                        for name, batch in got.items()}
+            returned.append((got, expected))
+            returned.append((verifier.certify(properties, *decision), expected))  # read only at the end
             # The same shapes again, at once and after the other sets.
             verifier.certify(properties, *later)
     for set_name in sorted(PROPERTY_SETS):
