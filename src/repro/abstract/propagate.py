@@ -15,18 +15,18 @@ Section 4.3.1.
 the component boxes as one batched box (``(N, d)``, or a stack
 ``(D, N, d)``; see :mod:`repro.abstract.box`), flattens the model into a plan
 of ``(W.T, |W|.T, b)`` affine steps and element-wise activations on every
-call, then runs that plan over blocks of about :data:`BLOCK_ROWS` component
-rows on bare centre/deviation arrays, reusing their buffers in place, so the
-temporaries stay cache-sized whatever the number of decisions.  A caller
-that propagates the same shapes again and again (the verifier, once per
-training step) hands in an :class:`IBPBuffers`, which keeps the ``|W|``
-and output arrays between calls and refills ``|W|`` from the live weights.
-The verifier never hands in more than one block: it fills the components
-of at most ``BLOCK_ROWS // N`` decisions into buffers of its own and calls
-this function once per such block, so each call runs whole and returns
-views of the buffers, which the verifier copies out before the next call.
-The test suite pins it bit for bit (``np.array_equal``) against a per-layer
-box oracle on each ``(N, d)`` slice.
+call, and runs that plan over the whole box in one pass on bare
+centre/deviation arrays, reusing their buffers in place.  It does no
+blocking of its own: a caller that wants cache-sized temporaries hands in
+blocks.  The verifier does, filling the components of a few decisions at a
+time into buffers of its own (:data:`repro.core.verifier.BLOCK_ROWS`) and
+calling this function once per block.  A caller that propagates the same
+shapes again and again hands in an :class:`IBPBuffers`, which keeps the
+``|W|`` and output arrays between calls and refills ``|W|`` from the live
+weights; the result is then a view of those arrays, which the caller copies
+out before the next call.  The test suite pins it bit for bit
+(``np.array_equal``) against a per-layer box oracle on each ``(N, d)``
+slice.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ import numpy as np
 from repro.abstract.box import Box
 from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
 
-__all__ = ["BLOCK_ROWS", "IBPBuffers", "propagate_mlp_batched"]
-
-#: Component rows per block of :func:`propagate_mlp_batched`: a ``(D, N, d)``
-#: stack runs in blocks of ``max(1, BLOCK_ROWS // N)`` decisions, so each
-#: layer's temporaries stay a few hundred kB instead of growing with ``D``.
-BLOCK_ROWS = 512
+__all__ = ["IBPBuffers", "propagate_mlp_batched"]
 
 
 def _flatten(layers: Iterable) -> list:
@@ -74,9 +69,9 @@ class IBPBuffers:
     Per affine step an ``(out, in)`` array for ``|W|``, refilled from
     ``layer.weight`` on every call and read through its transposed view
     (the layout of ``np.abs(W).T``, so every gemm takes the path it takes
-    without buffers), and per step the outputs of one block of component
-    rows.  The arrays are reallocated when a layer shape or the block's
-    trailing shape changes, or when a block has more rows than they hold.
+    without buffers), and per step the outputs of one box of component
+    rows.  The arrays are reallocated when a layer shape or the box's
+    trailing shape changes, or when a box has more rows than they hold.
     Nothing is keyed on the identity of a network and no weight is kept, so
     one holder stays valid while a network trains in place or is replaced.
     """
@@ -89,7 +84,7 @@ class IBPBuffers:
 
     def plan(self, layers: Iterable, shape: tuple) -> tuple:
         """The steps of ``layers``, ``(W.T, |W|.T, b)`` per Dense layer with
-        ``|W|`` refilled, and per step the outputs for a block of shape
+        ``|W|`` refilled, and per step the outputs for a box of shape
         ``shape = (rows, ..., width)``, at least ``rows`` long."""
         steps = _flatten(layers)
         key = (shape[1:], *[step[0].shape if isinstance(step, tuple) else step for step in steps])
@@ -124,10 +119,10 @@ def _tanh_inplace(values: np.ndarray) -> None:
 
 
 def _run_plan(steps: list, center: np.ndarray, deviation: np.ndarray, buffers: list) -> tuple:
-    """One block through the plan, writing only into ``buffers``.
+    """One box through the plan, writing only into ``buffers``.
 
     ``buffers[i]`` holds step ``i``'s preallocated outputs (see
-    :class:`IBPBuffers`), sliced to the block's decisions.  An affine step
+    :class:`IBPBuffers`), sliced to the box's decisions.  An affine step
     is ``c @ W.T + b``, ``d @ |W|.T``, clamped at zero; an activation is the
     midpoint/half-width of its images of ``c + d`` and ``c - d`` (``* 0.5``
     rounds exactly like ``/ 2.0``), computed over the arrays of the step
@@ -164,10 +159,9 @@ def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None) ->
     Slice ``j`` of a ``(D, N, d)`` stack is exactly — bit for bit — the
     result of propagating that ``(N, d)`` slice alone: every affine
     layer runs the same ``(N, d) @ W.T`` gemm per slice, and every other step
-    is element-wise.  A stack runs in blocks of ``max(1, BLOCK_ROWS // N)``
-    decisions through one set of per-step buffers.  Given ``buffers``, those
-    are its arrays, and a result that fits one block is a view of them: it
-    holds until the next call with the same ``buffers``.
+    is element-wise.  The whole box is one pass through one set of per-step
+    buffers.  Given ``buffers``, those are its arrays and the result is a
+    view of them: it holds until the next call with the same ``buffers``.
     """
     if box.ndim not in (2, 3):
         raise ValueError(f"batched propagation expects lo/hi of shape (N, d) or (D, N, d), got ndim={box.ndim}")
@@ -176,18 +170,5 @@ def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None) ->
         raise ValueError(
             f"input box has {box.center.shape[-1]} dims but model expects {in_features}"
         )
-    center, deviation = box.center, box.deviation
-    n_rows = center.shape[-2]
-    block = max(1, BLOCK_ROWS // max(n_rows, 1))
-    whole = box.ndim == 2 or center.shape[0] <= block
-    steps, outputs = (IBPBuffers() if buffers is None else buffers).plan(
-        model.layers, center.shape if whole else (block,) + center.shape[1:])
-    if whole:
-        return Box._trusted(*_run_plan(steps, center, deviation, outputs))
-    # The buffers are reused by the next block, so each block's result is copied out.
-    blocks = [
-        [array.copy() for array in _run_plan(
-            steps, center[start:start + block], deviation[start:start + block], outputs)]
-        for start in range(0, center.shape[0], block)
-    ]
-    return Box._trusted(np.concatenate([c for c, _ in blocks]), np.concatenate([d for _, d in blocks]))
+    steps, outputs = (IBPBuffers() if buffers is None else buffers).plan(model.layers, box.center.shape)
+    return Box._trusted(*_run_plan(steps, box.center, box.deviation, outputs))

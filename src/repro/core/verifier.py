@@ -28,11 +28,12 @@ columns through the centre/deviation round trip and
 :func:`repro.abstract.box.split_bounds`).  The stack is never built whole.
 The state columns are checked once (their region centre must not overflow),
 and the stack is then filled block by block into two ``(b, N, d)`` buffers
-the plan owns, ``b`` at most ``BLOCK_ROWS // N`` decisions
-(:data:`repro.abstract.propagate.BLOCK_ROWS`): the centre and the deviation
-of ``b`` consecutive rows.  Each block goes through one call of
-:func:`repro.abstract.propagate.propagate_mlp_batched` and its ``(b, N, 1)``
-action bounds are copied out before the next block reuses the buffers.  The
+the verifier owns, ``b`` at most ``max(1, BLOCK_ROWS // N)`` decisions
+(:data:`BLOCK_ROWS`): the centre and the deviation of ``b`` consecutive rows.
+Each block goes through one call of
+:func:`repro.abstract.propagate.propagate_mlp_batched`, which does no
+blocking of its own, and its ``(b, N, 1)`` action bounds are copied out
+before the next block reuses the buffers.  The
 cwnd map and the Δcwnd / fractional-change transformers run once per
 :class:`ActionKind` present (P5's reference window included), and the
 containment check and the Eq. 6 feedback run once over the whole stack with
@@ -52,17 +53,18 @@ What does not depend on the decisions is computed once per property
 sequence: the verifier keeps a :class:`CertifyPlan` per tuple of (frozen)
 properties, which holds every state-independent array of a call: the region
 plans, P1–P4's constant columns already split into their ``N`` components
-(and checked once, when the plan is built), the row layout of the last
-stack, the two block buffers and the IBP kernel's
-:class:`~repro.abstract.propagate.IBPBuffers`.  So a repeat ``certify``
+(and checked once, when the plan is built) and the row layout of the last
+stack.  The two block buffers and the IBP kernel's
+:class:`~repro.abstract.propagate.IBPBuffers` depend on no property, so the
+verifier keeps one set of them for all its plans.  So a repeat ``certify``
 looks up no feature index, splits no constant column and allocates no
 stack-sized array; it gathers the state rows, writes the columns block by
 block and runs only the arithmetic that depends on the state or the weights.
-The plan holds no weights: the IBP pass reads every ``layer.weight`` afresh
-and refills ``|W|`` from it on each call, so a plan stays valid while the
-actor trains in place.  Every array a ``certify`` returns is fresh, never a
-plan buffer.  The trainer's regularization step samples the regions of the
-same plan.
+Neither plan nor buffers hold weights: the IBP pass reads every
+``layer.weight`` afresh and refills ``|W|`` from it on each call, so both
+stay valid while the actor trains in place.  Every array a ``certify``
+returns is fresh, never a buffer.  The trainer's regularization step
+samples the regions of the same plan.
 
 Two layout traps lie in those buffers:
 
@@ -105,13 +107,13 @@ import numpy as np
 
 from repro.abstract import transformers
 from repro.abstract.box import Box, split_bounds
-from repro.abstract.propagate import BLOCK_ROWS, IBPBuffers, propagate_mlp_batched
+from repro.abstract.propagate import IBPBuffers, propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec, RegionPlan
 from repro.core.qc import CertificateBatch, CertificateSet, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
 from repro.orca.observations import ObservationBuilder, ObservationConfig
 
-__all__ = ["CertifyPlan", "VerifierConfig", "Verifier", "weighted_feedback"]
+__all__ = ["BLOCK_ROWS", "CertifyPlan", "VerifierConfig", "Verifier", "weighted_feedback"]
 
 
 def _check_decisions(state: np.ndarray, cwnd_tcp: np.ndarray, cwnd_prev: np.ndarray) -> None:
@@ -156,6 +158,11 @@ def weighted_feedback(
 #: Property sequences whose plans one verifier keeps (the cache is emptied when full).
 _MAX_PLANS = 64
 
+#: Component rows per IBP block: a verifier with ``N`` components propagates
+#: ``max(1, BLOCK_ROWS // N)`` decisions per call, so each layer's
+#: temporaries stay a few hundred kB instead of growing with the stack.
+BLOCK_ROWS = 512
+
 #: The largest ``s`` whose ``s + s`` does not overflow.
 _HALF_MAX = np.finfo(np.float64).max / 2.0
 
@@ -178,13 +185,12 @@ class CertifyPlan:
     ``N`` components take on those dimensions (0 on every other one).  A
     robustness property's centre is ``None`` and its deviation all 0: its
     noise columns follow the state.  ``kinds`` lists each
-    :class:`ActionKind` present with its property mask, ``ibp`` holds the
-    IBP kernel's ``|W|`` and output arrays between calls,
-    :meth:`block_buffers` the centre and deviation of one block of
-    component rows (``block_rows`` decisions at most, the kernel's own
-    block), :meth:`layout` keeps the row layout of the last stack that kept
-    every decision, and :meth:`sampling_regions` hands the trainer's
-    regularization step the regions it certifies.
+    :class:`ActionKind` present with its property mask, :meth:`layout`
+    keeps the row layout of the last stack that kept every decision, and
+    :meth:`sampling_regions` hands the trainer's regularization step the
+    regions it certifies.  The buffers a certify streams its blocks through
+    depend on no property, so the verifier owns them, one set for all its
+    plans (:class:`_BlockBuffers`).
 
     The constant columns of P1–P4 go through exactly the arithmetic of a
     state-dependent region, the centre/deviation round trip and
@@ -211,21 +217,7 @@ class CertifyPlan:
             for prop, region, abstracted in zip(properties, self.regions, self.abstracted)])
         kinds = [prop.kind for prop in properties]
         self.kinds = [(kind, np.array([other is kind for other in kinds])) for kind in dict.fromkeys(kinds)]
-        self.ibp = IBPBuffers()
-        self.component_shape = (n_components, observer.state_dim)
-        self.block_rows = max(1, BLOCK_ROWS // n_components)
-        self._block = (np.empty((0, *self.component_shape)),) * 2
         self._full_layout: tuple | None = None
-
-    def block_buffers(self, rows: int) -> tuple:
-        """The centre and deviation buffers of a block of ``rows`` component
-        rows, ``(rows, N, d)`` each: views of two arrays the plan keeps,
-        reallocated only when a block has more rows than they hold."""
-        center, deviation = self._block
-        if center.shape[0] < rows:
-            shape = (rows, *self.component_shape)
-            center, deviation = self._block = np.empty(shape), np.empty(shape)
-        return center[:rows], deviation[:rows]
 
     def sampling_regions(self, state: np.ndarray) -> list:
         """Per property, ``(lo, width)`` of its input region around one
@@ -308,29 +300,59 @@ def _unsound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return ~np.isfinite((lo + hi) / 2.0) | ~np.isfinite((hi - lo) / 2.0) | (lo > hi + 1e-12)
 
 
+class _BlockBuffers:
+    """The arrays one verifier streams its component blocks through, one set
+    for all its plans: they depend only on ``N``, ``d`` and the layer shapes.
+
+    :meth:`take` hands out the centre and deviation of a block of at most
+    ``rows = max(1, BLOCK_ROWS // N)`` decisions, ``(b, N, d)`` each, and
+    ``ibp`` keeps the IBP kernel's ``|W|`` and per-layer output arrays.  The
+    two block arrays grow to the largest block asked for, so a verifier that
+    only ever certifies one decision keeps one-decision arrays.
+    """
+
+    def __init__(self, n_components: int, state_dim: int) -> None:
+        self.rows = max(1, BLOCK_ROWS // n_components)
+        self.ibp = IBPBuffers()
+        self.component_shape = (n_components, state_dim)
+        self._arrays = (np.empty((0, *self.component_shape)),) * 2
+
+    def take(self, rows: int) -> tuple:
+        """Views ``(rows, N, d)`` of the centre and deviation arrays,
+        reallocated only when a block has more rows than they hold."""
+        center, deviation = self._arrays
+        if center.shape[0] < rows:
+            shape = (rows, *self.component_shape)
+            center, deviation = self._arrays = np.empty(shape), np.empty(shape)
+        return center[:rows], deviation[:rows]
+
+
 class _ComponentStack:
     """The ``(R, N, d)`` components of one ``certify``, never built whole.
 
     ``rows`` ``(R, d)`` holds the state rows with every abstracted dimension
-    zeroed and 0.0 added; property ``i`` holds the rows ``offsets[i]`` to
-    ``offsets[i + 1]``, and ``noise[i]`` is ``None`` or, for a robustness
-    property, ``(indices, center, deviation)`` of its noise columns on its
-    rows.  :meth:`fill` writes the components of a run of rows into the
-    plan's block buffers: the state row broadcast over the ``N``
-    components with the property's columns written over it.  The IBP pass
-    and the input bounds both read the stack through it, block by block.
+    zeroed and 0.0 added; property ``i`` of ``plan`` holds the rows
+    ``offsets[i]`` to ``offsets[i + 1]``, and ``noise[i]`` is ``None`` or,
+    for a robustness property, ``(indices, center, deviation)`` of its noise
+    columns on its rows.  :meth:`fill` writes the components of a run of
+    rows into the verifier's block buffers: the state row broadcast over the
+    ``N`` components with the property's columns written over it.  The IBP
+    pass and the input bounds both read the stack through it, block by
+    block.
     """
 
-    def __init__(self, plan: CertifyPlan, rows: np.ndarray, offsets: List[int], noise: list) -> None:
+    def __init__(self, plan: CertifyPlan, buffers: _BlockBuffers, rows: np.ndarray, offsets: List[int],
+                 noise: list) -> None:
         self.plan = plan
+        self.buffers = buffers
         self.rows = rows
         self.offsets = offsets
         self.noise = noise
 
     def fill(self, start: int, stop: int) -> tuple:
         """The centre and deviation ``(stop - start, N, d)`` of the rows
-        ``start`` to ``stop``, as views of the plan's block buffers."""
-        center, deviation = self.plan.block_buffers(stop - start)
+        ``start`` to ``stop``, as views of the verifier's block buffers."""
+        center, deviation = self.buffers.take(stop - start)
         center[...] = self.rows[start:stop, None, :]
         for (column_center, column_deviation), mask, noise, first, last in zip(
                 self.plan.columns, self.plan.abstracted, self.noise, self.offsets, self.offsets[1:]):
@@ -349,17 +371,17 @@ class _ComponentStack:
 
     def blocks(self, start: int, stop: int):
         """``(first, last, center, deviation)`` per block of the rows
-        ``start`` to ``stop``, at most :attr:`CertifyPlan.block_rows` each;
-        a block's arrays hold until the next block is filled."""
-        for first in range(start, stop, self.plan.block_rows):
-            last = min(first + self.plan.block_rows, stop)
+        ``start`` to ``stop``, at most :attr:`_BlockBuffers.rows` each; a
+        block's arrays hold until the next block is filled."""
+        for first in range(start, stop, self.buffers.rows):
+            last = min(first + self.buffers.rows, stop)
             yield (first, last, *self.fill(first, last))
 
     def input_bounds(self, index: int) -> tuple:
         """``(lo, hi)`` ``(k, N, d)`` of the components of property
         ``index``'s ``k`` rows: ``c - d`` and ``c + d``, fresh arrays."""
         start, stop = self.offsets[index], self.offsets[index + 1]
-        shape = (stop - start, *self.plan.component_shape)
+        shape = (stop - start, *self.buffers.component_shape)
         lo, hi = np.empty(shape), np.empty(shape)
         for first, last, center, deviation in self.blocks(start, stop):
             np.subtract(center, deviation, out=lo[first - start:last - start])
@@ -404,6 +426,7 @@ class Verifier:
         self.observer = ObservationBuilder(observation_config)
         self.config = config or VerifierConfig()
         self._plans: Dict[Tuple[PropertySpec, ...], CertifyPlan] = {}
+        self._buffers = _BlockBuffers(self.config.n_components, self.observer.state_dim)
 
     # ------------------------------------------------------------------ #
     # Concrete helpers
@@ -503,7 +526,7 @@ class Verifier:
             states.shape[0], masks if self.config.check_applicability else None)
         stack = self._stack(plan, states, take, offsets, abstracted)
         if take.size:
-            output_lo, output_hi = self._checked_bounds(*self._propagate(plan, stack), kind_rows, states, take,
+            output_lo, output_hi = self._checked_bounds(*self._propagate(stack), kind_rows, states, take,
                                                         cwnd_tcp[take], cwnd_prev[take])
         else:
             output_lo = output_hi = np.empty((0, n))
@@ -556,17 +579,17 @@ class Verifier:
         if rows.size and np.abs(rows).max() > _HALF_MAX:
             self._reject_region(plan, states, take, offsets)
         rows += 0.0
-        return _ComponentStack(plan, rows, offsets, noise)
+        return _ComponentStack(plan, self._buffers, rows, offsets, noise)
 
-    def _propagate(self, plan: CertifyPlan, stack: "_ComponentStack") -> tuple:
+    def _propagate(self, stack: "_ComponentStack") -> tuple:
         """The action centre and deviation ``(R, N, out)`` of every row of
-        ``stack``: one IBP call per block of the plan's buffers, each
+        ``stack``: one IBP call per block of the verifier's buffers, each
         ``(b, N, out)`` result copied out before the next block reuses them
         (a lone block's result is returned as it is)."""
         n_rows = stack.rows.shape[0]
         action_center = action_deviation = None
         for start, stop, center, deviation in stack.blocks(0, n_rows):
-            action = propagate_mlp_batched(self.actor, Box._trusted(center, deviation), plan.ibp)
+            action = propagate_mlp_batched(self.actor, Box._trusted(center, deviation), self._buffers.ibp)
             if stop - start == n_rows:
                 return action.center, action.deviation
             if action_center is None:

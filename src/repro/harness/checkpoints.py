@@ -46,19 +46,20 @@ class VerifierCache:
     from one cell to the next (the post-run certify, the runtime monitor and
     the Figs. 6/8 columns all share it).
 
-    The handle's ``actor`` and ``observation_config`` define it.  A verifier
-    holds its actor, so the cache is checked by identity against the live
-    ``actor`` and rebuilt when that was rebound; the actor may train in
-    place.  The cache lives outside the dataclass fields, so it is in no
-    ``repr`` or equality, and pickling a handle drops it.
+    The handle's ``actor`` and ``observation_config`` define it.  The cache
+    keeps, per component count, the two objects its verifier was built from
+    and rebuilds the verifier when either attribute was rebound (compared by
+    identity, never keyed on an ``id``); the actor may train in place.  The
+    cache lives outside the dataclass fields, so it is in no ``repr`` or
+    equality, and pickling a handle drops it.
     """
 
     def make_verifier(self, n_components: int = 50) -> Verifier:
         verifiers = self.__dict__.setdefault("_verifiers", {})
-        verifier = verifiers.get(n_components)
-        if verifier is None or verifier.actor is not self.actor:
-            verifier = verifiers[n_components] = Verifier(self.actor, self.observation_config,
-                                                          VerifierConfig(n_components=n_components))
+        actor, observation_config, verifier = verifiers.get(n_components, (None, None, None))
+        if verifier is None or actor is not self.actor or observation_config is not self.observation_config:
+            verifier = Verifier(self.actor, self.observation_config, VerifierConfig(n_components=n_components))
+            verifiers[n_components] = (self.actor, self.observation_config, verifier)
         return verifier
 
     def __getstate__(self) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from oracle import Interval, affine, interval_feedback, propagate_mlp, relu, split, tanh
 from repro.abstract.box import Box, split_bounds
-from repro.abstract.propagate import BLOCK_ROWS, propagate_mlp_batched
+from repro.abstract.propagate import IBPBuffers, propagate_mlp_batched
 from repro.core.qc import interval_feedback_batch
 from repro.nn import make_actor
 from repro.nn.layers import Dense, Identity, Layer, ReLU, Sequential, Tanh
@@ -108,8 +108,8 @@ def _random_stack(rng, n_decisions, n_components, state_dim):
 
 
 def _assert_matches_per_slice(model, stack):
-    """The blocked kernel on a ``(D, N, d)`` stack equals the oracle's
-    per-layer transformers on each ``(N, d)`` slice, bit for bit."""
+    """The kernel on a ``(D, N, d)`` stack equals the oracle's per-layer
+    transformers on each ``(N, d)`` slice, bit for bit."""
     out = propagate_mlp_batched(model, stack)
     assert out.shape == stack.shape[:-1] + (1,)
     for row in range(stack.shape[0]):
@@ -118,17 +118,26 @@ def _assert_matches_per_slice(model, stack):
         np.testing.assert_array_equal(out.deviation[row], single.deviation)
 
 
-class TestBlockedKernel:
+class TestKernel:
     @pytest.mark.parametrize("n_components", (50, 5))
-    @pytest.mark.parametrize("blocks", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 2)))
-    def test_block_edges_match_per_slice(self, n_components, blocks):
-        # D = blocks[0] * block + blocks[1]: one decision, one short of a
-        # block, a block, one over, and three blocks plus a partial one.
-        block = BLOCK_ROWS // n_components
-        n_decisions = blocks[0] * block + blocks[1]
+    @pytest.mark.parametrize("n_decisions", (1, 2, 10, 33))
+    def test_a_whole_stack_matches_per_slice(self, n_components, n_decisions):
+        # The kernel runs whatever stack it is handed as one pass; the
+        # verifier's blocks are pinned in tests/test_verifier_warm.py.
         rng = np.random.default_rng(n_decisions * n_components)
         actor = make_actor(6, hidden_sizes=(64, 32), rng=rng)
         _assert_matches_per_slice(actor, _random_stack(rng, n_decisions, n_components, 6))
+
+    def test_buffers_serve_a_shorter_stack_after_a_longer_one(self):
+        rng = np.random.default_rng(40)
+        actor = make_actor(6, hidden_sizes=(64, 32), rng=rng)
+        buffers = IBPBuffers()
+        for n_decisions in (7, 3, 1):
+            stack = _random_stack(rng, n_decisions, 50, 6)
+            out = propagate_mlp_batched(actor, stack, buffers)
+            expected = propagate_mlp_batched(actor, stack)
+            np.testing.assert_array_equal(out.center, expected.center)
+            np.testing.assert_array_equal(out.deviation, expected.deviation)
 
     def test_plain_box_matches_box_transformers(self):
         rng = np.random.default_rng(41)
@@ -156,7 +165,7 @@ class TestBlockedKernel:
         for param in model.parameters():
             if param.ndim == 1:
                 param[:] = rng.normal(size=param.shape)  # non-zero biases
-        stack = _random_stack(rng, 2 * (BLOCK_ROWS // 50) + 3, 50, 6)
+        stack = _random_stack(rng, 23, 50, 6)
         center, deviation = stack.center.copy(), stack.deviation.copy()
         _assert_matches_per_slice(model, stack)
         np.testing.assert_array_equal(stack.center, center)  # the input box is never written
@@ -169,7 +178,7 @@ class TestBlockedKernel:
             if isinstance(layer, Dense):
                 layer.weight = layer.weight.astype(np.float32)
                 layer.bias = rng.normal(size=layer.bias.shape).astype(np.float32)
-        stack = _random_stack(rng, BLOCK_ROWS // 50 + 1, 50, 6)
+        stack = _random_stack(rng, 11, 50, 6)
         assert propagate_mlp_batched(actor, stack).center.dtype == np.float64
         _assert_matches_per_slice(actor, stack)
 

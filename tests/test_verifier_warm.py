@@ -1,5 +1,5 @@
 """The warm certify path: one cached verifier per model and N, component
-blocks streamed through the plan's buffers, input bounds on demand.
+blocks streamed through the verifier's buffers, input bounds on demand.
 
 A warm verifier (plans, block buffers and IBP buffers built by earlier
 calls) must certify bit for bit like a fresh one, whatever ran before it,
@@ -22,7 +22,7 @@ from repro.core.properties import (
     robustness_properties,
     shallow_buffer_properties,
 )
-from repro.core.verifier import Verifier, VerifierConfig
+from repro.core.verifier import BLOCK_ROWS, Verifier, VerifierConfig
 from repro.harness.checkpoints import SavedModel
 from repro.harness.models import TrainedModel
 from repro.nn import make_actor
@@ -91,6 +91,19 @@ def test_make_verifier_follows_a_rebound_actor():
     assert model.make_verifier(4).actor is model.actor
 
 
+def test_make_verifier_follows_a_rebound_observation_config():
+    model = saved_model(2)
+    stale = model.make_verifier(4)
+    model.observation_config = ObservationConfig(history_len=2)
+    model.actor = make_actor(model.observation_config.state_dim, rng=np.random.default_rng(3))
+    fresh = model.make_verifier(4)
+    assert fresh is not stale and fresh.observer.state_dim == model.observation_config.state_dim
+    # An equal but distinct config is a rebinding too: the cache compares identity.
+    model.observation_config = ObservationConfig(history_len=2)
+    assert model.make_verifier(4) is not fresh
+    assert model.make_verifier(4) is model.make_verifier(4)
+
+
 def test_the_verifier_cache_is_in_no_pickle_repr_or_equality():
     model = saved_model(4)
     twin = saved_model(4)
@@ -116,7 +129,7 @@ def test_warm_verifiers_match_fresh_verifiers_bit_for_bit(model_type):
     state_dim = model.observation_config.state_dim
     gated = {n: Verifier(model.actor, model.observation_config, VerifierConfig(n, check_applicability=True))
              for n in (4, 50)}
-    assert model.make_verifier(50).plan(shallow_buffer_properties()).block_rows == 10
+    assert model.make_verifier(50)._buffers.rows == 10
     for round_index in range(2):
         for n in (4, 50):
             for n_decisions in (1, 9, 50):
@@ -160,3 +173,39 @@ def test_duplicate_property_names_are_rejected_before_any_work():
     with pytest.raises(ValueError, match="'P1'"):
         verifier.certify(properties, state, 20.0, 10.0)
     assert not verifier._plans
+
+
+@pytest.mark.parametrize("n_components", (50, 5))
+@pytest.mark.parametrize("blocks", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 2)))
+def test_block_edges_match_per_decision(n_components, blocks):
+    """D = blocks[0] * block + blocks[1] decisions of one property: one
+    decision, one short of a block, a block, one over, and three blocks plus
+    a partial one.  Each decision's certificate is the one a fresh verifier
+    gives it alone (one block of one decision), as IEEE bytes."""
+    block = BLOCK_ROWS // n_components
+    n_decisions = blocks[0] * block + blocks[1]
+    model = saved_model(n_decisions * n_components)
+    properties = [property_p1()]
+    verifier = model.make_verifier(n_components)
+    states, tcp, prev = decisions(n_decisions, n_decisions, model.observation_config.state_dim)
+    certificates = verifier.certify(properties, states, tcp, prev)
+    for index in range(n_decisions):
+        alone = Verifier(model.actor, model.observation_config, verifier.config).certify(
+            properties, states[index], tcp[index], prev[index])
+        for array in BATCH_ARRAYS:
+            got, expected = getattr(certificates["P1"], array)[index], getattr(alone["P1"], array)[0]
+            assert got.tobytes() == expected.tobytes(), (index, array)
+
+
+def test_one_set_of_block_buffers_serves_every_plan():
+    """Certifying a second property family on a warm verifier allocates no
+    block or IBP arrays: the verifier's one set serves both plans."""
+    model = saved_model(12)
+    verifier = model.make_verifier(50)
+    decision = decisions(13, 50, model.observation_config.state_dim)
+    verifier.certify(shallow_buffer_properties(), *decision)
+    arrays, outputs = verifier._buffers._arrays, verifier._buffers.ibp._outputs
+    verifier.certify(deep_buffer_properties(), *decision)
+    verifier.certify(shallow_buffer_properties(), *decision)
+    assert len(verifier._plans) == 2
+    assert verifier._buffers._arrays is arrays and verifier._buffers.ibp._outputs is outputs
