@@ -24,6 +24,13 @@ queuing_delay)`` acks and ``(time, packets)`` losses.  Each tick's
 :class:`TickRecord` and :class:`~repro.cc.base.TickFeedback` are named tuples
 (read by name downstream) but are built with ``tuple.__new__``, so the
 per-tick path builds no dataclasses and runs no generated constructor.
+
+The simulator settles each flow once per tick: :meth:`Flow.finish_tick`
+consumes the ack and loss events due by the end of the tick, updates the
+RTT estimators and the delivery rate, hands an active flow's controller its
+feedback and returns the tick's record.  :meth:`Flow.send_allowance` and
+``finish_tick`` test the flow's lifetime inline (the test
+:meth:`Flow.is_active` spells out) and read the controller's ``cwnd`` once.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from repro.cc.base import CongestionController, TickFeedback
 __all__ = ["Flow", "TickRecord"]
 
 _INF = float("inf")
+
+#: Weight of the newest tick in the smoothed delivery rate.
+_RATE_ALPHA = 0.3
 
 # Builds TickRecord/TickFeedback without the named tuples' generated __new__ frame.
 _new_tuple = tuple.__new__
@@ -81,9 +91,8 @@ class Flow:
         self._ack_events: Deque[Tuple[float, float, float, float]] = deque()
         self._loss_events: Deque[Tuple[float, float]] = deque()
         self._pacing_credit = 0.0
-        # Per-tick accumulators, reset by finish_tick().
-        self._tick_sent = self._tick_acked = self._tick_lost = 0.0
-        self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
+        # Packets sent this tick, reset by finish_tick().
+        self._tick_sent = 0.0
         # Lifetime counters.
         self.total_sent = 0.0
         self.total_acked = 0.0
@@ -111,22 +120,20 @@ class Flow:
         self.total_sent = 0.0
         self.total_acked = 0.0
         self.total_lost = 0.0
-        self._reset_tick()
-
-    def _reset_tick(self) -> None:
-        self._tick_sent = self._tick_acked = self._tick_lost = 0.0
-        self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
+        self._tick_sent = 0.0
 
     # ------------------------------------------------------------------ #
     # Sending side
     # ------------------------------------------------------------------ #
     def send_allowance(self, now: float, dt: float, prop_rtt: float) -> float:
         """Packets the flow may emit this tick (window- and pacing-limited)."""
-        if not self.is_active(now):
+        stop_time = self.stop_time
+        if now + 1e-12 < self.start_time or (stop_time is not None and now >= stop_time):
             return 0.0
         # max/min spelled as comparisons with the builtins' tie semantics.
         controller = self.controller
-        window_room = controller.cwnd - self.inflight
+        cwnd = controller.cwnd
+        window_room = cwnd - self.inflight
         if not window_room > 0.0:
             window_room = 0.0
         rate = controller.pacing_rate()
@@ -139,7 +146,7 @@ class Flow:
                 rtt_estimate = self.min_rtt
             else:
                 rtt_estimate = prop_rtt
-            rate = controller.cwnd / (1e-3 if rtt_estimate < 1e-3 else rtt_estimate)
+            rate = cwnd / (1e-3 if rtt_estimate < 1e-3 else rtt_estimate)
         cap = rate * dt * 4
         if cap < 1.0:
             cap = 1.0
@@ -225,20 +232,26 @@ class Flow:
         return self.pending_ack_packets + self.pending_loss_packets
 
     # ------------------------------------------------------------------ #
-    # Receiving side (processed each tick)
+    # Receiving side: one settle per tick
     # ------------------------------------------------------------------ #
-    def process_events(self, now: float, dt: float) -> None:
-        """Consume ack/loss events due by ``now`` and update RTT estimators."""
+    def finish_tick(self, now: float, dt: float) -> TickRecord:
+        """Settle the tick: consume due events, update the controller, return the record.
+
+        Ack events due by ``now`` update the RTT estimators, then due loss
+        events, then the smoothed delivery rate; an active flow's controller
+        then sees the tick's feedback.  The tick's ack sums start from 0.0 in
+        this call (the acked packets are also the RTT weights), so only
+        ``_tick_sent`` carries state between ticks.  Both named tuples are
+        built by ``tuple.__new__`` from every field in order, the cheapest
+        form on this path.
+        """
         limit = now + 1e-12
+        acked = lost = rtt_weighted = delay_weighted = 0.0
+        inflight = self.inflight
         ack_events = self._ack_events
         if ack_events and ack_events[0][0] <= limit:
-            inflight = self.inflight
             min_rtt = self.min_rtt
             srtt = self.srtt
-            tick_acked = self._tick_acked
-            tick_rtt = self._tick_rtt
-            tick_delay = self._tick_delay
-            tick_weight = self._tick_ack_weight
             total_acked = self.total_acked
             while ack_events and ack_events[0][0] <= limit:
                 _, packets, rtt, queuing_delay = ack_events.popleft()
@@ -246,60 +259,48 @@ class Flow:
                 if not inflight > 0.0:
                     inflight = 0.0
                 total_acked += packets
-                tick_acked += packets
-                tick_rtt += rtt * packets
-                tick_delay += queuing_delay * packets
-                tick_weight += packets
+                acked += packets
+                rtt_weighted += rtt * packets
+                delay_weighted += queuing_delay * packets
                 if rtt < min_rtt:
                     min_rtt = rtt
                 if srtt == 0.0:
                     srtt = rtt
                 else:
                     srtt = 0.875 * srtt + 0.125 * rtt
-            self.inflight = inflight
             self.min_rtt = min_rtt
             self.srtt = srtt
-            self._tick_acked = tick_acked
-            self._tick_rtt = tick_rtt
-            self._tick_delay = tick_delay
-            self._tick_ack_weight = tick_weight
             self.total_acked = total_acked
         loss_events = self._loss_events
-        while loss_events and loss_events[0][0] <= limit:
-            _, packets = loss_events.popleft()
-            inflight = self.inflight - packets
-            self.inflight = inflight if inflight > 0.0 else 0.0
-            self.total_lost += packets
-            self._tick_lost += packets
+        if loss_events and loss_events[0][0] <= limit:
+            total_lost = self.total_lost
+            while loss_events and loss_events[0][0] <= limit:
+                packets = loss_events.popleft()[1]
+                inflight -= packets
+                if not inflight > 0.0:
+                    inflight = 0.0
+                total_lost += packets
+                lost += packets
+            self.total_lost = total_lost
+        self.inflight = inflight
         # Exponentially smoothed delivery (ack) rate in packets/second.
-        instant_rate = self._tick_acked / dt if dt > 0 else 0.0
-        alpha = 0.3
-        self.delivery_rate = (1 - alpha) * self.delivery_rate + alpha * instant_rate
-
-    def finish_tick(self, now: float, dt: float) -> TickRecord:
-        """Build feedback, update the controller, and return the tick record.
-
-        Both named tuples are built by ``tuple.__new__`` from every field in
-        order, the cheapest form on this path.
-        """
-        weight = self._tick_ack_weight
-        if weight > 0:
-            rtt = self._tick_rtt / weight
-            delay = self._tick_delay / weight
+        instant_rate = acked / dt if dt > 0 else 0.0
+        self.delivery_rate = delivery_rate = (
+            (1 - _RATE_ALPHA) * self.delivery_rate + _RATE_ALPHA * instant_rate)
+        if acked > 0:
+            rtt = rtt_weighted / acked
+            delay = delay_weighted / acked
         else:
             rtt = 0.0
             delay = 0.0
-        acked = self._tick_acked
-        lost = self._tick_lost
-        inflight = self.inflight
         controller = self.controller
-        if self.is_active(now):
+        stop_time = self.stop_time
+        if not (now + 1e-12 < self.start_time or (stop_time is not None and now >= stop_time)):
             min_rtt = self.min_rtt
             controller.on_tick(_new_tuple(TickFeedback, (
                 now, dt, acked, lost, rtt, min_rtt if min_rtt < _INF else 0.0, delay,
-                inflight, self.delivery_rate)))
+                inflight, delivery_rate)))
         record = _new_tuple(TickRecord, (now, self._tick_sent, acked, lost, rtt, delay,
                                          controller.cwnd, inflight))
-        self._tick_sent = self._tick_acked = self._tick_lost = 0.0
-        self._tick_rtt = self._tick_delay = self._tick_ack_weight = 0.0
+        self._tick_sent = 0.0
         return record

@@ -17,6 +17,11 @@ one drain body, :meth:`BottleneckLink.drain_at`, which takes the tick's capacity
 as an argument: the network simulator passes it from its precomputed
 per-hop capacity schedule, and :meth:`BottleneckLink.drain` looks it up from
 the trace.
+
+Capacity left over when a drain empties the FIFO is discarded, so an empty
+FIFO carries no drain credit: only a drain sets the credit, and it zeroes it
+whenever the FIFO empties (``reset`` zeroes both).  Draining an empty FIFO is
+therefore a no-op, and the network simulator skips it.
 """
 
 from __future__ import annotations

@@ -44,6 +44,29 @@ and ack/loss notifications are plain tuples that the loop unpacks
 positionally; tick records are named tuples built without their generated
 constructor (see :meth:`repro.cc.flow.Flow.finish_tick`).
 
+Routes are fixed for a simulator's lifetime, so the constructor resolves
+them once into a *tick plan* (``NetworkSimulator._build_plan``): one entry
+per flow (the flow, its id, route RTT, entry queue, entry-hop name and record
+list), one per cross source, and one per hop in drain order (its name, queue
+and FIFO, successor, ack and drop-notify maps, forward half-delay, and a
+``fed`` flag).  The tick reads only the plan, and skips two kinds of work
+that cannot change anything:
+
+* a hop that is not ``fed`` — no flow or cross-traffic route forwards into
+  it — is never polled for transit arrivals: only forwarding puts chunks in
+  transit, always towards the route's next hop, so nothing can be addressed
+  to it;
+* a hop whose FIFO is empty is not drained: an empty FIFO carries no drain
+  credit (only a drain sets the credit, and it zeroes it whenever the FIFO
+  empties), so such a drain would deliver nothing and leave the occupancy,
+  the totals and the zero credit as they were.
+
+Each flow then settles its tick in one :meth:`~repro.cc.flow.Flow.finish_tick`
+call, whose record is appended straight to the flow's record list.
+``run()`` still calls :meth:`NetworkSimulator.tick` once per tick, so span
+profilers that wrap ``tick`` and the :class:`TickProfiler` phases see every
+tick.
+
 Observability: an optional :class:`~repro.telemetry.events.EventTrace`
 records structured, sim-time-stamped events from the tick loop — per-hop
 queue/transit drops, flow arrival/departure transitions, and conservation
@@ -96,9 +119,6 @@ class FlowStats:
     _columns: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
     _columns_len: int = field(default=0, init=False, repr=False, compare=False)
-
-    def append(self, record: TickRecord) -> None:
-        self.records.append(record)
 
     # Convenience array views -------------------------------------------------
     def _column(self, name: str) -> np.ndarray:
@@ -255,9 +275,6 @@ class NetworkSimulator:
         self.link = self.topology.bottleneck.queue
 
         self.flows: Dict[int, Flow] = {flow.flow_id: flow for flow in flows}
-        # Flow membership is fixed for the simulator's lifetime; cache the
-        # iteration list so the per-tick hot path does not rebuild it.
-        self._flow_list: List[Flow] = list(self.flows.values())
         self.dt = float(dt)
         self.now = 0.0
         self.stats: Dict[int, FlowStats] = {fid: FlowStats(fid) for fid in self.flows}
@@ -273,12 +290,6 @@ class NetworkSimulator:
                                                     for fid, flow in self.flows.items()}
         self._tick_count = 0
 
-        # Route resolution, fixed for the simulator's lifetime: entry hop and
-        # path RTT per flow, plus a (flow, hop) -> successor map used by the
-        # drain loop to forward or deliver each chunk.  The delay split is
-        # precomputed per route: the ack delay left after the forward transit
-        # shares, and — per hop a flow can be dropped at — the return delay a
-        # loss notification needs to travel back from there.
         from repro.topology.transit import TransitQueue
 
         self._telemetry = telemetry
@@ -301,43 +312,75 @@ class NetworkSimulator:
         self._schedule_pps: List[Tuple[float, ...]] = []
         self._schedule_mbps: List[float] = []
         self._schedule_slot = SCHEDULE_BLOCK
-        self._entry_link: Dict[int, "Link"] = {}
+        self._build_plan()
+
+    def _build_plan(self) -> None:
+        """Resolve every route once into the tick plan (see the module docstring).
+
+        ``_flow_plan`` holds one ``(flow, flow_id, route_rtt, entry_queue,
+        entry_name, records)`` entry per flow in construction order; the tick
+        serves a rotation of it.  ``_cross_plan`` holds one ``(flow_id,
+        generator, entry_queue, entry_name, counters)`` entry per cross
+        source.  ``_hop_plan`` holds one ``(name, queue, fifo, fed,
+        successors, acks, drop_notify, half_delay)`` entry per hop in drain
+        order: ``successors`` maps every flow and cross id routed through the
+        hop to its next hop's name (None where its route ends), ``acks`` maps
+        each flow whose route ends here to ``(flow, route_rtt, ack_delay)``,
+        ``drop_notify`` maps each id to the delay a loss notification needs
+        from this hop, and ``fed`` says whether any route forwards into it.
+
+        The delay split: forwarding out of a non-terminal hop charges that
+        hop's forward share (``delay / 2``) in transit; whatever the forward
+        path did not charge is the ack's return delay, so ack time stays one
+        full path RTT after the send.  A chunk dropped entering a hop has
+        already incurred the forward shares of every hop before it, and the
+        loss notification travels back over those hops' (equal) return shares.
+        """
+        hops = {link.name: (link, {}, {}, {}) for link in self._ordered_links}
+        fed = set()
         self._route_rtt: Dict[int, float] = {}
-        # Per hop name, keyed by flow id: the successor hop's name (None at
-        # the route's terminal hop) and the loss-notification delay.
-        self._next_hop: Dict[str, Dict[int, Optional[str]]] = {
-            link.name: {} for link in self._ordered_links}
-        self._ack_delay: Dict[int, float] = {}
-        self._drop_notify_delay: Dict[str, Dict[int, float]] = {
-            link.name: {} for link in self._ordered_links}
-        for fid in self.flows:
-            self._register_route(fid, self.topology.route_links(fid))
-        self._cross_sources = list(self.topology.cross_traffic)
+
+        def resolve(flow_id, route, flow):
+            rtt = sum(link.delay for link in route)
+            self._route_rtt[flow_id] = rtt
+            incurred = 0.0
+            for index, link in enumerate(route):
+                successor = route[index + 1] if index + 1 < len(route) else None
+                _, successors, acks, drop_notify = hops[link.name]
+                drop_notify[flow_id] = incurred
+                if successor is not None:
+                    successors[flow_id] = successor.name
+                    fed.add(successor.name)
+                    incurred += 0.5 * link.delay
+                else:
+                    successors[flow_id] = None
+                    if flow is not None:
+                        acks[flow_id] = (flow, rtt, rtt - incurred)
+            return rtt, route[0]
+
+        self._flow_plan: List[Tuple] = []
+        for fid, flow in self.flows.items():
+            rtt, entry = resolve(fid, self.topology.route_links(fid), flow)
+            self._flow_plan.append((flow, fid, rtt, entry.queue, entry.name,
+                                    self.stats[fid].records))
+        # Doubled, so each tick's rotated service order is one slice.
+        self._service_plan = self._flow_plan * 2
         #: Offered / delivered / dropped totals per cross-traffic source id.
         self.cross_stats: Dict[int, Dict[str, float]] = {}
-        for source in self._cross_sources:
-            self._register_route(source.flow_id,
-                                 [self.topology.links[name] for name in source.path])
-            self.cross_stats[source.flow_id] = {"offered": 0.0, "delivered": 0.0, "dropped": 0.0}
-
-    def _register_route(self, flow_id: int, route) -> None:
-        self._entry_link[flow_id] = route[0]
-        rtt = sum(link.delay for link in route)
-        self._route_rtt[flow_id] = rtt
-        # Delay split: forwarding out of a non-terminal hop charges that hop's
-        # forward share (delay / 2) in transit; whatever the forward path did
-        # not charge is the ack's return delay, so ack time stays one full
-        # path RTT after the send.  A chunk dropped entering a hop has already
-        # incurred the forward shares of every hop before it, and the loss
-        # notification travels back over those hops' (equal) return shares.
-        incurred = 0.0
-        for index, link in enumerate(route):
-            successor = route[index + 1] if index + 1 < len(route) else None
-            self._next_hop[link.name][flow_id] = successor.name if successor is not None else None
-            self._drop_notify_delay[link.name][flow_id] = incurred
-            if successor is not None:
-                incurred += 0.5 * link.delay
-        self._ack_delay[flow_id] = rtt - incurred
+        self._cross_plan: List[Tuple] = []
+        for source in self.topology.cross_traffic:
+            _, entry = resolve(source.flow_id,
+                               [self.topology.links[name] for name in source.path], None)
+            counters = {"offered": 0.0, "delivered": 0.0, "dropped": 0.0}
+            self.cross_stats[source.flow_id] = counters
+            self._cross_plan.append((source.flow_id, source.generator, entry.queue,
+                                     entry.name, counters))
+        # The FIFO deque is read (never written) here: an empty one means the
+        # hop has nothing to drain.  reset() clears it in place.
+        self._hop_plan: List[Tuple] = [
+            (name, link.queue, link.queue._queue, name in fed, successors, acks, drop_notify,
+             0.5 * link.delay)
+            for name, (link, successors, acks, drop_notify) in hops.items()]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -428,18 +471,15 @@ class NetworkSimulator:
         # 0. Cross-traffic sources offer their load at their entry hops (they
         # are already "on the wire", so they contend before this tick's
         # sender packets).
-        for source in self._cross_sources:
-            offered = source.generator.rate_pps(now) * dt
+        for source_id, generator, entry, entry_name, counters in self._cross_plan:
+            offered = generator.rate_pps(now) * dt
             if offered > 0:
-                _, dropped, random_lost = self._entry_link[source.flow_id].queue.enqueue(
-                    source.flow_id, offered, now)
-                counters = self.cross_stats[source.flow_id]
+                _, dropped, random_lost = entry.enqueue(source_id, offered, now)
                 counters["offered"] += offered
                 lost = dropped + random_lost
                 counters["dropped"] += lost
                 if tel is not None and lost > 0:
-                    tel.emit("queue_drop", hop=self._entry_link[source.flow_id].name,
-                             flow=source.flow_id, packets=lost)
+                    tel.emit("queue_drop", hop=entry_name, flow=source_id, packets=lost)
         if prof is not None:
             prof.mark("inject")
 
@@ -447,90 +487,82 @@ class NetworkSimulator:
         # order is rotated every tick so no flow systematically wins the race
         # for the last buffer slot (real links interleave packets from
         # different flows).
-        flow_list = self._flow_list
-        n_flows = len(flow_list)
+        n_flows = len(self._flow_plan)
         offset = self._tick_count % n_flows
-        route_rtt = self._route_rtt
-        entry_link = self._entry_link
-        for position in range(n_flows):
-            flow = flow_list[(offset + position) % n_flows]
-            fid = flow.flow_id
-            prop_rtt = route_rtt[fid]
+        for flow, fid, prop_rtt, entry, entry_name, _ in self._service_plan[
+                offset:offset + n_flows]:
             allowance = flow.send_allowance(now, dt, prop_rtt)
             if allowance > 0:
-                accepted, dropped, random_lost = entry_link[fid].queue.enqueue(
-                    fid, allowance, now)
+                accepted, dropped, random_lost = entry.enqueue(fid, allowance, now)
                 flow.record_sent(accepted, dropped, random_lost, now, prop_rtt)
                 if tel is not None and dropped + random_lost > 0:
-                    tel.emit("queue_drop", hop=entry_link[fid].name,
-                             flow=fid, packets=dropped + random_lost)
+                    tel.emit("queue_drop", hop=entry_name, flow=fid,
+                             packets=dropped + random_lost)
         self._tick_count += 1
         if prof is not None:
             prof.mark("enqueue")
 
         # 2. Every hop drains at its trace capacity in upstream→downstream
-        # order.  Before a hop drains, the transit chunks whose forward
+        # order.  Before a fed hop drains, the transit chunks whose forward
         # propagation has elapsed enter its FIFO (possibly being dropped at a
         # full buffer — the loss notification then needs only the return trip
         # from this hop).  Chunks leaving a non-terminal hop go back into
         # transit towards their route's next hop after this hop's forward
         # delay share; chunks leaving their terminal hop turn into acks after
         # the remaining return-path delay, so end-to-end ack time is the
-        # summed path RTT plus accumulated queuing — unchanged.
+        # summed path RTT plus accumulated queuing — unchanged.  A hop no
+        # route forwards into is never polled, and a hop with an empty FIFO
+        # is not drained (both are no-ops; see the module docstring).
         flows = self.flows
-        next_hop = self._next_hop
         transit = self._transit
-        drop_delay = self._drop_notify_delay
-        ack_delay = self._ack_delay
         cross_stats = self.cross_stats
-        for link, capacity in zip(self._ordered_links, self._schedule_pps[slot]):
-            link_name = link.name
-            queue = link.queue
-            successors = next_hop[link_name]
-            if prof is not None:
-                t0 = perf_counter()
-                arriving_chunks = transit.arrivals(link_name, now)
-                prof.add("transit", perf_counter() - t0)
-            else:
-                arriving_chunks = transit.arrivals(link_name, now)
-            for fid, packets, carried_delay, _ in arriving_chunks:
-                _, dropped, random_lost = queue.enqueue(
-                    fid, packets, now, carried_delay=carried_delay)
-                lost = dropped + random_lost
-                if lost > 0:
-                    flow = flows.get(fid)
-                    if flow is not None:
-                        flow.record_transit_drop(lost, now, drop_delay[link_name][fid])
-                    else:
-                        cross_stats[fid]["dropped"] += lost
-                    if tel is not None:
-                        tel.emit("transit_drop", hop=link_name, flow=fid, packets=lost)
+        for (name, queue, fifo, fed, successors, acks, drop_notify, half_delay), capacity in zip(
+                self._hop_plan, self._schedule_pps[slot]):
+            if fed:
+                if prof is not None:
+                    t0 = perf_counter()
+                    arriving_chunks = transit.arrivals(name, now)
+                    prof.add("transit", perf_counter() - t0)
+                else:
+                    arriving_chunks = transit.arrivals(name, now)
+                for fid, packets, carried_delay, _ in arriving_chunks:
+                    _, dropped, random_lost = queue.enqueue(
+                        fid, packets, now, carried_delay=carried_delay)
+                    lost = dropped + random_lost
+                    if lost > 0:
+                        flow = flows.get(fid)
+                        if flow is not None:
+                            flow.record_transit_drop(lost, now, drop_notify[fid])
+                        else:
+                            cross_stats[fid]["dropped"] += lost
+                        if tel is not None:
+                            tel.emit("transit_drop", hop=name, flow=fid, packets=lost)
+            if not fifo:
+                continue
             deliveries = queue.drain_at(capacity, now, dt)
             if not deliveries:
                 continue
-            departure = now + 0.5 * link.delay
+            departure = now + half_delay
             for fid, packets, queuing_delay in deliveries:
                 successor = successors[fid]
-                if successor is None:
-                    flow = flows.get(fid)
-                    if flow is not None:
-                        flow.record_delivery(packets, queuing_delay, now, route_rtt[fid],
-                                             ack_delay=ack_delay[fid])
-                    else:
-                        cross_stats[fid]["delivered"] += packets
-                else:
+                if successor is not None:
                     transit.send(successor, fid, packets, queuing_delay, departure)
+                    continue
+                ack = acks.get(fid)
+                if ack is not None:
+                    ack[0].record_delivery(packets, queuing_delay, now, ack[1], ack[2])
+                else:
+                    cross_stats[fid]["delivered"] += packets
         if prof is not None:
             prof.mark("drain")
 
-        # 3. Each flow consumes due ack/loss events and updates its controller.
+        # 3. Each flow settles its tick in one call: it consumes the due
+        # ack/loss events, updates its controller and returns the record.
         end_of_tick = now + dt
         records: Dict[int, TickRecord] = {}
-        stats = self.stats
-        for fid, flow in flows.items():
-            flow.process_events(end_of_tick, dt)
+        for flow, fid, _, _, _, flow_records in self._flow_plan:
             record = flow.finish_tick(end_of_tick, dt)
-            stats[fid].append(record)
+            flow_records.append(record)
             records[fid] = record
 
         self._capacity_log.append(self._schedule_mbps[slot])
@@ -552,7 +584,7 @@ class NetworkSimulator:
         hops = {link.name: link.queue.queue_occupancy for link in self._ordered_links}
         caps = {link.name: link.queue.capacity_pps(t) for link in self._ordered_links}
         sent = acked = lost = pending = 0.0
-        for flow in self._flow_list:
+        for flow in self.flows.values():
             sent += flow.total_sent
             acked += flow.total_acked
             lost += flow.total_lost

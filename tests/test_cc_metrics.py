@@ -24,9 +24,9 @@ def make_stats(acked, delays=None, lost=None, rtts=None, dt=0.01):
     rtts = np.asarray(rtts, dtype=float) if rtts is not None else delays + 0.05
     stats = FlowStats(0)
     for i in range(n):
-        stats.append(TickRecord(time=(i + 1) * dt, sent=acked[i] + lost[i], acked=acked[i],
-                                lost=lost[i], rtt=rtts[i], queuing_delay=delays[i],
-                                cwnd=10.0, inflight=5.0))
+        stats.records.append(TickRecord(time=(i + 1) * dt, sent=acked[i] + lost[i],
+                                        acked=acked[i], lost=lost[i], rtt=rtts[i],
+                                        queuing_delay=delays[i], cwnd=10.0, inflight=5.0))
     return stats
 
 
@@ -93,8 +93,8 @@ class TestFlowStatsColumns:
         acked = stats.acked
         acked[0] = 99.0
         assert list(stats.acked) == [1.0, 2.0]
-        stats.append(TickRecord(time=0.03, sent=4.0, acked=4.0, lost=0.0, rtt=0.05,
-                                queuing_delay=0.0, cwnd=10.0, inflight=5.0))
+        stats.records.append(TickRecord(time=0.03, sent=4.0, acked=4.0, lost=0.0, rtt=0.05,
+                                        queuing_delay=0.0, cwnd=10.0, inflight=5.0))
         assert list(stats.acked) == [1.0, 2.0, 4.0]
 
     def test_empty_stats_give_empty_columns(self):

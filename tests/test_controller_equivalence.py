@@ -33,7 +33,14 @@ from repro.orca.observations import (
     clip_float,
 )
 from repro.telemetry.events import EventTrace
-from repro.topology import CrossTrafficSource, OnOff, Topology, TransitQueue, build_topology
+from repro.topology import (
+    CrossTrafficSource,
+    OnOff,
+    Topology,
+    TransitQueue,
+    build_topology,
+    topology_family_specs,
+)
 from repro.traces.cellular import make_cellular_trace
 from repro.traces.synthetic import make_synthetic_trace
 from repro.traces.trace import BandwidthTrace
@@ -412,6 +419,10 @@ def test_drain_matches_plain_list_fifo(seed):
     rng = np.random.default_rng(seed)
     link = BottleneckLink(BandwidthTrace.constant(12.0, duration=60.0), min_rtt=0.05,
                           buffer_packets=40.0)
+    # The twin is drained only while its FIFO holds chunks, as the simulator's
+    # tick does: an empty FIFO carries no credit, so the skipped call is a no-op.
+    twin = BottleneckLink(BandwidthTrace.constant(12.0, duration=60.0), min_rtt=0.05,
+                          buffer_packets=40.0)
     fifo = []
     state = dict(occupancy=0.0, delivered=0.0, credit=0.0,
                  residue_pops=0, partial_heads=0, credit_carries=0)
@@ -425,6 +436,7 @@ def test_drain_matches_plain_list_fifo(seed):
                        else float(rng.uniform(0.0, 8.0)))
             carried = float(rng.uniform(0.0, 0.05)) if rng.random() < 0.5 else 0.0
             accepted, _, _ = link.enqueue(fid, packets, now, carried_delay=carried)
+            twin.enqueue(fid, packets, now, carried_delay=carried)
             if accepted > 0:
                 fifo.append([fid, accepted, now, carried])
                 state["occupancy"] += accepted
@@ -444,11 +456,15 @@ def test_drain_matches_plain_list_fifo(seed):
             got = link.drain(now, dt)
         else:
             got = link.drain_at(capacity, now, dt)
+        twin_got = twin.drain_at(capacity, now, dt) if fifo else []
         expected = reference_drain(fifo, state, capacity, now, dt)
         assert len(got) == len(expected), step
         assert bits(flat(got)) == bits(flat(expected)), step
+        assert bits(flat(twin_got)) == bits(flat(got)), step
         assert bits([link.queue_occupancy, link.total_delivered]) == bits(
             [state["occupancy"], state["delivered"]]), step
+        assert bits([twin.queue_occupancy, twin.total_delivered]) == bits(
+            [link.queue_occupancy, link.total_delivered]), step
         per_flow = {}
         for fid, packets, _, _ in fifo:
             per_flow[fid] = per_flow.get(fid, 0.0) + packets
@@ -592,6 +608,26 @@ def test_transit_arrivals_match_sorted_list(seed):
     assert [hop for hop, _ in got_marks] == [hop for hop, _ in expected_marks]
     assert bits([p for _, p in got_marks]) == bits([p for _, p in expected_marks])
     assert ties > 0 and len(expected_marks) > len(dests)
+
+
+@pytest.mark.parametrize("spec", topology_family_specs())
+def test_unfed_hops_never_hold_transit(spec):
+    """A hop no route forwards into is never polled; nothing may travel towards it."""
+    topology = build_topology(spec, make_synthetic_trace("step-12-48"), min_rtt=0.05,
+                              buffer_bdp=0.5, seed=5)
+    flows = [Flow(0, CubicController())]
+    flows += [cross.build() for cross in build_workload("responsive(cubic:3)", 3.0, seed=5)]
+    sim = NetworkSimulator(topology, flows)
+    # Hop plan entries read positionally: (name, queue, fifo, fed, ...).
+    unfed = {entry[0] for entry in sim._hop_plan if not entry[3]}
+    assert unfed  # nothing forwards into the first hop in drain order
+    seen = set()
+    for _ in range(300):
+        sim.tick()
+        destinations = set(sim.in_transit_occupancy())
+        assert not destinations & unfed
+        seen |= destinations
+    assert seen == set(topology.links) - unfed
 
 
 # ---------------------------------------------------------------------- #

@@ -57,7 +57,6 @@ class LegacySingleLinkSimulator:
         end_of_tick = now + dt
         records = {}
         for fid, flow in self.flows.items():
-            flow.process_events(end_of_tick, dt)
             records[fid] = flow.finish_tick(end_of_tick, dt)
         self.now = end_of_tick
         return records
