@@ -27,6 +27,46 @@ weights; the result is then a view of those arrays, which the caller copies
 out before the next call.  The test suite pins it bit for bit
 (``np.array_equal``) against a per-layer box oracle on each ``(N, d)``
 slice.
+
+A box whose decisions all have the same ``(N, d)`` deviation rows (every
+decision of a P1–P4 property: only the centre follows the state) has the
+same first-layer deviation product ``d @ |W1|.T`` in every decision.  A
+caller computes it once with :func:`first_layer_deviation` and hands it in;
+the kernel then reads it broadcast over the box's decisions instead of
+running that gemm per decision.  It is the gemm the kernel runs on each
+``(N, d)`` slice, with ``|W1|.T`` in the same layout, so every bit is the
+same (pinned per slice with ``np.array_equal``).
+
+Which deviation clamps remain
+-----------------------------
+
+A half-width must never be negative, yet only the tanh step clamps
+``max(deviation, 0)``; the affine and ReLU steps would clamp values that
+cannot be negative, and ``np.maximum`` returns its first operand unchanged
+when it is a NaN, so each such clamp returned its input bit for bit:
+
+* Every :class:`~repro.abstract.box.Box` the kernel receives has
+  ``np.maximum(deviation, 0.0)`` applied, so each deviation entry is
+  ``+0.0``, positive or NaN: ``np.maximum(x, 0.0)`` turns ``-0.0`` into
+  ``+0.0`` and never returns ``-0.0``.
+* Affine step: ``|W|`` holds ``+0.0``, positive values or NaN, so every
+  product in ``d @ |W|.T`` is ``+0.0``, positive, ``+inf`` or NaN
+  (``0 · inf``), and a sum of such terms, in any order and with or
+  without fused multiply-adds, is again one of them.  No ``-0.0`` and no
+  negative value can appear.
+* ReLU step: with ``d >= +0``, ``c + d >= c - d`` exactly, and rounding is
+  monotone, so ``fl(c + d) >= fl(c - d)``; ``max(·, 0)`` keeps the order
+  and returns ``+0.0`` for every non-positive input.  The difference of two
+  ordered values that are ``+0.0`` or positive is ``+0.0`` or positive
+  (``x - x`` is ``+0.0``), and ``* 0.5`` keeps the sign.  A NaN (``inf -
+  inf``, or a NaN input) stays a NaN, which the clamp leaves as it is.
+* Tanh step: keeps its clamp.  libm's ``tanh`` is not guaranteed to be
+  monotone, so ``tanh(c + d)`` may come out below ``tanh(c - d)``, and
+  ``tanh(-0.0)`` is ``-0.0``.
+
+``tests/test_ibp_kernel_differential.py`` holds the kernel to a verbatim
+copy of its earlier form, which clamped after every step, as IEEE bytes on
+boxes with signed zeros, subnormals, infinities and NaN.
 """
 
 from __future__ import annotations
@@ -38,7 +78,7 @@ import numpy as np
 from repro.abstract.box import Box
 from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
 
-__all__ = ["IBPBuffers", "propagate_mlp_batched"]
+__all__ = ["IBPBuffers", "first_layer_deviation", "propagate_mlp_batched"]
 
 
 def _flatten(layers: Iterable) -> list:
@@ -70,10 +110,14 @@ class IBPBuffers:
     ``layer.weight`` on every call and read through its transposed view
     (the layout of ``np.abs(W).T``, so every gemm takes the path it takes
     without buffers), and per step the outputs of one box of component
-    rows.  The arrays are reallocated when a layer shape or the box's
-    trailing shape changes, or when a box has more rows than they hold.
-    Nothing is keyed on the identity of a network and no weight is kept, so
-    one holder stays valid while a network trains in place or is replaced.
+    rows: an affine step's centre and deviation, an activation's upper
+    image, the array its lower image goes to (the deviation array of the
+    step before it, or a fresh one on the input box) and the array its
+    centre goes to.  The arrays are reallocated when a layer shape or the
+    box's trailing shape changes, or when a box has more rows than they
+    hold.  Nothing is keyed on the identity of a network and no weight is
+    kept, so one holder stays valid while a network trains in place or is
+    replaced.
     """
 
     def __init__(self) -> None:
@@ -100,14 +144,20 @@ class IBPBuffers:
     def _allocate(self, steps: list, shape: tuple) -> None:
         leading, width = shape[:-1], shape[-1]
         self._abs_weights, self._outputs = [], []
+        center = deviation = None  # the input box's own arrays, never written
         for step in steps:
             if isinstance(step, tuple):
                 width = step[0].shape[0]
                 self._abs_weights.append(np.empty(step[0].shape))
-                self._outputs.append((np.empty(leading + (width,)), np.empty(leading + (width,))))
+                center, deviation = np.empty(leading + (width,)), np.empty(leading + (width,))
+                self._outputs.append((center, deviation))
             else:
                 self._abs_weights.append(None)
-                self._outputs.append(np.empty(leading + (width,)))
+                if center is None:
+                    center, deviation = np.empty(leading + (width,)), np.empty(leading + (width,))
+                upper = np.empty(leading + (width,))
+                self._outputs.append((upper, deviation, center))
+                deviation = upper
 
 
 def _relu_inplace(values: np.ndarray) -> None:
@@ -118,41 +168,65 @@ def _tanh_inplace(values: np.ndarray) -> None:
     np.tanh(values, out=values)
 
 
-def _run_plan(steps: list, center: np.ndarray, deviation: np.ndarray, buffers: list) -> tuple:
+def first_layer_deviation(model, deviation: np.ndarray) -> np.ndarray | None:
+    """``deviation @ |W1|.T`` for ``model``'s first layer, or ``None`` when
+    the model does not start with an affine layer.
+
+    ``deviation`` is the ``(N, d)`` deviation every decision of a box shares;
+    the product is the ``(N, out)`` gemm :func:`propagate_mlp_batched` runs
+    on each ``(N, d)`` slice of such a box, with ``|W1|.T`` in the same
+    layout, so handing it in changes no bit.  Weights are read afresh.
+    """
+    steps = _flatten(model.layers)
+    if not steps or not isinstance(steps[0], tuple):
+        return None
+    return np.matmul(deviation, np.abs(steps[0][0]).T)
+
+
+def _run_plan(steps: list, center: np.ndarray, deviation: np.ndarray, buffers: list,
+              first_deviation: np.ndarray | None) -> tuple:
     """One box through the plan, writing only into ``buffers``.
 
     ``buffers[i]`` holds step ``i``'s preallocated outputs (see
     :class:`IBPBuffers`), sliced to the box's decisions.  An affine step
-    is ``c @ W.T + b``, ``d @ |W|.T``, clamped at zero; an activation is the
-    midpoint/half-width of its images of ``c + d`` and ``c - d`` (``* 0.5``
-    rounds exactly like ``/ 2.0``), computed over the arrays of the step
-    before it.
+    is ``c @ W.T + b`` and ``d @ |W|.T`` (for the first step, the shared
+    ``first_deviation`` copied to every decision when one is given: a
+    contiguous copy, since the element-wise steps after it run about twice
+    as slow on a broadcast operand);
+    an activation is the midpoint/half-width of its images of ``c + d``
+    and ``c - d`` (``* 0.5`` rounds exactly like ``/ 2.0``).  Only the
+    tanh step clamps the half-width at zero (see the module docstring).
     """
     rows = center.shape[0]
-    if steps and not isinstance(steps[0], tuple):
-        center, deviation = center.copy(), deviation.copy()
     for step, step_buffers in zip(steps, buffers):
         if isinstance(step, tuple):
             weight_t, abs_weight_t, bias = step
             center_out, deviation_out = step_buffers
             center = np.matmul(center, weight_t, out=center_out[:rows])
             center += bias
-            deviation = np.matmul(deviation, abs_weight_t, out=deviation_out[:rows])
-            np.maximum(deviation, 0.0, out=deviation)
+            if first_deviation is None:
+                deviation = np.matmul(deviation, abs_weight_t, out=deviation_out[:rows])
+            else:
+                deviation = deviation_out[:rows]
+                np.copyto(deviation, first_deviation)  # broadcast over the decisions
+                first_deviation = None
         else:
-            upper = np.add(center, deviation, out=step_buffers[:rows])
-            lower = np.subtract(center, deviation, out=deviation)
+            upper_out, lower_out, center_out = step_buffers
+            upper = np.add(center, deviation, out=upper_out[:rows])
+            lower = np.subtract(center, deviation, out=lower_out[:rows])
             step(upper)
             step(lower)
-            np.add(upper, lower, out=center)
+            center = np.add(upper, lower, out=center_out[:rows])
             center *= 0.5
             deviation = np.subtract(upper, lower, out=upper)
             deviation *= 0.5
-            np.maximum(deviation, 0.0, out=deviation)
+            if step is _tanh_inplace:
+                np.maximum(deviation, 0.0, out=deviation)
     return center, deviation
 
 
-def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None) -> Box:
+def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None,
+                          first_deviation: np.ndarray | None = None) -> Box:
     """Push a batched box of shape ``(N, d)`` or ``(D, N, d)`` through an MLP in one pass.
 
     The result has shape ``(N, out_features)`` (or ``(D, N, out_features)``).
@@ -162,6 +236,10 @@ def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None) ->
     is element-wise.  The whole box is one pass through one set of per-step
     buffers.  Given ``buffers``, those are its arrays and the result is a
     view of them: it holds until the next call with the same ``buffers``.
+    ``first_deviation`` is :func:`first_layer_deviation` of the ``(N, d)``
+    deviation rows every decision of ``box`` has, for a model that starts
+    with an affine layer; the first layer then reads it instead of
+    multiplying ``box.deviation`` again.
     """
     if box.ndim not in (2, 3):
         raise ValueError(f"batched propagation expects lo/hi of shape (N, d) or (D, N, d), got ndim={box.ndim}")
@@ -171,4 +249,6 @@ def propagate_mlp_batched(model, box: Box, buffers: IBPBuffers | None = None) ->
             f"input box has {box.center.shape[-1]} dims but model expects {in_features}"
         )
     steps, outputs = (IBPBuffers() if buffers is None else buffers).plan(model.layers, box.center.shape)
-    return Box._trusted(*_run_plan(steps, box.center, box.deviation, outputs))
+    if first_deviation is not None and not (steps and isinstance(steps[0], tuple)):
+        raise ValueError("a shared first-layer deviation needs a model that starts with an affine layer")
+    return Box._trusted(*_run_plan(steps, box.center, box.deviation, outputs, first_deviation))

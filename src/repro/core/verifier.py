@@ -33,7 +33,13 @@ the verifier owns, ``b`` at most ``max(1, BLOCK_ROWS // N)`` decisions
 Each block goes through one call of
 :func:`repro.abstract.propagate.propagate_mlp_batched`, which does no
 blocking of its own, and its ``(b, N, 1)`` action bounds are copied out
-before the next block reuses the buffers.  The
+before the next block reuses the buffers.  Every decision of a P1–P4
+property has the same deviation rows (only the centre follows the state),
+so a P1–P4 property with more than one decision is blocked on its own and
+its first-layer deviation product ``d @ |W1|.T`` is computed once per
+``certify`` (:func:`repro.abstract.propagate.first_layer_deviation`) and
+read by each of its blocks; P5's rows and single-decision properties share
+blocks as before, so a one-decision stack is still one block.  The
 cwnd map and the Δcwnd / fractional-change transformers run once per
 :class:`ActionKind` present (P5's reference window included), and the
 containment check and the Eq. 6 feedback run once over the whole stack with
@@ -81,8 +87,8 @@ Stacking does not move a single bit.  Each ``(N, d)`` slice of the stack goes
 through every affine layer as the same ``(N, d) @ W.T`` gemm a lone decision
 issues (numpy's ``matmul`` loops that gemm over the leading axis), every other
 step is element-wise, so neither the stacking nor the block size matters
-(nor where a block starts: one may hold the last rows of one property and
-the first of the next), and
+(nor where a block starts), the shared first-layer product is that same
+gemm on one slice, and
 the P5 reference window stays one ``(1, d)`` actor forward per decision.  The
 stack is deliberately never flattened to ``(P·D·N, d)``: BLAS picks another
 path for another row count, which moved action bounds by up to 2.8e-17.  The
@@ -107,7 +113,7 @@ import numpy as np
 
 from repro.abstract import transformers
 from repro.abstract.box import Box, split_bounds
-from repro.abstract.propagate import IBPBuffers, propagate_mlp_batched
+from repro.abstract.propagate import IBPBuffers, first_layer_deviation, propagate_mlp_batched
 from repro.core.properties import ActionKind, PropertySet, PropertySpec, RegionPlan
 from repro.core.qc import CertificateBatch, CertificateSet, interval_feedback_batch
 from repro.orca.agent import cwnd_from_action
@@ -181,10 +187,11 @@ class CertifyPlan:
     ``μ``), its allowed region as the columns ``allowed_lo``/``allowed_hi``,
     its past-Δcwnd sign condition ``(sign, dcwnd indices)`` or ``None``, its
     row of ``abstracted`` ``(P, d)``, the mask of the dimensions its region
-    abstracts, and its ``columns``: the ``(N, d)`` centre and deviation its
-    ``N`` components take on those dimensions (0 on every other one).  A
-    robustness property's centre is ``None`` and its deviation all 0: its
-    noise columns follow the state.  ``kinds`` lists each
+    abstracts, and its ``columns``: the ``(N, k)`` centre its ``N``
+    components take on the ``k`` dimensions its region abstracts (in the
+    order of ``region.indices``) and their ``(N, d)`` deviation (0 on every
+    other dimension).  A robustness property's centre is ``None`` and its
+    deviation all 0: its noise columns follow the state.  ``kinds`` lists each
     :class:`ActionKind` present with its property mask, :meth:`layout`
     keeps the row layout of the last stack that kept every decision, and
     :meth:`sampling_regions` hands the trainer's regularization step the
@@ -288,9 +295,8 @@ def _columns(prop: PropertySpec, region: RegionPlan, dims: List[int], abstracted
     lo, hi = box.lo, box.hi
     center, deviation = split_bounds(lo, hi, n_components, np.array(dims, dtype=np.intp) if dims else None)
     np.maximum(deviation, 0.0, out=deviation)
-    center[:, ~abstracted] = 0.0
     deviation[:, ~abstracted] = 0.0
-    return (center, deviation), (lo, np.where(abstracted, hi - lo, 0.0))
+    return (center[:, region.indices], deviation), (lo, np.where(abstracted, hi - lo, 0.0))
 
 
 def _unsound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -354,14 +360,14 @@ class _ComponentStack:
         ``start`` to ``stop``, as views of the verifier's block buffers."""
         center, deviation = self.buffers.take(stop - start)
         center[...] = self.rows[start:stop, None, :]
-        for (column_center, column_deviation), mask, noise, first, last in zip(
-                self.plan.columns, self.plan.abstracted, self.noise, self.offsets, self.offsets[1:]):
+        for (column_center, column_deviation), region, noise, first, last in zip(
+                self.plan.columns, self.plan.regions, self.noise, self.offsets, self.offsets[1:]):
             lo, hi = max(first, start), min(last, stop)
             if lo >= hi:
                 continue
             block = slice(lo - start, hi - start)
             if column_center is not None:
-                np.copyto(center[block], column_center, where=mask)
+                center[block, :, region.indices] = column_center
             deviation[block] = column_deviation
             if noise is not None:
                 indices, noise_center, noise_deviation = noise
@@ -376,6 +382,26 @@ class _ComponentStack:
         for first in range(start, stop, self.buffers.rows):
             last = min(first + self.buffers.rows, stop)
             yield (first, last, *self.fill(first, last))
+
+    def segments(self) -> list:
+        """``(start, stop, deviation)`` per run of rows the IBP pass blocks
+        on its own.  A P1–P4 property with more than one row is a run of its
+        own, and ``deviation`` is the ``(N, d)`` deviation all its rows
+        share (its constant columns' deviation); every other row (P5's,
+        whose noise columns follow the state, or a property's only row)
+        joins the run before it when that run has no shared deviation, with
+        ``deviation`` ``None``.  So a one-decision stack stays one run."""
+        segments: list = []
+        for index, (start, stop) in enumerate(zip(self.offsets, self.offsets[1:])):
+            if start == stop:
+                continue
+            if self.noise[index] is None and stop - start > 1:
+                segments.append((start, stop, self.plan.columns[index][1]))
+            elif segments and segments[-1][2] is None:
+                segments[-1] = (segments[-1][0], stop, None)
+            else:
+                segments.append((start, stop, None))
+        return segments
 
     def input_bounds(self, index: int) -> tuple:
         """``(lo, hi)`` ``(k, N, d)`` of the components of property
@@ -585,18 +611,25 @@ class Verifier:
         """The action centre and deviation ``(R, N, out)`` of every row of
         ``stack``: one IBP call per block of the verifier's buffers, each
         ``(b, N, out)`` result copied out before the next block reuses them
-        (a lone block's result is returned as it is)."""
+        (a lone block's result is returned as it is).  Blocks never cross
+        a run of :meth:`_ComponentStack.segments`; a run whose rows share
+        their deviation has its first-layer deviation product computed
+        once, here, and read by each of its blocks."""
         n_rows = stack.rows.shape[0]
         action_center = action_deviation = None
-        for start, stop, center, deviation in stack.blocks(0, n_rows):
-            action = propagate_mlp_batched(self.actor, Box._trusted(center, deviation), self._buffers.ibp)
-            if stop - start == n_rows:
-                return action.center, action.deviation
-            if action_center is None:
-                shape = (n_rows,) + action.shape[1:]
-                action_center, action_deviation = np.empty(shape), np.empty(shape)
-            action_center[start:stop] = action.center
-            action_deviation[start:stop] = action.deviation
+        for first, last, shared in stack.segments():
+            if shared is not None:
+                shared = first_layer_deviation(self.actor, shared)
+            for start, stop, center, deviation in stack.blocks(first, last):
+                action = propagate_mlp_batched(self.actor, Box._trusted(center, deviation), self._buffers.ibp,
+                                               shared)
+                if stop - start == n_rows:
+                    return action.center, action.deviation
+                if action_center is None:
+                    shape = (n_rows,) + action.shape[1:]
+                    action_center, action_deviation = np.empty(shape), np.empty(shape)
+                action_center[start:stop] = action.center
+                action_deviation[start:stop] = action.deviation
         return action_center, action_deviation
 
     @staticmethod

@@ -163,3 +163,52 @@ def test_the_tanh_step_clamps_an_out_of_order_image(monkeypatch, seed):
     got = propagate_mlp_batched(model, box)
     assert_same_bytes(got, expected)
     assert (got.deviation == 0.0).all()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_shared_first_layer_deviation_matches_each_slice_alone(data):
+    """A box whose decisions share their ``(N, d)`` deviation rows, with the
+    first-layer product handed in, gives each decision the bytes that
+    decision's own ``(N, d)`` box gives."""
+    model, width = data.draw(networks())
+    if not isinstance(model.layers[0], Dense):
+        model = Sequential(model.layers[1:])
+    box = data.draw(boxes(width))
+    stack = box if box.ndim == 3 else Box._trusted(box.center[None], box.deviation[None])
+    shared = stack.deviation[0]
+    center = np.array(stack.center)
+    with np.errstate(all="ignore"):
+        first = propagate.first_layer_deviation(model, shared)
+        broadcast = Box._trusted(center, np.broadcast_to(shared, center.shape))
+        got = propagate_mlp_batched(model, broadcast, IBPBuffers(), first)
+        for row in range(center.shape[0]):
+            alone = propagate_mlp_batched(model, Box._trusted(center[row], shared))
+            assert_same_bytes(Box._trusted(got.center[row], got.deviation[row]), alone)
+
+
+@pytest.mark.parametrize("n_decisions", (1, 2, 10))
+@pytest.mark.parametrize("n_components", (1, 50))
+def test_a_shared_first_layer_deviation_at_the_actor_sizes(n_decisions, n_components):
+    from repro.nn import make_actor
+
+    rng = np.random.default_rng(n_decisions + 100 * n_components)
+    actor = make_actor(21, hidden_sizes=(64, 32), rng=rng)
+    shared = rng.uniform(0.0, 0.3, (n_components, 21))
+    shared[:, rng.uniform(size=21) < 0.5] = 0.0  # dimensions a property keeps at their state value
+    center = rng.normal(size=(n_decisions, n_components, 21))
+    buffers = IBPBuffers()
+    got = propagate_mlp_batched(actor, Box._trusted(center, np.broadcast_to(shared, center.shape)), buffers,
+                                propagate.first_layer_deviation(actor, shared))
+    for row in range(n_decisions):
+        alone = propagate_mlp_batched(actor, Box._trusted(center[row], shared))
+        assert np.array_equal(got.center[row], alone.center)
+        assert np.array_equal(got.deviation[row], alone.deviation)
+
+
+def test_a_shared_first_layer_deviation_needs_an_affine_first_layer():
+    model = Sequential([ReLU(), Dense(3, 2, rng=np.random.default_rng(0))])
+    box = Box._trusted(np.zeros((2, 4, 3)), np.ones((2, 4, 3)))
+    assert propagate.first_layer_deviation(model, np.ones((4, 3))) is None
+    with pytest.raises(ValueError, match="affine"):
+        propagate_mlp_batched(model, box, None, np.ones((4, 2)))
