@@ -179,21 +179,29 @@ class MonitorReport(NamedTuple):
     cwnd: float                # controller window at the end of the interval
 
 
-def interval_report(ticks: Sequence, start: float, now: float, floor: float, srtt: float,
+def interval_report(ticks: Sequence, start: float, now: float, floor: float, srtt: Optional[float],
                     min_rtt: float, cwnd: float) -> MonitorReport:
     """The report of one monitor interval's ``TickRecord`` or ``TickFeedback`` tuples.
 
     Acked, lost, delay·acked and rtt·acked are summed from 0.0 in tick order;
-    the interval is ``now - start``, at least ``floor``.
+    the interval is ``now - start``, at least ``floor``.  ``srtt=None``
+    reports the interval's last non-zero RTT sample (0.0 when it has none)
+    as the smoothed RTT, from the same pass: the deployed controller's
+    view.  Training passes the flow's EWMA.
     """
-    acked = lost = delay_weighted = rtt_weighted = 0.0
+    acked = lost = delay_weighted = rtt_weighted = last_rtt = 0.0
     for tick in ticks:
         tick_acked = tick.acked
+        rtt = tick.rtt
         acked += tick_acked
         lost += tick.lost
         if tick_acked > 0:
             delay_weighted += tick.queuing_delay * tick_acked
-            rtt_weighted += tick.rtt * tick_acked
+            rtt_weighted += rtt * tick_acked
+        if rtt > 0:
+            last_rtt = rtt
+    if srtt is None:
+        srtt = last_rtt
     interval = max(now - start, floor)
     return MonitorReport(
         throughput_pps=acked / interval,

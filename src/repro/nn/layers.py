@@ -24,9 +24,19 @@ from repro.nn import init as initializers
 __all__ = ["Layer", "Dense", "ReLU", "Tanh", "Identity", "Sequential"]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float64(x) -> np.ndarray:
+    """``x`` as a float64 array; a float64 ndarray is returned as it is."""
+    return x if type(x) is np.ndarray and x.dtype is _FLOAT64 else np.asarray(x, dtype=np.float64)
+
+
 def _rows(x) -> np.ndarray:
-    """``x`` as a float64 array of at least two dimensions (a lone sample becomes one row)."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as a float64 array of at least two dimensions (a lone sample
+    becomes one row); a float64 ndarray of two or more dimensions, what
+    every layer hands the next, is returned as it is."""
+    x = _float64(x)
     return x if x.ndim >= 2 else x.reshape(1, -1)
 
 
@@ -114,20 +124,25 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    """Element-wise rectified linear unit."""
+    """Element-wise rectified linear unit.
+
+    The forward pass keeps only its output; ``backward`` masks the gradient
+    with ``output > 0``, which is ``x > 0`` for every ``x`` (``max(x, 0)``
+    is ``x`` where ``x > 0`` and ``+0.0`` or NaN elsewhere), so inference
+    forwards never build the mask.
+    """
 
     def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
+        self._output: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.maximum(x, 0.0)
+        self._output = np.maximum(_float64(x), 0.0)
+        return self._output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._output is None:
             raise RuntimeError("backward() called before forward()")
-        return grad_output * self._mask
+        return grad_output * (self._output > 0)
 
 
 class Tanh(Layer):
@@ -137,7 +152,7 @@ class Tanh(Layer):
         self._output: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(np.asarray(x, dtype=np.float64))
+        self._output = np.tanh(_float64(x))
         return self._output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

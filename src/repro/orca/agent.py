@@ -112,6 +112,10 @@ class LearnedController(CongestionController):
         self.decisions: List[DecisionRecord] = []
         #: The feedback of every tick since the last decision.
         self._interval: List[TickFeedback] = []
+        # What on_tick reads every tick, looked up once (a bound Python
+        # method, which copy.deepcopy and pickle rebind to the copy's inner).
+        self._decision_gap = self.monitor_interval - 1e-9
+        self._inner_on_tick = inner.on_tick
 
     @property
     def cwnd(self) -> float:
@@ -126,14 +130,15 @@ class LearnedController(CongestionController):
         self._last_decision_time = 0.0
         self._prev_decision_cwnd = self.inner.cwnd
         self.decisions = []
-        self._interval = []
+        self._interval.clear()
 
     # ------------------------------------------------------------------ #
     def _build_report(self, now: float) -> MonitorReport:
         ticks = self._interval
-        srtt = next((tick.rtt for tick in reversed(ticks) if tick.rtt > 0), 0.0)
-        report = interval_report(ticks, ticks[0].now - ticks[0].dt, now, 1e-3, srtt,
-                                 ticks[-1].min_rtt, self.inner.cwnd)
+        first = ticks[0]
+        # srtt=None: the interval's last non-zero RTT sample, from the same pass.
+        report = interval_report(ticks, first.now - first.dt, now, 1e-3, None, ticks[-1].min_rtt,
+                                 self.inner.cwnd)
         return with_delay_noise(report, self.observation_noise, self._noise_rng)
 
     def _coarse_grained_step(self, now: float) -> None:
@@ -165,15 +170,16 @@ class LearnedController(CongestionController):
             qc_value=float(qc_value),
         ))
         self._prev_decision_cwnd = new_cwnd
-        self._interval = []
+        self._interval.clear()
 
     # ------------------------------------------------------------------ #
     def on_tick(self, feedback: TickFeedback) -> None:
-        self.inner.on_tick(feedback)
+        self._inner_on_tick(feedback)
         self._interval.append(feedback)
-        if feedback.now - self._last_decision_time >= self.monitor_interval - 1e-9:
-            self._coarse_grained_step(feedback.now)
-            self._last_decision_time = feedback.now
+        now = feedback.now
+        if now - self._last_decision_time >= self._decision_gap:
+            self._coarse_grained_step(now)
+            self._last_decision_time = now
 
     def pacing_rate(self, feedback: TickFeedback | None = None) -> float | None:
         return self.inner.pacing_rate(feedback)

@@ -136,7 +136,11 @@ class TD3Agent:
         action = self.actor.forward(state)[0]
         if explore:
             action = action + self.exploration_noise.sample()
-        return np.clip(action, -self.config.max_action, self.config.max_action)
+        # np.clip's values one float at a time: only a value strictly
+        # outside [-high, high] is replaced, and a NaN passes.
+        high = self.config.max_action
+        return np.array([-high if value < -high else high if value > high else value
+                         for value in action.tolist()], dtype=np.float64)
 
     def policy(self, state: np.ndarray) -> np.ndarray:
         """Greedy policy callable (no exploration), convenient for rollouts."""

@@ -16,6 +16,10 @@ def constant_policy(value: float):
     return lambda state: np.array([value])
 
 
+def _picklable_policy(state):
+    return np.array([0.3])
+
+
 def run_learned(policy, duration=3.0, monitor_interval=0.2, decision_filter=None,
                 observation_noise=0.0, mbps=24.0):
     controller = LearnedController(policy, observation_config=ObservationConfig(),
@@ -100,6 +104,21 @@ class TestLearnedController:
         assert controller.decisions == []
         assert controller.fallback_fraction == 0.0
         assert controller.mean_qc == 1.0
+
+    @pytest.mark.parametrize("clone", ("deepcopy", "pickle"))
+    def test_a_copied_controller_ticks_its_own_inner_controller(self, clone):
+        import copy
+        import pickle
+
+        controller, _ = run_learned(_picklable_policy, duration=1.05)
+        twin = copy.deepcopy(controller) if clone == "deepcopy" else pickle.loads(pickle.dumps(controller))
+        feedback = controller._interval[-1]
+        before = (controller.inner.cwnd, len(controller._interval), len(controller.decisions))
+        for step in range(1, 41):
+            twin.on_tick(feedback._replace(now=feedback.now + 0.01 * step))
+        assert (controller.inner.cwnd, len(controller._interval), len(controller.decisions)) == before
+        assert len(twin.decisions) > len(controller.decisions)
+        assert twin.cwnd == twin.inner.cwnd != before[0]
 
     def test_cwnd_property_delegates_to_inner(self):
         inner = CubicController(initial_cwnd=17.0)
