@@ -128,6 +128,8 @@ def _unit_for(metric: str) -> str:
         return METRIC_UNITS[metric]
     if metric.endswith("_s"):
         return "s"
+    if metric.endswith("_us"):
+        return "us"
     if metric.endswith("_per_sec"):
         return "1/s"
     return ""

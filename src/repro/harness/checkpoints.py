@@ -122,11 +122,13 @@ def publish_model(model, directory: str | Path, name: str = "model") -> Path:
 
     The checkpoint is written to a sibling tmp directory and renamed into
     place, so readers never observe a half-written checkpoint — the rename
-    either succeeds whole or not at all.  When ``directory`` already exists
-    (another process published the same content address concurrently, the
-    model-zoo case) the tmp copy is discarded and the existing checkpoint
-    kept: content addressing makes the two equivalent, so losing the race
-    costs nothing.
+    either succeeds whole or not at all.  When the rename fails and
+    ``directory/{name}.json`` now exists (another process published the
+    same content address concurrently, the model-zoo case) the tmp copy is
+    discarded and the existing checkpoint kept: content addressing makes
+    the two equivalent, so losing the race costs nothing.  Any other failed
+    rename (a cross-device move, a permission error) removes the tmp copy
+    and raises.
     """
     directory = Path(directory)
     if (directory / f"{name}.json").exists():
@@ -137,9 +139,10 @@ def publish_model(model, directory: str | Path, name: str = "model") -> Path:
     try:
         os.rename(tmp, directory)
     except OSError:
-        # Lost the publish race (rename onto an existing directory fails):
-        # keep the winner's copy, drop ours.
         shutil.rmtree(tmp, ignore_errors=True)
+        if not (directory / f"{name}.json").exists():
+            raise
+        # Lost the publish race: the winner's copy stays.
     return directory
 
 

@@ -223,9 +223,12 @@ def certificates_for_decisions(
     (one :meth:`Verifier.certify` call over all properties and decisions).
 
     Row ``i`` of each batch certifies decision ``i``.  The previous enforced
-    window for decision ``i`` is decision ``i-1``'s enforced window (the
-    controller's initial window for the first decision), matching the Δcwnd
-    definition of Table 3.
+    window for decision ``i > 0`` is decision ``i-1``'s enforced window,
+    matching the Δcwnd definition of Table 3.  Decision 0 gets its own
+    ``cwnd_before``, which is its TCP window, not the controller's initial
+    window that the runtime monitor and training use for it (so the two
+    certify decision 0 differently; mending that moves certified rows and
+    waits for a reference rebase).
     """
     states = np.array([decision.state for decision in decisions], dtype=np.float64)
     states = states.reshape(len(decisions), verifier.observer.state_dim)

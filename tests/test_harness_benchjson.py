@@ -48,10 +48,11 @@ class TestCanonicalRows:
         assert metrics == {"runtime_s", "speedup"}
 
     def test_unit_inference_for_unknown_metrics(self):
-        extras = {"warmup_s": 1.0, "acks_per_sec": 9.0, "qcsat": 0.5}
+        extras = {"warmup_s": 1.0, "acks_per_sec": 9.0, "qcsat": 0.5, "ibp_block_us": 350.0}
         rows = canonical_rows(payload(extra_info=extras), commit="abc")
         units = {row["metric"]: row["unit"] for row in rows}
         assert units["warmup_s"] == "s"
+        assert units["ibp_block_us"] == "us"
         assert units["acks_per_sec"] == "1/s"
         assert units["qcsat"] == ""
 
