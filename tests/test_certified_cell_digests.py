@@ -1,7 +1,7 @@
 """SHA-256 pins of whole certified cells: the learned controller's decisions
 and every certificate array the post-run certify returns, as IEEE bytes.
 
-Each cell runs the session's quick Canopy model over a synthetic trace with
+Each cell runs the shared quick Canopy model fixture over a synthetic trace with
 a runtime QC monitor installed, then certifies all its decisions at N=50 for
 one property family (shallow, deep, robustness).  The 10 s run makes 50
 decisions, so the verifier's 10-decision blocks fall on property edges; the
