@@ -33,6 +33,34 @@ def make_trainer(kind="shallow", **overrides):
 ROBUST_150_STEP_DIGEST = "36b7b92d6bcd5ed6a4d4afefcb1e7d83906c14323f749417cbf1e0f14813b800"
 
 
+#: SHA-256 of :func:`training_state_digest` after a 150-step run (seed 2)
+#: of each preset: every parameter and Adam moment the TD3 updates and the
+#: regularization step write.
+TRAINING_150_STEP_DIGESTS = {
+    "deep": "0039b98a3c36ac5b78d4c8efdad08a8d1e94bcb775ffc08404f15db4d4195b2c",
+    "orca": "ddffff0ac794e4e2583f231191b3058baf786ac188b6de5731766744791e6ac7",
+    "shallow": "f6eb5b81daf84ba0f46b80d72ae51e99d24229fc3aa4200f31ba8bb8967bd1f9",
+}
+
+
+def training_state_digest(trainer: CanopyTrainer) -> str:
+    """SHA-256 over the flat parameters of the actor, the critic pair and
+    both target networks, and over every Adam's ``_m``, ``_v`` and ``_t``
+    (critic, actor and regularization optimizers)."""
+    agent = trainer.agent
+    digest = hashlib.sha256()
+    for network in (agent.actor, agent.critics, agent.target_actor, agent.target_critics):
+        digest.update(network.flat_params.tobytes())
+    for optimizer in (agent.critic_optimizer, agent.actor_optimizer, trainer._reg_optimizer):
+        if optimizer is None:
+            digest.update(b"no optimizer")
+            continue
+        for moment in (*optimizer._m, *optimizer._v):
+            digest.update(moment.tobytes())
+        digest.update(str(optimizer._t).encode())
+    return digest.hexdigest()
+
+
 def actor_digest(actor) -> str:
     digest = hashlib.sha256()
     for array in actor.get_weights():
@@ -142,6 +170,12 @@ class TestTraining:
     def test_robust_training_actor_digest_is_pinned(self):
         result = make_trainer("robust", total_steps=150, log_every=75).train()
         assert actor_digest(result.agent.actor) == ROBUST_150_STEP_DIGEST
+
+    @pytest.mark.parametrize("kind", sorted(TRAINING_150_STEP_DIGESTS))
+    def test_training_state_digest_is_pinned(self, kind):
+        trainer = make_trainer(kind, total_steps=150, log_every=75)
+        trainer.train()
+        assert training_state_digest(trainer) == TRAINING_150_STEP_DIGESTS[kind]
 
     def test_regularization_samples_the_region_the_verifier_certifies(self, monkeypatch):
         """P5's regularization samples the verifier's box ``(c - d, c + d)``,

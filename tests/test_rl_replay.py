@@ -1,5 +1,7 @@
 """Tests for the replay buffer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,3 +84,37 @@ def test_size_never_exceeds_capacity(n_items, capacity):
     buffer = ReplayBuffer(capacity, 2, 1, seed=0)
     _fill(buffer, n_items, state_dim=2)
     assert len(buffer) == min(n_items, capacity)
+
+
+#: SHA-256 of :func:`_sample_digest` per ``(capacity, adds)``: a small
+#: buffer that wraps, and one that grows past its first rows before it wraps.
+SAMPLE_SHA256 = {
+    (37, 100): "0b72c1a0b9339ef5c31a559ab1c7402ff49b8f19aa8596fdbe447623434c69e2",
+    (2500, 3100): "e34b306156b8101c2ac6cd5bc33cfaf61866ddf5f5978dfe5a7964bf1df9a54b",
+}
+
+
+def _sample_digest(capacity: int, adds: int) -> str:
+    """SHA-256 of a batch sampled every 97 adds and of 50 batches sampled
+    after ``adds`` seeded transitions into a seeded buffer."""
+    buffer = ReplayBuffer(capacity, 3, 1, seed=4)
+    rng = np.random.default_rng(9)
+    digest = hashlib.sha256()
+
+    def sample() -> None:
+        for array in buffer.sample(16).values():
+            digest.update(array.tobytes())
+
+    for step in range(adds):
+        buffer.add(rng.normal(size=3), rng.uniform(-1, 1, 1), float(rng.normal()), rng.normal(size=3),
+                   bool(rng.random() < 0.1))
+        if step % 97 == 96:
+            sample()
+    for _ in range(50):
+        sample()
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("capacity, adds", sorted(SAMPLE_SHA256))
+def test_sampled_batches_are_pinned(capacity, adds):
+    assert _sample_digest(capacity, adds) == SAMPLE_SHA256[capacity, adds]

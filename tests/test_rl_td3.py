@@ -166,12 +166,15 @@ def test_rollout_helper_reports_rewards():
 
 #: The digest of :func:`_trajectory_digest` for the two-critic TD3 update.
 TRAJECTORY_SHA256 = "6846ab7340d7c4ba0622798d73fd9b3b110e6fec274d48c3f6c8cbb5d1e6e3f3"
+#: The same digest with a batch of 48: dividing by a batch size that is not
+#: a power of two rounds, so a reordered loss-gradient scaling shows here.
+BATCH_48_TRAJECTORY_SHA256 = "e37076e7eca3df80939b891e4731ce2084aa5590eb5a7c4a4b6dd93f0ce036d3"
 
 
-def _trajectory_digest() -> str:
+def _trajectory_digest(batch_size: int = 64) -> str:
     """SHA-256 over a seeded 300-update run: the final weights, the target
     networks and every update's metrics."""
-    agent = TD3Agent(TD3Config(state_dim=21, hidden_sizes=(64, 32), seed=11))
+    agent = TD3Agent(TD3Config(state_dim=21, hidden_sizes=(64, 32), batch_size=batch_size, seed=11))
     rng = np.random.default_rng(5)
     digest = hashlib.sha256()
     for step in range(500):
@@ -195,6 +198,10 @@ def _trajectory_digest() -> str:
 def test_update_trajectory_is_pinned():
     # Any change to the TD3 arithmetic (losses, Adam, Polyak, RNG order) moves this digest.
     assert _trajectory_digest() == TRAJECTORY_SHA256
+
+
+def test_update_trajectory_with_a_batch_of_48_is_pinned():
+    assert _trajectory_digest(batch_size=48) == BATCH_48_TRAJECTORY_SHA256
 
 
 def assert_critics_are_rows_of_their_pair(agent: TD3Agent) -> None:
