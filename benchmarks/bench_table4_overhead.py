@@ -27,6 +27,12 @@ decisions on a 2-vCPU host).
 ``regularization_seconds`` is the time of the trainer's verifier-guided
 regularization step (:class:`repro.core.trainer.TrainerConfig`), the other
 in-loop cost a Canopy row pays and the Orca row does not.
+
+The bench JSON's ``extra_info`` carries the training rates as scalars,
+``orca_steps_per_second`` and ``canopy_n5_steps_per_second``, and
+``td3_update_us``: the median over :data:`UPDATE_LOOPS` loops of
+:data:`UPDATE_STEPS` updates of a seeded, warmed-up TD3 agent, in µs per
+update (:func:`td3_update_us`).
 """
 
 import contextlib
@@ -42,12 +48,17 @@ from repro.core.config import CanopyConfig
 from repro.core.trainer import CanopyTrainer, TrainerConfig
 from repro.core.verifier import Verifier
 from repro.harness.reporting import print_experiment
+from repro.rl.td3 import TD3Agent, TD3Config
 
 #: Training runs per Canopy configuration; its row holds their medians.
 REPEATS = 3
 
 #: Timed replays of a run's stacked decisions; the fastest one counts.
 STACK_REPEATS = 5
+
+#: Timed loops of :data:`UPDATE_STEPS` TD3 updates; their median counts.
+UPDATE_LOOPS = 5
+UPDATE_STEPS = 200
 
 
 @contextlib.contextmanager
@@ -82,6 +93,27 @@ def stacked_certify_ms(calls: Sequence[tuple]) -> float:
         verifier.certify(prop, states, cwnd_tcp, cwnd_prev)
         timings.append(time.perf_counter() - start)
     return min(timings) * 1e3
+
+
+def td3_update_us(seed: int) -> float:
+    """Median µs per ``TD3Agent.update`` of the trainer's agent shape (state
+    21, hidden 64/32, batch 64) over :data:`UPDATE_LOOPS` loops of
+    :data:`UPDATE_STEPS` updates, after :data:`UPDATE_STEPS` warm-up updates
+    on 500 seeded transitions."""
+    agent = TD3Agent(TD3Config(state_dim=21, hidden_sizes=(64, 32), seed=seed))
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        agent.observe(rng.uniform(0.0, 1.0, 21), rng.uniform(-1.0, 1.0, 1), float(rng.normal()),
+                      rng.uniform(0.0, 1.0, 21), bool(rng.random() < 0.05))
+    for _ in range(UPDATE_STEPS):
+        agent.update()
+    loops = []
+    for _ in range(UPDATE_LOOPS):
+        start = time.perf_counter()
+        for _ in range(UPDATE_STEPS):
+            agent.update()
+        loops.append((time.perf_counter() - start) / UPDATE_STEPS * 1e6)
+    return statistics.median(loops)
 
 
 def verification_overhead(n_values: Sequence[int], training_steps: int, seed: int) -> Dict:
@@ -137,6 +169,9 @@ def test_table4_verification_overhead(benchmark):
     n5 = rows["canopy-N5"]["steps_per_second"]
     n10 = rows["canopy-N10"]["steps_per_second"]
     print(f"steps/s  orca: {orca_rate:.1f}  N1: {n1:.1f}  N5: {n5:.1f}  N10: {n10:.1f}")
+    benchmark.extra_info["orca_steps_per_second"] = orca_rate
+    benchmark.extra_info["canopy_n5_steps_per_second"] = n5
+    benchmark.extra_info["td3_update_us"] = td3_update_us(SEED)
     # Verification work grows with N (the headline claim of Table 4).
     assert rows["canopy-N1"]["stacked_certify_ms"] <= rows["canopy-N5"]["stacked_certify_ms"]
     assert rows["canopy-N5"]["stacked_certify_ms"] <= rows["canopy-N10"]["stacked_certify_ms"]

@@ -75,9 +75,16 @@ class Box:
     def _trusted(cls, center: np.ndarray, deviation: np.ndarray) -> "Box":
         """Internal constructor for float64 ``center``/``deviation`` arrays of
         one shape: keeps the deviation clamp, skips validation and copies."""
+        return cls._clamped(center, np.maximum(deviation, 0.0))
+
+    @classmethod
+    def _clamped(cls, center: np.ndarray, deviation: np.ndarray) -> "Box":
+        """:meth:`_trusted` for a ``deviation`` already clamped at zero, so
+        every entry is ``+0.0`` or above (no ``-0.0``, no NaN), on which the
+        clamp would only copy: keeps both arrays as they are."""
         box = object.__new__(cls)
         object.__setattr__(box, "center", center)
-        object.__setattr__(box, "deviation", np.maximum(deviation, 0.0))
+        object.__setattr__(box, "deviation", deviation)
         return box
 
     @classmethod

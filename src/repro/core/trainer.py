@@ -207,7 +207,7 @@ class CanopyTrainer:
             if not violating.any():
                 continue
             accumulated = True
-            actor.backward(prop.weight * grad / (n_samples * len(properties)))
+            actor.backward(prop.weight * grad / (n_samples * len(properties)), input_grad=False)
         if accumulated:
             self._reg_optimizer.step()
         actor.zero_grad()

@@ -614,14 +614,18 @@ class Verifier:
         (a lone block's result is returned as it is).  Blocks never cross
         a run of :meth:`_ComponentStack.segments`; a run whose rows share
         their deviation has its first-layer deviation product computed
-        once, here, and read by each of its blocks."""
+        once, here, and read by each of its blocks.  A block's Box is built
+        without the deviation clamp (:meth:`Box._clamped`): every deviation
+        entry :meth:`_ComponentStack.fill` writes is already ``+0.0`` or
+        above, the plan's columns clamped in :func:`_columns`, the noise
+        columns in :meth:`_stack` and the kept dimensions ``+0.0``."""
         n_rows = stack.rows.shape[0]
         action_center = action_deviation = None
         for first, last, shared in stack.segments():
             if shared is not None:
                 shared = first_layer_deviation(self.actor, shared)
             for start, stop, center, deviation in stack.blocks(first, last):
-                action = propagate_mlp_batched(self.actor, Box._trusted(center, deviation), self._buffers.ibp,
+                action = propagate_mlp_batched(self.actor, Box._clamped(center, deviation), self._buffers.ibp,
                                                shared)
                 if stop - start == n_rows:
                     return action.center, action.deviation

@@ -120,6 +120,9 @@ METRIC_UNITS = {
     "cells_per_sec": "1/s",
     "n_jobs": "count",
     "speedup": "x",
+    "orca_steps_per_second": "1/s",
+    "canopy_n5_steps_per_second": "1/s",
+    "td3_update_us": "us",
 }
 
 

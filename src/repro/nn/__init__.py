@@ -6,7 +6,7 @@ needs:
 
 * fully-connected (Dense) layers with ReLU / Tanh activations,
 * a :class:`~repro.nn.mlp.MLP` container used for the TD3 actor and critics,
-* the Adam optimizer and mean-squared-error loss,
+* the Adam optimizer,
 * reverse-mode gradients implemented layer-by-layer (no autograd framework),
 * per-layer access to weights so the IBP verifier in
   :mod:`repro.abstract.propagate` can lift each layer to the box domain.
@@ -15,7 +15,6 @@ needs:
 from repro.nn.layers import Dense, Identity, ReLU, Sequential, Tanh
 from repro.nn.mlp import MLP, make_actor, make_critic
 from repro.nn.optim import Adam
-from repro.nn.losses import mse_loss
 from repro.nn.serialization import load_mlp, save_mlp
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "make_actor",
     "make_critic",
     "Adam",
-    "mse_loss",
     "save_mlp",
     "load_mlp",
 ]

@@ -6,6 +6,12 @@ Each layer exposes:
   caching whatever is needed for the backward pass.
 * ``backward(grad_output)`` — propagates gradients back to the input and
   accumulates parameter gradients in ``layer.grads``.
+  :class:`Dense` and :class:`Sequential` take two keyword flags, both
+  ``True`` by default: ``param_grads=False`` accumulates no parameter
+  gradient (the gradient buffers are left untouched), and
+  ``input_grad=False`` skips the first layer's input gradient and returns
+  ``None``.  Whatever a flag keeps is computed by the same operations, so
+  its bits are those of the full backward.
 * ``parameters()`` / ``grads()`` — flat lists used by the optimizers in
   :mod:`repro.nn.optim`.
 
@@ -108,13 +114,15 @@ class Dense(Layer):
         self._cached_input = x
         return x @ self.weight.mT + self.bias[..., None, :]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, *, param_grads: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
         if self._cached_input is None:
             raise RuntimeError("backward() called before forward()")
         grad_output = _rows(grad_output)
-        self.grad_weight += grad_output.mT @ self._cached_input
-        self.grad_bias += grad_output.sum(axis=-2)
-        return grad_output @ self.weight
+        if param_grads:
+            self.grad_weight += grad_output.mT @ self._cached_input
+            self.grad_bias += grad_output.sum(axis=-2)
+        return grad_output @ self.weight if input_grad else None
 
     def parameters(self) -> List[np.ndarray]:
         return [self.weight, self.bias]
@@ -183,11 +191,20 @@ class Sequential(Layer):
             out = layer.forward(out)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, *, param_grads: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate ``grad_output`` through every layer.  The flags
+        (see the module docstring) reach every :class:`Dense` or nested
+        :class:`Sequential`, ``input_grad`` only the first layer."""
         grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        layers = self.layers
+        for index in range(len(layers) - 1, -1, -1):
+            layer = layers[index]
+            if isinstance(layer, (Dense, Sequential)):
+                grad = layer.backward(grad, param_grads=param_grads, input_grad=input_grad or index > 0)
+            else:
+                grad = layer.backward(grad)
+        return grad if input_grad else None
 
     def parameters(self) -> List[np.ndarray]:
         params: List[np.ndarray] = []

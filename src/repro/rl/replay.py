@@ -9,6 +9,10 @@ import numpy as np
 
 __all__ = ["Transition", "ReplayBuffer"]
 
+#: Rows a buffer allocates at first; it doubles them, up to its capacity,
+#: when they fill.
+INITIAL_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -24,8 +28,12 @@ class Transition:
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform sampling.
 
-    Storage is pre-allocated as dense numpy arrays keyed by field, which keeps
-    sampling cheap even for large buffers.
+    Storage is dense numpy arrays keyed by field, which keeps sampling cheap
+    even for large buffers.  They start at ``min(capacity, INITIAL_ROWS)``
+    rows and double, the stored rows copied over, whenever an add finds them
+    full, up to ``capacity`` rows; from then on the oldest entry is
+    overwritten.  Sampling reads only the first ``len(self)`` rows, so the
+    draws and batches do not depend on how many rows are allocated.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int, seed: int | None = None) -> None:
@@ -36,14 +44,25 @@ class ReplayBuffer:
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self._states = np.zeros((capacity, state_dim), dtype=np.float64)
-        self._actions = np.zeros((capacity, action_dim), dtype=np.float64)
-        self._rewards = np.zeros(capacity, dtype=np.float64)
-        self._next_states = np.zeros((capacity, state_dim), dtype=np.float64)
-        self._dones = np.zeros(capacity, dtype=np.float64)
+        rows = min(capacity, INITIAL_ROWS)
+        self._states = np.zeros((rows, state_dim), dtype=np.float64)
+        self._actions = np.zeros((rows, action_dim), dtype=np.float64)
+        self._rewards = np.zeros(rows, dtype=np.float64)
+        self._next_states = np.zeros((rows, state_dim), dtype=np.float64)
+        self._dones = np.zeros(rows, dtype=np.float64)
         self._size = 0
         self._cursor = 0
         self._rng = np.random.default_rng(seed)
+
+    def _grow(self) -> None:
+        """Double the rows of every field, up to ``capacity``, keeping the
+        stored rows."""
+        rows = min(2 * len(self._rewards), self.capacity)
+        for name in ("_states", "_actions", "_rewards", "_next_states", "_dones"):
+            old = getattr(self, name)
+            new = np.zeros((rows,) + old.shape[1:], dtype=np.float64)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def __len__(self) -> int:
         return self._size
@@ -58,6 +77,8 @@ class ReplayBuffer:
         action = np.asarray(action, dtype=np.float64).reshape(self.action_dim)
         next_state = np.asarray(next_state, dtype=np.float64).reshape(self.state_dim)
         idx = self._cursor
+        if idx == len(self._rewards) < self.capacity:
+            self._grow()
         self._states[idx] = state
         self._actions[idx] = action
         self._rewards[idx] = float(reward)

@@ -28,6 +28,25 @@ they replace.  ``critic1``/``critic2`` (and ``target_critic1``/
 ``{"actor", "critic1", "critic2"}`` layout.  Critic 1 is initialised before
 critic 2 from the agent's generator, so seeds give the networks they always
 gave.
+
+Gradients
+---------
+
+Each backward pass computes only the gradients something reads.  The critic
+update backpropagates the pair's loss gradient ``2·(q − y)/n`` for the
+parameter gradients its Adam step reads, and skips the first layer's input
+gradient, which nothing reads.  The actor update backpropagates ``−1/n``
+through a frozen critic 1 for its input gradient only (``param_grads=False``;
+the parameter gradients it used to accumulate were zeroed before anything
+read them, and critic 1's gradients are still zeroed once, so they read 0
+afterwards as before), then through the actor for its parameter gradients,
+again without the unread input gradient of its first layer.  A skipped
+gradient was never an operand of a kept one, so every kept gradient, every
+Adam step and every weight has the bits of the full passes.  The returned
+losses and ``target_q_mean`` are ``sum / size``, which is ``np.mean``'s own
+arithmetic.  Target-policy smoothing clips with ``np.minimum(np.maximum(x,
+-c), c)``, which gives ``np.clip``'s values, NaN included, for a bound
+``c > 0``; with a zero bound the two may return zeros of opposite signs.
 """
 
 from __future__ import annotations
@@ -37,7 +56,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.nn.losses import mse_loss
 from repro.nn.mlp import MLPStack, make_actor, make_critic
 from repro.nn.optim import Adam
 from repro.rl.noise import GaussianNoise
@@ -179,14 +197,11 @@ class TD3Agent:
         cfg = self.config
         next_states = batch["next_states"]
 
-        # Target-policy smoothing.
+        # Target-policy smoothing, clipped as np.clip would (see the module docstring).
         next_actions = self.target_actor.forward(next_states)
-        noise = np.clip(
-            self._rng.normal(0.0, cfg.target_noise_sigma, size=next_actions.shape),
-            -cfg.target_noise_clip,
-            cfg.target_noise_clip,
-        )
-        next_actions = np.clip(next_actions + noise, -cfg.max_action, cfg.max_action)
+        noise = self._rng.normal(0.0, cfg.target_noise_sigma, size=next_actions.shape)
+        noise = np.minimum(np.maximum(noise, -cfg.target_noise_clip), cfg.target_noise_clip)
+        next_actions = np.minimum(np.maximum(next_actions + noise, -cfg.max_action), cfg.max_action)
 
         target_inputs = np.concatenate([next_states, next_actions], axis=1)
         target_q1, target_q2 = self.target_critics.forward(target_inputs)
@@ -197,13 +212,18 @@ class TD3Agent:
         inputs = np.concatenate([batch["states"], batch["actions"]], axis=1)
 
         self.critics.zero_grad()
-        q1, q2 = self.critics.forward(inputs)
-        loss1, grad1 = mse_loss(q1, targets)
-        loss2, grad2 = mse_loss(q2, targets)
-        self.critics.backward(np.stack([grad1, grad2]))
+        # Each critic's mean-squared error against the shared targets, and
+        # its gradient 2·(q − y)/n for the (2, batch, 1) pair at once.
+        diff = self.critics.forward(inputs) - targets
+        squares = diff * diff
+        n = targets.size
+        diff *= 2.0
+        diff /= n
+        self.critics.backward(diff, input_grad=False)
         self.critic_optimizer.step()
 
-        return {"critic1_loss": loss1, "critic2_loss": loss2, "target_q_mean": float(targets.mean())}
+        return {"critic1_loss": float(squares[0].sum() / n), "critic2_loss": float(squares[1].sum() / n),
+                "target_q_mean": float(targets.sum() / n)}
 
     def _update_actor(self, batch: Dict[str, np.ndarray]) -> Dict[str, float]:
         states = batch["states"]
@@ -213,20 +233,17 @@ class TD3Agent:
         actions = self.actor.forward(states)
         inputs = np.concatenate([states, actions], axis=1)
 
-        # Deterministic policy gradient: maximize Q1(s, π(s)); the critic is a
-        # fixed differentiable function here, so we zero its parameter grads
-        # after extracting the input gradient.
+        # Deterministic policy gradient: maximize Q1(s, π(s)) through a
+        # frozen critic 1, which gives its input gradient only.
         self.critic1.zero_grad()
         q_values = self.critic1.forward(inputs)
-        grad_q = -np.ones_like(q_values) / batch_size
-        grad_inputs = self.critic1.backward(grad_q)
-        self.critic1.zero_grad()
+        grad_inputs = self.critic1.backward(np.full_like(q_values, -1.0 / batch_size), param_grads=False)
 
         grad_actions = grad_inputs[:, self.config.state_dim:]
-        self.actor.backward(grad_actions)
+        self.actor.backward(grad_actions, input_grad=False)
         self.actor_optimizer.step()
 
-        return {"actor_loss": float(-q_values.mean())}
+        return {"actor_loss": -float(q_values.sum() / q_values.size)}
 
     def _update_targets(self) -> None:
         tau = self.config.tau

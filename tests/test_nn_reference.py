@@ -107,6 +107,44 @@ def test_stacked_critics_match_plain_numpy():
         assert_bytes(stack.backward(grad), reference_backward(stack.layers, trace, grad)[0])
 
 
+BACKWARD_NETWORKS = {
+    "actor": (lambda rng: make_actor(7, hidden_sizes=(16, 8), rng=rng), (5, 1)),
+    "critic": (lambda rng: make_critic(6, 1, hidden_sizes=(12, 6), rng=rng), (5, 1)),
+    "critic_pair": (lambda rng: MLPStack([make_critic(6, 1, hidden_sizes=(12, 6), rng=rng) for _ in range(2)]),
+                    (2, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_NETWORKS))
+@pytest.mark.parametrize("special", (False, True))
+def test_backward_flags_keep_the_full_backward_bytes(name, special):
+    """``param_grads=False`` returns the full backward's input gradient and
+    leaves ``flat_grads`` as it was; ``input_grad=False`` returns ``None``
+    and accumulates the full backward's parameter gradients."""
+    rng = np.random.default_rng(17)
+    build, grad_shape = BACKWARD_NETWORKS[name]
+    network = build(rng)
+    x = inputs(rng, (5, network.layers[0].in_features), special)
+    grad = inputs(rng, grad_shape, special)
+    before = inputs(rng, network.flat_grads.shape, special)
+    with np.errstate(all="ignore"):
+        network.forward(x)
+        network.flat_grads[...] = before
+        expected_input_grad = network.backward(grad)
+        expected_grads = network.flat_grads.copy()
+
+        network.flat_grads[...] = before
+        assert_bytes(network.backward(grad, param_grads=False), expected_input_grad)
+        assert_bytes(network.flat_grads, before)
+
+        network.flat_grads[...] = before
+        assert network.backward(grad, input_grad=False) is None
+        assert_bytes(network.flat_grads, expected_grads)
+
+        assert network.backward(grad, param_grads=False, input_grad=False) is None
+        assert_bytes(network.flat_grads, expected_grads)
+
+
 @pytest.mark.parametrize("values", ([0.0, -0.0, 2.0, -3.0], [5e-324, -5e-324, np.nan, -np.inf],
                                     [np.inf, -1e-310, 1e-310, 0.0]))
 def test_relu_backward_masks_exactly_the_positive_inputs(values):

@@ -113,6 +113,48 @@ class TestUpdates:
         after = agent.target_actor.get_weights()[0]
         assert not np.allclose(before, after)
 
+    def test_critic_losses_and_gradient_match_a_plain_mean_squared_error(self, monkeypatch):
+        """The critic pair's diagnostics are ``np.mean`` of the squared error
+        and of the targets, and the gradient it backpropagates is
+        ``2·(q − y)/n`` per critic, as IEEE bytes (a batch of 24 makes the
+        division round)."""
+        agent = make_agent(batch_size=24, warmup_steps=24, policy_delay=1)
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            agent.observe(rng.normal(size=4), rng.uniform(-1, 1, 1), rng.normal(), rng.normal(size=4),
+                          bool(rng.random() < 0.2))
+        twin = copy.deepcopy(agent)
+        cfg = twin.config
+        batch = twin.replay.sample(cfg.batch_size)
+        next_actions = twin.target_actor.forward(batch["next_states"])
+        noise = np.clip(twin._rng.normal(0.0, cfg.target_noise_sigma, size=next_actions.shape),
+                        -cfg.target_noise_clip, cfg.target_noise_clip)
+        next_actions = np.clip(next_actions + noise, -cfg.max_action, cfg.max_action)
+        target_q = twin.target_critics.forward(np.concatenate([batch["next_states"], next_actions], axis=1))
+        targets = (batch["rewards"] + cfg.gamma * (1.0 - batch["dones"]) * np.minimum(*target_q).reshape(-1))
+        targets = targets.reshape(-1, 1)
+        q_pair = twin.critics.forward(np.concatenate([batch["states"], batch["actions"]], axis=1))
+
+        grads = []
+        backward = agent.critics.backward
+        monkeypatch.setattr(agent.critics, "backward",
+                            lambda grad, **flags: grads.append(grad.copy()) or backward(grad, **flags))
+        metrics = agent.update()
+        assert metrics["critic1_loss"] == float(np.mean((q_pair[0] - targets) ** 2))
+        assert metrics["critic2_loss"] == float(np.mean((q_pair[1] - targets) ** 2))
+        assert metrics["target_q_mean"] == float(np.mean(targets))
+        expected = np.stack([2.0 * (q - targets) / targets.size for q in q_pair])
+        assert grads[0].tobytes() == expected.tobytes()
+
+    def test_actor_update_leaves_critic_1_gradients_zero(self):
+        agent = make_agent(policy_delay=1)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            agent.observe(rng.normal(size=4), rng.uniform(-1, 1, 1), rng.normal(), rng.normal(size=4), False)
+        agent.update()
+        assert not agent.critic1.flat_grads.any()
+        assert agent.critic2.flat_grads.any()  # the critic update's gradients, which nothing reads again
+
     def test_weights_round_trip(self):
         agent = make_agent()
         other = make_agent(seed=99)
