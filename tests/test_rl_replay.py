@@ -147,9 +147,10 @@ class TestGrowth:
         buffer = ReplayBuffer(capacity, 3, 1)
         expected_rows = INITIAL_ROWS
         for count in range(1, capacity + 2):
-            before = _stored(buffer)
+            grows = count - 1 == expected_rows < capacity
+            before = _stored(buffer) if grows else None
             _fill_one(buffer, count - 1)
-            if count - 1 == expected_rows and expected_rows < capacity:
+            if grows:
                 expected_rows = min(2 * expected_rows, capacity)
                 # The rows stored before growing are copied over unchanged.
                 for old, new in zip(before, _stored(buffer)):
