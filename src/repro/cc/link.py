@@ -89,13 +89,6 @@ class BottleneckLink:
         """Instantaneous drain capacity in packets/second."""
         return self.trace.capacity_pps(now)
 
-    def expected_queuing_delay(self, now: float) -> float:
-        """Occupancy divided by current capacity (seconds); 0 when capacity is 0."""
-        capacity = self.capacity_pps(now)
-        if capacity <= 0:
-            return 0.0 if self._occupancy == 0 else float("inf")
-        return self._occupancy / capacity
-
     def reset(self) -> None:
         self._queue.clear()
         self._occupancy = 0.0

@@ -38,7 +38,6 @@ from repro.core.reward import CanopyRewardShaper, ShapedReward
 from repro.core.trainer import CanopyTrainer, TrainerConfig, TrainingResult
 from repro.core.monitor import QCRuntimeMonitor
 from repro.core.config import CanopyConfig
-from repro.core.analysis import SatisfactionGrid, compare_controllers, property_report, satisfaction_grid
 
 __all__ = [
     "ActionKind",
@@ -64,8 +63,4 @@ __all__ = [
     "TrainingResult",
     "QCRuntimeMonitor",
     "CanopyConfig",
-    "SatisfactionGrid",
-    "satisfaction_grid",
-    "property_report",
-    "compare_controllers",
 ]

@@ -103,26 +103,6 @@ class QCRuntimeMonitor:
             return 0.0
         return float(np.mean([0.0 if record.allowed_learned else 1.0 for record in self.records]))
 
-    @property
-    def n_fallback_episodes(self) -> int:
-        """Number of contiguous vetoed-decision runs (fallback storms)."""
-        episodes = 0
-        previous_allowed = True
-        for record in self.records:
-            if not record.allowed_learned and previous_allowed:
-                episodes += 1
-            previous_allowed = record.allowed_learned
-        return episodes
-
-    @property
-    def longest_fallback_run(self) -> int:
-        """Length (in decisions) of the longest contiguous vetoed run."""
-        longest = run = 0
-        for record in self.records:
-            run = run + 1 if not record.allowed_learned else 0
-            longest = max(longest, run)
-        return longest
-
     def reset(self) -> None:
         self.records = []
         self._in_fallback = False

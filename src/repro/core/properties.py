@@ -19,9 +19,9 @@ Default numeric parameters follow Section 6.1: ``q_min_delay = 0.01``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,23 +220,6 @@ class PropertySpec:
             return -ACTION_BOUND, 0.0
         return -float(self.epsilon), float(self.epsilon)
 
-    def checked_action_concrete(self, cwnd: float, cwnd_prev: float, cwnd_reference: float) -> float:
-        """The concrete checked action (Δcwnd or fractional change)."""
-        if self.kind is ActionKind.DELTA_CWND:
-            return cwnd - cwnd_prev
-        if cwnd_reference <= 0:
-            raise ValueError("cwnd_reference must be positive for robustness properties")
-        return (cwnd - cwnd_reference) / cwnd_reference
-
-    def satisfied_concretely(self, cwnd: float, cwnd_prev: float, cwnd_reference: float, tol: float = 1e-9) -> bool:
-        """Empirical (non-certified) check of the postcondition on concrete values."""
-        action = self.checked_action_concrete(cwnd, cwnd_prev, cwnd_reference)
-        lo, hi = self.allowed_bounds()
-        return bool(lo - tol <= action <= hi + tol)
-
-    def with_weight(self, weight: float) -> "PropertySpec":
-        return replace(self, weight=weight)
-
 
 # ---------------------------------------------------------------------- #
 # The five concrete properties of Table 2
@@ -340,20 +323,6 @@ class PropertySet:
 
     def __len__(self) -> int:
         return len(self.properties)
-
-    def by_name(self, name: str) -> PropertySpec:
-        for prop in self.properties:
-            if prop.name == name:
-                return prop
-        raise KeyError(f"no property named {name!r} in set {self.name!r}")
-
-    def weights(self) -> Dict[str, float]:
-        return {p.name: p.weight for p in self.properties}
-
-    def reweighted(self, weights: Dict[str, float]) -> "PropertySet":
-        """A copy with per-property weights replaced (the paper's remedy for P4)."""
-        updated = [p.with_weight(weights.get(p.name, p.weight)) for p in self.properties]
-        return PropertySet(self.name, updated)
 
 
 def shallow_buffer_properties(q_min_delay: float = 0.01, p_loss: float = 0.75) -> PropertySet:

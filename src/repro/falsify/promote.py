@@ -30,6 +30,8 @@ from typing import Dict, List, Optional
 
 from repro.falsify.objective import Objective, resolve_objective
 from repro.falsify.scenario import task_from_json, task_to_json
+from repro.harness import jsonl
+from repro.harness.jsonl import parse_jsonl_tolerant
 from repro.harness.parallel import ExperimentTask, ParallelRunner, run_task
 from repro.harness.registry import pretrain_models
 from repro.harness.store import RunRecord, RunStore, canonical_json, current_commit
@@ -55,26 +57,25 @@ def counterexample_id(key: str) -> str:
 
 
 def load_counterexamples(path: str | Path) -> List[Dict]:
-    """Every promoted counterexample entry, in promotion order (id-deduped)."""
+    """Every promoted counterexample entry, in promotion order (id-deduped).
+
+    A torn final line is skipped by the shared
+    :func:`~repro.harness.jsonl.parse_jsonl_tolerant` rule; an entry without
+    one of the fields a replay needs raises."""
     path = Path(path)
     entries_path = path / COUNTEREXAMPLES_FILENAME if path.is_dir() else path
     if not entries_path.exists():
         return []
+    parsed, _valid_bytes, _torn = parse_jsonl_tolerant(
+        entries_path.read_text(), source=str(entries_path),
+        label="counterexample entry")
     entries: List[Dict] = []
     seen = set()
-    for line_number, line in enumerate(entries_path.read_text().split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            entry = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{entries_path}:{line_number}: invalid counterexample "
-                             f"entry: {exc}") from exc
+    for number, entry in enumerate(parsed, start=1):
         for required in ("id", "key", "objective", "threshold", "task"):
-            if required not in entry:
-                raise ValueError(f"{entries_path}:{line_number}: counterexample "
-                                 f"entry is missing {required!r}")
+            if not isinstance(entry, dict) or required not in entry:
+                raise ValueError(f"{entries_path}: counterexample entry {number} "
+                                 f"is missing {required!r}")
         if entry["id"] not in seen:
             seen.add(entry["id"])
             entries.append(entry)
@@ -112,8 +113,8 @@ def promote_counterexample(path: str | Path, task: ExperimentTask, row: Dict, *,
                 for existing_entry in load_counterexamples(path)}
     if entry["id"] in existing:
         return existing[entry["id"]]
-    with (path / COUNTEREXAMPLES_FILENAME).open("a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    jsonl.append(path / COUNTEREXAMPLES_FILENAME, json.dumps(entry, sort_keys=True),
+                 fsync=True)
     store = RunStore(path)
     if key not in store:
         store.put(RunRecord.for_task(task, row, experiment=f"falsify:{experiment}",

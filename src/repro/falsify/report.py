@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.falsify.promote import load_counterexamples
 from repro.falsify.search import JOURNAL_FILENAME, SUMMARY_FILENAME
+from repro.harness.jsonl import parse_jsonl_tolerant
 
 __all__ = ["format_report", "read_campaign", "report_stats"]
 
@@ -26,31 +27,17 @@ def read_campaign(store_path: str | Path) -> Dict:
     if not journal_path.is_file():
         raise ValueError(f"{store_path}: not a falsify campaign store "
                          f"(no {JOURNAL_FILENAME})")
-    header: Dict = {}
-    candidates: List[Dict] = []
-    shrink_steps: List[Dict] = []
-    promotions: List[Dict] = []
-    for line_number, line in enumerate(journal_path.read_text().split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            entry = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{journal_path}:{line_number}: invalid journal "
-                             f"line: {exc}") from exc
-        phase = entry.get("phase")
-        if phase == "campaign":
-            header = entry
-        elif phase == "candidate":
-            candidates.append(entry)
-        elif phase == "shrink":
-            shrink_steps.append(entry)
-        elif phase == "promote":
-            promotions.append(entry)
-        else:
-            raise ValueError(f"{journal_path}:{line_number}: unknown journal "
+    lines, _valid_bytes, _torn = parse_jsonl_tolerant(
+        journal_path.read_text(), source=str(journal_path), label="journal line")
+    phases: Dict[str, List[Dict]] = {"campaign": [], "candidate": [],
+                                     "shrink": [], "promote": []}
+    for number, entry in enumerate(lines, start=1):
+        phase = entry.get("phase") if isinstance(entry, dict) else None
+        if phase not in phases:
+            raise ValueError(f"{journal_path}: journal entry {number} has unknown "
                              f"phase {phase!r}")
+        phases[phase].append(entry)
+    header = phases["campaign"][-1] if phases["campaign"] else {}
     summary: Dict = {}
     summary_path = store_path / SUMMARY_FILENAME
     if summary_path.is_file():
@@ -59,8 +46,9 @@ def read_campaign(store_path: str | Path) -> Dict:
                                           store_path / "counterexamples"))
     entries = load_counterexamples(counterexample_dir) \
         if counterexample_dir.exists() else []
-    return {"store": str(store_path), "header": header, "candidates": candidates,
-            "shrink_steps": shrink_steps, "promotions": promotions,
+    return {"store": str(store_path), "header": header,
+            "candidates": phases["candidate"], "shrink_steps": phases["shrink"],
+            "promotions": phases["promote"],
             "summary": summary, "counterexamples": entries,
             "counterexample_store": str(counterexample_dir)}
 

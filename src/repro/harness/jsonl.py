@@ -1,25 +1,34 @@
-"""Torn-tail-tolerant JSONL parsing, shared by every journal reader.
+"""Torn-tail-tolerant JSONL journals: one append path and one reader rule.
 
-Three on-disk artifacts share one failure mode: an append-only ``*.jsonl``
+Five on-disk artifacts share one failure mode: an append-only ``*.jsonl``
 file whose final line may be torn because the writing process was killed
-mid-append (SIGKILL, OOM, power loss).  The run store's ``records.jsonl``,
-the serve daemon's ``leases.jsonl``, and the observability plane's
-``metrics.jsonl`` all tolerate exactly that — a malformed *final* chunk with
-nothing but whitespace after it — while malformed content anywhere else is
-real corruption and raises.  This module is the one implementation of that
-rule (it used to be copied in three places).
+mid-append (SIGKILL, OOM, power loss).  They are the run store's
+``records.jsonl``, the serve daemon's ``leases.jsonl``, the observability
+plane's ``metrics.jsonl`` and ``compactions.jsonl``, and the falsify
+``counterexamples.jsonl``.
 
-:func:`parse_jsonl_tolerant` also does the byte accounting
-(``valid_bytes``) the run store needs to truncate a torn file back to its
-well-formed prefix before the next append.
+:func:`parse_jsonl_tolerant` is the reader rule: a malformed *final* chunk
+with nothing but whitespace after it is tolerated, while malformed content
+anywhere else is real corruption and raises.  It also does the byte
+accounting (``valid_bytes``) the run store needs to truncate a torn file
+back to its well-formed prefix.
+
+:func:`append` is the one writer.  Before it writes, it repairs the tail by
+the same rule, so the next line never lands on the torn bytes of the last.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["parse_jsonl_tolerant"]
+__all__ = ["append", "parse_jsonl_tolerant"]
+
+#: Bytes read per step while looking back for the last newline of a torn
+#: file.
+_TAIL_BLOCK = 65536
 
 
 def parse_jsonl_tolerant(
@@ -65,3 +74,46 @@ def parse_jsonl_tolerant(
             items.append(item)
         valid_bytes = min(consumed, len(text.encode("utf-8")))
     return items, valid_bytes, False
+
+
+def append(path: str | Path, line: str, *, fsync: bool) -> None:
+    """Append ``line`` (without its newline) to the JSONL file at ``path``.
+
+    The line is written, flushed, and fsynced when ``fsync`` is true.  When
+    the file does not end in a newline, its tail is repaired first: if the
+    bytes after the last newline parse as one JSON value they are a complete
+    line and get the missing newline; otherwise they are a torn append and
+    are cut away.  A file that ends in a newline costs one one-byte read.
+    """
+    with open(path, "a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                _repair_tail(handle, end)
+        handle.write(line.encode("utf-8") + b"\n")
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+
+
+def _repair_tail(handle, end: int) -> None:
+    """End the file open in ``handle`` (``end`` bytes long, no final
+    newline) on a newline: keep a tail that parses as JSON, cut one that
+    does not."""
+    start = end
+    while start > 0:
+        block_start = max(0, start - _TAIL_BLOCK)
+        handle.seek(block_start)
+        newline = handle.read(start - block_start).rfind(b"\n")
+        if newline >= 0:
+            start = block_start + newline + 1
+            break
+        start = block_start
+    handle.seek(start)
+    try:
+        json.loads(handle.read())
+    except ValueError:
+        handle.truncate(start)
+    else:
+        handle.write(b"\n")

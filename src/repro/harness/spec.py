@@ -42,7 +42,6 @@ from repro.core.properties import (
     robustness_properties,
     shallow_buffer_properties,
 )
-from repro.seeding import derive_seed
 from repro.topology.families import DEFAULT_TOPOLOGY, canonical_topology, parse_topology
 from repro.workload.spec import DEFAULT_WORKLOAD, canonical_workload
 from repro.traces.cellular import CELLULAR_TRACE_NAMES, cellular_trace_suite, make_cellular_trace
@@ -360,14 +359,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
     # Derived quantities
     # ------------------------------------------------------------------ #
-    def derived_seed(self, *coordinates) -> int:
-        """A stable per-cell seed derived from the canonical key (plus extras).
-
-        Same convention as :func:`repro.seeding.derive_seed`: the value
-        depends only on *what* the spec names, never on which worker runs it.
-        """
-        return derive_seed(self.seed, self.key(), *coordinates)
-
     def resolve(self) -> BandwidthTrace:
         """The concrete trace this spec names (bundled suites only)."""
         return resolve_trace(self.trace)

@@ -47,6 +47,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.harness import jsonl
 from repro.harness.jsonl import parse_jsonl_tolerant
 from repro.telemetry.log import console
 
@@ -293,12 +294,12 @@ class RunStore:
     """An append-only on-disk store of :class:`RunRecord`\\ s.
 
     The store is a directory holding one ``records.jsonl``; :meth:`put`
-    appends and flushes one line per completed cell, so an interrupted sweep
-    keeps everything finished before the interruption.  Re-putting a key is
-    allowed (the reconciling serial retry of a broken pool re-emits rows);
-    :meth:`load` keeps the *last* record per key.  Only the coordinating
-    parent process writes — workers hand rows back over the pool — so no
-    cross-process locking is needed.
+    appends, flushes and fsyncs one line per completed cell, so an
+    interrupted sweep keeps everything finished before the interruption.
+    Re-putting a key is allowed (the reconciling serial retry of a broken
+    pool re-emits rows); :meth:`load` keeps the *last* record per key.  Only
+    the coordinating parent process writes — workers hand rows back over the
+    pool — so no cross-process locking is needed.
     """
 
     def __init__(self, path: str | Path):
@@ -315,9 +316,10 @@ class RunStore:
         A malformed *final* line is a torn append from a hard kill (SIGKILL /
         OOM mid-flush) — exactly the interruption the store exists to
         survive — so it is dropped and the file truncated back to the valid
-        prefix (otherwise the next append would concatenate onto the torn
-        line and corrupt a good record).  Malformed lines anywhere else mean
-        real corruption and still raise.
+        prefix, so that the file holds what was loaded even when no put
+        follows (a put repairs a torn tail on its own, through
+        :func:`repro.harness.jsonl.append`).  Malformed lines anywhere else
+        mean real corruption and still raise.
         """
         if not self._loaded:
             self._records = {}
@@ -337,10 +339,7 @@ class RunStore:
     def put(self, record: RunRecord) -> None:
         record.validate()
         self.load()
-        with self.records_path.open("a") as handle:
-            handle.write(record_line(record.to_json()) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        jsonl.append(self.records_path, record_line(record.to_json()), fsync=True)
         self._records[record.key] = record
 
     # ------------------------------------------------------------------ #

@@ -14,10 +14,10 @@ Workers push frames over the existing worker→daemon message queue as
 daemon (the store's single writer) appends them to ``metrics.jsonl`` next to
 the lease journal; ``run --profile`` appends the same frames from the
 coordinating parent.  Frames are observability, not results: appends flush
-but do not fsync (a lost tail costs a chart point, not a row), and the
+but do not fsync (a lost tail costs a chart point, not a row).  The
 reader tolerates a torn tail via the shared
-:func:`~repro.harness.jsonl.parse_jsonl_tolerant` rule exactly like
-``records.jsonl`` and ``leases.jsonl``.
+:func:`~repro.harness.jsonl.parse_jsonl_tolerant` rule, and the next append
+cuts it away, exactly like ``records.jsonl`` and ``leases.jsonl``.
 
 After compaction (:mod:`repro.obs.retention`) the file may also hold
 ``"kind": "rollup"`` lines — downsampled segments standing in for folded-away
@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.harness import jsonl
 from repro.harness.jsonl import parse_jsonl_tolerant
 from repro.harness.store import validate_schema
 from repro.telemetry.profiler import TICK_PHASES, TickProfiler
@@ -151,10 +152,11 @@ class MetricsSampler:
 class MetricsJournal:
     """Append/read ``metrics.jsonl`` inside a run-store directory.
 
-    Appends flush but do not fsync: frames are lossy observability, and a
-    torn tail from a hard kill is dropped on read — never truncated, never
-    fatal.  Only the store's single writer (the daemon, or the ``run``
-    parent) appends; any process may read.
+    Appends flush but do not fsync: frames are lossy observability.  A torn
+    tail from a hard kill is skipped on read and cut away by the next append
+    (:func:`repro.harness.jsonl.append`); it is never fatal.  Only the
+    store's single writer (the daemon, or the ``run`` parent) appends; any
+    process may read.
     """
 
     def __init__(self, store_path: str | Path):
@@ -165,9 +167,7 @@ class MetricsJournal:
     def append(self, frame: Dict) -> Dict:
         validate_frame(frame)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(frame, sort_keys=True) + "\n")
-            handle.flush()
+        jsonl.append(self.path, json.dumps(frame, sort_keys=True), fsync=False)
         self.appended += 1
         return frame
 

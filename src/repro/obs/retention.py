@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.harness import jsonl
 from repro.harness.store import RECORDS_FILENAME, RunRecord, parse_records, record_line
 from repro.obs.aggregate import percentile
 from repro.obs.metrics import METRICS_FILENAME, MetricsJournal
@@ -279,11 +280,8 @@ def compact_store(store_path: str | Path, policy: RetentionPolicy,
 
     # The audit line is the durable half of compaction: fsync like the lease
     # journal, so "what did we drop, when, under which policy" survives.
-    audit_path = store_path / COMPACTIONS_FILENAME
-    with audit_path.open("a") as handle:
-        handle.write(json.dumps(report, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    jsonl.append(store_path / COMPACTIONS_FILENAME,
+                 json.dumps(report, sort_keys=True), fsync=True)
     return report
 
 

@@ -9,7 +9,7 @@ action/observation spaces, and the minimal environment protocol implemented by
 """
 
 from repro.rl.spaces import BoxSpace
-from repro.rl.replay import ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer
 from repro.rl.noise import GaussianNoise
 from repro.rl.td3 import TD3Agent, TD3Config
 from repro.rl.env import Environment
@@ -17,7 +17,6 @@ from repro.rl.env import Environment
 __all__ = [
     "BoxSpace",
     "ReplayBuffer",
-    "Transition",
     "GaussianNoise",
     "TD3Agent",
     "TD3Config",

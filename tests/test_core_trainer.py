@@ -183,7 +183,7 @@ class TestTraining:
         last bit of ``lo``."""
         trainer = make_trainer("robust")
         observer = trainer.verifier.observer
-        prop = trainer.canopy_config.properties.by_name("P5")
+        [prop] = trainer.canopy_config.properties  # P5, the robust set's one property
         state = np.full(observer.state_dim, 0.49)
         raw_lo, raw_hi = prop.region_plan(observer).bounds(state)
         region = Box._trusted_bounds(raw_lo, raw_hi)

@@ -10,6 +10,7 @@ from oracle import certify_reference
 from repro.cc.netsim import MonitorReport
 from repro.core.monitor import QCRuntimeMonitor
 from repro.core.properties import (
+    PropertySet,
     all_properties,
     deep_buffer_properties,
     property_p1,
@@ -242,7 +243,8 @@ class TestAggregation:
         assert per_property == dict(zip(("P1", "P2"), per_prop))
 
     def test_weighted_feedback_respects_weights(self, verifier, state):
-        props = deep_buffer_properties().reweighted({"P3": 3.0})
+        props = PropertySet("deep", [dataclasses.replace(p, weight=3.0) if p.name == "P3"
+                                     else p for p in deep_buffer_properties()])
         value, _ = weighted_feedback(props, verifier.certify(props, state, 20.0, 20.0))
         certificates = {p.name: verifier.certify(p, state, 20.0, 20.0).feedback[0] for p in props}
         expected = (3.0 * certificates["P3"] + certificates["P4i"] + certificates["P4ii"]) / 5.0

@@ -56,7 +56,8 @@ def test_saved_model_verifier(tmp_path, quick_model):
     loaded = load_model(directory, quick_model.kind)
     verifier = loaded.make_verifier(n_components=3)
     state = np.zeros(loaded.observation_config.state_dim)
-    cert = verifier.certify(loaded.properties.by_name("P1"), state, cwnd_tcp=20.0, cwnd_prev=20.0)
+    p1 = next(prop for prop in loaded.properties if prop.name == "P1")
+    cert = verifier.certify(p1, state, cwnd_tcp=20.0, cwnd_prev=20.0)
     assert cert.output_lo.shape == (1, 3)
 
 

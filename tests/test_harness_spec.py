@@ -73,14 +73,6 @@ class TestRoundTripFuzz:
                             certify=certify)
         _assert_round_trips(spec)
 
-    def test_derived_seed_stable_and_distinct(self):
-        spec_a = ScenarioSpec(scheme="cubic", trace="step-12-48", seed=1)
-        spec_b = ScenarioSpec(scheme="cubic", trace="step-12-48", topology="chain(2)", seed=1)
-        assert spec_a.derived_seed() == spec_a.derived_seed()
-        assert spec_a.derived_seed() != spec_b.derived_seed()
-        assert spec_a.derived_seed("replicate", 1) != spec_a.derived_seed("replicate", 2)
-        assert 0 <= spec_a.derived_seed() < 2 ** 31 - 1
-
 
 class TestValidation:
     def test_malformed_tokens_rejected(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl.replay import INITIAL_ROWS, ReplayBuffer, Transition
+from repro.rl.replay import INITIAL_ROWS, ReplayBuffer
 
 
 def _fill(buffer: ReplayBuffer, n: int, state_dim: int = 3, action_dim: int = 1) -> None:
@@ -31,7 +31,6 @@ def test_len_grows_until_capacity():
     assert len(buffer) == 3
     _fill(buffer, 5)
     assert len(buffer) == 5
-    assert buffer.is_full
 
 
 def test_ring_overwrite_keeps_most_recent():
@@ -62,15 +61,6 @@ def test_sample_shapes():
     assert batch["rewards"].shape == (6,)
     assert batch["next_states"].shape == (6, 4)
     assert batch["dones"].shape == (6,)
-
-
-def test_add_transition_dataclass():
-    buffer = ReplayBuffer(5, 2, 1)
-    buffer.add_transition(Transition(np.zeros(2), np.zeros(1), 1.0, np.ones(2), True))
-    assert len(buffer) == 1
-    batch = buffer.sample(1)
-    assert batch["dones"][0] == pytest.approx(1.0)
-    assert batch["rewards"][0] == pytest.approx(1.0)
 
 
 def test_clear_resets():
@@ -140,7 +130,7 @@ class TestGrowth:
         buffer = ReplayBuffer(37, 3, 1)
         assert _rows(buffer) == 37
         _fill(buffer, 100)
-        assert _rows(buffer) == 37 and len(buffer) == 37 and buffer.is_full
+        assert _rows(buffer) == 37 and len(buffer) == 37
 
     def test_rows_double_at_each_boundary_up_to_capacity(self):
         capacity = 2 * INITIAL_ROWS + 100
@@ -157,7 +147,6 @@ class TestGrowth:
                     np.testing.assert_array_equal(new[:len(old)], old)
             assert _rows(buffer) == expected_rows, count
             assert len(buffer) == min(count, capacity)
-            assert buffer.is_full == (count >= capacity)
         assert expected_rows == capacity
 
     def test_wrap_at_capacity_overwrites_the_oldest_row(self):

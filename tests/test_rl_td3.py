@@ -197,15 +197,6 @@ def test_td3_learns_trivial_bandit():
     assert final_action[0] > 0.3  # moved decisively toward the optimum (+1)
 
 
-def test_rollout_helper_reports_rewards():
-    env = _GoalEnv()
-    agent = make_agent(state_dim=2)
-    summary = env.rollout(agent.policy, max_steps=20)
-    assert summary["steps"] == 10
-    assert len(summary["rewards"]) == 10
-    assert summary["total_reward"] <= 0.0
-
-
 #: The digest of :func:`_trajectory_digest` for the two-critic TD3 update.
 TRAJECTORY_SHA256 = "6846ab7340d7c4ba0622798d73fd9b3b110e6fec274d48c3f6c8cbb5d1e6e3f3"
 #: The same digest with a batch of 48: dividing by a batch size that is not

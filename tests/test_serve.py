@@ -99,8 +99,7 @@ class TestLeaseTable:
         table.grant("cell-c", "w1")
         released = table.release_worker("w0", reason="died")
         assert sorted(lease.key for lease in released) == ["cell-a", "cell-b"]
-        assert table.held_by("w0") == []
-        assert table.held_by("w1") == ["cell-c"]
+        assert {key: lease.worker for key, lease in table.active.items()} == {"cell-c": "w1"}
 
     def test_fail_and_fail_unleased(self):
         table = LeaseTable(ttl_s=10.0, clock=FakeClock())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.traces.cellular import CELLULAR_TRACE_NAMES, cellular_trace_suite, make_cellular_trace
 from repro.traces.realworld import intercontinental_profiles, intracontinental_profiles
 from repro.traces.synthetic import SYNTHETIC_TRACE_NAMES, make_synthetic_trace, synthetic_trace_suite
-from repro.traces.trace import BandwidthTrace, mbps_to_pps, pps_to_mbps, read_mahimahi_trace, write_mahimahi_trace
+from repro.traces.trace import BandwidthTrace, mbps_to_pps, pps_to_mbps
 
 
 class TestBandwidthTrace:
@@ -52,7 +52,6 @@ class TestBandwidthTrace:
     def test_mean_min_max(self):
         trace = BandwidthTrace("mix", [(1.0, 10.0), (3.0, 30.0)])
         assert trace.min_mbps == pytest.approx(10.0)
-        assert trace.max_mbps == pytest.approx(30.0)
         assert trace.mean_mbps == pytest.approx((10.0 + 90.0) / 4.0)
 
     def test_unit_conversion_round_trip(self):
@@ -147,22 +146,6 @@ class TestVectorizedLookup:
             trace.capacity_mbps_many([0.0, 1.0, -0.01])
 
 
-class TestMahimahiFormat:
-    def test_round_trip(self, tmp_path):
-        trace = BandwidthTrace("rt", [(0.5, 12.0), (0.5, 24.0)])
-        path = tmp_path / "trace.mm"
-        write_mahimahi_trace(trace, path, duration=1.0)
-        loaded = read_mahimahi_trace(path, bucket_ms=100.0)
-        # Average rate should be preserved to within the packet-granularity error.
-        assert loaded.mean_mbps == pytest.approx(trace.mean_mbps, rel=0.15)
-
-    def test_read_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.mm"
-        path.write_text("\n")
-        with pytest.raises(ValueError):
-            read_mahimahi_trace(path)
-
-
 class TestSyntheticSuite:
     def test_suite_has_18_traces(self):
         assert len(SYNTHETIC_TRACE_NAMES) == 18
@@ -180,7 +163,7 @@ class TestSyntheticSuite:
         trace = make_synthetic_trace(name)
         assert trace.duration >= 25.0
         assert trace.min_mbps >= 1.0
-        assert trace.max_mbps <= 200.0
+        assert max(mbps for _, mbps in trace.segments) <= 200.0
 
     def test_traces_vary_over_time(self):
         for name in ("step-12-48", "sawtooth-12-60", "flux-mid"):
@@ -244,4 +227,4 @@ class TestWANProfiles:
 def test_capacity_lookup_always_within_trace_bounds(segments, time):
     trace = BandwidthTrace("prop", segments)
     value = trace.capacity_mbps(time)
-    assert trace.min_mbps - 1e-9 <= value <= trace.max_mbps + 1e-9
+    assert trace.min_mbps - 1e-9 <= value <= max(mbps for _, mbps in segments) + 1e-9
