@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import BinaryIO, Callable, List, Optional, Tuple
 
 __all__ = ["append", "parse_jsonl_tolerant"]
 
@@ -97,7 +97,7 @@ def append(path: str | Path, line: str, *, fsync: bool) -> None:
             os.fsync(handle.fileno())
 
 
-def _repair_tail(handle, end: int) -> None:
+def _repair_tail(handle: BinaryIO, end: int) -> None:
     """End the file open in ``handle`` (``end`` bytes long, no final
     newline) on a newline: keep a tail that parses as JSON, cut one that
     does not."""
