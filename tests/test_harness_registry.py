@@ -1,5 +1,8 @@
 """Tests for the experiment registry: axes, overrides, store-backed resume."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.harness.evaluate import EvaluationSettings
@@ -347,3 +350,105 @@ class TestMultiFlowCellKeys:
         grown = REGISTRY.plan(name, {"seeds": "1,2"}).keys
         assert len(grown) == 2 * len(keys) == len(set(grown))
         assert set(keys) <= set(grown)
+
+
+#: One ``--set`` variant per built-in experiment that grows a product axis
+#: (``fallback_runtime`` also switches telemetry on, which enters its keys).
+PLAN_VARIANTS = {
+    "certified_components": {"model_kind": "canopy-shallow,canopy-deep"},
+    "fairness": {"schemes": "cubic,orca"},
+    "fallback_runtime": {"seeds": "1,2", "telemetry": "on(10)"},
+    "friendliness": {"seeds": "1,2"},
+    "motivation_bad_state": {"seeds": "1,2"},
+    "motivation_noise": {"seeds": "1,2"},
+    "noise_sensitivity": {"seeds": "1,2"},
+    "performance_sweep": {"topologies": "single_bottleneck,chain(2)"},
+    "qcsat_buffers": {"seeds": "1,2"},
+    "qcsat_robustness": {"seeds": "1,2"},
+    "realworld_deployment": {"seeds": "1,2"},
+    "scheme_grid": {"schemes": "canopy-shallow,cubic"},
+    "sensitivity": {"seeds": "1,2"},
+    "topology_generalization": {"property_family": "shallow,deep"},
+    "topology_sweep": {"seeds": "1,2"},
+    "workload_stress": {"schemes": "canopy-shallow,cubic"},
+}
+
+#: SHA-256 of each experiment's ordered ``[(cell_key, list(tags.items()))]``
+#: plan: (at its defaults, under its ``PLAN_VARIANTS`` entry).  Tags are
+#: hashed in insertion order because a row's columns follow it, while the
+#: cell-key fingerprint sorts them.
+PLAN_DIGESTS = {
+    "certified_components": (
+        "c1968e6a92eb145505a243a1ac61c505aa684a75592f105a3ad58b9dcf86fc8e",
+        "cfb6f417734436da1f5812b86871547a878b0ff4f4bb505c950bb5a4c14ed169"),
+    "fairness": (
+        "5264c21b270a1c4bea7dfa80eda7ab290dbf4dd0b9fe2ad3d84006adcb05de29",
+        "271466c7b9ba1f9f776223f92727b1002935c0561041accc7a4d4122b841942d"),
+    "fallback_runtime": (
+        "446fe4e03257435d6b6900613a2301a650a71a583091a2f0f7143b91f6c4425c",
+        "92aa094dba96e2aa0641df132075978be8cb19098331b46ca70abf48835f9c7c"),
+    "friendliness": (
+        "2d5f469f5c637272c112c40a56b774baa871a87a09cbeb52214bb92812783daa",
+        "a3115f7bf3f196b7d7f7d18d4fac9871a0734ea3d4aa6729e923497beb789ca2"),
+    "motivation_bad_state": (
+        "d00f9c36c0d0f8ff174419c8fb45484ad8928b40370ce5f5483f443d66a21249",
+        "449fbe5d524782e61543b25e8586a7c00ee886e490cff2e65562e8e159cc519c"),
+    "motivation_noise": (
+        "c32bd6b727c44d5502ad740706d67bd00e825ad5ab2d0810d06e41e4553ab6aa",
+        "be17aecc25068a680fb9b3a0718788dd5b3f9b0488799b6ee48f839fcd805de3"),
+    "noise_sensitivity": (
+        "109fa00a3900647add5cd4af8f408a7544d0aa356f2e8185ce1c2b478da8c064",
+        "a4f5b0ff4b227ca9ac51591b254e4b4a8f579b5168bdce2a9a4b5543302e2a15"),
+    "performance_sweep": (
+        "5695d881274af4b8ffd8426825a54db15c4c149452c49ff8546c715834e6a3b2",
+        "66dd072be98c972f5d9c525982a20149c059cd988c5e4447557d92a6635906ad"),
+    "qcsat_buffers": (
+        "500edea4c6341d403fe3fe58f89beec54044b2175b4801418ccb73024459372b",
+        "598d4c63679e28d97fa1e02c5e63f7bc956cd00ed27b5e011c580a58aae156ef"),
+    "qcsat_robustness": (
+        "0a189824c012e8502d1ba19ccf8284523af08898360531996c55ed23b1a104ff",
+        "40dfc6505e782c3676648d4028410af51497d44f70556b757530b44fb6a8b6e5"),
+    "realworld_deployment": (
+        "d9591349209a8e6a26484b83bd19d624da6c5023637731bd4210bbd6eb28e7a4",
+        "2c0401269519e6d74fdc0e995e13a813bfcb4c40d9d2a6b7fcca94bebf16d220"),
+    "scheme_grid": (
+        "2a61e9a84450e28996f0f2764c6bc59be7acd42b910879a6337758a3a9052193",
+        "6cf4d5c9b07405189d76984f3acffc2de7bed917c14ad30378424bd9dd4b9e81"),
+    "sensitivity": (
+        "ab5b74897af1a8e22ce4891d9097049c19713c3e45f7f6188ab027a6bd388360",
+        "d59067a23085d1f3f1ad74243b707c3649788cb238ceff6ff25d259d820d9aba"),
+    "topology_generalization": (
+        "3fae76be3461642f436487f0be1f54bb4f27eb2c1a0786bb8b4cc0e552ac1704",
+        "b5b962ff66d33209241241572119231a905c991ba206429c24efad3a8e1d9dd9"),
+    "topology_sweep": (
+        "845b8b3323796062d8d65f5bba690207fae0e9d0df753e1e422fbbd86a7d8c7a",
+        "5f6ec38570fce61b42538426e7f4a8de8fb6ba2c938f92dc229ccd2cf8c98f21"),
+    "workload_stress": (
+        "52807436b50b688112f2675bbe966f199f305e9db8947d4ad76230463ffd88ac",
+        "9e002968d708afe0f726cdb177746c8ef3e49f0d27c6b7e7c4f9340cef63405a"),
+}
+
+
+def plan_digest(name, overrides):
+    plan = REGISTRY.plan(name, overrides)
+    cells = [(key, list(task.tags.items())) for key, task in zip(plan.keys, plan.tasks)]
+    return hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+
+
+class TestPlanPins:
+    """Every built-in grid plans the same ordered cells and tags, so stores
+    resume and rows print their columns in the same order."""
+
+    def test_every_builtin_experiment_is_pinned(self):
+        # Other test modules and examples register toy experiments too.
+        builtins = [name for name in REGISTRY.names()
+                    if REGISTRY.get(name).build.__module__ == "repro.harness.experiments"]
+        assert sorted(PLAN_DIGESTS) == sorted(PLAN_VARIANTS) == builtins
+
+    @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+    def test_default_plan_is_pinned(self, name):
+        assert plan_digest(name, {}) == PLAN_DIGESTS[name][0]
+
+    @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+    def test_variant_plan_is_pinned(self, name):
+        assert plan_digest(name, PLAN_VARIANTS[name]) == PLAN_DIGESTS[name][1]
