@@ -7,9 +7,10 @@ mid-append (SIGKILL, OOM, power loss).  They are the run store's
 plane's ``metrics.jsonl`` and ``compactions.jsonl``, and the falsify
 ``counterexamples.jsonl``.
 
-:func:`parse_jsonl_tolerant` is the reader rule: a malformed *final* chunk
-with nothing but whitespace after it is tolerated, while malformed content
-anywhere else is real corruption and raises.  It also does the byte
+:func:`parse_jsonl_tolerant` is the reader rule: a malformed chunk after the
+last newline is tolerated, while malformed content anywhere else, a
+complete newline-terminated last line included, is real corruption and
+raises.  It also does the byte
 accounting (``valid_bytes``) the run store needs to truncate a torn file
 back to its well-formed prefix.
 
@@ -43,9 +44,9 @@ def parse_jsonl_tolerant(
     ``items`` holds one parsed value per non-blank line (each passed through
     ``parse`` when given); ``valid_bytes`` is the byte length of the
     well-formed prefix.  A line that fails to decode — or whose ``parse``
-    raises ``ValueError`` — is tolerated only when nothing but whitespace
-    follows it (``torn=True``); anywhere else it raises ``ValueError`` with
-    the source and line number.
+    raises ``ValueError`` — is tolerated only when no newline follows it
+    (``torn=True``): a torn append never ends in one.  Anywhere else it
+    raises ``ValueError`` with the source and line number.
 
     ``intolerant`` lists exception types that must *never* be swallowed by
     the torn-tail rule (e.g. the run store's ``SchemaVersionError`` — a whole
@@ -67,7 +68,7 @@ def parse_jsonl_tolerant(
             except intolerant as exc:
                 raise type(exc)(f"{source}:{line_number}: {exc}") from exc
             except (json.JSONDecodeError, ValueError) as exc:
-                if all(not rest.strip() for rest in lines[line_number:]):
+                if line_number == len(lines):
                     return items, valid_bytes, True  # torn tail of an append
                 raise ValueError(
                     f"{source}:{line_number}: invalid {label}: {exc}") from exc

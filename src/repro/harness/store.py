@@ -272,11 +272,12 @@ def parse_records(text: str, source: str = "records") -> tuple:
     ``records`` maps key → last :class:`RunRecord`; ``valid_bytes`` is the
     byte length of the well-formed prefix.  Torn-tail tolerance is the shared
     :func:`~repro.harness.jsonl.parse_jsonl_tolerant` rule: a malformed chunk
-    is tolerated only when nothing but whitespace follows it (``torn=True`` —
-    the torn tail of an interrupted append); malformed content anywhere else
-    raises.  A :class:`SchemaVersionError` always raises, even on the final
-    line — a store full of old-version records must surface the migrate hint,
-    not quietly load as empty and truncate the file.
+    is tolerated only when no newline follows it (``torn=True`` — the torn
+    tail of an interrupted append); malformed content anywhere else, a
+    complete last line included, raises.  A :class:`SchemaVersionError`
+    always raises, even on the final line — a store full of old-version
+    records must surface the migrate hint, not quietly load as empty and
+    truncate the file.
     """
     parsed, valid_bytes, torn = parse_jsonl_tolerant(
         text, source=source, parse=RunRecord.from_json,
@@ -313,13 +314,14 @@ class RunStore:
     def load(self) -> Dict[str, RunRecord]:
         """Read (and cache) every record on disk, last record per key winning.
 
-        A malformed *final* line is a torn append from a hard kill (SIGKILL /
-        OOM mid-flush) — exactly the interruption the store exists to
-        survive — so it is dropped and the file truncated back to the valid
-        prefix, so that the file holds what was loaded even when no put
-        follows (a put repairs a torn tail on its own, through
-        :func:`repro.harness.jsonl.append`).  Malformed lines anywhere else
-        mean real corruption and still raise.
+        A malformed chunk after the last newline is a torn append from a
+        hard kill (SIGKILL / OOM mid-flush) — exactly the interruption the
+        store exists to survive — so it is dropped and the file truncated
+        back to the valid prefix, so that the file holds what was loaded even
+        when no put follows (a put repairs a torn tail on its own, through
+        :func:`repro.harness.jsonl.append`).  Malformed lines anywhere else,
+        a complete newline-terminated last line included, mean real
+        corruption and still raise.
         """
         if not self._loaded:
             self._records = {}
@@ -410,7 +412,7 @@ def migrate_store(path: str | Path) -> tuple:
         try:
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:
-            if all(not rest.strip() for rest in lines[line_number:]):
+            if line_number == len(lines):
                 torn = True
                 break
             raise ValueError(

@@ -205,6 +205,22 @@ class TestRunStore:
         reopened.put(RunRecord(key="k2", row={"v": 2}))
         assert RunStore(tmp_path).keys() == ["k", "k2"]
 
+    def test_complete_invalid_last_record_raises_and_keeps_the_file(self, tmp_path):
+        # Only bytes after the last newline can be a torn append: a complete
+        # last line that fails the schema is corruption, not a tail to cut.
+        store = RunStore(tmp_path)
+        store.put(RunRecord(key="k0", row={"v": 0}))
+        store.put(RunRecord(key="k1", row={"v": 1}))
+        path = tmp_path / "records.jsonl"
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[1])
+        del payload["commit"]
+        path.write_text(lines[0] + "\n" + json.dumps(payload) + "\n")
+        written = path.read_bytes()
+        with pytest.raises(ValueError, match="records.jsonl:2"):
+            RunStore(tmp_path).load()
+        assert path.read_bytes() == written
+
     def test_canonical_json_normalizes_rows(self):
         assert canonical_json({"t": (1, 2), 3: "x"}) == {"t": [1, 2], "3": "x"}
 

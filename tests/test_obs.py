@@ -90,6 +90,21 @@ class TestParseJsonlTolerant:
             parse_jsonl_tolerant('{"a": 1}\n{broken}\n{"c": 3}\n',
                                  source="t.jsonl")
 
+    def test_complete_last_line_that_fails_parse_raises(self):
+        def parse(payload):
+            if "c" in payload:
+                raise ValueError("missing field")
+            return payload
+
+        with pytest.raises(ValueError, match=r"t\.jsonl:2: invalid line: missing field"):
+            parse_jsonl_tolerant('{"a": 1}\n{"c": 3}\n', source="t.jsonl", parse=parse)
+        with pytest.raises(ValueError, match=r"t\.jsonl:2"):
+            parse_jsonl_tolerant('{"a": 1}\n{"c":\n', source="t.jsonl")
+        # The same bytes without their newline are a torn append.
+        items, valid_bytes, torn = parse_jsonl_tolerant(
+            '{"a": 1}\n{"c": 3}', source="t.jsonl", parse=parse)
+        assert items == [{"a": 1}] and torn and valid_bytes == len('{"a": 1}\n')
+
     def test_intolerant_exceptions_reraise_with_location(self):
         def parse(payload):
             raise SchemaVersionError("schema v99 from the future")
