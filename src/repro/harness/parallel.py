@@ -61,6 +61,7 @@ from repro.harness.evaluate import (
 from repro.harness.spec import PROPERTY_FAMILIES, ScenarioSpec
 from repro.harness.store import fingerprint
 from repro.seeding import derive_seed
+from repro.telemetry import log
 from repro.telemetry.events import DEFAULT_TELEMETRY, EventTrace, canonical_telemetry
 from repro.telemetry.summary import summarize_events
 from repro.workload.spec import DEFAULT_WORKLOAD
@@ -408,8 +409,9 @@ class ParallelRunner:
         ``fn`` must be a module-level callable and every item picklable when
         the pool is used; the serial path has no such requirement.  Only pool
         *infrastructure* failures (unpicklable work, no fork permission, the
-        pool dying mid-run) degrade to the serial path — an exception raised
-        by ``fn`` itself propagates immediately, exactly as it would serially.
+        pool dying mid-run) degrade to the serial path, each with a
+        ``pool_degraded`` warning naming the reason — an exception raised by
+        ``fn`` itself propagates immediately, exactly as it would serially.
 
         ``on_result(index, item, result)`` is invoked for every result *in
         item order, as soon as it is available* — the hook the resumable
@@ -421,15 +423,16 @@ class ParallelRunner:
         items = list(items)
         if self.n_jobs <= 1 or len(items) <= 1:
             return self._serial(fn, items, on_result)
-        if not self._picklable(fn, items):
-            return self._serial(fn, items, on_result)
+        error = self._pickle_error(fn, items)
+        if error is not None:
+            return self._degrade("unpicklable", error, fn, items, on_result)
         # Prefer fork so workers inherit the parent's trained-model cache.
         context = get_context("fork") if "fork" in get_all_start_methods() else get_context()
         try:
             pool = ProcessPoolExecutor(max_workers=min(self.n_jobs, len(items)),
                                        mp_context=context)
-        except OSError:
-            return self._serial(fn, items, on_result)
+        except OSError as exc:
+            return self._degrade("pool_create", exc, fn, items, on_result)
         try:
             # Executor.map submits eagerly, so worker spawn failures (fork
             # denied in sandboxes, process limits) raise OSError *here* —
@@ -437,9 +440,9 @@ class ParallelRunner:
             # raised by a task itself surfaces later, from the result
             # iteration below, and propagates to the caller.
             results = pool.map(fn, items)
-        except OSError:
+        except OSError as exc:
             pool.shutdown(wait=False, cancel_futures=True)
-            return self._serial(fn, items, on_result)
+            return self._degrade("submit", exc, fn, items, on_result)
         try:
             with pool:
                 collected = []
@@ -448,11 +451,20 @@ class ParallelRunner:
                         on_result(index, items[index], result)
                     collected.append(result)
                 return collected
-        except (BrokenProcessPool, pickle.PicklingError):
+        except (BrokenProcessPool, pickle.PicklingError) as exc:
             # The pool died mid-run (OOM, kill) or a straggler task defeated
             # the pre-flight pickle check; retry the whole grid serially
             # instead of failing the experiment.
-            return self._serial(fn, items, on_result)
+            return self._degrade("pool_broken", exc, fn, items, on_result)
+
+    @classmethod
+    def _degrade(cls, reason: str, error: BaseException, fn: Callable, items: List,
+                 on_result: Optional[Callable[[int, object, object], None]]) -> List:
+        """Run the grid serially after a pool failure, saying so: the rows
+        are the same, but the run lost its parallelism."""
+        log.warn("pool_degraded", logger="harness", reason=reason,
+                 error=f"{type(error).__name__}: {error}")
+        return cls._serial(fn, items, on_result)
 
     @staticmethod
     def _serial(fn: Callable, items: List,
@@ -466,8 +478,8 @@ class ParallelRunner:
         return results
 
     @staticmethod
-    def _picklable(fn: Callable, items: List) -> bool:
-        """Whether the work survives the process boundary.
+    def _pickle_error(fn: Callable, items: List) -> Optional[Exception]:
+        """Why the work does not survive the process boundary, or None.
 
         A cheap pre-flight: serializes the callable and one representative
         item (grids are homogeneous) rather than re-pickling the entire task
@@ -478,6 +490,6 @@ class ParallelRunner:
             pickle.dumps(fn)
             if items:
                 pickle.dumps(items[0])
-            return True
-        except (pickle.PicklingError, AttributeError, TypeError):
-            return False
+            return None
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            return exc

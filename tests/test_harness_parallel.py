@@ -1,10 +1,13 @@
 """Tests for the ParallelRunner: determinism, sharding, merged reporting."""
 
+import logging
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.harness import parallel
 from repro.harness.evaluate import EvaluationSettings
 from repro.harness.parallel import (
     ExperimentTask,
@@ -71,6 +74,69 @@ class TestRunnerBasics:
                  for trace in ("a", "b", "c") for scheme in ("cubic", "vegas")}
         assert len(seeds) == 6
         assert all(0 <= seed < 2 ** 31 - 1 for seed in seeds)
+
+
+class _FakePool:
+    """A pool whose ``map`` fails the way a real one can."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def map(self, fn, items):
+        if isinstance(self.error, OSError):
+            raise self.error
+
+        def results():
+            raise self.error
+            yield
+
+        return results()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+
+
+class TestLoudDegradation:
+    """Every pool failure that reruns the grid serially says so."""
+
+    def _map_warns(self, caplog, reason, fn=_square):
+        with caplog.at_level(logging.WARNING, logger="repro.harness"):
+            assert ParallelRunner(2).map(fn, [1, 2, 3]) == [fn(x) for x in (1, 2, 3)]
+        [message] = [r.message for r in caplog.records if r.name == "repro.harness"]
+        assert message.startswith(f"pool_degraded reason={reason} error=")
+        return message
+
+    def test_unpicklable_work_warns(self, caplog):
+        message = self._map_warns(caplog, "unpicklable", fn=lambda x: x + 1)
+        assert "lambda" in message
+
+    def test_pool_creation_oserror_warns(self, caplog, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("fork denied")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        assert "OSError: fork denied" in self._map_warns(caplog, "pool_create")
+
+    def test_submit_oserror_warns(self, caplog, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: _FakePool(OSError("no processes")))
+        assert "OSError: no processes" in self._map_warns(caplog, "submit")
+
+    def test_broken_pool_mid_run_warns(self, caplog, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: _FakePool(BrokenProcessPool("worker died")))
+        assert "BrokenProcessPool: worker died" in self._map_warns(caplog, "pool_broken")
+
+    def test_a_healthy_pool_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.harness"):
+            assert ParallelRunner(2).map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert not [r for r in caplog.records if r.name == "repro.harness"]
 
 
 class TestExperimentTask:
