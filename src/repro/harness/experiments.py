@@ -11,13 +11,25 @@ grid-expansion build hook, and an aggregator — and runs only through
 grids).  That one front door persists per-cell
 :class:`~repro.harness.store.RunRecord`\\ s, resumes interrupted sweeps,
 shards cells over ``n_jobs`` worker processes (serial and parallel runs
-produce identical rows), and can serve the grid to a lease-based worker
-fleet (``python -m repro serve``).  The aggregators report the grid
-wall-clock and, for the certificate grids, certificates/sec, so the
-benchmark JSON captures verification throughput alongside the figures.
+produce identical rows), can serve the grid to a lease-based worker fleet
+(``python -m repro serve``), and reports the grid wall-clock; the
+certificate grids add certificates/sec, so the benchmark JSON captures
+verification throughput alongside the figures.
 
-Every grid is a list of :class:`~repro.harness.parallel.ExperimentTask`
-cells.  A grid that needs more than the summary row registers
+Every build hook is one call of :func:`_grid`, which turns a list of
+*levels* into :class:`~repro.harness.parallel.ExperimentTask` cells.  A level
+is a list of field dicts, or a function of the fields chosen above it that
+returns one (Fig. 13 pairs each buffer family with its Canopy model through
+``lambda f: _schemes(...)``).  Levels are
+walked outermost first, like nested loops, so the first level varies
+slowest.  At each leaf the chosen fields (over the fixed keyword fields)
+become one cell: :class:`~repro.harness.evaluate.EvaluationSettings` fields
+build its settings, ``seed`` also sets ``model_seed``, ``training_steps``
+comes from the axes, the names in ``tags`` become its tags in that order,
+the remaining :class:`ExperimentTask` fields go to the task, and any other
+name raises.
+
+A grid that needs more than the summary row registers
 ``functools.partial(run_task, columns=...)``: ``friendliness`` and
 ``fairness`` add per-flow columns (:mod:`repro.harness.fairness`), Figs. 1
 and 2 the per-tick series, Figs. 6/8 the per-component certificates of the
@@ -28,8 +40,9 @@ train``; Table 4 times training and lives in
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,18 +74,94 @@ GENERALIZATION_FAMILIES = ("single_bottleneck", "chain(2)", "parking_lot(2)")
 MIXED_TRAINING_LABEL = "mixed"
 
 
-def _qc_grid_summary(figure: str, rows: List[Dict], grid) -> Dict:
-    """Figure payload plus the certificate-throughput accounting shared by the
-    QC_sat grids (certificates/sec and grid wall-clock land in the bench JSON)."""
-    certificates = int(sum(cell["n_certificates"] for cell in grid.rows))
-    return {
-        "figure": figure,
-        "rows": rows,
-        "wall_clock_s": grid.wall_clock_s,
-        "n_jobs": grid.n_jobs,
-        "certificates": certificates,
-        "certificates_per_sec": certificates / grid.wall_clock_s if grid.wall_clock_s > 0 else 0.0,
-    }
+# ---------------------------------------------------------------------- #
+# The one build path: levels of field dicts walked into cells
+# ---------------------------------------------------------------------- #
+Level = Union[Sequence[Dict], Callable[[Dict], Sequence[Dict]]]
+
+_SETTINGS_FIELDS = frozenset(f.name for f in dataclasses.fields(EvaluationSettings))
+_TASK_FIELDS = (frozenset(f.name for f in dataclasses.fields(ExperimentTask))
+                - {"settings", "training_steps", "model_seed", "tags"})
+
+
+def _grid(axes: Dict, *levels: Level, tags: Sequence[str] = (), **fixed) -> List[ExperimentTask]:
+    """The cells of ``levels``, outermost first (see the module docstring)."""
+    cells = [fixed]
+    for level in levels:
+        cells = [{**cell, **choice} for cell in cells
+                 for choice in (level(cell) if callable(level) else level)]
+    tasks = []
+    for cell in cells:
+        unknown = cell.keys() - _SETTINGS_FIELDS - _TASK_FIELDS - set(tags)
+        if unknown:
+            raise ValueError(f"unknown grid field(s) {sorted(unknown)}")
+        tasks.append(ExperimentTask(
+            settings=EvaluationSettings(**{k: v for k, v in cell.items() if k in _SETTINGS_FIELDS}),
+            training_steps=axes["training_steps"], model_seed=cell["seed"],
+            tags={name: cell[name] for name in tags},
+            **{k: v for k, v in cell.items() if k in _TASK_FIELDS}))
+    return tasks
+
+
+def _each(name: str, values: Iterable) -> List[Dict]:
+    """A level setting ``name`` to each of ``values`` in turn."""
+    return [{name: value} for value in values]
+
+
+def _schemes(pairs: Iterable) -> List[Dict]:
+    """A level of ``(scheme label, model kind)`` pairs."""
+    return [{"scheme": label, "model_kind": kind} for label, kind in pairs]
+
+
+def _named_schemes(schemes: Iterable[str], **learned) -> List[Dict]:
+    """A level of scheme names, each backed by its default model kind; the
+    ``learned`` fields apply to the learned schemes only."""
+    return [{"scheme": scheme, "model_kind": kind, **(learned if kind is not None else {})}
+            for scheme, kind in ((s, default_model_kind(s)) for s in schemes)]
+
+
+def _traces(kind: str, count: int) -> List[Dict]:
+    """A level over the first ``count`` bundled traces of ``kind``."""
+    return _each("trace", trace_subset(kind, count))
+
+
+#: The trace kinds of the Figs. 5, 7, 9 and 10 grids, each sized by its
+#: ``n_<kind>`` axis through :func:`_traces_of_kind`.
+_TRACE_KINDS = _each("trace_kind", ("synthetic", "cellular"))
+
+
+def _traces_of_kind(axes: Dict) -> Callable[[Dict], List[Dict]]:
+    """A level over the traces of the cell's ``trace_kind``, built once per
+    plan (a cellular suite takes milliseconds to generate)."""
+    traces = {kind: _traces(kind, axes[f"n_{kind}"]) for kind in ("synthetic", "cellular")}
+    return lambda fields: traces[fields["trace_kind"]]
+
+
+#: The Canopy model certified against (and trained for) each buffer family.
+_CANOPY_KINDS = {"shallow": "canopy-shallow", "deep": "canopy-deep"}
+
+#: The buffer families and depths of the Figs. 13 and 14 grids.
+_BUFFER_CASES = ({"buffer_family": "shallow", "buffer_bdp": 1.0},
+                 {"buffer_family": "deep", "buffer_bdp": 5.0})
+
+
+def _certificates(grid) -> Dict:
+    """The grid's certificate count and, when every cell was computed live,
+    certificates/sec.  Cached cells of a resumed grid certified nothing this
+    run and per-cell counts vary, so a resumed grid claims no throughput."""
+    certificates = int(sum(cell.get("n_certificates", 0) for cell in grid.rows))
+    live = grid.n_cached == 0 and grid.wall_clock_s > 0
+    return {"certificates": certificates,
+            "certificates_per_sec": certificates / grid.wall_clock_s if live else 0.0}
+
+
+def _qcsat_aggregate(figure: str, group_by: List[str], grid, axes: Dict,
+                     tasks: Sequence) -> Dict:
+    """Mean/std across traces of the per-trace QC_sat means (Figs. 5, 7)."""
+    rows = grid.aggregate(group_by=[*group_by, "scheme"], metrics=["qcsat"])
+    for row in rows:
+        row["n_traces"] = row.pop("n_cells")
+    return {"figure": figure, "rows": rows, **_certificates(grid)}
 
 
 def _performance_means(cells: Sequence[Dict]) -> Dict[str, float]:
@@ -120,8 +209,7 @@ def _series_rows(grid, axes: Dict, tasks: Sequence) -> Dict:
                  else f"{row['scheme']}/seed={row['seed']}")
         series[label] = row.pop("series")
         rows.append(row)
-    return {"trace": tasks[0].trace.name, "rows": rows, "series": series,
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    return {"trace": tasks[0].trace.name, "rows": rows, "series": series}
 
 
 def _motivation_noise_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
@@ -144,19 +232,12 @@ def _motivation_noise_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="sending rate of Orca and Canopy-robust with and without delay noise (Fig. 1)",
 )
 def _motivation_noise_build(axes: Dict) -> List[ExperimentTask]:
-    trace = make_synthetic_trace("step-12-48")
-    tasks = []
-    for seed in axes["seeds"]:
-        for label, model_kind in (("orca", "orca"), ("canopy", "canopy-robust")):
-            for suffix, noise in (("", 0.0), ("-noise", axes["noise"])):
-                settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
-                                              observation_noise=noise, seed=seed)
-                tasks.append(ExperimentTask(
-                    scheme=label + suffix, trace=trace, settings=settings,
-                    model_kind=model_kind, training_steps=axes["training_steps"],
-                    model_seed=seed,
-                ))
-    return tasks
+    return _grid(
+        axes, _each("seed", axes["seeds"]),
+        _schemes((("orca", "orca"), ("canopy", "canopy-robust"))),
+        lambda f: [{"observation_noise": 0.0},
+                   {"scheme": f["scheme"] + "-noise", "observation_noise": axes["noise"]}],
+        trace=make_synthetic_trace("step-12-48"), duration=axes["duration"], buffer_bdp=2.0)
 
 
 def _motivation_bad_state_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
@@ -171,34 +252,16 @@ def _motivation_bad_state_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="Orca vs Canopy-deep windows on a high-BDP path (Fig. 2)",
 )
 def _motivation_bad_state_build(axes: Dict) -> List[ExperimentTask]:
-    trace = make_synthetic_trace("square-48-96")
-    tasks = []
-    for seed in axes["seeds"]:
-        settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=5.0,
-                                      min_rtt=0.08, seed=seed)
-        for label, model_kind in (("orca", "orca"), ("canopy", "canopy-deep")):
-            tasks.append(ExperimentTask(
-                scheme=label, trace=trace, settings=settings, model_kind=model_kind,
-                training_steps=axes["training_steps"], model_seed=seed,
-            ))
-    return tasks
+    return _grid(
+        axes, _each("seed", axes["seeds"]),
+        _schemes((("orca", "orca"), ("canopy", "canopy-deep"))),
+        trace=make_synthetic_trace("square-48-96"), duration=axes["duration"],
+        buffer_bdp=5.0, min_rtt=0.08)
 
 
 # ---------------------------------------------------------------------- #
 # Figure 5 — QC_sat for the shallow/deep buffer properties
 # ---------------------------------------------------------------------- #
-#: The (property family, buffer depth, canopy model) cases of the Fig. 5 grid.
-_QCSAT_BUFFER_CASES = (("shallow", 0.5, "canopy-shallow"), ("deep", 5.0, "canopy-deep"))
-
-
-def _qcsat_buffers_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
-    # Mean/std across traces of the per-trace QC_sat means, per grid cell group.
-    rows = grid.aggregate(group_by=["property_family", "trace_kind", "scheme"], metrics=["qcsat"])
-    for row in rows:
-        row["n_traces"] = row.pop("n_cells")
-    return _qc_grid_summary("5", rows, grid)
-
-
 @REGISTRY.register(
     "qcsat_buffers",
     axes={
@@ -209,28 +272,19 @@ def _qcsat_buffers_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
         "n_cellular": 2,
         "seeds": (1,),
     },
-    aggregate=_qcsat_buffers_aggregate,
+    aggregate=functools.partial(_qcsat_aggregate, "5", ["property_family", "trace_kind"]),
     description="QC_sat of Canopy vs Orca, shallow & deep buffer properties (Fig. 5)",
 )
 def _qcsat_buffers_build(axes: Dict) -> List[ExperimentTask]:
-    tasks = []
-    for family, buffer_bdp, canopy_kind in _QCSAT_BUFFER_CASES:
-        for trace_kind, count in (("synthetic", axes["n_synthetic"]),
-                                  ("cellular", axes["n_cellular"])):
-            for seed in axes["seeds"]:
-                settings = EvaluationSettings(duration=axes["duration"],
-                                              buffer_bdp=buffer_bdp, seed=seed)
-                for scheme_label, model_kind in (("canopy", canopy_kind), ("orca", "orca")):
-                    for trace in trace_subset(trace_kind, count):
-                        tasks.append(ExperimentTask(
-                            scheme=scheme_label, trace=trace, settings=settings,
-                            model_kind=model_kind, training_steps=axes["training_steps"],
-                            model_seed=seed,
-                            certify=True, property_family=family,
-                            n_components=axes["n_components"],
-                            tags={"property_family": family, "trace_kind": trace_kind},
-                        ))
-    return tasks
+    return _grid(
+        axes,
+        [{"property_family": "shallow", "buffer_bdp": 0.5},
+         {"property_family": "deep", "buffer_bdp": 5.0}],
+        _TRACE_KINDS, _each("seed", axes["seeds"]),
+        lambda f: _schemes((("canopy", _CANOPY_KINDS[f["property_family"]]), ("orca", "orca"))),
+        _traces_of_kind(axes),
+        tags=("property_family", "trace_kind"),
+        duration=axes["duration"], certify=True, n_components=axes["n_components"])
 
 
 # ---------------------------------------------------------------------- #
@@ -262,8 +316,7 @@ def _component_columns(task: ExperimentTask, run: SchemeResult) -> Dict:
 
 def _certified_components_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     # One row per (model, trace, seed) cell, each with its certified steps.
-    return {"figure": "6/8", "rows": [{"model": row["scheme"], **row} for row in grid.rows],
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    return {"figure": "6/8", "rows": [{"model": row["scheme"], **row} for row in grid.rows]}
 
 
 @REGISTRY.register(
@@ -284,33 +337,18 @@ def _certified_components_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="per-component certified output bounds of the first decisions (Figs. 6/8)",
 )
 def _certified_components_build(axes: Dict) -> List[ExperimentTask]:
-    tasks = []
-    for model_kind in axes["model_kind"]:
-        for trace_name in axes["trace_name"]:
-            trace = make_synthetic_trace(trace_name)
-            for seed in axes["seeds"]:
-                settings = EvaluationSettings(duration=axes["duration"],
-                                              buffer_bdp=axes["buffer_bdp"], seed=seed)
-                tasks.append(ExperimentTask(
-                    scheme=model_kind, trace=trace, settings=settings, model_kind=model_kind,
-                    training_steps=axes["training_steps"], model_seed=seed,
-                    property_family=axes["property_family"],
-                    n_components=axes["n_components"],
-                    tags={"max_steps": axes["max_steps"]},
-                ))
-    return tasks
+    return _grid(
+        axes, _schemes((kind, kind) for kind in axes["model_kind"]),
+        _each("trace", [make_synthetic_trace(name) for name in axes["trace_name"]]),
+        _each("seed", axes["seeds"]),
+        tags=("max_steps",), max_steps=axes["max_steps"],
+        duration=axes["duration"], buffer_bdp=axes["buffer_bdp"],
+        property_family=axes["property_family"], n_components=axes["n_components"])
 
 
 # ---------------------------------------------------------------------- #
 # Figure 7 — QC_sat for the robustness property
 # ---------------------------------------------------------------------- #
-def _qcsat_robustness_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
-    rows = grid.aggregate(group_by=["trace_kind", "scheme"], metrics=["qcsat"])
-    for row in rows:
-        row["n_traces"] = row.pop("n_cells")
-    return _qc_grid_summary("7", rows, grid)
-
-
 @REGISTRY.register(
     "qcsat_robustness",
     axes={
@@ -322,27 +360,16 @@ def _qcsat_robustness_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
         "noise": 0.05,
         "seeds": (1,),
     },
-    aggregate=_qcsat_robustness_aggregate,
+    aggregate=functools.partial(_qcsat_aggregate, "7", ["trace_kind"]),
     description="QC_sat of Canopy-robust vs Orca under observation noise (Fig. 7)",
 )
 def _qcsat_robustness_build(axes: Dict) -> List[ExperimentTask]:
-    tasks = []
-    for trace_kind, count in (("synthetic", axes["n_synthetic"]),
-                              ("cellular", axes["n_cellular"])):
-        for seed in axes["seeds"]:
-            settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
-                                          observation_noise=axes["noise"], seed=seed)
-            for scheme_label, model_kind in (("canopy", "canopy-robust"), ("orca", "orca")):
-                for trace in trace_subset(trace_kind, count):
-                    tasks.append(ExperimentTask(
-                        scheme=scheme_label, trace=trace, settings=settings,
-                        model_kind=model_kind, training_steps=axes["training_steps"],
-                        model_seed=seed,
-                        certify=True, property_family="robustness",
-                        n_components=axes["n_components"],
-                        tags={"trace_kind": trace_kind},
-                    ))
-    return tasks
+    return _grid(
+        axes, _TRACE_KINDS, _each("seed", axes["seeds"]),
+        _schemes((("canopy", "canopy-robust"), ("orca", "orca"))), _traces_of_kind(axes),
+        tags=("trace_kind",),
+        duration=axes["duration"], buffer_bdp=2.0, observation_noise=axes["noise"],
+        certify=True, property_family="robustness", n_components=axes["n_components"])
 
 
 # ---------------------------------------------------------------------- #
@@ -377,8 +404,7 @@ def _performance_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                 rows.append(row)
     figure = "9" if axes["buffer_bdp"] <= 1.0 else "10"
     return {"figure": figure, "buffer_bdp": axes["buffer_bdp"], "rows": rows,
-            "topologies": topologies,
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+            "topologies": topologies}
 
 
 @REGISTRY.register(
@@ -397,24 +423,11 @@ def _performance_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="utilization vs delay for every scheme (Fig. 9 shallow / Fig. 10 deep)",
 )
 def _performance_sweep_build(axes: Dict) -> List[ExperimentTask]:
-    scheme_kinds = _performance_sweep_labels(axes)
-    tasks = []
-    for topology in axes["topologies"]:
-        for trace_kind, count in (("synthetic", axes["n_synthetic"]),
-                                  ("cellular", axes["n_cellular"])):
-            for seed in axes["seeds"]:
-                settings = EvaluationSettings(duration=axes["duration"],
-                                              buffer_bdp=axes["buffer_bdp"],
-                                              topology=topology, seed=seed)
-                for trace in trace_subset(trace_kind, count):
-                    for label, model_kind in scheme_kinds.items():
-                        tasks.append(ExperimentTask(
-                            scheme=label, trace=trace, settings=settings,
-                            model_kind=model_kind, training_steps=axes["training_steps"],
-                            model_seed=seed,
-                            tags={"trace_kind": trace_kind},
-                        ))
-    return tasks
+    return _grid(
+        axes, _each("topology", axes["topologies"]), _TRACE_KINDS,
+        _each("seed", axes["seeds"]), _traces_of_kind(axes),
+        _schemes(_performance_sweep_labels(axes).items()),
+        tags=("trace_kind",), duration=axes["duration"], buffer_bdp=axes["buffer_bdp"])
 
 
 # ---------------------------------------------------------------------- #
@@ -451,8 +464,6 @@ def _topology_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
         "figure": "topology",
         "families": list(axes["families"]),
         "rows": rows,
-        "wall_clock_s": grid.wall_clock_s,
-        "n_jobs": grid.n_jobs,
         "ticks": ticks,
         "ticks_per_sec": (ticks_computed / grid.wall_clock_s
                           if grid.wall_clock_s > 0 and computed > 0 else 0.0),
@@ -475,22 +486,11 @@ def _topology_sweep_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="every scheme on every topology family (+ per-family rows and ticks/sec)",
 )
 def _topology_sweep_build(axes: Dict) -> List[ExperimentTask]:
-    scheme_kinds = _topology_sweep_labels(axes)
-    traces = trace_subset("synthetic", axes["n_synthetic"])
-    tasks = []
-    for family in axes["families"]:
-        for seed in axes["seeds"]:
-            settings = EvaluationSettings(duration=axes["duration"],
-                                          buffer_bdp=axes["buffer_bdp"],
-                                          topology=family, seed=seed)
-            for trace in traces:
-                for label, model_kind in scheme_kinds.items():
-                    tasks.append(ExperimentTask(
-                        scheme=label, trace=trace, settings=settings,
-                        model_kind=model_kind, training_steps=axes["training_steps"],
-                        model_seed=seed,
-                    ))
-    return tasks
+    return _grid(
+        axes, _each("topology", axes["families"]), _each("seed", axes["seeds"]),
+        _traces("synthetic", axes["n_synthetic"]),
+        _schemes(_topology_sweep_labels(axes).items()),
+        duration=axes["duration"], buffer_bdp=axes["buffer_bdp"])
 
 
 # ---------------------------------------------------------------------- #
@@ -547,11 +547,6 @@ def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dic
                 if sweep_properties:
                     row = {"property_family": property_family, **row}
                 rows.append(row)
-    certificates = int(sum(cell["n_certificates"] for cell in grid.rows))
-    # Cells served from a resume store did not certify anything this run, and
-    # per-cell certificate counts vary, so no throughput is claimed unless
-    # every cell was computed live.
-    live = grid.wall_clock_s > 0 and grid.n_cached == 0
     return {
         "figure": "topology_generalization",
         "families": families,
@@ -562,10 +557,7 @@ def _topology_generalization_aggregate(grid, axes: Dict, tasks: Sequence) -> Dic
         "property_family": (property_families[0] if not sweep_properties
                             else property_families),
         "rows": rows,
-        "wall_clock_s": grid.wall_clock_s,
-        "n_jobs": grid.n_jobs,
-        "certificates": certificates,
-        "certificates_per_sec": certificates / grid.wall_clock_s if live else 0.0,
+        **_certificates(grid),
     }
 
 
@@ -595,33 +587,21 @@ def _topology_generalization_build(axes: Dict) -> List[ExperimentTask]:
     model is certified and measured on every family."""
     families = list(axes["families"])
     catalogs = _generalization_catalogs(families, axes["include_mixed"])
-    tasks = []
-    for property_family in axes["property_family"]:
-        for train_label, catalog in catalogs.items():
-            for eval_family in families:
-                for seed in axes["seeds"]:
-                    settings = EvaluationSettings(duration=axes["duration"],
-                                                  buffer_bdp=axes["buffer_bdp"],
-                                                  topology=eval_family, seed=seed)
-                    for trace_kind in axes["trace"]:
-                        for trace in trace_subset(trace_kind, axes["n_traces"]):
-                            # Tags stay exactly the pre-product pair: the
-                            # property family lives in the scenario key (and
-                            # task.property_family, which the aggregator
-                            # groups on), so single-family rows — and their
-                            # cached store cells — are byte-identical whether
-                            # or not the product axis sweeps.
-                            tasks.append(ExperimentTask(
-                                scheme="canopy", trace=trace, settings=settings,
-                                model_kind=axes["model_kind"],
-                                training_steps=axes["training_steps"], model_seed=seed,
-                                model_topologies=catalog,
-                                certify=True, property_family=property_family,
-                                n_components=axes["n_components"],
-                                tags={"train_family": train_label,
-                                      "eval_family": eval_family},
-                            ))
-    return tasks
+    # Tags stay exactly the pre-product pair: the property family lives in
+    # the scenario key (and task.property_family, which the aggregator groups
+    # on), so single-family rows — and their cached store cells — are
+    # byte-identical whether or not the product axis sweeps.
+    return _grid(
+        axes, _each("property_family", axes["property_family"]),
+        [{"train_family": label, "model_topologies": catalog}
+         for label, catalog in catalogs.items()],
+        [{"eval_family": family, "topology": family} for family in families],
+        _each("seed", axes["seeds"]),
+        [trace for kind in axes["trace"] for trace in _traces(kind, axes["n_traces"])],
+        tags=("train_family", "eval_family"),
+        scheme="canopy", model_kind=axes["model_kind"], certify=True,
+        n_components=axes["n_components"], duration=axes["duration"],
+        buffer_bdp=axes["buffer_bdp"])
 
 
 # ---------------------------------------------------------------------- #
@@ -647,8 +627,6 @@ def _workload_stress_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                     row["qcsat"] = float(np.mean([c["qcsat"] for c in cells]))
                     row["qcsat_std"] = float(np.std([c["qcsat"] for c in cells]))
                 rows.append(row)
-    certificates = int(sum(cell.get("n_certificates", 0) for cell in grid.rows))
-    live = grid.wall_clock_s > 0 and grid.n_cached == 0
     return {
         "figure": "workload_stress",
         "schemes": list(axes["schemes"]),
@@ -656,10 +634,7 @@ def _workload_stress_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
         "workloads": [canonical_workload(w) for w in axes["workload"]],
         "property_family": axes["property_family"],
         "rows": rows,
-        "wall_clock_s": grid.wall_clock_s,
-        "n_jobs": grid.n_jobs,
-        "certificates": certificates,
-        "certificates_per_sec": certificates / grid.wall_clock_s if live else 0.0,
+        **_certificates(grid),
     }
 
 
@@ -685,34 +660,19 @@ def _workload_stress_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                 "(incast, responsive contention, churn)",
 )
 def _workload_stress_build(axes: Dict) -> List[ExperimentTask]:
-    traces = trace_subset("synthetic", axes["n_traces"])
-    tasks = []
-    for scheme in axes["schemes"]:
-        model_kind = default_model_kind(scheme)
-        for family in axes["topology"]:
-            for workload in axes["workload"]:
-                for seed in axes["seeds"]:
-                    # Canonicalized up front so the report rows, the aggregate
-                    # selectors, and the scenario keys all carry one spelling.
-                    settings = EvaluationSettings(
-                        duration=axes["duration"], buffer_bdp=axes["buffer_bdp"],
-                        topology=canonical_topology(family),
-                        workload=canonical_workload(workload),
-                        telemetry=canonical_telemetry(axes["telemetry"]), seed=seed)
-                    for trace in traces:
-                        tasks.append(ExperimentTask(
-                            scheme=scheme, trace=trace, settings=settings,
-                            model_kind=model_kind,
-                            training_steps=axes["training_steps"], model_seed=seed,
-                            # Classical schemes stress-test uncertified; every
-                            # learned cell carries its QC_sat certificates.
-                            certify=model_kind is not None,
-                            property_family=(axes["property_family"]
-                                             if model_kind is not None else None),
-                            n_components=axes["n_components"],
-                            tags={"workload": canonical_workload(workload)},
-                        ))
-    return tasks
+    # Classical schemes stress-test uncertified; every learned cell carries
+    # its QC_sat certificates.  Topology and workload are canonicalized up
+    # front so the report rows, the aggregate selectors, and the scenario
+    # keys all carry one spelling.
+    return _grid(
+        axes, _named_schemes(axes["schemes"], certify=True,
+                             property_family=axes["property_family"]),
+        _each("topology", [canonical_topology(family) for family in axes["topology"]]),
+        _each("workload", [canonical_workload(workload) for workload in axes["workload"]]),
+        _each("seed", axes["seeds"]), _traces("synthetic", axes["n_traces"]),
+        tags=("workload",),
+        duration=axes["duration"], buffer_bdp=axes["buffer_bdp"],
+        telemetry=canonical_telemetry(axes["telemetry"]), n_components=axes["n_components"])
 
 
 # ---------------------------------------------------------------------- #
@@ -739,8 +699,7 @@ def _noise_sensitivity_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
             "p95_delay_change_pct": float(np.mean(changes["p95_queuing_delay_ms"])),
             "max_abs_utilization_change_pct": float(np.max(np.abs(changes["utilization"]))),
         })
-    return {"figure": "11", "noise": axes["noise"], "rows": rows,
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    return {"figure": "11", "noise": axes["noise"], "rows": rows}
 
 
 @REGISTRY.register(
@@ -751,34 +710,21 @@ def _noise_sensitivity_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="percentage change of each metric under delay noise (Fig. 11)",
 )
 def _noise_sensitivity_build(axes: Dict) -> List[ExperimentTask]:
-    traces = trace_subset("synthetic", axes["n_traces"])
-    tasks = []
-    for label, model_kind in _NOISE_SCHEMES:
-        for seed in axes["seeds"]:
-            for trace in traces:
-                for noisy, noise in ((False, 0.0), (True, axes["noise"])):
-                    settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=2.0,
-                                                  observation_noise=noise, seed=seed)
-                    # The tag pairs the cells and keeps the clean ones apart
-                    # from Fig. 1's (same run, but Fig. 1 rows carry series).
-                    tasks.append(ExperimentTask(
-                        scheme=label, trace=trace, settings=settings, model_kind=model_kind,
-                        training_steps=axes["training_steps"], model_seed=seed,
-                        tags={"noisy": noisy},
-                    ))
-    return tasks
+    # The noisy tag pairs the cells and keeps the clean ones apart from
+    # Fig. 1's (same run, but Fig. 1 rows carry series).
+    return _grid(
+        axes, _schemes(_NOISE_SCHEMES), _each("seed", axes["seeds"]),
+        _traces("synthetic", axes["n_traces"]),
+        [{"noisy": False, "observation_noise": 0.0},
+         {"noisy": True, "observation_noise": axes["noise"]}],
+        tags=("noisy",), duration=axes["duration"], buffer_bdp=2.0)
 
 
 # ---------------------------------------------------------------------- #
 # Figure 12 — wide-area ("real world") deployment
 # ---------------------------------------------------------------------- #
-#: The fixed scheme → model-kind map of the Fig. 12 deployment grid.
-_REALWORLD_SCHEME_KINDS: Dict[str, Optional[str]] = {
-    "canopy-shallow": "canopy-shallow",
-    "canopy-deep": "canopy-deep",
-    "orca": "orca",
-    "cubic": None,
-}
+#: The schemes of the Fig. 12 deployment grid, each on its default model.
+_REALWORLD_SCHEMES = ("canopy-shallow", "canopy-deep", "orca", "cubic")
 
 
 def _realworld_categories(axes: Dict) -> Dict[str, list]:
@@ -792,7 +738,7 @@ def _realworld_deployment_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     rows = []
     for category, profiles in _realworld_categories(axes).items():
         normalized: Dict[str, Dict[str, List[float]]] = {
-            name: {"throughput": [], "delay": []} for name in _REALWORLD_SCHEME_KINDS
+            name: {"throughput": [], "delay": []} for name in _REALWORLD_SCHEMES
         }
         for profile in profiles:
             cells = {cell["scheme"]: cell
@@ -810,8 +756,7 @@ def _realworld_deployment_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                 "normalized_delay": float(np.mean(values["delay"])),
                 "n_paths": len(values["throughput"]),
             })
-    return {"figure": "12", "rows": rows,
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    return {"figure": "12", "rows": rows}
 
 
 @REGISTRY.register(
@@ -826,36 +771,23 @@ def _realworld_deployment_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="normalized throughput/delay over emulated WAN paths (Fig. 12)",
 )
 def _realworld_deployment_build(axes: Dict) -> List[ExperimentTask]:
-    tasks = []
-    for category, profiles in _realworld_categories(axes).items():
-        for profile in profiles:
-            trace = profile.make_trace(duration=axes["duration"])
-            for seed in axes["seeds"]:
-                settings = EvaluationSettings(
-                    duration=axes["duration"], min_rtt=profile.min_rtt_s,
-                    buffer_bdp=profile.buffer_bdp,
-                    random_loss_rate=profile.loss_rate, seed=seed,
-                )
-                for label, model_kind in _REALWORLD_SCHEME_KINDS.items():
-                    tasks.append(ExperimentTask(
-                        scheme=label, trace=trace, settings=settings,
-                        model_kind=model_kind, training_steps=axes["training_steps"],
-                        model_seed=seed,
-                        tags={"category": category, "path": profile.region},
-                    ))
-    return tasks
+    return _grid(
+        axes,
+        [{"category": category, "path": profile.region,
+          "trace": profile.make_trace(duration=axes["duration"]),
+          "min_rtt": profile.min_rtt_s, "buffer_bdp": profile.buffer_bdp,
+          "random_loss_rate": profile.loss_rate}
+         for category, profiles in _realworld_categories(axes).items() for profile in profiles],
+        _each("seed", axes["seeds"]), _named_schemes(_REALWORLD_SCHEMES),
+        tags=("category", "path"), duration=axes["duration"])
 
 
 # ---------------------------------------------------------------------- #
 # Figure 13 — runtime fallback guided by QC_sat
 # ---------------------------------------------------------------------- #
-#: The (buffer family, buffer depth, canopy model) cases of the fallback grid.
-_FALLBACK_CASES = (("shallow", 1.0, "canopy-shallow"), ("deep", 5.0, "canopy-deep"))
-
-
 def _fallback_runtime_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     rows = []
-    for family, _buffer_bdp, _canopy_kind in _FALLBACK_CASES:
+    for family in _CANOPY_KINDS:
         for scheme_label in ("orca", "canopy"):
             for threshold in axes["thresholds"]:
                 cells = grid.select(buffer_family=family, scheme=scheme_label,
@@ -869,8 +801,7 @@ def _fallback_runtime_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
                     "p95_delay_ms": float(np.mean([c["p95_queuing_delay_ms"] for c in cells])),
                     "fallback_fraction": float(np.mean([c["fallback_fraction"] for c in cells])),
                 })
-    return {"figure": "13", "rows": rows,
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    return {"figure": "13", "rows": rows}
 
 
 @REGISTRY.register(
@@ -891,55 +822,35 @@ def _fallback_runtime_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="QC_sat-guided runtime fallback grid (Fig. 13)",
 )
 def _fallback_runtime_build(axes: Dict) -> List[ExperimentTask]:
-    traces = trace_subset("synthetic", axes["n_traces"])
-    tasks = []
-    for family, buffer_bdp, canopy_kind in _FALLBACK_CASES:
-        for seed in axes["seeds"]:
-            settings = EvaluationSettings(duration=axes["duration"],
-                                          buffer_bdp=buffer_bdp, seed=seed,
-                                          telemetry=canonical_telemetry(axes["telemetry"]))
-            for scheme_label, model_kind in (("orca", "orca"), ("canopy", canopy_kind)):
-                for threshold in axes["thresholds"]:
-                    for trace in traces:
-                        tasks.append(ExperimentTask(
-                            scheme=scheme_label, trace=trace, settings=settings,
-                            model_kind=model_kind, training_steps=axes["training_steps"],
-                            model_seed=seed,
-                            monitor_threshold=threshold, monitor_family=family,
-                            monitor_components=axes["n_components"],
-                            tags={"buffer_family": family, "threshold": threshold},
-                        ))
-    return tasks
+    return _grid(
+        axes, [{**case, "monitor_family": case["buffer_family"]} for case in _BUFFER_CASES],
+        _each("seed", axes["seeds"]),
+        lambda f: _schemes((("orca", "orca"), ("canopy", _CANOPY_KINDS[f["buffer_family"]]))),
+        [{"threshold": threshold, "monitor_threshold": threshold}
+         for threshold in axes["thresholds"]],
+        _traces("synthetic", axes["n_traces"]),
+        tags=("buffer_family", "threshold"),
+        duration=axes["duration"], telemetry=canonical_telemetry(axes["telemetry"]),
+        monitor_components=axes["n_components"])
 
 
 # ---------------------------------------------------------------------- #
 # Figures 14 & 15 — TCP friendliness and fairness convergence (multi-flow)
 # ---------------------------------------------------------------------- #
-#: The (buffer family, scheme label, model kind, buffer depth) cases of Fig. 14.
-_FRIENDLINESS_CASES = (
-    ("shallow", "canopy", "canopy-shallow", 1.0),
-    ("shallow", "orca", "orca", 1.0),
-    ("shallow", "cubic", None, 1.0),
-    ("deep", "canopy", "canopy-deep", 5.0),
-    ("deep", "orca", "orca", 5.0),
-    ("deep", "cubic", None, 5.0),
-)
-
-
 #: Seconds after the last flow joins before a multi-flow cell is scored.
 _MULTIFLOW_SKIP_S = 2.0
 
 
-def _multiflow_task(scheme: str, model_kind: Optional[str], seed: int, training_steps: int,
-                    workload: str, duration: float, min_rtt: float, buffer_bdp: float,
-                    bandwidth_mbps: float = 48.0, tags: Optional[Dict] = None) -> ExperimentTask:
-    """One Fig. 14/15 cell: the scheme plus its workload on a constant-capacity
-    single bottleneck, throughputs averaged from 2 s after the last flow joins."""
-    settings = EvaluationSettings(duration=duration, min_rtt=min_rtt, buffer_bdp=buffer_bdp,
-                                  skip_seconds=_MULTIFLOW_SKIP_S, workload=workload, seed=seed)
-    return ExperimentTask(scheme=scheme, trace=BandwidthTrace.constant(bandwidth_mbps, duration),
-                          settings=settings, model_kind=model_kind,
-                          training_steps=training_steps, model_seed=seed, tags=tags or {})
+def _multiflow(duration: float, bandwidth_mbps: float = 48.0) -> Dict:
+    """The fields every Fig. 14/15 cell shares: a constant-capacity single
+    bottleneck, throughputs averaged from 2 s after the last flow joins."""
+    return {"trace": BandwidthTrace.constant(bandwidth_mbps, duration),
+            "duration": duration, "skip_seconds": _MULTIFLOW_SKIP_S}
+
+
+def _friendliness_schemes(fields: Dict) -> List[Dict]:
+    return _schemes((("canopy", _CANOPY_KINDS[fields["buffer_family"]]),
+                     ("orca", "orca"), ("cubic", None)))
 
 
 @REGISTRY.register(
@@ -955,26 +866,20 @@ def _multiflow_task(scheme: str, model_kind: Optional[str], seed: int, training_
     description="throughput ratio vs competing CUBIC flows and RTTs (Fig. 14)",
 )
 def _friendliness_build(axes: Dict) -> List[ExperimentTask]:
-    tasks = []
-    for family, scheme, model_kind, buffer_bdp in _FRIENDLINESS_CASES:
-        for seed in axes["seeds"]:
-            for n_cubic in axes["flows"]:
-                tasks.append(_multiflow_task(
-                    scheme, model_kind, seed, axes["training_steps"],
-                    canonical_workload(f"responsive(cubic:{n_cubic})"), axes["duration"],
-                    min_rtt=0.02, buffer_bdp=buffer_bdp,
-                    tags={"sweep": "flows", "buffer_family": family,
-                          "competing_flows": n_cubic}))
-    for family, scheme, model_kind, buffer_bdp in _FRIENDLINESS_CASES:
-        if family != "shallow":
-            continue
-        for seed in axes["seeds"]:
-            for rtt_ms in axes["rtts_ms"]:
-                tasks.append(_multiflow_task(
-                    scheme, model_kind, seed, axes["training_steps"], "responsive(cubic)",
-                    axes["duration"], min_rtt=rtt_ms / 1000.0, buffer_bdp=buffer_bdp,
-                    tags={"sweep": "rtt", "buffer_family": family, "rtt_ms": rtt_ms}))
-    return tasks
+    shared = _multiflow(axes["duration"])
+    flows = _grid(
+        axes, _BUFFER_CASES, _friendliness_schemes, _each("seed", axes["seeds"]),
+        [{"competing_flows": n_cubic,
+          "workload": canonical_workload(f"responsive(cubic:{n_cubic})")}
+         for n_cubic in axes["flows"]],
+        tags=("sweep", "buffer_family", "competing_flows"),
+        sweep="flows", min_rtt=0.02, **shared)
+    rtts = _grid(
+        axes, _BUFFER_CASES[:1], _friendliness_schemes, _each("seed", axes["seeds"]),
+        [{"rtt_ms": rtt_ms, "min_rtt": rtt_ms / 1000.0} for rtt_ms in axes["rtts_ms"]],
+        tags=("sweep", "buffer_family", "rtt_ms"),
+        sweep="rtt", workload="responsive(cubic)", **shared)
+    return flows + rtts
 
 
 @REGISTRY.register(
@@ -1006,13 +911,10 @@ def _fairness_build(axes: Dict) -> List[ExperimentTask]:
     # Flow i of the scheme under test joins at i * join_interval.
     joiners = WorkloadSpec(kind="step", scheme=SELF_SCHEME,
                            windows=tuple((i * join, None) for i in range(1, n_flows)))
-    return [
-        _multiflow_task(scheme, default_model_kind(scheme), seed, axes["training_steps"],
-                        joiners.canonical(), n_flows * join + join, axes["min_rtt"],
-                        axes["buffer_bdp"], axes["bandwidth_mbps"])
-        for scheme in axes["schemes"]
-        for seed in axes["seeds"]
-    ]
+    return _grid(
+        axes, _named_schemes(axes["schemes"]), _each("seed", axes["seeds"]),
+        workload=joiners.canonical(), min_rtt=axes["min_rtt"], buffer_bdp=axes["buffer_bdp"],
+        **_multiflow(n_flows * join + join, axes["bandwidth_mbps"]))
 
 
 # ---------------------------------------------------------------------- #
@@ -1037,8 +939,7 @@ def _sensitivity_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
             "lambda": lam,
             **_performance_means(cells),
         })
-    return {"figure": "16", "rows": rows,
-            "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    return {"figure": "16", "rows": rows}
 
 
 @REGISTRY.register(
@@ -1055,18 +956,12 @@ def _sensitivity_aggregate(grid, axes: Dict, tasks: Sequence) -> Dict:
     description="Canopy-shallow performance for different N and lambda (Fig. 16)",
 )
 def _sensitivity_build(axes: Dict) -> List[ExperimentTask]:
-    traces = trace_subset("synthetic", axes["n_traces"])
-    tasks = []
-    for n_components, lam in _sensitivity_configurations(axes):
-        for seed in axes["seeds"]:
-            settings = EvaluationSettings(duration=axes["duration"], buffer_bdp=1.0, seed=seed)
-            for trace in traces:
-                tasks.append(ExperimentTask(
-                    scheme="canopy", trace=trace, settings=settings,
-                    model_kind="canopy-shallow", training_steps=axes["training_steps"],
-                    model_seed=seed, lam=lam, model_components=n_components,
-                ))
-    return tasks
+    return _grid(
+        axes, [{"model_components": n_components, "lam": lam}
+               for n_components, lam in _sensitivity_configurations(axes)],
+        _each("seed", axes["seeds"]), _traces("synthetic", axes["n_traces"]),
+        scheme="canopy", model_kind="canopy-shallow", duration=axes["duration"],
+        buffer_bdp=1.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -1091,21 +986,11 @@ def _sensitivity_build(axes: Dict) -> List[ExperimentTask]:
                 "the learned cells (evaluate / certify / compare-classical)",
 )
 def _scheme_grid_build(axes: Dict) -> List[ExperimentTask]:
-    traces = [resolve_trace(name) for name in axes["traces"]]
-    tasks = []
     # Scheme-major, so the CLI tables print grouped by scheme.
-    for scheme in axes["schemes"]:
-        model_kind = default_model_kind(scheme)
-        for trace in traces:
-            for seed in axes["seeds"]:
-                settings = EvaluationSettings(
-                    duration=axes["duration"], buffer_bdp=axes["buffer_bdp"],
-                    min_rtt=axes["min_rtt"], topology=canonical_topology(axes["topology"]),
-                    workload=canonical_workload(axes["workload"]), seed=seed)
-                tasks.append(ExperimentTask(
-                    scheme=scheme, trace=trace, settings=settings, model_kind=model_kind,
-                    training_steps=axes["training_steps"], model_seed=seed,
-                    certify=axes["certify"] and model_kind is not None,
-                    n_components=axes["n_components"],
-                ))
-    return tasks
+    return _grid(
+        axes, _named_schemes(axes["schemes"], certify=axes["certify"]),
+        _each("trace", [resolve_trace(name) for name in axes["traces"]]),
+        _each("seed", axes["seeds"]),
+        duration=axes["duration"], buffer_bdp=axes["buffer_bdp"], min_rtt=axes["min_rtt"],
+        topology=canonical_topology(axes["topology"]),
+        workload=canonical_workload(axes["workload"]), n_components=axes["n_components"])

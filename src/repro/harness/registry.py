@@ -16,7 +16,8 @@ The registry factors that shape out.  An :class:`Experiment` is:
 * an optional **setup** hook — pre-trains models in-process so forked pool
   workers inherit the warm zoo cache,
 * an **aggregate** hook — ``(grid, axes, tasks) -> result dict`` (defaults
-  to the plain rows + grid accounting),
+  to the plain rows; :meth:`ExperimentRegistry.finalize` adds the grid
+  accounting),
 * a **runner** — the per-cell function, :func:`~repro.harness.parallel.run_task`
   or, for a grid whose rows carry extra columns,
   ``functools.partial(run_task, columns=...)``.
@@ -63,8 +64,8 @@ __all__ = [
 ]
 
 def default_aggregate(grid: GridResult, axes: Dict, tasks: Sequence) -> Dict:
-    """Plain rows plus grid accounting — enough for most custom experiments."""
-    return {"rows": grid.rows, "wall_clock_s": grid.wall_clock_s, "n_jobs": grid.n_jobs}
+    """Plain rows — enough for most custom experiments."""
+    return {"rows": grid.rows}
 
 
 @dataclass(frozen=True)
@@ -314,8 +315,8 @@ class ExperimentRegistry:
 
         ``rows`` must be in plan-task order.  Shared by :meth:`run` and the
         serve daemon so a served sweep reports the identical result shape
-        (aggregated rows, figure id, axes echo, cache accounting) as an
-        in-process one.
+        (aggregated rows, figure id, grid wall-clock and jobs, axes echo,
+        cache accounting) as an in-process one.
         """
         grid = GridResult(
             rows=rows,
@@ -325,6 +326,8 @@ class ExperimentRegistry:
             n_cached=n_cached,
         )
         result = plan.experiment.aggregate(grid, plan.axes, plan.tasks)
+        result["wall_clock_s"] = wall_clock_s
+        result["n_jobs"] = n_jobs
         result["experiment"] = plan.experiment.name
         result["axes"] = {axis: list(value) if isinstance(value, tuple) else value
                           for axis, value in plan.axes.items()}

@@ -5,11 +5,15 @@ These tests verify the structural contract of every figure through
 scale.
 """
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.harness import experiments
 from repro.harness.registry import REGISTRY
+from repro.harness.spec import trace_subset
 from repro.harness.store import RunStore
 
 #: Training budget and seed of every learned model in these tests.
@@ -37,6 +41,35 @@ class TestMotivation:
         assert set(result["series"]) == {"orca/seed=1", "canopy/seed=1",
                                          "orca/seed=2", "canopy/seed=2"}
         assert all("series" not in row for row in result["rows"])
+
+
+#: The committed Fig. 5 mini-store and the axes its README regenerates it with.
+QCSAT_MINI = Path(__file__).resolve().parent / "golden" / "qcsat_mini"
+QCSAT_MINI_AXES = {"training_steps": 30, "duration": 2.0, "n_components": 8,
+                   "n_synthetic": 1, "n_cellular": 1}
+
+
+def test_fully_cached_qcsat_grid_claims_no_certificate_throughput(tmp_path):
+    # A resumed grid served every cell from the store: it certified nothing
+    # this run, so dividing the stored certificates by the (tiny) live
+    # wall-clock would report a meaningless rate.
+    store = tmp_path / "qcsat_mini"
+    shutil.copytree(QCSAT_MINI, store)
+    result = REGISTRY.run("qcsat_buffers", QCSAT_MINI_AXES, store=RunStore(store), resume=True)
+    assert result["computed_cells"] == 0
+    assert result["certificates"] > 0
+    assert result["certificates_per_sec"] == 0.0
+
+
+def test_grid_rejects_a_field_no_cell_consumes():
+    trace = {"trace": trace_subset("synthetic", 1)[0]}
+    (task,) = experiments._grid({"training_steps": 5}, [trace], tags=("trace_kind",),
+                                scheme="cubic", seed=3, trace_kind="synthetic")
+    assert (task.settings.seed, task.model_seed, task.training_steps) == (3, 3, 5)
+    assert task.tags == {"trace_kind": "synthetic"}
+    with pytest.raises(ValueError, match=r"unknown grid field\(s\) \['trace_kind'\]"):
+        experiments._grid({"training_steps": 5}, [trace],
+                          scheme="cubic", seed=3, trace_kind="synthetic")
 
 
 @pytest.mark.slow
