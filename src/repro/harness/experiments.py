@@ -20,10 +20,9 @@ Every build hook is one call of :func:`_grid`, which turns a list of
 *levels* into :class:`~repro.harness.parallel.ExperimentTask` cells.  A level
 is a list of field dicts, or a function of the fields chosen above it that
 returns one (Fig. 13 pairs each buffer family with its Canopy model through
-``lambda f: _schemes(...)``).  Levels are
-walked outermost first, like nested loops, so the first level varies
-slowest.  At each leaf the chosen fields (over the fixed keyword fields)
-become one cell: :class:`~repro.harness.evaluate.EvaluationSettings` fields
+``lambda f: _schemes(...)``).  Levels are walked outermost first, like
+nested loops, so the first level varies slowest.  At each leaf the chosen
+fields (over the fixed keyword fields) become one cell: :class:`~repro.harness.evaluate.EvaluationSettings` fields
 build its settings, ``seed`` also sets ``model_seed``, ``training_steps``
 comes from the axes, the names in ``tags`` become its tags in that order,
 the remaining :class:`ExperimentTask` fields go to the task, and any other
