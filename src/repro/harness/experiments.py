@@ -76,14 +76,14 @@ MIXED_TRAINING_LABEL = "mixed"
 # ---------------------------------------------------------------------- #
 # The one build path: levels of field dicts walked into cells
 # ---------------------------------------------------------------------- #
-Level = Union[Sequence[Dict], Callable[[Dict], Sequence[Dict]]]
+_Level = Union[Sequence[Dict], Callable[[Dict], Sequence[Dict]]]
 
 _SETTINGS_FIELDS = frozenset(f.name for f in dataclasses.fields(EvaluationSettings))
 _TASK_FIELDS = (frozenset(f.name for f in dataclasses.fields(ExperimentTask))
                 - {"settings", "training_steps", "model_seed", "tags"})
 
 
-def _grid(axes: Dict, *levels: Level, tags: Sequence[str] = (), **fixed) -> List[ExperimentTask]:
+def _grid(axes: Dict, *levels: _Level, tags: Sequence[str] = (), **fixed) -> List[ExperimentTask]:
     """The cells of ``levels``, outermost first (see the module docstring)."""
     cells = [fixed]
     for level in levels:
